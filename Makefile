@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke ci
+.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check ci
 
 all: build
 
@@ -15,7 +15,7 @@ vet:
 	$(GO) vet ./...
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
-# simclock, senderr, wirereg, detorder, hooklock, goroleak). See
+# simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
 # DESIGN.md §7. Exits non-zero on any finding or stale ignore pragma.
 lint:
 	$(GO) run ./cmd/datlint ./...
@@ -117,6 +117,15 @@ bench-scale:
 obs-smoke:
 	bash scripts/obs-smoke.sh
 
+# perf/ is a module of its own (BENCHMARK.json runs `go -C perf run .`):
+# the root `go build/vet/test ./...` and datlint never visit it, so a
+# change to an exported API it uses would only surface when the
+# benchmark runs. Vet it, run its quick tests, lint it.
+perf-check:
+	$(GO) -C perf vet ./...
+	$(GO) -C perf test -short ./...
+	cd perf && $(GO) run repro/cmd/datlint ./...
+
 # Short, bounded runs of every fuzz target — a smoke pass, not a soak.
 # Each -fuzz invocation must target a single package, hence the loop.
 fuzz:
@@ -126,4 +135,4 @@ fuzz:
 	$(GO) test ./internal/chord -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 
-ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke
+ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check

@@ -5,8 +5,9 @@
 // simulation-facing packages), senderr (no silently dropped transport
 // send errors), wirereg (wire-codec registration of transport
 // payloads), detorder (no map iteration order escaping into sends or
-// traces), hooklock (no obs hooks fired under node locks), and
-// goroleak (protocol goroutines tied to shutdown). See DESIGN.md §7
+// traces), hooklock (no obs hooks fired under node locks), goroleak
+// (protocol goroutines tied to shutdown), and routever (routing state
+// written only by chord's designated mutators). See DESIGN.md §7
 // for each rule and its suppression pragma.
 //
 // Usage:

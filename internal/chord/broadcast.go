@@ -51,8 +51,8 @@ func (n *Node) deliverUpcall(msg BroadcastMsg) {
 // (self, msg.Limit), assigning each the sub-range ending at the next
 // neighbor.
 func (n *Node) forwardBroadcast(msg BroadcastMsg) {
-	n.mu.Lock()
-	self := n.self
+	rt := n.Routing()
+	self := rt.Self
 	space := n.space
 	seen := map[transport.Addr]bool{self.Addr: true}
 	var targets []NodeRef
@@ -63,13 +63,12 @@ func (n *Node) forwardBroadcast(msg BroadcastMsg) {
 		seen[ref.Addr] = true
 		targets = append(targets, ref)
 	}
-	for _, f := range n.fingers {
+	for _, f := range rt.Fingers {
 		add(f)
 	}
-	for _, s := range n.succs {
+	for _, s := range rt.Succs {
 		add(s)
 	}
-	n.mu.Unlock()
 
 	// Order targets clockwise from self and keep those inside the range.
 	sort.Slice(targets, func(i, j int) bool {

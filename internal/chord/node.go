@@ -108,21 +108,22 @@ type Node struct {
 	ep    transport.Endpoint
 	clock transport.Clock
 
-	mu        sync.Mutex
-	self      NodeRef
-	pred      NodeRef
-	succs     []NodeRef // non-empty while running; succs[0] is the successor
-	succSpare []NodeRef // retired succs backing array, reused by stabilize
-	fingers   []NodeRef // indexed by j; zero entries until fixed
-	fofPred   map[transport.Addr]NodeRef
-	strikes   map[transport.Addr]int
-	nextFix   int
-	running   bool
-	stops     []func()
-	rng       *rand.Rand
-	handlers  map[string]transport.Handler
-	upcalls   map[string]func(from NodeRef, payload []byte)
-	onPred    func(old, new NodeRef)
+	mu sync.Mutex
+	// rt is the routing state itself, not a cache of it: self, pred,
+	// successor list (non-empty while running) and fingers live in the
+	// published view and change only by clone-modify-swap through the
+	// mutators in routing.go.
+	rt          *Routing
+	succScratch []NodeRef // stabilize builds its candidate list here
+	fofPred     map[transport.Addr]NodeRef
+	strikes     map[transport.Addr]int
+	nextFix     int
+	running     bool
+	stops       []func()
+	rng         *rand.Rand
+	handlers    map[string]transport.Handler
+	upcalls     map[string]func(from NodeRef, payload []byte)
+	onPred      func(old, new NodeRef)
 
 	// JoinedAt records (clock time) when the node finished joining; used
 	// by experiments to measure convergence.
@@ -138,12 +139,17 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 		panic("chord: Config.Space is required")
 	}
 	n := &Node{
-		cfg:      cfg,
-		space:    cfg.Space,
-		ep:       ep,
-		clock:    clock,
-		self:     NodeRef{ID: id, Addr: ep.Addr()},
-		fingers:  make([]NodeRef, cfg.Space.Bits()),
+		cfg:   cfg,
+		space: cfg.Space,
+		ep:    ep,
+		clock: clock,
+		rt: &Routing{
+			Version: 1,
+			Self:    NodeRef{ID: id, Addr: ep.Addr()},
+			Fingers: make([]NodeRef, cfg.Space.Bits()),
+			Gap:     cfg.Space.Size(),
+			space:   cfg.Space,
+		},
 		fofPred:  make(map[transport.Addr]NodeRef),
 		strikes:  make(map[transport.Addr]int),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -155,11 +161,7 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 }
 
 // Self returns this node's reference.
-func (n *Node) Self() NodeRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.self
-}
+func (n *Node) Self() NodeRef { return n.Routing().Self }
 
 // Space returns the identifier space.
 func (n *Node) Space() ident.Space { return n.space }
@@ -172,41 +174,10 @@ func (n *Node) Running() bool {
 }
 
 // Successor returns the current successor (self when alone).
-func (n *Node) Successor() NodeRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.succs) == 0 {
-		return n.self
-	}
-	return n.succs[0]
-}
+func (n *Node) Successor() NodeRef { return n.Routing().Successor() }
 
 // Predecessor returns the current predecessor (zero if unknown).
-func (n *Node) Predecessor() NodeRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pred
-}
-
-// SuccessorList returns a copy of the successor list.
-func (n *Node) SuccessorList() []NodeRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeRef, len(n.succs))
-	copy(out, n.succs)
-	return out
-}
-
-// Fingers returns a copy of the finger table indexed by finger number j
-// (entry j is the last known successor(self + 2^j); zero entries have
-// not been resolved yet).
-func (n *Node) Fingers() []NodeRef {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeRef, len(n.fingers))
-	copy(out, n.fingers)
-	return out
-}
+func (n *Node) Predecessor() NodeRef { return n.Routing().Pred }
 
 // FingerPredecessor returns the cached predecessor of a finger (the
 // fingers-of-fingers information of §4), if known.
@@ -217,44 +188,8 @@ func (n *Node) FingerPredecessor(addr transport.Addr) (NodeRef, bool) {
 	return p, ok
 }
 
-// EstimatedGap estimates d0, the mean distance between adjacent nodes,
-// from the successor-list density. Falls back to the whole ring when the
-// node is alone. The balanced DAT parent rule consumes this.
-func (n *Node) EstimatedGap() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.estimatedGapLocked()
-}
-
-func (n *Node) estimatedGapLocked() uint64 {
-	last := NodeRef{}
-	count := 0
-	for _, s := range n.succs {
-		if s.Addr == n.self.Addr {
-			continue
-		}
-		last = s
-		count++
-	}
-	if count == 0 {
-		return n.space.Size()
-	}
-	g := n.space.Dist(n.self.ID, last.ID) / uint64(count)
-	if g == 0 {
-		g = 1
-	}
-	return g
-}
-
 // EstimatedNetworkSize estimates n from the gap estimate.
-func (n *Node) EstimatedNetworkSize() uint64 {
-	g := n.EstimatedGap()
-	size := n.space.Size() / g
-	if size == 0 {
-		size = 1
-	}
-	return size
-}
+func (n *Node) EstimatedNetworkSize() uint64 { return n.Routing().EstimatedNetworkSize() }
 
 // Handle registers an application-level handler for a message type.
 // Upper layers must register before traffic arrives.
@@ -282,15 +217,11 @@ func (n *Node) OnPredecessorChange(fn func(old, new NodeRef)) {
 	n.onPred = fn
 }
 
-// setPredLocked updates the predecessor and returns the hook invocation
+// adoptPredLocked updates the predecessor and returns the hook invocation
 // to run after the lock is released (nil if unchanged or no hook).
-func (n *Node) setPredLocked(p NodeRef) func() {
-	if n.pred.Addr == p.Addr && n.pred.ID == p.ID {
-		return nil
-	}
-	old := n.pred
-	n.pred = p
-	if n.onPred == nil {
+func (n *Node) adoptPredLocked(p NodeRef) func() {
+	old := n.rt.Pred
+	if !n.setPredLocked(p) || n.onPred == nil {
 		return nil
 	}
 	fn := n.onPred
@@ -301,8 +232,7 @@ func (n *Node) setPredLocked(p NodeRef) func() {
 // starts the maintenance loops.
 func (n *Node) Create() {
 	n.mu.Lock()
-	n.pred = NodeRef{}
-	n.succs = []NodeRef{n.self}
+	n.setNeighborsLocked(NodeRef{}, nil, nil)
 	n.running = true
 	n.joinedAt = n.clock.Now()
 	n.mu.Unlock()
@@ -318,14 +248,7 @@ func (n *Node) Create() {
 // stale.
 func (n *Node) SeedState(pred NodeRef, succs, fingers []NodeRef) {
 	n.mu.Lock()
-	n.pred = pred
-	n.succs = append([]NodeRef(nil), succs...)
-	if len(n.succs) == 0 {
-		n.succs = []NodeRef{n.self}
-	}
-	if len(fingers) == int(n.space.Bits()) {
-		copy(n.fingers, fingers)
-	}
+	n.setNeighborsLocked(pred, succs, fingers)
 	n.running = true
 	n.joinedAt = n.clock.Now()
 	n.mu.Unlock()
@@ -368,7 +291,7 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 		// joiner's whole ring knowledge is this list; entering with a
 		// single entry — one that moreover came from another node's
 		// possibly stale tables — means one dead successor strands the
-		// joiner alone (removeDead empties the list and a lone node never
+		// joiner alone (removeDeadLocked empties the list and a lone node never
 		// hears from the ring again). Failing the join instead lets the
 		// caller retry against a live ring.
 		n.ep.Call(succ.Addr, MsgGetState, GetStateReq{}, func(payload any, err error) {
@@ -387,7 +310,7 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 				if len(list) >= n.cfg.SuccessorListLen {
 					break
 				}
-				if s.IsZero() || s.Addr == n.self.Addr {
+				if s.IsZero() || s.Addr == n.rt.Self.Addr {
 					continue
 				}
 				dup := false
@@ -401,8 +324,7 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 					list = append(list, s)
 				}
 			}
-			n.succs = list
-			n.pred = NodeRef{}
+			n.setNeighborsLocked(NodeRef{}, list, nil)
 			n.running = true
 			n.joinedAt = n.clock.Now()
 			n.mu.Unlock()
@@ -438,7 +360,7 @@ func (n *Node) JoinProbed(bootstrap transport.Addr, cb func(ident.ID, error)) {
 				return
 			}
 			n.mu.Lock()
-			n.self.ID = resp.AssignedID
+			n.setSelfIDLocked(resp.AssignedID)
 			n.mu.Unlock()
 			n.Join(bootstrap, func(err error) { cb(resp.AssignedID, err) })
 		})
@@ -479,14 +401,15 @@ func (n *Node) Stop(graceful bool) {
 	n.running = false
 	stops := n.stops
 	n.stops = nil
-	pred, succ := n.pred, NodeRef{}
-	if len(n.succs) > 0 {
-		succ = n.succs[0]
-	}
-	leave := LeaveReq{Departing: n.self, Predecessor: n.pred}
-	leave.Successors = append(leave.Successors, n.succs...)
-	selfAddr := n.self.Addr
+	rt := n.rt
 	n.mu.Unlock()
+	pred, succ := rt.Pred, NodeRef{}
+	if len(rt.Succs) > 0 {
+		succ = rt.Succs[0]
+	}
+	leave := LeaveReq{Departing: rt.Self, Predecessor: rt.Pred}
+	leave.Successors = append(leave.Successors, rt.Succs...)
+	selfAddr := rt.Self.Addr
 
 	for _, stop := range stops {
 		stop()
@@ -545,46 +468,41 @@ func (n *Node) dispatch(req *transport.Request) {
 // localStep computes one lookup step from this node's state: either the
 // final successor of key, or a strictly closer node to ask next.
 func (n *Node) localStep(key ident.ID) StepResp {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	succ := n.self
-	if len(n.succs) > 0 {
-		succ = n.succs[0]
+	rt := n.Routing()
+	self, succ := rt.Self, rt.Successor()
+	if succ.Addr == self.Addr {
+		return StepResp{Done: true, Next: self} // alone
 	}
-	if succ.Addr == n.self.Addr || n.space.InHalfOpen(key, n.self.ID, succ.ID) {
-		// Alone, or the key falls between us and our successor.
-		if succ.Addr == n.self.Addr {
-			return StepResp{Done: true, Next: n.self}
-		}
+	if n.space.InHalfOpen(key, self.ID, succ.ID) {
 		return StepResp{Done: true, Next: succ}
 	}
-	if best := n.closestPrecedingLocked(key); !best.IsZero() {
+	if best := rt.closestPreceding(key); !best.IsZero() {
 		return StepResp{Next: best}
 	}
 	return StepResp{Next: succ}
 }
 
-// closestPrecedingLocked returns the known node in (self, key) closest
-// to key, searching fingers and the successor list. Zero if none.
-func (n *Node) closestPrecedingLocked(key ident.ID) NodeRef {
+// closestPreceding returns the known node in (self, key) closest to key,
+// searching fingers and the successor list. Zero if none.
+func (rt *Routing) closestPreceding(key ident.ID) NodeRef {
 	var best NodeRef
 	var bestRemaining uint64
 	consider := func(ref NodeRef) {
-		if ref.IsZero() || ref.Addr == n.self.Addr {
+		if ref.IsZero() || ref.Addr == rt.Self.Addr {
 			return
 		}
-		if !n.space.Between(ref.ID, n.self.ID, key) {
+		if !rt.space.Between(ref.ID, rt.Self.ID, key) {
 			return
 		}
-		remaining := n.space.Dist(ref.ID, key)
+		remaining := rt.space.Dist(ref.ID, key)
 		if best.IsZero() || remaining < bestRemaining {
 			best, bestRemaining = ref, remaining
 		}
 	}
-	for _, f := range n.fingers {
+	for _, f := range rt.Fingers {
 		consider(f)
 	}
-	for _, s := range n.succs {
+	for _, s := range rt.Succs {
 		consider(s)
 	}
 	return best
@@ -599,17 +517,17 @@ func (n *Node) handleStep(req *transport.Request) {
 	req.Reply(n.localStep(sr.Key))
 }
 
-// stateRespLocked snapshots the node's neighbor state. The slices must
-// be freshly allocated every call: the response travels by reference
-// through the simulated transport and outlives the lock. Fingers are
+// stateResp renders the view as a GetState reply. The slices must be
+// freshly allocated every call: the response travels by reference
+// through the simulated transport to code that may keep or edit it. Fingers are
 // deduplicated by a linear scan over the output — at most Bits entries,
 // cheaper than the map the hot path used to allocate per exchange.
-func (n *Node) stateRespLocked() StateResp {
-	resp := StateResp{Self: n.self, Predecessor: n.pred}
-	resp.Successors = make([]NodeRef, len(n.succs))
-	copy(resp.Successors, n.succs)
-	resp.Fingers = make([]NodeRef, 0, len(n.fingers))
-	for _, f := range n.fingers {
+func (rt *Routing) stateResp() StateResp {
+	resp := StateResp{Self: rt.Self, Predecessor: rt.Pred}
+	resp.Successors = make([]NodeRef, len(rt.Succs))
+	copy(resp.Successors, rt.Succs)
+	resp.Fingers = make([]NodeRef, 0, len(rt.Fingers))
+	for _, f := range rt.Fingers {
 		if f.IsZero() {
 			continue
 		}
@@ -628,10 +546,7 @@ func (n *Node) stateRespLocked() StateResp {
 }
 
 func (n *Node) handleGetState(req *transport.Request) {
-	n.mu.Lock()
-	resp := n.stateRespLocked()
-	n.mu.Unlock()
-	req.Reply(resp)
+	req.Reply(n.Routing().stateResp())
 }
 
 func (n *Node) handleNotify(req *transport.Request) {
@@ -643,14 +558,14 @@ func (n *Node) handleNotify(req *transport.Request) {
 	n.mu.Lock()
 	var fire func()
 	cand := nr.Candidate
-	if cand.Addr != n.self.Addr {
-		if n.pred.IsZero() || n.space.Between(cand.ID, n.pred.ID, n.self.ID) {
-			fire = n.setPredLocked(cand)
+	if self := n.rt.Self; cand.Addr != self.Addr {
+		if pred := n.rt.Pred; pred.IsZero() || n.space.Between(cand.ID, pred.ID, self.ID) {
+			fire = n.adoptPredLocked(cand)
 		}
 		// A lone node learns its first peer through notify: adopt it as
 		// successor too so the two-node ring closes.
-		if len(n.succs) == 1 && n.succs[0].Addr == n.self.Addr {
-			n.succs = []NodeRef{cand}
+		if succs := n.rt.Succs; len(succs) == 1 && succs[0].Addr == self.Addr {
+			n.setSuccsLocked(cand)
 		}
 	}
 	n.mu.Unlock()
@@ -667,25 +582,26 @@ func (n *Node) handleLeave(req *transport.Request) {
 	}
 	n.mu.Lock()
 	var fire func()
-	if !n.pred.IsZero() && n.pred.Addr == lr.Departing.Addr {
+	self := n.rt.Self
+	if pred := n.rt.Pred; !pred.IsZero() && pred.Addr == lr.Departing.Addr {
 		repl := lr.Predecessor
-		if !repl.IsZero() && repl.Addr == n.self.Addr {
+		if !repl.IsZero() && repl.Addr == self.Addr {
 			repl = NodeRef{}
 		}
-		fire = n.setPredLocked(repl)
+		fire = n.adoptPredLocked(repl)
 	}
-	if len(n.succs) > 0 && n.succs[0].Addr == lr.Departing.Addr {
+	if succs := n.rt.Succs; len(succs) > 0 && succs[0].Addr == lr.Departing.Addr {
 		// Splice in the departing node's successors, skipping it and us.
 		var repl []NodeRef
 		for _, s := range lr.Successors {
-			if s.Addr != lr.Departing.Addr && s.Addr != n.self.Addr {
+			if s.Addr != lr.Departing.Addr && s.Addr != self.Addr {
 				repl = append(repl, s)
 			}
 		}
 		if len(repl) == 0 {
-			repl = []NodeRef{n.self}
+			repl = []NodeRef{self}
 		}
-		n.succs = repl
+		n.setSuccsLocked(repl...)
 	}
 	n.removeDeadLocked(lr.Departing.Addr)
 	n.mu.Unlock()
@@ -698,28 +614,27 @@ func (n *Node) handleLeave(req *transport.Request) {
 // live predecessor of each candidate (itself, its fingers, its
 // successor) and replies with the midpoint of the largest interval.
 func (n *Node) handleProbeSplit(req *transport.Request) {
-	n.mu.Lock()
+	rt := n.Routing()
 	type cand struct {
 		ref  NodeRef
 		pred NodeRef // known locally only for self
 	}
-	cands := []cand{{ref: n.self, pred: n.pred}}
-	seen := map[transport.Addr]bool{n.self.Addr: true}
-	for _, f := range n.fingers {
+	cands := []cand{{ref: rt.Self, pred: rt.Pred}}
+	seen := map[transport.Addr]bool{rt.Self.Addr: true}
+	for _, f := range rt.Fingers {
 		if !f.IsZero() && !seen[f.Addr] {
 			seen[f.Addr] = true
 			cands = append(cands, cand{ref: f})
 		}
 	}
-	for _, s := range n.succs {
+	for _, s := range rt.Succs {
 		if !s.IsZero() && !seen[s.Addr] {
 			seen[s.Addr] = true
 			cands = append(cands, cand{ref: s})
 		}
 	}
 	space := n.space
-	self := n.self
-	n.mu.Unlock()
+	self := rt.Self
 
 	// Gather each candidate's predecessor; local state answers for self,
 	// remote GetState for the rest. The join-like barrier counts down as
@@ -873,14 +788,13 @@ func (n *Node) lookupLoop(at NodeRef, key ident.ID, hops, retries int, cb func(N
 // refresh the successor list, and notify the successor about us.
 func (n *Node) stabilize() {
 	n.mu.Lock()
-	if !n.running || len(n.succs) == 0 {
+	rt := n.rt
+	if !n.running || len(rt.Succs) == 0 {
 		n.mu.Unlock()
 		return
 	}
-	succ := n.succs[0]
-	self := n.self
-	pred := n.pred
 	n.mu.Unlock()
+	succ, self, pred := rt.Succs[0], rt.Self, rt.Pred
 
 	if h := n.cfg.Obs.StabilizeRound; h != nil {
 		h()
@@ -890,7 +804,7 @@ func (n *Node) stabilize() {
 		// Alone. If someone notified us, adopt them to close a 2-ring.
 		if !pred.IsZero() && pred.Addr != self.Addr {
 			n.mu.Lock()
-			n.succs = []NodeRef{pred}
+			n.setSuccsLocked(pred)
 			n.mu.Unlock()
 		}
 		return
@@ -910,14 +824,14 @@ func (n *Node) stabilize() {
 		}
 		n.noteState(resp)
 		n.mu.Lock()
-		cur := n.succs
+		cur, selfRef := n.rt.Succs, n.rt.Self
 		if len(cur) == 0 || cur[0].Addr != succ.Addr {
 			n.mu.Unlock()
 			return // successor changed underneath us; next round handles it
 		}
 		newSucc := succ
 		x := resp.Predecessor
-		if !x.IsZero() && x.Addr != n.self.Addr && n.space.Between(x.ID, n.self.ID, succ.ID) {
+		if !x.IsZero() && x.Addr != selfRef.Addr && n.space.Between(x.ID, selfRef.ID, succ.ID) {
 			newSucc = x
 		}
 		// Rebuild the successor list: newSucc first, then the verified old
@@ -927,14 +841,12 @@ func (n *Node) stabilize() {
 		// not collapse to believing it is alone (a lone node declares
 		// itself root of every aggregation tree).
 		//
-		// Double-buffer: build into the retired backing array from the
-		// round before last and swap, so steady-state stabilization stops
-		// allocating a fresh list every round. Safe because every reader
-		// of n.succs either copies under the lock or drops its reference
-		// before unlocking.
-		list := append(n.succSpare[:0], newSucc)
+		// Build into node-owned scratch: a quiet ring rebuilds the same
+		// list every round, setSuccsLocked then keeps the published view
+		// (and its Version), and the round allocates nothing.
+		list := append(n.succScratch[:0], newSucc)
 		appendRef := func(s NodeRef) {
-			if len(list) >= n.cfg.SuccessorListLen || s.IsZero() || s.Addr == n.self.Addr {
+			if len(list) >= n.cfg.SuccessorListLen || s.IsZero() || s.Addr == selfRef.Addr {
 				return
 			}
 			for _, have := range list {
@@ -948,10 +860,9 @@ func (n *Node) stabilize() {
 		for _, s := range resp.Successors {
 			appendRef(s)
 		}
-		n.succSpare = n.succs
-		n.succs = list
+		n.succScratch = list
+		n.setSuccsLocked(list...)
 		notifyTo := newSucc
-		selfRef := n.self
 		n.mu.Unlock()
 		n.send(notifyTo.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
 	})
@@ -969,7 +880,7 @@ func (n *Node) fixFingers() {
 	first := n.nextFix
 	count := n.cfg.FingersPerFix
 	n.nextFix = (n.nextFix + count) % bits
-	self := n.self
+	self := n.rt.Self
 	n.mu.Unlock()
 
 	// Walk the same window the retired idxs slice used to hold; the
@@ -983,7 +894,7 @@ func (n *Node) fixFingers() {
 			}
 			n.mu.Lock()
 			if n.running {
-				n.fingers[j] = ref
+				n.setFingerLocked(j, ref)
 			}
 			n.mu.Unlock()
 		})
@@ -994,10 +905,11 @@ func (n *Node) fixFingers() {
 // replace it at the next notify.
 func (n *Node) checkPredecessor() {
 	n.mu.Lock()
-	pred := n.pred
+	rt := n.rt
 	running := n.running
 	n.mu.Unlock()
-	if !running || pred.IsZero() || pred.Addr == n.Self().Addr {
+	pred := rt.Pred
+	if !running || pred.IsZero() || pred.Addr == rt.Self.Addr {
 		return
 	}
 	n.ep.Call(pred.Addr, MsgPing, PingReq{}, func(_ any, err error) {
@@ -1012,12 +924,6 @@ func (n *Node) checkPredecessor() {
 		// root silently swallows aggregation subtrees.
 		n.suspect(pred.Addr)
 	})
-}
-
-func (n *Node) removeDead(addr transport.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.removeDeadLocked(addr)
 }
 
 // Suspect feeds an upper layer's failed exchange with addr into the
@@ -1065,27 +971,4 @@ func (n *Node) exonerate(addr transport.Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.strikes, addr)
-}
-
-func (n *Node) removeDeadLocked(addr transport.Addr) {
-	for j, f := range n.fingers {
-		if f.Addr == addr {
-			n.fingers[j] = NodeRef{}
-		}
-	}
-	if !n.pred.IsZero() && n.pred.Addr == addr {
-		n.pred = NodeRef{}
-	}
-	delete(n.fofPred, addr)
-	delete(n.strikes, addr)
-	var kept []NodeRef
-	for _, s := range n.succs {
-		if s.Addr != addr {
-			kept = append(kept, s)
-		}
-	}
-	if len(kept) == 0 && n.running {
-		kept = []NodeRef{n.self}
-	}
-	n.succs = kept
 }

@@ -130,7 +130,7 @@ func (c *simCluster) converged() bool {
 		if p := n.Predecessor(); p.IsZero() || p.ID != ring.Pred(self) {
 			return false
 		}
-		for j, f := range n.Fingers() {
+		for j, f := range n.Routing().Fingers {
 			if f.IsZero() || f.ID != ring.Finger(self, uint(j)) {
 				return false
 			}
@@ -146,7 +146,7 @@ func TestRingConvergence(t *testing.T) {
 	// Converged (asserted inside buildRing). Check successor lists too.
 	ring := c.idealRing()
 	for _, n := range c.live() {
-		list := n.SuccessorList()
+		list := n.Routing().Succs
 		if len(list) < 2 {
 			t.Fatalf("node %v successor list too short: %v", n.Self(), list)
 		}
@@ -337,7 +337,7 @@ func TestEstimatedGapAndSize(t *testing.T) {
 	c.buildRing(EvenIDs(c.space, 16))
 	trueGap := c.space.Size() / 16
 	for _, n := range c.live() {
-		g := n.EstimatedGap()
+		g := n.Routing().Gap
 		if g < trueGap/4 || g > trueGap*4 {
 			t.Errorf("node %v gap estimate %d far from true %d", n.Self(), g, trueGap)
 		}
@@ -351,7 +351,7 @@ func TestEstimatedGapAndSize(t *testing.T) {
 	n := lone.addNode(1)
 	n.Create()
 	lone.eng.RunFor(time.Second)
-	if g := n.EstimatedGap(); g != lone.space.Size() {
+	if g := n.Routing().Gap; g != lone.space.Size() {
 		t.Errorf("lone gap = %d, want ring size", g)
 	}
 }
@@ -587,7 +587,7 @@ func TestSuspectSuccessorRepairsViaSuccessorList(t *testing.T) {
 	victim := c.nodes[4]
 	victimID := victim.Self().ID
 	pred := c.nodes[3] // EvenIDs are sorted, so node 3 precedes node 4
-	fallback := pred.SuccessorList()
+	fallback := pred.Routing().Succs
 	if len(fallback) < 2 || fallback[0].Addr != victim.Self().Addr {
 		t.Fatalf("precondition: node 3 successor list %v should lead with the victim", fallback)
 	}
@@ -742,7 +742,7 @@ func TestJoinAdoptsSuccessorList(t *testing.T) {
 				t.Errorf("join: %v", err)
 			}
 			joined = true
-			if got := len(late.SuccessorList()); got < 2 {
+			if got := len(late.Routing().Succs); got < 2 {
 				t.Errorf("successor list right after join has %d entries, want >= 2", got)
 			}
 		})

@@ -1,0 +1,216 @@
+package chord
+
+import (
+	"slices"
+
+	"repro/internal/ident"
+	"repro/internal/transport"
+)
+
+// Routing is one immutable, versioned view of a node's routing state —
+// everything next-hop and DAT parent selection depend on. A published
+// *Routing is never written again: mutators build a modified copy and
+// swap the node's pointer (copy-on-write), so a reader holding a view
+// sees one consistent table for as long as it likes, and two views
+// with equal Version have equal content (DESIGN.md §16).
+type Routing struct {
+	// Version increases by one each time the content changes, and only
+	// then: maintenance rounds that rewrite identical values keep it.
+	// It starts at 1, so the zero Version never names a view.
+	Version uint64
+	Self    NodeRef
+	Pred    NodeRef   // zero when unknown
+	Succs   []NodeRef // Succs[0] is the successor; empty before Create/Join
+	Fingers []NodeRef // indexed by finger number j; zero entries are unresolved
+	// Gap estimates d0, the mean distance between adjacent nodes, from
+	// the successor-list density (the whole ring when the node is alone).
+	// The balanced DAT parent rule consumes it.
+	Gap uint64
+
+	space ident.Space
+}
+
+// Successor returns the view's successor (Self when the list is empty).
+func (rt *Routing) Successor() NodeRef {
+	if len(rt.Succs) == 0 {
+		return rt.Self
+	}
+	return rt.Succs[0]
+}
+
+// Space returns the identifier space the view's IDs live in.
+func (rt *Routing) Space() ident.Space { return rt.space }
+
+// EstimatedNetworkSize estimates n from the gap estimate.
+func (rt *Routing) EstimatedNetworkSize() uint64 {
+	size := rt.space.Size() / rt.Gap
+	if size == 0 {
+		size = 1
+	}
+	return size
+}
+
+// Routing returns the node's current routing view. The result is shared
+// and must not be modified. A quiet node returns the same pointer every
+// call; nothing is allocated here.
+func (n *Node) Routing() *Routing {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rt
+}
+
+// The mutators below are the only code allowed to write routing state
+// (datlint's routever analyzer enforces it). Each compares before it
+// clones, so Version moves only on a real change.
+
+// publishLocked installs next, a modified private copy of the current
+// view, as the node's routing state.
+//
+//datlint:routever-mutator
+func (n *Node) publishLocked(next *Routing) {
+	next.Version = n.rt.Version + 1
+	next.Gap = estimateGap(n.space, next.Self, next.Succs)
+	n.rt = next
+}
+
+func estimateGap(space ident.Space, self NodeRef, succs []NodeRef) uint64 {
+	last := NodeRef{}
+	count := 0
+	for _, s := range succs {
+		if s.Addr == self.Addr {
+			continue
+		}
+		last = s
+		count++
+	}
+	if count == 0 {
+		return space.Size()
+	}
+	g := space.Dist(self.ID, last.ID) / uint64(count)
+	if g == 0 {
+		g = 1
+	}
+	return g
+}
+
+//datlint:routever-mutator
+func (n *Node) setSelfIDLocked(id ident.ID) {
+	if n.rt.Self.ID == id {
+		return
+	}
+	next := *n.rt
+	next.Self.ID = id
+	n.publishLocked(&next)
+}
+
+// setPredLocked replaces the predecessor and reports whether it changed.
+//
+//datlint:routever-mutator
+func (n *Node) setPredLocked(p NodeRef) bool {
+	if n.rt.Pred == p {
+		return false
+	}
+	next := *n.rt
+	next.Pred = p
+	n.publishLocked(&next)
+	return true
+}
+
+// setSuccsLocked replaces the successor list with a copy of list, which
+// may be caller-owned scratch.
+//
+//datlint:routever-mutator
+func (n *Node) setSuccsLocked(list ...NodeRef) {
+	if slices.Equal(n.rt.Succs, list) {
+		return
+	}
+	next := *n.rt
+	next.Succs = slices.Clone(list)
+	n.publishLocked(&next)
+}
+
+//datlint:routever-mutator
+func (n *Node) setFingerLocked(j int, ref NodeRef) {
+	if n.rt.Fingers[j] == ref {
+		return
+	}
+	next := *n.rt
+	next.Fingers = slices.Clone(n.rt.Fingers)
+	next.Fingers[j] = ref
+	n.publishLocked(&next)
+}
+
+// setNeighborsLocked installs a whole neighbor state in one step
+// (Create, Join, SeedState), copying its arguments. An empty successor
+// list means alone; a finger table of the wrong length (nil: keep)
+// leaves the fingers as they are.
+//
+//datlint:routever-mutator
+func (n *Node) setNeighborsLocked(pred NodeRef, succs, fingers []NodeRef) {
+	cur := n.rt
+	if len(succs) == 0 {
+		succs = []NodeRef{cur.Self}
+	}
+	if len(fingers) != len(cur.Fingers) {
+		fingers = cur.Fingers
+	}
+	if pred == cur.Pred && slices.Equal(succs, cur.Succs) && slices.Equal(fingers, cur.Fingers) {
+		return
+	}
+	next := *cur
+	next.Pred, next.Succs, next.Fingers = pred, slices.Clone(succs), slices.Clone(fingers)
+	n.publishLocked(&next)
+}
+
+// removeDeadLocked drops addr from every table: its fingers go back to
+// unresolved, a matching predecessor to unknown (no OnPredecessorChange
+// upcall: nobody arrived), and the successor list closes over it — down
+// to self alone while running.
+//
+//datlint:routever-mutator
+func (n *Node) removeDeadLocked(addr transport.Addr) {
+	delete(n.fofPred, addr)
+	delete(n.strikes, addr)
+	cur := n.rt
+	pred, succs, fingers := cur.Pred, cur.Succs, cur.Fingers
+	changed := false
+	if !pred.IsZero() && pred.Addr == addr {
+		pred, changed = NodeRef{}, true
+	}
+	if hasAddr(succs, addr) {
+		succs = make([]NodeRef, 0, len(cur.Succs)-1)
+		for _, s := range cur.Succs {
+			if s.Addr != addr {
+				succs = append(succs, s)
+			}
+		}
+		changed = true
+	}
+	if len(succs) == 0 && n.running {
+		succs, changed = []NodeRef{cur.Self}, true
+	}
+	if hasAddr(fingers, addr) {
+		fingers = slices.Clone(cur.Fingers)
+		for j := range fingers {
+			if fingers[j].Addr == addr {
+				fingers[j] = NodeRef{}
+			}
+		}
+		changed = true
+	}
+	if !changed {
+		return
+	}
+	next := *cur
+	next.Pred, next.Succs, next.Fingers = pred, succs, fingers
+	n.publishLocked(&next)
+}
+
+func hasAddr(refs []NodeRef, addr transport.Addr) bool {
+	for _, r := range refs {
+		if r.Addr == addr {
+			return true
+		}
+	}
+	return false
+}

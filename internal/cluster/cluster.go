@@ -480,20 +480,21 @@ func (c *Cluster) Converged() bool {
 	}
 	ring := c.Ring()
 	for _, n := range live {
-		self := n.Self().ID
+		rt := n.Routing()
+		self := rt.Self.ID
 		if len(live) == 1 {
-			if n.Successor().Addr != n.Self().Addr {
+			if rt.Successor().Addr != rt.Self.Addr {
 				return false
 			}
 			continue
 		}
-		if n.Successor().ID != ring.Succ(self) {
+		if rt.Successor().ID != ring.Succ(self) {
 			return false
 		}
-		if p := n.Predecessor(); p.IsZero() || p.ID != ring.Pred(self) {
+		if p := rt.Pred; p.IsZero() || p.ID != ring.Pred(self) {
 			return false
 		}
-		for j, f := range n.Fingers() {
+		for j, f := range rt.Fingers {
 			if f.IsZero() || f.ID != ring.Finger(self, uint(j)) {
 				return false
 			}

@@ -239,8 +239,16 @@ type Node struct {
 	breakers map[transport.Addr]*breaker
 	brOpens  uint64 // cumulative open transitions
 
-	mu   sync.Mutex
-	aggs map[ident.ID]*aggEntry
+	mu     sync.Mutex
+	aggs   map[ident.ID]*aggEntry
+	closed bool // set by Close: no slot timer is armed afterwards
+}
+
+// parentMemo is parentFrom's no-exclusion answer under routing version
+// ver; the zero ver names no view.
+type parentMemo struct {
+	ver uint64
+	pc  parentChoice
 }
 
 type childState struct {
@@ -264,6 +272,8 @@ type aggEntry struct {
 	lastAgg    Aggregate
 	lastSlot   int64
 	haveLast   bool
+
+	memo parentMemo // this tree's parent under the current routing view
 
 	// Delivery-assurance state: the key's pending acked update (a new
 	// slot supersedes it), the monotone on-demand flush sequence, and —
@@ -334,10 +344,19 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 	return n
 }
 
-// Close drains the send machine, flushing any queued updates and
-// stopping its deadline timers. Safe to call more than once; the node's
-// aggregation timers are stopped per key via StopContinuous.
+// Close stops every tree (slot timers and pending deliveries, as
+// StopContinuous does per key) and then drains the send machine,
+// flushing any queued updates and stopping its deadline timers. No tick
+// starts after Close, and a tick already running surfaces no result
+// once it sees the node closed; only an onResult call already underway
+// may finish after Close returns. Safe to call more than once.
 func (n *Node) Close() {
+	n.mu.Lock()
+	n.closed = true
+	n.mu.Unlock()
+	for _, key := range n.ActiveKeys() {
+		n.StopContinuous(key)
+	}
 	if n.sm != nil {
 		n.sm.Close()
 	}
@@ -355,8 +374,30 @@ func (n *Node) Scheme() Scheme { return n.cfg.Scheme }
 // predecessor is unknown right after joining): callers should skip this
 // round and retry after stabilization.
 func (n *Node) ParentFor(key ident.ID) (parent chord.NodeRef, isRoot, ok bool) {
-	parent, isRoot, _, ok = n.parentForExcluding(key, nil)
-	return parent, isRoot, ok
+	rt := n.ch.Routing()
+	n.mu.Lock()
+	pc := n.parentLocked(n.aggs[key], key, rt)
+	n.mu.Unlock()
+	return pc.parent, pc.isRoot, pc.ok
+}
+
+// parentLocked is parentFrom(rt, key, nil) through the memo of key's
+// entry e; a key this node runs no tree for (e nil) is computed afresh.
+// The parent is a pure function of the routing view and two views with
+// one Version are equal, so while the ring is quiet every tick, update
+// guard and flush of a tree reuses one answer, and a routing change
+// costs one recomputation per tree. Caller holds n.mu; rt was read
+// before taking it (a view a concurrent caller finds stale just misses
+// the memo).
+func (n *Node) parentLocked(e *aggEntry, key ident.ID, rt *chord.Routing) parentChoice {
+	if e == nil {
+		return parentFrom(rt, n.cfg.Scheme, key, nil)
+	}
+	if m := &e.memo; m.ver != rt.Version {
+		m.pc = parentFrom(rt, n.cfg.Scheme, key, nil)
+		m.ver = rt.Version
+	}
+	return e.memo.pc
 }
 
 // --- continuous mode ---
@@ -379,6 +420,10 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 		return fmt.Errorf("core: non-positive slot duration %v", slot)
 	}
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return errors.New("core: node closed")
+	}
 	if _, exists := n.aggs[key]; exists {
 		n.mu.Unlock()
 		return fmt.Errorf("core: aggregate %v already active", key)
@@ -400,7 +445,7 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 // plus the height-proportional hold.
 func (n *Node) scheduleTick(e *aggEntry) {
 	n.mu.Lock()
-	if n.aggs[e.key] != e { // stopped
+	if n.closed || n.aggs[e.key] != e { // stopped
 		n.mu.Unlock()
 		return
 	}
@@ -494,12 +539,14 @@ func (n *Node) ChildrenInfo(key ident.ID) []ChildInfo {
 // local sample with the child subtree aggregates received this slot and
 // push the result to the parent (or surface it if this node is the root).
 func (n *Node) tickContinuous(key ident.ID) {
+	rt := n.ch.Routing()
 	n.mu.Lock()
 	e := n.aggs[key]
 	if e == nil {
 		n.mu.Unlock()
 		return
 	}
+	pc := n.parentLocked(e, key, rt)
 	now := n.clock.Now()
 	slot := int64(now / e.slotDur) // the boundary we are reporting for
 	ttl := time.Duration(n.cfg.ChildTTLSlots) * e.slotDur
@@ -548,11 +595,10 @@ func (n *Node) tickContinuous(key ident.ID) {
 		}
 	}
 
-	parent, isRoot, parentIsKeyRoot, ok := n.parentForExcluding(key, nil)
-	if !ok {
+	if !pc.ok {
 		return // overlay not settled; try next slot
 	}
-	self := n.ch.Self()
+	parent, isRoot, self := pc.parent, pc.isRoot, rt.Self
 
 	// Root-handover bridge: a node that received a handover update acts
 	// as the key's root until the ring elects a real successor(key) (or
@@ -598,9 +644,12 @@ func (n *Node) tickContinuous(key ident.ID) {
 		if forced {
 			agg.Degraded = true // serving in the dead root's stead
 		}
-		est := n.ch.EstimatedNetworkSize()
 		n.mu.Lock()
-		agg.Coverage = coverage(nodes, e.clampEstimateLocked(est))
+		if n.closed || n.aggs[key] != e { // stopped while this tick ran: surface nothing
+			n.mu.Unlock()
+			return
+		}
+		agg.Coverage = coverage(nodes, e.clampEstimateLocked(rt.EstimatedNetworkSize()))
 		e.lastAgg, e.lastSlot, e.haveLast = agg, slot, true
 		cb := e.onResult
 		n.mu.Unlock()
@@ -625,7 +674,7 @@ func (n *Node) tickContinuous(key ident.ID) {
 		n.send(parent.Addr, MsgUpdate, um)
 		return
 	}
-	n.deliverUpdate(e, parent, parentIsKeyRoot, um, false)
+	n.deliverUpdate(e, parent, pc.keyRoot, um, false)
 }
 
 // clampEstimateLocked bounds the density-based network-size estimate by
@@ -688,20 +737,21 @@ func (n *Node) handleDetach(req *transport.Request) {
 // an on-demand contribution into the epoch bucket. Updates arrive both
 // as one-way datagrams (Disable mode) and as acked calls; every path
 // below replies exactly once — OK acks confirm delivery, not-OK acks
-// ("cycle", "no-slot") tell a live sender to route elsewhere without
-// charging this node a failure-detector strike.
+// ("cycle", "no-slot", "closed") tell a live sender to route elsewhere
+// without charging this node a failure-detector strike.
 func (n *Node) handleUpdate(req *transport.Request) {
 	um, ok := req.Payload.(UpdateMsg)
 	if !ok {
 		req.ReplyError(fmt.Errorf("core: bad update payload %T", req.Payload))
 		return
 	}
+	rt := n.ch.Routing()
 	// Record the hop span first: the message travelled regardless of
 	// whether the update is accepted below.
 	if h := n.cfg.Obs.Span; h != nil {
 		h(obs.Span{
 			Trace: um.Trace, Key: um.Key, Epoch: um.Epoch,
-			From: req.From, To: n.ch.Self().Addr,
+			From: req.From, To: rt.Self.Addr,
 			Height: um.Height, Demand: um.Demand,
 			Sent: time.Duration(um.SentAt), Recv: n.clock.Now(),
 		})
@@ -711,11 +761,6 @@ func (n *Node) handleUpdate(req *transport.Request) {
 		req.Reply(UpdateAck{OK: true})
 		return
 	}
-	// Compute the 2-cycle guard before taking the lock: ParentFor only
-	// consults the chord node, which has its own lock, and calling it
-	// with n.mu held would re-enter n.mu through the scheme helpers.
-	parent, isRoot, okp := n.ParentFor(um.Key)
-	fromParent := okp && !isRoot && parent.Addr == req.From
 	enrolled := false
 	n.mu.Lock()
 	e := n.aggs[um.Key]
@@ -724,13 +769,21 @@ func (n *Node) handleUpdate(req *transport.Request) {
 		// joined the ring later) learns about it from the first child
 		// update and enrolls: it must relay the subtree upward, or the
 		// subtree would silently vanish from the global view. The slot
-		// duration rides along in the update.
-		if um.Slot <= 0 {
+		// duration rides along in the update. A closed node arms no slot
+		// timer, so it refuses: the child fails over at once instead of
+		// being acknowledged into a subtree that is never relayed.
+		reason := ""
+		if n.closed {
+			reason = "closed"
+		} else if um.Slot <= 0 {
+			reason = "no-slot"
+		}
+		if reason != "" {
 			n.mu.Unlock()
 			if h := n.cfg.Obs.UpdateRejected; h != nil {
-				h(um.Key, "no-slot")
+				h(um.Key, reason)
 			}
-			req.Reply(UpdateAck{OK: false, Reason: "no-slot"})
+			req.Reply(UpdateAck{OK: false, Reason: reason})
 			return
 		}
 		if e == nil {
@@ -750,7 +803,7 @@ func (n *Node) handleUpdate(req *transport.Request) {
 	// Guard against transient 2-cycles during churn: if the sender is
 	// currently our parent, adopting it as a child would double-count the
 	// whole subtree.
-	if fromParent {
+	if pc := n.parentLocked(e, um.Key, rt); pc.ok && !pc.isRoot && pc.parent.Addr == req.From {
 		n.mu.Unlock()
 		if h := n.cfg.Obs.UpdateRejected; h != nil {
 			h(um.Key, "cycle")
@@ -942,6 +995,7 @@ func (n *Node) foldDemand(um UpdateMsg, from transport.Addr) {
 // flushDemand pushes the accumulated epoch bucket one level up the DAT.
 func (n *Node) flushDemand(key ident.ID, epoch int64) {
 	e := n.entry(key)
+	rt := n.ch.Routing()
 	n.mu.Lock()
 	es := e.epochs[epoch]
 	if es == nil || es.isRoot {
@@ -953,12 +1007,12 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 	es.cancelFlush = nil
 	e.demandSeq++
 	seq := e.demandSeq
+	pc := n.parentLocked(e, key, rt)
 	n.mu.Unlock()
 	if agg.Count == 0 {
 		return
 	}
-	parent, isRoot, keyRoot, ok := n.parentForExcluding(key, nil)
-	if !ok || isRoot {
+	if !pc.ok || pc.isRoot {
 		// isRoot should not happen for a non-root epoch holder unless the
 		// ring churned; fold back into the bucket as root-side state.
 		n.mu.Lock()
@@ -969,16 +1023,15 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 		n.mu.Unlock()
 		return
 	}
-	self := n.ch.Self()
 	um := UpdateMsg{
-		Key: key, Epoch: epoch, Agg: agg, Nodes: nodes, Sender: self, Demand: true, Seq: seq,
+		Key: key, Epoch: epoch, Agg: agg, Nodes: nodes, Sender: rt.Self, Demand: true, Seq: seq,
 		Trace: obs.RoundTrace(key, epoch, true), SentAt: int64(n.clock.Now()),
 	}
 	if n.cfg.Delivery.Disable {
-		n.send(parent.Addr, MsgUpdate, um)
+		n.send(pc.parent.Addr, MsgUpdate, um)
 		return
 	}
-	n.deliverUpdate(nil, parent, keyRoot, um, true)
+	n.deliverUpdate(nil, pc.parent, pc.keyRoot, um, true)
 }
 
 // entry returns (creating if needed) the aggregation table entry for key.

@@ -113,60 +113,63 @@ func backoffDelay(base time.Duration, attempt int, h uint64) time.Duration {
 	return d
 }
 
-// parentForExcluding is ParentFor with a set of candidate addresses
-// already found unreachable (or refusing). parentIsKeyRoot reports that
-// the chosen parent is believed to be successor(key) — the tree root —
-// which is what arms root handover when that parent fails too. With an
-// empty exclusion set it is behaviorally identical to ParentFor.
-func (n *Node) parentForExcluding(key ident.ID, excluded map[transport.Addr]bool) (parent chord.NodeRef, isRoot, parentIsKeyRoot, ok bool) {
-	self := n.ch.Self()
-	succ := n.ch.Successor()
-	pred := n.ch.Predecessor()
-	space := n.ch.Space()
+// parentChoice is parentFrom's answer. keyRoot reports that the chosen
+// parent is believed to be successor(key) — the tree root — which is
+// what arms root handover when that parent fails too. ok is false when
+// the view cannot decide yet (e.g. the predecessor is unknown right
+// after joining).
+type parentChoice struct {
+	parent  chord.NodeRef
+	isRoot  bool
+	keyRoot bool
+	ok      bool
+}
 
-	if succ.Addr == self.Addr {
-		return self, true, false, true // alone: we are every tree's root
+// parentFrom picks this node's DAT parent for key from one routing
+// view, skipping the candidates in excluded (found unreachable or
+// refusing; nil for none). It is a pure function of its arguments —
+// nothing is maintained per tree (§2.3) — which is what lets
+// parentLocked memoise the no-exclusion answer per routing version.
+func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[transport.Addr]bool) parentChoice {
+	self, pred, space := rt.Self, rt.Pred, rt.Space()
+
+	if rt.Successor().Addr == self.Addr {
+		return parentChoice{parent: self, isRoot: true, ok: true} // alone: we are every tree's root
 	}
 	if pred.IsZero() {
 		// Without a predecessor we cannot rule out being the root, and
 		// guessing wrong would loop aggregates around the ring.
-		return chord.NodeRef{}, false, false, false
+		return parentChoice{}
 	}
 	if space.InHalfOpen(key, pred.ID, self.ID) {
-		return self, true, false, true
-	}
-	succs := n.ch.SuccessorList()
-	if len(succs) == 0 {
-		succs = []chord.NodeRef{succ}
+		return parentChoice{parent: self, isRoot: true, ok: true}
 	}
 	// Key owned by the nearest live successor: that successor is the
 	// root. Under exclusion this walk is the root-handover rule — when
 	// successor(key) is unreachable, the next live successor-list entry
 	// (the node the ring will elect successor(key) once the failure
 	// detector completes) stands in.
-	for _, s := range succs {
+	for _, s := range rt.Succs {
 		if s.IsZero() || s.Addr == self.Addr || excluded[s.Addr] {
 			continue
 		}
 		if space.InHalfOpen(key, self.ID, s.ID) {
-			return s, false, true, true
+			return parentChoice{parent: s, keyRoot: true, ok: true}
 		}
 		break // the nearest live successor does not own key: use fingers
 	}
 
-	fingers := n.ch.Fingers()
-	maxJ := uint(len(fingers) - 1)
-	if n.cfg.Scheme == BalancedLocal || n.cfg.Scheme == Balanced {
+	maxJ := uint(len(rt.Fingers) - 1)
+	if scheme == BalancedLocal || scheme == Balanced {
 		x := space.Dist(self.ID, key)
-		g := ident.FingerLimit(x, n.ch.EstimatedGap())
+		g := ident.FingerLimit(x, rt.Gap)
 		if g < maxJ {
 			maxJ = g
 		}
 	}
 	var best chord.NodeRef
 	var bestRemaining uint64
-	for j := uint(0); j <= maxJ; j++ {
-		f := fingers[j]
+	for _, f := range rt.Fingers[:maxJ+1] {
 		if f.IsZero() || f.Addr == self.Addr || excluded[f.Addr] {
 			continue
 		}
@@ -179,17 +182,17 @@ func (n *Node) parentForExcluding(key ident.ID, excluded map[transport.Addr]bool
 		}
 	}
 	if !best.IsZero() {
-		return best, false, false, true
+		return parentChoice{parent: best, ok: true}
 	}
 	// Successor fallback: the nearest live non-excluded successor always
 	// makes progress toward key.
-	for _, s := range succs {
+	for _, s := range rt.Succs {
 		if s.IsZero() || s.Addr == self.Addr || excluded[s.Addr] {
 			continue
 		}
-		return s, false, space.InHalfOpen(key, self.ID, s.ID), true
+		return parentChoice{parent: s, keyRoot: space.InHalfOpen(key, self.ID, s.ID), ok: true}
 	}
-	return chord.NodeRef{}, false, false, false
+	return parentChoice{}
 }
 
 // delivery tracks one pending acked update through retries, parent
@@ -213,8 +216,12 @@ type delivery struct {
 	attempt     int  // attempts on the current candidate
 	total       int  // attempts across all candidates
 	cands       int  // distinct candidates tried
-	excluded    map[transport.Addr]bool
-	start       time.Duration
+	// excluded holds the candidates given up on; nil until the first one
+	// is. Only fail writes it, and fail calls for one delivery never
+	// overlap (each consumes the single event in flight), so parentFrom
+	// reads it without a copy.
+	excluded map[transport.Addr]bool
+	start    time.Duration
 }
 
 // deliverUpdate starts the acked delivery of msg toward parent. For
@@ -224,9 +231,8 @@ func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot 
 	d := &delivery{
 		n: n, e: e, key: msg.Key, msg: msg, demand: demand,
 		cur: parent, curKeyRoot: parentIsKeyRoot,
-		cands:    1,
-		excluded: map[transport.Addr]bool{n.ep.Addr(): true},
-		start:    n.clock.Now(),
+		cands: 1,
+		start: n.clock.Now(),
 	}
 	if !demand && e != nil {
 		n.mu.Lock()
@@ -427,22 +433,23 @@ func (d *delivery) fail(to transport.Addr, refused bool) {
 		return
 	}
 	// Candidate exhausted (or refused outright): fail over.
+	if d.excluded == nil {
+		d.excluded = make(map[transport.Addr]bool, cfg.MaxCandidates)
+	}
 	d.excluded[to] = true
 	wasKeyRoot := d.curKeyRoot
 	d.attempt = 0
 	d.cands++
 	give := d.cands > cfg.MaxCandidates
-	excl := make(map[transport.Addr]bool, len(d.excluded))
-	for a := range d.excluded {
-		excl[a] = true
-	}
 	d.mu.Unlock()
 	if give {
 		d.finish(false)
 		return
 	}
-	parent, isRoot, keyRoot, ok := n.parentForExcluding(d.key, excl)
-	if !ok || isRoot {
+	rt := n.ch.Routing()
+	pc := parentFrom(rt, n.cfg.Scheme, d.key, d.excluded)
+	parent, keyRoot := pc.parent, pc.keyRoot
+	if !pc.ok || pc.isRoot {
 		// No remaining candidate, or the ring churned us into rootship
 		// mid-delivery; the next slot's tick sorts it out.
 		d.finish(false)
@@ -488,7 +495,7 @@ func (d *delivery) fail(to transport.Addr, refused bool) {
 		// the wasted traffic fail-fast exists to stop, and its child
 		// cache forgets us by TTL regardless.
 		if !n.breakerOpenNow(to) {
-			n.send(to, MsgDetach, DetachMsg{Key: d.key, Sender: n.ch.Self()})
+			n.send(to, MsgDetach, DetachMsg{Key: d.key, Sender: rt.Self})
 		}
 	}
 	d.sendAttempt()

@@ -18,8 +18,11 @@ func JitterHashForTest(addr transport.Addr, key ident.ID, epoch int64, attempt i
 	return jitterHash(addr, key, epoch, attempt)
 }
 
+// ParentForExcluding is the un-memoised parentFrom on the node's current
+// routing view.
 func (n *Node) ParentForExcluding(key ident.ID, excluded map[transport.Addr]bool) (parent chord.NodeRef, isRoot, parentIsKeyRoot, ok bool) {
-	return n.parentForExcluding(key, excluded)
+	pc := parentFrom(n.ch.Routing(), n.cfg.Scheme, key, excluded)
+	return pc.parent, pc.isRoot, pc.keyRoot, pc.ok
 }
 
 func (n *Node) HandleUpdateForTest(req *transport.Request) { n.handleUpdate(req) }

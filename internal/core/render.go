@@ -16,9 +16,8 @@ import (
 // (a live node cannot see the whole DAT), served at /debug/dat by the
 // observability layer.
 func (n *Node) WriteDebug(w io.Writer) {
-	self := n.ch.Self()
-	succ := n.ch.Successor()
-	pred := n.ch.Predecessor()
+	rt := n.ch.Routing()
+	self, succ, pred := rt.Self, rt.Successor(), rt.Pred
 	fmt.Fprintf(w, "self        %s @ %s\n", self.ID.String(), self.Addr)
 	fmt.Fprintf(w, "successor   %s @ %s\n", succ.ID.String(), succ.Addr)
 	if pred.IsZero() {
@@ -26,7 +25,7 @@ func (n *Node) WriteDebug(w io.Writer) {
 	} else {
 		fmt.Fprintf(w, "predecessor %s @ %s\n", pred.ID.String(), pred.Addr)
 	}
-	fmt.Fprintf(w, "estimated network size %d\n", n.ch.EstimatedNetworkSize())
+	fmt.Fprintf(w, "estimated network size %d\n", rt.EstimatedNetworkSize())
 
 	keys := n.ActiveKeys()
 	sort.Slice(keys, func(i, j int) bool { return ident.Less(keys[i], keys[j]) })

@@ -55,23 +55,23 @@ func (k *checker) checkRing() {
 	idxs := k.runningIdxs()
 	n := len(idxs)
 	for _, i := range idxs {
-		node := k.c.Chord[i]
-		self := node.Self().ID
+		rt := k.c.Chord[i].Routing()
+		self := rt.Self.ID
 		if n == 1 {
-			if node.Successor().Addr != node.Self().Addr {
-				k.fail("ring-successor", "lone node %d successor %v is not itself", i, node.Successor().ID)
+			if rt.Successor().Addr != rt.Self.Addr {
+				k.fail("ring-successor", "lone node %d successor %v is not itself", i, rt.Successor().ID)
 			}
 			continue
 		}
-		if got, want := node.Successor().ID, k.ring.Succ(self); got != want {
+		if got, want := rt.Successor().ID, k.ring.Succ(self); got != want {
 			k.fail("ring-successor", "node %d successor %v, ideal %v", i, got, want)
 		}
-		if p := node.Predecessor(); p.IsZero() || p.ID != k.ring.Pred(self) {
+		if p := rt.Pred; p.IsZero() || p.ID != k.ring.Pred(self) {
 			k.fail("ring-predecessor", "node %d predecessor %v, ideal %v", i, p.ID, k.ring.Pred(self))
 		}
 		// Successor list: consecutive ring successors, stopping before
 		// self, at least min(listLen, n-1) deep.
-		list := node.SuccessorList()
+		list := rt.Succs
 		wantLen := len(list)
 		if n-1 < wantLen {
 			wantLen = n - 1
@@ -90,7 +90,7 @@ func (k *checker) checkRing() {
 				break
 			}
 		}
-		for j, f := range node.Fingers() {
+		for j, f := range rt.Fingers {
 			if want := k.ring.Finger(self, uint(j)); f.IsZero() || f.ID != want {
 				k.fail("ring-finger", "node %d finger[%d] = %v, ideal %v", i, j, f.ID, want)
 				break // one bad finger per node is enough signal
@@ -309,14 +309,15 @@ func convergenceDiff(c *cluster.Cluster) []string {
 			out = append(out, fmt.Sprintf("node %d id=%v: not running", i, n.Self().ID))
 			continue
 		}
-		self := n.Self().ID
-		if got, want := n.Successor().ID, ring.Succ(self); got != want {
+		rt := n.Routing()
+		self := rt.Self.ID
+		if got, want := rt.Successor().ID, ring.Succ(self); got != want {
 			out = append(out, fmt.Sprintf("node %d id=%v: successor %v, ideal %v", i, self, got, want))
 		}
-		if p := n.Predecessor(); p.IsZero() || p.ID != ring.Pred(self) {
+		if p := rt.Pred; p.IsZero() || p.ID != ring.Pred(self) {
 			out = append(out, fmt.Sprintf("node %d id=%v: predecessor %v, ideal %v", i, self, p.ID, ring.Pred(self)))
 		}
-		for j, f := range n.Fingers() {
+		for j, f := range rt.Fingers {
 			if want := ring.Finger(self, uint(j)); f.IsZero() || f.ID != want {
 				out = append(out, fmt.Sprintf("node %d id=%v: finger[%d] %v, ideal %v", i, self, j, f.ID, want))
 				break

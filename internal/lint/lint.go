@@ -4,8 +4,9 @@
 // virtual-time discipline in simulation code (simclock), transport
 // send-error handling (senderr), wire-codec registration of transport
 // payloads (wirereg), map-iteration-order determinism on emitted data
-// (detorder), obs-hook discipline under locks (hooklock), and
-// goroutine lifecycle ties in the protocol packages (goroleak). See
+// (detorder), obs-hook discipline under locks (hooklock), goroutine
+// lifecycle ties in the protocol packages (goroleak), and the routing
+// view's version discipline (routever). See
 // DESIGN.md §7 for the rationale behind each rule and how it connects
 // to the paper's math.
 //
@@ -88,7 +89,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All is the full datlint suite in reporting order.
-var All = []*Analyzer{RingCmp, LockSafe, SimClock, SendErr, WireReg, DetOrder, HookLock, GoroLeak}
+var All = []*Analyzer{RingCmp, LockSafe, SimClock, SendErr, WireReg, DetOrder, HookLock, GoroLeak, RouteVer}
 
 // Suppression is one //datlint:ignore pragma flagged by the audit:
 // either it silenced no finding of the named analyzer (stale), or it
@@ -253,12 +254,24 @@ func (s *ignoreSet) stale(selected, known map[string]bool) []Suppression {
 // fileHasPragma reports whether any comment in the file starts with
 // //datlint:<pragma>.
 func fileHasPragma(f *ast.File, pragma string) bool {
-	want := "//datlint:" + pragma
 	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
-				return true
-			}
+		if groupHasPragma(cg, pragma) {
+			return true
+		}
+	}
+	return false
+}
+
+// groupHasPragma reports whether a comment of the group is
+// //datlint:<pragma>, bare or followed by a note.
+func groupHasPragma(cg *ast.CommentGroup, pragma string) bool {
+	if cg == nil {
+		return false
+	}
+	want := "//datlint:" + pragma
+	for _, c := range cg.List {
+		if c.Text == want || strings.HasPrefix(c.Text, want+" ") {
+			return true
 		}
 	}
 	return false

@@ -35,6 +35,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"detorder", DetOrder},
 		{"hooklock", HookLock},
 		{"goroleak/core", GoroLeak},
+		{"routever/chord", RouteVer},
+		{"routever/core", RouteVer},
 	}
 	root := filepath.Join("testdata", "src")
 	for _, tc := range cases {

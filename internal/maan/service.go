@@ -234,8 +234,8 @@ func (s *Service) promoteReplicas() {
 	if !s.Replicate {
 		return
 	}
-	self := s.ch.Self()
-	pred := s.ch.Predecessor()
+	rt := s.ch.Routing()
+	self, pred := rt.Self, rt.Pred
 	if pred.IsZero() {
 		return
 	}
@@ -300,8 +300,8 @@ func (s *Service) Close() {
 // re-registered through normal routing, so they land on (and stay with)
 // their current owner even across multi-node arc changes.
 func (s *Service) transferMisplaced() {
-	self := s.ch.Self()
-	pred := s.ch.Predecessor()
+	rt := s.ch.Routing()
+	self, pred := rt.Self, rt.Pred
 	if pred.IsZero() || pred.Addr == self.Addr {
 		return
 	}
@@ -562,9 +562,8 @@ func (s *Service) handleRange(req *transport.Request) {
 	}
 	s.mu.Unlock()
 
-	self := s.ch.Self()
-	pred := s.ch.Predecessor()
-	succ := s.ch.Successor()
+	rt := s.ch.Routing()
+	self, pred, succ := rt.Self, rt.Pred, rt.Successor()
 	space := s.ch.Space()
 	// Terminal test: we own HiKey AND the queried span actually ends here
 	// (a full-domain query resolves both bounds to the same node but must
@@ -576,7 +575,7 @@ func (s *Service) handleRange(req *transport.Request) {
 		(!pred.IsZero() && space.InHalfOpen(rr.HiKey, pred.ID, self.ID) && spanEndsHere)
 	// Hop cap: a query must never lap the ring twice (possible only with
 	// badly stale neighbor state); 2x the size estimate is generous.
-	if !lastHop && uint64(rr.Hops) > 2*s.ch.EstimatedNetworkSize()+16 {
+	if !lastHop && uint64(rr.Hops) > 2*rt.EstimatedNetworkSize()+16 {
 		lastHop = true
 	}
 	if lastHop {

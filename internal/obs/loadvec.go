@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,7 +87,7 @@ const OtherLabel = "other"
 type LoadVec struct {
 	mu    sync.Mutex
 	cap   int
-	rows  map[ident.ID]*TreeLoad
+	rows  map[ident.ID]*TreeRow // each row keeps its rendered label
 	other TreeLoad
 }
 
@@ -96,26 +97,26 @@ func NewLoadVec(k int) *LoadVec {
 	if k <= 0 {
 		k = DefaultLoadTrees
 	}
-	return &LoadVec{cap: k, rows: make(map[ident.ID]*TreeLoad, k)}
+	return &LoadVec{cap: k, rows: make(map[ident.ID]*TreeRow, k)}
 }
 
 // row returns the counters and label for key, assigning a new row while
 // capacity remains and the overflow bucket afterwards. Callers hold mu.
 func (v *LoadVec) row(key ident.ID) (*TreeLoad, string) {
-	if t, ok := v.rows[key]; ok {
-		return t, Label(key)
+	r, ok := v.rows[key]
+	if !ok {
+		if len(v.rows) >= v.cap {
+			return &v.other, OtherLabel
+		}
+		r = &TreeRow{Label: Label(key)}
+		v.rows[key] = r
 	}
-	if len(v.rows) < v.cap {
-		t := &TreeLoad{}
-		v.rows[key] = t
-		return t, Label(key)
-	}
-	return &v.other, OtherLabel
+	return &r.TreeLoad, r.Label
 }
 
 // Label is the canonical `tree` label for an aggregation key, matching
 // the span dump's key rendering.
-func Label(key ident.ID) string { return fmt.Sprintf("%d", uint64(key)) }
+func Label(key ident.ID) string { return strconv.FormatUint(uint64(key), 10) }
 
 // Sent records one outbound element for key: typ is the element's wire
 // type ("dat.update", "dat.detach", ...), bytes its estimated payload
@@ -201,8 +202,8 @@ type TreeRow struct {
 func (v *LoadVec) Snapshot() []TreeRow {
 	v.mu.Lock()
 	rows := make([]TreeRow, 0, len(v.rows)+1)
-	for key, t := range v.rows {
-		rows = append(rows, TreeRow{Label: Label(key), TreeLoad: *t})
+	for _, r := range v.rows {
+		rows = append(rows, *r)
 	}
 	other := v.other
 	v.mu.Unlock()

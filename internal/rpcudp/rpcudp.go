@@ -185,11 +185,18 @@ func (e *Endpoint) Close() error {
 	e.closed = true
 	pend := e.pending
 	e.pending = make(map[uint64]*pendingCall)
+	// Stop the timers under e.mu, where Call arms them: a Call that has
+	// registered but not armed yet has a nil timer here, and finds its
+	// entry gone when it comes to arm.
+	for _, p := range pend {
+		if p.timer != nil {
+			p.timer.Stop()
+		}
+	}
 	e.mu.Unlock()
 
 	err := e.conn.Close()
 	for _, p := range pend {
-		p.timer.Stop()
 		if !p.done {
 			p.done = true
 			p.cb(nil, transport.ErrClosed)

@@ -236,18 +236,18 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 // health is the /healthz probe: the peer reports running once its chord
 // node participates in a ring.
 func (p *Peer) health() obs.Health {
-	self := p.chord.Self()
+	rt := p.chord.Routing()
 	h := obs.Health{
 		Running:       p.chord.Running(),
-		Addr:          string(self.Addr),
-		ID:            self.ID.String(),
-		EstimatedSize: p.chord.EstimatedNetworkSize(),
+		Addr:          string(rt.Self.Addr),
+		ID:            rt.Self.ID.String(),
+		EstimatedSize: rt.EstimatedNetworkSize(),
 		ActiveKeys:    len(p.dat.ActiveKeys()),
 	}
-	if s := p.chord.Successor(); !s.IsZero() {
+	if s := rt.Successor(); !s.IsZero() {
 		h.Successor = string(s.Addr)
 	}
-	if pred := p.chord.Predecessor(); !pred.IsZero() {
+	if pred := rt.Pred; !pred.IsZero() {
 		h.Predecessor = string(pred.Addr)
 	}
 	return h
