@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check ci
+.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen ci
 
 all: build
 
@@ -126,6 +126,14 @@ perf-check:
 	$(GO) -C perf test -short ./...
 	cd perf && $(GO) run repro/cmd/datlint ./...
 
+# The benchmark judges a change against its parent, so a change that
+# claims a gain must leave perf/ and BENCHMARK.json as BASE has them.
+# CI passes the PR's base commit; locally the default compares the
+# working tree with HEAD.
+BASE ?= HEAD
+perf-frozen:
+	git diff --exit-code $(BASE) -- perf BENCHMARK.json
+
 # Short, bounded runs of every fuzz target — a smoke pass, not a soak.
 # Each -fuzz invocation must target a single package, hence the loop.
 fuzz:
@@ -134,5 +142,6 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chord -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check
+ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen

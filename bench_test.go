@@ -9,6 +9,7 @@ package dat_test
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/ident"
+	"repro/internal/maan"
 	"repro/internal/rpcudp"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -125,6 +127,81 @@ func BenchmarkMAANRangeQuery(b *testing.B) {
 		if _, err := experiments.MAANQueryCost(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMAANRangeHop measures one forwarding hop of a range walk over
+// the real stack on loopback: a node receives the in-flight query with
+// some records already found, adds its own three and sends it on to its
+// successor. A hop does not parse what it carries, so the cost should
+// grow with the bytes copied, not with the records in them.
+func BenchmarkMAANRangeHop(b *testing.B) {
+	space := ident.New(16)
+	schema, err := maan.NewSchema(space, maan.Attribute{Name: "cpu-usage", Min: 0, Max: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	listen := func() *rpcudp.Endpoint {
+		ep, err := rpcudp.Listen("127.0.0.1:0", rpcudp.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	// The driver stands in for the rest of the ring: it is the hop's
+	// predecessor and successor, and maintenance never runs to find out.
+	driver, hop := listen(), listen()
+	node := chord.New(hop, &transport.RealClock{}, 0x8000, chord.Config{
+		Space: space, StabilizeEvery: time.Hour, FixFingersEvery: time.Hour, PingEvery: time.Hour,
+	})
+	node.SeedState(chord.NodeRef{ID: 0x4000, Addr: driver.Addr()},
+		[]chord.NodeRef{{ID: 0xC000, Addr: driver.Addr()}}, nil)
+	b.Cleanup(func() { node.Stop(false) })
+	svc := maan.NewService(node, hop, &transport.RealClock{}, schema)
+	b.Cleanup(svc.Close)
+	arrived := make(chan struct{}, 1)
+	driver.Handle(func(r *transport.Request) {
+		if r.Type == maan.MsgRange {
+			arrived <- struct{}{}
+		}
+	})
+	resource := func(i int) maan.Resource {
+		return maan.Resource{
+			Name:   "host" + string(rune('a'+i/26)) + string(rune('a'+i%26)) + ".grid",
+			Values: map[string]float64{"cpu-usage": 40 + float64(i%20)},
+		}
+	}
+	for i := 0; i < 3; i++ {
+		stored := make(chan error, 1)
+		res := resource(100 + i)
+		driver.Call(hop.Addr(), maan.MsgStore,
+			maan.StoreReq{Attr: "cpu-usage", Value: res.Values["cpu-usage"], Key: 0x7000, Res: res},
+			func(_ any, err error) { stored <- err })
+		if err := <-stored; err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, carried := range []int{0, 8, 64} {
+		found := make([]maan.Resource, carried)
+		for i := range found {
+			found[i] = resource(i)
+		}
+		req := maan.RangeReq{
+			QueryID: 1, Origin: driver.Addr(), Start: "elsewhere",
+			Pred:  maan.Range("cpu-usage", 0, 100),
+			LoKey: 0x5000, HiKey: 0xF000, // the span ends beyond the successor
+			Found: maan.RecordsOf(found...), Hops: 2,
+		}
+		b.Run("carried="+strconv.Itoa(carried), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := driver.Send(hop.Addr(), maan.MsgRange, req); err != nil {
+					b.Fatal(err)
+				}
+				<-arrived
+			}
+		})
 	}
 }
 

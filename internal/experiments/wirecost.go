@@ -52,7 +52,7 @@ func wireCodecMessages() []wireCodecMessage {
 		}},
 		{"RangeReq", maan.RangeReq{
 			QueryID: 7, Origin: "10.0.0.7:9001", Pred: maan.Range("cpu-usage", 10, 90),
-			LoKey: 100, HiKey: 9000, Start: "10.0.0.8:9001", Found: []maan.Resource{res}, Hops: 3,
+			LoKey: 100, HiKey: 9000, Start: "10.0.0.8:9001", Found: maan.RecordsOf(res), Hops: 3,
 		}},
 	}
 }

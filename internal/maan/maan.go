@@ -54,18 +54,19 @@ type Resource struct {
 // Matches reports whether the resource satisfies every predicate.
 func (r Resource) Matches(preds []Predicate) bool {
 	for _, p := range preds {
-		if p.Exact {
-			if r.Strings[p.Attr] != p.Equal {
-				return false
-			}
-			continue
-		}
-		v, ok := r.Values[p.Attr]
-		if !ok || v < p.Lo || v > p.Hi {
+		if !r.matches(p) {
 			return false
 		}
 	}
 	return true
+}
+
+func (r Resource) matches(p Predicate) bool {
+	if p.Exact {
+		return r.Strings[p.Attr] == p.Equal
+	}
+	v, ok := r.Values[p.Attr]
+	return ok && !(v < p.Lo || v > p.Hi)
 }
 
 // Predicate is a constraint on one attribute: a numeric range [Lo, Hi],

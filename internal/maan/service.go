@@ -49,7 +49,8 @@ type RangeReq struct {
 	// Start is the first node on the arc; a query over the full value
 	// domain terminates when the walk laps back to it.
 	Start transport.Addr
-	Found []Resource
+	// Found is what the nodes walked so far matched, in wire form.
+	Found Records
 	Hops  int
 	// Final marks the message as addressed to the terminal node (set by
 	// its predecessor), so the receiver answers even if it has not yet
@@ -57,11 +58,14 @@ type RangeReq struct {
 	Final bool
 }
 
-// ResultMsg delivers the final result set to the originator.
+// ResultMsg ends a query at its originator: the terminal node delivers
+// the result set, or a node that could not pass the walk on says why in
+// Err (Found is then empty).
 type ResultMsg struct {
 	QueryID uint64
-	Found   []Resource
+	Found   Records
 	Hops    int
+	Err     string
 }
 
 // WireEntry is one stored entry in a replication batch.
@@ -127,11 +131,14 @@ type Service struct {
 }
 
 // ownedEntry is one stored attribute value with its ring key and
-// refresh time (soft state).
+// refresh time (soft state). rec is res in wire form, encoded once when
+// the entry is stored and never written again: queries match against
+// res and carry rec away.
 type ownedEntry struct {
 	key   ident.ID
 	value float64
 	res   Resource
+	rec   []byte
 	at    time.Duration // clock time of last refresh
 }
 
@@ -174,19 +181,23 @@ func NewService(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, sc
 	return s
 }
 
+// send fires a best-effort datagram. A failure that speaks about the
+// destination feeds the chord layer's two-strike failure detector, so a
+// dead successor or query originator noticed on the directory path is
+// evicted from the routing tables without waiting for overlay
+// maintenance. A failure of this endpoint or of the message itself
+// (closed, too large for a datagram) blames nobody.
+func (s *Service) send(to transport.Addr, typ string, payload any) error {
+	err := s.ep.Send(to, typ, payload)
+	if err != nil && !errors.Is(err, transport.ErrClosed) && !errors.Is(err, transport.ErrTooLarge) {
+		s.ch.Suspect(to)
+	}
+	return err
+}
+
 // replicateToSuccessor pushes this node's full entry set to its
 // immediate successor (one one-way message per scan; no-op when
 // replication is off, the node is alone, or it stores nothing).
-// send fires a best-effort datagram. Delivery failures feed the chord
-// layer's two-strike failure detector, so a dead successor or query
-// originator noticed on the directory path is evicted from the routing
-// tables without waiting for overlay maintenance.
-func (s *Service) send(to transport.Addr, typ string, payload any) {
-	if err := s.ep.Send(to, typ, payload); err != nil {
-		s.ch.Suspect(to)
-	}
-}
-
 func (s *Service) replicateToSuccessor() {
 	if !s.Replicate {
 		return
@@ -360,6 +371,9 @@ func (s *Service) transferMisplaced() {
 // same (attribute, resource) pair is replaced.
 func (s *Service) insert(attr string, e ownedEntry) {
 	e.at = s.clock.Now()
+	if e.rec == nil {
+		e.rec = RecordsOf(e.res).Run
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	es := s.store[attr]
@@ -542,25 +556,25 @@ func (s *Service) handleRange(req *transport.Request) {
 	if !ok {
 		return
 	}
-	all := append([]Predicate{rr.Pred}, rr.Filter...)
-	seen := make(map[string]bool, len(rr.Found))
-	for _, r := range rr.Found {
-		seen[r.Name] = true
-	}
+	// Collect this node's matches as the records stored with them; what
+	// earlier hops found travels on unread. The records are immutable,
+	// so they outlive the lock.
+	var few [8][]byte
+	own, size := few[:0], 0
 	s.mu.Lock()
-	for _, e := range s.store[rr.Pred.Attr] {
+	es := s.store[rr.Pred.Attr]
+	for i := range es {
+		e := &es[i]
 		if !rr.Pred.Exact && (e.value < rr.Pred.Lo || e.value > rr.Pred.Hi) {
 			continue
 		}
-		if seen[e.res.Name] {
-			continue
-		}
-		if e.res.Matches(all) {
-			seen[e.res.Name] = true
-			rr.Found = append(rr.Found, e.res)
+		if e.res.matches(rr.Pred) && e.res.Matches(rr.Filter) {
+			own = append(own, e.rec)
+			size += len(e.rec)
 		}
 	}
 	s.mu.Unlock()
+	rr.Found = rr.Found.with(own, size)
 
 	rt := s.ch.Routing()
 	self, pred, succ := rt.Self, rt.Pred, rt.Successor()
@@ -579,7 +593,9 @@ func (s *Service) handleRange(req *transport.Request) {
 		lastHop = true
 	}
 	if lastHop {
-		s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Found: rr.Found, Hops: rr.Hops})
+		if err := s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Found: rr.Found, Hops: rr.Hops}); err != nil {
+			s.abandon(rr, err)
+		}
 		return
 	}
 	rr.Hops++
@@ -588,7 +604,17 @@ func (s *Service) handleRange(req *transport.Request) {
 	// explicitly in case its predecessor pointer is still unset.
 	rr.Final = (space.InHalfOpen(rr.HiKey, self.ID, succ.ID) && spanEndsAt(space, rr, succ.ID)) ||
 		succ.Addr == rr.Start
-	s.send(succ.Addr, MsgRange, rr)
+	if err := s.send(succ.Addr, MsgRange, rr); err != nil {
+		s.abandon(rr, err)
+	}
+}
+
+// abandon tells the originator that the walk ended here without an
+// answer, so its query fails now and not at the timeout.
+func (s *Service) abandon(rr RangeReq, cause error) {
+	// Best effort: with the originator out of reach too, the timeout is
+	// what remains.
+	_ = s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Hops: rr.Hops, Err: cause.Error()})
 }
 
 // spanEndsAt reports whether the queried span [LoKey, HiKey] ends at or
@@ -602,8 +628,24 @@ func (s *Service) handleResult(req *transport.Request) {
 	if !ok {
 		return
 	}
-	sort.Slice(rm.Found, func(i, j int) bool { return rm.Found[i].Name < rm.Found[j].Name })
-	s.finishQuery(rm.QueryID, rm.Found, rm.Hops, nil)
+	// Decode for a live query only: a duplicate or forged result costs
+	// a map lookup, not a parse.
+	s.mu.Lock()
+	_, live := s.pending[rm.QueryID]
+	s.mu.Unlock()
+	if !live {
+		return
+	}
+	if rm.Err != "" {
+		s.finishQuery(rm.QueryID, nil, rm.Hops, fmt.Errorf("maan: query abandoned at %s: %s", req.From, rm.Err))
+		return
+	}
+	found, err := rm.Found.decode(s.schema)
+	if err != nil {
+		s.finishQuery(rm.QueryID, nil, rm.Hops, fmt.Errorf("maan: result from %s: %w", req.From, err))
+		return
+	}
+	s.finishQuery(rm.QueryID, found, rm.Hops, nil)
 }
 
 // LocalEntries returns how many entries this node currently owns.

@@ -1,7 +1,10 @@
 package maan
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ident"
 	"repro/internal/transport"
@@ -13,11 +16,14 @@ import (
 // renumber a shipped one. These messages also carry the gma layer's
 // Resource descriptions (a producer's sensor snapshot), so the nested
 // codecs below are the gma service's wire format too.
+//
+// +1 and +2 are retired: they were RangeReq and ResultMsg while those
+// carried their results as a decoded resource list.
 const (
 	codeStoreReq     = wire.CodeMAANBase + 0
-	codeRangeReq     = wire.CodeMAANBase + 1
-	codeResultMsg    = wire.CodeMAANBase + 2
 	codeReplicateMsg = wire.CodeMAANBase + 3
+	codeRangeReq     = wire.CodeMAANBase + 4
+	codeResultMsg    = wire.CodeMAANBase + 5
 )
 
 // encodeResource writes a Resource with its maps in sorted key order,
@@ -47,24 +53,37 @@ func encodeResource(e *wire.Encoder, r Resource) {
 	}
 }
 
-func decodeResource(d *wire.Decoder) Resource {
+// decodeResource reads one record. Attribute names the schema declares
+// share the schema's strings; a nil schema shares nothing.
+func decodeResource(d *wire.Decoder, s *Schema) Resource {
 	var r Resource
 	r.Name = d.String()
 	if n := d.Uvarint(); d.Err == nil && n > 0 {
 		r.Values = make(map[string]float64, mapSizeHint(d, n))
 		for i := uint64(0); d.Err == nil && i < n; i++ {
-			k := d.String()
+			k := s.attrName(d.View())
 			r.Values[k] = d.Float64()
 		}
 	}
 	if n := d.Uvarint(); d.Err == nil && n > 0 {
 		r.Strings = make(map[string]string, mapSizeHint(d, n))
 		for i := uint64(0); d.Err == nil && i < n; i++ {
-			k := d.String()
+			k := s.attrName(d.View())
 			r.Strings[k] = d.String()
 		}
 	}
 	return r
+}
+
+// attrName spells b as a string: the schema's own for an attribute it
+// declares, a fresh copy otherwise (and always for a nil schema).
+func (s *Schema) attrName(b []byte) string {
+	if s != nil {
+		if a, ok := s.attrs[string(b)]; ok {
+			return a.Name
+		}
+	}
+	return string(b)
 }
 
 // mapSizeHint caps a length prefix by what the remaining frame could
@@ -87,7 +106,7 @@ func encodePredicate(e *wire.Encoder, p Predicate) {
 
 func decodePredicate(d *wire.Decoder) Predicate {
 	var p Predicate
-	p.Attr = d.String()
+	p.Attr = d.InternedString()
 	p.Lo = d.Float64()
 	p.Hi = d.Float64()
 	p.Equal = d.String()
@@ -95,26 +114,83 @@ func decodePredicate(d *wire.Decoder) Predicate {
 	return p
 }
 
-func encodeResources(e *wire.Encoder, rs []Resource) {
-	e.Uvarint(uint64(len(rs)))
-	for _, r := range rs {
-		encodeResource(e, r)
-	}
+// minRecordBytes is the shortest record: an empty name and two zero
+// map counts.
+const minRecordBytes = 3
+
+// Records is a result set in wire form: N records, each laid out as
+// encodeResource writes it, back to back in Run. The owner of a
+// resource encodes its record once; every node on the walk appends its
+// own records to what it received without parsing it, and only the
+// query's originator decodes — so a forwarder trusts neither N nor Run,
+// and the originator checks both (decode).
+type Records struct {
+	N   int
+	Run []byte
 }
 
-func decodeResources(d *wire.Decoder) []Resource {
-	n := d.Uvarint()
-	if d.Err != nil || n == 0 {
-		return nil
+// RecordsOf encodes the resources as a result set, in the given order:
+// what a walk that matched exactly these would deliver.
+func RecordsOf(rs ...Resource) Records {
+	var e wire.Encoder
+	for _, r := range rs {
+		encodeResource(&e, r)
 	}
-	rs := make([]Resource, 0, mapSizeHint(d, n))
-	for i := uint64(0); d.Err == nil && i < n; i++ {
-		rs = append(rs, decodeResource(d))
+	return Records{N: len(rs), Run: e.Buf}
+}
+
+// with returns r extended by recs (size bytes in all). It never writes
+// into r.Run: a duplicated delivery, or the sender itself on the
+// in-memory networks, may still hold those bytes.
+func (r Records) with(recs [][]byte, size int) Records {
+	if len(recs) == 0 {
+		return r
 	}
-	if d.Err != nil {
-		return nil
+	run := make([]byte, len(r.Run), len(r.Run)+size)
+	copy(run, r.Run)
+	for _, rec := range recs {
+		run = append(run, rec...)
 	}
-	return rs
+	return Records{N: r.N + len(recs), Run: run}
+}
+
+// decode parses the run into resources sorted by name. Nodes on the
+// walk do not compare what they add with what they carry, so a
+// resource whose value moved can appear twice (the stale entry at its
+// old owner, the fresh one at the new); the first record in walk order
+// wins. A run that does not hold exactly N well-formed records is an
+// error, and N is checked against the bytes present before anything is
+// sized by it.
+func (r Records) decode(s *Schema) ([]Resource, error) {
+	if r.N < 0 || r.N > len(r.Run)/minRecordBytes {
+		return nil, fmt.Errorf("maan: %d records claimed in %d bytes", r.N, len(r.Run))
+	}
+	d := wire.Decoder{Buf: r.Run}
+	var out []Resource
+	if r.N > 0 {
+		out = make([]Resource, 0, r.N)
+	}
+	for i := 0; i < r.N; i++ {
+		out = append(out, decodeResource(&d, s))
+		if d.Err != nil {
+			return nil, fmt.Errorf("maan: record %d of %d: %w", i, r.N, d.Err)
+		}
+	}
+	if d.Off != len(r.Run) {
+		return nil, fmt.Errorf("maan: %d bytes after the last of %d records", len(r.Run)-d.Off, r.N)
+	}
+	// A stable sort keeps records of one name in walk order.
+	slices.SortStableFunc(out, func(a, b Resource) int { return strings.Compare(a.Name, b.Name) })
+	return slices.CompactFunc(out, func(a, b Resource) bool { return a.Name == b.Name }), nil
+}
+
+func encodeRecords(e *wire.Encoder, r Records) {
+	e.Uvarint(uint64(r.N))
+	e.Bytes(r.Run)
+}
+
+func decodeRecords(d *wire.Decoder) Records {
+	return Records{N: int(d.Uvarint()), Run: d.Bytes()}
 }
 
 func init() {
@@ -133,7 +209,7 @@ func init() {
 			m.Attr = d.String()
 			m.Value = d.Float64()
 			m.Key = ident.ID(d.Uvarint())
-			m.Res = decodeResource(d)
+			m.Res = decodeResource(d, nil)
 			return m, nil
 		})
 	wire.Register(codeRangeReq,
@@ -150,14 +226,14 @@ func init() {
 			e.Uvarint(uint64(m.LoKey))
 			e.Uvarint(uint64(m.HiKey))
 			e.String(string(m.Start))
-			encodeResources(e, m.Found)
+			encodeRecords(e, m.Found)
 			e.Varint(int64(m.Hops))
 			e.Bool(m.Final)
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m RangeReq
 			m.QueryID = d.Uvarint()
-			m.Origin = transport.Addr(d.String())
+			m.Origin = transport.Addr(d.InternedString())
 			m.Pred = decodePredicate(d)
 			if n := d.Uvarint(); d.Err == nil && n > 0 {
 				m.Filter = make([]Predicate, 0, mapSizeHint(d, n))
@@ -170,8 +246,8 @@ func init() {
 			}
 			m.LoKey = ident.ID(d.Uvarint())
 			m.HiKey = ident.ID(d.Uvarint())
-			m.Start = transport.Addr(d.String())
-			m.Found = decodeResources(d)
+			m.Start = transport.Addr(d.InternedString())
+			m.Found = decodeRecords(d)
 			m.Hops = int(d.Varint())
 			m.Final = d.Bool()
 			return m, nil
@@ -181,14 +257,16 @@ func init() {
 		func(e *wire.Encoder, v any) {
 			m := v.(ResultMsg)
 			e.Uvarint(m.QueryID)
-			encodeResources(e, m.Found)
+			encodeRecords(e, m.Found)
 			e.Varint(int64(m.Hops))
+			e.String(m.Err)
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m ResultMsg
 			m.QueryID = d.Uvarint()
-			m.Found = decodeResources(d)
+			m.Found = decodeRecords(d)
 			m.Hops = int(d.Varint())
+			m.Err = d.String()
 			return m, nil
 		})
 	wire.Register(codeReplicateMsg,
@@ -214,7 +292,7 @@ func init() {
 					en.Attr = d.String()
 					en.Key = ident.ID(d.Uvarint())
 					en.Value = d.Float64()
-					en.Res = decodeResource(d)
+					en.Res = decodeResource(d, nil)
 					m.Entries = append(m.Entries, en)
 				}
 				if d.Err != nil {

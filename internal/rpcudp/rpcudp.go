@@ -347,7 +347,7 @@ func (e *Endpoint) write(to transport.Addr, env *wire.Envelope) error {
 	}
 	if len(data) > e.cfg.MaxPacket {
 		wire.PutBuf(data)
-		return fmt.Errorf("rpcudp: message %s too large (%d bytes)", env.Type, len(data))
+		return fmt.Errorf("rpcudp: message %s of %d bytes: %w", env.Type, len(data), transport.ErrTooLarge)
 	}
 	if h := e.cfg.Obs.WireSent; h != nil {
 		h(len(data), fallback)

@@ -37,6 +37,9 @@ var (
 	ErrClosed      = errors.New("transport: endpoint closed")
 	ErrUnreachable = errors.New("transport: destination unreachable")
 	ErrNoHandler   = errors.New("transport: destination has no handler")
+	// ErrTooLarge reports a message the transport cannot carry in one
+	// datagram. Like ErrClosed it says nothing about the destination.
+	ErrTooLarge = errors.New("transport: message too large")
 )
 
 // NewRequest assembles an inbound Request for delivery to a Handler.

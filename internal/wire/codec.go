@@ -141,17 +141,22 @@ func (d *Decoder) Float64() float64 {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
-	b := d.view()
+	b := d.View()
 	if len(b) == 0 {
 		return ""
 	}
 	return string(b)
 }
 
+// InternedString reads a length-prefixed string through the intern
+// table (see Intern): for fields whose values repeat from datagram to
+// datagram — message types, peer addresses, attribute names.
+func (d *Decoder) InternedString() string { return Intern(d.View()) }
+
 // Bytes reads a length-prefixed byte slice (copied out of the frame;
 // nil when empty, matching what a gob round trip produces).
 func (d *Decoder) Bytes() []byte {
-	b := d.view()
+	b := d.View()
 	if len(b) == 0 {
 		return nil
 	}
@@ -160,9 +165,10 @@ func (d *Decoder) Bytes() []byte {
 	return out
 }
 
-// view returns the next length-prefixed region of the frame without
-// copying.
-func (d *Decoder) view() []byte {
+// View returns the next length-prefixed region of the frame without
+// copying: it aliases Buf, which the transport reuses for the next
+// datagram, so a caller keeps only what it copies out.
+func (d *Decoder) View() []byte {
 	n := d.Uvarint()
 	if d.Err != nil {
 		return nil

@@ -136,8 +136,8 @@ func (Compact) Decode(data []byte) (Envelope, bool, error) {
 	var env Envelope
 	env.Kind = d.Byte()
 	env.Seq = d.Uvarint()
-	env.Type = d.String()
-	env.From = d.String()
+	env.Type = d.InternedString()
+	env.From = d.InternedString()
 	env.ErrText = d.String()
 	if d.Err != nil {
 		return Envelope{}, false, fmt.Errorf("wire: decode header: %w", d.Err)
@@ -176,20 +176,30 @@ func decodeGobEnvelope(data []byte) (Envelope, error) {
 	return env, nil
 }
 
-// bufPool recycles encode buffers. Get returns a zero-length slice
-// with whatever capacity the last user grew it to.
-var bufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
+// bufPool recycles encode buffers, boxed because a sync.Pool holds
+// pointers; boxPool recycles the emptied boxes, so a GetBuf/PutBuf pair
+// allocates nothing once both pools are warm.
+var (
+	bufPool = sync.Pool{
+		New: func() any { b := make([]byte, 0, 512); return &b },
+	}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetBuf fetches a pooled encode buffer (length 0). Pass it to
 // Codec.Append and return the *result* with PutBuf once the bytes have
 // been copied to the socket.
 func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	box := bufPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // PutBuf returns an encode buffer to the pool.
 func PutBuf(b []byte) {
-	bufPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b
+	bufPool.Put(box)
 }

@@ -115,9 +115,10 @@ func richSamples() []any {
 			Pred:   maan.Range("cpu-usage", 10, 90),
 			Filter: []maan.Predicate{maan.Eq("os-name", "linux"), maan.Range("memory-size", 512, 4096)},
 			LoKey:  100, HiKey: 200, Start: "127.0.0.1:7002",
-			Found: []maan.Resource{res}, Hops: 3, Final: true,
+			Found: maan.RecordsOf(res), Hops: 3, Final: true,
 		},
-		maan.ResultMsg{QueryID: 11, Found: []maan.Resource{res, {Name: "host8"}}, Hops: 4},
+		maan.ResultMsg{QueryID: 11, Found: maan.RecordsOf(res, maan.Resource{Name: "host8"}), Hops: 4},
+		maan.ResultMsg{QueryID: 12, Hops: 2, Err: "transport: message too large"},
 		maan.ReplicateMsg{
 			Owner:   "127.0.0.1:7003",
 			Entries: []maan.WireEntry{{Attr: "cpu-usage", Key: 5, Value: 55.5, Res: res}},

@@ -280,10 +280,14 @@ func (p *Peer) JoinProbed(bootstrap string) error {
 }
 
 func (p *Peer) await(done chan error, op string) error {
+	// A stopped timer is released at once; time.After would keep one
+	// alive for the full timeout after every answered call.
+	t := time.NewTimer(p.cfg.RPCTimeout)
+	defer t.Stop()
 	select {
 	case err := <-done:
 		return err
-	case <-time.After(p.cfg.RPCTimeout):
+	case <-t.C:
 		return fmt.Errorf("dat: %s timed out after %v", op, p.cfg.RPCTimeout)
 	}
 }
@@ -398,10 +402,12 @@ func (p *Peer) Query(attr string, window time.Duration) (Aggregate, error) {
 	p.dat.Query(p.space.HashString(attr), window, func(r core.QueryResp, err error) {
 		done <- result{r.Agg, err}
 	})
+	t := time.NewTimer(p.cfg.RPCTimeout + window)
+	defer t.Stop()
 	select {
 	case r := <-done:
 		return r.agg, r.err
-	case <-time.After(p.cfg.RPCTimeout + window):
+	case <-t.C:
 		return Aggregate{}, fmt.Errorf("dat: query %q timed out", attr)
 	}
 }
@@ -443,10 +449,12 @@ func (p *Peer) FindResources(preds []Predicate) ([]Resource, error) {
 	p.maan.MultiAttrQuery(preds, func(res []Resource, _ int, err error) {
 		done <- result{res, err}
 	})
+	t := time.NewTimer(p.cfg.RPCTimeout)
+	defer t.Stop()
 	select {
 	case r := <-done:
 		return r.res, r.err
-	case <-time.After(p.cfg.RPCTimeout):
+	case <-t.C:
 		return nil, errors.New("dat: resource query timed out")
 	}
 }
