@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen ci
+.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -134,6 +134,24 @@ BASE ?= HEAD
 perf-frozen:
 	git diff --exit-code $(BASE) -- perf BENCHMARK.json
 
+# perf-claim: the claim protocol of ROADMAP's Standing gates as one
+# command — >= 10 alternating parent/change pairs of every workload on
+# SEEDS, a traced run per side, the -compare table and the simulated-
+# counter equality check, written as results/BENCH_pr$(PR).json (about
+# 45 minutes; not part of ci). For example:
+#   make perf-claim WORKLOAD=live-fanin METRIC=cpu_us_per_op BASE=HEAD~1 PR=16
+# perf-claim-dry checks, builds both sides and runs one 1-second pair,
+# writing nothing: ci runs it so the script cannot rot.
+WORKLOAD ?= live-fanin
+METRIC ?= cpu_us_per_op
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+PR ?=
+perf-claim:
+	bash scripts/perf-claim.sh --workload $(WORKLOAD) --metric $(METRIC) --base $(BASE) --seeds "$(SEEDS)" $(if $(PR),--pr $(PR))
+
+perf-claim-dry:
+	bash scripts/perf-claim.sh --dry-run --workload sim-trees-churn --metric cpu_us_per_op --base $(BASE)
+
 # Short, bounded runs of every fuzz target — a smoke pass, not a soak.
 # Each -fuzz invocation must target a single package, hence the loop.
 fuzz:
@@ -144,4 +162,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen
+ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim-dry

@@ -1,6 +1,7 @@
 package dat_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,5 +45,65 @@ func TestClosedPeerFiresNoResults(t *testing.T) {
 	time.Sleep(8 * slot)
 	if got := results.Load(); got != settled {
 		t.Fatalf("closed peer surfaced %d more results", got-settled)
+	}
+}
+
+// TestClosedPeerIsQuiescent: a peer's timers — slot ticks, ack timeouts,
+// flush deadlines, chord's maintenance loops, the MAAN announcer — all
+// live on its clock's one loop, and Close ends that loop last. After
+// Close no goroutine of the peer is left and no sensor is read again.
+func TestClosedPeerIsQuiescent(t *testing.T) {
+	const slot = 20 * time.Millisecond
+	before := runtime.NumGoroutine()
+	p, err := dat.NewPeer(dat.PeerConfig{
+		Listen: "127.0.0.1:0", Name: "quiescent",
+		Attributes: []dat.Attribute{{Name: "cpu", Min: 0, Max: 100}},
+		Stabilize:  5 * time.Millisecond, FixFingers: 5 * time.Millisecond, Ping: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Create()
+	var reads atomic.Int64
+	p.AddSensor("cpu", func() (float64, bool) { reads.Add(1); return 1, true })
+	third := make(chan struct{})
+	var results atomic.Int64
+	if err := p.StartMonitor("cpu", slot, func(int64, dat.Aggregate) {
+		if results.Add(1) == 3 {
+			close(third)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Announce(slot); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-third:
+	case <-time.After(10 * time.Second):
+		t.Fatal("monitor produced no results before Close")
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("test premise: a running peer owns goroutines")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The clock loop and the socket reader have exited when Close
+	// returns; a retransmit timer's goroutine may take a moment more.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after Close, %d before NewPeer:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+	settled := reads.Load()
+	time.Sleep(10 * slot)
+	if got := reads.Load(); got != settled {
+		t.Errorf("a closed peer read its sensor %d more times", got-settled)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }

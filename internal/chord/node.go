@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ident"
@@ -112,8 +113,10 @@ type Node struct {
 	// rt is the routing state itself, not a cache of it: self, pred,
 	// successor list (non-empty while running) and fingers live in the
 	// published view and change only by clone-modify-swap through the
-	// mutators in routing.go.
+	// mutators in routing.go. view is the same pointer published for
+	// readers that hold no lock (Routing): the mutators store both.
 	rt          *Routing
+	view        atomic.Pointer[Routing]
 	succScratch []NodeRef // stabilize builds its candidate list here
 	fofPred     map[transport.Addr]NodeRef
 	strikes     map[transport.Addr]int
@@ -156,6 +159,7 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 		handlers: make(map[string]transport.Handler),
 		upcalls:  make(map[string]func(NodeRef, []byte)),
 	}
+	n.view.Store(n.rt) //datlint:ignore routever the first view: nobody has seen the node yet
 	ep.Handle(n.dispatch)
 	return n
 }

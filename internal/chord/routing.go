@@ -51,26 +51,26 @@ func (rt *Routing) EstimatedNetworkSize() uint64 {
 }
 
 // Routing returns the node's current routing view. The result is shared
-// and must not be modified. A quiet node returns the same pointer every
-// call; nothing is allocated here.
-func (n *Node) Routing() *Routing {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rt
-}
+// and must not be modified. It is one atomic pointer load: no lock is
+// taken and nothing is allocated, so the update path may read the view
+// several times per message. A quiet node returns the same pointer every
+// call.
+func (n *Node) Routing() *Routing { return n.view.Load() }
 
 // The mutators below are the only code allowed to write routing state
 // (datlint's routever analyzer enforces it). Each compares before it
 // clones, so Version moves only on a real change.
 
 // publishLocked installs next, a modified private copy of the current
-// view, as the node's routing state.
+// view, as the node's routing state, and publishes it to lock-free
+// readers.
 //
 //datlint:routever-mutator
 func (n *Node) publishLocked(next *Routing) {
 	next.Version = n.rt.Version + 1
 	next.Gap = estimateGap(n.space, next.Self, next.Succs)
 	n.rt = next
+	n.view.Store(next)
 }
 
 func estimateGap(space ident.Space, self NodeRef, succs []NodeRef) uint64 {

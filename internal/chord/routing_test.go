@@ -245,3 +245,70 @@ func TestRoutingAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestRoutingReadersNeedNoLock: Routing() is an atomic load, so it
+// answers while the node's lock is held, and readers running flat out
+// beside a ring that is still stabilising (joins, then a crash) see
+// versions that only grow and views that agree with themselves. Under
+// -race an unpublished or torn view is a reported data race.
+func TestRoutingReadersNeedNoLock(t *testing.T) {
+	c := newSimCluster(t, 11, 16, transport.SimConfig{})
+	c.buildRing([]ident.ID{100, 9000, 21000, 40000, 52000})
+
+	n := c.nodes[0]
+	n.mu.Lock()
+	got := make(chan *Routing, 1)
+	go func() { got <- n.Routing() }()
+	select {
+	case rt := <-got:
+		if rt != n.rt {
+			t.Error("Routing() returned a view other than the node's current one")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Routing() waited for Node.mu")
+	}
+	n.mu.Unlock()
+
+	watched := slices.Clone(c.nodes) // addNode below grows c.nodes
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := make(map[*Node]uint64)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, n := range watched {
+					rt := n.Routing()
+					if rt.Version < last[n] {
+						t.Errorf("node %v: version went back: %d after %d", rt.Self, rt.Version, last[n])
+						return
+					}
+					last[n] = rt.Version
+					if g := estimateGap(n.space, rt.Self, rt.Succs); g != rt.Gap {
+						t.Errorf("node %v view v%d: Gap %d, successor list says %d", rt.Self, rt.Version, rt.Gap, g)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	before := c.nodes[1].Routing().Version
+	for _, id := range []ident.ID{3000, 30000, 60000} {
+		c.addNode(id).Join(c.nodes[0].Self().Addr, func(error) {})
+		c.eng.RunFor(2 * time.Second)
+	}
+	c.nodes[2].Stop(false)
+	c.eng.RunFor(20 * time.Second)
+	close(stop)
+	wg.Wait()
+	if after := c.nodes[1].Routing().Version; after == before {
+		t.Fatal("the ring never changed: the readers raced nothing")
+	}
+}

@@ -186,10 +186,12 @@ func EncodeNodeRef(e *wire.Encoder, r NodeRef) {
 	e.String(string(r.Addr))
 }
 
-// DecodeNodeRef is the inverse of EncodeNodeRef.
+// DecodeNodeRef is the inverse of EncodeNodeRef. The address comes
+// from the bounded intern table: it names one of the ring's peers, and
+// repeats in every element of every batch that peer sends.
 func DecodeNodeRef(d *wire.Decoder) NodeRef {
 	id := ident.ID(d.Uvarint())
-	addr := transport.Addr(d.String())
+	addr := transport.Addr(d.InternedString())
 	return NodeRef{ID: id, Addr: addr}
 }
 

@@ -12,25 +12,55 @@ import (
 	"repro/internal/transport"
 )
 
-// countingClock counts the DAT layer's armed timers: AfterFunc calls
-// that have neither fired nor been stopped. The sim is single-threaded,
-// so a plain counter does.
+// countingClock counts the DAT layer's armed timers: AfterRun and
+// AfterFunc calls that have neither fired nor been stopped. The sim is
+// single-threaded, so a plain counter does.
 type countingClock struct {
 	transport.SimClock
 	live *int
 }
 
+// counted is one armed timer: the task's stand-in on the engine and the
+// host of the handle given out, so it sees the timer fire or stop.
+type counted struct {
+	live    *int
+	settled bool
+	task    transport.TimerTask
+	op      int32
+	timer   transport.Timer
+}
+
+func (k *counted) settle() {
+	if !k.settled {
+		k.settled = true
+		*k.live--
+	}
+}
+
+func (k *counted) RunEvent(int32) {
+	k.settle()
+	if k.task != nil {
+		k.task.RunEvent(k.op)
+	}
+}
+
+func (k *counted) StopTimer(int32, uint32) bool {
+	k.settle()
+	return k.timer.Stop()
+}
+
+func (c countingClock) AfterRun(d time.Duration, r transport.TimerTask, op int32) transport.Timer {
+	*c.live++
+	k := &counted{live: c.live, task: r, op: op}
+	k.timer = c.SimClock.AfterRun(d, k, 0)
+	return transport.NewTimer(k, 0, 0)
+}
+
 func (c countingClock) AfterFunc(d time.Duration, fn func()) func() {
 	*c.live++
-	settled := false
-	settle := func() {
-		if !settled {
-			settled = true
-			*c.live--
-		}
-	}
-	stop := c.SimClock.AfterFunc(d, func() { settle(); fn() })
-	return func() { stop(); settle() }
+	k := &counted{live: c.live}
+	stop := c.SimClock.AfterFunc(d, func() { k.settle(); fn() })
+	return func() { stop(); k.settle() }
 }
 
 // TestCloseStopsEveryTree is the regression test for Close leaving the

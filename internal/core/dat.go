@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -135,7 +136,9 @@ type NodeConfig struct {
 	// BalancedLocal is Algorithm 1 as published.) Default BalancedLocal.
 	Scheme Scheme
 	// Local supplies this node's sample for a rendezvous key; return
-	// ok=false if this node monitors nothing under that key.
+	// ok=false if this node monitors nothing under that key. The slot tick
+	// calls it — on the clock's timer loop, under the node's lock: it must
+	// return promptly and not call back into the node.
 	Local func(key ident.ID) (value float64, ok bool)
 	// BatchDelay is the on-demand flush debounce: a node sends its epoch
 	// bucket upward after this long without new contributions, so whole
@@ -258,14 +261,17 @@ type childState struct {
 	seen   time.Duration // clock time of last refresh
 }
 
+// aggEntry is one row of the aggregation table, the TimerTask of its
+// own slot tick, and the home of the one acked update its tree can have
+// pending: a steady slot allocates no closure, timer or delivery.
 type aggEntry struct {
+	n   *Node
 	key ident.ID
 
 	// Continuous mode.
 	slotDur    time.Duration
 	onResult   func(slot int64, agg Aggregate)
-	stop       func()
-	tickFn     func() // tick+re-arm closure, built once and reused every slot
+	timer      transport.Timer // the armed slot tick
 	children   map[transport.Addr]childState
 	height     int            // subtree height: 0 for leaves, 1+max(child heights)
 	lastParent transport.Addr // previous slot's parent, to detach on switch
@@ -275,12 +281,12 @@ type aggEntry struct {
 
 	memo parentMemo // this tree's parent under the current routing view
 
-	// Delivery-assurance state: the key's pending acked update (a new
-	// slot supersedes it), the monotone on-demand flush sequence, and —
-	// after receiving a handover update — the deadline until which this
-	// node acts as the key's root even though its own tables say
-	// otherwise (the old root is dead; the ring has not elected us yet).
-	pending         *delivery
+	// Delivery-assurance state: the key's acked update (a new slot's
+	// supersedes it in place), the monotone on-demand flush sequence, and
+	// — after receiving a handover update — the deadline until which this
+	// node acts as the key's root even though its own tables say otherwise
+	// (the old root is dead; the ring has not elected us yet).
+	deliv           delivery
 	demandSeq       uint64
 	forcedRootUntil time.Duration
 
@@ -409,6 +415,10 @@ func (n *Node) parentLocked(e *aggEntry, key ident.ID, rt *chord.Routing) parent
 // non-root nodes — it fires only if this node is the root). Returns an
 // error if the key is already active.
 //
+// onResult runs on the clock's timer loop (DESIGN.md §17), live as in
+// the simulator: while it runs none of the node's other timers fire, so
+// it must not block — hand long work to another goroutine.
+//
 // Slot synchronization (§4): sends are staggered by subtree height —
 // leaves report right after the slot boundary, a node of height h waits
 // h*HoldPerLevel so its children's slot-t values arrive before it sends
@@ -428,17 +438,28 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 		n.mu.Unlock()
 		return fmt.Errorf("core: aggregate %v already active", key)
 	}
-	e := &aggEntry{
-		key:      key,
-		slotDur:  slot,
-		onResult: onResult,
-		children: make(map[transport.Addr]childState),
-		epochs:   make(map[int64]*epochState),
-	}
-	n.aggs[key] = e
+	e := n.entryLocked(key)
+	e.slotDur, e.onResult = slot, onResult
 	n.mu.Unlock()
 	n.scheduleTick(e)
 	return nil
+}
+
+// entryLocked returns key's table entry, adding an empty one if it has
+// none. Caller holds n.mu.
+func (n *Node) entryLocked(key ident.ID) *aggEntry {
+	e := n.aggs[key]
+	if e == nil {
+		e = &aggEntry{
+			n:        n,
+			key:      key,
+			children: make(map[transport.Addr]childState),
+			epochs:   make(map[int64]*epochState),
+		}
+		e.deliv.n, e.deliv.e, e.deliv.key = n, e, key
+		n.aggs[key] = e
+	}
+	return e
 }
 
 // scheduleTick arms the next continuous send: at the next slot boundary
@@ -452,37 +473,29 @@ func (n *Node) scheduleTick(e *aggEntry) {
 	now := n.clock.Now()
 	nextBoundary := (now/e.slotDur + 1) * e.slotDur
 	hold := time.Duration(e.height) * n.cfg.HoldPerLevel
-	delay := nextBoundary + hold - now
-	if e.tickFn == nil {
-		// Built once per tree, not once per slot: the closure (and the
-		// goroutine-free re-arm through it) is part of the entry's
-		// steady-state footprint rather than per-round garbage.
-		e.tickFn = func() {
-			n.tickContinuous(e.key)
-			n.scheduleTick(e)
-		}
-	}
-	e.stop = n.clock.AfterFunc(delay, e.tickFn)
+	e.timer = n.clock.AfterRun(nextBoundary+hold-now, e, 0)
 	n.mu.Unlock()
+}
+
+// RunEvent implements transport.TimerTask: tick, then arm the next.
+func (e *aggEntry) RunEvent(int32) {
+	e.n.tickContinuous(e.key)
+	e.n.scheduleTick(e)
 }
 
 // StopContinuous removes the aggregation table entry for key.
 func (n *Node) StopContinuous(key ident.ID) {
 	n.mu.Lock()
 	e := n.aggs[key]
+	if e == nil {
+		n.mu.Unlock()
+		return
+	}
 	delete(n.aggs, key)
-	var pend *delivery
-	if e != nil {
-		pend = e.pending
-		e.pending = nil
-	}
+	tick := e.timer
 	n.mu.Unlock()
-	if pend != nil {
-		pend.cancel()
-	}
-	if e != nil && e.stop != nil {
-		e.stop()
-	}
+	e.deliv.cancel()
+	tick.Stop()
 }
 
 // Active reports whether continuous aggregation for key is running on
@@ -559,9 +572,7 @@ func (n *Node) tickContinuous(key ident.ID) {
 			nodes++
 		}
 	}
-	height := 0
-	fanIn := 0
-	expired := 0
+	height, fanIn, expired := 0, 0, 0
 	for addr, cs := range e.children {
 		if now-cs.seen > ttl {
 			delete(e.children, addr) // stale child: departed or re-parented
@@ -579,6 +590,21 @@ func (n *Node) tickContinuous(key ident.ID) {
 	slotDur := e.slotDur
 	shed, shedReason := e.shedDegraded, e.shedReason
 	e.shedDegraded, e.shedReason = false, ""
+	parent, isRoot, self := pc.parent, pc.isRoot, rt.Self
+	// Root-handover bridge: a node that received a handover update acts
+	// as the key's root until the ring elects a real successor(key) (or
+	// the window lapses), even though its own tables still point at the
+	// dead root's neighborhood.
+	forced := pc.ok && !isRoot && now < e.forcedRootUntil
+	isRoot = isRoot || forced
+	var oldParent transport.Addr
+	if pc.ok {
+		oldParent = e.lastParent
+		e.lastParent = parent.Addr
+		if isRoot {
+			e.lastParent = ""
+		}
+	}
 	n.mu.Unlock()
 
 	if shed {
@@ -586,7 +612,9 @@ func (n *Node) tickContinuous(key ident.ID) {
 		// the last tick: contributions may be missing, so the aggregate
 		// travels (or surfaces) explicitly Degraded.
 		agg.Degraded = true
-		n.cfg.Logger.Debug("aggregate degraded by overload", "key", key.String(), "reason", shedReason)
+		if n.debugOn() {
+			n.cfg.Logger.Debug("aggregate degraded by overload", "key", key.String(), "reason", shedReason)
+		}
 	}
 
 	if expired > 0 {
@@ -597,21 +625,6 @@ func (n *Node) tickContinuous(key ident.ID) {
 
 	if !pc.ok {
 		return // overlay not settled; try next slot
-	}
-	parent, isRoot, self := pc.parent, pc.isRoot, rt.Self
-
-	// Root-handover bridge: a node that received a handover update acts
-	// as the key's root until the ring elects a real successor(key) (or
-	// the window lapses), even though its own tables still point at the
-	// dead root's neighborhood.
-	forced := false
-	if !isRoot {
-		n.mu.Lock()
-		forced = now < e.forcedRootUntil
-		n.mu.Unlock()
-		if forced {
-			isRoot = true
-		}
 	}
 
 	// roundDone reports this node's part of the round: latency is
@@ -625,18 +638,10 @@ func (n *Node) tickContinuous(key ident.ID) {
 
 	// On a parent switch, detach from the former parent so the subtree is
 	// not double-counted through two paths until the cache TTL expires.
-	n.mu.Lock()
-	oldParent := e.lastParent
-	if isRoot {
-		e.lastParent = ""
-	} else {
-		e.lastParent = parent.Addr
-	}
-	n.mu.Unlock()
 	if oldParent != "" && (isRoot || oldParent != parent.Addr) {
 		n.deliverDetach(oldParent, DetachMsg{Key: key, Sender: self})
 		if !isRoot {
-			n.cfg.Logger.Debug("switched aggregation parent", "key", key.String(), "old", string(oldParent), "new", string(parent.Addr))
+			n.debug("switched aggregation parent", key, "old", oldParent, "new", parent.Addr)
 		}
 	}
 
@@ -671,10 +676,10 @@ func (n *Node) tickContinuous(key ident.ID) {
 		Trace: obs.RoundTrace(key, slot, false), SentAt: int64(n.clock.Now()),
 	}
 	if n.cfg.Delivery.Disable {
-		n.send(parent.Addr, MsgUpdate, um)
+		n.send(parent.Addr, &BatchElem{Kind: batchKindUpdate, Update: um})
 		return
 	}
-	n.deliverUpdate(e, parent, pc.keyRoot, um, false)
+	n.deliverUpdate(e, parent, pc.keyRoot, &um)
 }
 
 // clampEstimateLocked bounds the density-based network-size estimate by
@@ -704,15 +709,38 @@ func coverage(nodes, estimate uint64) float64 {
 
 // send fires a best-effort datagram. Only a *local* send error (closed
 // endpoint, unresolvable peer) feeds chord.Suspect here — over real UDP
-// a write to a dead host succeeds locally, so this path alone cannot
-// detect remote failures. Remote suspicion rides the delivery-assurance
-// ack timeouts (delivery.go); this helper remains for the result/detach
-// fallbacks and for DeliveryConfig.Disable mode, where the old
-// fire-and-forget semantics are exactly what is asked for.
-func (n *Node) send(to transport.Addr, typ string, payload any) {
-	n.treeSent(typ, payload)
+// a write to a dead host succeeds locally; remote suspicion rides the
+// delivery layer's ack timeouts. The helper remains for the detach
+// fallback and for DeliveryConfig.Disable mode, where fire-and-forget
+// is exactly what is asked for.
+func (n *Node) send(to transport.Addr, el *BatchElem) {
+	n.treeSent(el)
+	typ, payload := elemMessage(el)
 	if err := n.ep.Send(to, typ, payload); err != nil {
 		n.ch.Suspect(to)
+	}
+}
+
+// debugOn reports whether the logger takes debug records. Debug sites
+// test it before they build their arguments, so logging that is off
+// renders no key and boxes no value.
+func (n *Node) debugOn() bool { return n.cfg.Logger.Enabled(context.Background(), slog.LevelDebug) }
+
+// debug logs a debug record about key's tree that names two peers.
+func (n *Node) debug(msg string, key ident.ID, k1 string, a1 transport.Addr, k2 string, a2 transport.Addr) {
+	if n.debugOn() {
+		n.cfg.Logger.Debug(msg, "key", key.String(), k1, string(a1), k2, string(a2))
+	}
+}
+
+// ackOK is the common verdict, boxed once.
+var ackOK any = UpdateAck{OK: true}
+
+func replyAck(req *transport.Request, ack UpdateAck) {
+	if ack == (UpdateAck{OK: true}) {
+		req.Reply(ackOK)
+	} else {
+		req.Reply(ack)
 	}
 }
 
@@ -725,41 +753,50 @@ func (n *Node) handleDetach(req *transport.Request) {
 		req.ReplyError(fmt.Errorf("core: bad detach payload %T", req.Payload))
 		return
 	}
-	n.mu.Lock()
-	if e := n.aggs[dm.Key]; e != nil {
-		delete(e.children, req.From)
-	}
-	n.mu.Unlock()
-	req.Reply(UpdateAck{OK: true})
+	replyAck(req, n.applyDetach(req.From, dm.Key))
 }
 
-// handleUpdate stores a child's subtree aggregate (continuous) or folds
-// an on-demand contribution into the epoch bucket. Updates arrive both
-// as one-way datagrams (Disable mode) and as acked calls; every path
-// below replies exactly once — OK acks confirm delivery, not-OK acks
-// ("cycle", "no-slot", "closed") tell a live sender to route elsewhere
-// without charging this node a failure-detector strike.
+// applyDetach is handleDetach's effect, shared with handleBatch.
+func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
+	n.mu.Lock()
+	if e := n.aggs[key]; e != nil {
+		delete(e.children, from)
+	}
+	n.mu.Unlock()
+	return UpdateAck{OK: true}
+}
+
+// handleUpdate answers a lone update; the reply is a no-op on the
+// one-way datagrams of Disable mode.
 func (n *Node) handleUpdate(req *transport.Request) {
 	um, ok := req.Payload.(UpdateMsg)
 	if !ok {
 		req.ReplyError(fmt.Errorf("core: bad update payload %T", req.Payload))
 		return
 	}
+	replyAck(req, n.applyUpdate(req.From, &um))
+}
+
+// applyUpdate stores a child's subtree aggregate (continuous) or folds
+// an on-demand contribution into the epoch bucket, and returns the
+// verdict for handleUpdate or handleBatch to send back: OK acks confirm
+// delivery, not-OK acks ("cycle", "no-slot", "closed") tell a live
+// sender to route elsewhere without a failure-detector strike.
+func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 	rt := n.ch.Routing()
 	// Record the hop span first: the message travelled regardless of
 	// whether the update is accepted below.
 	if h := n.cfg.Obs.Span; h != nil {
 		h(obs.Span{
 			Trace: um.Trace, Key: um.Key, Epoch: um.Epoch,
-			From: req.From, To: rt.Self.Addr,
+			From: from, To: rt.Self.Addr,
 			Height: um.Height, Demand: um.Demand,
 			Sent: time.Duration(um.SentAt), Recv: n.clock.Now(),
 		})
 	}
 	if um.Demand {
-		n.foldDemand(um, req.From)
-		req.Reply(UpdateAck{OK: true})
-		return
+		n.foldDemand(um, from)
+		return UpdateAck{OK: true}
 	}
 	enrolled := false
 	n.mu.Lock()
@@ -783,17 +820,9 @@ func (n *Node) handleUpdate(req *transport.Request) {
 			if h := n.cfg.Obs.UpdateRejected; h != nil {
 				h(um.Key, reason)
 			}
-			req.Reply(UpdateAck{OK: false, Reason: reason})
-			return
+			return UpdateAck{Reason: reason}
 		}
-		if e == nil {
-			e = &aggEntry{
-				key:      um.Key,
-				children: make(map[transport.Addr]childState),
-				epochs:   make(map[int64]*epochState),
-			}
-			n.aggs[um.Key] = e
-		}
+		e = n.entryLocked(um.Key)
 		e.slotDur = time.Duration(um.Slot)
 		enrolled = true
 		n.mu.Unlock()
@@ -803,15 +832,14 @@ func (n *Node) handleUpdate(req *transport.Request) {
 	// Guard against transient 2-cycles during churn: if the sender is
 	// currently our parent, adopting it as a child would double-count the
 	// whole subtree.
-	if pc := n.parentLocked(e, um.Key, rt); pc.ok && !pc.isRoot && pc.parent.Addr == req.From {
+	if pc := n.parentLocked(e, um.Key, rt); pc.ok && !pc.isRoot && pc.parent.Addr == from {
 		n.mu.Unlock()
 		if h := n.cfg.Obs.UpdateRejected; h != nil {
 			h(um.Key, "cycle")
 		}
-		req.Reply(UpdateAck{OK: false, Reason: "cycle"})
-		return
+		return UpdateAck{Reason: "cycle"}
 	}
-	e.children[req.From] = childState{agg: um.Agg, nodes: um.Nodes, height: um.Height, seen: n.clock.Now()}
+	e.children[from] = childState{agg: um.Agg, nodes: um.Nodes, height: um.Height, seen: n.clock.Now()}
 	if um.Handover {
 		// A child routed around its dead root and chose us from its
 		// successor list: assume rootship for the key. The dead root's
@@ -826,15 +854,15 @@ func (n *Node) handleUpdate(req *transport.Request) {
 		if um.FailedRoot != "" && um.FailedRoot != n.ep.Addr() {
 			n.ch.Suspect(um.FailedRoot) // hasten the dead root's eviction
 		}
-		n.cfg.Logger.Debug("assumed rootship via handover", "key", um.Key.String(), "failed", string(um.FailedRoot), "child", string(req.From))
+		n.debug("assumed rootship via handover", um.Key, "failed", um.FailedRoot, "child", from)
 	}
 	if h := n.cfg.Obs.UpdateApplied; h != nil {
 		h(um.Key, false)
 	}
-	if enrolled {
+	if enrolled && n.debugOn() {
 		n.cfg.Logger.Debug("enrolled in continuous aggregation", "key", um.Key.String(), "slot", time.Duration(um.Slot))
 	}
-	req.Reply(UpdateAck{OK: true})
+	return UpdateAck{OK: true}
 }
 
 // --- on-demand mode ---
@@ -964,7 +992,7 @@ func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
 // foldDemand accumulates an on-demand child update and (re-)arms the
 // flush timer. Acked retries are deduplicated per sender via Seq: when
 // only the ack was lost, the retry must not fold the same bucket twice.
-func (n *Node) foldDemand(um UpdateMsg, from transport.Addr) {
+func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) {
 	e := n.entry(um.Key)
 	n.mu.Lock()
 	es := e.epochs[um.Epoch]
@@ -1028,10 +1056,10 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 		Trace: obs.RoundTrace(key, epoch, true), SentAt: int64(n.clock.Now()),
 	}
 	if n.cfg.Delivery.Disable {
-		n.send(pc.parent.Addr, MsgUpdate, um)
+		n.send(pc.parent.Addr, &BatchElem{Kind: batchKindUpdate, Update: um})
 		return
 	}
-	n.deliverUpdate(nil, pc.parent, pc.keyRoot, um, true)
+	n.deliverUpdate(nil, pc.parent, pc.keyRoot, &um)
 }
 
 // entry returns (creating if needed) the aggregation table entry for key.
@@ -1040,16 +1068,7 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 func (n *Node) entry(key ident.ID) *aggEntry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	e := n.aggs[key]
-	if e == nil {
-		e = &aggEntry{
-			key:      key,
-			children: make(map[transport.Addr]childState),
-			epochs:   make(map[int64]*epochState),
-		}
-		n.aggs[key] = e
-	}
-	return e
+	return n.entryLocked(key)
 }
 
 // ActiveKeys returns the rendezvous keys present in the aggregation

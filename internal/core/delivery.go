@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -76,21 +74,31 @@ func (c DeliveryConfig) withDefaults() DeliveryConfig {
 	return c
 }
 
-// jitterHash derives the deterministic jitter source for one attempt.
-// No RNG is drawn, so enabling the delivery layer cannot perturb a
-// simulation's event randomness: datcheck traces stay byte-identical
-// per seed.
+// The jitter sources of this package are FNV-1a hashes (hash/fnv's
+// New64a, written out so that hashing allocates nothing) of who, whom
+// and a counter. No RNG is drawn, so enabling the delivery layer, the
+// send machine or the breakers cannot perturb a simulation's event
+// randomness: datcheck traces stay byte-identical per seed.
+const fnvOffset, fnvPrime uint64 = 14695981039346656037, 1099511628211
+
+func fnvAddr(h uint64, a transport.Addr) uint64 {
+	for i := 0; i < len(a); i++ {
+		h = (h ^ uint64(a[i])) * fnvPrime
+	}
+	return h
+}
+
+// fnvUint64 hashes x's eight bytes, least significant first.
+func fnvUint64(h, x uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ x>>i&0xff) * fnvPrime
+	}
+	return h
+}
+
+// jitterHash derives the jitter source for one delivery attempt.
 func jitterHash(addr transport.Addr, key ident.ID, epoch int64, attempt int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(addr))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(key))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(epoch))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	return h.Sum64()
+	return fnvUint64(fnvUint64(fnvUint64(fnvAddr(fnvOffset, addr), uint64(key)), uint64(epoch)), uint64(attempt))
 }
 
 // backoffDelay is base * 2^(attempt-1) plus deterministic jitter in
@@ -197,171 +205,182 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 
 // delivery tracks one pending acked update through retries, parent
 // failover and root handover. All transport and hook work happens
-// outside both d.mu and Node.mu (the locksafe copy-out discipline);
-// stale timer and ack callbacks are fenced by gen, which is bumped
-// whenever an event for the current attempt is consumed.
+// outside both d.mu and Node.mu (the locksafe copy-out discipline).
+// gen is the fence: it moves when an event of the current attempt is
+// consumed and when the delivery starts over, and every continuation —
+// ack, timeout, backoff, the steps of fail — owns the generation it was
+// started under and stops at the first lock under which that is no
+// longer current. A tree's continuous delivery lives in its aggEntry and
+// is reused slot after slot with gen kept monotone, so slot t's ack or
+// timeout arriving after slot t+1 took the record over is just stale.
 type delivery struct {
-	n      *Node
-	e      *aggEntry // continuous entry; nil for on-demand flushes
-	key    ident.ID
-	demand bool
+	n   *Node
+	e   *aggEntry // continuous entry (d is e.deliv); nil for on-demand flushes
+	key ident.ID
 
-	mu          sync.Mutex
-	msg         UpdateMsg
-	done        bool
-	gen         uint64
-	cancelTimer func()
-	cur         chord.NodeRef
-	curKeyRoot  bool // current candidate is believed successor(key)
-	attempt     int  // attempts on the current candidate
-	total       int  // attempts across all candidates
-	cands       int  // distinct candidates tried
-	// excluded holds the candidates given up on; nil until the first one
-	// is. Only fail writes it, and fail calls for one delivery never
-	// overlap (each consumes the single event in flight), so parentFrom
-	// reads it without a copy.
+	mu         sync.Mutex
+	msg        UpdateMsg
+	done       bool
+	gen        uint64
+	timer      transport.Timer // the attempt's ack timeout, or (resending) the backoff before the next
+	resending  bool
+	cur        chord.NodeRef
+	curKeyRoot bool // current candidate is believed successor(key)
+	attempt    int  // attempts on the current candidate
+	total      int  // attempts across all candidates
+	cands      int  // distinct candidates tried
+	// excluded holds the candidates given up on; nil until the first.
+	// Only fail writes it, and one delivery's fail calls never overlap
+	// (each owns the single event in flight): parentFrom reads it uncopied.
 	excluded map[transport.Addr]bool
 	start    time.Duration
 }
 
-// deliverUpdate starts the acked delivery of msg toward parent. For
-// continuous traffic it supersedes the key's previous pending delivery:
-// a new slot's aggregate makes the old one moot.
-func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot bool, msg UpdateMsg, demand bool) {
-	d := &delivery{
-		n: n, e: e, key: msg.Key, msg: msg, demand: demand,
-		cur: parent, curKeyRoot: parentIsKeyRoot,
-		cands: 1,
-		start: n.clock.Now(),
+// deliverUpdate starts the acked delivery of msg toward parent: on e's
+// own record for continuous traffic — a new slot's aggregate makes the
+// pending one moot — and on a fresh one for an on-demand flush (e nil).
+func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot bool, msg *UpdateMsg) {
+	var d *delivery
+	if e != nil {
+		d = &e.deliv
+	} else {
+		d = &delivery{n: n, key: msg.Key}
 	}
-	if !demand && e != nil {
-		n.mu.Lock()
-		old := e.pending
-		e.pending = d
-		n.mu.Unlock()
-		if old != nil {
-			old.cancel()
-		}
-	}
-	d.sendAttempt()
+	d.mu.Lock()
+	stop := d.timer
+	d.timer = transport.Timer{}
+	d.gen++
+	g := d.gen
+	d.msg, d.done = *msg, false
+	d.cur, d.curKeyRoot = parent, parentIsKeyRoot
+	d.attempt, d.total, d.cands, d.excluded = 0, 0, 1, nil
+	d.start = n.clock.Now()
+	d.mu.Unlock()
+	stop.Stop()
+	d.sendAttempt(g)
 }
 
-// cancel abandons the delivery without firing completion hooks (a newer
-// slot superseded it).
+// cancel abandons the delivery, completion hooks unfired: its tree stopped.
 func (d *delivery) cancel() {
 	d.mu.Lock()
-	if d.done {
-		d.mu.Unlock()
-		return
-	}
 	d.done = true
-	stop := d.cancelTimer
-	d.cancelTimer = nil
+	stop := d.timer
+	d.timer = transport.Timer{}
 	d.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
+	stop.Stop()
 }
 
 // sendAttempt fires one attempt at the current candidate: arm the ack
 // timeout, then put the update on the wire.
-func (d *delivery) sendAttempt() {
+func (d *delivery) sendAttempt(g uint64) {
 	n := d.n
 	d.mu.Lock()
-	if d.done {
+	if d.done || d.gen != g {
 		d.mu.Unlock()
 		return
 	}
 	d.attempt++
 	d.total++
 	d.gen++
-	gen := d.gen
+	g = d.gen
 	to := d.cur.Addr
-	msg := d.msg
+	el := BatchElem{Kind: batchKindUpdate, Update: d.msg}
 	retry := d.total > 1
 	d.mu.Unlock()
 
 	// An open circuit breaker fails fast into the failover path instead
-	// of burning the retry budget on a peer already known unresponsive.
-	// refused=true semantics: no extra failure-detector strike, advance
-	// straight to the next candidate (bounded by MaxCandidates).
-	// breakerAllows admits exactly one probe once the cooldown elapses.
+	// of burning the retry budget on a peer already known unresponsive:
+	// as if refused — no extra failure-detector strike, straight to the
+	// next candidate. breakerAllows admits one probe per cooldown.
 	if !n.breakerAllows(to) {
-		d.fail(to, true)
+		d.fail(g, to, true)
 		return
 	}
 
-	if retry {
-		if h := n.cfg.Obs.UpdateRetried; h != nil {
-			h(d.key)
-		}
+	if h := n.cfg.Obs.UpdateRetried; retry && h != nil {
+		h(d.key)
 	}
-	msg.SentAt = int64(n.clock.Now())
-	stop := n.clock.AfterFunc(n.cfg.Delivery.AckTimeout, func() { d.onTimeout(gen) })
+	el.Update.SentAt = int64(n.clock.Now())
+	t := n.clock.AfterRun(n.cfg.Delivery.AckTimeout, d, int32(g))
 	d.mu.Lock()
-	if d.done || d.gen != gen {
+	if d.done || d.gen != g {
 		d.mu.Unlock()
-		stop()
+		t.Stop()
 		return
 	}
-	d.cancelTimer = stop
+	d.timer, d.resending = t, false
 	d.mu.Unlock()
-	n.batchCall(to, MsgUpdate, msg, func(payload any, err error) { d.onAck(gen, to, payload, err) })
+	n.callElem(to, &el, sinkRef{d, g})
+}
+
+// RunEvent implements transport.TimerTask: the timer armed under
+// generation op (its low 32 bits) fired.
+func (d *delivery) RunEvent(op int32) {
+	d.mu.Lock()
+	g, resending := d.gen, d.resending
+	d.mu.Unlock()
+	switch {
+	case uint32(g) != uint32(op): // the event it waited on was consumed meanwhile
+	case resending:
+		d.sendAttempt(g)
+	default:
+		d.onTimeout(g)
+	}
+}
+
+// consume claims the event generation g waits for: unless the delivery
+// has moved on (ok false) it advances the fence — a late ack or timeout
+// of this attempt is stale from here — and hands the caller the new
+// generation, the attempt's candidate and its timer to stop.
+func (d *delivery) consume(g uint64) (next uint64, to transport.Addr, stop transport.Timer, ok bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.done || d.gen != g {
+		return 0, "", transport.Timer{}, false
+	}
+	d.gen++
+	stop, d.timer = d.timer, transport.Timer{}
+	return d.gen, d.cur.Addr, stop, true
 }
 
 // onTimeout handles an expired ack timer: the candidate earns a
 // failure-detector strike (each failed attempt is one strike, so a dead
 // parent is evicted from the routing tables within one retry budget).
-func (d *delivery) onTimeout(gen uint64) {
-	d.mu.Lock()
-	if d.done || d.gen != gen {
-		d.mu.Unlock()
+func (d *delivery) onTimeout(g uint64) {
+	g, to, _, ok := d.consume(g)
+	if !ok {
 		return
 	}
-	d.gen++ // consume the event: a late ack for this attempt is stale now
-	d.cancelTimer = nil
-	to := d.cur.Addr
-	d.mu.Unlock()
 	d.n.ch.Suspect(to)
 	d.n.breakerFailure(to, true)
-	d.fail(to, false)
+	d.fail(g, to, false)
 }
 
-// onAck handles the Call callback for one attempt.
-func (d *delivery) onAck(gen uint64, to transport.Addr, payload any, err error) {
-	d.mu.Lock()
-	if d.done || d.gen != gen {
-		d.mu.Unlock()
+// onAck implements ackSink: the verdict on the attempt queued under g.
+func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
+	g, to, stop, ok := d.consume(g)
+	if !ok {
 		return
 	}
-	d.gen++ // consume the event: the pending timeout for this attempt is stale
-	stop := d.cancelTimer
-	d.cancelTimer = nil
-	d.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	if err != nil {
-		if isAdmissionErr(err) {
-			// The overload layer refused the send locally: degrade now
-			// instead of retrying into the overload — the typed error is
-			// a statement about this node's queues, not about the peer.
-			d.degrade(overloadReason(err))
-			d.finish(false)
-			return
-		}
+	stop.Stop()
+	switch {
+	case err != nil && isAdmissionErr(err):
+		// The overload layer refused the send locally: degrade now
+		// instead of retrying into the overload — the typed error is a
+		// statement about this node's queues, not about the peer.
+		d.degrade(overloadReason(err))
+		d.finish(g, false)
+	case err != nil:
 		d.n.ch.Suspect(to)
 		d.n.breakerFailure(to, true)
-		d.fail(to, false)
-		return
-	}
-	if ack, isAck := payload.(UpdateAck); isAck && !ack.OK {
+		d.fail(g, to, false)
+	case !ack.OK:
 		d.n.breakerFailure(to, false)
-		d.fail(to, true) // live but refusing: route around without a strike
-		return
+		d.fail(g, to, true) // live but refusing: route around without a strike
+	default:
+		d.n.breakerSuccess(to)
+		d.finish(g, true)
 	}
-	d.n.breakerSuccess(to)
-	d.finish(true)
 }
 
 // degrade marks the delivery's tree so its next aggregate travels
@@ -392,43 +411,30 @@ func overloadReason(err error) string {
 	}
 }
 
-// resend fires the next attempt after a backoff delay.
-func (d *delivery) resend(gen uint64) {
-	d.mu.Lock()
-	if d.done || d.gen != gen {
-		d.mu.Unlock()
-		return
-	}
-	d.cancelTimer = nil
-	d.mu.Unlock()
-	d.sendAttempt()
-}
-
 // fail advances the state machine after a failed (or refused) attempt:
 // retry the same candidate under backoff, or fail over to the next
 // candidate under the finger-limiting constraint, or give up.
-func (d *delivery) fail(to transport.Addr, refused bool) {
+func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 	n := d.n
 	cfg := n.cfg.Delivery
 	d.mu.Lock()
-	if d.done {
+	if d.done || d.gen != g {
 		d.mu.Unlock()
 		return
 	}
 	if !refused && d.attempt < cfg.Attempts {
-		gen := d.gen
 		attempt := d.attempt
 		epoch := d.msg.Epoch
 		d.mu.Unlock()
 		delay := backoffDelay(cfg.Backoff, attempt, jitterHash(n.ep.Addr(), d.key, epoch, attempt))
-		stop := n.clock.AfterFunc(delay, func() { d.resend(gen) })
+		t := n.clock.AfterRun(delay, d, int32(g))
 		d.mu.Lock()
-		if d.done || d.gen != gen {
+		if d.done || d.gen != g {
 			d.mu.Unlock()
-			stop()
+			t.Stop()
 			return
 		}
-		d.cancelTimer = stop
+		d.timer, d.resending = t, true
 		d.mu.Unlock()
 		return
 	}
@@ -437,27 +443,28 @@ func (d *delivery) fail(to transport.Addr, refused bool) {
 		d.excluded = make(map[transport.Addr]bool, cfg.MaxCandidates)
 	}
 	d.excluded[to] = true
+	excluded := d.excluded
 	wasKeyRoot := d.curKeyRoot
 	d.attempt = 0
 	d.cands++
 	give := d.cands > cfg.MaxCandidates
 	d.mu.Unlock()
 	if give {
-		d.finish(false)
+		d.finish(g, false)
 		return
 	}
 	rt := n.ch.Routing()
-	pc := parentFrom(rt, n.cfg.Scheme, d.key, d.excluded)
+	pc := parentFrom(rt, n.cfg.Scheme, d.key, excluded)
 	parent, keyRoot := pc.parent, pc.keyRoot
 	if !pc.ok || pc.isRoot {
 		// No remaining candidate, or the ring churned us into rootship
 		// mid-delivery; the next slot's tick sorts it out.
-		d.finish(false)
+		d.finish(g, false)
 		return
 	}
-	handover := !d.demand && wasKeyRoot && keyRoot
+	handover := d.e != nil && wasKeyRoot && keyRoot
 	d.mu.Lock()
-	if d.done {
+	if d.done || d.gen != g {
 		d.mu.Unlock()
 		return
 	}
@@ -469,18 +476,15 @@ func (d *delivery) fail(to transport.Addr, refused bool) {
 		d.msg.FailedRoot = to
 	}
 	d.mu.Unlock()
+	hook, what, role := n.cfg.Obs.ParentFailover, "parent failover", "new"
 	if handover {
-		if h := n.cfg.Obs.RootHandover; h != nil {
-			h()
-		}
-		n.cfg.Logger.Debug("root handover", "key", d.key.String(), "failed", string(to), "standby", string(parent.Addr))
-	} else {
-		if h := n.cfg.Obs.ParentFailover; h != nil {
-			h()
-		}
-		n.cfg.Logger.Debug("parent failover", "key", d.key.String(), "failed", string(to), "new", string(parent.Addr))
+		hook, what, role = n.cfg.Obs.RootHandover, "root handover", "standby"
 	}
-	if !d.demand && d.e != nil {
+	if hook != nil {
+		hook()
+	}
+	n.debug(what, d.key, "failed", to, role, parent.Addr)
+	if d.e != nil {
 		// Keep the detach/2-cycle bookkeeping coherent: the pending
 		// aggregate now travels via the new parent, and the failed
 		// candidate — if it was merely slow, not dead — must not keep our
@@ -495,73 +499,68 @@ func (d *delivery) fail(to transport.Addr, refused bool) {
 		// the wasted traffic fail-fast exists to stop, and its child
 		// cache forgets us by TTL regardless.
 		if !n.breakerOpenNow(to) {
-			n.send(to, MsgDetach, DetachMsg{Key: d.key, Sender: rt.Self})
+			n.send(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}})
 		}
 	}
-	d.sendAttempt()
+	d.sendAttempt(g)
 }
 
 // finish completes the delivery and fires the completion hook.
-func (d *delivery) finish(ok bool) {
+func (d *delivery) finish(g uint64, ok bool) {
 	n := d.n
 	d.mu.Lock()
-	if d.done {
+	if d.done || d.gen != g {
 		d.mu.Unlock()
 		return
 	}
 	d.done = true
-	stop := d.cancelTimer
-	d.cancelTimer = nil
+	stop := d.timer
+	d.timer = transport.Timer{}
 	attempts := d.total
 	latency := n.clock.Now() - d.start
 	d.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	if d.e != nil {
-		n.mu.Lock()
-		if d.e.pending == d {
-			d.e.pending = nil
-		}
-		n.mu.Unlock()
-	}
+	stop.Stop()
 	if h := n.cfg.Obs.DeliveryDone; h != nil {
 		h(ok, attempts, latency)
 	}
-	if !ok {
-		n.cfg.Logger.Debug("update delivery gave up", "key", d.key.String(), "attempts", attempts)
+	if !ok && n.debugOn() {
+		n.cfg.Logger.Debug("update delivery gave up", "key", d.key, "attempts", attempts)
 	}
 }
 
-// deliverDetach sends an acked detach with a bounded retry budget. A
-// dead former parent forgets us via the child TTL anyway, so there is
-// no failover here — just enough persistence to beat one lost datagram,
+// detachRetry is one acked detach with a bounded retry budget. A dead
+// former parent forgets us via the child TTL anyway, so there is no
+// failover here — just enough persistence to beat one lost datagram,
 // with errors feeding the failure detector like any other failed ack.
+// RunEvent sends an attempt: the first directly, the rest from backoff.
+type detachRetry struct {
+	n       *Node
+	to      transport.Addr
+	dm      DetachMsg
+	attempt int
+}
+
 func (n *Node) deliverDetach(to transport.Addr, dm DetachMsg) {
 	if n.cfg.Delivery.Disable {
-		n.send(to, MsgDetach, dm)
+		n.send(to, &BatchElem{Kind: batchKindDetach, Detach: dm})
 		return
 	}
-	cfg := n.cfg.Delivery
-	attempt := 0
-	var try func()
-	try = func() {
-		attempt++
-		a := attempt
-		n.batchCall(to, MsgDetach, dm, func(_ any, err error) {
-			if err == nil {
-				return
-			}
-			if isAdmissionErr(err) {
-				return // local admission refusal: no peer evidence, no retry
-			}
-			n.ch.Suspect(to)
-			n.breakerFailure(to, true)
-			if a >= cfg.Attempts {
-				return
-			}
-			n.clock.AfterFunc(backoffDelay(cfg.Backoff, a, jitterHash(n.ep.Addr(), dm.Key, int64(a), a)), try)
-		})
+	(&detachRetry{n: n, to: to, dm: dm}).RunEvent(0)
+}
+
+func (r *detachRetry) RunEvent(int32) {
+	r.attempt++
+	r.n.callElem(r.to, &BatchElem{Kind: batchKindDetach, Detach: r.dm}, sinkRef{sink: r})
+}
+
+func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {
+	n, a := r.n, r.attempt
+	if err == nil || isAdmissionErr(err) {
+		return // delivered — or refused locally: no peer evidence, no retry
 	}
-	try()
+	n.ch.Suspect(r.to)
+	n.breakerFailure(r.to, true)
+	if cfg := n.cfg.Delivery; a < cfg.Attempts {
+		n.clock.AfterRun(backoffDelay(cfg.Backoff, a, jitterHash(n.ep.Addr(), r.dm.Key, int64(a), a)), r, 0)
+	}
 }

@@ -26,3 +26,32 @@ func (n *Node) ParentForExcluding(key ident.ID, excluded map[transport.Addr]bool
 }
 
 func (n *Node) HandleUpdateForTest(req *transport.Request) { n.handleUpdate(req) }
+
+// funcSink adapts the closure-shaped callbacks the send-machine tests
+// are written with to the typed ack sink.
+type funcSink func(any, error)
+
+func (f funcSink) onAck(_ uint64, ack UpdateAck, err error) {
+	if err != nil {
+		f(nil, err)
+	} else {
+		f(ack, nil)
+	}
+}
+
+// batchCall is the tests' door to callElem; a nil cb queues the element
+// with nobody waiting for its verdict.
+func (n *Node) batchCall(to transport.Addr, _ string, payload any, cb func(any, error)) {
+	var ref sinkRef
+	if cb != nil {
+		ref.sink = funcSink(cb)
+	}
+	switch p := payload.(type) {
+	case UpdateMsg:
+		n.callElem(to, &BatchElem{Kind: batchKindUpdate, Update: p}, ref)
+	case DetachMsg:
+		n.callElem(to, &BatchElem{Kind: batchKindDetach, Detach: p}, ref)
+	default:
+		panic("batchCall: not an update or detach")
+	}
+}

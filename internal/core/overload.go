@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"time"
@@ -130,7 +128,7 @@ func classLabel(c msgClass) string {
 
 // classify assigns one queued element its shedding class. selfMonKeys
 // is immutable after NewNode, so the read is lock-free.
-func (n *Node) classify(el BatchElem) msgClass {
+func (n *Node) classify(el *BatchElem) msgClass {
 	if el.Kind == batchKindDetach {
 		return classControl
 	}
@@ -302,13 +300,7 @@ func (n *Node) breakerProbeDelay(to transport.Addr, opens uint64, reopens int) t
 	if quarter == 0 {
 		return d
 	}
-	h := fnv.New64a()
-	h.Write([]byte(n.ep.Addr()))
-	h.Write([]byte(to))
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], opens)
-	h.Write(b[:])
-	return d + time.Duration(h.Sum64()%quarter)
+	return d + time.Duration(fnvUint64(fnvAddr(fnvAddr(fnvOffset, n.ep.Addr()), to), opens)%quarter)
 }
 
 func (n *Node) fireBreaker(to transport.Addr, state string) {
@@ -349,6 +341,7 @@ type OverloadStats struct {
 // concurrent use; cheap enough to poll per slot.
 func (n *Node) OverloadStats() OverloadStats {
 	st := OverloadStats{Enabled: n.cfg.Overload.Enable, Shed: make(map[string]uint64, numClasses)}
+	var shed [numClasses]uint64
 	if sm := n.sm; sm != nil {
 		sm.mu.Lock()
 		st.QueuedBytes = sm.totalBytes
@@ -356,16 +349,11 @@ func (n *Node) OverloadStats() OverloadStats {
 		for _, q := range sm.queues {
 			st.QueuedElems += len(q.elems)
 		}
-		for c := msgClass(0); c < numClasses; c++ {
-			st.Shed[classLabel(c)] = sm.shed[c]
-		}
-		st.ShedBytes = sm.shedBytes
-		st.Rejected = sm.rejected
+		shed, st.ShedBytes, st.Rejected = sm.shed, sm.shedBytes, sm.rejected
 		sm.mu.Unlock()
-	} else {
-		for c := msgClass(0); c < numClasses; c++ {
-			st.Shed[classLabel(c)] = 0
-		}
+	}
+	for c, k := range shed {
+		st.Shed[classLabel(msgClass(c))] = k
 	}
 	n.brMu.Lock()
 	st.BreakerOpens = n.brOpens

@@ -578,7 +578,7 @@ func TestClassify(t *testing.T) {
 		{"selfmon-handover", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 42, Handover: true}}, classControl},
 	}
 	for _, tc := range cases {
-		if got := n.classify(tc.el); got != tc.want {
+		if got := n.classify(&tc.el); got != tc.want {
 			t.Errorf("%s: class %s, want %s", tc.name, classLabel(got), classLabel(tc.want))
 		}
 	}

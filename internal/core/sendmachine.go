@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -20,10 +19,8 @@ import (
 // per-element UpdateAcks on the single BatchAck reply, so the
 // datagrams/slot cost collapses from O(T) toward O(log n).
 //
-// Determinism: flush deadlines use the same draw-free FNV-1a jitter as
-// the retry backoff — no RNG is consumed — so enabling batching cannot
-// perturb a simulation's event randomness and datcheck traces stay
-// byte-identical per seed.
+// Determinism: flush deadlines are jittered like the retry backoff, by
+// delivery.go's draw-free hash, so batching consumes no RNG either.
 
 // MsgBatch carries a coalesced batch of updates/detaches bound for one
 // destination; the reply is a BatchAck with one UpdateAck per element.
@@ -97,7 +94,7 @@ func (c BatchConfig) withDefaults() BatchConfig {
 // size. It only steers the MaxBytes flush trigger — the real encoding
 // happens once per flush in the codec — so a constant plus the variable
 // string fields is accurate enough.
-func elemEstimate(el BatchElem) int {
+func elemEstimate(el *BatchElem) int {
 	switch el.Kind {
 	case batchKindUpdate:
 		return 72 + len(el.Update.Sender.Addr) + len(el.Update.FailedRoot)
@@ -112,6 +109,27 @@ func elemEstimate(el BatchElem) int {
 // from) plus the UDP/IP headers. Feeds the bytes-saved telemetry only.
 const frameOverhead = 48
 
+// ackSink receives the verdict on one element handed to the send
+// machine: the receiver's UpdateAck, or the error that befell its
+// datagram — typed admission errors included, a shed element is always
+// answered. Elements are queued as (sink, gen) pairs, not closures: gen
+// is the token the element was queued with, the sink's fence against a
+// verdict that outlived the attempt it answers.
+type ackSink interface {
+	onAck(gen uint64, ack UpdateAck, err error)
+}
+
+type sinkRef struct {
+	sink ackSink // nil: nobody waits for the verdict
+	gen  uint64
+}
+
+func (r sinkRef) fire(ack UpdateAck, err error) {
+	if r.sink != nil {
+		r.sink.onAck(r.gen, ack, err)
+	}
+}
+
 // sendMachine queues outbound acked calls per destination and flushes
 // them as coalesced batches. All transport and hook work happens
 // outside sm.mu (the locksafe copy-out discipline); deadline timers are
@@ -123,6 +141,13 @@ type sendMachine struct {
 
 	mu     sync.Mutex
 	queues map[transport.Addr]*destQueue
+	// free holds records for reuse: a queue taken off the map is its
+	// datagram's flight record until the reply, then comes back here
+	// with its sink, class and time slices. Only the element slice is
+	// made per fill (elemHint long, like the last): the transport, and
+	// an in-process receiver, go on reading it after the flush.
+	free     []*destQueue
+	elemHint int
 	// seqs is the per-destination timer-arming counter feeding the
 	// deadline jitter. It lives outside destQueue so queue GC (idle
 	// entries are deleted once drained) cannot reset the jitter
@@ -130,9 +155,8 @@ type sendMachine struct {
 	// not its queue was collected in between.
 	seqs map[transport.Addr]uint64
 	// genSeq issues queue generations. Drawing them from one monotone
-	// counter (instead of a per-queue counter starting at zero) keeps
-	// deadline timers fenced across GC: a timer armed against a
-	// collected queue can never match a recreated one.
+	// counter keeps deadline timers fenced across GC and reuse: a timer
+	// armed against one fill of a record can never match a later one.
 	genSeq uint64
 	closed bool
 
@@ -144,16 +168,23 @@ type sendMachine struct {
 	rejected   uint64             // incoming enqueues refused with a typed error
 }
 
+// destQueue is one destination's pending elements — and the TimerTask
+// of their flush deadline — then the flight record of their datagram.
 type destQueue struct {
+	n     *Node
+	to    transport.Addr
 	elems []BatchElem
-	cbs   []func(any, error)
+	sinks []sinkRef
 	bytes int
 	gen   uint64 // from sm.genSeq; stale deadline timers no-op
 	// classes and times parallel elems; populated only when overload
 	// protection is enabled (shedding priority and queue-age telemetry).
 	classes []msgClass
 	times   []time.Duration
-	cancel  func() // pending deadline timer, nil when idle
+	timer   transport.Timer // the deadline timer while armed
+	armed   bool
+	batched bool                   // in flight as a BatchMsg, not a lone message
+	reply   transport.ResponseFunc // q.onReply, bound once per record
 }
 
 func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
@@ -164,60 +195,82 @@ func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
 	}
 }
 
-// batchCall routes an acked update/detach through the send machine, or
-// straight to the endpoint when batching is disabled. It is the drop-in
-// replacement for ep.Call in the delivery layer.
-func (n *Node) batchCall(to transport.Addr, typ string, payload any, cb func(any, error)) {
+func newRecord(n *Node, to transport.Addr) *destQueue {
+	q := &destQueue{n: n, to: to}
+	q.reply = q.onReply
+	return q
+}
+
+// callElem is the delivery layer's drop-in for ep.Call: the update or
+// detach goes through the send machine, or straight to the endpoint
+// when batching is disabled, and its verdict comes back through ref.
+func (n *Node) callElem(to transport.Addr, el *BatchElem, ref sinkRef) {
 	if n.sm == nil {
-		n.treeSent(typ, payload)
-		n.ep.Call(to, typ, payload, cb)
+		n.direct(to, el, ref)
 		return
 	}
-	n.sm.enqueue(to, typ, payload, cb)
+	n.sm.enqueue(to, el, ref)
+}
+
+// direct puts one element on the wire by itself, around the queues.
+func (n *Node) direct(to transport.Addr, el *BatchElem, ref sinkRef) {
+	q := newRecord(n, to)
+	q.sinks = append(q.sinks, ref)
+	n.treeSent(el)
+	typ, payload := elemMessage(el)
+	n.ep.Call(to, typ, payload, q.reply)
 }
 
 // treeSent fires the per-tree send-accounting hook (DESIGN.md §13) for
 // one outbound element. Every path that puts an update or detach on the
-// wire funnels through exactly one call — batchCall's direct path, the
-// enqueue bypasses, flush, or the fire-and-forget n.send — so each
-// element is counted once per wire appearance (retries count again:
-// the accounting tracks traffic, not intents). Non-tree payloads are
-// ignored. Callers hold no locks.
-func (n *Node) treeSent(typ string, payload any) {
-	h := n.cfg.Obs.TreeSent
-	if h == nil {
-		return
-	}
-	switch p := payload.(type) {
-	case UpdateMsg:
-		h(p.Key, typ, elemEstimate(BatchElem{Kind: batchKindUpdate, Update: p}))
-	case DetachMsg:
-		h(p.Key, typ, elemEstimate(BatchElem{Kind: batchKindDetach, Detach: p}))
+// wire — direct, flush, the fire-and-forget n.send — calls it exactly
+// once, so an element counts once per wire appearance (retries count
+// again: it tracks traffic, not intents). Callers hold no locks.
+func (n *Node) treeSent(el *BatchElem) {
+	if h := n.cfg.Obs.TreeSent; h != nil {
+		if el.Kind == batchKindDetach {
+			h(el.Detach.Key, MsgDetach, elemEstimate(el))
+		} else {
+			h(el.Update.Key, MsgUpdate, elemEstimate(el))
+		}
 	}
 }
 
 // shedElem is one element dropped (or refused) by the overload layer,
-// carried out of sm.mu so its callback and the Shed hook fire outside
-// the lock.
+// carried out of sm.mu so its sink and the Shed hook fire unlocked.
 type shedElem struct {
-	cb    func(any, error)
+	ref   sinkRef
 	class msgClass
 }
 
-// fireShed invokes the dropped elements' callbacks with the typed
-// overload error and fires the Shed hook per element. Callers hold no
-// locks. A shed callback is ALWAYS invoked — silent loss would leave
-// the delivery layer waiting on its ack timeout instead of degrading
-// immediately.
+// fireShed answers the dropped elements' sinks with the typed overload
+// error and fires the Shed hook per element. Callers hold no locks. A
+// shed element is ALWAYS answered — silent loss would leave the delivery
+// layer waiting on its ack timeout instead of degrading immediately.
 func (sm *sendMachine) fireShed(victims []shedElem, reason string, err error) {
 	h := sm.n.cfg.Obs.Shed
 	for _, v := range victims {
 		if h != nil {
 			h(classLabel(v.class), reason)
 		}
-		if v.cb != nil {
-			v.cb(nil, err)
-		}
+		v.ref.fire(UpdateAck{}, err)
+	}
+}
+
+// refuse accounts and answers one incoming element refused with a typed
+// error. Callers hold no locks.
+func (sm *sendMachine) refuse(ref sinkRef, class msgClass, est int, reason string, err error) {
+	sm.mu.Lock()
+	sm.shed[class]++
+	sm.shedBytes += uint64(est)
+	sm.rejected++
+	sm.mu.Unlock()
+	sm.fireShed([]shedElem{{ref, class}}, reason, err)
+}
+
+func stopAll(timers []transport.Timer) {
+	for _, t := range timers {
+		t.Stop()
 	}
 }
 
@@ -228,63 +281,42 @@ func (sm *sendMachine) fireShed(victims []shedElem, reason string, err error) {
 // typed error (after evicting strictly-lower-priority victims), and a
 // destination queue at its own budget is force-flushed rather than
 // grown.
-func (sm *sendMachine) enqueue(to transport.Addr, typ string, payload any, cb func(any, error)) {
-	var el BatchElem
-	switch typ {
-	case MsgUpdate:
-		el = BatchElem{Kind: batchKindUpdate, Update: payload.(UpdateMsg)}
-	case MsgDetach:
-		el = BatchElem{Kind: batchKindDetach, Detach: payload.(DetachMsg)}
-	default:
-		// Not coalescable (queries etc.): pass through untouched.
-		sm.n.ep.Call(to, typ, payload, cb)
-		return
-	}
+func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
+	n := sm.n
 	est := elemEstimate(el)
-	ov := sm.n.cfg.Overload
+	ov := n.cfg.Overload
 
 	var class msgClass
 	var now time.Duration
 	if ov.Enable {
-		class = sm.n.classify(el)
-		now = sm.n.clock.Now()
+		class = n.classify(el)
+		now = n.clock.Now()
 		// Fail fast on a peer whose breaker is open: queueing more
 		// traffic at it would only be shed or time out later. The
 		// read-only check cannot refuse a half-open probe the delivery
 		// layer just admitted.
-		if class != classControl && sm.n.breakerOpenNow(to) {
-			sm.mu.Lock()
-			sm.shed[class]++
-			sm.shedBytes += uint64(est)
-			sm.rejected++
-			sm.mu.Unlock()
-			sm.fireShed([]shedElem{{cb: cb, class: class}}, "breaker", ErrBreakerOpen)
+		if class != classControl && n.breakerOpenNow(to) {
+			sm.refuse(ref, class, est, "breaker", ErrBreakerOpen)
 			return
 		}
 		// An element alone exceeding the per-queue budget can never be
 		// queued under it: send it directly.
 		if est > ov.MaxQueueBytes {
-			sm.n.treeSent(typ, payload)
-			sm.n.ep.Call(to, typ, payload, cb)
+			n.direct(to, el, ref)
 			return
 		}
 	}
 
 	sm.mu.Lock()
 	if sm.closed {
+		sm.mu.Unlock()
 		if ov.Enable {
 			// Typed rejection instead of racing the drained machine
 			// back onto the wire; the caller degrades locally.
-			sm.shed[class]++
-			sm.shedBytes += uint64(est)
-			sm.rejected++
-			sm.mu.Unlock()
-			sm.fireShed([]shedElem{{cb: cb, class: class}}, "closed", ErrSendClosed)
-			return
+			sm.refuse(ref, class, est, "closed", ErrSendClosed)
+		} else {
+			n.direct(to, el, ref)
 		}
-		sm.mu.Unlock()
-		sm.n.treeSent(typ, payload)
-		sm.n.ep.Call(to, typ, payload, cb)
 		return
 	}
 
@@ -293,37 +325,39 @@ func (sm *sendMachine) enqueue(to transport.Addr, typ string, payload any, cb fu
 	// order), and refuse the element if that still cannot make room.
 	// Control traffic is never refused: it bypasses the queues instead.
 	var victims []shedElem
-	var stops []func()
+	var stops []transport.Timer
 	if ov.Enable && sm.totalBytes+est > ov.MaxTotalBytes {
 		if class == classControl {
 			sm.mu.Unlock()
-			sm.n.treeSent(typ, payload)
-			sm.n.ep.Call(to, typ, payload, cb)
+			n.direct(to, el, ref)
 			return
 		}
 		victims, stops = sm.evictLocked(to, class, sm.totalBytes+est-ov.MaxTotalBytes)
 		if sm.totalBytes+est > ov.MaxTotalBytes {
-			sm.shed[class]++
-			sm.shedBytes += uint64(est)
-			sm.rejected++
 			sm.mu.Unlock()
-			for _, s := range stops {
-				s()
-			}
+			stopAll(stops)
 			sm.fireShed(victims, "evict", ErrOverload)
-			sm.fireShed([]shedElem{{cb: cb, class: class}}, "total-bytes", ErrOverload)
+			sm.refuse(ref, class, est, "total-bytes", ErrOverload)
 			return
 		}
 	}
 
 	q := sm.queues[to]
 	if q == nil {
+		if k := len(sm.free); k > 0 {
+			q, sm.free = sm.free[k-1], sm.free[:k-1]
+		} else {
+			q = newRecord(n, to)
+		}
 		sm.genSeq++
-		q = &destQueue{gen: sm.genSeq}
+		q.to, q.gen, q.batched = to, sm.genSeq, false
+		if sm.elemHint > 1 {
+			q.elems = make([]BatchElem, 0, sm.elemHint)
+		}
 		sm.queues[to] = q
 	}
-	q.elems = append(q.elems, el)
-	q.cbs = append(q.cbs, cb)
+	q.elems = append(q.elems, *el)
+	q.sinks = append(q.sinks, ref)
 	q.bytes += est
 	// Byte accounting runs in both modes so OverloadStats can report
 	// queue growth even when no budget is enforced; only the shedding
@@ -343,52 +377,40 @@ func (sm *sendMachine) enqueue(to transport.Addr, typ string, payload any, cb fu
 		reason = "elems"
 	case q.bytes >= sm.cfg.MaxBytes:
 		reason = "bytes"
-	}
-	if reason == "" && ov.Enable && (len(q.elems) >= ov.MaxQueueElems || q.bytes >= ov.MaxQueueBytes) {
+	case ov.Enable && (len(q.elems) >= ov.MaxQueueElems || q.bytes >= ov.MaxQueueBytes):
 		// A queue at its overload budget is flushed, not shed: the wire
 		// is the pressure-relief valve; shedding is reserved for the
 		// global budget.
 		reason = "overload"
 	}
 	if reason != "" {
-		elems, cbs, stop := sm.takeLocked(to, q)
+		stops = append(stops, sm.takeLocked(q))
 		sm.mu.Unlock()
-		for _, s := range stops {
-			s()
-		}
-		if stop != nil {
-			stop()
-		}
+		stopAll(stops)
 		sm.fireShed(victims, "evict", ErrOverload)
-		sm.flush(to, elems, cbs, reason)
+		sm.flush(q, reason)
 		return
 	}
-	if q.cancel != nil {
-		sm.mu.Unlock()
-		for _, s := range stops {
-			s()
-		}
-		sm.fireShed(victims, "evict", ErrOverload)
-		return // deadline already armed for this queue
+	armed, gen := q.armed, q.gen
+	if !armed {
+		sm.seqs[to]++
 	}
-	gen := q.gen
-	sm.seqs[to]++
 	seq := sm.seqs[to]
 	sm.mu.Unlock()
-	for _, s := range stops {
-		s()
-	}
+	stopAll(stops)
 	sm.fireShed(victims, "evict", ErrOverload)
-	delay := sm.deadline(to, seq)
+	if armed {
+		return // deadline already armed for this queue
+	}
 
-	stop := sm.n.clock.AfterFunc(delay, func() { sm.onDeadline(to, gen) })
+	t := n.clock.AfterRun(sm.deadline(to, seq), q, int32(gen))
 	sm.mu.Lock()
 	if sm.closed || sm.queues[to] != q || q.gen != gen {
 		sm.mu.Unlock()
-		stop() // the queue flushed (or drained) while we armed the timer
+		t.Stop() // the queue flushed (or drained) while we armed the timer
 		return
 	}
-	q.cancel = stop
+	q.timer, q.armed = t, true
 	sm.mu.Unlock()
 }
 
@@ -398,9 +420,9 @@ func (sm *sendMachine) enqueue(to transport.Addr, typ string, payload any, cb fu
 // then the remaining queues in sorted address order, so victim
 // selection is deterministic. Emptied queues are GC'd; their deadline
 // timers are returned for the caller to stop outside sm.mu. Callers
-// hold sm.mu and must fire the returned victims' callbacks (and any
-// timer stops) after unlocking.
-func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need int) (victims []shedElem, stops []func()) {
+// hold sm.mu and must answer the returned victims (and stop the timers)
+// after unlocking.
+func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need int) (victims []shedElem, stops []transport.Timer) {
 	addrs := make([]transport.Addr, 0, len(sm.queues))
 	for a := range sm.queues {
 		if a != to {
@@ -419,8 +441,8 @@ func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need in
 		keep := 0
 		for i := range q.elems {
 			if need > 0 && q.classes[i] < incoming {
-				est := elemEstimate(q.elems[i])
-				victims = append(victims, shedElem{cb: q.cbs[i], class: q.classes[i]})
+				est := elemEstimate(&q.elems[i])
+				victims = append(victims, shedElem{ref: q.sinks[i], class: q.classes[i]})
 				sm.shed[q.classes[i]]++
 				sm.shedBytes += uint64(est)
 				q.bytes -= est
@@ -429,7 +451,7 @@ func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need in
 				continue
 			}
 			q.elems[keep] = q.elems[i]
-			q.cbs[keep] = q.cbs[i]
+			q.sinks[keep] = q.sinks[i]
 			q.classes[keep] = q.classes[i]
 			q.times[keep] = q.times[i]
 			keep++
@@ -438,15 +460,12 @@ func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need in
 			continue
 		}
 		q.elems = q.elems[:keep]
-		q.cbs = q.cbs[:keep]
+		q.sinks = q.sinks[:keep]
 		q.classes = q.classes[:keep]
 		q.times = q.times[:keep]
 		if keep == 0 {
-			if q.cancel != nil {
-				stops = append(stops, q.cancel)
-				q.cancel = nil
-			}
-			delete(sm.queues, a)
+			stops = append(stops, sm.takeLocked(q))
+			sm.recycleLocked(q)
 		}
 	}
 	return victims, stops
@@ -462,108 +481,108 @@ func (sm *sendMachine) deadline(to transport.Addr, seq uint64) time.Duration {
 	if quarter == 0 {
 		return d
 	}
-	h := fnv.New64a()
-	h.Write([]byte(sm.n.ep.Addr()))
-	h.Write([]byte(to))
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seq >> (8 * i))
-	}
-	h.Write(b[:])
-	return d - time.Duration(h.Sum64()%quarter)
+	return d - time.Duration(fnvUint64(fnvAddr(fnvAddr(fnvOffset, sm.n.ep.Addr()), to), seq)%quarter)
 }
 
-// onDeadline flushes the queue whose deadline expired, unless a size
-// trigger already flushed it (gen mismatch — a flushed queue is also
-// GC'd from the map, so the common stale case is q == nil).
-func (sm *sendMachine) onDeadline(to transport.Addr, gen uint64) {
+// RunEvent implements transport.TimerTask: the flush deadline armed
+// under generation op (its low 32 bits) expired. The queue is flushed
+// unless a size trigger already did — it then left the map and took a
+// new generation, as any later fill of the record has.
+func (q *destQueue) RunEvent(op int32) {
+	sm := q.n.sm
 	sm.mu.Lock()
-	q := sm.queues[to]
-	if q == nil || q.gen != gen || len(q.elems) == 0 {
-		if q != nil && q.gen == gen && len(q.elems) == 0 {
-			// Emptied without a flush (eviction took every element):
-			// nothing left to send, GC the entry.
-			delete(sm.queues, to)
-		}
+	if sm.queues[q.to] != q || uint32(q.gen) != uint32(op) {
 		sm.mu.Unlock()
 		return
 	}
-	elems, cbs, _ := sm.takeLocked(to, q)
+	sm.takeLocked(q)
 	sm.mu.Unlock()
-	sm.flush(to, elems, cbs, "deadline")
+	sm.flush(q, "deadline")
 }
 
-// takeLocked empties the queue, returning the drained contents and any
-// pending deadline timer for the caller to stop outside the lock, and
-// GCs the destination's map entry — idle destinations hold no memory
-// under churny membership; a later enqueue recreates the queue with a
-// fresh generation from sm.genSeq, so timers armed against this
-// incarnation can never fire against the next. Callers hold sm.mu.
-func (sm *sendMachine) takeLocked(to transport.Addr, q *destQueue) (elems []BatchElem, cbs []func(any, error), stop func()) {
-	elems, cbs, stop = q.elems, q.cbs, q.cancel
+// takeLocked takes the queue off the map — idle destinations hold no
+// memory under churny membership — and gives it a fresh generation, so
+// timers armed against this fill can never fire against a later one.
+// The caller owns q from here: it flushes it (q becomes the datagram's
+// flight record) or recycles it, and stops the returned deadline timer
+// outside the lock. Callers hold sm.mu.
+func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
+	stop = q.timer
+	q.timer, q.armed = transport.Timer{}, false
+	sm.elemHint = len(q.elems)
 	sm.totalBytes -= q.bytes
-	q.elems, q.cbs, q.classes, q.times, q.bytes, q.cancel = nil, nil, nil, nil, 0, nil
+	q.bytes = 0
 	sm.genSeq++
 	q.gen = sm.genSeq
-	delete(sm.queues, to)
-	return elems, cbs, stop
+	delete(sm.queues, q.to)
+	return stop
 }
 
-// flush puts one queue's worth of traffic on the wire. A single-element
-// flush sends the original message directly — byte-for-byte what the
-// unbatched protocol sends, so light traffic (and therefore any peer
-// too old to know MsgBatch) never sees a batch envelope. Multi-element
-// flushes send one BatchMsg and demultiplex the BatchAck back onto the
-// per-element callbacks in order.
-func (sm *sendMachine) flush(to transport.Addr, elems []BatchElem, cbs []func(any, error), reason string) {
-	if len(elems) == 0 {
-		return
-	}
-	if h := sm.n.cfg.Obs.BatchFlush; h != nil {
+// recycleLocked returns a record nobody references any more to the
+// free list, dropping what it pointed at. Callers hold sm.mu.
+func (sm *sendMachine) recycleLocked(q *destQueue) {
+	clear(q.sinks)
+	q.elems, q.sinks, q.classes, q.times = nil, q.sinks[:0], q.classes[:0], q.times[:0]
+	sm.free = append(sm.free, q)
+}
+
+// flush puts one taken queue's worth of traffic on the wire. A
+// single-element flush sends the original message directly —
+// byte-for-byte what the unbatched protocol sends, so light traffic (and
+// therefore any peer too old to know MsgBatch) never sees a batch
+// envelope. Multi-element flushes send one BatchMsg; onReply
+// demultiplexes the BatchAck back onto the per-element sinks in order.
+func (sm *sendMachine) flush(q *destQueue, reason string) {
+	n := sm.n
+	elems := q.elems // never empty: eviction recycles a queue it empties
+	q.elems = nil    // given away: the transport may re-read it until the reply
+	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
 	}
-	for _, el := range elems {
-		typ, payload := elemMessage(el)
-		sm.n.treeSent(typ, payload)
+	for i := range elems {
+		n.treeSent(&elems[i])
 	}
-	if len(elems) == 1 {
-		typ, payload := elemMessage(elems[0])
-		sm.n.ep.Call(to, typ, payload, cbs[0])
+	if q.batched = len(elems) > 1; q.batched {
+		n.ep.Call(q.to, MsgBatch, BatchMsg{Elems: elems}, q.reply)
 		return
 	}
-	sm.n.ep.Call(to, MsgBatch, BatchMsg{Elems: elems}, func(payload any, err error) {
-		if err == nil {
-			ba, ok := payload.(BatchAck)
-			if !ok || len(ba.Acks) != len(cbs) {
-				err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(ackList(payload)), len(cbs))
-			} else {
-				for i, cb := range cbs {
-					if cb != nil {
-						cb(ba.Acks[i], nil)
-					}
-				}
-				return
-			}
-		}
-		// The whole datagram (or its ack) failed: every element shares
-		// the fate, exactly as if each had timed out on its own wire.
-		for _, cb := range cbs {
-			if cb != nil {
-				cb(nil, err)
-			}
-		}
-	})
+	typ, payload := elemMessage(&elems[0])
+	n.ep.Call(q.to, typ, payload, q.reply)
 }
 
-func ackList(payload any) []UpdateAck {
-	if ba, ok := payload.(BatchAck); ok {
-		return ba.Acks
+// onReply is the Call callback of the datagram q carries: hand every
+// element's sink its verdict, then recycle the record. A failed
+// datagram (or a malformed ack) fails every element alike, exactly as
+// if each had timed out on its own wire; a lone message is confirmed by
+// any reply that is not a refusal.
+func (q *destQueue) onReply(payload any, err error) {
+	acks, lone := []UpdateAck(nil), UpdateAck{OK: true}
+	if ba, ok := payload.(BatchAck); q.batched && err == nil {
+		if acks = ba.Acks; !ok || len(acks) != len(q.sinks) {
+			err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(acks), len(q.sinks))
+		}
+	} else if ack, ok := payload.(UpdateAck); ok {
+		lone = ack
 	}
-	return nil
+	for i, ref := range q.sinks {
+		switch {
+		case err != nil:
+			ref.fire(UpdateAck{}, err)
+		case q.batched:
+			ref.fire(acks[i], nil)
+		default:
+			ref.fire(lone, nil)
+		}
+	}
+	if sm := q.n.sm; sm != nil {
+		sm.mu.Lock()
+		sm.recycleLocked(q)
+		sm.mu.Unlock()
+	}
 }
 
 // elemMessage maps an element back to its standalone message form.
-func elemMessage(el BatchElem) (typ string, payload any) {
+func elemMessage(el *BatchElem) (typ string, payload any) {
 	if el.Kind == batchKindDetach {
 		return MsgDetach, el.Detach
 	}
@@ -573,9 +592,9 @@ func elemMessage(el BatchElem) (typ string, payload any) {
 // Close drains every queue (flushing pending traffic immediately) and
 // stops all deadline timers. Later enqueues bypass the machine — or,
 // with overload protection enabled, are refused with ErrSendClosed so
-// their callbacks still fire instead of racing shutdown onto the wire.
-// The destinations are flushed in sorted order so shutdown traffic is
-// deterministic.
+// their sinks are still answered instead of racing shutdown onto the
+// wire. The destinations are flushed in sorted order so shutdown traffic
+// is deterministic.
 func (sm *sendMachine) Close() {
 	sm.mu.Lock()
 	if sm.closed {
@@ -583,34 +602,22 @@ func (sm *sendMachine) Close() {
 		return
 	}
 	sm.closed = true
-	type drained struct {
-		to    transport.Addr
-		elems []BatchElem
-		cbs   []func(any, error)
-		stop  func()
-	}
-	var all []drained
-	for to, q := range sm.queues {
-		elems, cbs, stop := sm.takeLocked(to, q)
-		if len(elems) > 0 || stop != nil {
-			all = append(all, drained{to, elems, cbs, stop})
-		}
+	all := make([]*destQueue, 0, len(sm.queues))
+	var stops []transport.Timer
+	for _, q := range sm.queues {
+		all = append(all, q)
+		stops = append(stops, sm.takeLocked(q))
 	}
 	sm.mu.Unlock()
+	stopAll(stops)
 	sort.Slice(all, func(i, j int) bool { return all[i].to < all[j].to })
-	for _, d := range all {
-		if d.stop != nil {
-			d.stop()
-		}
-		sm.flush(d.to, d.elems, d.cbs, "drain")
+	for _, q := range all {
+		sm.flush(q, "drain")
 	}
 }
 
-// handleBatch unpacks a coalesced envelope and dispatches each element
-// through the existing handlers via a synthetic request, capturing the
-// per-element acks (every update/detach path replies synchronously, so
-// the acks are complete when the loop ends) and returning them as one
-// BatchAck.
+// handleBatch unpacks a coalesced envelope, applies each element as its
+// standalone handler would and returns the verdicts as one BatchAck.
 func (n *Node) handleBatch(req *transport.Request) {
 	bm, ok := req.Payload.(BatchMsg)
 	if !ok {
@@ -618,27 +625,14 @@ func (n *Node) handleBatch(req *transport.Request) {
 		return
 	}
 	acks := make([]UpdateAck, len(bm.Elems))
-	for i, el := range bm.Elems {
-		i := i
-		capture := func(payload any, err error) {
-			switch {
-			case err != nil:
-				acks[i] = UpdateAck{OK: false, Reason: err.Error()}
-			default:
-				if a, isAck := payload.(UpdateAck); isAck {
-					acks[i] = a
-				} else {
-					acks[i] = UpdateAck{OK: true}
-				}
-			}
-		}
-		switch el.Kind {
+	for i := range bm.Elems {
+		switch el := &bm.Elems[i]; el.Kind {
 		case batchKindUpdate:
-			n.handleUpdate(transport.NewRequest(req.From, MsgUpdate, el.Update, capture))
+			acks[i] = n.applyUpdate(req.From, &el.Update)
 		case batchKindDetach:
-			n.handleDetach(transport.NewRequest(req.From, MsgDetach, el.Detach, capture))
+			acks[i] = n.applyDetach(req.From, el.Detach.Key)
 		default:
-			acks[i] = UpdateAck{OK: false, Reason: "bad-elem"}
+			acks[i] = UpdateAck{Reason: "bad-elem"}
 		}
 	}
 	req.Reply(BatchAck{Acks: acks})

@@ -326,20 +326,14 @@ func TestSendMachineCloseDrains(t *testing.T) {
 	}
 }
 
-// TestSendMachinePassThrough pins the routing rules around the machine:
-// non-coalescable message types skip the queue, and a Batch.Disable
-// node (sm == nil) calls the endpoint directly.
+// TestSendMachinePassThrough pins the routing rule around the machine:
+// a Batch.Disable node (sm == nil) calls the endpoint directly.
 func TestSendMachinePassThrough(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n, ep, _ := newMachineForTest(t, eng, BatchConfig{})
-	n.batchCall("10.0.0.2:1", MsgQuery, QueryReq{Key: 1}, nil)
-	if len(ep.calls) != 1 || ep.calls[0].typ != MsgQuery {
-		t.Fatalf("query did not pass through: %+v", ep.calls)
-	}
-
+	ep := &stubEndpoint{addr: "10.0.0.1:1"}
 	disabled := &Node{ep: ep, clock: transport.SimClock{Engine: eng}, cfg: NodeConfig{Batch: BatchConfig{Disable: true}}.withDefaults()}
 	disabled.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(1), nil)
-	if len(ep.calls) != 2 || ep.calls[1].typ != MsgUpdate {
+	if len(ep.calls) != 1 || ep.calls[0].typ != MsgUpdate {
 		t.Fatalf("disabled machine did not pass through: %+v", ep.calls)
 	}
 }
@@ -353,12 +347,12 @@ func TestElemEstimatePositive(t *testing.T) {
 		{Kind: batchKindDetach, Detach: DetachMsg{Key: 1}},
 		{Kind: 77},
 	} {
-		if got := elemEstimate(el); got <= 0 {
+		if got := elemEstimate(&el); got <= 0 {
 			t.Fatalf("elemEstimate(kind %d) = %d", el.Kind, got)
 		}
 	}
-	small := elemEstimate(BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{}})
-	big := elemEstimate(BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{
+	small := elemEstimate(&BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{}})
+	big := elemEstimate(&BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{
 		Sender:     chord.NodeRef{Addr: transport.Addr(fmt.Sprintf("%064d", 1))},
 		FailedRoot: "10.0.0.1:1",
 	}})

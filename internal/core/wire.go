@@ -81,7 +81,7 @@ func decodeUpdateBody(d *wire.Decoder) UpdateMsg {
 	m.SentAt = d.Varint()
 	m.Seq = d.Uvarint()
 	m.Handover = d.Bool()
-	m.FailedRoot = transport.Addr(d.String())
+	m.FailedRoot = transport.Addr(d.InternedString()) // a peer's address, like Sender's
 	return m
 }
 

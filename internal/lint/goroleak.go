@@ -5,8 +5,9 @@ import (
 )
 
 // GoroLeak flags `go` statements in the long-lived protocol packages
-// (chord, core, maan, rpcudp, cluster) whose goroutine has no visible
-// tie to its owner's lifecycle: no stop-channel or channel operation,
+// (chord, core, maan, rpcudp, cluster, and transport — home of the
+// RealClock loop every live timer runs on) whose goroutine has no
+// visible tie to its owner's lifecycle: no stop-channel or channel operation,
 // no context.Done/Err, no WaitGroup.Done — directly or transitively
 // through its call summary. Such a goroutine cannot be shut down,
 // which breaks clean Close() paths, leaks under churn tests, and (on
@@ -24,7 +25,7 @@ var GoroLeak = &Analyzer{
 }
 
 // goroLeakPkgs are the packages whose goroutines must be stoppable.
-var goroLeakPkgs = []string{"chord", "core", "maan", "rpcudp", "cluster"}
+var goroLeakPkgs = []string{"chord", "core", "maan", "rpcudp", "cluster", "transport"}
 
 func runGoroLeak(pass *Pass) {
 	inScope := false

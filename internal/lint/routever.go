@@ -14,7 +14,9 @@ import (
 // direct swap of Node.rt) silently serves stale parents. The analyzer
 // flags, in every package,
 //
-//   - an assignment to a chord.Node field of type *Routing, and
+//   - an assignment to a chord.Node field of type *Routing, or a
+//     Store/Swap/CompareAndSwap on its atomic.Pointer[Routing] (the
+//     view published to lock-free readers), and
 //   - a write to a chord.Routing field, or to an element of one of its
 //     slices (assignment, ++/--, copy destination, append base),
 //
@@ -65,10 +67,13 @@ func runRouteVer(pass *Pass) {
 				case *ast.IncDecStmt:
 					checkRouteWrite(pass, s.X)
 				case *ast.CallExpr:
-					if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && len(s.Args) > 0 {
-						if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && (b.Name() == "copy" || b.Name() == "append") {
+					switch fun := ast.Unparen(s.Fun).(type) {
+					case *ast.Ident:
+						if b, ok := pass.Info.Uses[fun].(*types.Builtin); ok && len(s.Args) > 0 && (b.Name() == "copy" || b.Name() == "append") {
 							checkRouteWrite(pass, s.Args[0])
 						}
+					case *ast.SelectorExpr:
+						checkViewStore(pass, fun)
 					}
 				}
 				return true
@@ -107,6 +112,32 @@ func checkRouteWrite(pass *Pass, e ast.Expr) {
 		default:
 			return
 		}
+	}
+}
+
+// checkViewStore reports call if it writes a chord.Node's published
+// view: a Store, Swap or CompareAndSwap on a Node field of type
+// atomic.Pointer[Routing].
+func checkViewStore(pass *Pass, call *ast.SelectorExpr) {
+	switch call.Sel.Name {
+	case "Store", "Swap", "CompareAndSwap":
+	default:
+		return
+	}
+	field, ok := ast.Unparen(call.X).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	sel := pass.Info.Selections[field]
+	if sel == nil || sel.Kind() != types.FieldVal || chordNamed(sel.Recv()) != "Node" {
+		return
+	}
+	named, ok := sel.Type().(*types.Named)
+	if !ok || named.Obj().Name() != "Pointer" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
+		return
+	}
+	if args := named.TypeArgs(); args.Len() == 1 && chordNamed(args.At(0)) == "Routing" {
+		pass.Reportf(call.Sel.Pos(), "%s on chord.Node.%s outside a routing mutator: the view is published only by the designated …Locked setters, which bump Version", call.Sel.Name, field.Sel.Name)
 	}
 }
 

@@ -5,7 +5,10 @@
 // element of its slices — is flagged.
 package chord
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type NodeRef struct {
 	ID   uint64
@@ -25,6 +28,7 @@ type Routing struct {
 type Node struct {
 	mu      sync.Mutex
 	rt      *Routing
+	view    atomic.Pointer[Routing] // rt, published for lock-free readers
 	running bool
 	scratch []NodeRef
 }
@@ -40,6 +44,7 @@ func New(self NodeRef, bits int) *Node {
 func (n *Node) publishLocked(next *Routing) {
 	next.Version = n.rt.Version + 1
 	n.rt = next
+	n.view.Store(next)
 }
 
 // setFingerLocked clones, edits the private copy, publishes.
@@ -55,12 +60,8 @@ func (n *Node) setFingerLocked(j int, ref NodeRef) {
 	n.publishLocked(&next)
 }
 
-// Routing hands the view out; reading is always fine.
-func (n *Node) Routing() *Routing {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rt
-}
+// Routing hands the view out; reading is always fine, lock or no lock.
+func (n *Node) Routing() *Routing { return n.view.Load() }
 
 // GoodReads walks a view and edits unrelated node state.
 func (n *Node) GoodReads() int {
@@ -96,6 +97,14 @@ func (n *Node) BadFieldWrites(p NodeRef) {
 // Version does not move.
 func (n *Node) BadSwap(next *Routing) {
 	n.rt = next // want `assignment to chord.Node.rt outside a routing mutator`
+}
+
+// BadPublish hands lock-free readers a view the mutators never saw, by
+// every door the atomic pointer has.
+func (n *Node) BadPublish(next *Routing) {
+	n.view.Store(next)                   // want `Store on chord.Node.view outside a routing mutator`
+	old := n.view.Swap(next)             // want `Swap on chord.Node.view outside a routing mutator`
+	_ = n.view.CompareAndSwap(old, next) // want `CompareAndSwap on chord.Node.view outside a routing mutator`
 }
 
 // BadBuiltins write through a view's backing arrays.

@@ -65,16 +65,26 @@ func (e Event) Time() Time { return e.at }
 // already fired or been cancelled (or the zero Event) is a no-op. Cancel
 // reports whether the event was still pending.
 func (e Event) Cancel() bool {
-	eng := e.engine
-	if eng == nil {
+	if e.engine == nil {
 		return false
 	}
-	s := &eng.slots[e.idx]
-	if s.gen != e.gen || s.pos < 0 {
+	return e.engine.StopTimer(e.idx, e.gen)
+}
+
+// Slot returns the event's arena coordinates, the arguments of
+// Engine.StopTimer: a holder that already knows the engine can keep
+// these 8 bytes instead of the whole Event (transport.Timer does).
+func (e Event) Slot() (idx int32, gen uint32) { return e.idx, e.gen }
+
+// StopTimer is Event.Cancel by coordinates: it cancels the event in
+// arena slot idx if the slot's generation is still gen.
+func (e *Engine) StopTimer(idx int32, gen uint32) bool {
+	s := &e.slots[idx]
+	if s.gen != gen || s.pos < 0 {
 		return false
 	}
-	eng.heapRemove(int(s.pos))
-	eng.freeSlot(e.idx)
+	e.heapRemove(int(s.pos))
+	e.freeSlot(idx)
 	return true
 }
 
@@ -301,18 +311,47 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	i := e.heapRemove(0)
-	s := &e.slots[i]
-	e.now = s.at
-	fn, r, op := s.fn, s.run, s.op
-	e.freeSlot(i) // before the callback: it may reuse the slot immediately
-	e.fired++
+	fn, r, op := e.pop()
 	if r != nil {
 		r.RunEvent(op)
 	} else {
 		fn()
 	}
 	return true
+}
+
+// pop detaches the earliest pending event and advances the clock to its
+// timestamp. The slot is freed before the callback runs: it may reuse
+// the slot immediately.
+func (e *Engine) pop() (fn func(), r Runner, op int32) {
+	i := e.heapRemove(0)
+	s := &e.slots[i]
+	e.now = s.at
+	fn, r, op = s.fn, s.run, s.op
+	e.freeSlot(i)
+	e.fired++
+	return fn, r, op
+}
+
+// PopDue is Step with the callback handed back instead of run: if the
+// earliest pending event is due at or before deadline it is detached
+// (the clock advances to its timestamp) and returned — r for a Runner
+// event, fn for a closure one. A host that must fire callbacks outside
+// its own lock drives the engine with it (transport.RealClock).
+func (e *Engine) PopDue(deadline Time) (fn func(), r Runner, op int32, ok bool) {
+	if len(e.heap) == 0 || e.slots[e.heap[0]].at > deadline {
+		return nil, nil, 0, false
+	}
+	fn, r, op = e.pop()
+	return fn, r, op, true
+}
+
+// Next returns the timestamp of the earliest pending event.
+func (e *Engine) Next() (Time, bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.slots[e.heap[0]].at, true
 }
 
 // Run fires events until the queue drains or Stop is called. It returns

@@ -59,9 +59,10 @@ func (n *MemNetwork) SetTap(t Tap) {
 	n.tap = t
 }
 
-// Clock returns a real-time clock suitable for protocol timers alongside
-// this transport.
-func (n *MemNetwork) Clock() Clock { return &RealClock{} }
+// Clock returns a new real-time clock suitable for protocol timers
+// alongside this transport. The caller owns it: its timer loop starts
+// with the first timer and runs until RealClock.Stop.
+func (n *MemNetwork) Clock() *RealClock { return &RealClock{} }
 
 // Dropped returns the number of messages dropped because the
 // destination was missing or its inbox was full (the UDP-style loss

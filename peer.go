@@ -294,7 +294,8 @@ func (p *Peer) await(done chan error, op string) error {
 
 // AddSensor publishes a local sensor under an attribute name. The sensor
 // feeds both DAT aggregation (the peer's contribution to the global
-// aggregate named attr) and MAAN announcements.
+// aggregate named attr) and MAAN announcements. It is read on the peer's
+// timer loop (see StartMonitor) and must not block.
 func (p *Peer) AddSensor(attr string, sensor func() (float64, bool)) {
 	p.producer.AddSensor(attr, gma.SensorFunc(func(time.Duration) (float64, bool) { return sensor() }))
 }
@@ -313,6 +314,13 @@ func (p *Peer) AddCPUSensor(attr string) {
 // duration. Every ring member monitoring attr must use the same slot.
 // If this peer currently owns the attribute's rendezvous key it acts as
 // the tree root; onResult (may be nil) fires there once per slot.
+//
+// onResult, like the sensors of AddSensor, runs on the peer's timer
+// loop: one goroutine runs every timer callback of the peer, one at a
+// time. Return promptly and hand long work to another goroutine — while
+// a callback runs, the peer's slot ticks, ack timeouts and ring
+// maintenance wait — and do not call Close or Leave from it: they wait
+// for that loop to end.
 func (p *Peer) StartMonitor(attr string, slot time.Duration, onResult func(slot int64, agg Aggregate)) error {
 	key := p.space.HashString(attr)
 	return p.dat.StartContinuous(key, slot, func(s int64, agg Aggregate) {
@@ -483,5 +491,9 @@ func (p *Peer) shutdown(graceful bool) error {
 	}
 	p.dat.Close() // flush the send machine before the endpoint goes
 	p.chord.Stop(graceful)
-	return p.ep.Close()
+	err := p.ep.Close()
+	// Last, so everything above could still disarm its own timers: once
+	// the clock has stopped, no timer callback of this peer runs again.
+	p.clock.Stop()
+	return err
 }
