@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -13,6 +13,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# One codec (DESIGN.md §11): encoding/gob is a test oracle inside
+# internal/wire and must not be linked into any non-test package.
+gob-free:
+	! $(GO) list -deps ./... | grep -qx encoding/gob
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
 # simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
@@ -162,4 +167,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim-dry

@@ -23,7 +23,6 @@ import (
 	"repro/internal/rpcudp"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // --- Figure benchmarks -------------------------------------------------
@@ -406,72 +405,6 @@ func BenchmarkOnDemandCost(b *testing.B) {
 	cfg := experiments.OnDemandConfig{Sizes: []int{32, 64}, Seed: 1}
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.OnDemandCost(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireVsGob pits the compact wire codec against the
-// per-datagram gob path it replaced, on the hot-path message of the
-// continuous protocol: a full UpdateMsg envelope (one datagram per
-// child per slot). Run with -benchmem; bytes/op below is the encoded
-// datagram size, not heap traffic.
-func BenchmarkWireVsGob(b *testing.B) {
-	env := wire.Envelope{
-		Kind: 2, Seq: 99, Type: core.MsgUpdate, From: "10.0.0.7:9001",
-		Payload: core.UpdateMsg{
-			Key: 0x42, Epoch: 812,
-			Agg:   core.Aggregate{Sum: 812.5, SumSq: 66430.25, Count: 64, Min: 0.25, Max: 31.5, Coverage: 0.984},
-			Nodes: 64, Height: 3, Slot: int64(15 * time.Second),
-			Sender: chord.NodeRef{ID: 0xBEEF, Addr: "10.0.0.7:9001"},
-			Trace:  0xDEADBEEF, SentAt: 1700000000123456789, Seq: 4,
-		},
-	}
-	codecs := []struct {
-		name  string
-		codec wire.Codec
-	}{
-		{"wire", wire.Compact{}},
-		{"gob", wire.Legacy{}},
-	}
-	for _, c := range codecs {
-		b.Run(c.name+"/encode", func(b *testing.B) {
-			data, _, err := c.codec.Append(nil, &env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, 0, 2*len(data))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := c.codec.Append(buf[:0], &env); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// After ResetTimer: it deletes user-reported metrics.
-			b.ReportMetric(float64(len(data)), "encoded-bytes/op")
-		})
-		b.Run(c.name+"/decode", func(b *testing.B) {
-			data, _, err := c.codec.Append(nil, &env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := c.codec.Decode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(data)), "encoded-bytes/op")
-		})
-	}
-}
-
-// BenchmarkWireCodecTable regenerates the wirecodec experiment table.
-func BenchmarkWireCodecTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WireCodecCost(experiments.WireCodecConfig{Iters: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

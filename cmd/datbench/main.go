@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, fig7a, fig7b, height, fig8a, fig8b, fig9, churn, maan, ablation, multitree, overhead, widearea, ondemand, wirecodec, batching, selfmon, overload, scale")
+		exp     = flag.String("exp", "all", "experiment: all, fig7a, fig7b, height, fig8a, fig8b, fig9, churn, maan, ablation, multitree, overhead, widearea, ondemand, batching, selfmon, overload, scale")
 		out     = flag.String("out", "", "directory for CSV output (optional)")
 		jsonDir = flag.String("json", "", "directory for BENCH_<id>.json summaries (optional)")
 		seed    = flag.Int64("seed", 1, "random seed")
@@ -205,15 +205,6 @@ func main() {
 		tables = append(tables, t)
 	}
 	stamp()
-	if run("wirecodec") {
-		fmt.Fprintf(os.Stderr, "wire codec cost...\n")
-		wc, err := experiments.WireCodecCost(experiments.WireCodecConfig{})
-		if err != nil {
-			fatal(err)
-		}
-		tables = append(tables, wc)
-	}
-	stamp()
 	if run("batching") {
 		cfg := experiments.BatchingConfig{Seed: *seed}
 		if *quick {
@@ -276,7 +267,7 @@ func main() {
 	stamp()
 
 	if len(tables) == 0 {
-		fatal(fmt.Errorf("unknown experiment %q (want all, fig7a, fig7b, height, fig8a, fig8b, fig9, churn, maan, ablation, multitree, overhead, widearea, ondemand, wirecodec, batching, selfmon, overload, scale)", *exp))
+		fatal(fmt.Errorf("unknown experiment %q (want all, fig7a, fig7b, height, fig8a, fig8b, fig9, churn, maan, ablation, multitree, overhead, widearea, ondemand, batching, selfmon, overload, scale)", *exp))
 	}
 	for _, t := range tables {
 		if err := t.Render(os.Stdout); err != nil {
@@ -330,15 +321,6 @@ type benchRecord struct {
 	Rows            int      `json:"rows"`
 	Messages        *uint64  `json:"messages,omitempty"`
 	ImbalanceFactor *float64 `json:"imbalance_factor,omitempty"`
-	// BytesPerOp/AllocsPerOp are the wirecodec table's headline row
-	// (the hot-path UpdateMsg datagram): encoded bytes and encode-path
-	// allocations per message through the compact codec. The ratios are
-	// gob-over-wire for the same datagram — how much the compact codec
-	// saves against the path it replaced.
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	ByteRatio   *float64 `json:"gob_byte_ratio,omitempty"`
-	AllocRatio  *float64 `json:"gob_alloc_ratio,omitempty"`
 	// DatagramReduction is the batching table's headline row: datagrams
 	// per slot unbatched over batched at the largest tree count.
 	DatagramReduction *float64 `json:"datagram_reduction,omitempty"`
@@ -370,10 +352,6 @@ func writeBenchJSON(path string, t *experiments.Table, nsPerOp int64) error {
 	rec := benchRecord{Name: t.ID, Title: t.Title, NsPerOp: nsPerOp, Rows: len(t.Rows)}
 	rec.Messages = messageTotal(t)
 	rec.ImbalanceFactor = imbalanceFactor(t)
-	rec.BytesPerOp = headlineCell(t, "UpdateMsg", "wire_bytes_op")
-	rec.AllocsPerOp = headlineCell(t, "UpdateMsg", "wire_allocs_op")
-	rec.ByteRatio = headlineCell(t, "UpdateMsg", "byte_ratio")
-	rec.AllocRatio = headlineCell(t, "UpdateMsg", "alloc_ratio")
 	rec.DatagramReduction = lastRowCell(t, "reduction")
 	rec.SelfMonOverheadPct = lastRowCell(t, "overhead_pct")
 	rec.WastedRetryReduction = lastRowCell(t, "wasted_retry_reduction")
@@ -446,29 +424,6 @@ func imbalanceFactor(t *experiments.Table) *float64 {
 		return nil
 	}
 	return &v
-}
-
-// headlineCell pulls one named cell out of a table: the value in
-// column col of the row whose first cell equals rowKey. Nil when the
-// table has no such row or column (every table except wirecodec).
-func headlineCell(t *experiments.Table, rowKey, col string) *float64 {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return nil
-	}
-	for _, row := range t.Rows {
-		if len(row) > ci && row[0] == rowKey {
-			if v, err := strconv.ParseFloat(row[ci], 64); err == nil {
-				return &v
-			}
-		}
-	}
-	return nil
 }
 
 // lastRowCell pulls the named column's value from a table's final row —

@@ -1,8 +1,6 @@
 package chord
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/ident"
@@ -121,45 +119,6 @@ type BroadcastMsg struct {
 	Hops    int
 }
 
-// EncodeMessage serializes one wire payload the way the UDP transport
-// does: gob, through the any interface, so the dynamic type tag travels
-// with the value. The concrete type must be registered in init below.
-func EncodeMessage(payload any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeMessage is the inverse of EncodeMessage. Malformed input yields
-// an error, never a panic (FuzzWireRoundTrip enforces this).
-func DecodeMessage(data []byte) (any, error) {
-	var payload any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-func init() {
-	// Register every wire payload with encoding/gob too: the compact
-	// codec's fallback path, the mid-rollout Legacy codec, and the
-	// codec-equivalence tests all still speak gob.
-	gob.Register(StepReq{})
-	gob.Register(StepResp{})
-	gob.Register(GetStateReq{})
-	gob.Register(AckResp{})
-	gob.Register(StateResp{})
-	gob.Register(NotifyReq{})
-	gob.Register(PingReq{})
-	gob.Register(PingResp{})
-	gob.Register(ProbeSplitReq{})
-	gob.Register(ProbeSplitResp{})
-	gob.Register(LeaveReq{})
-	gob.Register(BroadcastMsg{})
-}
-
 // Compact-codec payload codes (DESIGN.md §11). The chord layer owns
 // wire.CodeChordBase..+15; codes are wire-format constants — never
 // renumber a shipped one.
@@ -227,7 +186,7 @@ func init() {
 	// Hand-written compact codecs, one per payload (DESIGN.md §11).
 	// Every encoder writes fields in declaration order; every decoder
 	// mirrors it exactly. The FuzzWireRoundTrip harness in
-	// internal/wire proves each against the gob path.
+	// internal/wire proves each against a gob reference oracle.
 	wire.Register(codeStepReq,
 		StepReq{},
 		func(e *wire.Encoder, v any) {

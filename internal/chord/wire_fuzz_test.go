@@ -3,6 +3,8 @@ package chord
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // wireSeeds is one instance of every registered wire payload, with
@@ -29,11 +31,11 @@ func wireSeeds() []any {
 // TestWireRoundTrip pins encode→decode identity for each message type.
 func TestWireRoundTrip(t *testing.T) {
 	for _, msg := range wireSeeds() {
-		data, err := EncodeMessage(msg)
+		data, err := wire.EncodePayload(msg)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
 		}
-		got, err := DecodeMessage(data)
+		got, err := wire.DecodePayload(data)
 		if err != nil {
 			t.Fatalf("decode %T: %v", msg, err)
 		}
@@ -43,13 +45,13 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzWireRoundTrip feeds arbitrary bytes to the wire codec: decoding
-// must never panic, and anything that decodes must re-encode to a value
-// that decodes back equal (the codec is self-consistent even on inputs
-// the peer never sent).
+// FuzzWireRoundTrip feeds arbitrary bytes to the payload codec chord's
+// messages travel in: decoding must never panic, and anything that
+// decodes must re-encode to a value that decodes back equal (the codec
+// is self-consistent even on inputs the peer never sent).
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, msg := range wireSeeds() {
-		data, err := EncodeMessage(msg)
+		data, err := wire.EncodePayload(msg)
 		if err != nil {
 			f.Fatalf("seed %T: %v", msg, err)
 		}
@@ -58,15 +60,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeMessage(data)
+		msg, err := wire.DecodePayload(data)
 		if err != nil {
 			return // rejected cleanly; that's the contract
 		}
-		again, err := EncodeMessage(msg)
+		again, err := wire.EncodePayload(msg)
 		if err != nil {
 			t.Fatalf("re-encode of decoded %T failed: %v", msg, err)
 		}
-		msg2, err := DecodeMessage(again)
+		msg2, err := wire.DecodePayload(again)
 		if err != nil {
 			t.Fatalf("decode of re-encoded %T failed: %v", msg, err)
 		}

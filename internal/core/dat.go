@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -115,18 +113,6 @@ type resultMsg struct {
 	Key  ident.ID
 	Slot int64
 	Agg  Aggregate
-}
-
-func init() {
-	gob.Register(UpdateMsg{})
-	gob.Register(DetachMsg{})
-	gob.Register(UpdateAck{})
-	gob.Register(BatchMsg{})
-	gob.Register(BatchAck{})
-	gob.Register(QueryReq{})
-	gob.Register(QueryResp{})
-	gob.Register(collectMsg{})
-	gob.Register(resultMsg{})
 }
 
 // NodeConfig parameterizes a DAT node.
@@ -663,7 +649,7 @@ func (n *Node) tickContinuous(key ident.ID) {
 			cb(slot, agg)
 		}
 		if n.cfg.ShareResults {
-			if payload, err := encodeResult(resultMsg{Key: key, Slot: slot, Agg: agg}); err == nil {
+			if payload, err := wire.EncodePayload(resultMsg{Key: key, Slot: slot, Agg: agg}); err == nil {
 				n.ch.Broadcast(ResultType, payload)
 			}
 		}
@@ -919,7 +905,7 @@ func (n *Node) handleQuery(req *transport.Request) {
 	e.epochs[epoch] = es
 	n.mu.Unlock()
 
-	payload, err := encodeCollect(collectMsg{Key: qr.Key, Epoch: epoch, Root: self})
+	payload, err := wire.EncodePayload(collectMsg{Key: qr.Key, Epoch: epoch, Root: self})
 	if err != nil {
 		req.ReplyError(err)
 		return
@@ -953,8 +939,8 @@ func (n *Node) handleQuery(req *transport.Request) {
 // contribute the local sample into the epoch bucket and schedule a flush
 // toward the parent.
 func (n *Node) handleCollect(from chord.NodeRef, payload []byte) {
-	cm, err := decodeCollect(payload)
-	if err != nil {
+	cm, ok := decodeBlob[collectMsg](payload)
+	if !ok {
 		return
 	}
 	if cm.Root.Addr == n.ch.Self().Addr {
@@ -1086,8 +1072,8 @@ func (n *Node) ActiveKeys() []ident.ID {
 // handleResultBroadcast caches a disseminated slot result so local
 // consumers read it from LastResult.
 func (n *Node) handleResultBroadcast(from chord.NodeRef, payload []byte) {
-	rm, err := decodeResult(payload)
-	if err != nil {
+	rm, ok := decodeBlob[resultMsg](payload)
+	if !ok {
 		return
 	}
 	e := n.entry(rm.Key)
@@ -1098,51 +1084,11 @@ func (n *Node) handleResultBroadcast(from chord.NodeRef, payload []byte) {
 	n.mu.Unlock()
 }
 
-// The broadcast blobs (collect/result) ride inside BroadcastMsg.Payload
-// as opaque bytes; they are encoded with the compact payload codec
-// (DESIGN.md §11) and decoded with a legacy-gob fallback, so a mixed
-// ring keeps serving on-demand queries during a rollout. (Pre-wire
-// nodes gob-encoded the bare struct here, not an interface, hence the
-// direct gob decode rather than wire's tagGob path.)
-
-func encodeResult(rm resultMsg) ([]byte, error) {
-	b, err := wire.EncodePayload(rm)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode result: %w", err)
-	}
-	return b, nil
-}
-
-func decodeResult(b []byte) (resultMsg, error) {
-	if v, err := wire.DecodePayload(b); err == nil {
-		if rm, ok := v.(resultMsg); ok {
-			return rm, nil
-		}
-	}
-	var rm resultMsg
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rm); err != nil {
-		return rm, fmt.Errorf("core: decode result: %w", err)
-	}
-	return rm, nil
-}
-
-func encodeCollect(cm collectMsg) ([]byte, error) {
-	b, err := wire.EncodePayload(cm)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode collect: %w", err)
-	}
-	return b, nil
-}
-
-func decodeCollect(b []byte) (collectMsg, error) {
-	if v, err := wire.DecodePayload(b); err == nil {
-		if cm, ok := v.(collectMsg); ok {
-			return cm, nil
-		}
-	}
-	var cm collectMsg
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cm); err != nil {
-		return cm, fmt.Errorf("core: decode collect: %w", err)
-	}
-	return cm, nil
+// decodeBlob reads a broadcast blob (collect/result): they ride inside
+// BroadcastMsg.Payload as opaque bytes in the compact payload codec
+// (DESIGN.md §11). ok is false for anything but a well-formed T.
+func decodeBlob[T any](b []byte) (T, bool) {
+	v, err := wire.DecodePayload(b)
+	t, ok := v.(T)
+	return t, err == nil && ok
 }

@@ -12,8 +12,8 @@ import (
 // / time.After (or seeding math/rand from the wall clock) makes
 // EXPERIMENTS.md runs unreproducible and desynchronizes virtual time.
 //
-// Files that implement a genuine real-time path (the live RealClock,
-// the goroutine-based MemNetwork) opt out with a file-level pragma:
+// Files that implement a genuine real-time path (the live RealClock)
+// opt out with a file-level pragma:
 //
 //	//datlint:allow-realtime <why this file is a real-time path>
 //

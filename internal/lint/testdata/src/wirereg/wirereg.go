@@ -13,8 +13,8 @@ type GoodMsg struct {
 	N uint64
 }
 
-// BadMsg is declared here but never registered: every send silently
-// takes the gob fallback.
+// BadMsg is declared here but never registered: every send over a
+// socket fails to encode.
 type BadMsg struct {
 	S string
 }
@@ -53,12 +53,12 @@ func (n *Node) GoodNilPayload() error {
 
 // BadSend ships an unregistered local type.
 func (n *Node) BadSend() error {
-	return n.ep.Send(n.succ, "bad", BadMsg{S: "x"}) // want `payload type BadMsg is sent over the transport but never wire\.Register-ed`
+	return n.ep.Send(n.succ, "bad", BadMsg{S: "x"}) // want `payload type BadMsg is sent over the transport but never wire\.Register-ed; it fails to encode \(wire\.ErrUnregistered\)`
 }
 
 // BadCall ships one as a request payload.
 func (n *Node) BadCall() {
-	n.ep.Call(n.succ, "bad", BadMsg{S: "y"}, func(resp any, err error) { // want `payload type BadMsg is sent over the transport but never wire\.Register-ed`
+	n.ep.Call(n.succ, "bad", BadMsg{S: "y"}, func(resp any, err error) { // want `payload type BadMsg is sent over the transport but never wire\.Register-ed; it fails to encode \(wire\.ErrUnregistered\)`
 		if err != nil {
 			return
 		}
@@ -68,19 +68,19 @@ func (n *Node) BadCall() {
 
 // BadReply ships one as a response payload.
 func (n *Node) BadReply(r *transport.Request) {
-	r.Reply(ReplyMsg{OK: true}) // want `payload type ReplyMsg is sent over the transport but never wire\.Register-ed`
+	r.Reply(ReplyMsg{OK: true}) // want `payload type ReplyMsg is sent over the transport but never wire\.Register-ed; it fails to encode \(wire\.ErrUnregistered\)`
 }
 
 // BadPointer ships a pointer to an unregistered local type; the
 // analyzer sees through the indirection.
 func (n *Node) BadPointer() error {
 	m := &BadMsg{S: "z"}
-	return n.ep.Send(n.succ, "bad", m) // want `payload type BadMsg is sent over the transport but never wire\.Register-ed`
+	return n.ep.Send(n.succ, "bad", m) // want `payload type BadMsg is sent over the transport but never wire\.Register-ed; it fails to encode \(wire\.ErrUnregistered\)`
 }
 
-// Justified documents a deliberate fallback payload with the pragma.
+// Justified documents a deliberately unregistered payload with the pragma.
 func (n *Node) Justified() error {
-	return n.ep.Send(n.succ, "exempt", Exempt{X: 1}) //datlint:ignore wirereg fixture: experimental message, gob cost accepted
+	return n.ep.Send(n.succ, "exempt", Exempt{X: 1}) //datlint:ignore wirereg fixture: experimental message, simulator only
 }
 
 // GoodForeign sends a type declared elsewhere: registering it is that

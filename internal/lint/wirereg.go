@@ -11,13 +11,13 @@ import (
 // or a transport Reply, must also appear as the sample argument of a
 // wire.Register call somewhere in the package.
 //
-// An unregistered payload still works — the codec falls back to gob —
-// but silently costs ~3× the bytes and an order of magnitude more
-// allocations per datagram, defeating the point of the compact wire
-// format (DESIGN.md §11). The fallback exists for rollout and for
-// out-of-tree experiments, not as a steady state; register the type
-// next to its declaration (see internal/chord/wire.go for the pattern)
-// or justify the exception with //datlint:ignore wirereg <reason>.
+// An unregistered payload does not travel: the codec has no fallback,
+// so the send fails with wire.ErrUnregistered on a socket (DESIGN.md
+// §11) while the simulator, which never serializes, would hide it.
+// Register the type next to its declaration (see
+// internal/chord/wire.go for the pattern) or justify the exception —
+// a payload that only ever crosses the simulated network — with
+// //datlint:ignore wirereg <reason>.
 //
 // Types declared in *other* packages are not this package's to
 // register, so only locally-declared payloads are checked — the rule
@@ -49,7 +49,7 @@ func runWireReg(pass *Pass) {
 			if tn == nil || registered[tn] {
 				return true
 			}
-			pass.Reportf(arg.Pos(), "payload type %s is sent over the transport but never wire.Register-ed; it silently falls back to per-datagram gob — register it next to its declaration or justify with //datlint:ignore wirereg", tn.Name())
+			pass.Reportf(arg.Pos(), "payload type %s is sent over the transport but never wire.Register-ed; it fails to encode (wire.ErrUnregistered) — register it next to its declaration or justify with //datlint:ignore wirereg", tn.Name())
 			return true
 		})
 	}

@@ -1,7 +1,6 @@
 package maan
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -80,14 +79,6 @@ type WireEntry struct {
 type ReplicateMsg struct {
 	Owner   transport.Addr
 	Entries []WireEntry
-}
-
-func init() {
-	gob.Register(StoreReq{})
-	gob.Register(RangeReq{})
-	gob.Register(ResultMsg{})
-	gob.Register(ReplicateMsg{})
-	gob.Register(chord.AckResp{})
 }
 
 // ErrQueryTimeout reports an unanswered live range query.

@@ -95,13 +95,9 @@ type TransportHooks struct {
 	DecodeError func()
 	// Retransmit fires when a call attempt is retransmitted.
 	Retransmit func(typ string)
-	// WireSent fires per encoded outbound frame with its byte length;
-	// fallback reports the payload took the codec's gob fallback path
-	// (unregistered type, or the Legacy codec) — a rollout-progress
-	// signal: a converged deployment shows zero fallbacks.
-	WireSent func(n int, fallback bool)
+	// WireSent fires per encoded outbound frame with its byte length.
+	WireSent func(n int)
 	// WireReceived fires per decoded inbound frame with its byte
-	// length; legacy reports a whole-envelope gob frame from a
-	// pre-wire peer.
-	WireReceived func(n int, legacy bool)
+	// length.
+	WireReceived func(n int)
 }

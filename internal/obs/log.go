@@ -47,40 +47,3 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 	return 0, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
 }
-
-// LogfLogger adapts a printf-style sink to a *slog.Logger, for callers
-// still configured with a legacy Logf function (rpcudp.Config.Logf).
-// Records render as "msg key=value ..." on a single line.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	return &logfHandler{logf: h.logf, attrs: merged}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }

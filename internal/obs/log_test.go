@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -48,20 +47,4 @@ func TestNopLogger(t *testing.T) {
 	l.Info("b")
 	l.Warn("c")
 	l.Error("d")
-}
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	l := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	l.With("layer", "rpcudp").Warn("send failed", "to", "127.0.0.1:1", "err", "boom")
-	if len(lines) != 1 {
-		t.Fatalf("logged %d lines, want 1", len(lines))
-	}
-	for _, want := range []string{"send failed", "layer=rpcudp", "to=127.0.0.1:1", "err=boom"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("line %q missing %q", lines[0], want)
-		}
-	}
 }

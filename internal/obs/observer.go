@@ -40,8 +40,6 @@ type Observer struct {
 	decodeErrors *Counter
 	retransmits  *Counter
 	wireBytes    *CounterVec
-	wireFallback *Counter
-	wireLegacy   *Counter
 
 	lookups         *CounterVec
 	lookupHops      *Histogram
@@ -108,8 +106,6 @@ func NewObserver(spanCapacity int) *Observer {
 		decodeErrors: r.Counter("dat_transport_decode_errors_total", "Inbound packets that failed to decode."),
 		retransmits:  r.Counter("dat_transport_retransmits_total", "Call attempts retransmitted after a timeout."),
 		wireBytes:    r.CounterVec("rpcudp_wire_bytes_total", "Encoded UDP frame bytes, by direction.", "dir"),
-		wireFallback: r.Counter("rpcudp_wire_fallback_total", "Outbound payloads encoded through the gob fallback (unregistered type or Legacy codec)."),
-		wireLegacy:   r.Counter("rpcudp_wire_legacy_frames_total", "Inbound whole-envelope gob frames from pre-wire peers."),
 
 		lookups:         r.CounterVec("chord_lookups_total", "Completed Chord lookups, by result.", "result"),
 		lookupHops:      r.Histogram("chord_lookup_hops", "Remote hops taken per completed Chord lookup.", HopBuckets),
@@ -149,8 +145,7 @@ func NewObserver(spanCapacity int) *Observer {
 }
 
 // Tap returns the transport.Tap feeding the per-type message counter.
-// Attach it via SimNetwork.SetTap, MemNetwork.SetTap, or
-// rpcudp.Config.Tap.
+// Attach it via SimNetwork.SetTap or rpcudp.Config.Tap.
 func (o *Observer) Tap() transport.Tap {
 	return transport.TapFunc(func(from, to transport.Addr, typ string, oneWay bool) {
 		o.msgs.With(typ).Inc()
@@ -261,21 +256,11 @@ func (o *Observer) CoreHooks() CoreHooks {
 // error counters.
 func (o *Observer) TransportHooks() TransportHooks {
 	return TransportHooks{
-		SendError:   func(string) { o.sendErrors.Inc() },
-		DecodeError: func() { o.decodeErrors.Inc() },
-		Retransmit:  func(string) { o.retransmits.Inc() },
-		WireSent: func(n int, fallback bool) {
-			o.wireBytes.With("tx").Add(uint64(n))
-			if fallback {
-				o.wireFallback.Inc()
-			}
-		},
-		WireReceived: func(n int, legacy bool) {
-			o.wireBytes.With("rx").Add(uint64(n))
-			if legacy {
-				o.wireLegacy.Inc()
-			}
-		},
+		SendError:    func(string) { o.sendErrors.Inc() },
+		DecodeError:  func() { o.decodeErrors.Inc() },
+		Retransmit:   func(string) { o.retransmits.Inc() },
+		WireSent:     func(n int) { o.wireBytes.With("tx").Add(uint64(n)) },
+		WireReceived: func(n int) { o.wireBytes.With("rx").Add(uint64(n)) },
 	}
 }
 

@@ -5,13 +5,13 @@
 // number; unanswered requests are retransmitted a configurable number of
 // times before failing with transport.ErrTimeout.
 //
-// Frames are serialized by a wire.Codec (DESIGN.md §11) — by default
-// the compact codec, which encodes registered payload types with
-// hand-written field codecs and falls back to gob for unregistered
-// ones. Every concrete payload type should be registered with
-// internal/wire (the chord, core, and maan packages do so in their
-// init functions; the wirereg datlint analyzer enforces it) and with
-// encoding/gob, which backs the fallback and legacy-interop paths.
+// Frames are serialized by wire.Compact (DESIGN.md §11), which encodes
+// registered payload types with hand-written field codecs. Every
+// concrete payload type must be registered with internal/wire (the
+// chord, core, and maan packages do so in their init functions; the
+// wirereg datlint analyzer enforces it): sending an unregistered one
+// fails with wire.ErrUnregistered. A datagram that does not decode is
+// dropped and counted (Obs.DecodeError).
 package rpcudp
 
 import (
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"log"
 	"log/slog"
 	"net"
 	"sync"
@@ -49,12 +48,8 @@ type Config struct {
 	// MaxPacket is the receive buffer size. Default 64KiB (max UDP).
 	MaxPacket int
 	// Logger receives structured transport diagnostics (decode failures,
-	// send errors). Nil falls back to Logf, or silence when both are
-	// unset.
+	// send errors). Nil means silence.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style diagnostic sink, kept for callers
-	// predating Logger. Ignored when Logger is set.
-	Logf func(format string, args ...any)
 	// Tap, when set, observes every inbound delivery — requests,
 	// one-ways, and replies (reported with a ":reply" type suffix) —
 	// mirroring the simulated networks' taps. Must be safe for
@@ -64,11 +59,6 @@ type Config struct {
 	// retransmits) and wire-level byte counts. The zero value disables
 	// it.
 	Obs obs.TransportHooks
-	// Codec serializes frames. Nil means wire.Default (the compact
-	// codec). Set wire.Legacy{} during a rollout alongside pre-wire
-	// nodes: it emits the old whole-envelope gob frames while still
-	// decoding both formats.
-	Codec wire.Codec
 }
 
 func (c Config) withDefaults() Config {
@@ -84,14 +74,7 @@ func (c Config) withDefaults() Config {
 		c.MaxPacket = 64 << 10
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = obs.LogfLogger(c.Logf)
-		} else {
-			c.Logger = obs.NopLogger()
-		}
-	}
-	if c.Codec == nil {
-		c.Codec = wire.Default
+		c.Logger = obs.NopLogger()
 	}
 	return c
 }
@@ -340,7 +323,7 @@ func (e *Endpoint) write(to transport.Addr, env *wire.Envelope) error {
 		return err
 	}
 	buf := wire.GetBuf()
-	data, fallback, err := e.cfg.Codec.Append(buf, env)
+	data, _, err := wire.Compact{}.Append(buf, env)
 	if err != nil {
 		wire.PutBuf(buf)
 		return fmt.Errorf("rpcudp: encode %s: %w", env.Type, err)
@@ -350,7 +333,7 @@ func (e *Endpoint) write(to transport.Addr, env *wire.Envelope) error {
 		return fmt.Errorf("rpcudp: message %s of %d bytes: %w", env.Type, len(data), transport.ErrTooLarge)
 	}
 	if h := e.cfg.Obs.WireSent; h != nil {
-		h(len(data), fallback)
+		h(len(data))
 	}
 	_, err = e.conn.WriteToUDP(data, udpAddr)
 	wire.PutBuf(data)
@@ -369,7 +352,7 @@ func (e *Endpoint) readLoop() {
 			e.cfg.Logger.Warn("rpcudp: read failed", "err", err)
 			continue
 		}
-		env, legacy, err := e.cfg.Codec.Decode(buf[:n])
+		env, _, err := wire.Compact{}.Decode(buf[:n])
 		if err != nil {
 			if h := e.cfg.Obs.DecodeError; h != nil {
 				h()
@@ -378,7 +361,7 @@ func (e *Endpoint) readLoop() {
 			continue
 		}
 		if h := e.cfg.Obs.WireReceived; h != nil {
-			h(n, legacy)
+			h(n)
 		}
 		e.handle(env)
 	}
@@ -448,10 +431,4 @@ func (e *Endpoint) handle(env wire.Envelope) {
 	default:
 		e.cfg.Logger.Warn("rpcudp: unknown envelope kind", "kind", env.Kind)
 	}
-}
-
-// Logger returns a Config.Logf adapter for the standard logger, handy in
-// the cmd tools.
-func Logger(l *log.Logger) func(string, ...any) {
-	return func(format string, args ...any) { l.Printf(format, args...) }
 }

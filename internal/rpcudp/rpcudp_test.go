@@ -1,7 +1,6 @@
 package rpcudp
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -10,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 type testPayload struct {
@@ -18,7 +19,20 @@ type testPayload struct {
 	S string
 }
 
-func init() { gob.Register(testPayload{}) }
+func init() {
+	wire.Register(wire.CodeTestBase, testPayload{},
+		func(e *wire.Encoder, v any) {
+			p := v.(testPayload)
+			e.Varint(int64(p.N))
+			e.String(p.S)
+		},
+		func(d *wire.Decoder) (any, error) {
+			var p testPayload
+			p.N = int(d.Varint())
+			p.S = d.String()
+			return p, nil
+		})
+}
 
 func listen(t *testing.T, cfg Config) *Endpoint {
 	t.Helper()
@@ -245,21 +259,36 @@ func TestNilCallbackPanics(t *testing.T) {
 	a.Call("127.0.0.1:9", "x", testPayload{}, nil)
 }
 
-// TestMalformedPacketIgnored: garbage datagrams must not kill the read
-// loop or corrupt subsequent traffic.
-func TestMalformedPacketIgnored(t *testing.T) {
-	var logged atomic.Int32
-	b := listen(t, Config{Logf: func(string, ...any) { logged.Add(1) }})
-	b.Handle(func(r *transport.Request) { r.Reply(testPayload{N: 1}) })
+// gobFrame is a genuine whole-envelope gob datagram (a one-way
+// "ping" from 127.0.0.1:1, nil payload), captured from the codec that
+// spoke gob before it was deleted: what a reflection-driven decoder
+// would accept and this endpoint must not.
+const gobFrame = "P\x7f\x03\x01\x01\bEnvelope\x01\xff\x80\x00\x01\x06\x01\x04Kind\x01\x06\x00\x01\x03Seq\x01\x06\x00" +
+	"\x01\x04Type\x01\f\x00\x01\x04From\x01\f\x00\x01\aPayload\x01\x10\x00\x01\aErrText\x01\f\x00\x00\x00" +
+	"\x18\xff\x80\x01\x01\x02\x04ping\x01\v127.0.0.1:1\x00"
 
-	// Raw garbage straight at the socket.
+// TestMalformedPacketIgnored: garbage and gob datagrams are counted as
+// decode errors, reach no handler, and must not kill the read loop or
+// corrupt subsequent traffic.
+func TestMalformedPacketIgnored(t *testing.T) {
+	var decodeErrors, handled atomic.Int32
+	b := listen(t, Config{Obs: obs.TransportHooks{DecodeError: func() { decodeErrors.Add(1) }}})
+	b.Handle(func(r *transport.Request) {
+		handled.Add(1)
+		r.Reply(testPayload{N: 1})
+	})
+
+	// Raw bytes straight at the socket.
 	conn, err := netDial(string(b.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("\x00\xff definitely not gob")); err != nil {
-		t.Fatal(err)
+	hostile := []string{"\x00\xff definitely not a frame", gobFrame}
+	for _, frame := range hostile {
+		if _, err := conn.Write([]byte(frame)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	time.Sleep(50 * time.Millisecond)
 
@@ -275,8 +304,45 @@ func TestMalformedPacketIgnored(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("endpoint dead after malformed packet")
 	}
-	if logged.Load() == 0 {
-		t.Error("decode failure not logged")
+	if n := decodeErrors.Load(); int(n) != len(hostile) {
+		t.Errorf("DecodeError fired %d times, want %d", n, len(hostile))
+	}
+	if n := handled.Load(); n != 1 {
+		t.Errorf("handler saw %d requests, want only the real call", n)
+	}
+}
+
+// TestSendUnregisteredPayload: a payload type without a wire
+// registration fails at the sender and puts nothing on the socket.
+func TestSendUnregisteredPayload(t *testing.T) {
+	type unregistered struct{ X int }
+	var wireSent, sendErrors atomic.Int32
+	a := listen(t, Config{Obs: obs.TransportHooks{
+		WireSent:  func(int) { wireSent.Add(1) },
+		SendError: func(string) { sendErrors.Add(1) },
+	}})
+	b := listen(t, Config{})
+	got := make(chan *transport.Request, 2)
+	b.Handle(func(r *transport.Request) { got <- r })
+
+	err := a.Send(b.Addr(), "unreg", unregistered{X: 1})
+	if !errors.Is(err, wire.ErrUnregistered) {
+		t.Fatalf("Send error = %v, want wire.ErrUnregistered", err)
+	}
+	if wireSent.Load() != 0 || sendErrors.Load() != 1 {
+		t.Errorf("after a failed encode: %d frames written, %d send errors; want 0 and 1", wireSent.Load(), sendErrors.Load())
+	}
+	// The next datagram b sees is the next one a really sends.
+	if err := a.Send(b.Addr(), "reg", testPayload{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.Type != "reg" {
+			t.Errorf("first delivery is %q, want the registered send", r.Type)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("registered send not delivered")
 	}
 }
 

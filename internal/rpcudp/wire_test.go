@@ -1,185 +1,36 @@
 package rpcudp
 
-// Live-socket tests for the wire codec seam: compact and legacy
-// endpoints interoperating over real UDP, raw pre-wire gob frames, the
-// wire telemetry hooks, and the resolved-address cache.
+// Live-socket tests for the wire seam: the byte-count telemetry hooks
+// and the resolved-address cache.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
-// wireTestPayload is registered with the compact codec (unlike
-// testPayload, which exercises the gob-fallback path everywhere else in
-// this package's tests).
-type wireTestPayload struct {
-	N    uint64
-	Name string
-}
-
-func init() {
-	gob.Register(wireTestPayload{})
-	wire.Register(0xF1, wireTestPayload{},
-		func(e *wire.Encoder, v any) {
-			p := v.(wireTestPayload)
-			e.Uvarint(p.N)
-			e.String(p.Name)
-		},
-		func(d *wire.Decoder) (any, error) {
-			var p wireTestPayload
-			p.N = d.Uvarint()
-			p.Name = d.String()
-			return p, nil
-		})
-}
-
-// TestCodecInterop proves every pairing of rollout stages talks: a
-// compact endpoint calling a legacy one, and vice versa, through a full
-// request/response round trip with a registered payload.
-func TestCodecInterop(t *testing.T) {
-	codecs := map[string]wire.Codec{"compact": wire.Compact{}, "legacy": wire.Legacy{}}
-	for aName, aCodec := range codecs {
-		for bName, bCodec := range codecs {
-			t.Run(aName+"_calls_"+bName, func(t *testing.T) {
-				a := listen(t, Config{Codec: aCodec})
-				b := listen(t, Config{Codec: bCodec})
-				b.Handle(func(r *transport.Request) {
-					p := r.Payload.(wireTestPayload)
-					r.Reply(wireTestPayload{N: p.N + 1, Name: p.Name + "!"})
-				})
-				done := make(chan struct{})
-				a.Call(b.Addr(), "bump", wireTestPayload{N: 41, Name: "x"}, func(p any, err error) {
-					defer close(done)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					resp := p.(wireTestPayload)
-					if resp.N != 42 || resp.Name != "x!" {
-						t.Errorf("resp = %+v", resp)
-					}
-				})
-				select {
-				case <-done:
-				case <-time.After(2 * time.Second):
-					t.Fatal("call did not complete")
-				}
-			})
-		}
-	}
-}
-
-// TestRawLegacyFrame replays what a pre-wire binary actually put on the
-// socket — a whole-envelope gob datagram from a struct that predates
-// this package's use of wire.Envelope — and expects a current endpoint
-// to deliver it. Gob matches fields by name, so the historical struct
-// shape is pinned here, not its identity.
-func TestRawLegacyFrame(t *testing.T) {
-	e := listen(t, Config{})
+// TestWireTelemetry covers the WireSent/WireReceived hooks: one frame's
+// bytes are counted once on each side, and agree.
+func TestWireTelemetry(t *testing.T) {
+	var sentBytes, recvBytes atomic.Int64
+	a := listen(t, Config{Obs: obs.TransportHooks{WireSent: func(n int) { sentBytes.Add(int64(n)) }}})
+	b := listen(t, Config{Obs: obs.TransportHooks{WireReceived: func(n int) { recvBytes.Add(int64(n)) }}})
 	got := make(chan *transport.Request, 1)
-	e.Handle(func(r *transport.Request) { got <- r })
+	b.Handle(func(r *transport.Request) { got <- r })
 
-	type oldEnvelope struct {
-		Kind    byte
-		Seq     uint64
-		Type    string
-		From    string
-		Payload any
-		ErrText string
-	}
-	var buf bytes.Buffer
-	old := oldEnvelope{Kind: kindOneWay, Type: "ping", From: "127.0.0.1:1", Payload: wireTestPayload{N: 7, Name: "old"}}
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("udp", string(e.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(buf.Bytes()); err != nil {
+	if err := a.Send(b.Addr(), "reg", testPayload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case r := <-got:
-		p := r.Payload.(wireTestPayload)
-		if r.Type != "ping" || p.N != 7 || p.Name != "old" {
-			t.Fatalf("request = %+v payload = %+v", r, p)
-		}
+	case <-got:
 	case <-time.After(2 * time.Second):
-		t.Fatal("raw legacy frame not delivered")
+		t.Fatal("send not delivered")
 	}
-}
-
-// TestWireTelemetry covers the WireSent/WireReceived hooks: byte counts
-// flow on both sides, a registered payload is not flagged as fallback,
-// an unregistered one is, and a legacy sender trips the receiver's
-// legacy-frame signal.
-func TestWireTelemetry(t *testing.T) {
-	var sentBytes, sentFallback, recvBytes, recvLegacy atomic.Int64
-	hooks := obs.TransportHooks{
-		WireSent: func(n int, fallback bool) {
-			sentBytes.Add(int64(n))
-			if fallback {
-				sentFallback.Add(1)
-			}
-		},
-		WireReceived: func(n int, legacy bool) {
-			recvBytes.Add(int64(n))
-			if legacy {
-				recvLegacy.Add(1)
-			}
-		},
-	}
-	a := listen(t, Config{Obs: hooks})
-	b := listen(t, Config{Obs: hooks})
-	got := make(chan *transport.Request, 2)
-	b.Handle(func(r *transport.Request) { got <- r })
-
-	recv := func(what string) {
-		t.Helper()
-		select {
-		case <-got:
-		case <-time.After(2 * time.Second):
-			t.Fatal(what + " not delivered")
-		}
-	}
-	if err := a.Send(b.Addr(), "reg", wireTestPayload{N: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recv("registered send")
-	if sentBytes.Load() == 0 || recvBytes.Load() == 0 {
-		t.Errorf("wire byte counters did not move: sent=%d recv=%d", sentBytes.Load(), recvBytes.Load())
-	}
-	if sentFallback.Load() != 0 {
-		t.Errorf("registered payload reported %d fallbacks", sentFallback.Load())
-	}
-	if err := a.Send(b.Addr(), "unreg", testPayload{N: 2}); err != nil {
-		t.Fatal(err)
-	}
-	recv("fallback send")
-	if sentFallback.Load() != 1 {
-		t.Errorf("unregistered payload reported %d fallbacks, want 1", sentFallback.Load())
-	}
-	if recvLegacy.Load() != 0 {
-		t.Errorf("compact frames counted as legacy: %d", recvLegacy.Load())
-	}
-
-	old := listen(t, Config{Codec: wire.Legacy{}})
-	if err := old.Send(b.Addr(), "legacy", wireTestPayload{N: 3}); err != nil {
-		t.Fatal(err)
-	}
-	recv("legacy send")
-	if recvLegacy.Load() != 1 {
-		t.Errorf("legacy frame count = %d, want 1", recvLegacy.Load())
+	if s, r := sentBytes.Load(), recvBytes.Load(); s == 0 || s != r {
+		t.Errorf("wire byte counters: sent=%d recv=%d, want equal and non-zero", s, r)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package transport defines the messaging interface shared by the Chord
-// and DAT layers and provides in-memory and simulated implementations.
+// and DAT layers and provides the simulated implementation.
 //
 // The paper's prototype (§4) runs the same Chord/DAT code over either a
 // UDP RPC manager or a discrete event simulation engine; this package is
@@ -7,19 +7,18 @@
 // non-blocking, continuation-passing style against Endpoint, so a single
 // implementation runs unchanged over:
 //
-//   - MemNetwork: real goroutines and channels, for race-detector tests
-//     and in-process examples;
 //   - SimNetwork: deliveries scheduled on a sim.Engine with a pluggable
 //     latency model, deterministic and single-threaded, for 8192-node runs;
-//   - rpcudp.Network (sibling package): real UDP sockets.
+//   - rpcudp.Endpoint (sibling package): real UDP sockets, real
+//     goroutines — the one the race detector exercises.
 //
-// Serialization lives below this seam, not in it: MemNetwork and
-// SimNetwork pass payload values over untouched (simulation traces are
-// independent of codec choices), while the UDP transport serializes
-// each message with a wire.Codec (internal/wire, DESIGN.md §11).
-// Payload types crossing Endpoint.Send/Call or Request.Reply should be
-// registered with that codec next to their declaration — the wirereg
-// datlint analyzer enforces it.
+// Serialization lives below this seam, not in it: SimNetwork passes
+// payload values over untouched (simulation traces never touch the
+// codec), while the UDP transport serializes each message with
+// wire.Compact (internal/wire, DESIGN.md §11). Payload types crossing
+// Endpoint.Send/Call or Request.Reply must be registered with that
+// codec next to their declaration — the wirereg datlint analyzer
+// enforces it.
 package transport
 
 import (
@@ -33,10 +32,8 @@ type Addr string
 
 // Common transport errors.
 var (
-	ErrTimeout     = errors.New("transport: request timed out")
-	ErrClosed      = errors.New("transport: endpoint closed")
-	ErrUnreachable = errors.New("transport: destination unreachable")
-	ErrNoHandler   = errors.New("transport: destination has no handler")
+	ErrTimeout = errors.New("transport: request timed out")
+	ErrClosed  = errors.New("transport: endpoint closed")
 	// ErrTooLarge reports a message the transport cannot carry in one
 	// datagram. Like ErrClosed it says nothing about the destination.
 	ErrTooLarge = errors.New("transport: message too large")
@@ -103,7 +100,7 @@ type Endpoint interface {
 	// Send fires a one-way message. Delivery is best-effort.
 	Send(to Addr, typ string, payload any) error
 	// Call issues a request and invokes cb exactly once with the reply or
-	// an error (ErrTimeout, ErrUnreachable, ...). cb may run on another
+	// an error (ErrTimeout, ErrClosed, ...). cb may run on another
 	// goroutine for real transports, or inline within the event loop for
 	// simulated ones — callers must do their own locking.
 	Call(to Addr, typ string, payload any, cb ResponseFunc)

@@ -7,6 +7,8 @@ package wire_test
 // the envelope strings and the payload box. These tests pin that.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func TestEncodeAllocs(t *testing.T) {
 	env := updateEnvelope()
 	buf := make([]byte, 0, 1024)
 	allocs := testing.AllocsPerRun(200, func() {
-		data, _, err := wire.Default.Append(buf[:0], &env)
+		data, _, err := wire.Compact{}.Append(buf[:0], &env)
 		if err != nil || len(data) == 0 {
 			t.Fatalf("encode: %v", err)
 		}
@@ -64,12 +66,12 @@ func TestDecodeAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	env := updateEnvelope()
-	data, _, err := wire.Default.Append(nil, &env)
+	data, _, err := wire.Compact{}.Append(nil, &env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := wire.Default.Decode(data); err != nil {
+		if _, _, err := (wire.Compact{}).Decode(data); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 	})
@@ -91,5 +93,61 @@ func TestBufPoolAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("GetBuf/PutBuf allocates %.1f per cycle", allocs)
+	}
+}
+
+// BenchmarkWireVsGob pits the codec against the gob oracle on the
+// hot-path datagram. Run with -benchmem; encoded-bytes/op is the
+// datagram size, not heap traffic.
+func BenchmarkWireVsGob(b *testing.B) {
+	env := updateEnvelope()
+	codecs := []struct {
+		name   string
+		encode func(dst []byte) []byte
+		decode func(data []byte) error
+	}{
+		{"wire",
+			func(dst []byte) []byte {
+				data, _, _ := wire.Compact{}.Append(dst, &env)
+				return data
+			},
+			func(data []byte) error {
+				_, _, err := wire.Compact{}.Decode(data)
+				return err
+			}},
+		{"gob",
+			func(dst []byte) []byte {
+				buf := bytes.NewBuffer(dst)
+				if gob.NewEncoder(buf).Encode(&env) != nil {
+					return nil
+				}
+				return buf.Bytes()
+			},
+			func(data []byte) error {
+				var out wire.Envelope
+				return gob.NewDecoder(bytes.NewReader(data)).Decode(&out)
+			}},
+	}
+	for _, c := range codecs {
+		data := c.encode(nil)
+		buf := make([]byte, 0, 2*len(data))
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(c.encode(buf[:0])) == 0 {
+					b.Fatal("encode failed")
+				}
+			}
+			b.ReportMetric(float64(len(data)), "encoded-bytes/op")
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "encoded-bytes/op")
+		})
 	}
 }

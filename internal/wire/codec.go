@@ -154,7 +154,7 @@ func (d *Decoder) String() string {
 func (d *Decoder) InternedString() string { return Intern(d.View()) }
 
 // Bytes reads a length-prefixed byte slice (copied out of the frame;
-// nil when empty, matching what a gob round trip produces).
+// nil when empty).
 func (d *Decoder) Bytes() []byte {
 	b := d.View()
 	if len(b) == 0 {
@@ -180,13 +180,4 @@ func (d *Decoder) View() []byte {
 	b := d.Buf[d.Off : d.Off+int(n)]
 	d.Off += int(n)
 	return b
-}
-
-// Rest returns everything after the current offset (the gob-fallback
-// payload region) without copying.
-func (d *Decoder) Rest() []byte {
-	if d.Err != nil {
-		return nil
-	}
-	return d.Buf[d.Off:]
 }

@@ -109,8 +109,7 @@ func fill(v reflect.Value, s *entropy) {
 //     not take a node down.
 //  2. For every registered payload type, a value filled from the input
 //     round-trips through the compact codec to exactly what a gob round
-//     trip (the legacy path) produces. This is the codec-equivalence
-//     contract the migration rests on.
+//     trip (the reference oracle) produces.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{wire.Magic, wire.Version, 2, 7, 1, 't', 1, 'a', 0, 0})
@@ -122,10 +121,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	for _, h := range hostileFrames(f) {
+		f.Add(h.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: arbitrary bytes never panic, and whatever decodes
 		// must re-encode cleanly.
-		env, _, err := wire.Default.Decode(data)
+		env, _, err := wire.Compact{}.Decode(data)
 		if err == nil {
 			if _, _, err := (wire.Compact{}).Append(nil, &env); err != nil {
 				t.Fatalf("decoded envelope failed to re-encode: %v", err)

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sort"
@@ -30,6 +28,10 @@ const (
 	// CodeMAANBase..CodeMAANBase+15: internal/maan payloads (carrying
 	// the gma layer's Resource descriptions).
 	CodeMAANBase byte = 0x30
+	// CodeTestBase..0xFF: reserved for payload types that exist only in
+	// a test binary (rpcudp's testPayload); no protocol layer takes a
+	// code from here.
+	CodeTestBase byte = 0xF0
 )
 
 type registration struct {
@@ -49,7 +51,7 @@ var (
 // Register binds a payload code to a concrete message type and its
 // hand-written field codec. sample conveys the type (pass a zero
 // value, e.g. StepReq{}); values of exactly that type encode through
-// enc, everything else falls back to gob. Register panics on a
+// enc, everything else fails with ErrUnregistered. Register panics on a
 // duplicate code or type, or a reserved code: registrations are
 // compile-time protocol facts, not runtime conditions. Call from the
 // package that declares the type (the wirereg datlint analyzer checks
@@ -107,27 +109,21 @@ func Samples() []any {
 
 // appendPayload writes the payload tag and body. Registered types cost
 // one code byte plus their fields; nil costs one byte; anything else
-// is gob-encoded behind tagGob.
-func appendPayload(e *Encoder, payload any) (fallback bool, err error) {
+// is ErrUnregistered.
+func appendPayload(e *Encoder, payload any) error {
 	if payload == nil {
 		e.Byte(tagNil)
-		return false, nil
+		return nil
 	}
 	regMu.RLock()
 	r, ok := byType[reflect.TypeOf(payload)]
 	regMu.RUnlock()
-	if ok {
-		e.Byte(r.code)
-		r.encode(e, payload)
-		return false, nil
+	if !ok {
+		return fmt.Errorf("%w %T", ErrUnregistered, payload)
 	}
-	e.Byte(tagGob)
-	buf := bytes.NewBuffer(e.Buf)
-	if gerr := gob.NewEncoder(buf).Encode(&payload); gerr != nil {
-		return true, gerr
-	}
-	e.Buf = buf.Bytes()
-	return true, nil
+	e.Byte(r.code)
+	r.encode(e, payload)
+	return nil
 }
 
 // decodePayload is the inverse of appendPayload.
@@ -136,15 +132,8 @@ func decodePayload(d *Decoder) (any, error) {
 	if d.Err != nil {
 		return nil, d.Err
 	}
-	switch tag {
-	case tagNil:
+	if tag == tagNil {
 		return nil, nil
-	case tagGob:
-		var payload any
-		if err := gob.NewDecoder(bytes.NewReader(d.Rest())).Decode(&payload); err != nil {
-			return nil, err
-		}
-		return payload, nil
 	}
 	regMu.RLock()
 	r, ok := byCode[tag]
@@ -164,11 +153,10 @@ func decodePayload(d *Decoder) (any, error) {
 
 // EncodePayload serializes one payload standalone — tag plus fields,
 // no envelope. Protocol layers use it for nested blobs (the broadcast
-// payloads of the on-demand protocol) that previously went through
-// gob.
+// payloads of the on-demand protocol).
 func EncodePayload(payload any) ([]byte, error) {
 	e := Encoder{}
-	if _, err := appendPayload(&e, payload); err != nil {
+	if err := appendPayload(&e, payload); err != nil {
 		return nil, err
 	}
 	return e.Buf, nil

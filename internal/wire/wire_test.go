@@ -2,12 +2,13 @@ package wire_test
 
 // The test package is external so it can import the protocol layers:
 // chord, core, and maan register their payload codecs in init, and the
-// tests here prove every registration against the gob path the
-// transport used to speak (and still speaks, as the fallback).
+// tests here prove every registration against encoding/gob, which
+// survives in this test package only, as the reference oracle.
 
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -22,9 +23,18 @@ import (
 	"repro/internal/wire"
 )
 
-// gobRoundTrip mirrors what the pre-wire transport did to a payload:
-// gob through the any interface, so the dynamic type tag travels with
-// the value.
+// The oracle knows every registered payload type (and one more, which
+// stays unregistered with the codec under test).
+func init() {
+	for _, sample := range wire.Samples() {
+		gob.Register(sample)
+	}
+	gob.Register(unregisteredPayload{})
+}
+
+// gobRoundTrip is the reference a payload's codec is held to: gob
+// through the any interface, so the dynamic type tag travels with the
+// value.
 func gobRoundTrip(t testing.TB, payload any) any {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,23 +48,28 @@ func gobRoundTrip(t testing.TB, payload any) any {
 	return out
 }
 
+// gobFrame is a whole envelope as one gob stream: the size the compact
+// codec has to beat, and a hostile input it has to reject.
+func gobFrame(t testing.TB, env *wire.Envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		t.Fatalf("gob encode envelope %s: %v", env.Type, err)
+	}
+	return buf.Bytes()
+}
+
 // wireRoundTrip pushes a payload through a full compact envelope.
 func wireRoundTrip(t testing.TB, payload any) any {
 	t.Helper()
 	env := wire.Envelope{Kind: 2, Seq: 7, Type: "test", From: "a", Payload: payload}
-	data, fallback, err := wire.Compact{}.Append(nil, &env)
+	data, _, err := wire.Compact{}.Append(nil, &env)
 	if err != nil {
 		t.Fatalf("wire encode %T: %v", payload, err)
 	}
-	if fallback {
-		t.Fatalf("wire encode %T took the gob fallback; expected a registered codec", payload)
-	}
-	got, legacy, err := wire.Compact{}.Decode(data)
+	got, _, err := wire.Compact{}.Decode(data)
 	if err != nil {
 		t.Fatalf("wire decode %T: %v", payload, err)
-	}
-	if legacy {
-		t.Fatalf("compact frame decoded as legacy")
 	}
 	return got.Payload
 }
@@ -127,7 +142,7 @@ func richSamples() []any {
 }
 
 // TestRichValueEquivalence proves the hand-written codec and the gob
-// path agree on fully-populated payloads of every exported type.
+// oracle agree on fully-populated payloads of every exported type.
 func TestRichValueEquivalence(t *testing.T) {
 	for _, payload := range richSamples() {
 		payload := payload
@@ -177,12 +192,8 @@ func TestCompactSmallerThanGob(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compact %T: %v", payload, err)
 		}
-		legacy, _, err := wire.Legacy{}.Append(nil, &env)
-		if err != nil {
-			t.Fatalf("legacy %T: %v", payload, err)
-		}
-		if len(compact) >= len(legacy) {
-			t.Errorf("%T: compact %d bytes >= gob %d bytes", payload, len(compact), len(legacy))
+		if g := gobFrame(t, &env); len(compact) >= len(g) {
+			t.Errorf("%T: compact %d bytes >= gob %d bytes", payload, len(compact), len(g))
 		}
 	}
 }
@@ -201,10 +212,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, legacy, err := wire.Compact{}.Decode(data)
+		got, _, err := wire.Compact{}.Decode(data)
 		wire.PutBuf(data)
-		if err != nil || legacy {
-			t.Fatalf("decode: err=%v legacy=%v", err, legacy)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
 		}
 		if !reflect.DeepEqual(got, env) {
 			t.Errorf("envelope mismatch:\ngot  %#v\nwant %#v", got, env)
@@ -212,67 +223,50 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// unregisteredPayload exists only in this test binary: no wire
-// registration, only gob.
+// unregisteredPayload exists only in this test binary: known to the
+// gob oracle, not to the codec.
 type unregisteredPayload struct {
 	Name  string
 	Count int
 }
 
-func init() { gob.Register(unregisteredPayload{}) }
-
-// TestGobFallback proves an unregistered payload still travels —
-// flagged as a fallback, carried as gob inside the compact envelope.
-func TestGobFallback(t *testing.T) {
+// TestUnregisteredPayload proves a payload without a registration does
+// not travel: the error names the type and nothing is produced.
+func TestUnregisteredPayload(t *testing.T) {
 	env := wire.Envelope{Kind: 2, Seq: 3, Type: "custom.msg", From: "x", Payload: unregisteredPayload{Name: "n", Count: 4}}
-	data, fallback, err := wire.Compact{}.Append(nil, &env)
-	if err != nil {
-		t.Fatal(err)
+	data, _, err := wire.Compact{}.Append(nil, &env)
+	if !errors.Is(err, wire.ErrUnregistered) || !strings.Contains(err.Error(), "unregisteredPayload") {
+		t.Errorf("Append error = %v, want ErrUnregistered naming the type", err)
 	}
-	if !fallback {
-		t.Fatal("unregistered payload did not report fallback")
+	if data != nil {
+		t.Errorf("Append produced %d bytes for an unregistered payload", len(data))
 	}
-	got, legacy, err := wire.Compact{}.Decode(data)
-	if err != nil || legacy {
-		t.Fatalf("decode: err=%v legacy=%v", err, legacy)
-	}
-	if !reflect.DeepEqual(got, env) {
-		t.Errorf("fallback mismatch:\ngot  %#v\nwant %#v", got, env)
+	if b, err := wire.EncodePayload(env.Payload); !errors.Is(err, wire.ErrUnregistered) || b != nil {
+		t.Errorf("EncodePayload = %v, %v, want nil, ErrUnregistered", b, err)
 	}
 }
 
-// TestLegacyInterop proves both directions of a mixed-version link:
-// frames from a Legacy (pre-wire format) sender decode through the
-// default codec, and compact frames decode through Legacy's read path.
-func TestLegacyInterop(t *testing.T) {
+// hostileFrames are the inputs the deleted gob paths used to accept:
+// a genuine whole-envelope gob frame, a compact header followed by the
+// retired tag 1 and a gob stream, and a lone non-magic byte.
+func hostileFrames(t testing.TB) []hostileFrame {
 	env := wire.Envelope{Kind: 2, Seq: 5, Type: "chord.step", From: "127.0.0.1:5", Payload: chord.StepReq{Key: 77}}
-
-	old, _, err := wire.Legacy{}.Append(nil, &env)
-	if err != nil {
+	var payload any = unregisteredPayload{Name: "n", Count: 4}
+	var tagged bytes.Buffer
+	tagged.Write([]byte{wire.Magic, wire.Version, 2, 3, 1, 't', 1, 'a', 0, 0x01})
+	if err := gob.NewEncoder(&tagged).Encode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	got, legacy, err := wire.Default.Decode(old)
-	if err != nil {
-		t.Fatalf("decoding legacy frame: %v", err)
+	return []hostileFrame{
+		{"gob-envelope", gobFrame(t, &env)},
+		{"tag-1-gob", tagged.Bytes()},
+		{"non-magic-1byte", []byte{0x22}},
 	}
-	if !legacy {
-		t.Error("legacy frame not flagged as legacy")
-	}
-	if !reflect.DeepEqual(got, env) {
-		t.Errorf("legacy frame mismatch:\ngot  %#v\nwant %#v", got, env)
-	}
+}
 
-	compact, _, err := wire.Compact{}.Append(nil, &env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, legacy, err = wire.Legacy{}.Decode(compact)
-	if err != nil || legacy {
-		t.Fatalf("Legacy decoding compact frame: err=%v legacy=%v", err, legacy)
-	}
-	if !reflect.DeepEqual(got, env) {
-		t.Errorf("compact-through-Legacy mismatch:\ngot  %#v\nwant %#v", got, env)
-	}
+type hostileFrame struct {
+	name string
+	data []byte
 }
 
 // TestMalformedFrames feeds truncations and corruptions of a valid
@@ -299,6 +293,11 @@ func TestMalformedFrames(t *testing.T) {
 	bad[1] = wire.Version + 1
 	if _, _, err := (wire.Compact{}).Decode(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version accepted: %v", err)
+	}
+	for _, h := range hostileFrames(t) {
+		if env, _, err := (wire.Compact{}).Decode(h.data); err == nil {
+			t.Errorf("%s frame decoded to %#v, want an error", h.name, env)
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
 package dat_test
 
-// Live mixed-version interop test: a ring of real UDP peers where the
-// modern members batch their updates through the compact wire codec
-// while one member speaks like a deployment from before either change —
-// legacy whole-envelope gob frames, no send machine. Monitoring several
-// attributes at once forces the modern side to coalesce cross-tree
+// Live mixed-ring interop test: a ring of real UDP peers where most
+// members batch their updates while one runs with the send machine off
+// (Batch.Disable), one datagram per update. Monitoring several
+// attributes at once forces the batching side to coalesce cross-tree
 // updates into multi-element batches; the ring must still converge on
 // full-coverage aggregates in both directions, with the telemetry
-// proving that batching, the gob fallback and the legacy inbound path
-// all actually fired.
+// proving that batching actually fired where it is on and nowhere else.
 
 import (
 	"fmt"
@@ -110,26 +108,22 @@ func pickAttrs(t *testing.T, peerIDs []uint64, minAttrs, minNonRoot int) []strin
 	return nil
 }
 
-func TestLiveBatchedLegacyInterop(t *testing.T) {
+func TestLiveBatchedUnbatchedInterop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time UDP test")
 	}
-	modernObs := obs.NewObserver(256)
-	legacyObs := obs.NewObserver(256)
-	mk := func(name string, o *obs.Observer, legacy bool) *dat.Peer {
-		cfg := dat.PeerConfig{
+	batchedObs := obs.NewObserver(256)
+	plainObs := obs.NewObserver(256)
+	mk := func(name string, o *obs.Observer, batch dat.BatchConfig) *dat.Peer {
+		p, err := dat.NewPeer(dat.PeerConfig{
 			Listen:     "127.0.0.1:0",
 			Name:       name,
 			Stabilize:  40 * time.Millisecond,
 			FixFingers: 60 * time.Millisecond,
 			Ping:       100 * time.Millisecond,
 			Observer:   o,
-		}
-		if legacy {
-			cfg.LegacyWire = true
-			cfg.Batch = dat.BatchConfig{Disable: true}
-		}
-		p, err := dat.NewPeer(cfg)
+			Batch:      batch,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,25 +131,25 @@ func TestLiveBatchedLegacyInterop(t *testing.T) {
 		return p
 	}
 
-	boot := mk("modern0", modernObs, false)
+	boot := mk("batched0", batchedObs, dat.BatchConfig{})
 	boot.Create()
 	peers := []*dat.Peer{boot}
 	for i := 1; i < 3; i++ {
-		p := mk("modern"+string(rune('0'+i)), nil, false)
+		p := mk("batched"+string(rune('0'+i)), nil, dat.BatchConfig{})
 		if err := p.Join(boot.Addr()); err != nil {
 			t.Fatal(err)
 		}
 		peers = append(peers, p)
 	}
-	old := mk("legacy", legacyObs, true)
-	if err := old.Join(boot.Addr()); err != nil {
+	plain := mk("unbatched", plainObs, dat.BatchConfig{Disable: true})
+	if err := plain.Join(boot.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	peers = append(peers, old)
+	peers = append(peers, plain)
 
 	// Several concurrent trees in which every peer sends: the senders'
 	// per-tree parents collapse onto at most three destinations, so by
-	// pigeonhole the modern send machines emit multi-element batches.
+	// pigeonhole the batching send machines emit multi-element batches.
 	ids := make([]uint64, len(peers))
 	for i, p := range peers {
 		ids[i] = p.ID()
@@ -172,9 +166,9 @@ func TestLiveBatchedLegacyInterop(t *testing.T) {
 		}
 	}
 
-	// Every tree must reach full coverage: the legacy peer's plain
+	// Every tree must reach full coverage: the unbatched peer's plain
 	// updates land on batching roots, and batched updates land on the
-	// legacy peer whenever it parents a subtree.
+	// unbatched peer whenever it parents a subtree.
 	deadline := time.Now().Add(30 * time.Second)
 	covered := make(map[string]bool, len(attrs))
 	for len(covered) < len(attrs) {
@@ -195,36 +189,27 @@ func TestLiveBatchedLegacyInterop(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	modern := scrapeMetrics(t, modernObs)
-	legacy := scrapeMetrics(t, legacyObs)
+	batched := scrapeMetrics(t, batchedObs)
+	unbatched := scrapeMetrics(t, plainObs)
 
-	// The modern node coalesced: flushes happened, and at least one
+	// The batching node coalesced: flushes happened, and at least one
 	// flush carried more than a single element (bytes are only counted
 	// as saved when two or more messages share a datagram).
-	if v := metricSum(t, modern, "dat_batch_flushes_total"); v == 0 {
-		t.Error("modern node recorded no send-machine flushes")
+	if v := metricSum(t, batched, "dat_batch_flushes_total"); v == 0 {
+		t.Error("batching node recorded no send-machine flushes")
 	}
-	if v := metricSum(t, modern, "dat_batch_bytes_saved_total"); v == 0 {
-		t.Error("modern node never coalesced two updates into one datagram")
+	if v := metricSum(t, batched, "dat_batch_bytes_saved_total"); v == 0 {
+		t.Error("batching node never coalesced two updates into one datagram")
 	}
 	// Per-element acks completed delivery chains on both sides.
-	if v := metricSum(t, modern, `dat_update_deliveries_total{outcome="ok"}`); v == 0 {
-		t.Error("modern node completed no acked deliveries")
+	if v := metricSum(t, batched, `dat_update_deliveries_total{outcome="ok"}`); v == 0 {
+		t.Error("batching node completed no acked deliveries")
 	}
-	if v := metricSum(t, legacy, `dat_update_deliveries_total{outcome="ok"}`); v == 0 {
-		t.Error("legacy node completed no acked deliveries")
+	if v := metricSum(t, unbatched, `dat_update_deliveries_total{outcome="ok"}`); v == 0 {
+		t.Error("unbatched node completed no acked deliveries")
 	}
-	// The legacy peer never batches — coalescing is the sender's choice.
-	if v := metricSum(t, legacy, "dat_batch_flushes_total"); v != 0 {
-		t.Errorf("legacy node flushed %v batches with batching disabled", v)
-	}
-	// Wire telemetry: the legacy peer encodes everything through the
-	// gob fallback, and the modern node sees whole-envelope gob frames
-	// arrive on its inbound path.
-	if v := metricSum(t, legacy, "rpcudp_wire_fallback_total"); v == 0 {
-		t.Error("legacy node sent no gob-fallback frames")
-	}
-	if v := metricSum(t, modern, "rpcudp_wire_legacy_frames_total"); v == 0 {
-		t.Error("modern node received no legacy frames")
+	// The unbatched peer never batches — coalescing is the sender's choice.
+	if v := metricSum(t, unbatched, "dat_batch_flushes_total"); v != 0 {
+		t.Errorf("unbatched node flushed %v batches with batching disabled", v)
 	}
 }

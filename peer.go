@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpcudp"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // PeerConfig configures a live UDP peer.
@@ -60,12 +59,6 @@ type PeerConfig struct {
 	// (DESIGN.md §14). Unlike Delivery/Batch the zero value DISABLES
 	// it; set Overload.Enable to turn it on.
 	Overload OverloadConfig
-	// LegacyWire encodes outbound frames with the pre-compact
-	// whole-envelope gob codec, as peers from before DESIGN.md §11 do.
-	// Inbound decoding always accepts both framings, so mixed rings
-	// interoperate; use this during staged rollouts and in
-	// mixed-version tests.
-	LegacyWire bool
 	// RPCTimeout bounds blocking convenience calls (Join, Query...).
 	// Default 10s.
 	RPCTimeout time.Duration
@@ -123,9 +116,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		logger = obs.NopLogger()
 	}
 	rpcCfg := rpcudp.Config{CallTimeout: cfg.CallTimeout, Logger: logger.With("layer", "rpcudp")}
-	if cfg.LegacyWire {
-		rpcCfg.Codec = wire.Legacy{}
-	}
 	if cfg.Observer != nil {
 		rpcCfg.Tap = cfg.Observer.Tap()
 		rpcCfg.Obs = cfg.Observer.TransportHooks()
