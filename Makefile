@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long bench-json bench-batching bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -83,40 +83,6 @@ datcheck-long:
 		-datcheck.long -datcheck.seeds $(DATCHECK_SEEDS) -datcheck.base $(DATCHECK_BASE) \
 		-datcheck.artifacts $(CURDIR)/datcheck-artifacts -timeout 45m
 
-# Machine-readable benchmark summaries: one BENCH_<id>.json per
-# experiment table (ns/op, messages, imbalance factor) under BENCH_DIR.
-BENCH_DIR ?= bench
-bench-json:
-	$(GO) run ./cmd/datbench -quick -json $(BENCH_DIR)
-
-# bench-batching: the send-machine ablation — datagrams per slot with
-# coalescing on vs off over a multi-tree monitoring run (DESIGN.md §12).
-bench-batching:
-	$(GO) run ./cmd/datbench -quick -exp batching -json $(BENCH_DIR)
-
-# bench-overload: the overload-protection ablation — a gray-failure ack
-# blackhole plus a fan-in burst, protection off vs on: wasted retry
-# datagrams, queue high-water, shed percentage, breaker opens, p99 queue
-# age. Runs at full size (not -quick): the ~2s full window is what lets
-# the breakers' probe backoff reach steady state.
-bench-overload:
-	$(GO) run ./cmd/datbench -exp overload -json $(BENCH_DIR)
-
-# bench-selfmon: the self-monitoring plane ablation — dat.* datagrams
-# per slot with the dat.load.* trees off vs on at 48 nodes, plus the
-# live imbalance factor the plane reports (DESIGN.md §13).
-bench-selfmon:
-	$(GO) run ./cmd/datbench -quick -exp selfmon -json $(BENCH_DIR)
-
-# bench-scale: the arena-substrate scale sweep (DESIGN.md §15) — §3
-# tree bounds asserted on 10240- and 65536-node snapshot rings, plus a
-# live 10240-node ring under continuous aggregation measured for
-# simulator throughput (events_per_sec) and per-node memory
-# (bytes_per_node, peak heap). Runs at full size (not -quick): the
-# 10k-node live ring is the point.
-bench-scale:
-	$(GO) run ./cmd/datbench -exp scale -json $(BENCH_DIR)
-
 # Boot a live datnode with -obs.addr and verify /metrics, /healthz and
 # the debug pages respond with non-empty 200s (DESIGN.md §9).
 obs-smoke:
@@ -167,4 +133,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free lint test race fuzz bench-selfmon bench-overload bench-scale obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

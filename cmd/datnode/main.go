@@ -79,17 +79,7 @@ func main() {
 		synthetic = flag.Bool("synthetic", false, "use a synthetic CPU sensor instead of /proc/stat")
 		instances = flag.Int("instances", 1, "additional in-process instances joining through this node")
 		obsAddr   = flag.String("obs.addr", "", "serve /metrics, /healthz, /debug/dat and pprof on this address")
-		failover  = flag.Bool("failover", true, "acked updates with parent failover and root handover (false: fire-and-forget)")
-		batch     = flag.Bool("batch.enable", true, "coalesce same-parent updates into batched datagrams (false: one datagram per update)")
-		batchBy   = flag.Int("batch.maxbytes", 0, "flush a batch at this estimated encoded size (0: default 1200)")
-		batchDl   = flag.Duration("batch.maxdelay", 0, "flush a batch after the first element waits this long (0: default 5ms)")
-		batchEl   = flag.Int("batch.maxelems", 0, "flush a batch at this many elements (0: default 32)")
 		overload  = flag.Bool("overload.enable", true, "bounded send queues with priority shedding and per-peer circuit breakers (false: unbounded queues, no breakers)")
-		ovQBytes  = flag.Int("overload.maxqueuebytes", 0, "per-destination queue byte budget (0: default 8192)")
-		ovQElems  = flag.Int("overload.maxqueueelems", 0, "per-destination queue element budget (0: default 256)")
-		ovTBytes  = flag.Int("overload.maxtotalbytes", 0, "global queued-byte budget across all destinations (0: default 262144)")
-		ovBFails  = flag.Int("overload.breakerfails", 0, "consecutive send failures opening a peer's circuit breaker (0: default 3)")
-		ovBCool   = flag.Duration("overload.breakercooldown", 0, "breaker open time before a half-open probe (0: default 1s)")
 		selfmon   = flag.Bool("selfmon", true, "publish this node's load counters into the dat.load.* self-monitoring trees")
 		selfmonSl = flag.Duration("selfmon.slot", 0, "self-monitoring aggregation slot (0: 4x -slot)")
 		share     = flag.Bool("share", true, "roots broadcast completed slot results down their trees (keeps every node's cached aggregates and /debug/load live)")
@@ -116,21 +106,7 @@ func main() {
 		{Name: "cpu-usage", Min: 0, Max: 100},
 		{Name: "memory-size", Min: 0, Max: 1 << 20},
 	}
-	delivery := dat.DeliveryConfig{Disable: !*failover}
-	batching := dat.BatchConfig{
-		Disable:  !*batch,
-		MaxBytes: *batchBy,
-		MaxDelay: *batchDl,
-		MaxElems: *batchEl,
-	}
-	overloadCfg := dat.OverloadConfig{
-		Enable:          *overload,
-		MaxQueueBytes:   *ovQBytes,
-		MaxQueueElems:   *ovQElems,
-		MaxTotalBytes:   *ovTBytes,
-		BreakerFailures: *ovBFails,
-		BreakerCooldown: *ovBCool,
-	}
+	overloadCfg := dat.OverloadConfig{Enable: *overload}
 	selfMon := dat.SelfMonConfig{Enable: *selfmon, Slot: *selfmonSl}
 	if selfMon.Enable && selfMon.Slot <= 0 {
 		// Load counters move slowly; a slower monitoring slot keeps the
@@ -142,8 +118,6 @@ func main() {
 		Listen:       *listen,
 		Name:         *name,
 		Attributes:   attrs,
-		Delivery:     delivery,
-		Batch:        batching,
 		Overload:     overloadCfg,
 		SelfMon:      selfMon,
 		ShareResults: *share,
@@ -237,8 +211,6 @@ func main() {
 			Listen:       "127.0.0.1:0",
 			Name:         fmt.Sprintf("%s#%d", peer.Addr(), i),
 			Attributes:   attrs,
-			Delivery:     delivery,
-			Batch:        batching,
 			Overload:     overloadCfg,
 			SelfMon:      selfMon,
 			ShareResults: *share,

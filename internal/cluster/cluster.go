@@ -83,11 +83,11 @@ type Options struct {
 	// current virtual time, and the rendezvous key. Nil means no node
 	// contributes values.
 	Local func(node int, now time.Duration, key ident.ID) (float64, bool)
-	// ChildTTLSlots, BatchDelay and HoldPerLevel pass through to the DAT
-	// layer (HoldPerLevel < 0 disables slot synchronization).
-	ChildTTLSlots int
-	BatchDelay    time.Duration
-	HoldPerLevel  time.Duration
+	// ChildTTLSlots, DemandDebounce and HoldPerLevel pass through to the
+	// DAT layer (HoldPerLevel < 0 disables slot synchronization).
+	ChildTTLSlots  int
+	DemandDebounce time.Duration
+	HoldPerLevel   time.Duration
 	// ShareResults passes through to the DAT layer (root broadcasts each
 	// completed slot result).
 	ShareResults bool
@@ -95,17 +95,16 @@ type Options struct {
 	SuccessorListLen int
 	// Delivery passes the delivery-assurance policy (acked updates,
 	// backoff, failover — DESIGN.md §10) through to the DAT layer. The
-	// zero value enables it with defaults; set Delivery.Disable to fall
-	// back to fire-and-forget updates.
+	// zero value is the defaults.
 	Delivery core.DeliveryConfig
 	// Batch passes the send-machine coalescing policy (DESIGN.md §12)
-	// through to the DAT layer. The zero value enables it with
-	// defaults; set Batch.Disable for one datagram per update.
+	// through to the DAT layer. The zero value is the defaults;
+	// Batch.MaxElems 1 sends one datagram per update.
 	Batch core.BatchConfig
 	// Overload passes the overload-protection policy (bounded queues,
 	// priority shedding, per-peer circuit breakers — DESIGN.md §14)
-	// through to the DAT layer. Unlike Delivery/Batch the zero value
-	// DISABLES it; set Overload.Enable to turn it on.
+	// through to the DAT layer. The zero value DISABLES it; set
+	// Overload.Enable to turn it on.
 	Overload core.OverloadConfig
 	// DropProb injects message loss.
 	DropProb float64
@@ -327,16 +326,16 @@ func (c *Cluster) newStack(addr transport.Addr, id ident.ID, idx int) (transport
 		}
 	}
 	coreCfg := core.NodeConfig{
-		Scheme:        c.Opts.Scheme,
-		Local:         local,
-		ChildTTLSlots: c.Opts.ChildTTLSlots,
-		BatchDelay:    c.Opts.BatchDelay,
-		HoldPerLevel:  c.Opts.HoldPerLevel,
-		ShareResults:  c.Opts.ShareResults,
-		Delivery:      c.Opts.Delivery,
-		Batch:         c.Opts.Batch,
-		Overload:      c.Opts.Overload,
-		Logger:        logger,
+		Scheme:         c.Opts.Scheme,
+		Local:          local,
+		ChildTTLSlots:  c.Opts.ChildTTLSlots,
+		DemandDebounce: c.Opts.DemandDebounce,
+		HoldPerLevel:   c.Opts.HoldPerLevel,
+		ShareResults:   c.Opts.ShareResults,
+		Delivery:       c.Opts.Delivery,
+		Batch:          c.Opts.Batch,
+		Overload:       c.Opts.Overload,
+		Logger:         logger,
 	}
 	switch {
 	case lv != nil && c.Opts.Observer != nil:

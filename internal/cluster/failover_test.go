@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/obs"
 )
@@ -15,13 +14,11 @@ func failoverLocal(i int, _ time.Duration, _ ident.ID) (float64, bool) { return 
 // failoverFixture builds the 32-node ring used by the failover e2e
 // tests: maintenance is frozen past the test horizon so the delivery
 // layer's ack timeouts are the only failure detector in play, and the
-// contrast between enabled and disabled delivery is attributable to it
-// alone.
-func failoverFixture(t *testing.T, delivery core.DeliveryConfig, o *obs.Observer) (*Cluster, ident.ID) {
+// recovery is attributable to it alone.
+func failoverFixture(t *testing.T, o *obs.Observer) (*Cluster, ident.ID) {
 	t.Helper()
 	c, err := New(Options{
 		N: 32, Seed: 41, Local: failoverLocal,
-		Delivery: delivery,
 		Observer: o,
 		// Result broadcasts give every node the last full count, so a
 		// handover standby measures coverage against what the tree
@@ -74,24 +71,22 @@ func (c *Cluster) pickVictims(t *testing.T, key ident.ID) (rootIdx, standbyIdx, 
 
 // TestFailoverSurvivesParentAndRootCrash is the PR's end-to-end
 // acceptance scenario: on a 32-node ring with continuous aggregation,
-// crash a mid-tree parent and the key root in the same slot. With
-// delivery assurance on, the orphans re-home in-slot, the root's
-// children hand the tree over to the successor, and within a few slots
-// a live root reports an aggregate covering every surviving node —
-// with both failover counters incremented and the handover result
-// flagged Degraded while the standby bridges. With delivery off (same
-// seed, same victims), the tree demonstrably loses the subtree: no
-// fresh result approaching full coverage appears in the same window.
+// crash a mid-tree parent and the key root in the same slot. The
+// orphans re-home in-slot, the root's children hand the tree over to
+// the successor, and within a few slots a live root reports an
+// aggregate covering every surviving node — with both failover counters
+// incremented (the delivery layer, not luck, closed the gap) and the
+// handover result flagged Degraded while the standby bridges.
 func TestFailoverSurvivesParentAndRootCrash(t *testing.T) {
 	const (
 		n    = 32
 		slot = 500 * time.Millisecond
 	)
 
-	run := func(t *testing.T, delivery core.DeliveryConfig) (bestCount uint64, bestCoverage float64, degradedSeen bool, o *obs.Observer) {
+	run := func(t *testing.T) (bestCount uint64, bestCoverage float64, degradedSeen bool, o *obs.Observer) {
 		t.Helper()
 		o = obs.NewObserver(16)
-		c, key := failoverFixture(t, delivery, o)
+		c, key := failoverFixture(t, o)
 		latest, err := c.StartContinuousAll(key, slot)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +125,7 @@ func TestFailoverSurvivesParentAndRootCrash(t *testing.T) {
 	}
 
 	t.Run("enabled", func(t *testing.T) {
-		count, coverage, degraded, o := run(t, core.DeliveryConfig{})
+		count, coverage, degraded, o := run(t)
 		if want := uint64(n - 2); count < want {
 			t.Errorf("best post-crash count = %d, want >= %d (subtree lost despite failover)", count, want)
 		}
@@ -145,13 +140,6 @@ func TestFailoverSurvivesParentAndRootCrash(t *testing.T) {
 		}
 		if got := o.Reg.Counter("dat_root_handovers_total", "").Value(); got < 1 {
 			t.Errorf("dat_root_handovers_total = %d, want >= 1", got)
-		}
-	})
-
-	t.Run("disabled", func(t *testing.T) {
-		count, _, _, _ := run(t, core.DeliveryConfig{Disable: true})
-		if count >= uint64(n-2) {
-			t.Errorf("fire-and-forget mode recovered full coverage (%d) with a dead parent and root; the contrast scenario is broken", count)
 		}
 	})
 }

@@ -126,11 +126,11 @@ type NodeConfig struct {
 	// calls it — on the clock's timer loop, under the node's lock: it must
 	// return promptly and not call back into the node.
 	Local func(key ident.ID) (value float64, ok bool)
-	// BatchDelay is the on-demand flush debounce: a node sends its epoch
-	// bucket upward after this long without new contributions, so whole
-	// subtrees consolidate into single messages. Must exceed the typical
-	// one-way latency. Default 50ms.
-	BatchDelay time.Duration
+	// DemandDebounce is the on-demand flush debounce: a node sends its
+	// epoch bucket upward after this long without new contributions, so
+	// whole subtrees consolidate into single messages. Must exceed the
+	// typical one-way latency. Default 50ms.
+	DemandDebounce time.Duration
 	// ChildTTLSlots is how many continuous slots a cached child aggregate
 	// survives without refresh before being dropped (handles churn and
 	// tree reshuffling). Default 3.
@@ -149,21 +149,20 @@ type NodeConfig struct {
 	// staggering entirely (ablation: parents then relay cached values one
 	// slot behind their children).
 	HoldPerLevel time.Duration
-	// Delivery tunes the delivery-assurance layer: acked updates with
-	// backoff, in-slot parent failover, root handover (DESIGN.md §10).
-	// The zero value enables it with defaults; set Disable for the
-	// fire-and-forget ablation.
+	// Delivery tunes the delivery-assurance layer every update and detach
+	// goes through: acked sends with backoff, in-slot parent failover,
+	// root handover (DESIGN.md §10). The zero value is the defaults.
 	Delivery DeliveryConfig
 	// Batch tunes the send machine coalescing acked updates/detaches
 	// bound for the same parent into single datagrams (DESIGN.md §12).
-	// The zero value enables it with defaults; set Disable to send one
-	// datagram per message.
+	// The zero value is the defaults; MaxElems 1 sends one datagram per
+	// message.
 	Batch BatchConfig
 	// Overload tunes the overload-protection layer: bounded send
 	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). Unlike Delivery/Batch the zero value DISABLES
-	// it — it is opt-in so existing deployments and datcheck seeds are
-	// unperturbed; set Enable to turn it on.
+	// (DESIGN.md §14). The zero value DISABLES it — it is opt-in so
+	// existing deployments and datcheck seeds are unperturbed; set
+	// Enable to turn it on.
 	Overload OverloadConfig
 	// Obs receives aggregation telemetry: per-hop spans, round latency
 	// and fan-in, update dispositions, cache expiry. The zero value
@@ -179,8 +178,8 @@ func (c NodeConfig) withDefaults() NodeConfig {
 		// the local rule, which is what the paper's prototype runs.
 		c.Scheme = BalancedLocal
 	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 50 * time.Millisecond
+	if c.DemandDebounce <= 0 {
+		c.DemandDebounce = 50 * time.Millisecond
 	}
 	if c.ChildTTLSlots <= 0 {
 		c.ChildTTLSlots = 3
@@ -215,7 +214,7 @@ type Node struct {
 	ep    transport.Endpoint
 	clock transport.Clock
 	cfg   NodeConfig
-	sm    *sendMachine // nil when cfg.Batch.Disable
+	sm    *sendMachine
 
 	// selfMonKeys marks the dat.load.* monitoring trees' rendezvous
 	// keys, the lowest shedding class. Computed once in NewNode and
@@ -315,9 +314,7 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 		aggs:     make(map[ident.ID]*aggEntry),
 		breakers: make(map[transport.Addr]*breaker),
 	}
-	if !n.cfg.Batch.Disable {
-		n.sm = newSendMachine(n, n.cfg.Batch)
-	}
+	n.sm = newSendMachine(n, n.cfg.Batch)
 	// The dat.load.* monitoring trees are the lowest shedding class;
 	// their rendezvous keys are fixed per space, so classify can look
 	// them up without talking to the obs layer.
@@ -327,8 +324,6 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 	}
 	ch.Handle(MsgUpdate, n.handleUpdate)
 	ch.Handle(MsgDetach, n.handleDetach)
-	// Receiving batches is always on — it is the sender's choice to
-	// coalesce — so an unbatched node still answers batched peers.
 	ch.Handle(MsgBatch, n.handleBatch)
 	ch.Handle(MsgQuery, n.handleQuery)
 	ch.OnBroadcast(CollectType, n.handleCollect)
@@ -349,9 +344,7 @@ func (n *Node) Close() {
 	for _, key := range n.ActiveKeys() {
 		n.StopContinuous(key)
 	}
-	if n.sm != nil {
-		n.sm.Close()
-	}
+	n.sm.Close()
 }
 
 // Chord returns the underlying overlay node.
@@ -625,7 +618,7 @@ func (n *Node) tickContinuous(key ident.ID) {
 	// On a parent switch, detach from the former parent so the subtree is
 	// not double-counted through two paths until the cache TTL expires.
 	if oldParent != "" && (isRoot || oldParent != parent.Addr) {
-		n.deliverDetach(oldParent, DetachMsg{Key: key, Sender: self})
+		(&detachRetry{n: n, to: oldParent, dm: DetachMsg{Key: key, Sender: self}}).RunEvent(0)
 		if !isRoot {
 			n.debug("switched aggregation parent", key, "old", oldParent, "new", parent.Addr)
 		}
@@ -661,10 +654,6 @@ func (n *Node) tickContinuous(key ident.ID) {
 		Slot: int64(slotDur), Sender: self,
 		Trace: obs.RoundTrace(key, slot, false), SentAt: int64(n.clock.Now()),
 	}
-	if n.cfg.Delivery.Disable {
-		n.send(parent.Addr, &BatchElem{Kind: batchKindUpdate, Update: um})
-		return
-	}
 	n.deliverUpdate(e, parent, pc.keyRoot, &um)
 }
 
@@ -693,20 +682,6 @@ func coverage(nodes, estimate uint64) float64 {
 	return float64(nodes) / float64(estimate)
 }
 
-// send fires a best-effort datagram. Only a *local* send error (closed
-// endpoint, unresolvable peer) feeds chord.Suspect here — over real UDP
-// a write to a dead host succeeds locally; remote suspicion rides the
-// delivery layer's ack timeouts. The helper remains for the detach
-// fallback and for DeliveryConfig.Disable mode, where fire-and-forget
-// is exactly what is asked for.
-func (n *Node) send(to transport.Addr, el *BatchElem) {
-	n.treeSent(el)
-	typ, payload := elemMessage(el)
-	if err := n.ep.Send(to, typ, payload); err != nil {
-		n.ch.Suspect(to)
-	}
-}
-
 // debugOn reports whether the logger takes debug records. Debug sites
 // test it before they build their arguments, so logging that is off
 // renders no key and boxes no value.
@@ -731,8 +706,8 @@ func replyAck(req *transport.Request, ack UpdateAck) {
 }
 
 // handleDetach drops a former child's cached aggregate. Detaches arrive
-// both as one-way datagrams (Disable mode) and as acked calls; Reply is
-// a no-op on the former.
+// both as acked calls and as one-way datagrams (the failover courtesy
+// detach); Reply is a no-op on the latter.
 func (n *Node) handleDetach(req *transport.Request) {
 	dm, ok := req.Payload.(DetachMsg)
 	if !ok {
@@ -752,8 +727,7 @@ func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
 	return UpdateAck{OK: true}
 }
 
-// handleUpdate answers a lone update; the reply is a no-op on the
-// one-way datagrams of Disable mode.
+// handleUpdate answers a lone update.
 func (n *Node) handleUpdate(req *transport.Request) {
 	um, ok := req.Payload.(UpdateMsg)
 	if !ok {
@@ -972,7 +946,7 @@ func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
 	if es.cancelFlush != nil {
 		es.cancelFlush()
 	}
-	es.cancelFlush = n.clock.AfterFunc(n.cfg.BatchDelay, func() { n.flushDemand(key, epoch) })
+	es.cancelFlush = n.clock.AfterFunc(n.cfg.DemandDebounce, func() { n.flushDemand(key, epoch) })
 }
 
 // foldDemand accumulates an on-demand child update and (re-)arms the
@@ -1040,10 +1014,6 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 	um := UpdateMsg{
 		Key: key, Epoch: epoch, Agg: agg, Nodes: nodes, Sender: rt.Self, Demand: true, Seq: seq,
 		Trace: obs.RoundTrace(key, epoch, true), SentAt: int64(n.clock.Now()),
-	}
-	if n.cfg.Delivery.Disable {
-		n.send(pc.parent.Addr, &BatchElem{Kind: batchKindUpdate, Update: um})
-		return
 	}
 	n.deliverUpdate(nil, pc.parent, pc.keyRoot, &um)
 }

@@ -37,10 +37,6 @@ const handoverSlots = 6
 
 // DeliveryConfig tunes the delivery-assurance layer.
 type DeliveryConfig struct {
-	// Disable reverts MsgUpdate/MsgDetach to fire-and-forget datagrams
-	// (the pre-failover protocol). Used by ablations and by the e2e test
-	// proving the layer, not luck, closes the crash gap.
-	Disable bool
 	// AckTimeout bounds one delivery attempt: an unacknowledged update
 	// counts as failed after this long and the candidate earns a
 	// failure-detector strike. Keep it well below the slot duration so
@@ -310,7 +306,7 @@ func (d *delivery) sendAttempt(g uint64) {
 	}
 	d.timer, d.resending = t, false
 	d.mu.Unlock()
-	n.callElem(to, &el, sinkRef{d, g})
+	n.sm.enqueue(to, &el, sinkRef{d, g})
 }
 
 // RunEvent implements transport.TimerTask: the timer armed under
@@ -497,9 +493,16 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		// An open breaker is positive evidence the candidate is not
 		// acking: a detach datagram at it every failover flap is exactly
 		// the wasted traffic fail-fast exists to stop, and its child
-		// cache forgets us by TTL regardless.
+		// cache forgets us by TTL regardless. The detach is a best-effort
+		// one-way datagram — the candidate just failed to ack — and only a
+		// *local* send error (closed endpoint, unresolvable peer) feeds
+		// chord.Suspect: over real UDP a write to a dead host succeeds.
 		if !n.breakerOpenNow(to) {
-			n.send(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}})
+			el := BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}
+			n.treeSent(&el)
+			if err := n.ep.Send(to, MsgDetach, el.Detach); err != nil {
+				n.ch.Suspect(to)
+			}
 		}
 	}
 	d.sendAttempt(g)
@@ -532,7 +535,8 @@ func (d *delivery) finish(g uint64, ok bool) {
 // former parent forgets us via the child TTL anyway, so there is no
 // failover here — just enough persistence to beat one lost datagram,
 // with errors feeding the failure detector like any other failed ack.
-// RunEvent sends an attempt: the first directly, the rest from backoff.
+// RunEvent sends an attempt: the first from the tick that switched
+// parents, the rest from backoff.
 type detachRetry struct {
 	n       *Node
 	to      transport.Addr
@@ -540,17 +544,9 @@ type detachRetry struct {
 	attempt int
 }
 
-func (n *Node) deliverDetach(to transport.Addr, dm DetachMsg) {
-	if n.cfg.Delivery.Disable {
-		n.send(to, &BatchElem{Kind: batchKindDetach, Detach: dm})
-		return
-	}
-	(&detachRetry{n: n, to: to, dm: dm}).RunEvent(0)
-}
-
 func (r *detachRetry) RunEvent(int32) {
 	r.attempt++
-	r.n.callElem(r.to, &BatchElem{Kind: batchKindDetach, Detach: r.dm}, sinkRef{sink: r})
+	r.n.sm.enqueue(r.to, &BatchElem{Kind: batchKindDetach, Detach: r.dm}, sinkRef{sink: r})
 }
 
 func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {

@@ -39,8 +39,8 @@ func (f funcSink) onAck(_ uint64, ack UpdateAck, err error) {
 	}
 }
 
-// batchCall is the tests' door to callElem; a nil cb queues the element
-// with nobody waiting for its verdict.
+// batchCall is the tests' door to the send machine; a nil cb queues the
+// element with nobody waiting for its verdict.
 func (n *Node) batchCall(to transport.Addr, _ string, payload any, cb func(any, error)) {
 	var ref sinkRef
 	if cb != nil {
@@ -48,9 +48,9 @@ func (n *Node) batchCall(to transport.Addr, _ string, payload any, cb func(any, 
 	}
 	switch p := payload.(type) {
 	case UpdateMsg:
-		n.callElem(to, &BatchElem{Kind: batchKindUpdate, Update: p}, ref)
+		n.sm.enqueue(to, &BatchElem{Kind: batchKindUpdate, Update: p}, ref)
 	case DetachMsg:
-		n.callElem(to, &BatchElem{Kind: batchKindDetach, Detach: p}, ref)
+		n.sm.enqueue(to, &BatchElem{Kind: batchKindDetach, Detach: p}, ref)
 	default:
 		panic("batchCall: not an update or detach")
 	}

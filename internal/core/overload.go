@@ -341,20 +341,18 @@ type OverloadStats struct {
 // concurrent use; cheap enough to poll per slot.
 func (n *Node) OverloadStats() OverloadStats {
 	st := OverloadStats{Enabled: n.cfg.Overload.Enable, Shed: make(map[string]uint64, numClasses)}
-	var shed [numClasses]uint64
-	if sm := n.sm; sm != nil {
-		sm.mu.Lock()
-		st.QueuedBytes = sm.totalBytes
-		st.HiWaterBytes = sm.hiWater
-		for _, q := range sm.queues {
-			st.QueuedElems += len(q.elems)
-		}
-		shed, st.ShedBytes, st.Rejected = sm.shed, sm.shedBytes, sm.rejected
-		sm.mu.Unlock()
+	sm := n.sm
+	sm.mu.Lock()
+	st.QueuedBytes = sm.totalBytes
+	st.HiWaterBytes = sm.hiWater
+	for _, q := range sm.queues {
+		st.QueuedElems += len(q.elems)
 	}
-	for c, k := range shed {
+	for c, k := range sm.shed {
 		st.Shed[classLabel(msgClass(c))] = k
 	}
+	st.ShedBytes, st.Rejected = sm.shedBytes, sm.rejected
+	sm.mu.Unlock()
 	n.brMu.Lock()
 	st.BreakerOpens = n.brOpens
 	for _, br := range n.breakers {
@@ -382,9 +380,6 @@ type QueueStat struct {
 // so output derived from it is deterministic.
 func (n *Node) QueueStats() []QueueStat {
 	sm := n.sm
-	if sm == nil {
-		return nil
-	}
 	now := n.clock.Now()
 	sm.mu.Lock()
 	out := make([]QueueStat, 0, len(sm.queues))

@@ -59,10 +59,6 @@ type BatchAck struct {
 
 // BatchConfig tunes the send machine.
 type BatchConfig struct {
-	// Disable sends every update/detach as its own datagram (the
-	// pre-batching protocol). Receiving batches stays enabled — it is
-	// driven by the sender — so mixed deployments interoperate.
-	Disable bool
 	// MaxBytes flushes the queue once its estimated encoded size
 	// reaches this many bytes; keep it under the path MTU so one flush
 	// stays one datagram. Default 1200.
@@ -72,8 +68,9 @@ type BatchConfig struct {
 	// HoldPerLevel so parents still fold fresh child values, and well
 	// below the delivery AckTimeout. Default 5ms.
 	MaxDelay time.Duration
-	// MaxElems flushes the queue once it holds this many elements.
-	// Default 32.
+	// MaxElems flushes the queue once it holds this many elements; 1
+	// sends every update/detach as its own datagram, the unbatched
+	// protocol. Default 32.
 	MaxElems int
 }
 
@@ -201,17 +198,6 @@ func newRecord(n *Node, to transport.Addr) *destQueue {
 	return q
 }
 
-// callElem is the delivery layer's drop-in for ep.Call: the update or
-// detach goes through the send machine, or straight to the endpoint
-// when batching is disabled, and its verdict comes back through ref.
-func (n *Node) callElem(to transport.Addr, el *BatchElem, ref sinkRef) {
-	if n.sm == nil {
-		n.direct(to, el, ref)
-		return
-	}
-	n.sm.enqueue(to, el, ref)
-}
-
 // direct puts one element on the wire by itself, around the queues.
 func (n *Node) direct(to transport.Addr, el *BatchElem, ref sinkRef) {
 	q := newRecord(n, to)
@@ -223,7 +209,7 @@ func (n *Node) direct(to transport.Addr, el *BatchElem, ref sinkRef) {
 
 // treeSent fires the per-tree send-accounting hook (DESIGN.md §13) for
 // one outbound element. Every path that puts an update or detach on the
-// wire — direct, flush, the fire-and-forget n.send — calls it exactly
+// wire — direct, flush, the failover courtesy detach — calls it exactly
 // once, so an element counts once per wire appearance (retries count
 // again: it tracks traffic, not intents). Callers hold no locks.
 func (n *Node) treeSent(el *BatchElem) {
@@ -574,11 +560,10 @@ func (q *destQueue) onReply(payload any, err error) {
 			ref.fire(lone, nil)
 		}
 	}
-	if sm := q.n.sm; sm != nil {
-		sm.mu.Lock()
-		sm.recycleLocked(q)
-		sm.mu.Unlock()
-	}
+	sm := q.n.sm
+	sm.mu.Lock()
+	sm.recycleLocked(q)
+	sm.mu.Unlock()
 }
 
 // elemMessage maps an element back to its standalone message form.

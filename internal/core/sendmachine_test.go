@@ -326,15 +326,86 @@ func TestSendMachineCloseDrains(t *testing.T) {
 	}
 }
 
-// TestSendMachinePassThrough pins the routing rule around the machine:
-// a Batch.Disable node (sm == nil) calls the endpoint directly.
+// TestSendMachinePassThrough pins the unbatched spelling: under
+// MaxElems 1 every enqueue trips the elems trigger, so each element is
+// its own lone MsgUpdate/MsgDetach Call in enqueue order, no deadline
+// timer is ever armed, nothing stays queued, and every sink hears its
+// verdict exactly once.
 func TestSendMachinePassThrough(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ep := &stubEndpoint{addr: "10.0.0.1:1"}
-	disabled := &Node{ep: ep, clock: transport.SimClock{Engine: eng}, cfg: NodeConfig{Batch: BatchConfig{Disable: true}}.withDefaults()}
-	disabled.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(1), nil)
-	if len(ep.calls) != 1 || ep.calls[0].typ != MsgUpdate {
-		t.Fatalf("disabled machine did not pass through: %+v", ep.calls)
+	const destA, destB = transport.Addr("10.0.0.2:1"), transport.Addr("10.0.0.3:1")
+	type send struct {
+		to     transport.Addr
+		detach bool
+	}
+	cases := []struct {
+		name     string
+		overload OverloadConfig
+		sends    []send
+	}{
+		{name: "updates-one-dest", sends: []send{{to: destA}, {to: destA}, {to: destA}}},
+		{name: "detaches-two-dests", sends: []send{{destA, true}, {destB, true}, {destA, true}}},
+		{name: "mixed-two-dests", sends: []send{{to: destA}, {destB, true}, {to: destB}, {destA, true}, {to: destA}}},
+		{name: "mixed-overload-on", overload: OverloadConfig{Enable: true},
+			sends: []send{{to: destB}, {destA, true}, {to: destA}, {to: destB}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			n, ep, _ := newOverloadMachineForTest(t, eng, BatchConfig{MaxElems: 1}, tc.overload)
+			answered := make([]int, len(tc.sends))
+			for i, s := range tc.sends {
+				cb := func(payload any, err error) {
+					if ack, _ := payload.(UpdateAck); err != nil || !ack.OK {
+						t.Errorf("sink %d heard %+v, %v", i, payload, err)
+					}
+					answered[i]++
+				}
+				if s.detach {
+					n.batchCall(s.to, MsgDetach, DetachMsg{Key: ident.ID(i)}, cb)
+				} else {
+					n.batchCall(s.to, MsgUpdate, testUpdate(i), cb)
+				}
+			}
+			if len(ep.calls) != len(tc.sends) {
+				t.Fatalf("%d elements put %d calls on the wire", len(tc.sends), len(ep.calls))
+			}
+			for i, c := range ep.calls {
+				s := tc.sends[i]
+				wantTyp := MsgUpdate
+				if s.detach {
+					wantTyp = MsgDetach
+				}
+				if c.to != s.to || c.typ != wantTyp {
+					t.Fatalf("call %d = %s to %s, want %s to %s", i, c.typ, c.to, wantTyp, s.to)
+				}
+				switch p := c.payload.(type) {
+				case UpdateMsg:
+					if p.Epoch != int64(i) {
+						t.Fatalf("call %d carries update %d: out of enqueue order", i, p.Epoch)
+					}
+				case DetachMsg:
+					if p.Key != ident.ID(i) {
+						t.Fatalf("call %d carries detach %v: out of enqueue order", i, p.Key)
+					}
+				default:
+					t.Fatalf("call %d payload %T", i, c.payload)
+				}
+			}
+			if eng.Len() != 0 {
+				t.Fatalf("%d events pending: a deadline timer was armed", eng.Len())
+			}
+			if st := n.OverloadStats(); st.QueuedBytes != 0 || st.QueuedElems != 0 {
+				t.Fatalf("still queued after the sends: %+v", st)
+			}
+			for _, c := range ep.calls {
+				c.cb(UpdateAck{OK: true}, nil)
+			}
+			for i, k := range answered {
+				if k != 1 {
+					t.Errorf("sink %d answered %d times", i, k)
+				}
+			}
+		})
 	}
 }
 

@@ -109,7 +109,7 @@ func RunScenario(sc *Scenario) (*Result, error) {
 	res := &Result{Seed: sc.Seed, Scenario: sc}
 	var tr bytes.Buffer
 	batch := "on"
-	if sc.Batch.Disable {
+	if sc.Batch.MaxElems == 1 {
 		batch = "off"
 	}
 	selfmon := "off"

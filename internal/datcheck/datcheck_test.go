@@ -229,7 +229,7 @@ func TestDatcheckOverloadEquivalence(t *testing.T) {
 // TestDatcheckBatchEquivalence is the paired-seed ablation the send
 // machine's correctness argument rests on: for the same seed, the
 // batched run (shipping defaults) and the unbatched run
-// (Batch.Disable) must both hold every invariant, and must settle on
+// (Batch.MaxElems 1) must both hold every invariant, and must settle on
 // identical root aggregates at every settle point — coalescing reshapes
 // the wire traffic, never the mathematics. The batched run is also
 // played twice to prove its trace is still byte-identical per seed:
@@ -252,7 +252,7 @@ func TestDatcheckBatchEquivalence(t *testing.T) {
 					seed, batched.Trace, again.Trace)
 			}
 			plainSc := Generate(seed)
-			plainSc.Batch.Disable = true
+			plainSc.Batch.MaxElems = 1
 			plain, err := RunScenario(plainSc)
 			if err != nil {
 				t.Fatalf("unbatched run: %v", err)
@@ -348,8 +348,8 @@ func TestBatchGeneratorGuarantees(t *testing.T) {
 		if sc.N < 12 || sc.N > 24 {
 			t.Fatalf("seed +%d: n=%d out of range", i, sc.N)
 		}
-		if sc.Batch.Disable {
-			t.Fatalf("seed +%d: generator disabled batching", i)
+		if sc.Batch != (core.BatchConfig{}) {
+			t.Fatalf("seed +%d: generator set Batch %+v, want the zero value", i, sc.Batch)
 		}
 		crashes, partitions := sc.Counts()
 		if crashes < 3 || partitions < 1 {

@@ -154,7 +154,7 @@ type Scenario struct {
 	Scheme core.Scheme
 	Slot   time.Duration
 	// Batch tunes the send machine. The zero value runs batching with
-	// defaults (the shipping configuration); set Batch.Disable for the
+	// defaults (the shipping configuration); Batch.MaxElems 1 is the
 	// one-datagram-per-update ablation the equivalence test compares
 	// against.
 	Batch core.BatchConfig

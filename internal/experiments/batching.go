@@ -12,7 +12,7 @@ import (
 
 // BatchingConfig parameterizes the send-machine ablation: T concurrent
 // aggregation trees over one live ring, measured with update coalescing
-// on (shipping defaults) versus off (one datagram per update).
+// on (shipping defaults) versus off (MaxElems 1: one datagram per update).
 type BatchingConfig struct {
 	// N is the ring size. Default 64.
 	N int
@@ -67,7 +67,7 @@ func (c BatchingConfig) withDefaults() BatchingConfig {
 func BatchingOverhead(cfg BatchingConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 
-	measure := func(trees int, disable bool) (float64, error) {
+	measure := func(trees int, batch core.BatchConfig) (float64, error) {
 		c, err := cluster.New(cluster.Options{
 			N:    cfg.N,
 			Bits: cfg.Bits,
@@ -75,7 +75,7 @@ func BatchingOverhead(cfg BatchingConfig) (*Table, error) {
 			Local: func(node int, _ time.Duration, _ ident.ID) (float64, bool) {
 				return float64(node + 1), true
 			},
-			Batch: core.BatchConfig{Disable: disable},
+			Batch: batch,
 		})
 		if err != nil {
 			return 0, err
@@ -102,11 +102,11 @@ func BatchingOverhead(cfg BatchingConfig) (*Table, error) {
 		Columns: []string{"trees", "unbatched_per_slot", "batched_per_slot", "reduction"},
 	}
 	for _, trees := range cfg.Trees {
-		plain, err := measure(trees, true)
+		plain, err := measure(trees, core.BatchConfig{MaxElems: 1})
 		if err != nil {
 			return nil, err
 		}
-		batched, err := measure(trees, false)
+		batched, err := measure(trees, core.BatchConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -62,8 +62,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// ScaleStats is the headline measurement of the live run, consumed by
-// datbench's BENCH json.
+// ScaleStats is the headline measurement of the live run.
 type ScaleStats struct {
 	LiveN         int
 	EventsFired   uint64  // simulator events executed during the measured window

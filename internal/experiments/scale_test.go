@@ -1,19 +1,44 @@
 package experiments
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
-// TestScaleShape smoke-runs the scale experiment at reduced size: the
-// snapshot sweep must pass its own bounds, and the live ring must fold
-// a complete count at the root.
+// TestScaleShape smoke-runs the scale experiment with a reduced live
+// ring: the snapshot sweep — outside -short at the paper's 65536 nodes
+// too — must publish every tree inside its §3 branching and height
+// bounds, and the live ring must fold a complete count at the root.
 func TestScaleShape(t *testing.T) {
-	snap, live, stats, err := Scale(ScaleConfig{
-		Sizes: []int{512}, LiveN: 64, Slots: 3,
-	})
+	sizes := []int{512}
+	if !testing.Short() {
+		sizes = append(sizes, 65536)
+	}
+	snap, live, stats, err := Scale(ScaleConfig{Sizes: sizes, LiveN: 64, Slots: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 * 2 * 3; len(snap.Rows) != want {
+	if want := len(sizes) * 2 * 3; len(snap.Rows) != want {
 		t.Fatalf("snapshot table has %d rows, want %d", len(snap.Rows), want)
+	}
+	col := make(map[string]int, len(snap.Columns))
+	for i, c := range snap.Columns {
+		col[c] = i
+	}
+	for _, row := range snap.Rows {
+		cell := func(name string) int {
+			v, err := strconv.Atoi(row[col[name]])
+			if err != nil {
+				t.Fatalf("row %v: column %s: %v", row, name, err)
+			}
+			return v
+		}
+		if b, bound := cell("max_branching"), cell("branch_bound"); b <= 0 || b > bound {
+			t.Errorf("row %v: max branching %d outside (0, %d]", row, b, bound)
+		}
+		if h, bound := cell("height"), cell("height_bound"); h <= 0 || h > bound {
+			t.Errorf("row %v: height %d outside (0, %d]", row, h, bound)
+		}
 	}
 	if len(live.Rows) != 1 {
 		t.Fatalf("live table has %d rows, want 1", len(live.Rows))

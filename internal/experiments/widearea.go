@@ -86,22 +86,18 @@ func runWideArea(cfg WideAreaConfig, hold time.Duration) (AccuracyStats, float64
 		Seed: cfg.Seed, Interval: cfg.Slot,
 		Duration: time.Duration(cfg.Slots+40) * cfg.Slot,
 	})
+	const latencyCeil = 2 * time.Second
 	c, err := cluster.New(cluster.Options{
 		N:    cfg.N,
 		Seed: cfg.Seed,
 		IDs:  cluster.ProbedIDs,
 		Latency: sim.LogNormalLatency{
 			Median: cfg.MedianRTT / 2, Sigma: 0.5,
-			Floor: time.Millisecond, Ceil: 2 * time.Second,
+			Floor: time.Millisecond, Ceil: latencyCeil,
 		},
-		// This experiment measures hold-interval accuracy with no failures
-		// injected, so delivery assurance is pinned off: the paper-exact
-		// fire-and-forget update path keeps the seeded latency stream (and
-		// hence the measured series) comparable with the §7 baseline. With
-		// it on, ack timeouts would also need to clear the latency
-		// ceiling's round trip, or slow-but-live parents would read as dead
-		// and spurious failovers would double-count subtrees.
-		Delivery:        core.DeliveryConfig{Disable: true},
+		// Ack timeouts clear the latency ceiling's round trip, or
+		// slow-but-live parents would read as dead and fail over.
+		Delivery:        core.DeliveryConfig{AckTimeout: 2*latencyCeil + 500*time.Millisecond},
 		HoldPerLevel:    hold,
 		StabilizeEvery:  cfg.Slot / 2,
 		FixFingersEvery: cfg.Slot,

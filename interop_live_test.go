@@ -1,8 +1,8 @@
 package dat_test
 
 // Live mixed-ring interop test: a ring of real UDP peers where most
-// members batch their updates while one runs with the send machine off
-// (Batch.Disable), one datagram per update. Monitoring several
+// members batch their updates while one flushes every element alone
+// (Batch.MaxElems 1), one datagram per update. Monitoring several
 // attributes at once forces the batching side to coalesce cross-tree
 // updates into multi-element batches; the ring must still converge on
 // full-coverage aggregates in both directions, with the telemetry
@@ -141,7 +141,7 @@ func TestLiveBatchedUnbatchedInterop(t *testing.T) {
 		}
 		peers = append(peers, p)
 	}
-	plain := mk("unbatched", plainObs, dat.BatchConfig{Disable: true})
+	plain := mk("unbatched", plainObs, dat.BatchConfig{MaxElems: 1})
 	if err := plain.Join(boot.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,9 @@ func TestLiveBatchedUnbatchedInterop(t *testing.T) {
 	if v := metricSum(t, unbatched, `dat_update_deliveries_total{outcome="ok"}`); v == 0 {
 		t.Error("unbatched node completed no acked deliveries")
 	}
-	// The unbatched peer never batches — coalescing is the sender's choice.
-	if v := metricSum(t, unbatched, "dat_batch_flushes_total"); v != 0 {
-		t.Errorf("unbatched node flushed %v batches with batching disabled", v)
+	// The unbatched peer never coalesces — every flush of its is a lone
+	// message, the sender's choice.
+	if v := metricSum(t, unbatched, "dat_batch_bytes_saved_total"); v != 0 {
+		t.Errorf("unbatched node saved %v bytes by coalescing under MaxElems 1", v)
 	}
 }

@@ -46,18 +46,17 @@ type PeerConfig struct {
 	CallTimeout time.Duration
 	// Delivery configures the DAT delivery-assurance layer (acked
 	// updates, backoff, parent failover, root handover — DESIGN.md §10).
-	// The zero value enables it with defaults; set Delivery.Disable for
-	// fire-and-forget updates.
+	// The zero value is the defaults.
 	Delivery DeliveryConfig
 	// Batch configures the send machine coalescing updates bound for
 	// the same parent into single datagrams (DESIGN.md §12). The zero
-	// value enables it with defaults; set Batch.Disable for one
-	// datagram per update.
+	// value is the defaults; Batch.MaxElems 1 sends one datagram per
+	// update.
 	Batch BatchConfig
 	// Overload configures the overload-protection layer: bounded send
 	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). Unlike Delivery/Batch the zero value DISABLES
-	// it; set Overload.Enable to turn it on.
+	// (DESIGN.md §14). The zero value DISABLES it; set Overload.Enable
+	// to turn it on.
 	Overload OverloadConfig
 	// RPCTimeout bounds blocking convenience calls (Join, Query...).
 	// Default 10s.

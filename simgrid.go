@@ -40,8 +40,8 @@ type SimGridConfig struct {
 	// LAN cadence.
 	MaintenanceEvery time.Duration
 	// Batch tunes the send machine coalescing same-parent updates into
-	// single datagrams. The zero value enables it with defaults; set
-	// Batch.Disable for the one-datagram-per-update ablation.
+	// single datagrams. The zero value is the defaults; Batch.MaxElems 1
+	// is the one-datagram-per-update ablation.
 	Batch BatchConfig
 	// Overload configures the overload-protection layer: bounded send
 	// queues with priority shedding and per-peer circuit breakers
