@@ -111,17 +111,20 @@ perf-frozen:
 # counter equality check, written as results/BENCH_pr$(PR).json (about
 # 45 minutes; not part of ci). For example:
 #   make perf-claim WORKLOAD=live-fanin METRIC=cpu_us_per_op BASE=HEAD~1 PR=16
-# perf-claim-dry checks, builds both sides and runs one 1-second pair,
-# writing nothing: ci runs it so the script cannot rot.
-WORKLOAD ?= live-fanin
+# perf-claim-dry checks, builds both sides and runs one 1-second pair of
+# the claimed workload, writing nothing: ci runs it so the script cannot
+# rot. Give ci the PR's own WORKLOAD and METRIC to dry-run its claim:
+#   make ci WORKLOAD=live-discovery METRIC=latency_p50_ms BASE=HEAD~1
 METRIC ?= cpu_us_per_op
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 PR ?=
+perf-claim: WORKLOAD ?= live-fanin
 perf-claim:
 	bash scripts/perf-claim.sh --workload $(WORKLOAD) --metric $(METRIC) --base $(BASE) --seeds "$(SEEDS)" $(if $(PR),--pr $(PR))
 
+perf-claim-dry: WORKLOAD ?= sim-trees-churn
 perf-claim-dry:
-	bash scripts/perf-claim.sh --dry-run --workload sim-trees-churn --metric cpu_us_per_op --base $(BASE)
+	bash scripts/perf-claim.sh --dry-run --workload $(WORKLOAD) --metric $(METRIC) --base $(BASE)
 
 # Short, bounded runs of every fuzz target — a smoke pass, not a soak.
 # Each -fuzz invocation must target a single package, hence the loop.

@@ -1,7 +1,9 @@
 // Discovery demonstrates the P-GMA indexing layer (§2.2): a small fleet
 // of real UDP peers registers its resources in MAAN and answers
 // multi-attribute range queries — "find hosts with at least 2 GHz CPUs,
-// 2-4 GB of memory, and under 50% load".
+// 2-4 GB of memory, and under 50% load". A peer's first query into an
+// owner's arc pays a Chord lookup; later ones start at the owner it
+// proved (DESIGN.md §11, "A walk starts from a proved owner arc").
 package main
 
 import (

@@ -214,3 +214,45 @@ func TestRangeHopAllocsIndependentOfCarried(t *testing.T) {
 		t.Errorf("a hop allocates %.0f; budget is 4", many)
 	}
 }
+
+// TestWarmQueryStartAllocs: starting a walk from the owner-arc table
+// costs the query's record (its timer is that record), the boxed
+// request and the network's delivery — no lookup, no closure.
+func TestWarmQueryStartAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	svc, _ := hopFixture(t)
+	// The fixture's node is the second of four evenly spaced: values
+	// in (0, 25] hash into its arc.
+	pred := Range("cpu-usage", 10, 12)
+	for i := 0; i < 3; i++ {
+		svc.insert("cpu-usage", ownedEntry{value: float64(10 + i), res: host(800+i, float64(10+i))})
+	}
+	lo, _, err := svc.schema.predicateKeys(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.arcs.learn(lo, svc.ch.Self())
+	answered := 0
+	cb := func(res []Resource, _ int, err error) {
+		if err != nil || len(res) != 3 {
+			t.Errorf("query: %d resources, %v", len(res), err)
+		}
+		answered++
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { svc.query(pred, nil, cb) })
+	if allocs > 3 {
+		t.Errorf("a table-started query allocates %.0f before its first datagram is out; budget is 3", allocs)
+	}
+	// Every one of them was a real query: delivered, verified by the
+	// owner, answered.
+	svc.clock.(transport.SimClock).Engine.RunFor(time.Second)
+	if answered != runs+1 { // AllocsPerRun warms up with one extra call
+		t.Errorf("%d of %d queries answered", answered, runs+1)
+	}
+	if pending := len(svc.pending); pending != 0 {
+		t.Errorf("%d queries still pending", pending)
+	}
+}

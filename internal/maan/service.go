@@ -3,6 +3,7 @@ package maan
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/chord"
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -46,7 +48,10 @@ type RangeReq struct {
 	LoKey   ident.ID
 	HiKey   ident.ID
 	// Start is the first node on the arc; a query over the full value
-	// domain terminates when the walk laps back to it.
+	// domain terminates when the walk laps back to it. An originator
+	// that took the first node from its owner-arc table, not from a
+	// lookup, leaves Start empty: the receiver then answers only if it
+	// owns LoKey, and fills Start in itself.
 	Start transport.Addr
 	// Found is what the nodes walked so far matched, in wire form.
 	Found Records
@@ -84,6 +89,12 @@ type ReplicateMsg struct {
 // ErrQueryTimeout reports an unanswered live range query.
 var ErrQueryTimeout = errors.New("maan: query timed out")
 
+// errNotOwner is ResultMsg.Err from a node that was handed the start of
+// a walk (RangeReq.Start empty) for a key it does not own. It is wire
+// format: the originator compares it to tell a stale arc from a failed
+// walk.
+const errNotOwner = "maan: not the owner of the range's first key"
+
 // Service is the live MAAN layer of one node: it owns the attribute
 // entries whose hashed values fall in this node's arc and participates
 // in query forwarding. When a node joins on this node's arc (observed as
@@ -100,7 +111,9 @@ type Service struct {
 	mu      sync.Mutex
 	store   map[string][]ownedEntry // attr -> entries owned by this node
 	pending map[uint64]*pendingQuery
+	arcs    arcTable // where finished lookups say a walk can start
 	nextQID atomic.Uint64
+	obs     obs.MAANHooks
 
 	stopTransfer func()
 	replicas     map[transport.Addr][]WireEntry // per-origin replica sets
@@ -133,10 +146,21 @@ type ownedEntry struct {
 	at    time.Duration // clock time of last refresh
 }
 
+// pendingQuery is one query in flight at its originator, and the
+// record of its timeout timer.
 type pendingQuery struct {
-	cb     func([]Resource, int, error)
-	cancel func()
-	done   bool
+	s       *Service
+	cb      func([]Resource, int, error)
+	req     RangeReq // as first sent, Start still empty
+	timeout transport.Timer
+	// via is the owner the walk was started at on the table's word, empty
+	// once a lookup has named the first node. Guarded by s.mu.
+	via transport.Addr
+}
+
+// RunEvent implements transport.TimerTask: the query timed out.
+func (pq *pendingQuery) RunEvent(int32) {
+	pq.s.finishQuery(pq.req.QueryID, nil, 0, ErrQueryTimeout)
 }
 
 // NewService attaches a MAAN layer to a Chord node.
@@ -149,6 +173,7 @@ func NewService(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, sc
 		store:        make(map[string][]ownedEntry),
 		replicas:     make(map[transport.Addr][]WireEntry),
 		pending:      make(map[uint64]*pendingQuery),
+		arcs:         arcTable{space: ch.Space()},
 		QueryTimeout: 5 * time.Second,
 		EntryTTL:     60 * time.Second,
 	}
@@ -171,6 +196,10 @@ func NewService(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, sc
 	})
 	return s
 }
+
+// Observe installs the telemetry hooks. Call it before the node enters
+// a ring.
+func (s *Service) Observe(h obs.MAANHooks) { s.obs = h }
 
 // send fires a best-effort datagram. A failure that speaks about the
 // destination feeds the chord layer's two-strike failure detector, so a
@@ -479,54 +508,109 @@ func (s *Service) MultiAttrQuery(preds []Predicate, cb func([]Resource, int, err
 	s.query(preds[best], others, cb)
 }
 
+// query starts the walk at the owner of loKey. A finished lookup proves
+// a whole interval of keys to be that owner's, so the table of such
+// arcs usually names the owner at once; a miss is a lookup, which
+// teaches the table. The table can be stale — the node it names checks
+// (handleRange), and the walk then starts again from a lookup.
 func (s *Service) query(p Predicate, filter []Predicate, cb func([]Resource, int, error)) {
 	loKey, hiKey, err := s.schema.predicateKeys(p)
 	if err != nil {
 		cb(nil, 0, err)
 		return
 	}
-	qid := s.nextQID.Add(1)
-	pq := &pendingQuery{cb: cb}
+	pq := &pendingQuery{s: s, cb: cb, req: RangeReq{
+		QueryID: s.nextQID.Add(1),
+		Origin:  s.ep.Addr(),
+		Pred:    p,
+		Filter:  filter,
+		LoKey:   loKey,
+		HiKey:   hiKey,
+	}}
+	// Arm before publishing: once the query is in s.pending a result
+	// can finish it, and finishing stops the timer.
+	pq.timeout = s.clock.AfterRun(s.QueryTimeout, pq, 0)
 	s.mu.Lock()
-	s.pending[qid] = pq
+	owner, hit := s.arcs.find(loKey)
+	if hit {
+		pq.via = owner.Addr
+	}
+	s.pending[pq.req.QueryID] = pq
 	s.mu.Unlock()
-	pq.cancel = s.clock.AfterFunc(s.QueryTimeout, func() {
-		s.finishQuery(qid, nil, 0, ErrQueryTimeout)
-	})
+	if !hit {
+		s.arcResult("miss")
+		s.startByLookup(pq)
+		return
+	}
+	s.arcResult("hit")
+	if err := s.ep.Send(owner.Addr, MsgRange, pq.req); err != nil {
+		s.finishQuery(pq.req.QueryID, nil, 0, err)
+	}
+}
 
-	s.ch.Lookup(loKey, func(first chord.NodeRef, err error) {
+// startByLookup resolves the walk's first node the long way and
+// remembers what the lookup proved.
+func (s *Service) startByLookup(pq *pendingQuery) {
+	s.ch.Lookup(pq.req.LoKey, func(first chord.NodeRef, err error) {
 		if err != nil {
-			s.finishQuery(qid, nil, 0, err)
+			s.finishQuery(pq.req.QueryID, nil, 0, err)
 			return
 		}
-		req := RangeReq{
-			QueryID: qid,
-			Origin:  s.ep.Addr(),
-			Pred:    p,
-			Filter:  filter,
-			LoKey:   loKey,
-			HiKey:   hiKey,
-			Start:   first.Addr,
-		}
+		s.mu.Lock()
+		s.arcs.learn(pq.req.LoKey, first)
+		s.mu.Unlock()
+		req := pq.req
+		req.Start = first.Addr
 		if err := s.ep.Send(first.Addr, MsgRange, req); err != nil {
-			s.finishQuery(qid, nil, 0, err)
+			s.finishQuery(req.QueryID, nil, 0, err)
 		}
 	})
+}
+
+// retryByLookup answers a not-owner result: the arc the query started
+// from is stale. A query is restarted once — only a table-started walk
+// can be refused, and the restart is not one — so a repeated or forged
+// refusal finds via empty and is ignored.
+func (s *Service) retryByLookup(qid uint64) {
+	s.mu.Lock()
+	pq := s.pending[qid]
+	if pq == nil || pq.via == "" {
+		s.mu.Unlock()
+		return
+	}
+	s.arcs.drop(pq.via)
+	pq.via = ""
+	s.mu.Unlock()
+	s.arcResult("stale")
+	s.startByLookup(pq)
+}
+
+func (s *Service) arcResult(result string) {
+	if h := s.obs.OwnerArc; h != nil {
+		h(result)
+	}
 }
 
 func (s *Service) finishQuery(qid uint64, res []Resource, hops int, err error) {
 	s.mu.Lock()
 	pq := s.pending[qid]
-	if pq == nil || pq.done {
+	if pq == nil {
 		s.mu.Unlock()
 		return
 	}
-	pq.done = true
 	delete(s.pending, qid)
-	s.mu.Unlock()
-	if pq.cancel != nil {
-		pq.cancel()
+	// A table-started walk that failed may have failed because its arc
+	// is stale (a crashed owner shows only as a timeout). Forgetting a
+	// good arc costs one lookup.
+	stale := err != nil && pq.via != ""
+	if stale {
+		s.arcs.drop(pq.via)
 	}
+	s.mu.Unlock()
+	if stale {
+		s.arcResult("stale")
+	}
+	pq.timeout.Stop()
 	pq.cb(res, hops, err)
 }
 
@@ -546,6 +630,23 @@ func (s *Service) handleRange(req *transport.Request) {
 	rr, ok := req.Payload.(RangeReq)
 	if !ok {
 		return
+	}
+	rt := s.ch.Routing()
+	self, pred, succ := rt.Self, rt.Pred, rt.Successor()
+	space := s.ch.Space()
+	if rr.Start == "" {
+		// The originator chose this node from its owner-arc table. Only
+		// the owner of LoKey may start the walk; a node that cannot
+		// tell (no predecessor yet) says no, and the originator asks
+		// the ring.
+		alone := succ.Addr == self.Addr
+		if !alone && (pred.IsZero() || !space.InHalfOpen(rr.LoKey, pred.ID, self.ID)) {
+			// Best effort: unanswered, the query times out and the
+			// originator drops the arc all the same.
+			_ = s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Err: errNotOwner})
+			return
+		}
+		rr.Start = self.Addr
 	}
 	// Collect this node's matches as the records stored with them; what
 	// earlier hops found travels on unread. The records are immutable,
@@ -567,9 +668,6 @@ func (s *Service) handleRange(req *transport.Request) {
 	s.mu.Unlock()
 	rr.Found = rr.Found.with(own, size)
 
-	rt := s.ch.Routing()
-	self, pred, succ := rt.Self, rt.Pred, rt.Successor()
-	space := s.ch.Space()
 	// Terminal test: we own HiKey AND the queried span actually ends here
 	// (a full-domain query resolves both bounds to the same node but must
 	// still lap the ring; the span test tells the two cases apart).
@@ -627,6 +725,10 @@ func (s *Service) handleResult(req *transport.Request) {
 	if !live {
 		return
 	}
+	if rm.Err == errNotOwner {
+		s.retryByLookup(rm.QueryID)
+		return
+	}
 	if rm.Err != "" {
 		s.finishQuery(rm.QueryID, nil, rm.Hops, fmt.Errorf("maan: query abandoned at %s: %s", req.From, rm.Err))
 		return
@@ -637,6 +739,14 @@ func (s *Service) handleResult(req *transport.Request) {
 		return
 	}
 	s.finishQuery(rm.QueryID, found, rm.Hops, nil)
+}
+
+// WriteDebug renders the directory state for /debug/dat.
+func (s *Service) WriteDebug(w io.Writer) {
+	s.mu.Lock()
+	arcs := len(s.arcs.arcs)
+	s.mu.Unlock()
+	fmt.Fprintf(w, "owner arcs cached  %d of %d\n", arcs, maxOwnerArcs)
 }
 
 // LocalEntries returns how many entries this node currently owns.

@@ -9,8 +9,8 @@ import (
 
 // The hook structs below are the one-way seams between the protocol
 // layers and this package: chord, core, and the transports accept a
-// hooks value in their Config and invoke the non-nil fields at the
-// named events. The zero value disables everything, so un-instrumented
+// hooks value in their Config, maan.Service through Observe, and invoke
+// the non-nil fields at the named events. The zero value disables everything, so un-instrumented
 // stacks pay only a nil check. Hooks are invoked outside the caller's
 // locks and must not block; Observer's implementations only bump
 // atomic instruments or append to the span ring.
@@ -84,6 +84,16 @@ type CoreHooks struct {
 	// Breaker fires on every per-peer circuit-breaker transition with
 	// the new state ("open", "half-open", "closed").
 	Breaker func(peer transport.Addr, state string)
+}
+
+// MAANHooks receives directory telemetry from internal/maan.
+type MAANHooks struct {
+	// OwnerArc fires when a range query consults the owner-arc table
+	// ("hit": the walk starts at a cached owner; "miss": a lookup
+	// resolves it) and when an arc is found stale and dropped
+	// ("stale": the named node refused, or a table-started query
+	// failed).
+	OwnerArc func(result string)
 }
 
 // TransportHooks receives error-path telemetry from transport

@@ -76,6 +76,8 @@ type Observer struct {
 	shedTotal          *CounterVec
 	breakerTransitions *CounterVec
 
+	ownerArcs *CounterVec
+
 	mu          sync.Mutex
 	health      func() Health
 	debug       []debugSection
@@ -141,6 +143,8 @@ func NewObserver(spanCapacity int) *Observer {
 
 		shedTotal:          r.CounterVec("dat_shed_total", "Elements dropped or refused by the overload layer, labelled class/reason (DESIGN.md §14).", "shed"),
 		breakerTransitions: r.CounterVec("dat_breaker_transitions_total", "Per-peer circuit-breaker transitions, by new state.", "state"),
+
+		ownerArcs: r.CounterVec("dat_maan_owner_arcs_total", "Range-query starts by owner-arc table outcome (hit, miss) and arcs dropped as stale.", "result"),
 	}
 }
 
@@ -250,6 +254,12 @@ func (o *Observer) CoreHooks() CoreHooks {
 			o.breakerTransitions.With(state).Inc()
 		},
 	}
+}
+
+// MAANHooks returns hooks bound to this observer's directory
+// instruments.
+func (o *Observer) MAANHooks() MAANHooks {
+	return MAANHooks{OwnerArc: func(result string) { o.ownerArcs.With(result).Inc() }}
 }
 
 // TransportHooks returns hooks bound to this observer's transport

@@ -56,6 +56,12 @@ func TestObserverHooksFeedInstruments(t *testing.T) {
 	th.DecodeError()
 	th.Retransmit("chord.ping")
 
+	mh := o.MAANHooks()
+	mh.OwnerArc("hit")
+	mh.OwnerArc("hit")
+	mh.OwnerArc("miss")
+	mh.OwnerArc("stale")
+
 	out := scrape(t, o)
 	for _, want := range []string{
 		`dat_transport_messages_total{type="dat.update"} 1`,
@@ -84,6 +90,9 @@ func TestObserverHooksFeedInstruments(t *testing.T) {
 		"dat_transport_send_errors_total 1",
 		"dat_transport_decode_errors_total 1",
 		"dat_transport_retransmits_total 1",
+		`dat_maan_owner_arcs_total{result="hit"} 2`,
+		`dat_maan_owner_arcs_total{result="miss"} 1`,
+		`dat_maan_owner_arcs_total{result="stale"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)

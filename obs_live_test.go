@@ -71,6 +71,7 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 			// load tree's root.
 			ShareResults: true,
 			Observer:     o,
+			Attributes:   []dat.Attribute{{Name: "cpu-usage", Min: 0, Max: 100}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -133,6 +134,15 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 	// queried tree is rooted elsewhere, so the lookup actually routes.
 	if _, err := boot.Query(attrs[1], 400*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+
+	// Two identical directory queries from the observed node: the first
+	// looks its walk's first node up, the second starts from the arc
+	// that lookup proved.
+	for i := 0; i < 2; i++ {
+		if _, err := boot.FindResources([]dat.Predicate{dat.Range("cpu-usage", 10, 20)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Self-monitoring plane: every peer contributes its load counters to
@@ -233,6 +243,17 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 	code, debug := get("/debug/dat")
 	if code != http.StatusOK || !strings.Contains(debug, "self") {
 		t.Fatalf("/debug/dat: code=%d body=%q", code, debug)
+	}
+	if !strings.Contains(debug, "owner arcs cached  1 of ") {
+		t.Errorf("/debug/dat does not show the directory's one cached owner arc:\n%s", debug)
+	}
+	for _, want := range []string{
+		`dat_maan_owner_arcs_total{result="miss"} 1`,
+		`dat_maan_owner_arcs_total{result="hit"} 1`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 
 	code, load := get("/debug/load")

@@ -198,6 +198,10 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		p.maan = maan.NewService(cn, ep, clock, schema)
 	}
 	if o := cfg.Observer; o != nil {
+		if p.maan != nil {
+			p.maan.Observe(o.MAANHooks())
+			o.AddDebug("maan directory "+string(ep.Addr()), p.maan.WriteDebug)
+		}
 		o.Reg.GaugeFunc("dat_transport_pending_calls",
 			"In-flight UDP requests awaiting a reply or timeout.",
 			func() float64 { return float64(ep.PendingCalls()) })
