@@ -131,6 +131,7 @@ perf-claim-dry:
 fuzz:
 	$(GO) test ./internal/ident -run '^$$' -fuzz FuzzSpaceArithmetic -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ident -run '^$$' -fuzz FuzzLocalityHashMonotone -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/chord -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)

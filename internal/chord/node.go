@@ -141,6 +141,7 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 	if cfg.Space.Bits() == 0 {
 		panic("chord: Config.Space is required")
 	}
+	self := NodeRef{ID: id, Addr: ep.Addr()}
 	n := &Node{
 		cfg:   cfg,
 		space: cfg.Space,
@@ -148,10 +149,11 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 		clock: clock,
 		rt: &Routing{
 			Version: 1,
-			Self:    NodeRef{ID: id, Addr: ep.Addr()},
+			Self:    self,
 			Fingers: make([]NodeRef, cfg.Space.Bits()),
 			Gap:     cfg.Space.Size(),
 			space:   cfg.Space,
+			state:   StateResp{Self: self}, // no neighbours: nothing else to derive
 		},
 		fofPred:  make(map[transport.Addr]NodeRef),
 		strikes:  make(map[transport.Addr]int),
@@ -486,32 +488,6 @@ func (n *Node) localStep(key ident.ID) StepResp {
 	return StepResp{Next: succ}
 }
 
-// closestPreceding returns the known node in (self, key) closest to key,
-// searching fingers and the successor list. Zero if none.
-func (rt *Routing) closestPreceding(key ident.ID) NodeRef {
-	var best NodeRef
-	var bestRemaining uint64
-	consider := func(ref NodeRef) {
-		if ref.IsZero() || ref.Addr == rt.Self.Addr {
-			return
-		}
-		if !rt.space.Between(ref.ID, rt.Self.ID, key) {
-			return
-		}
-		remaining := rt.space.Dist(ref.ID, key)
-		if best.IsZero() || remaining < bestRemaining {
-			best, bestRemaining = ref, remaining
-		}
-	}
-	for _, f := range rt.Fingers {
-		consider(f)
-	}
-	for _, s := range rt.Succs {
-		consider(s)
-	}
-	return best
-}
-
 func (n *Node) handleStep(req *transport.Request) {
 	sr, ok := req.Payload.(StepReq)
 	if !ok {
@@ -521,36 +497,11 @@ func (n *Node) handleStep(req *transport.Request) {
 	req.Reply(n.localStep(sr.Key))
 }
 
-// stateResp renders the view as a GetState reply. The slices must be
-// freshly allocated every call: the response travels by reference
-// through the simulated transport to code that may keep or edit it. Fingers are
-// deduplicated by a linear scan over the output — at most Bits entries,
-// cheaper than the map the hot path used to allocate per exchange.
-func (rt *Routing) stateResp() StateResp {
-	resp := StateResp{Self: rt.Self, Predecessor: rt.Pred}
-	resp.Successors = make([]NodeRef, len(rt.Succs))
-	copy(resp.Successors, rt.Succs)
-	resp.Fingers = make([]NodeRef, 0, len(rt.Fingers))
-	for _, f := range rt.Fingers {
-		if f.IsZero() {
-			continue
-		}
-		dup := false
-		for _, have := range resp.Fingers {
-			if have.Addr == f.Addr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			resp.Fingers = append(resp.Fingers, f)
-		}
-	}
-	return resp
-}
-
+// handleGetState answers with the reply the view derived when it was
+// published: a struct copy, whose slices every reply under this Version
+// shares.
 func (n *Node) handleGetState(req *transport.Request) {
-	req.Reply(n.Routing().stateResp())
+	req.Reply(n.Routing().state)
 }
 
 func (n *Node) handleNotify(req *transport.Request) {
@@ -716,73 +667,130 @@ func (n *Node) noteState(resp StateResp) {
 // Lookup resolves successor(key) iteratively from this node. cb runs
 // exactly once.
 func (n *Node) Lookup(key ident.ID, cb func(NodeRef, error)) {
+	n.startLookup(lookup{key: key, cb: cb})
+}
+
+// lookup is one iterative lookup: a record whose step callback is bound
+// once and whose hop and retry state lives in fields, where a closure
+// per hop would capture the same six values afresh at every hop. At
+// most one Step call is in flight per lookup, so the fields need no
+// lock.
+type lookup struct {
+	n   *Node
+	key ident.ID
+	// The answer goes to cb; with cb nil it is finger entry finger's new
+	// value (fixFingers, which would otherwise allocate a closure per
+	// finger just to remember the index).
+	cb     func(NodeRef, error)
+	finger int
+
+	at      NodeRef // the node whose Step answer is awaited
+	hops    int     // completed remote Step exchanges of this attempt
+	retries int
+	req     any                    // StepReq{key}, boxed once
+	onStep  transport.ResponseFunc // l.handleStep, bound once
+}
+
+// startLookup runs l from this node's own tables. A key this node can
+// answer itself costs no record.
+func (n *Node) startLookup(l lookup) {
+	l.n = n
 	if !n.Running() {
-		n.finishLookup(cb, NodeRef{}, ErrNotRunning, 0)
+		l.finish(NodeRef{}, ErrNotRunning)
 		return
 	}
-	n.lookupAttempt(key, cb, n.cfg.LookupRetries)
-}
-
-// finishLookup is the single terminal path of every lookup: it reports
-// the outcome to the Obs hook (hops counts completed remote Step
-// exchanges; retried attempts report only the final attempt's hops)
-// and then invokes the caller's callback.
-func (n *Node) finishLookup(cb func(NodeRef, error), ref NodeRef, err error, hops int) {
-	if h := n.cfg.Obs.LookupDone; h != nil {
-		h(hops, err)
-	}
-	cb(ref, err)
-}
-
-func (n *Node) lookupAttempt(key ident.ID, cb func(NodeRef, error), retries int) {
-	step := n.localStep(key)
+	step := n.localStep(l.key)
 	if step.Done {
-		n.finishLookup(cb, step.Next, nil, 0)
+		l.finish(step.Next, nil)
 		return
 	}
-	n.lookupLoop(step.Next, key, 0, retries, cb)
+	l.start(step.Next)
 }
 
 // lookupVia starts an iterative lookup at an arbitrary address (used
 // before this node is part of the ring).
 func (n *Node) lookupVia(start transport.Addr, key ident.ID, cb func(NodeRef, error)) {
-	n.lookupLoop(NodeRef{Addr: start}, key, 0, n.cfg.LookupRetries, cb)
+	lookup{n: n, key: key, cb: cb}.start(NodeRef{Addr: start})
 }
 
-func (n *Node) lookupLoop(at NodeRef, key ident.ID, hops, retries int, cb func(NodeRef, error)) {
-	if hops > n.cfg.MaxLookupHops {
-		n.finishLookup(cb, NodeRef{}, fmt.Errorf("%w: hop limit %d exceeded for key %v", ErrLookupFailed, n.cfg.MaxLookupHops, key), hops)
+// start asks the lookup's first remote node. Binding the step callback
+// takes l's address, which moves this copy of the record to the heap:
+// the one the rest of the lookup runs on.
+func (l lookup) start(at NodeRef) {
+	l.retries = l.n.cfg.LookupRetries
+	l.req = StepReq{Key: l.key}
+	l.onStep = l.handleStep
+	l.ask(at)
+}
+
+// finish is the single terminal path of every lookup: it reports the
+// outcome to the Obs hook (hops counts completed remote Step exchanges;
+// retried attempts report only the final attempt's hops) and then hands
+// the answer over.
+func (l *lookup) finish(ref NodeRef, err error) {
+	n := l.n
+	if h := n.cfg.Obs.LookupDone; h != nil {
+		h(l.hops, err)
+	}
+	if l.cb != nil {
+		l.cb(ref, err)
 		return
 	}
-	n.ep.Call(at.Addr, MsgStep, StepReq{Key: key}, func(payload any, err error) {
-		if err != nil {
-			// Two-strike suspicion: one lost datagram must not evict a
-			// healthy finger (a single timeout on a lossy network is
-			// common); a second consecutive failure does.
-			n.suspect(at.Addr)
-			if retries > 0 && n.Running() {
-				n.lookupAttempt(key, cb, retries-1)
-				return
+	if err != nil {
+		return // transient; a later fixFingers round retries
+	}
+	n.mu.Lock()
+	if n.running {
+		n.setFingerLocked(l.finger, ref)
+	}
+	n.mu.Unlock()
+}
+
+// ask sends the lookup's next Step to at.
+func (l *lookup) ask(at NodeRef) {
+	n := l.n
+	if l.hops > n.cfg.MaxLookupHops {
+		l.finish(NodeRef{}, fmt.Errorf("%w: hop limit %d exceeded for key %v", ErrLookupFailed, n.cfg.MaxLookupHops, l.key))
+		return
+	}
+	l.at = at
+	n.ep.Call(at.Addr, MsgStep, l.req, l.onStep)
+}
+
+func (l *lookup) handleStep(payload any, err error) {
+	n, at := l.n, l.at
+	if err != nil {
+		// Two-strike suspicion: one lost datagram must not evict a
+		// healthy finger (a single timeout on a lossy network is
+		// common); a second consecutive failure does.
+		n.suspect(at.Addr)
+		if l.retries > 0 && n.Running() {
+			// Start over from this node's own tables.
+			l.retries--
+			l.hops = 0
+			if step := n.localStep(l.key); step.Done {
+				l.finish(step.Next, nil)
+			} else {
+				l.ask(step.Next)
 			}
-			n.finishLookup(cb, NodeRef{}, fmt.Errorf("%w: %v unreachable: %v", ErrLookupFailed, at.Addr, err), hops)
 			return
 		}
-		n.exonerate(at.Addr)
-		resp, ok := payload.(StepResp)
-		if !ok {
-			n.finishLookup(cb, NodeRef{}, fmt.Errorf("%w: bad step reply %T", ErrLookupFailed, payload), hops+1)
-			return
-		}
-		if resp.Done {
-			n.finishLookup(cb, resp.Next, nil, hops+1)
-			return
-		}
-		if resp.Next.IsZero() || resp.Next.Addr == at.Addr {
-			n.finishLookup(cb, NodeRef{}, fmt.Errorf("%w: no progress at %v for key %v", ErrLookupFailed, at, key), hops+1)
-			return
-		}
-		n.lookupLoop(resp.Next, key, hops+1, retries, cb)
-	})
+		l.finish(NodeRef{}, fmt.Errorf("%w: %v unreachable: %v", ErrLookupFailed, at.Addr, err))
+		return
+	}
+	n.exonerate(at.Addr)
+	l.hops++
+	resp, ok := payload.(StepResp)
+	switch {
+	case !ok:
+		l.finish(NodeRef{}, fmt.Errorf("%w: bad step reply %T", ErrLookupFailed, payload))
+	case resp.Done:
+		l.finish(resp.Next, nil)
+	case resp.Next.IsZero() || resp.Next.Addr == at.Addr:
+		l.finish(NodeRef{}, fmt.Errorf("%w: no progress at %v for key %v", ErrLookupFailed, at, l.key))
+	default:
+		l.ask(resp.Next)
+	}
 }
 
 // --- maintenance ---
@@ -891,17 +899,7 @@ func (n *Node) fixFingers() {
 	// cursor math above replaces a per-round allocation.
 	for i := 0; i < count; i++ {
 		j := (first + i) % bits
-		start := n.space.FingerStart(self.ID, uint(j))
-		n.Lookup(start, func(ref NodeRef, err error) {
-			if err != nil {
-				return // transient; a later round retries
-			}
-			n.mu.Lock()
-			if n.running {
-				n.setFingerLocked(j, ref)
-			}
-			n.mu.Unlock()
-		})
+		n.startLookup(lookup{key: n.space.FingerStart(self.ID, uint(j)), finger: j})
 	}
 }
 

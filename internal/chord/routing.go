@@ -1,7 +1,9 @@
 package chord
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 
 	"repro/internal/ident"
 	"repro/internal/transport"
@@ -28,6 +30,31 @@ type Routing struct {
 	Gap uint64
 
 	space ident.Space
+
+	// Derived once per view, by publishLocked and nowhere else (routever
+	// enforces it): pure functions of the content above that every
+	// message would otherwise recompute. They are derived eagerly — a
+	// publish is rare, and a lazily filled field would need a lock or
+	// would be lost by the mutators' `next := *cur`.
+
+	// state is the reply a GetState is answered with: its Successors
+	// aliases Succs and its Fingers is the distinct-finger list, so every
+	// reply under one Version shares them. Receivers must not write
+	// through either (DESIGN.md §16).
+	//
+	//datlint:routever-derived
+	state StateResp
+	// hops is the next-hop table closestPreceding searches.
+	//
+	//datlint:routever-derived
+	hops []hop
+}
+
+// hop is one next-hop candidate: a known node other than self and how
+// far clockwise of self it sits.
+type hop struct {
+	dist uint64
+	ref  NodeRef
 }
 
 // Successor returns the view's successor (Self when the list is empty).
@@ -69,8 +96,70 @@ func (n *Node) Routing() *Routing { return n.view.Load() }
 func (n *Node) publishLocked(next *Routing) {
 	next.Version = n.rt.Version + 1
 	next.Gap = estimateGap(n.space, next.Self, next.Succs)
+	// Built in stack scratch (which append outgrows into the heap on a
+	// wider table) and cloned to size: a view keeps only the distinct
+	// entries, not room for Bits of them.
+	var fingerBuf [48]NodeRef
+	var hopBuf [48]hop
+	next.state = StateResp{
+		Self:        next.Self,
+		Predecessor: next.Pred,
+		Successors:  next.Succs,
+		Fingers:     slices.Clone(distinctFingers(fingerBuf[:0], next.Fingers)),
+	}
+	next.hops = slices.Clone(nextHops(hopBuf[:0], next))
 	n.rt = next
 	n.view.Store(next)
+}
+
+// distinctFingers appends to dst the resolved entries of fingers, one
+// per address, in table order. Duplicates are found by a linear scan
+// over the output: at most Bits entries.
+func distinctFingers(dst, fingers []NodeRef) []NodeRef {
+	for _, f := range fingers {
+		if !f.IsZero() && !hasAddr(dst, f.Addr) {
+			dst = append(dst, f)
+		}
+	}
+	return dst
+}
+
+// nextHops appends to dst the view's next-hop table: every finger and
+// successor that is not self, one entry per identifier, ordered by
+// clockwise distance from self. When two entries carry one identifier
+// the first in table order (fingers, then successors) stays. An entry
+// at distance zero — self's identifier at another address — lies in no
+// interval (self, key) and is left out.
+func nextHops(dst []hop, rt *Routing) []hop {
+	for _, refs := range [2][]NodeRef{rt.Fingers, rt.Succs} {
+		for _, ref := range refs {
+			d := rt.space.Dist(rt.Self.ID, ref.ID)
+			if ref.IsZero() || ref.Addr == rt.Self.Addr || d == 0 {
+				continue
+			}
+			i, found := slices.BinarySearchFunc(dst, d, func(h hop, d uint64) int { return cmp.Compare(h.dist, d) })
+			if !found {
+				dst = slices.Insert(dst, i, hop{dist: d, ref: ref})
+			}
+		}
+	}
+	return dst
+}
+
+// closestPreceding returns the known node in (self, key) closest to
+// key, among the fingers and the successor list. Zero if none.
+func (rt *Routing) closestPreceding(key ident.ID) NodeRef {
+	hops := rt.hops
+	// The hops short of key are a prefix of the table; the last of them
+	// is the closest. key == Self.ID makes (self, key) the whole ring.
+	i := len(hops)
+	if limit := rt.space.Dist(rt.Self.ID, key); limit != 0 {
+		i = sort.Search(len(hops), func(i int) bool { return hops[i].dist >= limit })
+	}
+	if i == 0 {
+		return NodeRef{}
+	}
+	return hops[i-1].ref
 }
 
 func estimateGap(space ident.Space, self NodeRef, succs []NodeRef) uint64 {

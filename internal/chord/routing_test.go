@@ -19,6 +19,9 @@ func viewCopy(rt *Routing) Routing {
 	c := *rt
 	c.Succs = append([]NodeRef(nil), rt.Succs...)
 	c.Fingers = append([]NodeRef(nil), rt.Fingers...)
+	c.state.Successors = append([]NodeRef(nil), rt.state.Successors...)
+	c.state.Fingers = append([]NodeRef(nil), rt.state.Fingers...)
+	c.hops = append([]hop(nil), rt.hops...)
 	return c
 }
 
@@ -32,8 +35,12 @@ func sameContent(a, b *Routing) bool {
 // unmodified view (a missed bump or an in-place write fails here), a
 // Version one higher means the content really changed (a spurious bump
 // fails here), versions only move forward, Gap always matches the
-// successor list,
-// and no view ever handed out is modified afterwards. Concurrent readers
+// successor list, the derived tables (the GetState reply, the next-hop
+// table) are what the view's content says — equal under an equal
+// Version, rebuilt under a new one — and no view ever handed out is
+// modified afterwards, its derived tables included: a receiver of a
+// GetState reply that wrote through the Successors it shares with the
+// view would fail the deep comparison. Concurrent readers
 // walk the views meanwhile, so under -race an in-place write to a
 // published view is a reported data race.
 func TestRoutingVersionDiscipline(t *testing.T) {
@@ -83,6 +90,10 @@ func routingDiscipline(t *testing.T, seed int64) {
 				for _, f := range rt.Fingers {
 					_ = f.Addr
 				}
+				_ = rt.closestPreceding(rt.Pred.ID)
+				for _, f := range rt.state.Fingers {
+					_ = f.Addr
+				}
 				runtime.Gosched()
 			}
 		}()
@@ -96,6 +107,7 @@ func routingDiscipline(t *testing.T, seed int64) {
 	var everSeen []held
 	for i, n := range c.nodes {
 		rt := n.Routing()
+		checkDerived(t, rt)
 		last[i] = held{rt, viewCopy(rt)}
 		everSeen = append(everSeen, last[i])
 	}
@@ -122,6 +134,7 @@ func routingDiscipline(t *testing.T, seed int64) {
 			if g := estimateGap(c.space, rt.Self, rt.Succs); g != rt.Gap {
 				t.Fatalf("step %d %s: node %d Gap %d, want %d", step, op, i, rt.Gap, g)
 			}
+			checkDerived(t, rt)
 			last[i] = held{rt, viewCopy(rt)}
 			everSeen = append(everSeen, last[i])
 		}

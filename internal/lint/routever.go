@@ -29,51 +29,114 @@ import (
 // mutator that does not say so in its name is itself flagged).
 // Composite literals are not writes: building a fresh Routing is how a
 // view comes to exist.
+//
+// A Routing field declared under
+//
+//	//datlint:routever-derived
+//
+// is a function of the view's other fields, computed when the view is
+// published. It may be written in publishLocked only — not even by the
+// other mutators, which publish through it: a second writer is a second
+// definition of what the field means.
 var RouteVer = &Analyzer{
 	Name: "routever",
-	Doc:  "flags writes to chord routing state (Node's *Routing, Routing fields/elements) outside the designated …Locked mutators",
+	Doc:  "flags writes to chord routing state (Node's *Routing, Routing fields/elements) outside the designated …Locked mutators, and writes to a view's derived fields outside publishLocked",
 	Run:  runRouteVer,
 }
 
 const (
 	chordPkgName       = "chord"
 	routeMutatorPragma = "routever-mutator"
+	routeDerivedPragma = "routever-derived"
+	routePublisher     = "publishLocked"
 )
+
+// routeWrites checks the writes of one function body.
+type routeWrites struct {
+	pass *Pass
+	// mutator: the function is a designated mutator, so only writes to
+	// derived fields are findings.
+	mutator bool
+	derived map[types.Object]bool
+}
+
+// derivedRouteFields returns the fields of the pass's Routing struct
+// declared under the derived pragma. They are unexported, so only the
+// package that declares Routing can write them and has to know them.
+func derivedRouteFields(pass *Pass) map[types.Object]bool {
+	derived := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "Routing" {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					if !groupHasPragma(field.Doc, routeDerivedPragma) && !groupHasPragma(field.Comment, routeDerivedPragma) {
+						continue
+					}
+					for _, name := range field.Names {
+						derived[pass.Info.Defs[name]] = true
+					}
+				}
+			}
+		}
+	}
+	return derived
+}
 
 func runRouteVer(pass *Pass) {
 	inChord := pkgPathMatches(pass.Pkg.Path(), chordPkgName)
+	var derived map[types.Object]bool
+	if inChord {
+		derived = derivedRouteFields(pass)
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
+			w := routeWrites{pass: pass, derived: derived}
 			if groupHasPragma(fd.Doc, routeMutatorPragma) {
 				switch {
 				case !inChord:
 					pass.Reportf(fd.Name.Pos(), "%s is marked a routing mutator outside package chord; only chord may write routing state", fd.Name.Name)
 				case !strings.HasSuffix(fd.Name.Name, "Locked"):
 					pass.Reportf(fd.Name.Pos(), "routing mutator %s must be a …Locked function: routing state is guarded by Node.mu", fd.Name.Name)
+				case fd.Name.Name == routePublisher:
+					continue // the publisher: every write allowed
 				default:
-					continue // designated mutator: writes allowed
+					w.mutator = true // designated mutator: all but the derived fields
 				}
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range s.Lhs {
-						checkRouteWrite(pass, lhs)
+						w.check(lhs)
 					}
 				case *ast.IncDecStmt:
-					checkRouteWrite(pass, s.X)
+					w.check(s.X)
 				case *ast.CallExpr:
 					switch fun := ast.Unparen(s.Fun).(type) {
 					case *ast.Ident:
 						if b, ok := pass.Info.Uses[fun].(*types.Builtin); ok && len(s.Args) > 0 && (b.Name() == "copy" || b.Name() == "append") {
-							checkRouteWrite(pass, s.Args[0])
+							w.check(s.Args[0])
 						}
 					case *ast.SelectorExpr:
-						checkViewStore(pass, fun)
+						if !w.mutator {
+							checkViewStore(pass, fun)
+						}
 					}
 				}
 				return true
@@ -82,10 +145,11 @@ func runRouteVer(pass *Pass) {
 	}
 }
 
-// checkRouteWrite reports e if writing to it writes routing state: e
-// selects (possibly through indexing, slicing or dereference) a field
-// of chord.Routing, or is itself a chord.Node field holding the view.
-func checkRouteWrite(pass *Pass, e ast.Expr) {
+// check reports e if writing to it writes routing state: e selects
+// (possibly through indexing, slicing or dereference) a field of
+// chord.Routing, or is itself a chord.Node field holding the view.
+func (w routeWrites) check(e ast.Expr) {
+	pass := w.pass
 	direct := true // still at the written expression itself, not a base of it
 	for {
 		switch x := ast.Unparen(e).(type) {
@@ -101,6 +165,11 @@ func checkRouteWrite(pass *Pass, e ast.Expr) {
 				return
 			}
 			switch recv := chordNamed(sel.Recv()); {
+			case recv == "Routing" && w.derived[sel.Obj()]:
+				pass.Reportf(x.Sel.Pos(), "write to derived field chord.Routing.%s outside %s: it is a function of the view's content, computed once when the view is published", x.Sel.Name, routePublisher)
+				return
+			case w.mutator && (recv == "Routing" || recv == "Node"):
+				return
 			case recv == "Routing":
 				pass.Reportf(x.Sel.Pos(), "write to chord.Routing.%s outside a routing mutator: a published view is immutable and Version must move with the content (use a //datlint:routever-mutator …Locked setter)", x.Sel.Name)
 				return

@@ -2,7 +2,8 @@
 // the analyzer's idea of the chord package) pins routever's behavior:
 // routing state is written only by designated …Locked mutators; every
 // other write — to the node's view pointer, to a view's fields, to an
-// element of its slices — is flagged.
+// element of its slices — is flagged; a derived field is written by
+// publishLocked alone.
 package chord
 
 import (
@@ -23,6 +24,11 @@ type Routing struct {
 	Succs   []NodeRef
 	Fingers []NodeRef
 	Gap     uint64
+
+	// hops is computed from the fields above when a view is published.
+	//
+	//datlint:routever-derived
+	hops []NodeRef
 }
 
 type Node struct {
@@ -43,8 +49,31 @@ func New(self NodeRef, bits int) *Node {
 //datlint:routever-mutator
 func (n *Node) publishLocked(next *Routing) {
 	next.Version = n.rt.Version + 1
+	next.hops = append(append([]NodeRef(nil), next.Fingers...), next.Succs...)
 	n.rt = next
 	n.view.Store(next)
+}
+
+// setSuccsLocked may write the content, but not what is derived from
+// it: publishLocked would overwrite it, and until then two functions
+// say what hops means.
+//
+//datlint:routever-mutator
+func (n *Node) setSuccsLocked(list []NodeRef) {
+	next := *n.rt
+	next.Succs = list
+	next.hops = list       // want `write to derived field chord.Routing.hops outside publishLocked`
+	next.hops[0] = list[0] // want `write to derived field chord.Routing.hops outside publishLocked`
+	n.publishLocked(&next)
+}
+
+// BadLazyHops fills a derived field on first use: a write to a
+// published view, and a second definition of the field.
+func (n *Node) BadLazyHops() []NodeRef {
+	if n.rt.hops == nil {
+		n.rt.hops = n.rt.Succs // want `write to derived field chord.Routing.hops outside publishLocked`
+	}
+	return n.rt.hops
 }
 
 // setFingerLocked clones, edits the private copy, publishes.

@@ -9,13 +9,16 @@
 // a given seed. The engine is single-goroutine by design — protocol code
 // scheduled on it must not block.
 //
-// Storage is an arena: event state lives in pooled slots addressed by
-// index, the heap orders slot indices, and freed slots recycle through an
-// intrusive free list. The steady-state Schedule/Cancel/fire paths
-// therefore allocate nothing (see DESIGN.md §15); ordering semantics are
-// identical to the original pointer-heap engine — the (at, seq) comparator
-// and the per-At sequence counter are unchanged, which datcheck's golden
-// trace hashes pin down byte for byte.
+// Storage is an arena: callbacks live in pooled slots addressed by
+// index, a 4-ary heap of {at, seq, slot} entries orders them by the key
+// it holds inline, and freed slots recycle through an intrusive free
+// list. The steady-state Schedule/Cancel/fire paths therefore allocate
+// nothing, and ordering a deep queue compares keys inside the heap array
+// instead of chasing two arena slots per comparison (see DESIGN.md §15);
+// ordering semantics are identical to the original pointer-heap engine —
+// the (at, seq) comparator and the per-At sequence counter are
+// unchanged, which datcheck's golden trace hashes pin down byte for
+// byte.
 package sim
 
 import (
@@ -100,9 +103,9 @@ func (e Event) Pending() bool {
 // slot is one arena cell. A slot is either queued (pos is its heap
 // position) or free (pos == -1, next links the free list). gen advances
 // every time the slot is released, invalidating outstanding handles.
+// The ordering key is not here: it lives in the slot's heap entry, so
+// ordering the queue never reads the arena.
 type slot struct {
-	at   Time
-	seq  uint64
 	fn   func()
 	run  Runner
 	op   int32
@@ -111,11 +114,29 @@ type slot struct {
 	next int32
 }
 
+// entry is one queued event as the heap sees it: the (at, seq) key
+// inline, and the arena slot that holds the callback.
+type entry struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+// before is the historical (at, seq) comparator. seq is unique per
+// event, so the order is total and independent of the heap's internal
+// arrangement.
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // Engine is a discrete event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
 	slots   []slot
-	heap    []int32 // slot indices ordered by (at, seq)
+	heap    []entry // 4-ary min-heap on (at, seq)
 	free    int32   // head of the free-slot list, -1 when empty
 	now     Time
 	seq     uint64
@@ -149,7 +170,7 @@ func (e *Engine) Len() int { return len(e.heap) }
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// --- arena + index heap ---
+// --- arena + inline-key heap ---
 
 func (e *Engine) allocSlot() int32 {
 	if e.free >= 0 {
@@ -174,74 +195,78 @@ func (e *Engine) freeSlot(i int32) {
 	e.free = i
 }
 
-// less orders slot indices by the historical (at, seq) comparator. seq is
-// unique per event, so the order is total and independent of the heap's
-// internal arrangement.
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
+// The heap is 4-ary (children of j are 4j+1..4j+4): half the levels of a
+// binary heap, and the four keys a sift-down compares sit side by side.
+// Sifting moves a hole rather than swapping: each level costs one entry
+// copy and one pos write-back into the arena, the only arena access
+// ordering makes (DESIGN.md §15).
+const heapArity = 4
+
+// place writes ent at heap position j and records the position in its
+// slot.
+func (e *Engine) place(j int, ent entry) {
+	e.heap[j] = ent
+	e.slots[ent.idx].pos = int32(j)
 }
 
-func (e *Engine) heapSwap(a, b int) {
-	e.heap[a], e.heap[b] = e.heap[b], e.heap[a]
-	e.slots[e.heap[a]].pos = int32(a)
-	e.slots[e.heap[b]].pos = int32(b)
-}
-
-func (e *Engine) siftUp(j int) {
+// siftUp settles ent into the hole at j, moving larger ancestors down.
+func (e *Engine) siftUp(j int, ent entry) {
 	for j > 0 {
-		parent := (j - 1) / 2
-		if !e.less(e.heap[j], e.heap[parent]) {
+		parent := (j - 1) / heapArity
+		if !ent.before(e.heap[parent]) {
 			break
 		}
-		e.heapSwap(j, parent)
+		e.place(j, e.heap[parent])
 		j = parent
 	}
+	e.place(j, ent)
 }
 
-func (e *Engine) siftDown(j int) {
-	n := len(e.heap)
+// siftDown settles ent into the hole at j, moving the smallest child up
+// while it precedes ent.
+func (e *Engine) siftDown(j int, ent entry) {
+	h := e.heap
 	for {
-		left := 2*j + 1
-		if left >= n {
-			return
+		first := heapArity*j + 1
+		if first >= len(h) {
+			break
 		}
-		min := left
-		if right := left + 1; right < n && e.less(e.heap[right], e.heap[left]) {
-			min = right
+		min := first
+		for c := first + 1; c < len(h) && c < first+heapArity; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
 		}
-		if !e.less(e.heap[min], e.heap[j]) {
-			return
+		if !h[min].before(ent) {
+			break
 		}
-		e.heapSwap(j, min)
+		e.place(j, h[min])
 		j = min
 	}
+	e.place(j, ent)
 }
 
-func (e *Engine) heapPush(i int32) {
-	e.heap = append(e.heap, i)
-	e.slots[i].pos = int32(len(e.heap) - 1)
-	e.siftUp(len(e.heap) - 1)
+func (e *Engine) heapPush(ent entry) {
+	e.heap = append(e.heap, ent)
+	e.siftUp(len(e.heap)-1, ent)
 }
 
-// heapRemove detaches and returns the slot index at heap position pos.
-func (e *Engine) heapRemove(pos int) int32 {
-	i := e.heap[pos]
+// heapRemove detaches and returns the entry at heap position pos: the
+// last entry fills the hole and settles whichever way its key sends it.
+// The caller frees the detached entry's slot, which clears its pos.
+func (e *Engine) heapRemove(pos int) entry {
+	ent := e.heap[pos]
 	n := len(e.heap) - 1
-	if pos != n {
-		e.heap[pos] = e.heap[n]
-		e.slots[e.heap[pos]].pos = int32(pos)
-	}
+	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if pos < n {
-		e.siftDown(pos)
-		e.siftUp(pos)
+		if pos > 0 && last.before(e.heap[(pos-1)/heapArity]) {
+			e.siftUp(pos, last)
+		} else {
+			e.siftDown(pos, last)
+		}
 	}
-	e.slots[i].pos = -1
-	return i
+	return ent
 }
 
 // --- scheduling ---
@@ -295,14 +320,13 @@ func (e *Engine) at(t Time, fn func(), r Runner, op int32) Event {
 	}
 	i := e.allocSlot()
 	s := &e.slots[i]
-	s.at = t
-	s.seq = e.seq
 	s.fn = fn
 	s.run = r
 	s.op = op
+	gen := s.gen
+	e.heapPush(entry{at: t, seq: e.seq, idx: i})
 	e.seq++
-	e.heapPush(i)
-	return Event{engine: e, idx: i, gen: s.gen, at: t}
+	return Event{engine: e, idx: i, gen: gen, at: t}
 }
 
 // Step fires the single earliest pending event, advancing the clock to its
@@ -324,11 +348,11 @@ func (e *Engine) Step() bool {
 // timestamp. The slot is freed before the callback runs: it may reuse
 // the slot immediately.
 func (e *Engine) pop() (fn func(), r Runner, op int32) {
-	i := e.heapRemove(0)
-	s := &e.slots[i]
-	e.now = s.at
+	ent := e.heapRemove(0)
+	s := &e.slots[ent.idx]
+	e.now = ent.at
 	fn, r, op = s.fn, s.run, s.op
-	e.freeSlot(i)
+	e.freeSlot(ent.idx)
 	e.fired++
 	return fn, r, op
 }
@@ -339,7 +363,7 @@ func (e *Engine) pop() (fn func(), r Runner, op int32) {
 // event, fn for a closure one. A host that must fire callbacks outside
 // its own lock drives the engine with it (transport.RealClock).
 func (e *Engine) PopDue(deadline Time) (fn func(), r Runner, op int32, ok bool) {
-	if len(e.heap) == 0 || e.slots[e.heap[0]].at > deadline {
+	if len(e.heap) == 0 || e.heap[0].at > deadline {
 		return nil, nil, 0, false
 	}
 	fn, r, op = e.pop()
@@ -351,7 +375,7 @@ func (e *Engine) Next() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // Run fires events until the queue drains or Stop is called. It returns
@@ -370,7 +394,7 @@ func (e *Engine) Run() uint64 {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	e.stopped = false
 	start := e.fired
-	for !e.stopped && len(e.heap) > 0 && e.slots[e.heap[0]].at <= deadline {
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

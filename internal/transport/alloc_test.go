@@ -2,6 +2,7 @@ package transport
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -54,6 +55,54 @@ func TestSimNetSendAllocs(t *testing.T) {
 	}
 }
 
+// TestSimNetCallAllocs pins a request/response round trip — Call, both
+// deliveries, the handler's Reply, the callback — at one allocation, the
+// call record, and the reply's tap type at one interned string. Both
+// payloads are pointer-shaped: boxing is the caller's allocation.
+func TestSimNetCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	engine := sim.NewEngine(1)
+	net := NewSimNetwork(engine, SimConfig{})
+	a, srv := net.Endpoint("sim/a"), net.Endpoint("sim/b")
+	srv.Handle(func(r *Request) { r.Reply(r.Payload) })
+	var replyTypes []string
+	net.SetTap(TapFunc(func(_, _ Addr, typ string, _ bool) {
+		if typ != "bench.echo" && len(replyTypes) < 4 {
+			replyTypes = append(replyTypes, typ)
+		}
+	}))
+	var payload any = &struct{ v int }{v: 42}
+	done := 0
+	cb := func(got any, err error) {
+		if err == nil && got == payload {
+			done++
+		}
+	}
+	call := func() {
+		a.Call(srv.Addr(), "bench.echo", payload, cb)
+		engine.Run()
+	}
+	for i := 0; i < 64; i++ { // warm the record pool, the arena and the interned type
+		call()
+	}
+	if allocs := testing.AllocsPerRun(1000, call); allocs != 1 {
+		t.Errorf("sim Call+Reply round trip allocates %.1f/op; budget is 1 (the call record)", allocs)
+	}
+	if done < 1000 {
+		t.Fatalf("only %d calls completed with their reply", done)
+	}
+	if len(replyTypes) < 2 || replyTypes[0] != "bench.echo:reply" {
+		t.Fatalf("tap saw reply types %q", replyTypes)
+	}
+	for _, typ := range replyTypes[1:] {
+		if unsafe.StringData(typ) != unsafe.StringData(replyTypes[0]) {
+			t.Fatal("the reply's tap type is a fresh string per reply, not the interned one")
+		}
+	}
+}
+
 // BenchmarkSimNetSend measures the full one-way path: Send, fault/latency
 // pipeline, event fire, handler dispatch.
 func BenchmarkSimNetSend(b *testing.B) {
@@ -75,9 +124,8 @@ func BenchmarkSimNetSend(b *testing.B) {
 }
 
 // BenchmarkSimNetCall measures the request/response exchange. Calls
-// cannot be fully pooled (a handler may retain the *Request past the
-// delivery event), but the record-based path replaces the historical
-// five-closure spray with one call record and one bound method value.
+// cannot be pooled (a handler may retain the *Request past the delivery
+// event); the call record is the exchange's one allocation.
 func BenchmarkSimNetCall(b *testing.B) {
 	engine := sim.NewEngine(1)
 	net := NewSimNetwork(engine, SimConfig{})

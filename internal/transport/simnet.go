@@ -50,6 +50,20 @@ func (c SimConfig) withDefaults() SimConfig {
 // for the duration of the handler call — handlers must copy what they
 // keep. (Two-way requests are pinned by their call records and stay
 // valid until replied to.)
+//
+// A Call allocates exactly one object, its call record: the record is
+// the timeout's Runner, holds the inbound Request and is that Request's
+// reply path. It is not pooled because nothing says when it is dead — a
+// handler may keep the *Request and reply after the caller's timeout
+// has fired, so only the garbage collector knows the last use.
+//
+// Payloads cross by reference, in both directions: no codec runs, so
+// the value a handler reads is the value the caller passed and the
+// value a callback receives is the value the handler replied with —
+// slices and maps inside them included. A sender may go on sharing
+// what it sent (chord answers every GetState under one routing version
+// with the same slices), so handlers and callers must treat payloads as
+// read-only and copy what they want to change.
 type SimNetwork struct {
 	engine *sim.Engine
 	cfg    SimConfig
@@ -67,6 +81,12 @@ type SimNetwork struct {
 
 	// msgPool is the free list of delivery records.
 	msgPool *simMsg
+
+	// replyTypes interns typ+":reply", the type a reply is shown to the
+	// tap and the fault plan under: one concatenation per message type
+	// the network ever carries (a handful of protocol constants), not one
+	// per reply.
+	replyTypes map[string]string
 
 	// partitions holds the currently severed links; a message in either
 	// direction across a severed pair is dropped before the fault plan or
@@ -86,6 +106,7 @@ func NewSimNetwork(engine *sim.Engine, cfg SimConfig) *SimNetwork {
 		cfg:        cfg.withDefaults(),
 		epIndex:    make(map[Addr]int32),
 		partitions: make(map[pairKey]bool),
+		replyTypes: make(map[string]string),
 	}
 }
 
@@ -157,6 +178,16 @@ func (n *SimNetwork) Endpoint(addr Addr) Endpoint {
 	n.eps[slot] = ep
 	n.epIndex[addr] = slot
 	return ep
+}
+
+// replyType returns typ + ":reply", interned.
+func (n *SimNetwork) replyType(typ string) string {
+	rt, ok := n.replyTypes[typ]
+	if !ok {
+		rt = typ + ":reply"
+		n.replyTypes[typ] = rt
+	}
+	return rt
 }
 
 // lookup resolves a live endpoint by address at fire time.
@@ -297,22 +328,19 @@ func (m *simMsg) RunEvent(int32) {
 	m.release()
 }
 
-// simCall is one request/response exchange. It is allocated per Call (a
-// handler may legally hold the *Request past the delivery event, so call
-// state cannot recycle on a fixed schedule) but replaces the historical
-// closure spray: the record itself is the timeout's Runner, the embedded
-// Request serves the first delivery, and the reply path is a method
-// value bound once at creation.
+// simCall is one request/response exchange, and the one allocation a
+// Call makes (see the SimNetwork doc comment for why it is not pooled):
+// the record itself is the timeout's Runner, the embedded Request serves
+// the first delivery — its From, Type and Payload are the call's — and
+// the record is that Request's replier.
 type simCall struct {
 	net       *SimNetwork
-	from, to  Addr
-	typ       string
+	to        Addr
 	cb        ResponseFunc
 	done      bool
 	delivered bool
 	timeout   sim.Event
 	req       Request
-	replyFn   func(payload any, err error)
 }
 
 // request returns the inbound *Request for one delivery of the call. An
@@ -323,17 +351,17 @@ func (c *simCall) request() *Request {
 		c.delivered = true
 		return &c.req
 	}
-	return NewRequest(c.from, c.typ, c.req.Payload, c.replyFn)
+	return &Request{From: c.req.From, Type: c.req.Type, Payload: c.req.Payload, reply: c}
 }
 
-// onReply is the callee's reply path: route the response back through
-// the network's partition/fault/latency pipeline.
-func (c *simCall) onReply(payload any, err error) {
+// reply implements replier, the callee's reply path: route the response
+// back through the network's partition/fault/latency pipeline.
+func (c *simCall) reply(payload any, err error) {
 	m := c.net.getMsg()
 	m.kind = msgReply
 	m.oneWay = false
-	m.from, m.to = c.to, c.from
-	m.typ = c.typ + ":reply"
+	m.from, m.to = c.to, c.req.From
+	m.typ = c.net.replyType(c.req.Type)
 	m.payload, m.err = payload, err
 	m.call = c
 	c.net.dispatch(m)
@@ -394,9 +422,8 @@ func (e *simEndpoint) Call(to Addr, typ string, payload any, cb ResponseFunc) {
 		cb(nil, ErrClosed)
 		return
 	}
-	c := &simCall{net: e.net, from: e.addr, to: to, typ: typ, cb: cb}
-	c.replyFn = c.onReply
-	c.req = Request{From: e.addr, Type: typ, Payload: payload, reply: c.replyFn}
+	c := &simCall{net: e.net, to: to, cb: cb}
+	c.req = Request{From: e.addr, Type: typ, Payload: payload, reply: c}
 	// The timeout is scheduled before the request delivery, preserving
 	// the historical event sequence order.
 	c.timeout = e.net.engine.ScheduleRun(e.net.cfg.CallTimeout, c, 0)

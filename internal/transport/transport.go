@@ -44,8 +44,25 @@ var (
 // layer) use it to attach their reply path; pass a nil reply for one-way
 // messages.
 func NewRequest(from Addr, typ string, payload any, reply func(payload any, err error)) *Request {
-	return &Request{From: from, Type: typ, Payload: payload, reply: reply}
+	r := &Request{From: from, Type: typ, Payload: payload}
+	if reply != nil {
+		r.reply = replyFunc(reply)
+	}
+	return r
 }
+
+// replier is a two-way Request's way back to its caller. It is an
+// interface rather than a func so that a transport whose exchange is
+// already a record (SimNetwork's simCall) can be its own reply path,
+// where a method value bound per exchange would be a second allocation.
+type replier interface {
+	reply(payload any, err error)
+}
+
+// replyFunc is the replier NewRequest wraps a plain func in.
+type replyFunc func(payload any, err error)
+
+func (f replyFunc) reply(payload any, err error) { f(payload, err) }
 
 // Request is an inbound message delivered to a Handler. For two-way calls
 // the handler must eventually invoke Reply or ReplyError exactly once;
@@ -55,7 +72,7 @@ type Request struct {
 	Type    string
 	Payload any
 
-	reply func(payload any, err error)
+	reply replier // nil for one-way messages
 	done  bool
 }
 
@@ -72,7 +89,7 @@ func (r *Request) Reply(payload any) {
 		panic(fmt.Sprintf("transport: duplicate reply to %s request from %s", r.Type, r.From))
 	}
 	r.done = true
-	r.reply(payload, nil)
+	r.reply.reply(payload, nil)
 }
 
 // ReplyError sends an error response.
@@ -84,7 +101,7 @@ func (r *Request) ReplyError(err error) {
 		panic(fmt.Sprintf("transport: duplicate reply to %s request from %s", r.Type, r.From))
 	}
 	r.done = true
-	r.reply(nil, err)
+	r.reply.reply(nil, err)
 }
 
 // Handler consumes inbound messages and requests.
@@ -107,7 +124,13 @@ type Endpoint interface {
 	// Handle registers the inbound handler. It must be set before the
 	// endpoint receives traffic; registering twice replaces the handler.
 	Handle(h Handler)
-	// Close detaches the endpoint. In-flight Calls fail with ErrClosed.
+	// Close detaches the endpoint: it stops receiving, and Send and Call
+	// on it fail with ErrClosed from then on. What becomes of a Call
+	// already in flight is the implementation's business: rpcudp fails
+	// it with ErrClosed at once; SimNetwork does not track it, so it
+	// completes with its reply if one comes and with ErrTimeout
+	// otherwise, and a request addressed to the closed endpoint is
+	// dropped like UDP to a dead host.
 	Close() error
 }
 
