@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free mode-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -18,6 +18,14 @@ vet:
 # internal/wire and must not be linked into any non-test package.
 gob-free:
 	! $(GO) list -deps ./... | grep -qx encoding/gob
+
+# One send road (DESIGN.md §12, §14): overload protection is not a mode.
+# No non-test file outside frozen perf/ may read or set the
+# OverloadConfig.Enable shim or offer the flag, and internal/core has no
+# direct() beside the send machine's queues.
+mode-free:
+	! grep -rnE 'Overload\.Enable|ov\.Enable|-overload\.enable' --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
+	! grep -nE '^func (\([^)]*\) )?direct\(' $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
 # simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
@@ -70,8 +78,8 @@ datcheck-faults:
 # datcheck-overload: the overload-protection profile — slow-parent,
 # ack-blackhole, and burst-fanin stimuli under tight queue budgets
 # (seeds above datcheck.OverloadSeedBase), with budget/never-shed-control
-# invariants checked at every settle, plus the paired-seed
-# protection-on-vs-off equivalence check.
+# invariants checked at every settle, plus the whole-corpus equivalence
+# check against budgets and a breaker threshold nothing reaches.
 DATCHECK_OVERLOAD_SEEDS ?= 6
 datcheck-overload:
 	$(GO) test ./internal/datcheck -v \
@@ -137,4 +145,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free mode-free lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

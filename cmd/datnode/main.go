@@ -79,7 +79,6 @@ func main() {
 		synthetic = flag.Bool("synthetic", false, "use a synthetic CPU sensor instead of /proc/stat")
 		instances = flag.Int("instances", 1, "additional in-process instances joining through this node")
 		obsAddr   = flag.String("obs.addr", "", "serve /metrics, /healthz, /debug/dat and pprof on this address")
-		overload  = flag.Bool("overload.enable", true, "bounded send queues with priority shedding and per-peer circuit breakers (false: unbounded queues, no breakers)")
 		selfmon   = flag.Bool("selfmon", true, "publish this node's load counters into the dat.load.* self-monitoring trees")
 		selfmonSl = flag.Duration("selfmon.slot", 0, "self-monitoring aggregation slot (0: 4x -slot)")
 		share     = flag.Bool("share", true, "roots broadcast completed slot results down their trees (keeps every node's cached aggregates and /debug/load live)")
@@ -106,7 +105,6 @@ func main() {
 		{Name: "cpu-usage", Min: 0, Max: 100},
 		{Name: "memory-size", Min: 0, Max: 1 << 20},
 	}
-	overloadCfg := dat.OverloadConfig{Enable: *overload}
 	selfMon := dat.SelfMonConfig{Enable: *selfmon, Slot: *selfmonSl}
 	if selfMon.Enable && selfMon.Slot <= 0 {
 		// Load counters move slowly; a slower monitoring slot keeps the
@@ -118,7 +116,6 @@ func main() {
 		Listen:       *listen,
 		Name:         *name,
 		Attributes:   attrs,
-		Overload:     overloadCfg,
 		SelfMon:      selfMon,
 		ShareResults: *share,
 		Observer:     observer,
@@ -211,7 +208,6 @@ func main() {
 			Listen:       "127.0.0.1:0",
 			Name:         fmt.Sprintf("%s#%d", peer.Addr(), i),
 			Attributes:   attrs,
-			Overload:     overloadCfg,
 			SelfMon:      selfMon,
 			ShareResults: *share,
 			Logger:       logger,

@@ -72,8 +72,8 @@ type BatchConfig = core.BatchConfig
 
 // OverloadConfig tunes the overload-protection layer: bounded
 // per-destination send queues with a global byte budget, priority load
-// shedding, and per-peer circuit breakers. The zero value disables the
-// layer. See PeerConfig.Overload and DESIGN.md §14.
+// shedding, and per-peer circuit breakers. The zero value is the
+// defaults. See PeerConfig.Overload and DESIGN.md §14.
 type OverloadConfig = core.OverloadConfig
 
 // Typed refusals from the overload layer (DESIGN.md §14). All three are

@@ -1,7 +1,7 @@
 // Package cluster assembles complete simulated deployments of the
 // Chord + DAT protocol stack: one sim.Engine, one SimNetwork, and n
-// protocol nodes with DAT layers. The experiment harness, the datsim
-// tool and the protocol-level tests all build on it.
+// protocol nodes with DAT layers. The experiment harness, SimGrid and
+// the protocol-level tests all build on it.
 //
 // Two start-up modes are supported: protocol joins (every node runs the
 // real join + stabilization path — used by churn experiments) and warm
@@ -103,8 +103,8 @@ type Options struct {
 	Batch core.BatchConfig
 	// Overload passes the overload-protection policy (bounded queues,
 	// priority shedding, per-peer circuit breakers — DESIGN.md §14)
-	// through to the DAT layer. The zero value DISABLES it; set
-	// Overload.Enable to turn it on.
+	// through to the DAT layer. The zero value is the default budgets
+	// and armed breakers.
 	Overload core.OverloadConfig
 	// DropProb injects message loss.
 	DropProb float64
@@ -599,11 +599,14 @@ func (c *Cluster) Rejoin(i int) {
 	try()
 }
 
-// Crash fails node i without warning: maintenance stops and the endpoint
-// goes silent.
+// Crash fails node i without warning: maintenance stops, the endpoint
+// goes silent and the DAT node's timers stop. The endpoint closes before
+// the DAT node so the drain of its send machine fails locally — no
+// datagram leaves a crashed node.
 func (c *Cluster) Crash(i int) {
 	c.Chord[i].Stop(false)
 	_ = c.eps[i].Close()
+	c.DAT[i].Close()
 }
 
 // Leave departs node i gracefully.

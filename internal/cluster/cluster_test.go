@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -140,6 +141,12 @@ func TestCrashAndLeaveBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Zero Options.Overload is the default budgets and armed breakers.
+	var page strings.Builder
+	c.DAT[0].WriteOverloadDebug(&page)
+	if !strings.Contains(page.String(), "total=262144B; breaker: 3 fails, 1s cooldown") {
+		t.Fatalf("zero Options.Overload does not run the defaults:\n%s", page.String())
+	}
 	c.Crash(1)
 	c.Leave(2)
 	if c.runningCount() != 6 {
@@ -151,6 +158,46 @@ func TestCrashAndLeaveBookkeeping(t *testing.T) {
 	c.RunFor(30 * time.Second)
 	if err := c.AwaitConverged(2 * time.Minute); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrashStopsDATTimers pins that a crashed node is silent in the DAT
+// layer too: once every node has crashed mid-slot — slot ticks armed,
+// ack timeouts and send-machine deadlines in flight — the engine drains
+// to empty, so no timer of any crashed node was left pending, and each
+// node's send queues read empty.
+func TestCrashStopsDATTimers(t *testing.T) {
+	const n, slot = 8, 500 * time.Millisecond
+	c, err := New(Options{
+		N: n, Seed: 21,
+		Local: func(int, time.Duration, ident.ID) (float64, bool) { return 1, true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StartContinuousAll(c.Space.HashString("cpu"), slot); err != nil {
+		t.Fatal(err)
+	}
+	// Stop a few milliseconds into a slot, with updates queued and unacked.
+	c.RunFor(6*slot + 2*time.Millisecond)
+	if c.Engine.Len() == 0 {
+		t.Fatal("nothing pending before the crashes: the test would prove nothing")
+	}
+	for i := 0; i < n; i++ {
+		c.Crash(i)
+	}
+	// What is left are datagrams and RPC timeouts already in flight.
+	c.RunFor(time.Minute)
+	if left := c.Engine.Len(); left != 0 {
+		t.Fatalf("%d events still pending a minute after every node crashed", left)
+	}
+	for i := 0; i < n; i++ {
+		if st := c.DAT[i].OverloadStats(); st.QueuedBytes != 0 || st.QueuedElems != 0 {
+			t.Fatalf("node %d still queues traffic after its crash: %+v", i, st)
+		}
+		if qs := c.DAT[i].QueueStats(); len(qs) != 0 {
+			t.Fatalf("node %d keeps %d destination queues after its crash", i, len(qs))
+		}
 	}
 }
 

@@ -158,11 +158,9 @@ type NodeConfig struct {
 	// The zero value is the defaults; MaxElems 1 sends one datagram per
 	// message.
 	Batch BatchConfig
-	// Overload tunes the overload-protection layer: bounded send
-	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). The zero value DISABLES it — it is opt-in so
-	// existing deployments and datcheck seeds are unperturbed; set
-	// Enable to turn it on.
+	// Overload tunes the overload-protection layer every send goes
+	// through: bounded send queues with priority shedding and per-peer
+	// circuit breakers (DESIGN.md §14). The zero value is the defaults.
 	Overload OverloadConfig
 	// Obs receives aggregation telemetry: per-hop spans, round latency
 	// and fan-in, update dispositions, cache expiry. The zero value

@@ -187,17 +187,17 @@ func TestUpdateRefusalReasons(t *testing.T) {
 }
 
 // TestBreakerOpensOnDeadParentAndRecovers is the delivery-layer breaker
-// integration test: with overload protection enabled, killing a mid-tree
-// parent must open at least one orphan's breaker (isolating the corpse
-// in O(1) per slot instead of a full retry budget), feed the failure
-// detector, and — once the ring routes around — coverage must return to
-// every live node, with zero control traffic shed anywhere.
+// integration test: killing a mid-tree parent must open at least one
+// orphan's breaker (isolating the corpse in O(1) per slot instead of a
+// full retry budget), feed the failure detector, and — once the ring
+// routes around — coverage must return to every live node, with zero
+// control traffic shed anywhere.
 func TestBreakerOpensOnDeadParentAndRecovers(t *testing.T) {
 	const n = 24
 	slot := 500 * time.Millisecond
 	c := newCluster(t, cluster.Options{
 		N: n, Seed: 19, Local: localByIndex,
-		Overload: core.OverloadConfig{Enable: true, BreakerCooldown: 250 * time.Millisecond},
+		Overload: core.OverloadConfig{BreakerCooldown: 250 * time.Millisecond},
 	})
 	key := c.Space.HashString("cpu-usage")
 	latest, err := c.StartContinuousAll(key, slot)

@@ -25,18 +25,21 @@ import (
 // sorted victim selection) so datcheck traces stay byte-identical per
 // seed.
 
-// OverloadConfig tunes the overload-protection layer. The zero value
-// disables it entirely — queues stay unbounded and breakers never trip —
-// so pre-existing deployments and datcheck seeds are byte-identical to
-// the pre-overload protocol.
+// OverloadConfig tunes the overload-protection layer every send goes
+// through. The zero value is the default budgets and armed breakers;
+// budgets and BreakerFailures at math.MaxInt32 are the pre-overload
+// protocol (nothing is ever shed, refused or isolated), the baseline
+// the ablation and datcheck's equivalence test run against.
 type OverloadConfig struct {
-	// Enable turns on queue budgets, priority shedding and per-peer
-	// circuit breakers.
+	// Enable is ignored: protection is always on. The field is kept only
+	// until benchmark v2, because frozen perf/sim.go sets it in a
+	// literal; nothing else may read or set it.
 	Enable bool
 	// MaxQueueBytes bounds one destination queue's estimated encoded
-	// size. A queue at its budget is flushed (reason "overload"), not
-	// shed: the wire is the pressure-relief valve; shedding is reserved
-	// for the global budget. Default 8192.
+	// size. A queue at its budget — a lone element larger than it
+	// included — is flushed (reason "overload"), not shed: the wire is
+	// the pressure-relief valve; shedding is reserved for the global
+	// budget. Default 8192.
 	MaxQueueBytes int
 	// MaxQueueElems bounds one destination queue's element count, with
 	// the same flush-first semantics. Default 256.
@@ -45,8 +48,8 @@ type OverloadConfig struct {
 	// bytes. Admitting an element over this budget first evicts
 	// strictly-lower-priority queued elements (oldest first), then
 	// refuses the element itself with ErrOverload. Control traffic is
-	// never refused: it bypasses the queues when the budget is
-	// exhausted. Default 262144.
+	// never refused and evicts nobody: over the budget it is admitted
+	// and its destination queue flushed at once. Default 262144.
 	MaxTotalBytes int
 	// BreakerFailures is how many consecutive delivery failures
 	// (ack timeouts, transport errors, or refusals) open a peer's
@@ -179,9 +182,6 @@ type breaker struct {
 // transitioning open→half-open (and admitting the probe) once the
 // cooldown elapses. Call it before arming any timers for the attempt.
 func (n *Node) breakerAllows(to transport.Addr) bool {
-	if !n.cfg.Overload.Enable {
-		return true
-	}
 	now := n.clock.Now()
 	n.brMu.Lock()
 	br := n.breakers[to]
@@ -204,9 +204,6 @@ func (n *Node) breakerAllows(to transport.Addr) bool {
 // still running, so it can never refuse the half-open probe that
 // breakerAllows just admitted.
 func (n *Node) breakerOpenNow(to transport.Addr) bool {
-	if !n.cfg.Overload.Enable {
-		return false
-	}
 	now := n.clock.Now()
 	n.brMu.Lock()
 	br := n.breakers[to]
@@ -220,9 +217,6 @@ func (n *Node) breakerOpenNow(to transport.Addr) bool {
 // error) as opposed to a live refusal; an opening breaker feeds the
 // failure detector only in the former case — refusal proves liveness.
 func (n *Node) breakerFailure(to transport.Addr, suspect bool) {
-	if !n.cfg.Overload.Enable {
-		return
-	}
 	now := n.clock.Now()
 	n.brMu.Lock()
 	if n.breakers == nil {
@@ -264,9 +258,6 @@ func (n *Node) breakerFailure(to transport.Addr, suspect bool) {
 // breakerSuccess records a successful delivery at to: the breaker (if
 // any) closes and its consecutive-failure count resets.
 func (n *Node) breakerSuccess(to transport.Addr) {
-	if !n.cfg.Overload.Enable {
-		return
-	}
 	n.brMu.Lock()
 	br := n.breakers[to]
 	tripped := br != nil && br.state != brClosed
@@ -314,12 +305,10 @@ func (n *Node) fireBreaker(to transport.Addr, state string) {
 // OverloadStats is a point-in-time snapshot of the overload layer, the
 // seam datcheck invariants and the /debug/overload page read.
 type OverloadStats struct {
-	// Enabled mirrors OverloadConfig.Enable.
-	Enabled bool
 	// QueuedBytes and QueuedElems are the current totals across every
 	// destination queue; HiWaterBytes is the largest QueuedBytes ever
-	// observed (the bounded-memory proof: it never exceeds
-	// MaxTotalBytes).
+	// left at rest by an enqueue (the bounded-memory proof: it never
+	// exceeds MaxTotalBytes).
 	QueuedBytes  int
 	QueuedElems  int
 	HiWaterBytes int
@@ -340,7 +329,7 @@ type OverloadStats struct {
 // OverloadStats snapshots the node's overload counters. Safe for
 // concurrent use; cheap enough to poll per slot.
 func (n *Node) OverloadStats() OverloadStats {
-	st := OverloadStats{Enabled: n.cfg.Overload.Enable, Shed: make(map[string]uint64, numClasses)}
+	st := OverloadStats{Shed: make(map[string]uint64, numClasses)}
 	sm := n.sm
 	sm.mu.Lock()
 	st.QueuedBytes = sm.totalBytes
@@ -370,9 +359,7 @@ type QueueStat struct {
 	To    transport.Addr
 	Elems int
 	Bytes int
-	// OldestAge is how long the queue's head element has waited. Zero
-	// unless overload protection is enabled (enqueue times are only
-	// recorded then).
+	// OldestAge is how long the queue's head element has waited.
 	OldestAge time.Duration
 }
 
@@ -400,10 +387,6 @@ func (n *Node) QueueStats() []QueueStat {
 // breaker state.
 func (n *Node) WriteOverloadDebug(w io.Writer) {
 	st := n.OverloadStats()
-	if !st.Enabled {
-		fmt.Fprintln(w, "overload protection disabled (-overload.enable=false)")
-		return
-	}
 	cfg := n.cfg.Overload
 	fmt.Fprintf(w, "budgets: queue=%dB/%d elems, total=%dB; breaker: %d fails, %v cooldown\n",
 		cfg.MaxQueueBytes, cfg.MaxQueueElems, cfg.MaxTotalBytes, cfg.BreakerFailures, cfg.BreakerCooldown)

@@ -19,8 +19,8 @@ import (
 	"repro/internal/transport"
 )
 
-// newOverloadMachineForTest builds a Node shell with overload protection
-// configured, plus recorders for the Shed and Breaker hooks.
+// newOverloadMachineForTest builds a Node shell with the given overload
+// policy, plus recorders for the Shed and Breaker hooks.
 func newOverloadMachineForTest(t *testing.T, eng *sim.Engine, bc BatchConfig, oc OverloadConfig) (*Node, *stubEndpoint, *hookLog) {
 	t.Helper()
 	ep := &stubEndpoint{addr: "10.0.0.1:1"}
@@ -74,50 +74,41 @@ func liveQueues(n *Node) int {
 
 // TestSendMachineQueueGC is the idle-entry leak regression: after a
 // churn burst touches many destinations once, every drained queue's map
-// entry must be gone — with and without overload protection — whether it
-// drained via deadline, threshold, or Close.
+// entry must be gone, whether it drained via deadline, threshold, or
+// Close.
 func TestSendMachineQueueGC(t *testing.T) {
-	for _, enabled := range []bool{false, true} {
-		name := "overload-off"
-		if enabled {
-			name = "overload-on"
-		}
-		t.Run(name, func(t *testing.T) {
-			eng := sim.NewEngine(1)
-			n, ep, _ := newOverloadMachineForTest(t, eng,
-				BatchConfig{MaxDelay: 5 * time.Millisecond, MaxElems: 100},
-				OverloadConfig{Enable: enabled})
-			// Churn burst: 40 one-shot destinations, two elements each.
-			for i := 0; i < 40; i++ {
-				dest := transport.Addr(string(rune('a'+i%26)) + string(rune('0'+i/26)) + ":1")
-				n.batchCall(dest, MsgUpdate, testUpdate(i), nil)
-				n.batchCall(dest, MsgUpdate, testUpdate(i+100), nil)
-			}
-			eng.Run() // fire every deadline
-			if got := liveQueues(n); got != 0 {
-				t.Fatalf("%d destQueue entries survived the deadline drain, want 0", got)
-			}
-			if len(ep.calls) != 40 {
-				t.Fatalf("got %d flushes, want 40", len(ep.calls))
-			}
-			// Threshold flush GCs too.
-			n.sm.cfg.MaxElems = 2
-			n.batchCall("10.0.0.9:1", MsgUpdate, testUpdate(1), nil)
-			n.batchCall("10.0.0.9:1", MsgUpdate, testUpdate(2), nil)
-			if got := liveQueues(n); got != 0 {
-				t.Fatalf("%d entries survived a threshold flush, want 0", got)
-			}
-			// And Close.
-			n.sm.cfg.MaxElems = 100
-			n.batchCall("10.0.0.8:1", MsgUpdate, testUpdate(3), nil)
-			n.sm.Close()
-			if got := liveQueues(n); got != 0 {
-				t.Fatalf("%d entries survived Close, want 0", got)
-			}
-			if fired := eng.Run(); fired != 0 {
-				t.Fatalf("%d stale deadline timers fired after GC", fired)
-			}
-		})
+	eng := sim.NewEngine(1)
+	n, ep, _ := newOverloadMachineForTest(t, eng,
+		BatchConfig{MaxDelay: 5 * time.Millisecond, MaxElems: 100}, OverloadConfig{})
+	// Churn burst: 40 one-shot destinations, two elements each.
+	for i := 0; i < 40; i++ {
+		dest := transport.Addr(string(rune('a'+i%26)) + string(rune('0'+i/26)) + ":1")
+		n.batchCall(dest, MsgUpdate, testUpdate(i), nil)
+		n.batchCall(dest, MsgUpdate, testUpdate(i+100), nil)
+	}
+	eng.Run() // fire every deadline
+	if got := liveQueues(n); got != 0 {
+		t.Fatalf("%d destQueue entries survived the deadline drain, want 0", got)
+	}
+	if len(ep.calls) != 40 {
+		t.Fatalf("got %d flushes, want 40", len(ep.calls))
+	}
+	// Threshold flush GCs too.
+	n.sm.cfg.MaxElems = 2
+	n.batchCall("10.0.0.9:1", MsgUpdate, testUpdate(1), nil)
+	n.batchCall("10.0.0.9:1", MsgUpdate, testUpdate(2), nil)
+	if got := liveQueues(n); got != 0 {
+		t.Fatalf("%d entries survived a threshold flush, want 0", got)
+	}
+	// And Close.
+	n.sm.cfg.MaxElems = 100
+	n.batchCall("10.0.0.8:1", MsgUpdate, testUpdate(3), nil)
+	n.sm.Close()
+	if got := liveQueues(n); got != 0 {
+		t.Fatalf("%d entries survived Close, want 0", got)
+	}
+	if fired := eng.Run(); fired != 0 {
+		t.Fatalf("%d stale deadline timers fired after GC", fired)
 	}
 }
 
@@ -157,13 +148,13 @@ func TestSendMachineGCKeepsJitterSequence(t *testing.T) {
 	}
 }
 
-// TestSendMachineCloseTypedError pins the shutdown contract with
-// overload protection on: a post-Close enqueue never reaches the wire
-// and its callback still fires, with ErrSendClosed.
+// TestSendMachineCloseTypedError pins the shutdown contract: a
+// post-Close enqueue never reaches the wire and its callback still
+// fires, with ErrSendClosed.
 func TestSendMachineCloseTypedError(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n, ep, log := newOverloadMachineForTest(t, eng,
-		BatchConfig{MaxDelay: time.Hour, MaxElems: 100}, OverloadConfig{Enable: true})
+		BatchConfig{MaxDelay: time.Hour, MaxElems: 100}, OverloadConfig{})
 	n.sm.Close()
 	var got error
 	called := false
@@ -219,7 +210,7 @@ func TestSendMachineCloseRace(t *testing.T) {
 	ep := &raceEndpoint{addr: "10.0.0.1:1"}
 	cfg := NodeConfig{
 		Batch:    BatchConfig{MaxDelay: 100 * time.Microsecond, MaxElems: 4},
-		Overload: OverloadConfig{Enable: true},
+		Overload: OverloadConfig{},
 	}.withDefaults()
 	n := &Node{ep: ep, clock: new(transport.RealClock), cfg: cfg, breakers: make(map[transport.Addr]*breaker)}
 	n.sm = newSendMachine(n, cfg.Batch)
@@ -264,8 +255,8 @@ func TestSendMachineCloseRace(t *testing.T) {
 // three outcomes on one deterministic sequence: admitting a primary
 // update evicts queued selfmon traffic (oldest first, callbacks fired
 // with ErrOverload), a primary update that cannot make room is refused
-// with ErrOverload, and control traffic is never shed — it bypasses the
-// queues when the budget is exhausted.
+// with ErrOverload, and control traffic is never shed — over the budget
+// it is admitted and its queue flushed at once.
 func TestShedPriorityLattice(t *testing.T) {
 	eng := sim.NewEngine(1)
 	// One update from testUpdate estimates 72+len("10.0.0.1:1") = 82
@@ -273,7 +264,7 @@ func TestShedPriorityLattice(t *testing.T) {
 	// does.
 	n, ep, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 100000},
-		OverloadConfig{Enable: true, MaxQueueBytes: 500, MaxQueueElems: 100, MaxTotalBytes: 200})
+		OverloadConfig{MaxQueueBytes: 500, MaxQueueElems: 100, MaxTotalBytes: 200})
 	n.selfMonKeys = map[ident.ID]bool{42: true}
 
 	errs := make(map[string]error)
@@ -317,13 +308,14 @@ func TestShedPriorityLattice(t *testing.T) {
 		t.Fatal("queued primaries were disturbed by the refusal")
 	}
 
-	// Control traffic bypasses a full budget instead of being shed.
+	// Control traffic leaves at once over a full budget instead of being
+	// shed.
 	hm := testUpdate(5)
 	hm.Handover = true
 	wireBefore := len(ep.calls)
 	n.batchCall("10.0.0.5:1", MsgUpdate, hm, cb("control0"))
 	if len(ep.calls) != wireBefore+1 || ep.calls[wireBefore].typ != MsgUpdate {
-		t.Fatalf("control update did not bypass the full budget: %+v", ep.calls)
+		t.Fatalf("control update over the full budget did not leave at once: %+v", ep.calls)
 	}
 	if errs["control0"] != nil {
 		t.Fatalf("control callback got %v, want untouched", errs["control0"])
@@ -359,7 +351,7 @@ func TestOverloadQueueBudgetFlushes(t *testing.T) {
 	flushes := []string{}
 	n, ep, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 100000},
-		OverloadConfig{Enable: true, MaxQueueElems: 2, MaxQueueBytes: 100000, MaxTotalBytes: 100000})
+		OverloadConfig{MaxQueueElems: 2, MaxQueueBytes: 100000, MaxTotalBytes: 100000})
 	n.cfg.Obs.BatchFlush = func(reason string, elems, saved int) {
 		flushes = append(flushes, reason)
 	}
@@ -389,7 +381,7 @@ func TestBreakerTransitions(t *testing.T) {
 	cooldown := time.Second
 	eng := sim.NewEngine(1)
 	n, _, log := newOverloadMachineForTest(t, eng,
-		BatchConfig{}, OverloadConfig{Enable: true, BreakerFailures: 3, BreakerCooldown: cooldown})
+		BatchConfig{}, OverloadConfig{BreakerFailures: 3, BreakerCooldown: cooldown})
 
 	if !n.breakerAllows(dest) {
 		t.Fatal("virgin peer not allowed")
@@ -496,7 +488,7 @@ func TestBreakerAdmissionShed(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n, ep, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100},
-		OverloadConfig{Enable: true, BreakerFailures: 1, BreakerCooldown: time.Hour})
+		OverloadConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
 	n.breakerFailure(dest, true) // open
 
 	var got error
@@ -535,7 +527,7 @@ func TestBreakerAdmissionShed(t *testing.T) {
 func TestQueueStatsAges(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n, _, _ := newOverloadMachineForTest(t, eng,
-		BatchConfig{MaxDelay: time.Hour, MaxElems: 100}, OverloadConfig{Enable: true})
+		BatchConfig{MaxDelay: time.Hour, MaxElems: 100}, OverloadConfig{})
 	n.batchCall("10.0.0.9:1", MsgUpdate, testUpdate(0), nil)
 	eng.RunFor(3 * time.Millisecond)
 	n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(1), nil)
@@ -560,7 +552,7 @@ func TestQueueStatsAges(t *testing.T) {
 // TestClassify pins the priority lattice assignment.
 func TestClassify(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n, _, _ := newOverloadMachineForTest(t, eng, BatchConfig{}, OverloadConfig{Enable: true})
+	n, _, _ := newOverloadMachineForTest(t, eng, BatchConfig{}, OverloadConfig{})
 	n.selfMonKeys = map[ident.ID]bool{42: true}
 
 	cases := []struct {

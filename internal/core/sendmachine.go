@@ -159,7 +159,7 @@ type sendMachine struct {
 
 	// Overload accounting (all guarded by mu; see overload.go).
 	totalBytes int                // sum of queue byte estimates
-	hiWater    int                // max totalBytes ever observed
+	hiWater    int                // max totalBytes ever left at rest
 	shed       [numClasses]uint64 // elements shed/refused, by class
 	shedBytes  uint64             // estimated bytes of those elements
 	rejected   uint64             // incoming enqueues refused with a typed error
@@ -174,8 +174,8 @@ type destQueue struct {
 	sinks []sinkRef
 	bytes int
 	gen   uint64 // from sm.genSeq; stale deadline timers no-op
-	// classes and times parallel elems; populated only when overload
-	// protection is enabled (shedding priority and queue-age telemetry).
+	// classes and times parallel elems: shedding priority and queue-age
+	// telemetry.
 	classes []msgClass
 	times   []time.Duration
 	timer   transport.Timer // the deadline timer while armed
@@ -198,20 +198,11 @@ func newRecord(n *Node, to transport.Addr) *destQueue {
 	return q
 }
 
-// direct puts one element on the wire by itself, around the queues.
-func (n *Node) direct(to transport.Addr, el *BatchElem, ref sinkRef) {
-	q := newRecord(n, to)
-	q.sinks = append(q.sinks, ref)
-	n.treeSent(el)
-	typ, payload := elemMessage(el)
-	n.ep.Call(to, typ, payload, q.reply)
-}
-
 // treeSent fires the per-tree send-accounting hook (DESIGN.md §13) for
-// one outbound element. Every path that puts an update or detach on the
-// wire — direct, flush, the failover courtesy detach — calls it exactly
-// once, so an element counts once per wire appearance (retries count
-// again: it tracks traffic, not intents). Callers hold no locks.
+// one outbound element. Both paths that put an update or detach on the
+// wire — flush and the failover courtesy detach — call it exactly once,
+// so an element counts once per wire appearance (retries count again: it
+// tracks traffic, not intents). Callers hold no locks.
 func (n *Node) treeSent(el *BatchElem) {
 	if h := n.cfg.Obs.TreeSent; h != nil {
 		if el.Kind == batchKindDetach {
@@ -260,64 +251,47 @@ func stopAll(timers []transport.Timer) {
 	}
 }
 
-// enqueue appends one element to the destination's queue and flushes it
-// if a size threshold tripped, else arms the deadline timer. With
-// overload protection enabled it first runs admission control: open
-// breakers and an exhausted global budget refuse the element with a
-// typed error (after evicting strictly-lower-priority victims), and a
-// destination queue at its own budget is force-flushed rather than
-// grown.
+// enqueue is the one road onto the wire for an update or detach:
+// admission, then the destination's queue, then a flush (DESIGN.md
+// §12). Admission refuses the element with a typed error when the
+// machine is closed, the destination's breaker is open, or the global
+// budget is exhausted and evicting strictly-lower-priority victims
+// cannot make room. An admitted element is appended; the queue is
+// flushed at once if a size trigger tripped, else its deadline timer is
+// armed.
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)
 	ov := n.cfg.Overload
+	class := n.classify(el)
+	now := n.clock.Now()
 
-	var class msgClass
-	var now time.Duration
-	if ov.Enable {
-		class = n.classify(el)
-		now = n.clock.Now()
-		// Fail fast on a peer whose breaker is open: queueing more
-		// traffic at it would only be shed or time out later. The
-		// read-only check cannot refuse a half-open probe the delivery
-		// layer just admitted.
-		if class != classControl && n.breakerOpenNow(to) {
-			sm.refuse(ref, class, est, "breaker", ErrBreakerOpen)
-			return
-		}
-		// An element alone exceeding the per-queue budget can never be
-		// queued under it: send it directly.
-		if est > ov.MaxQueueBytes {
-			n.direct(to, el, ref)
-			return
-		}
+	// Fail fast on a peer whose breaker is open: queueing more traffic at
+	// it would only be shed or time out later. The read-only check cannot
+	// refuse a half-open probe the delivery layer just admitted.
+	if class != classControl && n.breakerOpenNow(to) {
+		sm.refuse(ref, class, est, "breaker", ErrBreakerOpen)
+		return
 	}
 
 	sm.mu.Lock()
 	if sm.closed {
 		sm.mu.Unlock()
-		if ov.Enable {
-			// Typed rejection instead of racing the drained machine
-			// back onto the wire; the caller degrades locally.
-			sm.refuse(ref, class, est, "closed", ErrSendClosed)
-		} else {
-			n.direct(to, el, ref)
-		}
+		// Typed rejection instead of racing the drained machine back onto
+		// the wire; the caller degrades locally.
+		sm.refuse(ref, class, est, "closed", ErrSendClosed)
 		return
 	}
 
 	// Global budget: evict strictly-lower-class victims (oldest first,
 	// this destination's queue first, then the rest in sorted address
 	// order), and refuse the element if that still cannot make room.
-	// Control traffic is never refused: it bypasses the queues instead.
+	// Control traffic is never refused and evicts nobody: it is admitted
+	// over the budget and its queue flushed at once (below), so nothing
+	// over the budget stays at rest.
 	var victims []shedElem
 	var stops []transport.Timer
-	if ov.Enable && sm.totalBytes+est > ov.MaxTotalBytes {
-		if class == classControl {
-			sm.mu.Unlock()
-			n.direct(to, el, ref)
-			return
-		}
+	if class != classControl && sm.totalBytes+est > ov.MaxTotalBytes {
 		victims, stops = sm.evictLocked(to, class, sm.totalBytes+est-ov.MaxTotalBytes)
 		if sm.totalBytes+est > ov.MaxTotalBytes {
 			sm.mu.Unlock()
@@ -344,18 +318,10 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	}
 	q.elems = append(q.elems, *el)
 	q.sinks = append(q.sinks, ref)
+	q.classes = append(q.classes, class)
+	q.times = append(q.times, now)
 	q.bytes += est
-	// Byte accounting runs in both modes so OverloadStats can report
-	// queue growth even when no budget is enforced; only the shedding
-	// metadata (classes, enqueue times) is overload-gated.
 	sm.totalBytes += est
-	if sm.totalBytes > sm.hiWater {
-		sm.hiWater = sm.totalBytes
-	}
-	if ov.Enable {
-		q.classes = append(q.classes, class)
-		q.times = append(q.times, now)
-	}
 
 	var reason string
 	switch {
@@ -363,10 +329,12 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		reason = "elems"
 	case q.bytes >= sm.cfg.MaxBytes:
 		reason = "bytes"
-	case ov.Enable && (len(q.elems) >= ov.MaxQueueElems || q.bytes >= ov.MaxQueueBytes):
-		// A queue at its overload budget is flushed, not shed: the wire
-		// is the pressure-relief valve; shedding is reserved for the
-		// global budget.
+	case len(q.elems) >= ov.MaxQueueElems || q.bytes >= ov.MaxQueueBytes || sm.totalBytes > ov.MaxTotalBytes:
+		// A queue at its budget — one element larger than the budget
+		// included — is flushed, not shed: the wire is the
+		// pressure-relief valve; shedding is reserved for the global
+		// budget. So is the queue whose control element took the total
+		// over the global one.
 		reason = "overload"
 	}
 	if reason != "" {
@@ -376,6 +344,11 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		sm.fireShed(victims, "evict", ErrOverload)
 		sm.flush(q, reason)
 		return
+	}
+	// Hi-water is bytes at rest: what a flush takes in the same call
+	// never waited in memory.
+	if sm.totalBytes > sm.hiWater {
+		sm.hiWater = sm.totalBytes
 	}
 	armed, gen := q.armed, q.gen
 	if !armed {
@@ -575,11 +548,10 @@ func elemMessage(el *BatchElem) (typ string, payload any) {
 }
 
 // Close drains every queue (flushing pending traffic immediately) and
-// stops all deadline timers. Later enqueues bypass the machine — or,
-// with overload protection enabled, are refused with ErrSendClosed so
-// their sinks are still answered instead of racing shutdown onto the
-// wire. The destinations are flushed in sorted order so shutdown traffic
-// is deterministic.
+// stops all deadline timers. Later enqueues are refused with
+// ErrSendClosed, so their sinks are still answered instead of racing
+// shutdown onto the wire. The destinations are flushed in sorted order
+// so shutdown traffic is deterministic.
 func (sm *sendMachine) Close() {
 	sm.mu.Lock()
 	if sm.closed {

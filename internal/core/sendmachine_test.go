@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,15 +72,18 @@ func testUpdate(i int) UpdateMsg {
 	}
 }
 
-// TestSendMachineFlushTriggers table-drives the three threshold flushes
+// TestSendMachineFlushTriggers table-drives the size-triggered flushes
 // plus the deadline path, asserting both the wire shape (one batched
-// Call) and the reported trigger.
+// Call) and the reported trigger. No trigger sheds, refuses or leaves
+// more than the global budget at rest.
 func TestSendMachineFlushTriggers(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	cases := []struct {
 		name       string
 		cfg        BatchConfig
+		overload   OverloadConfig
 		enqueue    int
+		last       func(*UpdateMsg) // reshapes the last update enqueued
 		runFor     time.Duration
 		wantReason string
 		wantElems  int
@@ -108,14 +112,46 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 			wantReason: "deadline",
 			wantElems:  4,
 		},
+		{
+			name: "oversize-elem",
+			// The last update alone estimates over MaxQueueBytes: it joins
+			// the two already waiting and the queue flushes at once.
+			cfg:        BatchConfig{MaxBytes: 100000, MaxElems: 100, MaxDelay: time.Hour},
+			overload:   OverloadConfig{MaxQueueBytes: 300},
+			enqueue:    3,
+			last:       func(um *UpdateMsg) { um.Sender.Addr = transport.Addr(strings.Repeat("x", 300)) },
+			wantReason: "overload",
+			wantElems:  3,
+		},
+		{
+			name: "control-over-budget",
+			// Two 82-byte updates fill the 200-byte global budget; the
+			// handover is admitted over it, evicts neither, and takes
+			// them along on the flush it forces.
+			cfg:        BatchConfig{MaxBytes: 100000, MaxElems: 100, MaxDelay: time.Hour},
+			overload:   OverloadConfig{MaxTotalBytes: 200},
+			enqueue:    3,
+			last:       func(um *UpdateMsg) { um.Handover = true },
+			wantReason: "overload",
+			wantElems:  3,
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			n, ep, flushes := newMachineForTest(t, eng, tc.cfg)
+			n.cfg.Overload = tc.overload.withDefaults()
 			for i := 0; i < tc.enqueue; i++ {
-				n.batchCall(dest, MsgUpdate, testUpdate(i), nil)
+				um := testUpdate(i)
+				if tc.last != nil && i == tc.enqueue-1 {
+					tc.last(&um)
+				}
+				n.batchCall(dest, MsgUpdate, um, func(_ any, err error) {
+					if err != nil {
+						t.Errorf("update %d answered %v", i, err)
+					}
+				})
 			}
 			if tc.runFor > 0 {
 				if len(ep.calls) != 0 {
@@ -145,6 +181,13 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 			}
 			if saved := (*flushes)[0].saved; saved != (tc.wantElems-1)*frameOverhead {
 				t.Fatalf("bytesSaved = %d, want %d", saved, (tc.wantElems-1)*frameOverhead)
+			}
+			st := n.OverloadStats()
+			if st.Rejected != 0 || st.ShedBytes != 0 || st.QueuedBytes != 0 {
+				t.Fatalf("flush shed, refused or left traffic behind: %+v", st)
+			}
+			if st.HiWaterBytes > n.cfg.Overload.MaxTotalBytes {
+				t.Fatalf("hi-water %d over the %d-byte budget", st.HiWaterBytes, n.cfg.Overload.MaxTotalBytes)
 			}
 			// No timer may survive the flush: drain the engine and assert
 			// nothing else reaches the wire.
@@ -281,8 +324,8 @@ func TestSendMachineAckDemux(t *testing.T) {
 
 // TestSendMachineCloseDrains pins the shutdown tie: Close flushes every
 // queued element immediately (reason "drain", deterministic destination
-// order), cancels all deadline timers, and later enqueues bypass the
-// machine rather than park in a dead queue.
+// order) and cancels all deadline timers. What a later enqueue meets is
+// TestSendMachineCloseTypedError's.
 func TestSendMachineCloseDrains(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n, ep, flushes := newMachineForTest(t, eng, BatchConfig{MaxDelay: time.Hour, MaxElems: 100})
@@ -317,12 +360,9 @@ func TestSendMachineCloseDrains(t *testing.T) {
 	if fired := eng.Run(); fired != 0 {
 		t.Fatalf("%d events fired after Close; deadline timers leaked", fired)
 	}
-	// Idempotent, and post-Close traffic passes straight through.
-	n.Close()
-	n.batchCall("10.0.0.7:1", MsgUpdate, testUpdate(99), nil)
-	last := ep.calls[len(ep.calls)-1]
-	if last.typ != MsgUpdate || last.to != "10.0.0.7:1" {
-		t.Fatalf("post-Close enqueue did not pass through: %+v", last)
+	n.Close() // idempotent
+	if len(ep.calls) != len(dests) {
+		t.Fatalf("second Close put %d more calls on the wire", len(ep.calls)-len(dests))
 	}
 }
 
@@ -338,20 +378,17 @@ func TestSendMachinePassThrough(t *testing.T) {
 		detach bool
 	}
 	cases := []struct {
-		name     string
-		overload OverloadConfig
-		sends    []send
+		name  string
+		sends []send
 	}{
 		{name: "updates-one-dest", sends: []send{{to: destA}, {to: destA}, {to: destA}}},
 		{name: "detaches-two-dests", sends: []send{{destA, true}, {destB, true}, {destA, true}}},
 		{name: "mixed-two-dests", sends: []send{{to: destA}, {destB, true}, {to: destB}, {destA, true}, {to: destA}}},
-		{name: "mixed-overload-on", overload: OverloadConfig{Enable: true},
-			sends: []send{{to: destB}, {destA, true}, {to: destA}, {to: destB}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
-			n, ep, _ := newOverloadMachineForTest(t, eng, BatchConfig{MaxElems: 1}, tc.overload)
+			n, ep, _ := newOverloadMachineForTest(t, eng, BatchConfig{MaxElems: 1}, OverloadConfig{})
 			answered := make([]int, len(tc.sends))
 			for i, s := range tc.sends {
 				cb := func(payload any, err error) {

@@ -118,13 +118,10 @@ func RunScenario(sc *Scenario) (*Result, error) {
 	}
 	fmt.Fprintf(&tr, "datcheck seed=%d n=%d bits=%d scheme=%v slot=%v batch=%s selfmon=%s events=%d\n",
 		sc.Seed, sc.N, sc.Bits, sc.Scheme, sc.Slot, batch, selfmon, len(sc.Events))
-	if sc.Overload.Enable {
-		// Extra header line only when the layer is on, so pre-overload
-		// seeds keep byte-identical traces.
-		fmt.Fprintf(&tr, "overload qbytes=%d qelems=%d total=%d cooldown=%v\n",
-			sc.Overload.MaxQueueBytes, sc.Overload.MaxQueueElems,
-			sc.Overload.MaxTotalBytes, sc.Overload.BreakerCooldown)
-	}
+	// What the scenario sets of the overload policy; 0 is core's default.
+	fmt.Fprintf(&tr, "overload qbytes=%d qelems=%d total=%d cooldown=%v\n",
+		sc.Overload.MaxQueueBytes, sc.Overload.MaxQueueElems,
+		sc.Overload.MaxTotalBytes, sc.Overload.BreakerCooldown)
 
 	// The observer's hooks never schedule events or draw engine
 	// randomness, so attaching it keeps traces byte-identical per seed;
@@ -566,9 +563,7 @@ func (h *harness) settle() {
 	if h.sc.SelfMon {
 		h.checkSelfMon()
 	}
-	if h.sc.Overload.Enable {
-		h.checkOverload()
-	}
+	h.checkOverload()
 }
 
 // checkOverload audits the overload-protection layer at a settle point.
@@ -581,6 +576,9 @@ func (h *harness) settle() {
 // byte-identity.
 func (h *harness) checkOverload() {
 	limit := h.sc.Overload.MaxTotalBytes
+	if limit <= 0 {
+		limit = 262144 // core.OverloadConfig's default
+	}
 	var hiWater int
 	var shedTotal, rejected, opens uint64
 	ok := true

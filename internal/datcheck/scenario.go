@@ -164,11 +164,10 @@ type Scenario struct {
 	// equivalence test flips it on for paired runs.
 	SelfMon bool
 	// Overload tunes the overload-protection layer (bounded queues,
-	// priority shedding, per-peer breakers). The zero value leaves it
-	// off, so historical seeds run the exact pre-overload protocol; the
-	// overload-fault generator sets deliberately tight budgets and every
-	// settle then audits the layer's invariants (budget respected,
-	// control never shed).
+	// priority shedding, per-peer breakers). The zero value is core's
+	// defaults; the overload-fault generator sets deliberately tight
+	// budgets. Every settle of every family audits the layer's
+	// invariants (budget respected, control never shed).
 	Overload core.OverloadConfig
 	Events   []Event
 }
@@ -500,8 +499,8 @@ func generateBatchFaults(seed int64) *Scenario {
 // additionally audits the overload invariants (budget never exceeded,
 // control never shed). Budgets are randomized in a loose band: tight
 // enough that bursts shed, loose enough that a quiesced cluster runs
-// clean — so settle-time aggregates still match the overload-off
-// ablation.
+// clean — so settle-time aggregates still match the run under budgets
+// nothing reaches (TestDatcheckOverloadEquivalence).
 func generateOverloadFaults(seed int64) *Scenario {
 	r := rand.New(rand.NewSource(seed))
 	sc := &Scenario{
@@ -516,7 +515,6 @@ func generateOverloadFaults(seed int64) *Scenario {
 		sc.Scheme = core.BalancedLocal
 	}
 	sc.Overload = core.OverloadConfig{
-		Enable:        true,
 		MaxQueueElems: 6 + r.Intn(6),        // 6..11 elements per destination
 		MaxQueueBytes: 600 + 50*r.Intn(8),   // 600..950 bytes per destination
 		MaxTotalBytes: 1600 + 100*r.Intn(8), // 1600..2300 bytes global

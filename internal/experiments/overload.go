@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -17,8 +18,9 @@ import (
 // a multi-tree monitoring run whose busiest aggregation parent turns
 // into an ack blackhole — it receives and processes every update but its
 // replies never come back, so every sender burns its full retry budget
-// into it — measured with the protection layer (bounded queues, priority
-// shedding, per-peer breakers) on versus off.
+// into it — measured under the protection policy (bounded queues,
+// priority shedding, per-peer breakers) versus budgets and a breaker
+// threshold nothing reaches.
 type OverloadAblationConfig struct {
 	// N is the ring size. Default 48.
 	N int
@@ -38,10 +40,10 @@ type OverloadAblationConfig struct {
 	Burst int
 	// Slot is the aggregation slot. Default 500ms.
 	Slot time.Duration
-	// Overload is the protected mode's policy. The zero value takes the
-	// layer's defaults with a 4s breaker cooldown, so an opened breaker
-	// stays open across many slots instead of re-probing every other
-	// round.
+	// Overload is the protected run's policy. The zero value takes the
+	// layer's defaults with a 1 KiB global budget and a 4s breaker
+	// cooldown, so an opened breaker stays open across many slots
+	// instead of re-probing every other round.
 	Overload core.OverloadConfig
 	// Bits, Seed as elsewhere.
 	Bits uint
@@ -73,11 +75,10 @@ func (c OverloadAblationConfig) withDefaults() OverloadAblationConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if !c.Overload.Enable {
+	if c.Overload == (core.OverloadConfig{}) {
 		// MaxTotalBytes is sized between the steady-state queue spike and
 		// the burst's, so the fan-in storm sheds and the baseline does not.
 		c.Overload = core.OverloadConfig{
-			Enable:          true,
 			MaxTotalBytes:   1024,
 			BreakerCooldown: 4 * time.Second,
 		}
@@ -116,7 +117,17 @@ func (t *victimTap) Message(_, to transport.Addr, typ string, _ bool) {
 	}
 }
 
-// overloadRun is one mode's measurement.
+// unprotected is the pre-overload protocol written as values: budgets
+// no queue reaches and a failure count no peer reaches, so nothing is
+// shed, refused or isolated.
+var unprotected = core.OverloadConfig{
+	MaxQueueBytes:   math.MaxInt32,
+	MaxQueueElems:   math.MaxInt32,
+	MaxTotalBytes:   math.MaxInt32,
+	BreakerFailures: math.MaxInt32,
+}
+
+// overloadRun is one policy's measurement.
 type overloadRun struct {
 	wastedPerSlot float64
 	hiWaterBytes  int
@@ -126,31 +137,28 @@ type overloadRun struct {
 	controlShed   uint64
 }
 
-// OverloadAblation measures the ack-blackhole scenario with overload
-// protection on versus off (DESIGN.md §14). The unprotected run keeps
-// re-sending into the blackhole — every slot, every tree, every child of
-// the victim burns its retry budget — and its send queues answer to no
-// budget. The protected run opens breakers after a handful of failures,
-// fails over in O(1), and bounds queue memory at MaxTotalBytes; the
-// wasted-datagram ratio is the headline (the PR's acceptance asks for
-// >=10x).
+// OverloadAblation measures the ack-blackhole scenario under the
+// protection policy and under the unprotected values (DESIGN.md §14).
+// The unprotected run keeps re-sending into the blackhole — every slot,
+// every tree, every child of the victim burns its retry budget — and
+// its send queues reach no budget. The protected run opens breakers
+// after a handful of failures, fails over in O(1), and bounds queue
+// memory at MaxTotalBytes; the wasted-datagram ratio is the headline
+// (>= 10x).
 func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 
-	measure := func(protected bool) (overloadRun, error) {
+	measure := func(policy core.OverloadConfig) (overloadRun, error) {
 		var run overloadRun
-		opts := cluster.Options{
+		c, err := cluster.New(cluster.Options{
 			N:    cfg.N,
 			Bits: cfg.Bits,
 			Seed: cfg.Seed,
 			Local: func(node int, _ time.Duration, _ ident.ID) (float64, bool) {
 				return float64(node + 1), true
 			},
-		}
-		if protected {
-			opts.Overload = cfg.Overload
-		}
-		c, err := cluster.New(opts)
+			Overload: policy,
+		})
 		if err != nil {
 			return run, err
 		}
@@ -251,11 +259,11 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 		return run, nil
 	}
 
-	plain, err := measure(false)
+	plain, err := measure(unprotected)
 	if err != nil {
 		return nil, err
 	}
-	prot, err := measure(true)
+	prot, err := measure(cfg.Overload)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +277,7 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 
 	t := &Table{
 		ID: "overload",
-		Title: fmt.Sprintf("Overload protection under an ack blackhole: %d nodes, %d trees, protection off vs on",
+		Title: fmt.Sprintf("Overload protection under an ack blackhole: %d nodes, %d trees, unreachable budgets vs the protection policy",
 			cfg.N, cfg.Trees),
 		Columns: []string{"mode", "wasted_to_victim_per_slot", "queue_hiwater_bytes",
 			"shed_pct", "breaker_opens", "p99_queue_age_ms", "wasted_retry_reduction"},
@@ -280,7 +288,7 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 		prot.shedPct, prot.breakerOpens, float64(prot.p99QueueAge)/1e6, ratio)
 	t.Note(fmt.Sprintf("%d measured slots of %v after %d warmup slots; victim is the busiest non-root parent of tree 0; %d-tree fan-in burst at the midpoint",
 		cfg.Slots, cfg.Slot, cfg.Warmup, cfg.Burst))
-	t.Note(fmt.Sprintf("protected mode: MaxTotalBytes=%d, breaker cooldown %v; queue ages are only recorded under protection",
+	t.Note(fmt.Sprintf("protected: MaxTotalBytes=%d, breaker cooldown %v; unprotected: the three budgets and BreakerFailures at math.MaxInt32",
 		cfg.Overload.MaxTotalBytes, cfg.Overload.BreakerCooldown))
 	t.Note("wasted datagrams are dat.* requests delivered to the blackholed victim: acknowledged never, so each buys a timeout")
 	return t, nil

@@ -266,6 +266,13 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 		t.Errorf("/debug/load has no live cluster summary:\n%s", load)
 	}
 
+	// No peer above set PeerConfig.Overload: the zero value is the default
+	// budgets and armed breakers.
+	code, overload := get("/debug/overload")
+	if code != http.StatusOK || !strings.Contains(overload, "total=262144B; breaker: 3 fails, 1s cooldown") {
+		t.Fatalf("/debug/overload: code=%d body=%q", code, overload)
+	}
+
 	code, spans := get("/debug/spans?key=" + fmt.Sprint(uint64(ident.New(32).HashString(attrs[0]))))
 	if code != http.StatusOK || !strings.Contains(spans, "spans match") {
 		t.Fatalf("/debug/spans?key=: code=%d body=%q", code, spans)

@@ -55,8 +55,8 @@ type PeerConfig struct {
 	Batch BatchConfig
 	// Overload configures the overload-protection layer: bounded send
 	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). The zero value DISABLES it; set Overload.Enable
-	// to turn it on.
+	// (DESIGN.md §14). The zero value is the default budgets and armed
+	// breakers.
 	Overload OverloadConfig
 	// RPCTimeout bounds blocking convenience calls (Join, Query...).
 	// Default 10s.

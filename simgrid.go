@@ -45,8 +45,8 @@ type SimGridConfig struct {
 	Batch BatchConfig
 	// Overload configures the overload-protection layer: bounded send
 	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). The zero value disables it; set Overload.Enable
-	// for overload experiments.
+	// (DESIGN.md §14). The zero value is the default budgets and armed
+	// breakers.
 	Overload OverloadConfig
 	// SelfMon enables the self-monitoring plane (DESIGN.md §13): every
 	// node accounts its per-tree load and dedicated dat.load.* trees
