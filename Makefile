@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free mode-free lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free mode-free count-once lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -26,6 +26,15 @@ gob-free:
 mode-free:
 	! grep -rnE 'Overload\.Enable|ov\.Enable|-overload\.enable' --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
 	! grep -nE '^func (\([^)]*\) )?direct\(' $(filter-out %_test.go,$(wildcard internal/core/*.go))
+
+# A node counts its own load once (DESIGN.md §13): core.Node owns the two
+# load scalars and the Observer owns the one per-tree LoadVec, so nothing
+# outside internal/obs builds a LoadVec and the hook tee is gone. Nor do
+# the per-destination queue budgets (they are the batch thresholds) or
+# the error no enqueue can return come back under their old names.
+count-once:
+	! grep -rn 'NewLoadVec' --include='*.go' --exclude='*_test.go' --exclude-dir=perf --exclude-dir=obs .
+	! grep -rnE 'MergeCoreHooks|MaxQueueBytes|MaxQueueElems|ErrBreakerOpen' --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
 # simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
@@ -145,4 +154,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free mode-free lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free mode-free count-once lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

@@ -70,27 +70,11 @@ type DeliveryConfig = core.DeliveryConfig
 // the same parent into single datagrams. See PeerConfig.Batch.
 type BatchConfig = core.BatchConfig
 
-// OverloadConfig tunes the overload-protection layer: bounded
-// per-destination send queues with a global byte budget, priority load
-// shedding, and per-peer circuit breakers. The zero value is the
-// defaults. See PeerConfig.Overload and DESIGN.md §14.
+// OverloadConfig tunes the overload-protection layer: a global byte
+// budget over the send queues with priority load shedding, and per-peer
+// circuit breakers. The zero value is the defaults. See
+// PeerConfig.Overload and DESIGN.md §14.
 type OverloadConfig = core.OverloadConfig
-
-// Typed refusals from the overload layer (DESIGN.md §14). All three are
-// local admission decisions, delivered through the same callbacks as
-// remote failures but never fed to the failure detector:
-// errors.Is-match them to tell "the cluster is protecting itself" from
-// "the peer is gone".
-var (
-	// ErrOverload: the element was shed or refused because a queue
-	// budget was exceeded.
-	ErrOverload = core.ErrOverload
-	// ErrBreakerOpen: the destination's circuit breaker is open and the
-	// send failed fast.
-	ErrBreakerOpen = core.ErrBreakerOpen
-	// ErrSendClosed: the node's send machine has shut down.
-	ErrSendClosed = core.ErrSendClosed
-)
 
 // SelfMonConfig enables the self-monitoring plane: dedicated dat.load.*
 // aggregation trees that carry every node's own load counters, so the

@@ -34,11 +34,6 @@ type Config struct {
 	FingersPerFix int
 	// PingEvery is the predecessor liveness check period. Default 1s.
 	PingEvery time.Duration
-	// MaxLookupHops bounds iterative lookups. Default 2*bits+8.
-	MaxLookupHops int
-	// LookupRetries is how many times a lookup restarts after hitting a
-	// dead node. Default 3.
-	LookupRetries int
 	// Seed seeds node-local randomness (maintenance jitter). The
 	// simulated clock applies its own engine-seeded jitter, so this only
 	// matters for real transports. Default 1.
@@ -66,12 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PingEvery <= 0 {
 		c.PingEvery = time.Second
-	}
-	if c.MaxLookupHops <= 0 {
-		c.MaxLookupHops = 2*int(c.Space.Bits()) + 8
-	}
-	if c.LookupRetries <= 0 {
-		c.LookupRetries = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -707,6 +696,14 @@ func (n *Node) startLookup(l lookup) {
 	l.start(step.Next)
 }
 
+// lookupRetries is how many times a lookup restarts from this node's
+// own tables after hitting a dead node.
+const lookupRetries = 3
+
+// maxLookupHops bounds one iterative lookup: twice the O(log n) worst
+// case of a converged ring, plus slack for tables under repair.
+func maxLookupHops(space ident.Space) int { return 2*int(space.Bits()) + 8 }
+
 // lookupVia starts an iterative lookup at an arbitrary address (used
 // before this node is part of the ring).
 func (n *Node) lookupVia(start transport.Addr, key ident.ID, cb func(NodeRef, error)) {
@@ -717,7 +714,7 @@ func (n *Node) lookupVia(start transport.Addr, key ident.ID, cb func(NodeRef, er
 // takes l's address, which moves this copy of the record to the heap:
 // the one the rest of the lookup runs on.
 func (l lookup) start(at NodeRef) {
-	l.retries = l.n.cfg.LookupRetries
+	l.retries = lookupRetries
 	l.req = StepReq{Key: l.key}
 	l.onStep = l.handleStep
 	l.ask(at)
@@ -749,8 +746,8 @@ func (l *lookup) finish(ref NodeRef, err error) {
 // ask sends the lookup's next Step to at.
 func (l *lookup) ask(at NodeRef) {
 	n := l.n
-	if l.hops > n.cfg.MaxLookupHops {
-		l.finish(NodeRef{}, fmt.Errorf("%w: hop limit %d exceeded for key %v", ErrLookupFailed, n.cfg.MaxLookupHops, l.key))
+	if limit := maxLookupHops(n.cfg.Space); l.hops > limit {
+		l.finish(NodeRef{}, fmt.Errorf("%w: hop limit %d exceeded for key %v", ErrLookupFailed, limit, l.key))
 		return
 	}
 	l.at = at

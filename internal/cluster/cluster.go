@@ -70,9 +70,6 @@ type Options struct {
 	// warm-starting neighbor state from the ideal ring. Slower at scale;
 	// use for churn/convergence studies. Default false (warm start).
 	ProtocolJoin bool
-	// JoinSpacing is the interval between protocol joins when
-	// ProtocolJoin is set. Default 50ms.
-	JoinSpacing time.Duration
 	// StabilizeEvery / FixFingersEvery / PingEvery override the chord
 	// maintenance cadence. Long-duration monitoring runs should raise
 	// them so maintenance traffic does not dominate the event queue.
@@ -83,11 +80,10 @@ type Options struct {
 	// current virtual time, and the rendezvous key. Nil means no node
 	// contributes values.
 	Local func(node int, now time.Duration, key ident.ID) (float64, bool)
-	// ChildTTLSlots, DemandDebounce and HoldPerLevel pass through to the
-	// DAT layer (HoldPerLevel < 0 disables slot synchronization).
-	ChildTTLSlots  int
-	DemandDebounce time.Duration
-	HoldPerLevel   time.Duration
+	// ChildTTLSlots and HoldPerLevel pass through to the DAT layer
+	// (HoldPerLevel < 0 disables slot synchronization).
+	ChildTTLSlots int
+	HoldPerLevel  time.Duration
 	// ShareResults passes through to the DAT layer (root broadcasts each
 	// completed slot result).
 	ShareResults bool
@@ -115,11 +111,11 @@ type Options struct {
 	// simulation. Optional.
 	Observer *obs.Observer
 	// SelfMon enables the layer-2 self-monitoring plane (DESIGN.md §13):
-	// every node gets its own LoadVec fed from the core hooks, and New
-	// starts one dedicated aggregation tree per obs.SelfMonAttrs entry
-	// whose node-local samples are the LoadVec totals — the cluster
-	// monitors its own load through its own trees. SelfMon.Slot defaults
-	// to 2s; run it slower than the primary slot to bound overhead.
+	// New starts one dedicated aggregation tree per obs.SelfMonAttrs
+	// entry whose node-local samples are each node's own load scalars
+	// (DAT[i].Load) — the cluster monitors its own load through its own
+	// trees. SelfMon.Slot defaults to 2s; run it slower than the primary
+	// slot to bound overhead.
 	SelfMon obs.SelfMonConfig
 	// Logger receives structured protocol logs from every node. Nil
 	// means silent (the usual choice for large runs).
@@ -135,9 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Latency == nil {
 		o.Latency = sim.ConstantLatency(time.Millisecond)
-	}
-	if o.JoinSpacing <= 0 {
-		o.JoinSpacing = 50 * time.Millisecond
 	}
 	if o.StabilizeEvery <= 0 {
 		o.StabilizeEvery = 300 * time.Millisecond
@@ -162,10 +155,6 @@ type Cluster struct {
 	Space  ident.Space
 	Chord  []*chord.Node
 	DAT    []*core.Node
-	// Loads holds each node's per-tree load accounting, indexed like
-	// Chord/DAT. Populated only when Opts.SelfMon.Enable; a Rejoin
-	// replaces the slot with fresh counters (fresh protocol state).
-	Loads []*obs.LoadVec
 
 	eps []transport.Endpoint
 
@@ -297,27 +286,23 @@ func (c *Cluster) newStack(addr transport.Addr, id ident.ID, idx int) (transport
 		clk := c.Net.Clock()
 		local = func(key ident.ID) (float64, bool) { return c.Opts.Local(idx, clk.Now(), key) }
 	}
-	var lv *obs.LoadVec
+	var dn *core.Node
 	if c.Opts.SelfMon.Enable {
-		// Each node accounts its own load; Rejoin lands here again and
-		// replaces the slot with fresh counters.
-		lv = obs.NewLoadVec(0)
-		for len(c.Loads) <= idx {
-			c.Loads = append(c.Loads, nil)
-		}
-		c.Loads[idx] = lv
 		// The monitoring trees' node-local samples are the node's own
-		// LoadVec totals; every other key falls through to the
-		// experiment's sensor. Counters are read at tick time on the
-		// deterministically ordered sim paths, so the published values
-		// are a pure function of the seed.
+		// load scalars (a Rejoin builds a new node, so they restart at
+		// zero); every other key falls through to the experiment's
+		// sensor. Counters are read at tick time on the deterministically
+		// ordered sim paths, so the published values are a pure function
+		// of the seed.
 		userLocal := local
 		local = func(key ident.ID) (float64, bool) {
 			switch c.selfMonKeys[key] {
 			case obs.LoadAttrMsgs:
-				return float64(lv.NodeLoad()), true
+				msgs, _ := dn.Load()
+				return float64(msgs), true
 			case obs.LoadAttrBytes:
-				return float64(lv.NodeBytes()), true
+				_, bytes := dn.Load()
+				return float64(bytes), true
 			}
 			if userLocal != nil {
 				return userLocal(key)
@@ -326,26 +311,20 @@ func (c *Cluster) newStack(addr transport.Addr, id ident.ID, idx int) (transport
 		}
 	}
 	coreCfg := core.NodeConfig{
-		Scheme:         c.Opts.Scheme,
-		Local:          local,
-		ChildTTLSlots:  c.Opts.ChildTTLSlots,
-		DemandDebounce: c.Opts.DemandDebounce,
-		HoldPerLevel:   c.Opts.HoldPerLevel,
-		ShareResults:   c.Opts.ShareResults,
-		Delivery:       c.Opts.Delivery,
-		Batch:          c.Opts.Batch,
-		Overload:       c.Opts.Overload,
-		Logger:         logger,
+		Scheme:        c.Opts.Scheme,
+		Local:         local,
+		ChildTTLSlots: c.Opts.ChildTTLSlots,
+		HoldPerLevel:  c.Opts.HoldPerLevel,
+		ShareResults:  c.Opts.ShareResults,
+		Delivery:      c.Opts.Delivery,
+		Batch:         c.Opts.Batch,
+		Overload:      c.Opts.Overload,
+		Logger:        logger,
 	}
-	switch {
-	case lv != nil && c.Opts.Observer != nil:
-		coreCfg.Obs = obs.MergeCoreHooks(lv.CoreHooks(), c.Opts.Observer.CoreHooks())
-	case lv != nil:
-		coreCfg.Obs = lv.CoreHooks()
-	case c.Opts.Observer != nil:
+	if c.Opts.Observer != nil {
 		coreCfg.Obs = c.Opts.Observer.CoreHooks()
 	}
-	dn := core.NewNode(cn, ep, c.Net.Clock(), coreCfg)
+	dn = core.NewNode(cn, ep, c.Net.Clock(), coreCfg)
 	return ep, cn, dn
 }
 
@@ -410,13 +389,16 @@ func (c *Cluster) warmStart(ids []ident.ID) {
 	}
 }
 
+// joinSpacing is the interval between successive protocol joins.
+const joinSpacing = 50 * time.Millisecond
+
 // protocolJoin runs the real join path for every node.
 func (c *Cluster) protocolJoin() {
 	c.Chord[0].Create()
 	boot := c.Chord[0].Self().Addr
 	for i := 1; i < len(c.Chord); i++ {
 		n := c.Chord[i]
-		c.Engine.Schedule(time.Duration(i)*c.Opts.JoinSpacing, func() {
+		c.Engine.Schedule(time.Duration(i)*joinSpacing, func() {
 			n.Join(boot, func(err error) {
 				if err != nil {
 					// Re-try once after a stabilization window; transient

@@ -126,11 +126,6 @@ type NodeConfig struct {
 	// calls it — on the clock's timer loop, under the node's lock: it must
 	// return promptly and not call back into the node.
 	Local func(key ident.ID) (value float64, ok bool)
-	// DemandDebounce is the on-demand flush debounce: a node sends its
-	// epoch bucket upward after this long without new contributions, so
-	// whole subtrees consolidate into single messages. Must exceed the
-	// typical one-way latency. Default 50ms.
-	DemandDebounce time.Duration
 	// ChildTTLSlots is how many continuous slots a cached child aggregate
 	// survives without refresh before being dropped (handles churn and
 	// tree reshuffling). Default 3.
@@ -175,9 +170,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 		// Root-exact selection needs a lookup per tree; the protocol uses
 		// the local rule, which is what the paper's prototype runs.
 		c.Scheme = BalancedLocal
-	}
-	if c.DemandDebounce <= 0 {
-		c.DemandDebounce = 50 * time.Millisecond
 	}
 	if c.ChildTTLSlots <= 0 {
 		c.ChildTTLSlots = 3
@@ -224,6 +216,13 @@ type Node struct {
 	brMu     sync.Mutex
 	breakers map[transport.Addr]*breaker
 	brOpens  uint64 // cumulative open transitions
+
+	// The node's own load, the two scalars the dat.load.* trees publish
+	// (DESIGN.md §13): updates sent plus child updates accepted, and
+	// estimated bytes sent. Bumped where the load arrives, outside every
+	// lock; Load reads them.
+	loadMsgs  atomic.Uint64
+	loadBytes atomic.Uint64
 
 	mu     sync.Mutex
 	aggs   map[ident.ID]*aggEntry
@@ -344,6 +343,11 @@ func (n *Node) Close() {
 	}
 	n.sm.Close()
 }
+
+// Load returns this node's own load: msgs is value updates put on the
+// wire plus child updates accepted (the paper's fig. 8 per-node figure),
+// bytes the estimated payload bytes sent. Both are monotone.
+func (n *Node) Load() (msgs, bytes uint64) { return n.loadMsgs.Load(), n.loadBytes.Load() }
 
 // Chord returns the underlying overlay node.
 func (n *Node) Chord() *chord.Node { return n.ch }
@@ -814,6 +818,7 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		}
 		n.debug("assumed rootship via handover", um.Key, "failed", um.FailedRoot, "child", from)
 	}
+	n.loadMsgs.Add(1)
 	if h := n.cfg.Obs.UpdateApplied; h != nil {
 		h(um.Key, false)
 	}
@@ -935,6 +940,12 @@ func (n *Node) handleCollect(from chord.NodeRef, payload []byte) {
 	n.mu.Unlock()
 }
 
+// demandDebounce is the on-demand flush debounce: a node sends its epoch
+// bucket upward after this long without new contributions, so whole
+// subtrees consolidate into single messages. It must exceed the typical
+// one-way latency.
+const demandDebounce = 50 * time.Millisecond
+
 // armFlushLocked (re-)schedules the debounced flush for an epoch bucket.
 // Callers hold n.mu.
 func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
@@ -944,7 +955,7 @@ func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
 	if es.cancelFlush != nil {
 		es.cancelFlush()
 	}
-	es.cancelFlush = n.clock.AfterFunc(n.cfg.DemandDebounce, func() { n.flushDemand(key, epoch) })
+	es.cancelFlush = n.clock.AfterFunc(demandDebounce, func() { n.flushDemand(key, epoch) })
 }
 
 // foldDemand accumulates an on-demand child update and (re-)arms the
@@ -973,6 +984,7 @@ func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) {
 	es.nodes += um.Nodes
 	n.armFlushLocked(es, um.Key, um.Epoch)
 	n.mu.Unlock()
+	n.loadMsgs.Add(1)
 	if h := n.cfg.Obs.UpdateApplied; h != nil {
 		h(um.Key, true)
 	}

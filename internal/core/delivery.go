@@ -35,6 +35,15 @@ type UpdateAck struct {
 // ring has exactly one root again before invariants run.
 const handoverSlots = 6
 
+// deliveryAttempts is how many times one candidate parent (or a detach's
+// former parent) is tried before failing over to the next candidate;
+// deliveryBackoff is the base delay of the jittered exponential backoff
+// between those attempts.
+const (
+	deliveryAttempts = 2
+	deliveryBackoff  = 25 * time.Millisecond
+)
+
 // DeliveryConfig tunes the delivery-assurance layer.
 type DeliveryConfig struct {
 	// AckTimeout bounds one delivery attempt: an unacknowledged update
@@ -42,30 +51,18 @@ type DeliveryConfig struct {
 	// failure-detector strike. Keep it well below the slot duration so
 	// failover completes in-slot. Default 150ms.
 	AckTimeout time.Duration
-	// Attempts is how many times one candidate parent is tried before
-	// failing over to the next candidate. Default 2.
-	Attempts int
 	// MaxCandidates bounds how many distinct parents one pending
 	// aggregate is offered to before giving up (the next slot retries
 	// from scratch anyway). Default 3.
 	MaxCandidates int
-	// Backoff is the base delay of the jittered exponential backoff
-	// between attempts to the same candidate. Default 25ms.
-	Backoff time.Duration
 }
 
 func (c DeliveryConfig) withDefaults() DeliveryConfig {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 150 * time.Millisecond
 	}
-	if c.Attempts <= 0 {
-		c.Attempts = 2
-	}
 	if c.MaxCandidates <= 0 {
 		c.MaxCandidates = 3
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 25 * time.Millisecond
 	}
 	return c
 }
@@ -397,14 +394,10 @@ func (d *delivery) degrade(reason string) {
 // overloadReason renders a typed admission error for logs and the
 // shed-reason bookkeeping.
 func overloadReason(err error) string {
-	switch {
-	case errors.Is(err, ErrBreakerOpen):
-		return "breaker"
-	case errors.Is(err, ErrSendClosed):
+	if errors.Is(err, ErrSendClosed) {
 		return "closed"
-	default:
-		return "overload"
 	}
+	return "overload"
 }
 
 // fail advances the state machine after a failed (or refused) attempt:
@@ -418,11 +411,11 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		d.mu.Unlock()
 		return
 	}
-	if !refused && d.attempt < cfg.Attempts {
+	if !refused && d.attempt < deliveryAttempts {
 		attempt := d.attempt
 		epoch := d.msg.Epoch
 		d.mu.Unlock()
-		delay := backoffDelay(cfg.Backoff, attempt, jitterHash(n.ep.Addr(), d.key, epoch, attempt))
+		delay := backoffDelay(deliveryBackoff, attempt, jitterHash(n.ep.Addr(), d.key, epoch, attempt))
 		t := n.clock.AfterRun(delay, d, int32(g))
 		d.mu.Lock()
 		if d.done || d.gen != g {
@@ -556,7 +549,7 @@ func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {
 	}
 	n.ch.Suspect(r.to)
 	n.breakerFailure(r.to, true)
-	if cfg := n.cfg.Delivery; a < cfg.Attempts {
-		n.clock.AfterRun(backoffDelay(cfg.Backoff, a, jitterHash(n.ep.Addr(), r.dm.Key, int64(a), a)), r, 0)
+	if a < deliveryAttempts {
+		n.clock.AfterRun(backoffDelay(deliveryBackoff, a, jitterHash(n.ep.Addr(), r.dm.Key, int64(a), a)), r, 0)
 	}
 }

@@ -14,9 +14,10 @@ import (
 // bounds per-node *tree* load (branching and height, §3) but says
 // nothing about *transport* overload: unbounded send queues pin memory
 // behind a stalled parent, and the delivery layer's retries amplify
-// traffic exactly when a peer is slowest. Here the send machine gets
-// bounded per-destination queues under a global byte budget with
-// priority load-shedding (control > primary updates > selfmon), and the
+// traffic exactly when a peer is slowest. Here the send machine's queues
+// (each already bounded by the batch thresholds, which flush it) get a
+// global byte budget with priority load-shedding (control > primary
+// updates > selfmon), and the
 // delivery layer gets per-peer circuit breakers so a persistently
 // unresponsive parent is failed over in O(1) instead of per-slot retry
 // budgets. Degradation is always explicit: a shed or refused update
@@ -35,15 +36,6 @@ type OverloadConfig struct {
 	// until benchmark v2, because frozen perf/sim.go sets it in a
 	// literal; nothing else may read or set it.
 	Enable bool
-	// MaxQueueBytes bounds one destination queue's estimated encoded
-	// size. A queue at its budget — a lone element larger than it
-	// included — is flushed (reason "overload"), not shed: the wire is
-	// the pressure-relief valve; shedding is reserved for the global
-	// budget. Default 8192.
-	MaxQueueBytes int
-	// MaxQueueElems bounds one destination queue's element count, with
-	// the same flush-first semantics. Default 256.
-	MaxQueueElems int
 	// MaxTotalBytes bounds the sum of all destination queues' estimated
 	// bytes. Admitting an element over this budget first evicts
 	// strictly-lower-priority queued elements (oldest first), then
@@ -63,12 +55,6 @@ type OverloadConfig struct {
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.MaxQueueBytes <= 0 {
-		c.MaxQueueBytes = 8192
-	}
-	if c.MaxQueueElems <= 0 {
-		c.MaxQueueElems = 256
-	}
 	if c.MaxTotalBytes <= 0 {
 		c.MaxTotalBytes = 262144
 	}
@@ -89,9 +75,6 @@ var (
 	// ErrOverload reports an element refused because the global queue
 	// budget is exhausted and no lower-priority victim could make room.
 	ErrOverload = errors.New("core: send queues over budget")
-	// ErrBreakerOpen reports an element refused because the
-	// destination's circuit breaker is open.
-	ErrBreakerOpen = errors.New("core: circuit breaker open")
 	// ErrSendClosed reports an element enqueued after Close; the callers
 	// convert it into degradation instead of racing shutdown.
 	ErrSendClosed = errors.New("core: send machine closed")
@@ -100,7 +83,7 @@ var (
 // isAdmissionErr reports err is one of the typed admission errors — a
 // local decision, not evidence about the remote peer.
 func isAdmissionErr(err error) bool {
-	return errors.Is(err, ErrOverload) || errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrSendClosed)
+	return errors.Is(err, ErrOverload) || errors.Is(err, ErrSendClosed)
 }
 
 // msgClass is the shedding-priority lattice: higher values survive
@@ -199,10 +182,9 @@ func (n *Node) breakerAllows(to transport.Addr) bool {
 	return false
 }
 
-// breakerOpenNow is the read-only admission check used by the send
-// machine: it rejects only a breaker that is open with its cooldown
-// still running, so it can never refuse the half-open probe that
-// breakerAllows just admitted.
+// breakerOpenNow is the read-only check the failover path uses to skip
+// its courtesy detach: true only for a breaker that is open with its
+// cooldown still running. Unlike breakerAllows it never admits a probe.
 func (n *Node) breakerOpenNow(to transport.Addr) bool {
 	now := n.clock.Now()
 	n.brMu.Lock()
@@ -318,7 +300,7 @@ type OverloadStats struct {
 	// ShedBytes is the estimated bytes those elements would have sent.
 	ShedBytes uint64
 	// Rejected counts incoming enqueues refused with a typed error
-	// (ErrOverload or ErrBreakerOpen).
+	// (ErrOverload or ErrSendClosed).
 	Rejected uint64
 	// BreakerOpens is the cumulative closed/half-open→open transition
 	// count; BreakersOpen the number of peers currently isolated.
@@ -388,8 +370,8 @@ func (n *Node) QueueStats() []QueueStat {
 func (n *Node) WriteOverloadDebug(w io.Writer) {
 	st := n.OverloadStats()
 	cfg := n.cfg.Overload
-	fmt.Fprintf(w, "budgets: queue=%dB/%d elems, total=%dB; breaker: %d fails, %v cooldown\n",
-		cfg.MaxQueueBytes, cfg.MaxQueueElems, cfg.MaxTotalBytes, cfg.BreakerFailures, cfg.BreakerCooldown)
+	fmt.Fprintf(w, "budgets: total=%dB; breaker: %d fails, %v cooldown\n",
+		cfg.MaxTotalBytes, cfg.BreakerFailures, cfg.BreakerCooldown)
 	fmt.Fprintf(w, "queued: %dB in %d elems (hi-water %dB)\n", st.QueuedBytes, st.QueuedElems, st.HiWaterBytes)
 	fmt.Fprintf(w, "shed: selfmon=%d primary=%d control=%d (%dB); rejected=%d\n",
 		st.Shed["selfmon"], st.Shed["primary"], st.Shed["control"], st.ShedBytes, st.Rejected)

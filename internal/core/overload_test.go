@@ -8,11 +8,13 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -264,7 +266,7 @@ func TestShedPriorityLattice(t *testing.T) {
 	// does.
 	n, ep, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 100000},
-		OverloadConfig{MaxQueueBytes: 500, MaxQueueElems: 100, MaxTotalBytes: 200})
+		OverloadConfig{MaxTotalBytes: 200})
 	n.selfMonKeys = map[ident.ID]bool{42: true}
 
 	errs := make(map[string]error)
@@ -343,31 +345,44 @@ func TestShedPriorityLattice(t *testing.T) {
 	}
 }
 
-// TestOverloadQueueBudgetFlushes pins the per-queue budget semantics: a
-// destination queue at MaxQueueElems is flushed to the wire (reason
-// "overload"), never shed — the wire is the pressure-relief valve.
+// TestOverloadQueueBudgetFlushes pins what bounds one destination
+// queue: the batch thresholds. A queue that reaches one is flushed to the
+// wire (reason "elems" or "bytes"), never shed — the wire is the
+// pressure-relief valve — so nothing over the threshold stays at rest.
 func TestOverloadQueueBudgetFlushes(t *testing.T) {
-	eng := sim.NewEngine(1)
-	flushes := []string{}
-	n, ep, log := newOverloadMachineForTest(t, eng,
-		BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 100000},
-		OverloadConfig{MaxQueueElems: 2, MaxQueueBytes: 100000, MaxTotalBytes: 100000})
-	n.cfg.Obs.BatchFlush = func(reason string, elems, saved int) {
-		flushes = append(flushes, reason)
-	}
-	n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(0), nil)
-	if len(ep.calls) != 0 {
-		t.Fatal("flushed below the queue budget")
-	}
-	n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(1), nil)
-	if len(ep.calls) != 1 || ep.calls[0].typ != MsgBatch {
-		t.Fatalf("queue at budget did not flush: %+v", ep.calls)
-	}
-	if len(flushes) != 1 || flushes[0] != "overload" {
-		t.Fatalf("flush reasons = %v, want [overload]", flushes)
-	}
-	if shed := log.snapshot(); len(shed) != 0 {
-		t.Fatalf("queue-budget pressure shed elements: %v", shed)
+	for _, tc := range []struct {
+		reason string
+		batch  BatchConfig
+	}{
+		{"elems", BatchConfig{MaxDelay: time.Hour, MaxElems: 2, MaxBytes: 100000}},
+		// One testUpdate estimates 82 bytes: the second reaches 160.
+		{"bytes", BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 160}},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			flushes := []string{}
+			n, ep, log := newOverloadMachineForTest(t, eng, tc.batch, OverloadConfig{MaxTotalBytes: 100000})
+			n.cfg.Obs.BatchFlush = func(reason string, elems, saved int) {
+				flushes = append(flushes, reason)
+			}
+			n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(0), nil)
+			if len(ep.calls) != 0 {
+				t.Fatal("flushed below the queue budget")
+			}
+			n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(1), nil)
+			if len(ep.calls) != 1 || ep.calls[0].typ != MsgBatch {
+				t.Fatalf("queue at budget did not flush: %+v", ep.calls)
+			}
+			if len(flushes) != 1 || flushes[0] != tc.reason {
+				t.Fatalf("flush reasons = %v, want [%s]", flushes, tc.reason)
+			}
+			if shed := log.snapshot(); len(shed) != 0 {
+				t.Fatalf("queue-budget pressure shed elements: %v", shed)
+			}
+			if st := n.OverloadStats(); st.Rejected != 0 || st.QueuedElems != 0 || st.HiWaterBytes > 82 {
+				t.Fatalf("stats = %+v, want nothing refused or left, hi-water one element", st)
+			}
+		})
 	}
 }
 
@@ -480,45 +495,51 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-// TestBreakerAdmissionShed pins the send-machine side of an open
-// breaker: non-control traffic is refused immediately with
-// ErrBreakerOpen, while control traffic still queues.
+// TestBreakerAdmissionShed pins where an open breaker acts. The delivery
+// layer fails fast: an update bound for the isolated peer is treated as
+// refused — no datagram, no queue entry, straight to the next candidate
+// (here there is none, so the chain ends abandoned after one attempt).
+// The send machine itself consults no breaker and sheds nothing: control
+// traffic handed to it queues as always.
 func TestBreakerAdmissionShed(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	eng := sim.NewEngine(1)
 	n, ep, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100},
 		OverloadConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	n.cfg.Delivery.MaxCandidates = 1
+	type done struct {
+		ok       bool
+		attempts int
+	}
+	var dones []done
+	n.cfg.Obs.DeliveryDone = func(ok bool, attempts int, _ time.Duration) {
+		dones = append(dones, done{ok, attempts})
+	}
 	n.breakerFailure(dest, true) // open
 
-	var got error
-	n.batchCall(dest, MsgUpdate, testUpdate(1), func(_ any, err error) { got = err })
-	if !errors.Is(got, ErrBreakerOpen) {
-		t.Fatalf("enqueue at open breaker got %v, want ErrBreakerOpen", got)
+	um := testUpdate(1)
+	n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+	if len(dones) != 1 || dones[0] != (done{false, 1}) {
+		t.Fatalf("delivery at an open breaker ended %+v, want one abandoned chain of one attempt", dones)
 	}
 	if len(ep.calls) != 0 || liveQueues(n) != 0 {
-		t.Fatal("refused element left traffic behind")
+		t.Fatal("failed-fast update left traffic behind")
 	}
 
-	dm := DetachMsg{Key: 9, Sender: testUpdate(1).Sender}
+	dm := DetachMsg{Key: 9, Sender: um.Sender}
 	n.batchCall(dest, MsgDetach, dm, nil)
 	if liveQueues(n) != 1 {
 		t.Fatal("control detach was not queued despite the open breaker")
 	}
 	st := n.OverloadStats()
-	if st.Shed["primary"] != 1 || st.Shed["control"] != 0 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want one rejected primary and untouched control", st)
+	if st.Shed["primary"] != 0 || st.Shed["control"] != 0 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want nothing shed or refused", st)
 	}
-	wantShed := "shed:primary/breaker"
-	entries := log.snapshot()
-	found := false
-	for _, e := range entries {
-		if e == wantShed {
-			found = true
+	for _, e := range log.snapshot() {
+		if strings.HasPrefix(e, "shed:") {
+			t.Fatalf("hook log %v: the breaker shed an element", log.snapshot())
 		}
-	}
-	if !found {
-		t.Fatalf("hook log %v missing %s", entries, wantShed)
 	}
 }
 

@@ -198,18 +198,22 @@ func newRecord(n *Node, to transport.Addr) *destQueue {
 	return q
 }
 
-// treeSent fires the per-tree send-accounting hook (DESIGN.md §13) for
-// one outbound element. Both paths that put an update or detach on the
-// wire — flush and the failover courtesy detach — call it exactly once,
-// so an element counts once per wire appearance (retries count again: it
-// tracks traffic, not intents). Callers hold no locks.
+// treeSent accounts one outbound element: into the node's own load
+// scalars (DESIGN.md §13) and, when an Observer is attached, its per-tree
+// table through the TreeSent hook. Both paths that put an update or detach
+// on the wire — flush and the failover courtesy detach — call it exactly
+// once, so an element counts once per wire appearance (retries count
+// again: it tracks traffic, not intents). Callers hold no locks.
 func (n *Node) treeSent(el *BatchElem) {
+	key, typ, est := el.Update.Key, MsgUpdate, elemEstimate(el)
+	if el.Kind == batchKindDetach {
+		key, typ = el.Detach.Key, MsgDetach
+	} else {
+		n.loadMsgs.Add(1)
+	}
+	n.loadBytes.Add(uint64(est))
 	if h := n.cfg.Obs.TreeSent; h != nil {
-		if el.Kind == batchKindDetach {
-			h(el.Detach.Key, MsgDetach, elemEstimate(el))
-		} else {
-			h(el.Update.Key, MsgUpdate, elemEstimate(el))
-		}
+		h(key, typ, est)
 	}
 }
 
@@ -254,25 +258,18 @@ func stopAll(timers []transport.Timer) {
 // enqueue is the one road onto the wire for an update or detach:
 // admission, then the destination's queue, then a flush (DESIGN.md
 // §12). Admission refuses the element with a typed error when the
-// machine is closed, the destination's breaker is open, or the global
-// budget is exhausted and evicting strictly-lower-priority victims
-// cannot make room. An admitted element is appended; the queue is
-// flushed at once if a size trigger tripped, else its deadline timer is
-// armed.
+// machine is closed, or the global budget is exhausted and evicting
+// strictly-lower-priority victims cannot make room. An open breaker is
+// not its business: every non-control element comes from
+// delivery.sendAttempt, which has just passed breakerAllows. An admitted
+// element is appended; the queue is flushed at once if a size trigger
+// tripped, else its deadline timer is armed.
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)
 	ov := n.cfg.Overload
 	class := n.classify(el)
 	now := n.clock.Now()
-
-	// Fail fast on a peer whose breaker is open: queueing more traffic at
-	// it would only be shed or time out later. The read-only check cannot
-	// refuse a half-open probe the delivery layer just admitted.
-	if class != classControl && n.breakerOpenNow(to) {
-		sm.refuse(ref, class, est, "breaker", ErrBreakerOpen)
-		return
-	}
 
 	sm.mu.Lock()
 	if sm.closed {
@@ -329,12 +326,10 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		reason = "elems"
 	case q.bytes >= sm.cfg.MaxBytes:
 		reason = "bytes"
-	case len(q.elems) >= ov.MaxQueueElems || q.bytes >= ov.MaxQueueBytes || sm.totalBytes > ov.MaxTotalBytes:
-		// A queue at its budget — one element larger than the budget
-		// included — is flushed, not shed: the wire is the
-		// pressure-relief valve; shedding is reserved for the global
-		// budget. So is the queue whose control element took the total
-		// over the global one.
+	case sm.totalBytes > ov.MaxTotalBytes:
+		// Only a control element gets here over the global budget: its
+		// queue is flushed, not shed — the wire is the pressure-relief
+		// valve.
 		reason = "overload"
 	}
 	if reason != "" {

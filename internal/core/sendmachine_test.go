@@ -114,13 +114,12 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 		},
 		{
 			name: "oversize-elem",
-			// The last update alone estimates over MaxQueueBytes: it joins
-			// the two already waiting and the queue flushes at once.
-			cfg:        BatchConfig{MaxBytes: 100000, MaxElems: 100, MaxDelay: time.Hour},
-			overload:   OverloadConfig{MaxQueueBytes: 300},
+			// The last update alone estimates over MaxBytes: it joins the
+			// two already waiting and the queue flushes at once.
+			cfg:        BatchConfig{MaxBytes: 300, MaxElems: 100, MaxDelay: time.Hour},
 			enqueue:    3,
 			last:       func(um *UpdateMsg) { um.Sender.Addr = transport.Addr(strings.Repeat("x", 300)) },
-			wantReason: "overload",
+			wantReason: "bytes",
 			wantElems:  3,
 		},
 		{

@@ -94,6 +94,16 @@ type Result struct {
 	Settled []core.Aggregate
 }
 
+// tighter folds a per-destination queue budget (0: none) into a batch
+// flush threshold (0: core's default, which every generated budget is
+// below): the smaller of the two flushes the queue.
+func tighter(threshold, budget int) int {
+	if budget > 0 && (threshold <= 0 || budget < threshold) {
+		return budget
+	}
+	return threshold
+}
+
 // Run generates the scenario for seed and plays it to completion. A
 // returned error means the harness itself could not set up (the initial
 // clean cluster failed to converge) — never an invariant violation;
@@ -120,7 +130,7 @@ func RunScenario(sc *Scenario) (*Result, error) {
 		sc.Seed, sc.N, sc.Bits, sc.Scheme, sc.Slot, batch, selfmon, len(sc.Events))
 	// What the scenario sets of the overload policy; 0 is core's default.
 	fmt.Fprintf(&tr, "overload qbytes=%d qelems=%d total=%d cooldown=%v\n",
-		sc.Overload.MaxQueueBytes, sc.Overload.MaxQueueElems,
+		sc.QueueBytes, sc.QueueElems,
 		sc.Overload.MaxTotalBytes, sc.Overload.BreakerCooldown)
 
 	// The observer's hooks never schedule events or draw engine
@@ -140,6 +150,8 @@ func RunScenario(sc *Scenario) (*Result, error) {
 		Overload:      sc.Overload,
 		Observer:      observer,
 	}
+	opts.Batch.MaxBytes = tighter(opts.Batch.MaxBytes, sc.QueueBytes)
+	opts.Batch.MaxElems = tighter(opts.Batch.MaxElems, sc.QueueElems)
 	if sc.SelfMon {
 		// Same slot as the primary tree, so the settle quiesce gives the
 		// monitoring trees as many rounds to converge as the audited tree.
@@ -614,8 +626,8 @@ func (h *harness) checkOverload() {
 // protocol, different rendezvous key); what is specific to the
 // monitoring plane is conservation: every running node must be counted
 // in the settled round, the order statistics must be coherent, and —
-// because load counters are monotone, so each node's current LoadVec
-// total bounds whatever value it published earlier — the root's Sum and
+// because load counters are monotone, so each node's current Load()
+// bounds whatever value it published earlier — the root's Sum and
 // Max can never exceed what the counters currently read.
 func (h *harness) checkSelfMon() {
 	idxs := h.runningIdxs()
@@ -644,16 +656,10 @@ func (h *harness) checkSelfMon() {
 		// that only grow, so today's totals dominate any settled round.
 		var curSum, curMax float64
 		for _, i := range idxs {
-			lv := h.c.Loads[i]
-			if lv == nil {
-				continue
-			}
-			var v float64
-			switch attr {
-			case obs.LoadAttrMsgs:
-				v = float64(lv.NodeLoad())
-			case obs.LoadAttrBytes:
-				v = float64(lv.NodeBytes())
+			msgs, bytes := h.c.DAT[i].Load()
+			v := float64(msgs)
+			if attr == obs.LoadAttrBytes {
+				v = float64(bytes)
 			}
 			curSum += v
 			if v > curMax {

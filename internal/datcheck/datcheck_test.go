@@ -190,8 +190,7 @@ func TestDatcheckOverloadEquivalence(t *testing.T) {
 				t.Fatalf("protected run: %v", err)
 			}
 			plainSc := Generate(seed)
-			plainSc.Overload.MaxQueueBytes = math.MaxInt32
-			plainSc.Overload.MaxQueueElems = math.MaxInt32
+			plainSc.QueueBytes, plainSc.QueueElems = 0, 0 // Batch stays as generated
 			plainSc.Overload.MaxTotalBytes = math.MaxInt32
 			plainSc.Overload.BreakerFailures = math.MaxInt32
 			plain, err := RunScenario(plainSc)
@@ -382,10 +381,10 @@ func TestOverloadGeneratorGuarantees(t *testing.T) {
 			t.Fatalf("seed +%d: n=%d out of range", i, sc.N)
 		}
 		ov := sc.Overload
-		if ov.MaxQueueElems < 6 || ov.MaxQueueElems > 11 ||
-			ov.MaxQueueBytes < 600 || ov.MaxQueueBytes > 950 ||
+		if sc.QueueElems < 6 || sc.QueueElems > 11 ||
+			sc.QueueBytes < 600 || sc.QueueBytes > 950 ||
 			ov.MaxTotalBytes < 1600 || ov.MaxTotalBytes > 2300 {
-			t.Fatalf("seed +%d: budgets out of band: %+v", i, ov)
+			t.Fatalf("seed +%d: budgets out of band: queue %dB/%d elems, %+v", i, sc.QueueBytes, sc.QueueElems, ov)
 		}
 		if ov.BreakerCooldown <= 0 || ov.BreakerCooldown >= sc.Slot {
 			t.Fatalf("seed +%d: cooldown %v not inside a slot", i, ov.BreakerCooldown)

@@ -163,13 +163,19 @@ type Scenario struct {
 	// is off, so historical seeds keep their exact schedules; the selfmon
 	// equivalence test flips it on for paired runs.
 	SelfMon bool
-	// Overload tunes the overload-protection layer (bounded queues,
+	// Overload tunes the overload-protection layer (global queue budget,
 	// priority shedding, per-peer breakers). The zero value is core's
 	// defaults; the overload-fault generator sets deliberately tight
 	// budgets. Every settle of every family audits the layer's
 	// invariants (budget respected, control never shed).
 	Overload core.OverloadConfig
-	Events   []Event
+	// QueueBytes and QueueElems are the overload-fault generator's
+	// per-destination queue budgets: a queue that reaches one is flushed,
+	// which is what a batch threshold does, so RunScenario folds them
+	// into Batch.MaxBytes/MaxElems (the smaller wins). Zero — every other
+	// family — leaves Batch as it is.
+	QueueBytes, QueueElems int
+	Events                 []Event
 }
 
 // maxConcurrentDead bounds how many nodes may be down at once. The
@@ -514,9 +520,9 @@ func generateOverloadFaults(seed int64) *Scenario {
 	} else {
 		sc.Scheme = core.BalancedLocal
 	}
+	sc.QueueElems = 6 + r.Intn(6)      // 6..11 elements per destination
+	sc.QueueBytes = 600 + 50*r.Intn(8) // 600..950 bytes per destination
 	sc.Overload = core.OverloadConfig{
-		MaxQueueElems: 6 + r.Intn(6),        // 6..11 elements per destination
-		MaxQueueBytes: 600 + 50*r.Intn(8),   // 600..950 bytes per destination
 		MaxTotalBytes: 1600 + 100*r.Intn(8), // 1600..2300 bytes global
 		// Half a slot: an opened breaker re-probes well inside the probe
 		// window, so recovery is observable mid-chaos, and many cooldowns

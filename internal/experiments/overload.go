@@ -121,8 +121,6 @@ func (t *victimTap) Message(_, to transport.Addr, typ string, _ bool) {
 // no queue reaches and a failure count no peer reaches, so nothing is
 // shed, refused or isolated.
 var unprotected = core.OverloadConfig{
-	MaxQueueBytes:   math.MaxInt32,
-	MaxQueueElems:   math.MaxInt32,
 	MaxTotalBytes:   math.MaxInt32,
 	BreakerFailures: math.MaxInt32,
 }

@@ -109,11 +109,9 @@ func SelfMonitorOverhead(cfg SelfMonitorConfig) (*Table, error) {
 		if enable {
 			r.live, r.liveOK = c.ClusterLoad()
 			var sum, max float64
-			for _, lv := range c.Loads {
-				if lv == nil {
-					continue
-				}
-				l := float64(lv.NodeLoad())
+			for _, dn := range c.DAT {
+				msgs, _ := dn.Load()
+				l := float64(msgs)
 				sum += l
 				if l > max {
 					max = l

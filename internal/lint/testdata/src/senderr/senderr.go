@@ -89,7 +89,7 @@ func (n *Node) JustifiedCall() {
 }
 
 // errOverload stands in for the overload layer's typed admission errors
-// (ErrOverload, ErrBreakerOpen, ErrSendClosed): they arrive through the
+// (ErrOverload, ErrSendClosed): they arrive through the
 // same callback error as an ack timeout.
 var errOverload = errors.New("send queues over budget")
 

@@ -31,7 +31,9 @@ type ChordHooks struct {
 	Evicted   func(addr transport.Addr)
 }
 
-// CoreHooks receives DAT aggregation telemetry from internal/core.
+// CoreHooks receives DAT aggregation telemetry from internal/core. A
+// node has one set — an Observer's, or the zero value — and no protocol
+// state depends on any of them firing.
 type CoreHooks struct {
 	// Span fires at the receiver for every value-update hop.
 	Span func(s Span)
@@ -69,17 +71,17 @@ type CoreHooks struct {
 	// (DESIGN.md §12).
 	BatchFlush func(reason string, elems, bytesSaved int)
 	// TreeSent fires once per outbound element attributable to an
-	// aggregation key — a coalesced batch element, a singleton bypass,
-	// or a direct (unbatched / fire-and-forget) send. typ is the wire
-	// type ("dat.update", "dat.detach") and bytes the element's
-	// estimated payload size. It is the per-tree send-accounting seam
-	// for LoadVec (DESIGN.md §13).
+	// aggregation key — a send-machine flush element, or the failover
+	// path's one-way courtesy detach. typ is the wire type
+	// ("dat.update", "dat.detach") and bytes the element's estimated
+	// payload size. It feeds the Observer's per-tree table and nothing
+	// else: the node's own load scalars are counted by core.Node at the
+	// same site (DESIGN.md §13).
 	TreeSent func(key ident.ID, typ string, bytes int)
 	// Shed fires once per element the overload layer dropped or
 	// refused (DESIGN.md §14): class is the element's shedding class
 	// ("selfmon", "primary", "control" — the last never fires), reason
-	// the admission decision ("evict", "total-bytes", "breaker",
-	// "closed").
+	// the admission decision ("evict", "total-bytes", "closed").
 	Shed func(class, reason string)
 	// Breaker fires on every per-peer circuit-breaker transition with
 	// the new state ("open", "half-open", "closed").

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/ident"
-	"repro/internal/transport"
 )
 
 // DefaultLoadTrees is the per-tree row cap used when NewLoadVec is given
@@ -17,13 +16,14 @@ import (
 const DefaultLoadTrees = 32
 
 // Self-monitoring sensor attributes. Layer 2 of the self-monitoring
-// plane publishes each node's LoadVec totals under these attribute
-// names into ordinary aggregation trees (DESIGN.md §13), so "cluster
-// max/avg/sum load" is answered by the DAT itself with one query.
+// plane publishes each node's own load scalars (core.Node.Load) under
+// these attribute names into ordinary aggregation trees (DESIGN.md §13),
+// so "cluster max/avg/sum load" is answered by the DAT itself with one
+// query.
 const (
-	// LoadAttrMsgs aggregates NodeLoad(): updates sent + received.
+	// LoadAttrMsgs aggregates Load().msgs: updates sent + received.
 	LoadAttrMsgs = "dat.load.msgs"
-	// LoadAttrBytes aggregates NodeBytes(): estimated wire bytes sent.
+	// LoadAttrBytes aggregates Load().bytes: estimated wire bytes sent.
 	LoadAttrBytes = "dat.load.bytes"
 )
 
@@ -74,16 +74,13 @@ func (t TreeLoad) load() uint64 { return t.Sent + t.Recv }
 // /debug/load.
 const OtherLabel = "other"
 
-// LoadVec is bounded-cardinality per-tree load accounting. The first K
-// distinct aggregation keys get their own row (and their own `tree`
-// label on /metrics); every later key folds into a shared `other`
-// bucket, so metric cardinality is capped at K+1 no matter how many
-// trees a node relays for.
-//
-// Bump methods return the row's label so an embedding Observer can
-// mirror the increment into its registry's dat_tree_* families with
-// identical cardinality. LoadVec itself never reads a clock and holds
-// no RNG: it is safe to feed from hooks on the deterministic sim paths.
+// LoadVec is the Observer's bounded-cardinality per-tree load table, the
+// one store behind /debug/load and the dat_tree_* families on /metrics.
+// The first K distinct aggregation keys get their own row (and their
+// own `tree` label); every later key folds into a shared `other` bucket,
+// so metric cardinality is capped at K+1 no matter how many trees a node
+// relays for. LoadVec never reads a clock and holds no RNG: it is safe
+// to feed from hooks on the deterministic sim paths.
 type LoadVec struct {
 	mu    sync.Mutex
 	cap   int
@@ -100,18 +97,18 @@ func NewLoadVec(k int) *LoadVec {
 	return &LoadVec{cap: k, rows: make(map[ident.ID]*TreeRow, k)}
 }
 
-// row returns the counters and label for key, assigning a new row while
-// capacity remains and the overflow bucket afterwards. Callers hold mu.
-func (v *LoadVec) row(key ident.ID) (*TreeLoad, string) {
+// row returns the counters for key, assigning a new row while capacity
+// remains and the overflow bucket afterwards. Callers hold mu.
+func (v *LoadVec) row(key ident.ID) *TreeLoad {
 	r, ok := v.rows[key]
 	if !ok {
 		if len(v.rows) >= v.cap {
-			return &v.other, OtherLabel
+			return &v.other
 		}
 		r = &TreeRow{Label: Label(key)}
 		v.rows[key] = r
 	}
-	return &r.TreeLoad, r.Label
+	return &r.TreeLoad
 }
 
 // Label is the canonical `tree` label for an aggregation key, matching
@@ -120,74 +117,43 @@ func Label(key ident.ID) string { return strconv.FormatUint(uint64(key), 10) }
 
 // Sent records one outbound element for key: typ is the element's wire
 // type ("dat.update", "dat.detach", ...), bytes its estimated payload
-// size. Updates additionally count toward Sent. Returns the row label.
-func (v *LoadVec) Sent(key ident.ID, typ string, bytes int) string {
+// size. Updates additionally count toward Sent.
+func (v *LoadVec) Sent(key ident.ID, typ string, bytes int) {
 	v.mu.Lock()
-	t, label := v.row(key)
+	t := v.row(key)
 	t.Elems++
 	t.Bytes += uint64(bytes)
 	if typ == "dat.update" {
 		t.Sent++
 	}
 	v.mu.Unlock()
-	return label
 }
 
 // Recv records one accepted inbound child update for key.
-func (v *LoadVec) Recv(key ident.ID) string {
+func (v *LoadVec) Recv(key ident.ID) {
 	v.mu.Lock()
-	t, label := v.row(key)
-	t.Recv++
+	v.row(key).Recv++
 	v.mu.Unlock()
-	return label
 }
 
 // Round records a completed aggregation round for key: fanIn child
 // partials folded, root whether this node finished the round as the
 // tree's root.
-func (v *LoadVec) Round(key ident.ID, root bool, fanIn int) string {
+func (v *LoadVec) Round(key ident.ID, root bool, fanIn int) {
 	v.mu.Lock()
-	t, label := v.row(key)
+	t := v.row(key)
 	t.FanIn += uint64(fanIn)
 	if root {
 		t.RootSlots++
 	}
 	v.mu.Unlock()
-	return label
 }
 
 // Retry records an acked-update send attempt beyond the first for key.
-func (v *LoadVec) Retry(key ident.ID) string {
+func (v *LoadVec) Retry(key ident.ID) {
 	v.mu.Lock()
-	t, label := v.row(key)
-	t.Retries++
+	v.row(key).Retries++
 	v.mu.Unlock()
-	return label
-}
-
-// NodeLoad is this node's scalar load figure published into the
-// dat.load.msgs monitoring tree: total updates sent + received across
-// every tree (the fig8 per-node load metric).
-func (v *LoadVec) NodeLoad() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	total := v.other.load()
-	for _, t := range v.rows {
-		total += t.load()
-	}
-	return total
-}
-
-// NodeBytes is the total estimated wire bytes sent across every tree,
-// published into the dat.load.bytes monitoring tree.
-func (v *LoadVec) NodeBytes() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	total := v.other.Bytes
-	for _, t := range v.rows {
-		total += t.Bytes
-	}
-	return total
 }
 
 // TreeRow is one row of a LoadVec snapshot.
@@ -258,120 +224,6 @@ func (v *LoadVec) WriteTable(w io.Writer, sortBy string) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-22s %10d %10d %10d %12d %10d %8d %10d\n",
 			r.Label, r.Sent, r.Recv, r.Elems, r.Bytes, r.FanIn, r.Retries, r.RootSlots)
-	}
-}
-
-// CoreHooks returns hooks feeding only this LoadVec — the binding used
-// for per-node accounting inside a simulated cluster, where the single
-// shared Observer cannot tell nodes apart. Combine with an Observer's
-// hooks via MergeCoreHooks.
-func (v *LoadVec) CoreHooks() CoreHooks {
-	return CoreHooks{
-		RoundDone: func(key ident.ID, slot int64, root bool, fanIn int, nodes uint64, latency time.Duration) {
-			v.Round(key, root, fanIn)
-		},
-		UpdateApplied: func(key ident.ID, demand bool) { v.Recv(key) },
-		UpdateRetried: func(key ident.ID) { v.Retry(key) },
-		TreeSent:      func(key ident.ID, typ string, bytes int) { v.Sent(key, typ, bytes) },
-	}
-}
-
-// MergeCoreHooks tees two hook sets: every event fires a's hook then
-// b's. Nil fields on either side are skipped, so merging with a zero
-// CoreHooks is the identity.
-func MergeCoreHooks(a, b CoreHooks) CoreHooks {
-	return CoreHooks{
-		Span: tee1(a.Span, b.Span),
-		RoundDone: func(key ident.ID, slot int64, root bool, fanIn int, nodes uint64, latency time.Duration) {
-			if a.RoundDone != nil {
-				a.RoundDone(key, slot, root, fanIn, nodes, latency)
-			}
-			if b.RoundDone != nil {
-				b.RoundDone(key, slot, root, fanIn, nodes, latency)
-			}
-		},
-		UpdateApplied: func(key ident.ID, demand bool) {
-			if a.UpdateApplied != nil {
-				a.UpdateApplied(key, demand)
-			}
-			if b.UpdateApplied != nil {
-				b.UpdateApplied(key, demand)
-			}
-		},
-		UpdateRejected: func(key ident.ID, reason string) {
-			if a.UpdateRejected != nil {
-				a.UpdateRejected(key, reason)
-			}
-			if b.UpdateRejected != nil {
-				b.UpdateRejected(key, reason)
-			}
-		},
-		ChildExpired:   tee1(a.ChildExpired, b.ChildExpired),
-		UpdateRetried:  tee1(a.UpdateRetried, b.UpdateRetried),
-		ParentFailover: tee0(a.ParentFailover, b.ParentFailover),
-		RootHandover:   tee0(a.RootHandover, b.RootHandover),
-		DeliveryDone: func(ok bool, attempts int, latency time.Duration) {
-			if a.DeliveryDone != nil {
-				a.DeliveryDone(ok, attempts, latency)
-			}
-			if b.DeliveryDone != nil {
-				b.DeliveryDone(ok, attempts, latency)
-			}
-		},
-		BatchFlush: func(reason string, elems, bytesSaved int) {
-			if a.BatchFlush != nil {
-				a.BatchFlush(reason, elems, bytesSaved)
-			}
-			if b.BatchFlush != nil {
-				b.BatchFlush(reason, elems, bytesSaved)
-			}
-		},
-		TreeSent: func(key ident.ID, typ string, bytes int) {
-			if a.TreeSent != nil {
-				a.TreeSent(key, typ, bytes)
-			}
-			if b.TreeSent != nil {
-				b.TreeSent(key, typ, bytes)
-			}
-		},
-		Shed: func(class, reason string) {
-			if a.Shed != nil {
-				a.Shed(class, reason)
-			}
-			if b.Shed != nil {
-				b.Shed(class, reason)
-			}
-		},
-		Breaker: func(peer transport.Addr, state string) {
-			if a.Breaker != nil {
-				a.Breaker(peer, state)
-			}
-			if b.Breaker != nil {
-				b.Breaker(peer, state)
-			}
-		},
-	}
-}
-
-func tee0(a, b func()) func() {
-	return func() {
-		if a != nil {
-			a()
-		}
-		if b != nil {
-			b()
-		}
-	}
-}
-
-func tee1[T any](a, b func(T)) func(T) {
-	return func(v T) {
-		if a != nil {
-			a(v)
-		}
-		if b != nil {
-			b(v)
-		}
 	}
 }
 

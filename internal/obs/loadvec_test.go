@@ -15,26 +15,17 @@ import (
 
 // TestLoadVecCardinalityCap checks the top-K bound: the first K distinct
 // keys get their own rows, every later key folds into the shared
-// `other` bucket, and the node-level totals count both.
+// `other` bucket, and established rows keep their identity.
 func TestLoadVecCardinalityCap(t *testing.T) {
 	v := NewLoadVec(2)
-	if got := v.Sent(ident.ID(10), "dat.update", 100); got != "10" {
-		t.Fatalf("first key label = %q, want %q", got, "10")
-	}
-	if got := v.Recv(ident.ID(20)); got != "20" {
-		t.Fatalf("second key label = %q, want %q", got, "20")
-	}
+	v.Sent(ident.ID(10), "dat.update", 100)
+	v.Recv(ident.ID(20))
 	// Capacity exhausted: every further distinct key lands in `other`.
 	for i := 0; i < 5; i++ {
-		key := ident.ID(1000 + i)
-		if got := v.Sent(key, "dat.update", 10); got != OtherLabel {
-			t.Fatalf("overflow key %v label = %q, want %q", key, got, OtherLabel)
-		}
+		v.Sent(ident.ID(1000+i), "dat.update", 10)
 	}
 	// Established rows keep their identity after the cap is hit.
-	if got := v.Sent(ident.ID(10), "dat.detach", 7); got != "10" {
-		t.Fatalf("existing key label after overflow = %q, want %q", got, "10")
-	}
+	v.Sent(ident.ID(10), "dat.detach", 7)
 
 	rows := v.Snapshot()
 	if len(rows) != 3 {
@@ -56,19 +47,12 @@ func TestLoadVecCardinalityCap(t *testing.T) {
 	if rows[len(rows)-1].Label != OtherLabel {
 		t.Errorf("other bucket not rendered last: %+v", rows)
 	}
-	// NodeLoad = sent+recv over all rows including other; NodeBytes sums
-	// every estimated payload.
-	if got := v.NodeLoad(); got != 7 {
-		t.Errorf("NodeLoad = %d, want 7", got)
-	}
-	if got := v.NodeBytes(); got != 157 {
-		t.Errorf("NodeBytes = %d, want 157", got)
-	}
 }
 
-// TestLoadVecObserverCardinality checks the dual-bump contract end to
+// TestLoadVecObserverCardinality checks the scrape-time rendering end to
 // end: the registry's dat_tree_* families carry exactly the LoadVec's
-// bounded label set, never one series per overflow key.
+// bounded label set, never one series per overflow key, and with K+1
+// trees the `other` row renders once per family that has traffic in it.
 func TestLoadVecObserverCardinality(t *testing.T) {
 	o := NewObserver(4)
 	o.Load = NewLoadVec(1)
@@ -88,6 +72,25 @@ func TestLoadVecObserverCardinality(t *testing.T) {
 		if label := fmt.Sprintf(`tree="%d"`, 100+i); strings.Contains(text, label) {
 			t.Errorf("overflow key leaked its own series %s", label)
 		}
+	}
+
+	// K+1 trees, every counter touched on the overflow one: each of the
+	// seven families renders `other` exactly once, after its TYPE line.
+	co.UpdateApplied(ident.ID(100), false)
+	co.UpdateRetried(ident.ID(100))
+	co.RoundDone(ident.ID(100), 1, true, 3, 4, 0)
+	text = scrape(t, o)
+	for _, f := range treeFamilies {
+		if got := strings.Count(text, f.name+`{tree="other"} `); got != 1 {
+			t.Errorf("%s renders the other row %d times, want 1", f.name, got)
+		}
+		if !strings.Contains(text, "# TYPE "+f.name+" counter\n") {
+			t.Errorf("%s lost its TYPE line", f.name)
+		}
+	}
+	// A counter nobody bumped renders no sample: tree 5 was only sent to.
+	if strings.Contains(text, `dat_tree_retries_total{tree="5"}`) {
+		t.Errorf("zero counter rendered a sample:\n%s", text)
 	}
 }
 
@@ -113,12 +116,14 @@ func TestLoadVecConcurrentScrape(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		v.WriteTable(io.Discard, "bytes")
 		v.Snapshot()
-		_ = v.NodeLoad()
-		_ = v.NodeBytes()
 	}
 	wg.Wait()
-	if got := v.NodeLoad(); got != 4*500*2 {
-		t.Fatalf("NodeLoad = %d, want %d", got, 4*500*2)
+	var load uint64
+	for _, r := range v.Snapshot() {
+		load += r.Sent + r.Recv
+	}
+	if load != 4*500*2 {
+		t.Fatalf("sent+recv over all rows = %d, want %d", load, 4*500*2)
 	}
 }
 

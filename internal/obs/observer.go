@@ -30,9 +30,10 @@ var (
 type Observer struct {
 	Reg   *Registry
 	Spans *SpanRing
-	// Load is this observer's per-tree load accounting (DESIGN.md §13).
-	// The bound CoreHooks feed it and mirror every bump into the
-	// dat_tree_* metric families with identical bounded cardinality.
+	// Load is this observer's per-tree load table (DESIGN.md §13). The
+	// bound CoreHooks feed it; /debug/load and the dat_tree_* metric
+	// families are rendered from it at scrape time, so its bounded
+	// cardinality is theirs.
 	Load *LoadVec
 
 	msgs         *CounterVec
@@ -65,14 +66,6 @@ type Observer struct {
 	batchElems      *Histogram
 	batchSaved      *Counter
 
-	treeSent      *CounterVec
-	treeRecv      *CounterVec
-	treeElems     *CounterVec
-	treeBytes     *CounterVec
-	treeFanIn     *CounterVec
-	treeRetries   *CounterVec
-	treeRootSlots *CounterVec
-
 	shedTotal          *CounterVec
 	breakerTransitions *CounterVec
 
@@ -98,7 +91,7 @@ func NewObserver(spanCapacity int) *Observer {
 		spanCapacity = DefaultSpanCapacity
 	}
 	r := NewRegistry()
-	return &Observer{
+	o := &Observer{
 		Reg:   r,
 		Spans: NewSpanRing(spanCapacity),
 		Load:  NewLoadVec(DefaultLoadTrees),
@@ -133,19 +126,38 @@ func NewObserver(spanCapacity int) *Observer {
 		batchElems:      r.Histogram("dat_batch_elems_per_flush", "Messages coalesced per send-machine flush.", FanInBuckets),
 		batchSaved:      r.Counter("dat_batch_bytes_saved_total", "Estimated per-datagram overhead bytes avoided by coalescing."),
 
-		treeSent:      r.CounterVec("dat_tree_updates_sent_total", "Value updates sent, by tree (top-K keys plus an `other` bucket).", "tree"),
-		treeRecv:      r.CounterVec("dat_tree_updates_recv_total", "Inbound child updates accepted, by tree.", "tree"),
-		treeElems:     r.CounterVec("dat_tree_elems_total", "Outbound batch elements (updates, detaches), by tree.", "tree"),
-		treeBytes:     r.CounterVec("dat_tree_wire_bytes_total", "Estimated outbound payload bytes, by tree.", "tree"),
-		treeFanIn:     r.CounterVec("dat_tree_fanin_total", "Child partials folded across rounds, by tree.", "tree"),
-		treeRetries:   r.CounterVec("dat_tree_retries_total", "Acked-update send attempts beyond the first, by tree.", "tree"),
-		treeRootSlots: r.CounterVec("dat_tree_root_slots_total", "Rounds completed as the tree's root, by tree.", "tree"),
-
 		shedTotal:          r.CounterVec("dat_shed_total", "Elements dropped or refused by the overload layer, labelled class/reason (DESIGN.md §14).", "shed"),
 		breakerTransitions: r.CounterVec("dat_breaker_transitions_total", "Per-peer circuit-breaker transitions, by new state.", "state"),
 
 		ownerArcs: r.CounterVec("dat_maan_owner_arcs_total", "Range-query starts by owner-arc table outcome (hit, miss) and arcs dropped as stale.", "result"),
 	}
+	for _, f := range treeFamilies {
+		column := loadSortColumns[f.column]
+		r.counterVecFunc(f.name, f.help, "tree", func() []labeledCount {
+			rows := o.Load.Snapshot() // o.Load read per scrape: callers may replace it
+			counts := make([]labeledCount, 0, len(rows))
+			for _, row := range rows {
+				if n := column(row); n != 0 {
+					counts = append(counts, labeledCount{row.Label, n})
+				}
+			}
+			return counts
+		})
+	}
+	return o
+}
+
+// treeFamilies are the dat_tree_* counter families: each a scrape-time
+// view of one column of the per-tree table (top-K keys plus `other`), so
+// nothing is looked up or mirrored per event.
+var treeFamilies = []struct{ name, help, column string }{
+	{"dat_tree_updates_sent_total", "Value updates sent, by tree (top-K keys plus an `other` bucket).", "sent"},
+	{"dat_tree_updates_recv_total", "Inbound child updates accepted, by tree.", "recv"},
+	{"dat_tree_elems_total", "Outbound batch elements (updates, detaches), by tree.", "elems"},
+	{"dat_tree_wire_bytes_total", "Estimated outbound payload bytes, by tree.", "bytes"},
+	{"dat_tree_fanin_total", "Child partials folded across rounds, by tree.", "fanin"},
+	{"dat_tree_retries_total", "Acked-update send attempts beyond the first, by tree.", "retries"},
+	{"dat_tree_root_slots_total", "Rounds completed as the tree's root, by tree.", "root"},
 }
 
 // Tap returns the transport.Tap feeding the per-type message counter.
@@ -199,13 +211,7 @@ func (o *Observer) CoreHooks() CoreHooks {
 				// network-wide figure the gauge advertises.
 				o.roundNodes.Set(float64(nodes))
 			}
-			// LoadVec assigns the bounded `tree` label; mirroring its
-			// return keeps metric cardinality capped at K+1.
-			label := o.Load.Round(key, root, fanIn)
-			o.treeFanIn.With(label).Add(uint64(fanIn))
-			if root {
-				o.treeRootSlots.With(label).Inc()
-			}
+			o.Load.Round(key, root, fanIn)
 		},
 		UpdateApplied: func(key ident.ID, demand bool) {
 			if demand {
@@ -213,13 +219,13 @@ func (o *Observer) CoreHooks() CoreHooks {
 			} else {
 				o.updates.With("applied").Inc()
 			}
-			o.treeRecv.With(o.Load.Recv(key)).Inc()
+			o.Load.Recv(key)
 		},
 		UpdateRejected: func(key ident.ID, reason string) { o.updates.With("rejected-" + reason).Inc() },
 		ChildExpired:   func(n int) { o.childExpired.Add(uint64(n)) },
 		UpdateRetried: func(key ident.ID) {
 			o.updateRetries.Inc()
-			o.treeRetries.With(o.Load.Retry(key)).Inc()
+			o.Load.Retry(key)
 		},
 		ParentFailover: func() { o.parentFailovers.Inc() },
 		RootHandover:   func() { o.rootHandovers.Inc() },
@@ -238,14 +244,7 @@ func (o *Observer) CoreHooks() CoreHooks {
 			o.batchElems.Observe(float64(elems))
 			o.batchSaved.Add(uint64(bytesSaved))
 		},
-		TreeSent: func(key ident.ID, typ string, bytes int) {
-			label := o.Load.Sent(key, typ, bytes)
-			o.treeElems.With(label).Inc()
-			o.treeBytes.With(label).Add(uint64(bytes))
-			if typ == "dat.update" {
-				o.treeSent.With(label).Inc()
-			}
-		},
+		TreeSent: func(key ident.ID, typ string, bytes int) { o.Load.Sent(key, typ, bytes) },
 		// The composite class/reason label keeps the registry's
 		// one-label-per-family shape while still answering both "what
 		// was shed" and "why".

@@ -72,12 +72,19 @@ type family struct {
 	kind  instrumentKind
 	label string // label key, "" when unlabeled
 
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
-	buckets  []float64
+	mu        sync.Mutex
+	counters  map[string]*Counter
+	counterFn func() []labeledCount // scrape-time samples, nil for none
+	gauges    map[string]*Gauge
+	gaugeFns  map[string]func() float64
+	hists     map[string]*Histogram
+	buckets   []float64
+}
+
+// labeledCount is one scrape-time sample of a counter family.
+type labeledCount struct {
+	label string
+	n     uint64
 }
 
 // lookup returns the family for name, creating it on first use.
@@ -139,6 +146,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.gaugeFns[""] = fn
+}
+
+// counterVecFunc registers a counter family with one label key whose
+// samples are read from fn at scrape time — the multi-sample sibling of
+// GaugeFunc, for counters another store already owns. fn must be safe
+// for concurrent use and must not call back into the Registry.
+func (r *Registry) counterVecFunc(name, help, label string, fn func() []labeledCount) {
+	f := r.lookup(name, help, kindCounter, label, nil)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.counterFn = fn
 }
 
 // Histogram registers an unlabeled histogram with the given upper
@@ -301,6 +319,7 @@ func (f *family) write(w io.Writer) error {
 	type sample struct {
 		value string
 		c     *Counter
+		n     *uint64
 		g     *Gauge
 		gf    func() float64
 		h     *Histogram
@@ -309,6 +328,7 @@ func (f *family) write(w io.Writer) error {
 	for lv, c := range f.counters {
 		samples = append(samples, sample{value: lv, c: c})
 	}
+	counterFn := f.counterFn
 	for lv, g := range f.gauges {
 		samples = append(samples, sample{value: lv, g: g})
 	}
@@ -319,6 +339,12 @@ func (f *family) write(w io.Writer) error {
 		samples = append(samples, sample{value: lv, h: h})
 	}
 	f.mu.Unlock()
+	if counterFn != nil {
+		counts := counterFn() // outside f.mu: fn takes its own store's lock
+		for i := range counts {
+			samples = append(samples, sample{value: counts[i].label, n: &counts[i].n})
+		}
+	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].value < samples[j].value })
 
 	for _, s := range samples {
@@ -329,6 +355,8 @@ func (f *family) write(w io.Writer) error {
 		switch {
 		case s.c != nil:
 			fmt.Fprintf(&b, "%s%s %d\n", f.name, labels, s.c.Value())
+		case s.n != nil:
+			fmt.Fprintf(&b, "%s%s %d\n", f.name, labels, *s.n)
 		case s.g != nil:
 			fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatFloat(s.g.Value()))
 		case s.gf != nil:

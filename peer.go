@@ -67,7 +67,7 @@ type PeerConfig struct {
 	// per peer; instruments are process-wide names, not per-peer ones.
 	Observer *obs.Observer
 	// SelfMon enables the self-monitoring plane (DESIGN.md §13): the
-	// peer publishes its own per-tree load totals as dat.load.* sensors
+	// peer publishes its own load scalars as dat.load.* sensors
 	// and StartSelfMonitor feeds them into dedicated monitoring trees,
 	// so ClusterLoad answers cluster-wide load questions through the
 	// DAT itself. SelfMon.Slot defaults to 2s.
@@ -89,7 +89,6 @@ type Peer struct {
 	dat      *core.Node
 	maan     *maan.Service
 	producer *gma.Producer
-	load     *obs.LoadVec // per-tree accounting; nil unless SelfMon or Observer
 
 	mu       sync.Mutex
 	results  map[string]Aggregate // latest root results per attribute
@@ -152,19 +151,9 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.SelfMon.Enable && cfg.SelfMon.Slot <= 0 {
 		cfg.SelfMon.Slot = 2 * time.Second
 	}
-	var load *obs.LoadVec
-	switch {
-	case cfg.Observer != nil:
-		// The observer's bound hooks already feed its LoadVec alongside
-		// the dat_tree_* families; reuse it as the peer's accounting.
+	if cfg.Observer != nil {
 		chordCfg.Obs = cfg.Observer.ChordHooks()
 		coreCfg.Obs = cfg.Observer.CoreHooks()
-		load = cfg.Observer.Load
-	case cfg.SelfMon.Enable:
-		// No observer, but the self-monitoring sensors still need the
-		// per-tree counters: feed a standalone LoadVec.
-		load = obs.NewLoadVec(0)
-		coreCfg.Obs = load.CoreHooks()
 	}
 	cn := chord.New(ep, clock, id, chordCfg)
 	p := &Peer{
@@ -173,7 +162,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		ep:      ep,
 		clock:   clock,
 		chord:   cn,
-		load:    load,
 		results: make(map[string]Aggregate),
 	}
 	p.producer = gma.NewProducer(cfg.Name, space, clock)
@@ -183,10 +171,12 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		// The peer's own load counters become ordinary sensors: the
 		// monitoring trees aggregate them exactly like any grid metric.
 		p.AddSensor(obs.LoadAttrMsgs, func() (float64, bool) {
-			return float64(p.load.NodeLoad()), true
+			msgs, _ := p.dat.Load()
+			return float64(msgs), true
 		})
 		p.AddSensor(obs.LoadAttrBytes, func() (float64, bool) {
-			return float64(p.load.NodeBytes()), true
+			_, bytes := p.dat.Load()
+			return float64(bytes), true
 		})
 	}
 	if len(cfg.Attributes) > 0 {
