@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free mode-free count-once lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free retired lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -19,22 +19,12 @@ vet:
 gob-free:
 	! $(GO) list -deps ./... | grep -qx encoding/gob
 
-# One send road (DESIGN.md §12, §14): overload protection is not a mode.
-# No non-test file outside frozen perf/ may read or set the
-# OverloadConfig.Enable shim or offer the flag, and internal/core has no
-# direct() beside the send machine's queues.
-mode-free:
-	! grep -rnE 'Overload\.Enable|ov\.Enable|-overload\.enable' --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
-	! grep -nE '^func (\([^)]*\) )?direct\(' $(filter-out %_test.go,$(wildcard internal/core/*.go))
-
-# A node counts its own load once (DESIGN.md §13): core.Node owns the two
-# load scalars and the Observer owns the one per-tree LoadVec, so nothing
-# outside internal/obs builds a LoadVec and the hook tee is gone. Nor do
-# the per-destination queue budgets (they are the batch thresholds) or
-# the error no enqueue can return come back under their old names.
-count-once:
-	! grep -rn 'NewLoadVec' --include='*.go' --exclude='*_test.go' --exclude-dir=perf --exclude-dir=obs .
-	! grep -rnE 'MergeCoreHooks|MaxQueueBytes|MaxQueueElems|ErrBreakerOpen' --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
+# What a deletion PR removed stays removed: scripts/retired.txt lists the
+# retired identifiers (one extended regex a line, with the PR and DESIGN
+# section that retired it), and no non-test Go file outside frozen perf/
+# may match one. A new deletion adds a line there, not a target here.
+retired:
+	! grep -v '^#' scripts/retired.txt | grep -rnE -f - --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
 # simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
@@ -84,11 +74,11 @@ datcheck-faults:
 		-datcheck.faultseeds $(DATCHECK_FAULT_SEEDS) \
 		-datcheck.batchseeds $(DATCHECK_BATCH_SEEDS)
 
-# datcheck-overload: the overload-protection profile — slow-parent,
-# ack-blackhole, and burst-fanin stimuli under tight queue budgets
-# (seeds above datcheck.OverloadSeedBase), with budget/never-shed-control
-# invariants checked at every settle, plus the whole-corpus equivalence
-# check against budgets and a breaker threshold nothing reaches.
+# datcheck-overload: the overload profile — slow-parent, ack-blackhole,
+# and burst-fanin stimuli under tight batch thresholds (seeds above
+# datcheck.OverloadSeedBase), with the send queues' structural bound
+# checked at every settle, plus the whole-corpus equivalence check against
+# a breaker threshold nothing reaches.
 DATCHECK_OVERLOAD_SEEDS ?= 6
 datcheck-overload:
 	$(GO) test ./internal/datcheck -v \
@@ -154,4 +144,4 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free mode-free count-once lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free retired lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

@@ -199,14 +199,10 @@ func main() {
 		tables = append(tables, sm)
 	}
 	if run("overload") {
-		cfg := experiments.OverloadAblationConfig{Seed: *seed}
-		if *quick {
-			cfg.N = 32
-			cfg.Trees = 6
-			cfg.Slots = 40
-		}
-		fmt.Fprintf(os.Stderr, "overload protection (ack-blackhole ablation)...\n")
-		ot, err := experiments.OverloadAblation(cfg)
+		// No -quick shape: the full run takes well under a second, and the
+		// breakers' probe backoff needs its 90 slots to reach the headline.
+		fmt.Fprintf(os.Stderr, "circuit breakers (ack-blackhole ablation)...\n")
+		ot, err := experiments.OverloadAblation(experiments.OverloadAblationConfig{Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}

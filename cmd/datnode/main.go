@@ -25,8 +25,8 @@
 // With -obs.addr the primary node serves its observability endpoints —
 // Prometheus /metrics, a JSON /healthz probe, /debug/dat (the node's
 // live aggregation view), /debug/spans, /debug/load (per-tree load and
-// the cluster-wide self-monitoring summary), /debug/overload (queue
-// budgets, shed counters and circuit breakers), and net/http/pprof:
+// the cluster-wide self-monitoring summary), /debug/overload (send-queue
+// depth and hi-water, circuit breakers), and net/http/pprof:
 //
 //	datnode -listen 127.0.0.1:9000 -create -obs.addr 127.0.0.1:8080
 //	curl -s http://127.0.0.1:8080/metrics

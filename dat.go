@@ -70,10 +70,9 @@ type DeliveryConfig = core.DeliveryConfig
 // the same parent into single datagrams. See PeerConfig.Batch.
 type BatchConfig = core.BatchConfig
 
-// OverloadConfig tunes the overload-protection layer: a global byte
-// budget over the send queues with priority load shedding, and per-peer
-// circuit breakers. The zero value is the defaults. See
-// PeerConfig.Overload and DESIGN.md §14.
+// OverloadConfig tunes the per-peer circuit breakers; send-queue memory
+// is bounded by the batch thresholds and needs no setting. The zero value
+// is the defaults. See PeerConfig.Overload and DESIGN.md §14.
 type OverloadConfig = core.OverloadConfig
 
 // SelfMonConfig enables the self-monitoring plane: dedicated dat.load.*

@@ -97,10 +97,9 @@ type Options struct {
 	// through to the DAT layer. The zero value is the defaults;
 	// Batch.MaxElems 1 sends one datagram per update.
 	Batch core.BatchConfig
-	// Overload passes the overload-protection policy (bounded queues,
-	// priority shedding, per-peer circuit breakers — DESIGN.md §14)
-	// through to the DAT layer. The zero value is the default budgets
-	// and armed breakers.
+	// Overload passes the circuit-breaker policy (DESIGN.md §14) through
+	// to the DAT layer. The zero value is armed breakers with the default
+	// thresholds.
 	Overload core.OverloadConfig
 	// DropProb injects message loss.
 	DropProb float64

@@ -141,10 +141,10 @@ func TestCrashAndLeaveBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero Options.Overload is the default budgets and armed breakers.
+	// Zero Options.Overload is armed breakers at the default thresholds.
 	var page strings.Builder
 	c.DAT[0].WriteOverloadDebug(&page)
-	if !strings.Contains(page.String(), "total=262144B; breaker: 3 fails, 1s cooldown") {
+	if !strings.Contains(page.String(), "breaker: 3 fails, 1s cooldown") {
 		t.Fatalf("zero Options.Overload does not run the defaults:\n%s", page.String())
 	}
 	c.Crash(1)

@@ -153,9 +153,9 @@ type NodeConfig struct {
 	// The zero value is the defaults; MaxElems 1 sends one datagram per
 	// message.
 	Batch BatchConfig
-	// Overload tunes the overload-protection layer every send goes
-	// through: bounded send queues with priority shedding and per-peer
-	// circuit breakers (DESIGN.md §14). The zero value is the defaults.
+	// Overload tunes the per-peer circuit breakers every delivery
+	// attempt goes through (DESIGN.md §14). The zero value is the
+	// defaults.
 	Overload OverloadConfig
 	// Obs receives aggregation telemetry: per-hop spans, round latency
 	// and fan-in, update dispositions, cache expiry. The zero value
@@ -205,11 +205,6 @@ type Node struct {
 	clock transport.Clock
 	cfg   NodeConfig
 	sm    *sendMachine
-
-	// selfMonKeys marks the dat.load.* monitoring trees' rendezvous
-	// keys, the lowest shedding class. Computed once in NewNode and
-	// immutable after, so classify reads it lock-free.
-	selfMonKeys map[ident.ID]bool
 
 	// Per-peer circuit breakers (overload.go). Guarded by brMu, a leaf
 	// lock: nothing is called while holding it.
@@ -272,13 +267,6 @@ type aggEntry struct {
 	demandSeq       uint64
 	forcedRootUntil time.Duration
 
-	// Overload degradation: set when this tree's traffic was shed or
-	// refused by the overload layer; the next tick consumes it and
-	// marks its aggregate Degraded — shedding widens Degraded, never
-	// corrupts counts.
-	shedDegraded bool
-	shedReason   string
-
 	// On-demand epochs in flight at this node.
 	epochs map[int64]*epochState
 }
@@ -312,13 +300,6 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 		breakers: make(map[transport.Addr]*breaker),
 	}
 	n.sm = newSendMachine(n, n.cfg.Batch)
-	// The dat.load.* monitoring trees are the lowest shedding class;
-	// their rendezvous keys are fixed per space, so classify can look
-	// them up without talking to the obs layer.
-	n.selfMonKeys = make(map[ident.ID]bool, len(obs.SelfMonAttrs))
-	for _, attr := range obs.SelfMonAttrs {
-		n.selfMonKeys[ch.Space().HashString(attr)] = true
-	}
 	ch.Handle(MsgUpdate, n.handleUpdate)
 	ch.Handle(MsgDetach, n.handleDetach)
 	ch.Handle(MsgBatch, n.handleBatch)
@@ -569,8 +550,6 @@ func (n *Node) tickContinuous(key ident.ID) {
 	}
 	e.height = height
 	slotDur := e.slotDur
-	shed, shedReason := e.shedDegraded, e.shedReason
-	e.shedDegraded, e.shedReason = false, ""
 	parent, isRoot, self := pc.parent, pc.isRoot, rt.Self
 	// Root-handover bridge: a node that received a handover update acts
 	// as the key's root until the ring elects a real successor(key) (or
@@ -587,16 +566,6 @@ func (n *Node) tickContinuous(key ident.ID) {
 		}
 	}
 	n.mu.Unlock()
-
-	if shed {
-		// The overload layer shed or refused this tree's traffic since
-		// the last tick: contributions may be missing, so the aggregate
-		// travels (or surfaces) explicitly Degraded.
-		agg.Degraded = true
-		if n.debugOn() {
-			n.cfg.Logger.Debug("aggregate degraded by overload", "key", key.String(), "reason", shedReason)
-		}
-	}
 
 	if expired > 0 {
 		if h := n.cfg.Obs.ChildExpired; h != nil {

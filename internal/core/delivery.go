@@ -134,6 +134,11 @@ type parentChoice struct {
 func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[transport.Addr]bool) parentChoice {
 	self, pred, space := rt.Self, rt.Pred, rt.Space()
 
+	if len(rt.Succs) == 0 {
+		// Neither created nor joined yet: Successor() answers Self for an
+		// empty list, which must not read as "alone".
+		return parentChoice{}
+	}
 	if rt.Successor().Addr == self.Addr {
 		return parentChoice{parent: self, isRoot: true, ok: true} // alone: we are every tree's root
 	}
@@ -357,11 +362,9 @@ func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
 	}
 	stop.Stop()
 	switch {
-	case err != nil && isAdmissionErr(err):
-		// The overload layer refused the send locally: degrade now
-		// instead of retrying into the overload — the typed error is a
-		// statement about this node's queues, not about the peer.
-		d.degrade(overloadReason(err))
+	case errors.Is(err, ErrSendClosed):
+		// Refused locally, by a node shutting down: a statement about
+		// this node, not about the peer — no strike, no retry.
 		d.finish(g, false)
 	case err != nil:
 		d.n.ch.Suspect(to)
@@ -374,30 +377,6 @@ func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
 		d.n.breakerSuccess(to)
 		d.finish(g, true)
 	}
-}
-
-// degrade marks the delivery's tree so its next aggregate travels
-// Degraded: a shed update never silently narrows a count.
-func (d *delivery) degrade(reason string) {
-	if d.e == nil {
-		return
-	}
-	n := d.n
-	n.mu.Lock()
-	if n.aggs[d.key] == d.e {
-		d.e.shedDegraded = true
-		d.e.shedReason = reason
-	}
-	n.mu.Unlock()
-}
-
-// overloadReason renders a typed admission error for logs and the
-// shed-reason bookkeeping.
-func overloadReason(err error) string {
-	if errors.Is(err, ErrSendClosed) {
-		return "closed"
-	}
-	return "overload"
 }
 
 // fail advances the state machine after a failed (or refused) attempt:
@@ -544,7 +523,7 @@ func (r *detachRetry) RunEvent(int32) {
 
 func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {
 	n, a := r.n, r.attempt
-	if err == nil || isAdmissionErr(err) {
+	if err == nil || errors.Is(err, ErrSendClosed) {
 		return // delivered — or refused locally: no peer evidence, no retry
 	}
 	n.ch.Suspect(r.to)

@@ -250,8 +250,8 @@ func TestBreakerOpensOnDeadParentAndRecovers(t *testing.T) {
 		if !c.Chord[i].Running() {
 			continue
 		}
-		if shed := c.DAT[i].OverloadStats().Shed["control"]; shed != 0 {
-			t.Errorf("node %d shed %d control elements", i, shed)
+		if r := c.DAT[i].OverloadStats().Rejected; r != 0 {
+			t.Errorf("node %d refused %d elements", i, r)
 		}
 	}
 }

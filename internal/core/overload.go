@@ -12,37 +12,27 @@ import (
 
 // This file is the overload-protection layer (DESIGN.md §14). The paper
 // bounds per-node *tree* load (branching and height, §3) but says
-// nothing about *transport* overload: unbounded send queues pin memory
-// behind a stalled parent, and the delivery layer's retries amplify
-// traffic exactly when a peer is slowest. Here the send machine's queues
-// (each already bounded by the batch thresholds, which flush it) get a
-// global byte budget with priority load-shedding (control > primary
-// updates > selfmon), and the
-// delivery layer gets per-peer circuit breakers so a persistently
+// nothing about *transport* overload. Send-queue memory needs no
+// mechanism: a destination queue is flushed the moment it reaches a batch
+// threshold and after MaxDelay regardless, and ep.Call never blocks, so
+// bytes at rest stay below peers x Batch.MaxBytes by construction. What
+// is left to protect against is retry amplification — the delivery
+// layer's retries multiply traffic exactly when a peer is slowest — so
+// the delivery layer gets per-peer circuit breakers: a persistently
 // unresponsive parent is failed over in O(1) instead of per-slot retry
-// budgets. Degradation is always explicit: a shed or refused update
-// marks the tree's next aggregate Degraded — counts are never silently
-// wrong — and every decision is deterministic (draw-free FNV jitter,
-// sorted victim selection) so datcheck traces stay byte-identical per
-// seed.
+// budgets. Every decision is deterministic (draw-free FNV jitter) so
+// datcheck traces stay byte-identical per seed.
 
-// OverloadConfig tunes the overload-protection layer every send goes
-// through. The zero value is the default budgets and armed breakers;
-// budgets and BreakerFailures at math.MaxInt32 are the pre-overload
-// protocol (nothing is ever shed, refused or isolated), the baseline
-// the ablation and datcheck's equivalence test run against.
+// OverloadConfig tunes the per-peer circuit breakers every delivery
+// attempt goes through. The zero value is armed breakers;
+// BreakerFailures at math.MaxInt32 is the pre-breaker protocol (no peer
+// is ever isolated), the baseline the ablation and datcheck's
+// equivalence test run against.
 type OverloadConfig struct {
 	// Enable is ignored: protection is always on. The field is kept only
 	// until benchmark v2, because frozen perf/sim.go sets it in a
 	// literal; nothing else may read or set it.
 	Enable bool
-	// MaxTotalBytes bounds the sum of all destination queues' estimated
-	// bytes. Admitting an element over this budget first evicts
-	// strictly-lower-priority queued elements (oldest first), then
-	// refuses the element itself with ErrOverload. Control traffic is
-	// never refused and evicts nobody: over the budget it is admitted
-	// and its destination queue flushed at once. Default 262144.
-	MaxTotalBytes int
 	// BreakerFailures is how many consecutive delivery failures
 	// (ack timeouts, transport errors, or refusals) open a peer's
 	// circuit breaker. Default 3.
@@ -55,9 +45,6 @@ type OverloadConfig struct {
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.MaxTotalBytes <= 0 {
-		c.MaxTotalBytes = 262144
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 3
 	}
@@ -67,65 +54,10 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	return c
 }
 
-// Typed admission errors. The send machine hands them to the enqueued
-// callback instead of silently dropping it; the delivery layer converts
-// them into immediate local degradation (the tree's next aggregate is
-// marked Degraded) rather than retrying into the overload.
-var (
-	// ErrOverload reports an element refused because the global queue
-	// budget is exhausted and no lower-priority victim could make room.
-	ErrOverload = errors.New("core: send queues over budget")
-	// ErrSendClosed reports an element enqueued after Close; the callers
-	// convert it into degradation instead of racing shutdown.
-	ErrSendClosed = errors.New("core: send machine closed")
-)
-
-// isAdmissionErr reports err is one of the typed admission errors — a
-// local decision, not evidence about the remote peer.
-func isAdmissionErr(err error) bool {
-	return errors.Is(err, ErrOverload) || errors.Is(err, ErrSendClosed)
-}
-
-// msgClass is the shedding-priority lattice: higher values survive
-// longer. Shedding drops selfmon first, primary updates next, and never
-// control traffic (detaches and handover updates keep the protocol's
-// bookkeeping coherent; losing one corrupts child caches or strands
-// rootship).
-type msgClass uint8
-
-const (
-	classSelfMon msgClass = iota // dat.load.* monitoring traffic: shed first
-	classPrimary                 // ordinary aggregate updates: shed under pressure, surfaces as Degraded
-	classControl                 // detach/handover protocol control: never shed
-	numClasses
-)
-
-// classLabel renders a class for metrics and hooks.
-func classLabel(c msgClass) string {
-	switch c {
-	case classControl:
-		return "control"
-	case classPrimary:
-		return "primary"
-	default:
-		return "selfmon"
-	}
-}
-
-// classify assigns one queued element its shedding class. selfMonKeys
-// is immutable after NewNode, so the read is lock-free.
-func (n *Node) classify(el *BatchElem) msgClass {
-	if el.Kind == batchKindDetach {
-		return classControl
-	}
-	if el.Update.Handover || el.Update.FailedRoot != "" {
-		return classControl
-	}
-	if n.selfMonKeys[el.Update.Key] {
-		return classSelfMon
-	}
-	return classPrimary
-}
+// ErrSendClosed answers an element enqueued after Close: a local
+// decision, not evidence about the remote peer, so the callers neither
+// retry nor strike — they stop instead of racing shutdown onto the wire.
+var ErrSendClosed = errors.New("core: send machine closed")
 
 // --- per-peer circuit breakers ---
 
@@ -289,18 +221,12 @@ func (n *Node) fireBreaker(to transport.Addr, state string) {
 type OverloadStats struct {
 	// QueuedBytes and QueuedElems are the current totals across every
 	// destination queue; HiWaterBytes is the largest QueuedBytes ever
-	// left at rest by an enqueue (the bounded-memory proof: it never
-	// exceeds MaxTotalBytes).
+	// left at rest by an enqueue (the structural bound made visible: it
+	// stays below peers x Batch.MaxBytes).
 	QueuedBytes  int
 	QueuedElems  int
 	HiWaterBytes int
-	// Shed counts elements dropped or refused, by class label
-	// ("selfmon", "primary", "control" — the last must stay zero).
-	Shed map[string]uint64
-	// ShedBytes is the estimated bytes those elements would have sent.
-	ShedBytes uint64
-	// Rejected counts incoming enqueues refused with a typed error
-	// (ErrOverload or ErrSendClosed).
+	// Rejected counts enqueues refused with ErrSendClosed.
 	Rejected uint64
 	// BreakerOpens is the cumulative closed/half-open→open transition
 	// count; BreakersOpen the number of peers currently isolated.
@@ -311,7 +237,7 @@ type OverloadStats struct {
 // OverloadStats snapshots the node's overload counters. Safe for
 // concurrent use; cheap enough to poll per slot.
 func (n *Node) OverloadStats() OverloadStats {
-	st := OverloadStats{Shed: make(map[string]uint64, numClasses)}
+	var st OverloadStats
 	sm := n.sm
 	sm.mu.Lock()
 	st.QueuedBytes = sm.totalBytes
@@ -319,10 +245,7 @@ func (n *Node) OverloadStats() OverloadStats {
 	for _, q := range sm.queues {
 		st.QueuedElems += len(q.elems)
 	}
-	for c, k := range sm.shed {
-		st.Shed[classLabel(msgClass(c))] = k
-	}
-	st.ShedBytes, st.Rejected = sm.shedBytes, sm.rejected
+	st.Rejected = sm.rejected
 	sm.mu.Unlock()
 	n.brMu.Lock()
 	st.BreakerOpens = n.brOpens
@@ -353,28 +276,23 @@ func (n *Node) QueueStats() []QueueStat {
 	sm.mu.Lock()
 	out := make([]QueueStat, 0, len(sm.queues))
 	for to, q := range sm.queues {
-		qs := QueueStat{To: to, Elems: len(q.elems), Bytes: q.bytes}
-		if len(q.times) > 0 {
-			qs.OldestAge = now - q.times[0]
-		}
-		out = append(out, qs)
+		out = append(out, QueueStat{To: to, Elems: len(q.elems), Bytes: q.bytes, OldestAge: now - q.firstAt})
 	}
 	sm.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
 	return out
 }
 
-// WriteOverloadDebug renders the /debug/overload page: budgets, queue
-// and shed totals, per-destination queue depth/age, and per-peer
-// breaker state.
+// WriteOverloadDebug renders the /debug/overload page: flush and
+// breaker thresholds, queue totals, per-destination queue depth/age, and
+// per-peer breaker state.
 func (n *Node) WriteOverloadDebug(w io.Writer) {
 	st := n.OverloadStats()
 	cfg := n.cfg.Overload
-	fmt.Fprintf(w, "budgets: total=%dB; breaker: %d fails, %v cooldown\n",
-		cfg.MaxTotalBytes, cfg.BreakerFailures, cfg.BreakerCooldown)
-	fmt.Fprintf(w, "queued: %dB in %d elems (hi-water %dB)\n", st.QueuedBytes, st.QueuedElems, st.HiWaterBytes)
-	fmt.Fprintf(w, "shed: selfmon=%d primary=%d control=%d (%dB); rejected=%d\n",
-		st.Shed["selfmon"], st.Shed["primary"], st.Shed["control"], st.ShedBytes, st.Rejected)
+	fmt.Fprintf(w, "flush: a queue at %dB or %d elems, or after %v; breaker: %d fails, %v cooldown\n",
+		n.sm.cfg.MaxBytes, n.sm.cfg.MaxElems, n.sm.cfg.MaxDelay, cfg.BreakerFailures, cfg.BreakerCooldown)
+	fmt.Fprintf(w, "queued: %dB in %d elems (hi-water %dB); rejected=%d\n",
+		st.QueuedBytes, st.QueuedElems, st.HiWaterBytes, st.Rejected)
 	fmt.Fprintf(w, "breakers: opens=%d open-now=%d\n", st.BreakerOpens, st.BreakersOpen)
 
 	fmt.Fprintln(w)

@@ -1,35 +1,33 @@
 package core
 
 // White-box tests for the overload-protection layer (overload.go,
-// DESIGN.md §14): queue GC, the Close/enqueue shutdown race, typed
-// admission errors, the shedding priority lattice, and the per-peer
+// DESIGN.md §14): queue GC, the Close/enqueue shutdown race and its
+// typed refusal, the structural queue bound, and the per-peer
 // circuit-breaker state machine — all under the deterministic sim clock
 // except the -race stress test, which runs on the real clock.
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chord"
-	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
 // newOverloadMachineForTest builds a Node shell with the given overload
-// policy, plus recorders for the Shed and Breaker hooks.
+// policy, plus a recorder for the Breaker hook.
 func newOverloadMachineForTest(t *testing.T, eng *sim.Engine, bc BatchConfig, oc OverloadConfig) (*Node, *stubEndpoint, *hookLog) {
 	t.Helper()
 	ep := &stubEndpoint{addr: "10.0.0.1:1"}
 	log := &hookLog{}
 	cfg := NodeConfig{Batch: bc, Overload: oc}.withDefaults()
 	cfg.Obs = obs.CoreHooks{
-		Shed:    func(class, reason string) { log.add("shed:" + class + "/" + reason) },
 		Breaker: func(peer transport.Addr, state string) { log.add("breaker:" + string(peer) + "/" + state) },
 	}
 	n := &Node{
@@ -59,13 +57,6 @@ func (l *hookLog) snapshot() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]string(nil), l.entries...)
-}
-
-// selfMonUpdate builds an update on the test's designated selfmon key.
-func selfMonUpdate(i int) UpdateMsg {
-	um := testUpdate(i)
-	um.Key = 42
-	return um
 }
 
 func liveQueues(n *Node) int {
@@ -155,7 +146,7 @@ func TestSendMachineGCKeepsJitterSequence(t *testing.T) {
 // fires, with ErrSendClosed.
 func TestSendMachineCloseTypedError(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n, ep, log := newOverloadMachineForTest(t, eng,
+	n, ep, _ := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100}, OverloadConfig{})
 	n.sm.Close()
 	var got error
@@ -174,12 +165,8 @@ func TestSendMachineCloseTypedError(t *testing.T) {
 		t.Fatalf("post-Close enqueue reached the wire: %+v", ep.calls)
 	}
 	st := n.OverloadStats()
-	if st.Shed["primary"] != 1 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want one rejected primary", st)
-	}
-	want := "shed:primary/closed"
-	if entries := log.snapshot(); len(entries) != 1 || entries[0] != want {
-		t.Fatalf("hook log = %v, want [%s]", entries, want)
+	if st.Rejected != 1 {
+		t.Fatalf("stats = %+v, want one rejected element", st)
 	}
 }
 
@@ -253,101 +240,9 @@ func TestSendMachineCloseRace(t *testing.T) {
 	}
 }
 
-// TestShedPriorityLattice drives the global byte budget through its
-// three outcomes on one deterministic sequence: admitting a primary
-// update evicts queued selfmon traffic (oldest first, callbacks fired
-// with ErrOverload), a primary update that cannot make room is refused
-// with ErrOverload, and control traffic is never shed — over the budget
-// it is admitted and its queue flushed at once.
-func TestShedPriorityLattice(t *testing.T) {
-	eng := sim.NewEngine(1)
-	// One update from testUpdate estimates 72+len("10.0.0.1:1") = 82
-	// bytes: two fit under the 200-byte global budget, a third never
-	// does.
-	n, ep, log := newOverloadMachineForTest(t, eng,
-		BatchConfig{MaxDelay: time.Hour, MaxElems: 100, MaxBytes: 100000},
-		OverloadConfig{MaxTotalBytes: 200})
-	n.selfMonKeys = map[ident.ID]bool{42: true}
-
-	errs := make(map[string]error)
-	cb := func(tag string) func(any, error) {
-		return func(_ any, err error) { errs[tag] = err }
-	}
-
-	n.batchCall("10.0.0.2:1", MsgUpdate, selfMonUpdate(0), cb("selfmon0"))
-	n.batchCall("10.0.0.2:1", MsgUpdate, selfMonUpdate(1), cb("selfmon1"))
-	if st := n.OverloadStats(); st.QueuedBytes != 164 || st.QueuedElems != 2 {
-		t.Fatalf("after selfmon fill: %+v", st)
-	}
-
-	// Primary over budget: the oldest selfmon element is evicted.
-	n.batchCall("10.0.0.3:1", MsgUpdate, testUpdate(2), cb("primary0"))
-	if !errors.Is(errs["selfmon0"], ErrOverload) {
-		t.Fatalf("evicted selfmon callback got %v, want ErrOverload", errs["selfmon0"])
-	}
-	if _, fired := errs["selfmon1"]; fired {
-		t.Fatal("second selfmon element evicted before it had to be")
-	}
-
-	// Again: the remaining selfmon goes, and its emptied queue is GC'd.
-	n.batchCall("10.0.0.3:1", MsgUpdate, testUpdate(3), cb("primary1"))
-	if !errors.Is(errs["selfmon1"], ErrOverload) {
-		t.Fatalf("second evicted selfmon callback got %v, want ErrOverload", errs["selfmon1"])
-	}
-	n.sm.mu.Lock()
-	_, selfmonQueueLives := n.sm.queues["10.0.0.2:1"]
-	n.sm.mu.Unlock()
-	if selfmonQueueLives {
-		t.Fatal("eviction emptied the selfmon queue but left its map entry")
-	}
-
-	// No lower class left: an incoming primary is refused outright.
-	n.batchCall("10.0.0.4:1", MsgUpdate, testUpdate(4), cb("primary2"))
-	if !errors.Is(errs["primary2"], ErrOverload) {
-		t.Fatalf("over-budget primary got %v, want ErrOverload", errs["primary2"])
-	}
-	if errs["primary0"] != nil || errs["primary1"] != nil {
-		t.Fatal("queued primaries were disturbed by the refusal")
-	}
-
-	// Control traffic leaves at once over a full budget instead of being
-	// shed.
-	hm := testUpdate(5)
-	hm.Handover = true
-	wireBefore := len(ep.calls)
-	n.batchCall("10.0.0.5:1", MsgUpdate, hm, cb("control0"))
-	if len(ep.calls) != wireBefore+1 || ep.calls[wireBefore].typ != MsgUpdate {
-		t.Fatalf("control update over the full budget did not leave at once: %+v", ep.calls)
-	}
-	if errs["control0"] != nil {
-		t.Fatalf("control callback got %v, want untouched", errs["control0"])
-	}
-
-	st := n.OverloadStats()
-	if st.Shed["selfmon"] != 2 || st.Shed["primary"] != 1 || st.Shed["control"] != 0 {
-		t.Fatalf("shed counts = %+v, want selfmon=2 primary=1 control=0", st.Shed)
-	}
-	if st.Rejected != 1 || st.ShedBytes != 3*82 {
-		t.Fatalf("rejected=%d shedBytes=%d, want 1 and %d", st.Rejected, st.ShedBytes, 3*82)
-	}
-	if st.HiWaterBytes > 200 {
-		t.Fatalf("hi-water %d exceeded the %d-byte budget", st.HiWaterBytes, 200)
-	}
-	want := []string{"shed:selfmon/evict", "shed:selfmon/evict", "shed:primary/total-bytes"}
-	got := log.snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("hook log = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hook log[%d] = %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
 // TestOverloadQueueBudgetFlushes pins what bounds one destination
 // queue: the batch thresholds. A queue that reaches one is flushed to the
-// wire (reason "elems" or "bytes"), never shed — the wire is the
+// wire (reason "elems" or "bytes"), never refused — the wire is the
 // pressure-relief valve — so nothing over the threshold stays at rest.
 func TestOverloadQueueBudgetFlushes(t *testing.T) {
 	for _, tc := range []struct {
@@ -361,7 +256,7 @@ func TestOverloadQueueBudgetFlushes(t *testing.T) {
 		t.Run(tc.reason, func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			flushes := []string{}
-			n, ep, log := newOverloadMachineForTest(t, eng, tc.batch, OverloadConfig{MaxTotalBytes: 100000})
+			n, ep, _ := newOverloadMachineForTest(t, eng, tc.batch, OverloadConfig{})
 			n.cfg.Obs.BatchFlush = func(reason string, elems, saved int) {
 				flushes = append(flushes, reason)
 			}
@@ -376,14 +271,43 @@ func TestOverloadQueueBudgetFlushes(t *testing.T) {
 			if len(flushes) != 1 || flushes[0] != tc.reason {
 				t.Fatalf("flush reasons = %v, want [%s]", flushes, tc.reason)
 			}
-			if shed := log.snapshot(); len(shed) != 0 {
-				t.Fatalf("queue-budget pressure shed elements: %v", shed)
-			}
 			if st := n.OverloadStats(); st.Rejected != 0 || st.QueuedElems != 0 || st.HiWaterBytes > 82 {
 				t.Fatalf("stats = %+v, want nothing refused or left, hi-water one element", st)
 			}
 		})
 	}
+
+	// The bound across destinations is structural: 4096 elements pushed
+	// round-robin at 16 destinations with no deadline ever firing leave
+	// every queue below MaxBytes at rest, so the node's hi-water stays
+	// below 16 x MaxBytes with no budget to police it.
+	t.Run("fanout", func(t *testing.T) {
+		const dests, elems = 16, 4096
+		eng := sim.NewEngine(1)
+		n, ep, _ := newOverloadMachineForTest(t, eng,
+			BatchConfig{MaxDelay: time.Hour, MaxElems: 1 << 20}, OverloadConfig{})
+		answered := 0
+		for i := 0; i < elems; i++ {
+			dest := transport.Addr(fmt.Sprintf("10.0.1.%d:1", i%dests))
+			n.batchCall(dest, MsgUpdate, testUpdate(i), func(_ any, err error) {
+				answered++ // nothing answers before a reply: only a refusal would
+			})
+		}
+		st := n.OverloadStats()
+		if st.Rejected != 0 || answered != 0 {
+			t.Fatalf("%d elements refused, %d answered early", st.Rejected, answered)
+		}
+		if bound := dests * n.sm.cfg.MaxBytes; st.HiWaterBytes >= bound {
+			t.Fatalf("hi-water %d reached %d destinations x MaxBytes %d", st.HiWaterBytes, dests, n.sm.cfg.MaxBytes)
+		}
+		sent := 0
+		for _, c := range ep.calls {
+			sent += len(c.payload.(BatchMsg).Elems)
+		}
+		if sent+st.QueuedElems != elems {
+			t.Fatalf("%d on the wire + %d queued, want %d", sent, st.QueuedElems, elems)
+		}
+	})
 }
 
 // TestBreakerTransitions walks one peer's breaker through the full
@@ -499,12 +423,12 @@ func TestBreakerTransitions(t *testing.T) {
 // layer fails fast: an update bound for the isolated peer is treated as
 // refused — no datagram, no queue entry, straight to the next candidate
 // (here there is none, so the chain ends abandoned after one attempt).
-// The send machine itself consults no breaker and sheds nothing: control
-// traffic handed to it queues as always.
+// The send machine itself consults no breaker and refuses nothing: a
+// detach handed to it queues as always.
 func TestBreakerAdmissionShed(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	eng := sim.NewEngine(1)
-	n, ep, log := newOverloadMachineForTest(t, eng,
+	n, ep, _ := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100},
 		OverloadConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
 	n.cfg.Delivery.MaxCandidates = 1
@@ -532,14 +456,8 @@ func TestBreakerAdmissionShed(t *testing.T) {
 	if liveQueues(n) != 1 {
 		t.Fatal("control detach was not queued despite the open breaker")
 	}
-	st := n.OverloadStats()
-	if st.Shed["primary"] != 0 || st.Shed["control"] != 0 || st.Rejected != 0 {
-		t.Fatalf("stats = %+v, want nothing shed or refused", st)
-	}
-	for _, e := range log.snapshot() {
-		if strings.HasPrefix(e, "shed:") {
-			t.Fatalf("hook log %v: the breaker shed an element", log.snapshot())
-		}
+	if st := n.OverloadStats(); st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want nothing refused", st)
 	}
 }
 
@@ -567,32 +485,5 @@ func TestQueueStatsAges(t *testing.T) {
 	}
 	if qs[1].Elems != 1 || qs[1].OldestAge != 5*time.Millisecond {
 		t.Fatalf("old queue stat = %+v, want 1 elem aged 5ms", qs[1])
-	}
-}
-
-// TestClassify pins the priority lattice assignment.
-func TestClassify(t *testing.T) {
-	eng := sim.NewEngine(1)
-	n, _, _ := newOverloadMachineForTest(t, eng, BatchConfig{}, OverloadConfig{})
-	n.selfMonKeys = map[ident.ID]bool{42: true}
-
-	cases := []struct {
-		name string
-		el   BatchElem
-		want msgClass
-	}{
-		{"detach", BatchElem{Kind: batchKindDetach}, classControl},
-		{"handover", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 7, Handover: true}}, classControl},
-		{"failed-root", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 7, FailedRoot: "x:1"}}, classControl},
-		{"selfmon", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 42}}, classSelfMon},
-		{"primary", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 7}}, classPrimary},
-		// Handover on a selfmon key is still control: losing it strands
-		// rootship regardless of the tree's class.
-		{"selfmon-handover", BatchElem{Kind: batchKindUpdate, Update: UpdateMsg{Key: 42, Handover: true}}, classControl},
-	}
-	for _, tc := range cases {
-		if got := n.classify(&tc.el); got != tc.want {
-			t.Errorf("%s: class %s, want %s", tc.name, classLabel(got), classLabel(tc.want))
-		}
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // TestParentMemoMatchesFreshUnderChurn: across a churning 64-node ring
@@ -103,5 +106,40 @@ func TestParentMemoFollowsRoutingVersion(t *testing.T) {
 	}
 	if want, wantRoot, _, wantOK := d.ParentForExcluding(key, nil); after != want || isRoot != wantRoot || ok != wantOK {
 		t.Fatalf("memoised %v, fresh %v", after, want)
+	}
+}
+
+// TestUnjoinedNodeIsNoRoot: a node that has neither created nor joined a
+// ring has an empty successor list, which is "undecided", not "alone" —
+// it must not report itself root of every tree while it is still
+// joining. Create makes it the lone root.
+func TestUnjoinedNodeIsNoRoot(t *testing.T) {
+	eng := sim.NewEngine(3)
+	net := transport.NewSimNetwork(eng, transport.SimConfig{})
+	space := ident.New(16)
+	ep := net.Endpoint("sim/0")
+	ch := chord.New(ep, net.Clock(), 4242, chord.Config{Space: space})
+	d := core.NewNode(ch, ep, net.Clock(), core.NodeConfig{
+		Local: func(ident.ID) (float64, bool) { return 1, true },
+	})
+	const key = ident.ID(9000)
+	if parent, isRoot, ok := d.ParentFor(key); ok {
+		t.Fatalf("unjoined node decided its parent: %v root=%v", parent, isRoot)
+	}
+	results := 0
+	if err := d.StartContinuous(key, time.Second, func(int64, core.Aggregate) { results++ }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(3 * time.Second)
+	if _, _, ok := d.LastResult(key); ok || results != 0 {
+		t.Fatalf("unjoined node surfaced %d root results", results)
+	}
+	ch.Create()
+	if parent, isRoot, ok := d.ParentFor(key); !ok || !isRoot || parent.Addr != ep.Addr() {
+		t.Fatalf("created lone node: parent %v root=%v ok=%v, want itself as root", parent, isRoot, ok)
+	}
+	eng.RunFor(2 * time.Second)
+	if results == 0 {
+		t.Fatal("created lone node surfaced no root result")
 	}
 }

@@ -108,7 +108,7 @@ const frameOverhead = 48
 
 // ackSink receives the verdict on one element handed to the send
 // machine: the receiver's UpdateAck, or the error that befell its
-// datagram — typed admission errors included, a shed element is always
+// datagram — ErrSendClosed included, a refused element is always
 // answered. Elements are queued as (sink, gen) pairs, not closures: gen
 // is the token the element was queued with, the sink's fence against a
 // verdict that outlived the attempt it answers.
@@ -140,7 +140,7 @@ type sendMachine struct {
 	queues map[transport.Addr]*destQueue
 	// free holds records for reuse: a queue taken off the map is its
 	// datagram's flight record until the reply, then comes back here
-	// with its sink, class and time slices. Only the element slice is
+	// with its sink slice. Only the element slice is
 	// made per fill (elemHint long, like the last): the transport, and
 	// an in-process receiver, go on reading it after the flush.
 	free     []*destQueue
@@ -157,12 +157,13 @@ type sendMachine struct {
 	genSeq uint64
 	closed bool
 
-	// Overload accounting (all guarded by mu; see overload.go).
-	totalBytes int                // sum of queue byte estimates
-	hiWater    int                // max totalBytes ever left at rest
-	shed       [numClasses]uint64 // elements shed/refused, by class
-	shedBytes  uint64             // estimated bytes of those elements
-	rejected   uint64             // incoming enqueues refused with a typed error
+	// Queue accounting (guarded by mu; OverloadStats reads it). Nothing
+	// polices totalBytes: every queue is flushed on reaching a batch
+	// threshold, so bytes at rest stay below peers x MaxBytes (DESIGN.md
+	// §14).
+	totalBytes int    // sum of queue byte estimates
+	hiWater    int    // max totalBytes ever left at rest
+	rejected   uint64 // enqueues refused with ErrSendClosed
 }
 
 // destQueue is one destination's pending elements — and the TimerTask
@@ -174,10 +175,8 @@ type destQueue struct {
 	sinks []sinkRef
 	bytes int
 	gen   uint64 // from sm.genSeq; stale deadline timers no-op
-	// classes and times parallel elems: shedding priority and queue-age
-	// telemetry.
-	classes []msgClass
-	times   []time.Duration
+	// firstAt is when the head element was queued: queue-age telemetry.
+	firstAt time.Duration
 	timer   transport.Timer // the deadline timer while armed
 	armed   bool
 	batched bool                   // in flight as a BatchMsg, not a lone message
@@ -217,86 +216,25 @@ func (n *Node) treeSent(el *BatchElem) {
 	}
 }
 
-// shedElem is one element dropped (or refused) by the overload layer,
-// carried out of sm.mu so its sink and the Shed hook fire unlocked.
-type shedElem struct {
-	ref   sinkRef
-	class msgClass
-}
-
-// fireShed answers the dropped elements' sinks with the typed overload
-// error and fires the Shed hook per element. Callers hold no locks. A
-// shed element is ALWAYS answered — silent loss would leave the delivery
-// layer waiting on its ack timeout instead of degrading immediately.
-func (sm *sendMachine) fireShed(victims []shedElem, reason string, err error) {
-	h := sm.n.cfg.Obs.Shed
-	for _, v := range victims {
-		if h != nil {
-			h(classLabel(v.class), reason)
-		}
-		v.ref.fire(UpdateAck{}, err)
-	}
-}
-
-// refuse accounts and answers one incoming element refused with a typed
-// error. Callers hold no locks.
-func (sm *sendMachine) refuse(ref sinkRef, class msgClass, est int, reason string, err error) {
-	sm.mu.Lock()
-	sm.shed[class]++
-	sm.shedBytes += uint64(est)
-	sm.rejected++
-	sm.mu.Unlock()
-	sm.fireShed([]shedElem{{ref, class}}, reason, err)
-}
-
-func stopAll(timers []transport.Timer) {
-	for _, t := range timers {
-		t.Stop()
-	}
-}
-
-// enqueue is the one road onto the wire for an update or detach:
-// admission, then the destination's queue, then a flush (DESIGN.md
-// §12). Admission refuses the element with a typed error when the
-// machine is closed, or the global budget is exhausted and evicting
-// strictly-lower-priority victims cannot make room. An open breaker is
-// not its business: every non-control element comes from
-// delivery.sendAttempt, which has just passed breakerAllows. An admitted
-// element is appended; the queue is flushed at once if a size trigger
-// tripped, else its deadline timer is armed.
+// enqueue is the one road onto the wire for an update or detach
+// (DESIGN.md §12): a closed machine refuses the element with
+// ErrSendClosed; otherwise it is appended to its destination's queue,
+// which is flushed at once if a size trigger tripped, else its deadline
+// timer is armed. An open breaker is not its business: every update
+// comes from delivery.sendAttempt, which has just passed breakerAllows.
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)
-	ov := n.cfg.Overload
-	class := n.classify(el)
 	now := n.clock.Now()
 
 	sm.mu.Lock()
 	if sm.closed {
+		sm.rejected++
 		sm.mu.Unlock()
 		// Typed rejection instead of racing the drained machine back onto
-		// the wire; the caller degrades locally.
-		sm.refuse(ref, class, est, "closed", ErrSendClosed)
+		// the wire; the sink is still answered.
+		ref.fire(UpdateAck{}, ErrSendClosed)
 		return
-	}
-
-	// Global budget: evict strictly-lower-class victims (oldest first,
-	// this destination's queue first, then the rest in sorted address
-	// order), and refuse the element if that still cannot make room.
-	// Control traffic is never refused and evicts nobody: it is admitted
-	// over the budget and its queue flushed at once (below), so nothing
-	// over the budget stays at rest.
-	var victims []shedElem
-	var stops []transport.Timer
-	if class != classControl && sm.totalBytes+est > ov.MaxTotalBytes {
-		victims, stops = sm.evictLocked(to, class, sm.totalBytes+est-ov.MaxTotalBytes)
-		if sm.totalBytes+est > ov.MaxTotalBytes {
-			sm.mu.Unlock()
-			stopAll(stops)
-			sm.fireShed(victims, "evict", ErrOverload)
-			sm.refuse(ref, class, est, "total-bytes", ErrOverload)
-			return
-		}
 	}
 
 	q := sm.queues[to]
@@ -307,7 +245,7 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 			q = newRecord(n, to)
 		}
 		sm.genSeq++
-		q.to, q.gen, q.batched = to, sm.genSeq, false
+		q.to, q.gen, q.batched, q.firstAt = to, sm.genSeq, false, now
 		if sm.elemHint > 1 {
 			q.elems = make([]BatchElem, 0, sm.elemHint)
 		}
@@ -315,8 +253,6 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	}
 	q.elems = append(q.elems, *el)
 	q.sinks = append(q.sinks, ref)
-	q.classes = append(q.classes, class)
-	q.times = append(q.times, now)
 	q.bytes += est
 	sm.totalBytes += est
 
@@ -326,17 +262,11 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		reason = "elems"
 	case q.bytes >= sm.cfg.MaxBytes:
 		reason = "bytes"
-	case sm.totalBytes > ov.MaxTotalBytes:
-		// Only a control element gets here over the global budget: its
-		// queue is flushed, not shed — the wire is the pressure-relief
-		// valve.
-		reason = "overload"
 	}
 	if reason != "" {
-		stops = append(stops, sm.takeLocked(q))
+		stop := sm.takeLocked(q)
 		sm.mu.Unlock()
-		stopAll(stops)
-		sm.fireShed(victims, "evict", ErrOverload)
+		stop.Stop()
 		sm.flush(q, reason)
 		return
 	}
@@ -351,8 +281,6 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	}
 	seq := sm.seqs[to]
 	sm.mu.Unlock()
-	stopAll(stops)
-	sm.fireShed(victims, "evict", ErrOverload)
 	if armed {
 		return // deadline already armed for this queue
 	}
@@ -366,63 +294,6 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	}
 	q.timer, q.armed = t, true
 	sm.mu.Unlock()
-}
-
-// evictLocked frees global queue budget for an incoming element of
-// class incoming by dropping strictly-lower-class queued elements,
-// oldest first — the incoming element's own destination queue first,
-// then the remaining queues in sorted address order, so victim
-// selection is deterministic. Emptied queues are GC'd; their deadline
-// timers are returned for the caller to stop outside sm.mu. Callers
-// hold sm.mu and must answer the returned victims (and stop the timers)
-// after unlocking.
-func (sm *sendMachine) evictLocked(to transport.Addr, incoming msgClass, need int) (victims []shedElem, stops []transport.Timer) {
-	addrs := make([]transport.Addr, 0, len(sm.queues))
-	for a := range sm.queues {
-		if a != to {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if sm.queues[to] != nil {
-		addrs = append([]transport.Addr{to}, addrs...)
-	}
-	for _, a := range addrs {
-		if need <= 0 {
-			break
-		}
-		q := sm.queues[a]
-		keep := 0
-		for i := range q.elems {
-			if need > 0 && q.classes[i] < incoming {
-				est := elemEstimate(&q.elems[i])
-				victims = append(victims, shedElem{ref: q.sinks[i], class: q.classes[i]})
-				sm.shed[q.classes[i]]++
-				sm.shedBytes += uint64(est)
-				q.bytes -= est
-				sm.totalBytes -= est
-				need -= est
-				continue
-			}
-			q.elems[keep] = q.elems[i]
-			q.sinks[keep] = q.sinks[i]
-			q.classes[keep] = q.classes[i]
-			q.times[keep] = q.times[i]
-			keep++
-		}
-		if keep == len(q.elems) {
-			continue
-		}
-		q.elems = q.elems[:keep]
-		q.sinks = q.sinks[:keep]
-		q.classes = q.classes[:keep]
-		q.times = q.times[:keep]
-		if keep == 0 {
-			stops = append(stops, sm.takeLocked(q))
-			sm.recycleLocked(q)
-		}
-	}
-	return victims, stops
 }
 
 // deadline derives the flush delay for one queue fill: MaxDelay minus a
@@ -476,7 +347,7 @@ func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
 // free list, dropping what it pointed at. Callers hold sm.mu.
 func (sm *sendMachine) recycleLocked(q *destQueue) {
 	clear(q.sinks)
-	q.elems, q.sinks, q.classes, q.times = nil, q.sinks[:0], q.classes[:0], q.times[:0]
+	q.elems, q.sinks = nil, q.sinks[:0]
 	sm.free = append(sm.free, q)
 }
 
@@ -488,7 +359,7 @@ func (sm *sendMachine) recycleLocked(q *destQueue) {
 // demultiplexes the BatchAck back onto the per-element sinks in order.
 func (sm *sendMachine) flush(q *destQueue, reason string) {
 	n := sm.n
-	elems := q.elems // never empty: eviction recycles a queue it empties
+	elems := q.elems // never empty: a queue exists from its first element
 	q.elems = nil    // given away: the transport may re-read it until the reply
 	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
@@ -561,7 +432,9 @@ func (sm *sendMachine) Close() {
 		stops = append(stops, sm.takeLocked(q))
 	}
 	sm.mu.Unlock()
-	stopAll(stops)
+	for _, t := range stops {
+		t.Stop()
+	}
 	sort.Slice(all, func(i, j int) bool { return all[i].to < all[j].to })
 	for _, q := range all {
 		sm.flush(q, "drain")

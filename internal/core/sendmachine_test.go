@@ -74,14 +74,13 @@ func testUpdate(i int) UpdateMsg {
 
 // TestSendMachineFlushTriggers table-drives the size-triggered flushes
 // plus the deadline path, asserting both the wire shape (one batched
-// Call) and the reported trigger. No trigger sheds, refuses or leaves
-// more than the global budget at rest.
+// Call) and the reported trigger. No trigger refuses an element or
+// leaves a queue's worth of bytes at rest.
 func TestSendMachineFlushTriggers(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	cases := []struct {
 		name       string
 		cfg        BatchConfig
-		overload   OverloadConfig
 		enqueue    int
 		last       func(*UpdateMsg) // reshapes the last update enqueued
 		runFor     time.Duration
@@ -122,25 +121,12 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 			wantReason: "bytes",
 			wantElems:  3,
 		},
-		{
-			name: "control-over-budget",
-			// Two 82-byte updates fill the 200-byte global budget; the
-			// handover is admitted over it, evicts neither, and takes
-			// them along on the flush it forces.
-			cfg:        BatchConfig{MaxBytes: 100000, MaxElems: 100, MaxDelay: time.Hour},
-			overload:   OverloadConfig{MaxTotalBytes: 200},
-			enqueue:    3,
-			last:       func(um *UpdateMsg) { um.Handover = true },
-			wantReason: "overload",
-			wantElems:  3,
-		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			n, ep, flushes := newMachineForTest(t, eng, tc.cfg)
-			n.cfg.Overload = tc.overload.withDefaults()
 			for i := 0; i < tc.enqueue; i++ {
 				um := testUpdate(i)
 				if tc.last != nil && i == tc.enqueue-1 {
@@ -182,11 +168,11 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 				t.Fatalf("bytesSaved = %d, want %d", saved, (tc.wantElems-1)*frameOverhead)
 			}
 			st := n.OverloadStats()
-			if st.Rejected != 0 || st.ShedBytes != 0 || st.QueuedBytes != 0 {
-				t.Fatalf("flush shed, refused or left traffic behind: %+v", st)
+			if st.Rejected != 0 || st.QueuedBytes != 0 {
+				t.Fatalf("flush refused or left traffic behind: %+v", st)
 			}
-			if st.HiWaterBytes > n.cfg.Overload.MaxTotalBytes {
-				t.Fatalf("hi-water %d over the %d-byte budget", st.HiWaterBytes, n.cfg.Overload.MaxTotalBytes)
+			if st.HiWaterBytes >= n.sm.cfg.MaxBytes {
+				t.Fatalf("hi-water %d reached the queue's %d-byte flush threshold", st.HiWaterBytes, n.sm.cfg.MaxBytes)
 			}
 			// No timer may survive the flush: drain the engine and assert
 			// nothing else reaches the wire.

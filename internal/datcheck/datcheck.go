@@ -70,8 +70,8 @@ func (p targetedFaults) Apply(rng *rand.Rand, from, to transport.Addr, typ strin
 }
 
 // burstTrees is how many extra aggregation trees EvBurstFanin starts on
-// every running node, multiplying per-destination fan-in into the
-// bounded send queues.
+// every running node, multiplying per-destination fan-in into the send
+// queues.
 const burstTrees = 3
 
 // Result is everything one scenario run produced.
@@ -129,9 +129,8 @@ func RunScenario(sc *Scenario) (*Result, error) {
 	fmt.Fprintf(&tr, "datcheck seed=%d n=%d bits=%d scheme=%v slot=%v batch=%s selfmon=%s events=%d\n",
 		sc.Seed, sc.N, sc.Bits, sc.Scheme, sc.Slot, batch, selfmon, len(sc.Events))
 	// What the scenario sets of the overload policy; 0 is core's default.
-	fmt.Fprintf(&tr, "overload qbytes=%d qelems=%d total=%d cooldown=%v\n",
-		sc.QueueBytes, sc.QueueElems,
-		sc.Overload.MaxTotalBytes, sc.Overload.BreakerCooldown)
+	fmt.Fprintf(&tr, "overload qbytes=%d qelems=%d cooldown=%v\n",
+		sc.QueueBytes, sc.QueueElems, sc.Overload.BreakerCooldown)
 
 	// The observer's hooks never schedule events or draw engine
 	// randomness, so attaching it keeps traces byte-identical per seed;
@@ -578,46 +577,38 @@ func (h *harness) settle() {
 	h.checkOverload()
 }
 
-// checkOverload audits the overload-protection layer at a settle point.
-// Two hard invariants: the global byte budget was never exceeded — the
-// high-water mark is a lifetime maximum, so one audit covers the whole
-// chaos phase — and no node ever shed control traffic (detaches and
-// handover updates are what keep child caches and rootship coherent;
-// shedding one would corrupt state the other invariants audit). The
-// totals land in the trace, so a seed's shedding behavior is part of its
-// byte-identity.
+// checkOverload audits the send queues' structural bound at a settle
+// point: a node keeps one queue per peer and a queue that reaches
+// Batch.MaxBytes is flushed in the same call, so bytes at rest stay below
+// peers x MaxBytes with nothing policing them. The high-water mark is a
+// lifetime maximum, so one audit covers the whole chaos phase. The totals
+// land in the trace, so a seed's queueing and breaker behavior is part of
+// its byte-identity.
 func (h *harness) checkOverload() {
-	limit := h.sc.Overload.MaxTotalBytes
-	if limit <= 0 {
-		limit = 262144 // core.OverloadConfig's default
+	maxBytes := tighter(h.sc.Batch.MaxBytes, h.sc.QueueBytes) // as RunScenario set it
+	if maxBytes <= 0 {
+		maxBytes = 1200 // core.BatchConfig's default
 	}
+	bound := len(h.c.Chord) * maxBytes
 	var hiWater int
-	var shedTotal, rejected, opens uint64
+	var rejected, opens uint64
 	ok := true
 	for _, i := range h.runningIdxs() {
 		st := h.c.DAT[i].OverloadStats()
 		if st.HiWaterBytes > hiWater {
 			hiWater = st.HiWaterBytes
 		}
-		for _, n := range st.Shed {
-			shedTotal += n
-		}
 		rejected += st.Rejected
 		opens += st.BreakerOpens
-		if st.HiWaterBytes > limit {
-			h.violate(Violation{Check: "overload-budget", Detail: fmt.Sprintf(
-				"node %d queue high-water %d exceeds MaxTotalBytes %d", i, st.HiWaterBytes, limit)})
-			ok = false
-		}
-		if n := st.Shed["control"]; n != 0 {
-			h.violate(Violation{Check: "overload-control-shed", Detail: fmt.Sprintf(
-				"node %d shed %d control elements", i, n)})
+		if st.HiWaterBytes >= bound {
+			h.violate(Violation{Check: "queue-bound", Detail: fmt.Sprintf(
+				"node %d queue high-water %d reaches %d nodes x Batch.MaxBytes %d", i, st.HiWaterBytes, len(h.c.Chord), maxBytes)})
 			ok = false
 		}
 	}
 	if ok {
-		h.tracef("overload ok hiwater=%d shed=%d rejected=%d breaker_opens=%d",
-			hiWater, shedTotal, rejected, opens)
+		h.tracef("overload ok hiwater=%d bound=%d rejected=%d breaker_opens=%d",
+			hiWater, bound, rejected, opens)
 	}
 }
 

@@ -61,9 +61,9 @@ var corpusSeeds = []int64{
 	// the send machine's coalescing window, so queued-but-unflushed
 	// batches die with the victim.
 	BatchSeedBase + 1, BatchSeedBase + 2, BatchSeedBase + 3,
-	// Overload-fault family (>= OverloadSeedBase): tight queue budgets
+	// Overload-fault family (>= OverloadSeedBase): tight batch thresholds
 	// and armed breakers under slow parents, ack blackholes and fan-in
-	// bursts, with the overload invariants audited at every settle.
+	// bursts, with the queue bound audited at every settle.
 	OverloadSeedBase + 1, OverloadSeedBase + 2, OverloadSeedBase + 3,
 }
 
@@ -158,10 +158,10 @@ func TestDatcheckBatchFaults(t *testing.T) {
 }
 
 // TestDatcheckOverloadFaults sweeps the overload-fault seed family:
-// every scenario runs with tight queue budgets and armed breakers while
-// parents turn slow, acks blackhole and fan-in bursts, probing for lost
-// subtrees mid-damage and auditing the overload invariants at every
-// settle. This is the make datcheck-overload entry point.
+// every scenario runs with tight batch thresholds and armed breakers
+// while parents turn slow, acks blackhole and fan-in bursts, probing for
+// lost subtrees mid-damage and auditing the queue bound at every settle.
+// This is the make datcheck-overload entry point.
 func TestDatcheckOverloadFaults(t *testing.T) {
 	for i := 1; i <= *overloadSeeds; i++ {
 		seed := OverloadSeedBase + int64(i)
@@ -172,14 +172,13 @@ func TestDatcheckOverloadFaults(t *testing.T) {
 	}
 }
 
-// TestDatcheckOverloadEquivalence stands where the byte gate stood when
-// protection became structural: for every corpus seed, the scenario as
-// generated (default or tight budgets, breakers armed) and the
-// pre-overload protocol written as values (the three budgets and
-// BreakerFailures out of reach, the scenario's own BreakerCooldown kept)
-// must both hold every invariant against the identical schedule and
-// settle on identical root aggregates — shedding and fail-fast reshape
-// transient traffic, never what a settled round computes.
+// TestDatcheckOverloadEquivalence is the breakers' semantic gate: for
+// every corpus seed, the scenario as generated (breakers armed) and the
+// pre-breaker protocol written as a value (BreakerFailures out of reach,
+// everything else as generated) must both hold every invariant against
+// the identical schedule and settle on identical root aggregates —
+// fail-fast reshapes transient traffic, never what a settled round
+// computes.
 func TestDatcheckOverloadEquivalence(t *testing.T) {
 	for _, seed := range corpusSeeds {
 		seed := seed
@@ -190,8 +189,6 @@ func TestDatcheckOverloadEquivalence(t *testing.T) {
 				t.Fatalf("protected run: %v", err)
 			}
 			plainSc := Generate(seed)
-			plainSc.QueueBytes, plainSc.QueueElems = 0, 0 // Batch stays as generated
-			plainSc.Overload.MaxTotalBytes = math.MaxInt32
 			plainSc.Overload.BreakerFailures = math.MaxInt32
 			plain, err := RunScenario(plainSc)
 			if err != nil {
@@ -370,8 +367,8 @@ func TestBatchGeneratorGuarantees(t *testing.T) {
 }
 
 // TestOverloadGeneratorGuarantees checks the overload-fault generator's
-// contract: cluster size in range, budgets inside the documented
-// bands, one of each overload stimulus,
+// contract: cluster size in range, batch thresholds inside the
+// documented bands, one of each overload stimulus,
 // a targeted parent crash and a partition for the corpus coverage
 // floor, a probe inside every chaos phase, and a terminating settle.
 func TestOverloadGeneratorGuarantees(t *testing.T) {
@@ -382,9 +379,8 @@ func TestOverloadGeneratorGuarantees(t *testing.T) {
 		}
 		ov := sc.Overload
 		if sc.QueueElems < 6 || sc.QueueElems > 11 ||
-			sc.QueueBytes < 600 || sc.QueueBytes > 950 ||
-			ov.MaxTotalBytes < 1600 || ov.MaxTotalBytes > 2300 {
-			t.Fatalf("seed +%d: budgets out of band: queue %dB/%d elems, %+v", i, sc.QueueBytes, sc.QueueElems, ov)
+			sc.QueueBytes < 600 || sc.QueueBytes > 950 {
+			t.Fatalf("seed +%d: thresholds out of band: queue %dB/%d elems", i, sc.QueueBytes, sc.QueueElems)
 		}
 		if ov.BreakerCooldown <= 0 || ov.BreakerCooldown >= sc.Slot {
 			t.Fatalf("seed +%d: cooldown %v not inside a slot", i, ov.BreakerCooldown)
@@ -508,9 +504,11 @@ func TestDatcheckDeterministic(t *testing.T) {
 // prove it byte for byte. Regenerate with -datcheck.writegolden only
 // when a PR intentionally changes protocol behaviour, say so in
 // CHANGES.md, and carry a semantic-equivalence test in its place. Last
-// regenerated by PR 21 (overload protection structural, Cluster.Crash
-// closes the DAT node; TestDatcheckOverloadEquivalence is its semantic
-// gate); before that by PR 10's pre-arena engine.
+// regenerated by PR 23 (the send-queue budget deleted: only the
+// "overload …" header and audit lines changed, every other line of every
+// seed equal to the parent's trace); before that by PR 21 (overload
+// protection structural, TestDatcheckOverloadEquivalence its gate) and
+// PR 10's pre-arena engine.
 const goldenPath = "testdata/trace_sha256.txt"
 
 func traceHash(trace []byte) string {

@@ -70,9 +70,8 @@ const (
 	// the victim is isolated in O(1). Cleared at the next settle.
 	EvAckBlackhole
 	// EvBurstFanin enrolls every running node in extra aggregation trees
-	// at once, spiking per-destination fan-in so the bounded send queues
-	// actually fill and the shedding policy (never control, selfmon
-	// before primary) is exercised rather than merely configured.
+	// at once, spiking per-destination fan-in so the send queues actually
+	// fill to their flush thresholds rather than merely having them.
 	EvBurstFanin
 )
 
@@ -163,16 +162,14 @@ type Scenario struct {
 	// is off, so historical seeds keep their exact schedules; the selfmon
 	// equivalence test flips it on for paired runs.
 	SelfMon bool
-	// Overload tunes the overload-protection layer (global queue budget,
-	// priority shedding, per-peer breakers). The zero value is core's
-	// defaults; the overload-fault generator sets deliberately tight
-	// budgets. Every settle of every family audits the layer's
-	// invariants (budget respected, control never shed).
+	// Overload tunes the per-peer circuit breakers. The zero value is
+	// core's defaults; the overload-fault generator shortens the
+	// cooldown. Every settle of every family audits the send queues'
+	// structural bound (hi-water below nodes x Batch.MaxBytes).
 	Overload core.OverloadConfig
-	// QueueBytes and QueueElems are the overload-fault generator's
-	// per-destination queue budgets: a queue that reaches one is flushed,
-	// which is what a batch threshold does, so RunScenario folds them
-	// into Batch.MaxBytes/MaxElems (the smaller wins). Zero — every other
+	// QueueBytes and QueueElems are the overload-fault generator's tight
+	// batch thresholds: RunScenario folds them into
+	// Batch.MaxBytes/MaxElems (the smaller wins). Zero — every other
 	// family — leaves Batch as it is.
 	QueueBytes, QueueElems int
 	Events                 []Event
@@ -494,19 +491,18 @@ func generateBatchFaults(seed int64) *Scenario {
 }
 
 // generateOverloadFaults derives an overload-fault scenario: the cluster
-// runs with deliberately tight (but steady-state-survivable) queue
-// budgets and breakers armed, and three phases exercise the three
+// runs with deliberately tight batch thresholds and breakers armed, and
+// three phases exercise the three
 // overload stimuli. Phase 1 slows the busiest parent past the ack
 // timeout under light background faults; phase 2 blackholes a victim's
 // replies (the wasted-retry worst case), optionally with a bystander
 // crash; phase 3 spikes fan-in with burst trees while a partition and a
 // targeted parent crash supply the corpus coverage floor. Every phase
 // probes for lost subtrees while the damage is live, and every settle
-// additionally audits the overload invariants (budget never exceeded,
-// control never shed). Budgets are randomized in a loose band: tight
-// enough that bursts shed, loose enough that a quiesced cluster runs
-// clean — so settle-time aggregates still match the run under budgets
-// nothing reaches (TestDatcheckOverloadEquivalence).
+// additionally audits the queues' structural bound. The thresholds are
+// randomized in a loose band, tight enough that bursts flush on size;
+// settle-time aggregates still match the run whose breakers never open
+// (TestDatcheckOverloadEquivalence).
 func generateOverloadFaults(seed int64) *Scenario {
 	r := rand.New(rand.NewSource(seed))
 	sc := &Scenario{
@@ -522,8 +518,10 @@ func generateOverloadFaults(seed int64) *Scenario {
 	}
 	sc.QueueElems = 6 + r.Intn(6)      // 6..11 elements per destination
 	sc.QueueBytes = 600 + 50*r.Intn(8) // 600..950 bytes per destination
+	// The retired global budget's draw, kept so every seed's event list
+	// is unchanged.
+	r.Intn(8)
 	sc.Overload = core.OverloadConfig{
-		MaxTotalBytes: 1600 + 100*r.Intn(8), // 1600..2300 bytes global
 		// Half a slot: an opened breaker re-probes well inside the probe
 		// window, so recovery is observable mid-chaos, and many cooldowns
 		// fit into the settle quiesce.
@@ -563,7 +561,7 @@ func generateOverloadFaults(seed int64) *Scenario {
 	emit(Event{Kind: EvProbe})
 	emit(Event{Kind: EvSettle})
 
-	// Phase 3: burst trees spike fan-in into the bounded queues, then a
+	// Phase 3: burst trees spike fan-in into the send queues, then a
 	// partition plus a targeted parent crash — the coverage floor the
 	// corpus asserts (>=1 crash, >=1 partition) — healed before probing.
 	emit(Event{Kind: EvBurstFanin})

@@ -138,3 +138,30 @@ func TestOnDemandCostShape(t *testing.T) {
 		}
 	}
 }
+
+// TestOverloadAblationHeadline holds the circuit-breaker ablation to its
+// headline at the default shape and seed: armed breakers cut the
+// datagrams wasted on an ack blackhole at least tenfold, and both runs
+// keep their send queues far below the structural bound with no budget
+// policing them (OverloadAblation itself fails if any element was
+// refused).
+func TestOverloadAblationHeadline(t *testing.T) {
+	tab, err := OverloadAblation(OverloadAblationConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	if ratio := cell(t, tab, 1, "wasted_retry_reduction"); ratio < 10 {
+		t.Errorf("breakers cut wasted datagrams %.1fx, want >= 10x", ratio)
+	}
+	if opens := cell(t, tab, 0, "breaker_opens"); opens != 0 {
+		t.Errorf("unprotected run opened %v breakers", opens)
+	}
+	for row := range tab.Rows {
+		if hw := cell(t, tab, row, "queue_hiwater_bytes"); hw >= 47*1200 {
+			t.Errorf("row %d: queue hi-water %v reaches peers x Batch.MaxBytes", row, hw)
+		}
+	}
+}

@@ -14,12 +14,11 @@ import (
 	"repro/internal/transport"
 )
 
-// OverloadAblationConfig parameterizes the overload-protection ablation:
-// a multi-tree monitoring run whose busiest aggregation parent turns
-// into an ack blackhole — it receives and processes every update but its
+// OverloadAblationConfig parameterizes the circuit-breaker ablation: a
+// multi-tree monitoring run whose busiest aggregation parent turns into
+// an ack blackhole — it receives and processes every update but its
 // replies never come back, so every sender burns its full retry budget
-// into it — measured under the protection policy (bounded queues,
-// priority shedding, per-peer breakers) versus budgets and a breaker
+// into it — measured with the per-peer breakers armed versus a breaker
 // threshold nothing reaches.
 type OverloadAblationConfig struct {
 	// N is the ring size. Default 48.
@@ -41,9 +40,9 @@ type OverloadAblationConfig struct {
 	// Slot is the aggregation slot. Default 500ms.
 	Slot time.Duration
 	// Overload is the protected run's policy. The zero value takes the
-	// layer's defaults with a 1 KiB global budget and a 4s breaker
-	// cooldown, so an opened breaker stays open across many slots
-	// instead of re-probing every other round.
+	// layer's defaults with a 4s breaker cooldown, so an opened breaker
+	// stays open across many slots instead of re-probing every other
+	// round.
 	Overload core.OverloadConfig
 	// Bits, Seed as elsewhere.
 	Bits uint
@@ -76,12 +75,7 @@ func (c OverloadAblationConfig) withDefaults() OverloadAblationConfig {
 		c.Seed = 1
 	}
 	if c.Overload == (core.OverloadConfig{}) {
-		// MaxTotalBytes is sized between the steady-state queue spike and
-		// the burst's, so the fan-in storm sheds and the baseline does not.
-		c.Overload = core.OverloadConfig{
-			MaxTotalBytes:   1024,
-			BreakerCooldown: 4 * time.Second,
-		}
+		c.Overload = core.OverloadConfig{BreakerCooldown: 4 * time.Second}
 	}
 	return c
 }
@@ -117,32 +111,29 @@ func (t *victimTap) Message(_, to transport.Addr, typ string, _ bool) {
 	}
 }
 
-// unprotected is the pre-overload protocol written as values: budgets
-// no queue reaches and a failure count no peer reaches, so nothing is
-// shed, refused or isolated.
-var unprotected = core.OverloadConfig{
-	MaxTotalBytes:   math.MaxInt32,
-	BreakerFailures: math.MaxInt32,
-}
+// unprotected is the pre-breaker protocol written as a value: a failure
+// count no peer reaches, so nobody is ever isolated.
+var unprotected = core.OverloadConfig{BreakerFailures: math.MaxInt32}
 
 // overloadRun is one policy's measurement.
 type overloadRun struct {
 	wastedPerSlot float64
 	hiWaterBytes  int
-	shedPct       float64
 	breakerOpens  uint64
 	p99QueueAge   time.Duration
-	controlShed   uint64
+	rejected      uint64
 }
 
-// OverloadAblation measures the ack-blackhole scenario under the
-// protection policy and under the unprotected values (DESIGN.md §14).
-// The unprotected run keeps re-sending into the blackhole — every slot,
-// every tree, every child of the victim burns its retry budget — and
-// its send queues reach no budget. The protected run opens breakers
-// after a handful of failures, fails over in O(1), and bounds queue
-// memory at MaxTotalBytes; the wasted-datagram ratio is the headline
-// (>= 10x).
+// OverloadAblation measures the ack-blackhole scenario with breakers
+// armed and with the unprotected value (DESIGN.md §14). The unprotected
+// run keeps re-sending into the blackhole — every slot, every tree,
+// every child of the victim burns its retry budget. The protected run
+// opens breakers after a handful of failures and fails over in O(1); the
+// wasted-datagram ratio is the headline (>= 10x at the default shape
+// and seed, which TestOverloadAblationHeadline holds it to).
+// Queue memory is the same story in both rows: no budget exists, no
+// element is refused, and the hi-water mark stays far below the
+// structural bound of peers x Batch.MaxBytes.
 func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 
@@ -228,7 +219,6 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 		c.Net.SetFaultPlan(nil)
 		c.Net.SetTap(nil)
 
-		var shed uint64
 		for i := range c.DAT {
 			if !c.Chord[i].Running() {
 				continue
@@ -237,19 +227,10 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 			if st.HiWaterBytes > run.hiWaterBytes {
 				run.hiWaterBytes = st.HiWaterBytes
 			}
-			for _, n := range st.Shed {
-				shed += n
-			}
-			run.controlShed += st.Shed["control"]
+			run.rejected += st.Rejected
 			run.breakerOpens += st.BreakerOpens
 		}
 		run.wastedPerSlot = float64(tap.count) / float64(cfg.Slots)
-		// Denominator: one update per tree per non-root node per slot —
-		// the base trees for the whole window, the burst trees from the
-		// midpoint on.
-		attempts := float64(cfg.Trees)*float64(cfg.N-1)*float64(cfg.Slots) +
-			float64(cfg.Burst)*float64(cfg.N-1)*float64(cfg.Slots-cfg.Slots/2)
-		run.shedPct = 100 * float64(shed) / attempts
 		if len(ages) > 0 {
 			sort.Slice(ages, func(i, j int) bool { return ages[i] < ages[j] })
 			run.p99QueueAge = ages[len(ages)*99/100]
@@ -265,8 +246,8 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prot.controlShed != 0 {
-		return nil, fmt.Errorf("overload ablation: %d control elements shed (invariant broken)", prot.controlShed)
+	if n := plain.rejected + prot.rejected; n != 0 {
+		return nil, fmt.Errorf("overload ablation: %d elements refused (no send machine was closed)", n)
 	}
 	ratio := 0.0
 	if prot.wastedPerSlot > 0 {
@@ -275,19 +256,21 @@ func OverloadAblation(cfg OverloadAblationConfig) (*Table, error) {
 
 	t := &Table{
 		ID: "overload",
-		Title: fmt.Sprintf("Overload protection under an ack blackhole: %d nodes, %d trees, unreachable budgets vs the protection policy",
+		Title: fmt.Sprintf("Circuit breakers under an ack blackhole: %d nodes, %d trees, a breaker threshold nothing reaches vs armed breakers",
 			cfg.N, cfg.Trees),
 		Columns: []string{"mode", "wasted_to_victim_per_slot", "queue_hiwater_bytes",
-			"shed_pct", "breaker_opens", "p99_queue_age_ms", "wasted_retry_reduction"},
+			"breaker_opens", "p99_queue_age_ms", "wasted_retry_reduction"},
 	}
 	t.Add("unprotected", plain.wastedPerSlot, plain.hiWaterBytes,
-		plain.shedPct, plain.breakerOpens, float64(plain.p99QueueAge)/1e6, 0.0)
+		plain.breakerOpens, float64(plain.p99QueueAge)/1e6, 0.0)
 	t.Add("protected", prot.wastedPerSlot, prot.hiWaterBytes,
-		prot.shedPct, prot.breakerOpens, float64(prot.p99QueueAge)/1e6, ratio)
+		prot.breakerOpens, float64(prot.p99QueueAge)/1e6, ratio)
 	t.Note(fmt.Sprintf("%d measured slots of %v after %d warmup slots; victim is the busiest non-root parent of tree 0; %d-tree fan-in burst at the midpoint",
 		cfg.Slots, cfg.Slot, cfg.Warmup, cfg.Burst))
-	t.Note(fmt.Sprintf("protected: MaxTotalBytes=%d, breaker cooldown %v; unprotected: the three budgets and BreakerFailures at math.MaxInt32",
-		cfg.Overload.MaxTotalBytes, cfg.Overload.BreakerCooldown))
+	t.Note("protected: breaker cooldown %v; unprotected: BreakerFailures at math.MaxInt32; no element refused in either run",
+		cfg.Overload.BreakerCooldown)
+	t.Note("queue_hiwater_bytes is bytes at rest with no budget policing them; the structural bound is peers x Batch.MaxBytes = %d",
+		(cfg.N-1)*1200)
 	t.Note("wasted datagrams are dat.* requests delivered to the blackholed victim: acknowledged never, so each buys a timeout")
 	return t, nil
 }

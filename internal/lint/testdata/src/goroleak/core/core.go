@@ -83,10 +83,10 @@ func (w *Worker) waitLoop() {
 	<-w.stop
 }
 
-// errOverload stands in for the overload layer's typed admission error.
+// errOverload stands in for the send machine's typed local refusal.
 var errOverload = errors.New("send queues over budget")
 
-// BadShedPump re-fires shed callbacks from a free-running loop with no
+// BadShedPump re-fires refused callbacks from a free-running loop with no
 // lifecycle tie: Close cannot stop it re-entering a drained machine.
 func (w *Worker) BadShedPump(cbs []func(error)) {
 	go func() { // want `not tied to a stop channel, context, or WaitGroup`
@@ -98,9 +98,9 @@ func (w *Worker) BadShedPump(cbs []func(error)) {
 	}()
 }
 
-// GoodShedDrain is the overload-shedding contract with a clean
-// lifecycle: every dropped element's callback still fires — with the
-// typed error — and the drain loop exits on the owner's stop channel.
+// GoodShedDrain is the refusal contract with a clean lifecycle: every
+// refused element's callback still fires — with the typed error — and
+// the drain loop exits on the owner's stop channel.
 func (w *Worker) GoodShedDrain(cbs []func(error)) {
 	go func() {
 		<-w.stop

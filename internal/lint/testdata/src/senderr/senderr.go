@@ -88,28 +88,28 @@ func (n *Node) JustifiedCall() {
 	n.ep.Call(n.succ, "probe", nil, func(any, error) {}) //datlint:ignore senderr fixture: liveness probe, reply content irrelevant
 }
 
-// errOverload stands in for the overload layer's typed admission errors
-// (ErrOverload, ErrSendClosed): they arrive through the
-// same callback error as an ack timeout.
+// errOverload stands in for the send machine's typed local refusal
+// (core.ErrSendClosed): it arrives through the same callback error as an
+// ack timeout.
 var errOverload = errors.New("send queues over budget")
 
-// BadOverloadErrDropped drops the Call error even though the overload
-// layer delivers its typed admission errors through it: a shed update
-// would never mark its tree Degraded.
+// BadOverloadErrDropped drops the Call error even though the send
+// machine delivers its typed refusal through it: a refused update would
+// look delivered.
 func (n *Node) BadOverloadErrDropped() {
 	n.ep.Call(n.succ, "update", nil, func(resp any, _ error) { // want `Call response error ignored by the callback`
 		use(resp)
 	})
 }
 
-// GoodShedPathInvokesCallback is the overload-shedding contract: a
-// callback refused admission is still invoked — with the typed error —
-// and the call site reads it, so nothing is lost silently.
+// GoodShedPathInvokesCallback is the refusal contract: a callback
+// refused locally is still invoked — with the typed error — and the call
+// site reads it, so nothing is lost silently.
 func (n *Node) GoodShedPathInvokesCallback(full bool) {
 	cb := func(resp any, err error) {
 		if err != nil {
 			if errors.Is(err, errOverload) {
-				return // local admission refusal: degrade, no strike
+				return // local refusal: no peer evidence, no strike
 			}
 			n.suspect(n.succ)
 			return
@@ -117,7 +117,7 @@ func (n *Node) GoodShedPathInvokesCallback(full bool) {
 		use(resp)
 	}
 	if full {
-		cb(nil, errOverload) // shed: the callback still fires, typed
+		cb(nil, errOverload) // refused: the callback still fires, typed
 		return
 	}
 	n.ep.Call(n.succ, "update", nil, cb)

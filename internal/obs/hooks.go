@@ -78,11 +78,6 @@ type CoreHooks struct {
 	// else: the node's own load scalars are counted by core.Node at the
 	// same site (DESIGN.md §13).
 	TreeSent func(key ident.ID, typ string, bytes int)
-	// Shed fires once per element the overload layer dropped or
-	// refused (DESIGN.md §14): class is the element's shedding class
-	// ("selfmon", "primary", "control" — the last never fires), reason
-	// the admission decision ("evict", "total-bytes", "closed").
-	Shed func(class, reason string)
 	// Breaker fires on every per-peer circuit-breaker transition with
 	// the new state ("open", "half-open", "closed").
 	Breaker func(peer transport.Addr, state string)

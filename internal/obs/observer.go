@@ -66,7 +66,6 @@ type Observer struct {
 	batchElems      *Histogram
 	batchSaved      *Counter
 
-	shedTotal          *CounterVec
 	breakerTransitions *CounterVec
 
 	ownerArcs *CounterVec
@@ -126,7 +125,6 @@ func NewObserver(spanCapacity int) *Observer {
 		batchElems:      r.Histogram("dat_batch_elems_per_flush", "Messages coalesced per send-machine flush.", FanInBuckets),
 		batchSaved:      r.Counter("dat_batch_bytes_saved_total", "Estimated per-datagram overhead bytes avoided by coalescing."),
 
-		shedTotal:          r.CounterVec("dat_shed_total", "Elements dropped or refused by the overload layer, labelled class/reason (DESIGN.md §14).", "shed"),
 		breakerTransitions: r.CounterVec("dat_breaker_transitions_total", "Per-peer circuit-breaker transitions, by new state.", "state"),
 
 		ownerArcs: r.CounterVec("dat_maan_owner_arcs_total", "Range-query starts by owner-arc table outcome (hit, miss) and arcs dropped as stale.", "result"),
@@ -245,10 +243,6 @@ func (o *Observer) CoreHooks() CoreHooks {
 			o.batchSaved.Add(uint64(bytesSaved))
 		},
 		TreeSent: func(key ident.ID, typ string, bytes int) { o.Load.Sent(key, typ, bytes) },
-		// The composite class/reason label keeps the registry's
-		// one-label-per-family shape while still answering both "what
-		// was shed" and "why".
-		Shed: func(class, reason string) { o.shedTotal.With(class + "/" + reason).Inc() },
 		Breaker: func(peer transport.Addr, state string) {
 			o.breakerTransitions.With(state).Inc()
 		},
@@ -312,7 +306,7 @@ func (o *Observer) SetLoadSummary(fn func() (LoadSummary, bool)) {
 }
 
 // SetOverload installs the /debug/overload renderer: fn writes the
-// node's overload-layer state (queue budgets, shed counts, breaker
+// node's overload-layer state (queue depth and hi-water, breaker
 // table — core's Node.WriteOverloadDebug). fn is called per request and
 // must be safe for concurrent use.
 func (o *Observer) SetOverload(fn func(w io.Writer)) {

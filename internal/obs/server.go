@@ -23,8 +23,8 @@ import (
 //	/debug/load     per-tree load table (?sort=sent|recv|elems|bytes|
 //	                fanin|retries|root|load) plus the cluster-wide
 //	                self-monitoring summary when installed
-//	/debug/overload overload-layer state: queue budgets and depth/age,
-//	                shed counters, per-peer circuit breakers
+//	/debug/overload overload-layer state: flush thresholds, queue
+//	                depth/age and hi-water, per-peer circuit breakers
 //	/debug/pprof/*  net/http/pprof profiles
 //
 // datnode serves it on -obs.addr; tests mount it on httptest servers.

@@ -53,10 +53,8 @@ type PeerConfig struct {
 	// value is the defaults; Batch.MaxElems 1 sends one datagram per
 	// update.
 	Batch BatchConfig
-	// Overload configures the overload-protection layer: bounded send
-	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). The zero value is the default budgets and armed
-	// breakers.
+	// Overload configures the per-peer circuit breakers (DESIGN.md §14).
+	// The zero value is armed breakers with the default thresholds.
 	Overload OverloadConfig
 	// RPCTimeout bounds blocking convenience calls (Join, Query...).
 	// Default 10s.

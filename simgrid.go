@@ -43,10 +43,8 @@ type SimGridConfig struct {
 	// single datagrams. The zero value is the defaults; Batch.MaxElems 1
 	// is the one-datagram-per-update ablation.
 	Batch BatchConfig
-	// Overload configures the overload-protection layer: bounded send
-	// queues with priority shedding and per-peer circuit breakers
-	// (DESIGN.md §14). The zero value is the default budgets and armed
-	// breakers.
+	// Overload configures the per-peer circuit breakers (DESIGN.md §14).
+	// The zero value is armed breakers with the default thresholds.
 	Overload OverloadConfig
 	// SelfMon enables the self-monitoring plane (DESIGN.md §13): every
 	// node accounts its per-tree load and dedicated dat.load.* trees
