@@ -143,5 +143,6 @@ fuzz:
 	$(GO) test ./internal/chord -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHandleBatch -fuzztime $(FUZZTIME)
 
 ci: build vet gob-free retired lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

@@ -18,7 +18,10 @@ import (
 )
 
 // DAT message types. The "dat." prefix lets metrics taps isolate
-// aggregation traffic from Chord maintenance traffic.
+// aggregation traffic from Chord maintenance traffic. MsgUpdate and
+// MsgDetach name the two kinds of element a MsgBatch (sendmachine.go)
+// carries — no datagram travels under either: they label TreeSent's
+// per-element accounting.
 const (
 	// MsgUpdate carries a subtree aggregate from a child to its parent.
 	MsgUpdate = "dat.update"
@@ -300,8 +303,6 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 		breakers: make(map[transport.Addr]*breaker),
 	}
 	n.sm = newSendMachine(n, n.cfg.Batch)
-	ch.Handle(MsgUpdate, n.handleUpdate)
-	ch.Handle(MsgDetach, n.handleDetach)
 	ch.Handle(MsgBatch, n.handleBatch)
 	ch.Handle(MsgQuery, n.handleQuery)
 	ch.OnBroadcast(CollectType, n.handleCollect)
@@ -665,30 +666,7 @@ func (n *Node) debug(msg string, key ident.ID, k1 string, a1 transport.Addr, k2 
 	}
 }
 
-// ackOK is the common verdict, boxed once.
-var ackOK any = UpdateAck{OK: true}
-
-func replyAck(req *transport.Request, ack UpdateAck) {
-	if ack == (UpdateAck{OK: true}) {
-		req.Reply(ackOK)
-	} else {
-		req.Reply(ack)
-	}
-}
-
-// handleDetach drops a former child's cached aggregate. Detaches arrive
-// both as acked calls and as one-way datagrams (the failover courtesy
-// detach); Reply is a no-op on the latter.
-func (n *Node) handleDetach(req *transport.Request) {
-	dm, ok := req.Payload.(DetachMsg)
-	if !ok {
-		req.ReplyError(fmt.Errorf("core: bad detach payload %T", req.Payload))
-		return
-	}
-	replyAck(req, n.applyDetach(req.From, dm.Key))
-}
-
-// applyDetach is handleDetach's effect, shared with handleBatch.
+// applyDetach drops a former child's cached aggregate.
 func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
 	n.mu.Lock()
 	if e := n.aggs[key]; e != nil {
@@ -698,21 +676,11 @@ func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
 	return UpdateAck{OK: true}
 }
 
-// handleUpdate answers a lone update.
-func (n *Node) handleUpdate(req *transport.Request) {
-	um, ok := req.Payload.(UpdateMsg)
-	if !ok {
-		req.ReplyError(fmt.Errorf("core: bad update payload %T", req.Payload))
-		return
-	}
-	replyAck(req, n.applyUpdate(req.From, &um))
-}
-
 // applyUpdate stores a child's subtree aggregate (continuous) or folds
 // an on-demand contribution into the epoch bucket, and returns the
-// verdict for handleUpdate or handleBatch to send back: OK acks confirm
-// delivery, not-OK acks ("cycle", "no-slot", "closed") tell a live
-// sender to route elsewhere without a failure-detector strike.
+// verdict for handleBatch to send back: OK acks confirm delivery, not-OK
+// acks ("cycle", "no-slot", "closed") tell a live sender to route
+// elsewhere without a failure-detector strike.
 func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 	rt := n.ch.Routing()
 	// Record the hop span first: the message travelled regardless of
@@ -737,13 +705,14 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		// joined the ring later) learns about it from the first child
 		// update and enrolls: it must relay the subtree upward, or the
 		// subtree would silently vanish from the global view. The slot
-		// duration rides along in the update. A closed node arms no slot
-		// timer, so it refuses: the child fails over at once instead of
-		// being acknowledged into a subtree that is never relayed.
+		// duration rides along in the update, and one below minRemoteSlot
+		// is no slot. A closed node arms no slot timer, so it refuses: the
+		// child fails over at once instead of being acknowledged into a
+		// subtree that is never relayed.
 		reason := ""
 		if n.closed {
 			reason = "closed"
-		} else if um.Slot <= 0 {
+		} else if time.Duration(um.Slot) < minRemoteSlot {
 			reason = "no-slot"
 		}
 		if reason != "" {
@@ -914,6 +883,12 @@ func (n *Node) handleCollect(from chord.NodeRef, payload []byte) {
 // subtrees consolidate into single messages. It must exceed the typical
 // one-way latency.
 const demandDebounce = 50 * time.Millisecond
+
+// minRemoteSlot is the shortest slot a child's update may enrol this
+// node with. The slot timer runs on the clock loop every other timer of
+// the peer shares, so one datagram claiming a 1 ns slot would pin it;
+// a local StartContinuous may still ask for any positive slot.
+const minRemoteSlot = time.Millisecond
 
 // armFlushLocked (re-)schedules the debounced flush for an epoch bucket.
 // Callers hold n.mu.

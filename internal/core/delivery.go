@@ -13,7 +13,7 @@ import (
 // This file is the delivery-assurance layer for DAT updates
 // (DESIGN.md §10). Fire-and-forget updates lose a whole subtree for the
 // rest of the slot when the parent has crashed, and lose the round
-// entirely when the root has; here MsgUpdate/MsgDetach become
+// entirely when the root has; here updates and detaches become
 // acknowledged exchanges with per-attempt timeouts, jittered exponential
 // backoff, in-slot parent failover under the §3.4 finger-limiting
 // constraint, and root handover via the successor list.
@@ -470,9 +470,9 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		// *local* send error (closed endpoint, unresolvable peer) feeds
 		// chord.Suspect: over real UDP a write to a dead host succeeds.
 		if !n.breakerOpenNow(to) {
-			el := BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}
-			n.treeSent(&el)
-			if err := n.ep.Send(to, MsgDetach, el.Detach); err != nil {
+			elems := []BatchElem{{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}}
+			n.treeSent(&elems[0])
+			if err := n.ep.Send(to, MsgBatch, BatchMsg{Elems: elems}); err != nil {
 				n.ch.Suspect(to)
 			}
 		}

@@ -104,9 +104,10 @@ func TestParentForExcludingRoutesAroundFailures(t *testing.T) {
 
 // TestUpdateRefusalReasons table-drives the live-refusal acks a parent
 // can return: an update for an unknown aggregate without a slot duration
-// is refused "no-slot"; an update arriving from the receiver's own
-// parent is refused "cycle" (adopting it would double-count the
-// subtree); a well-formed child update is accepted.
+// — or with one too short to arm a timer on — is refused "no-slot" and
+// enrols nothing; an update arriving from the receiver's own parent is
+// refused "cycle" (adopting it would double-count the subtree); a
+// well-formed child update is accepted.
 func TestUpdateRefusalReasons(t *testing.T) {
 	c := newCluster(t, cluster.Options{N: 16, Seed: 23, Local: localByIndex})
 	key := c.Space.HashString("cpu-usage")
@@ -151,6 +152,12 @@ func TestUpdateRefusalReasons(t *testing.T) {
 			wantOK: false, wantReason: "no-slot",
 		},
 		{
+			name:   "slot-1ns",
+			from:   childAddr,
+			msg:    core.UpdateMsg{Key: c.Space.HashString("unknown-attr"), Epoch: 1, Slot: 1},
+			wantOK: false, wantReason: "no-slot",
+		},
+		{
 			name:   "cycle",
 			from:   parentAddr,
 			msg:    core.UpdateMsg{Key: key, Epoch: 1, Slot: slot},
@@ -166,21 +173,21 @@ func TestUpdateRefusalReasons(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var ack core.UpdateAck
-			replied := false
-			req := transport.NewRequest(tc.from, core.MsgUpdate, tc.msg, func(payload any, err error) {
-				replied = true
-				if err != nil {
-					t.Fatalf("update replied with error %v", err)
-				}
-				ack = payload.(core.UpdateAck)
-			})
-			c.DAT[recv].HandleUpdateForTest(req)
-			if !replied {
-				t.Fatal("handleUpdate did not reply")
+			timers := c.Engine.Len()
+			ack, ok := c.DAT[recv].HandleUpdateForTest(tc.from, tc.msg)
+			if !ok {
+				t.Fatal("the update was not answered with one ack")
 			}
 			if ack.OK != tc.wantOK || ack.Reason != tc.wantReason {
 				t.Fatalf("ack = %+v, want OK=%v reason=%q", ack, tc.wantOK, tc.wantReason)
+			}
+			if tc.wantReason == "no-slot" {
+				if c.DAT[recv].Active(tc.msg.Key) {
+					t.Error("a refused update enrolled the receiver")
+				}
+				if got := c.Engine.Len(); got != timers {
+					t.Errorf("a refused update armed %d timers", got-timers)
+				}
 			}
 		})
 	}

@@ -25,7 +25,18 @@ func (n *Node) ParentForExcluding(key ident.ID, excluded map[transport.Addr]bool
 	return pc.parent, pc.isRoot, pc.keyRoot, pc.ok
 }
 
-func (n *Node) HandleUpdateForTest(req *transport.Request) { n.handleUpdate(req) }
+// HandleUpdateForTest hands the node um as a one-element MsgBatch from
+// from, the only way an update arrives, and returns its verdict; ok is
+// false unless the reply was a BatchAck of exactly one ack.
+func (n *Node) HandleUpdateForTest(from transport.Addr, um UpdateMsg) (ack UpdateAck, ok bool) {
+	bm := BatchMsg{Elems: []BatchElem{{Kind: batchKindUpdate, Update: um}}}
+	n.handleBatch(transport.NewRequest(from, MsgBatch, bm, func(payload any, err error) {
+		if ba, isAck := payload.(BatchAck); err == nil && isAck && len(ba.Acks) == 1 {
+			ack, ok = ba.Acks[0], true
+		}
+	}))
+	return ack, ok
+}
 
 // funcSink adapts the closure-shaped callbacks the send-machine tests
 // are written with to the typed ack sink.

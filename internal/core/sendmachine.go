@@ -13,16 +13,16 @@ import (
 // (DESIGN.md §12). The acked delivery layer (delivery.go) emits one
 // datagram per child-update per tree per slot; with T concurrent trees
 // a node sends O(T) datagrams per slot even though most of them share
-// the same O(log n) parents. The send machine queues pending
-// MsgUpdate/MsgDetach calls per destination, coalesces everything bound
-// for the same parent into one BatchMsg envelope, and piggybacks the
-// per-element UpdateAcks on the single BatchAck reply, so the
-// datagrams/slot cost collapses from O(T) toward O(log n).
+// the same O(log n) parents. The send machine queues pending updates
+// and detaches per destination, sends everything bound for the same
+// parent as one BatchMsg envelope — the only wire form either takes —
+// and piggybacks the per-element UpdateAcks on the single BatchAck
+// reply, so the datagrams/slot cost collapses from O(T) toward O(log n).
 //
 // Determinism: flush deadlines are jittered like the retry backoff, by
 // delivery.go's draw-free hash, so batching consumes no RNG either.
 
-// MsgBatch carries a coalesced batch of updates/detaches bound for one
+// MsgBatch carries the updates/detaches of one flush, all bound for one
 // destination; the reply is a BatchAck with one UpdateAck per element.
 const MsgBatch = "dat.batch"
 
@@ -35,8 +35,8 @@ const (
 // BatchElem is one queued message inside a BatchMsg. Kind selects which
 // payload field is live; both fields always travel (a zero DetachMsg
 // costs a handful of bytes) so the codec stays a fixed-shape product
-// type rather than a tagged union the gob-equivalence suite cannot
-// reflect over.
+// type rather than a tagged union the wire package's reflective gob
+// oracle cannot walk.
 type BatchElem struct {
 	Kind   byte
 	Update UpdateMsg
@@ -50,9 +50,8 @@ type BatchMsg struct {
 }
 
 // BatchAck acknowledges a BatchMsg: Acks[i] is the receiver's verdict
-// on Elems[i], with the same OK/Reason semantics as a standalone acked
-// update ("cycle"/"no-slot" refusals route around without a
-// failure-detector strike, exactly as in the unbatched protocol).
+// on Elems[i] ("cycle"/"no-slot" refusals route around without a
+// failure-detector strike).
 type BatchAck struct {
 	Acks []UpdateAck
 }
@@ -69,8 +68,8 @@ type BatchConfig struct {
 	// below the delivery AckTimeout. Default 5ms.
 	MaxDelay time.Duration
 	// MaxElems flushes the queue once it holds this many elements; 1
-	// sends every update/detach as its own datagram, the unbatched
-	// protocol. Default 32.
+	// sends every update/detach as its own one-element datagram, the
+	// unbatched protocol. Default 32.
 	MaxElems int
 }
 
@@ -179,7 +178,6 @@ type destQueue struct {
 	firstAt time.Duration
 	timer   transport.Timer // the deadline timer while armed
 	armed   bool
-	batched bool                   // in flight as a BatchMsg, not a lone message
 	reply   transport.ResponseFunc // q.onReply, bound once per record
 }
 
@@ -245,7 +243,7 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 			q = newRecord(n, to)
 		}
 		sm.genSeq++
-		q.to, q.gen, q.batched, q.firstAt = to, sm.genSeq, false, now
+		q.to, q.gen, q.firstAt = to, sm.genSeq, now
 		if sm.elemHint > 1 {
 			q.elems = make([]BatchElem, 0, sm.elemHint)
 		}
@@ -351,12 +349,9 @@ func (sm *sendMachine) recycleLocked(q *destQueue) {
 	sm.free = append(sm.free, q)
 }
 
-// flush puts one taken queue's worth of traffic on the wire. A
-// single-element flush sends the original message directly —
-// byte-for-byte what the unbatched protocol sends, so light traffic (and
-// therefore any peer too old to know MsgBatch) never sees a batch
-// envelope. Multi-element flushes send one BatchMsg; onReply
-// demultiplexes the BatchAck back onto the per-element sinks in order.
+// flush puts one taken queue's worth of traffic on the wire as one
+// BatchMsg, however many elements it holds; onReply demultiplexes the
+// BatchAck back onto the per-element sinks in order.
 func (sm *sendMachine) flush(q *destQueue, reason string) {
 	n := sm.n
 	elems := q.elems // never empty: a queue exists from its first element
@@ -367,50 +362,30 @@ func (sm *sendMachine) flush(q *destQueue, reason string) {
 	for i := range elems {
 		n.treeSent(&elems[i])
 	}
-	if q.batched = len(elems) > 1; q.batched {
-		n.ep.Call(q.to, MsgBatch, BatchMsg{Elems: elems}, q.reply)
-		return
-	}
-	typ, payload := elemMessage(&elems[0])
-	n.ep.Call(q.to, typ, payload, q.reply)
+	n.ep.Call(q.to, MsgBatch, BatchMsg{Elems: elems}, q.reply)
 }
 
 // onReply is the Call callback of the datagram q carries: hand every
 // element's sink its verdict, then recycle the record. A failed
-// datagram (or a malformed ack) fails every element alike, exactly as
-// if each had timed out on its own wire; a lone message is confirmed by
-// any reply that is not a refusal.
+// datagram — or a reply that is not a BatchAck with one ack per element
+// — fails every element alike, exactly as if each had timed out on its
+// own wire.
 func (q *destQueue) onReply(payload any, err error) {
-	acks, lone := []UpdateAck(nil), UpdateAck{OK: true}
-	if ba, ok := payload.(BatchAck); q.batched && err == nil {
-		if acks = ba.Acks; !ok || len(acks) != len(q.sinks) {
-			err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(acks), len(q.sinks))
-		}
-	} else if ack, ok := payload.(UpdateAck); ok {
-		lone = ack
+	ba, ok := payload.(BatchAck)
+	if err == nil && (!ok || len(ba.Acks) != len(q.sinks)) {
+		err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(ba.Acks), len(q.sinks))
 	}
 	for i, ref := range q.sinks {
-		switch {
-		case err != nil:
+		if err != nil {
 			ref.fire(UpdateAck{}, err)
-		case q.batched:
-			ref.fire(acks[i], nil)
-		default:
-			ref.fire(lone, nil)
+		} else {
+			ref.fire(ba.Acks[i], nil)
 		}
 	}
 	sm := q.n.sm
 	sm.mu.Lock()
 	sm.recycleLocked(q)
 	sm.mu.Unlock()
-}
-
-// elemMessage maps an element back to its standalone message form.
-func elemMessage(el *BatchElem) (typ string, payload any) {
-	if el.Kind == batchKindDetach {
-		return MsgDetach, el.Detach
-	}
-	return MsgUpdate, el.Update
 }
 
 // Close drains every queue (flushing pending traffic immediately) and
@@ -441,8 +416,10 @@ func (sm *sendMachine) Close() {
 	}
 }
 
-// handleBatch unpacks a coalesced envelope, applies each element as its
-// standalone handler would and returns the verdicts as one BatchAck.
+// handleBatch is the one door for child updates and detaches: it
+// applies each element of the envelope in order and returns the verdicts
+// as one BatchAck. Detaches also arrive as one-way datagrams (the
+// failover courtesy detach); Reply is a no-op on those.
 func (n *Node) handleBatch(req *transport.Request) {
 	bm, ok := req.Payload.(BatchMsg)
 	if !ok {

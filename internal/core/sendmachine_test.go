@@ -2,8 +2,8 @@ package core
 
 // Deadline/flush unit tests for the send machine, driven by the
 // deterministic sim clock: every flush trigger (MaxBytes, MaxDelay,
-// MaxElems), the singleton fast path, the ack demultiplexer, and the
-// drain-on-Close shutdown tie.
+// MaxElems), the one-element-per-datagram spelling, the ack
+// demultiplexer, and the drain-on-Close shutdown tie.
 
 import (
 	"errors"
@@ -184,37 +184,6 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 	}
 }
 
-// TestSendMachineSingletonBypassesEnvelope pins the fast path: a queue
-// that holds one element at its deadline sends the original message
-// type, byte-for-byte what the unbatched protocol sends.
-func TestSendMachineSingletonBypassesEnvelope(t *testing.T) {
-	eng := sim.NewEngine(1)
-	n, ep, flushes := newMachineForTest(t, eng, BatchConfig{MaxDelay: 5 * time.Millisecond})
-	um := testUpdate(1)
-	n.batchCall("10.0.0.2:1", MsgUpdate, um, nil)
-	eng.RunFor(5 * time.Millisecond)
-	if len(ep.calls) != 1 {
-		t.Fatalf("got %d calls, want 1", len(ep.calls))
-	}
-	if ep.calls[0].typ != MsgUpdate {
-		t.Fatalf("singleton sent as %q, want %q", ep.calls[0].typ, MsgUpdate)
-	}
-	if got := ep.calls[0].payload.(UpdateMsg); got != um {
-		t.Fatalf("singleton payload = %+v, want %+v", got, um)
-	}
-	if len(*flushes) != 1 || (*flushes)[0].saved != 0 {
-		t.Fatalf("flush records = %+v, want one with zero bytes saved", *flushes)
-	}
-
-	// Detaches ride the same path.
-	dm := DetachMsg{Key: 9, Sender: chord.NodeRef{ID: 9, Addr: "10.0.0.1:1"}}
-	n.batchCall("10.0.0.3:1", MsgDetach, dm, nil)
-	eng.RunFor(5 * time.Millisecond)
-	if len(ep.calls) != 2 || ep.calls[1].typ != MsgDetach {
-		t.Fatalf("detach singleton: calls = %+v", ep.calls)
-	}
-}
-
 // TestSendMachineDeadlineDeterministic pins the draw-free jitter: the
 // flush delay is a pure function of (self, dest, fill sequence), stays
 // within (3/4*MaxDelay, MaxDelay], and varies across destinations.
@@ -242,26 +211,23 @@ func TestSendMachineDeadlineDeterministic(t *testing.T) {
 
 // TestSendMachineAckDemux covers the reply path: a BatchAck fans its
 // per-element acks onto the queued callbacks in order; a transport
-// error (or a malformed ack) fails every element.
+// error fails every element, and so does any reply that is not a
+// BatchAck with exactly one ack per element — a bare UpdateAck
+// included, for a one-element flush like any other.
 func TestSendMachineAckDemux(t *testing.T) {
-	run := func(t *testing.T, reply func(transport.ResponseFunc)) []struct {
+	type result struct {
 		payload any
 		err     error
-	} {
+	}
+	run := func(t *testing.T, elems int, reply func(transport.ResponseFunc)) []result {
 		t.Helper()
 		eng := sim.NewEngine(1)
-		n, ep, _ := newMachineForTest(t, eng, BatchConfig{MaxElems: 2, MaxDelay: time.Hour})
-		results := make([]struct {
-			payload any
-			err     error
-		}, 2)
-		for i := 0; i < 2; i++ {
+		n, ep, _ := newMachineForTest(t, eng, BatchConfig{MaxElems: elems, MaxDelay: time.Hour})
+		results := make([]result, elems)
+		for i := 0; i < elems; i++ {
 			i := i
 			n.batchCall("10.0.0.2:1", MsgUpdate, testUpdate(i), func(p any, err error) {
-				results[i] = struct {
-					payload any
-					err     error
-				}{p, err}
+				results[i] = result{p, err}
 			})
 		}
 		if len(ep.calls) != 1 {
@@ -273,7 +239,7 @@ func TestSendMachineAckDemux(t *testing.T) {
 
 	t.Run("acks-in-order", func(t *testing.T) {
 		acks := []UpdateAck{{OK: true}, {OK: false, Reason: "cycle"}}
-		results := run(t, func(cb transport.ResponseFunc) { cb(BatchAck{Acks: acks}, nil) })
+		results := run(t, 2, func(cb transport.ResponseFunc) { cb(BatchAck{Acks: acks}, nil) })
 		for i, r := range results {
 			if r.err != nil || r.payload.(UpdateAck) != acks[i] {
 				t.Fatalf("element %d got (%v, %v), want %+v", i, r.payload, r.err, acks[i])
@@ -282,29 +248,35 @@ func TestSendMachineAckDemux(t *testing.T) {
 	})
 	t.Run("transport-error-fans-out", func(t *testing.T) {
 		boom := errors.New("boom")
-		results := run(t, func(cb transport.ResponseFunc) { cb(nil, boom) })
+		results := run(t, 2, func(cb transport.ResponseFunc) { cb(nil, boom) })
 		for i, r := range results {
 			if !errors.Is(r.err, boom) {
 				t.Fatalf("element %d err = %v, want boom", i, r.err)
 			}
 		}
 	})
-	t.Run("short-ack-fans-error", func(t *testing.T) {
-		results := run(t, func(cb transport.ResponseFunc) { cb(BatchAck{Acks: []UpdateAck{{OK: true}}}, nil) })
-		for i, r := range results {
-			if r.err == nil {
-				t.Fatalf("element %d accepted a short BatchAck", i)
+	bad := []struct {
+		name  string
+		elems int
+		reply any
+	}{
+		{"short-ack-fans-error", 2, BatchAck{Acks: []UpdateAck{{OK: true}}}},
+		{"long-ack-fans-error", 1, BatchAck{Acks: []UpdateAck{{OK: true}, {OK: true}}}},
+		{"empty-ack-fans-error", 1, BatchAck{}},
+		{"wrong-type-fans-error", 2, UpdateAck{OK: true}},
+		{"bare-ack-one-elem-fans-error", 1, UpdateAck{OK: true}},
+		{"nil-reply-one-elem-fans-error", 1, nil},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			results := run(t, tc.elems, func(cb transport.ResponseFunc) { cb(tc.reply, nil) })
+			for i, r := range results {
+				if r.err == nil {
+					t.Fatalf("element %d was confirmed by the reply %#v", i, tc.reply)
+				}
 			}
-		}
-	})
-	t.Run("wrong-type-fans-error", func(t *testing.T) {
-		results := run(t, func(cb transport.ResponseFunc) { cb(UpdateAck{OK: true}, nil) })
-		for i, r := range results {
-			if r.err == nil {
-				t.Fatalf("element %d accepted a non-batch ack", i)
-			}
-		}
-	})
+		})
+	}
 }
 
 // TestSendMachineCloseDrains pins the shutdown tie: Close flushes every
@@ -353,8 +325,8 @@ func TestSendMachineCloseDrains(t *testing.T) {
 
 // TestSendMachinePassThrough pins the unbatched spelling: under
 // MaxElems 1 every enqueue trips the elems trigger, so each element is
-// its own lone MsgUpdate/MsgDetach Call in enqueue order, no deadline
-// timer is ever armed, nothing stays queued, and every sink hears its
+// its own one-element MsgBatch Call in enqueue order, no deadline timer
+// is ever armed, nothing stays queued, and every sink hears its own
 // verdict exactly once.
 func TestSendMachinePassThrough(t *testing.T) {
 	const destA, destB = transport.Addr("10.0.0.2:1"), transport.Addr("10.0.0.3:1")
@@ -373,12 +345,19 @@ func TestSendMachinePassThrough(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
-			n, ep, _ := newOverloadMachineForTest(t, eng, BatchConfig{MaxElems: 1}, OverloadConfig{})
+			n, ep, flushes := newMachineForTest(t, eng, BatchConfig{MaxElems: 1})
+			// Sink i must hear verdict i: every odd element is refused.
+			verdict := func(i int) UpdateAck {
+				if i%2 == 1 {
+					return UpdateAck{Reason: "cycle"}
+				}
+				return UpdateAck{OK: true}
+			}
 			answered := make([]int, len(tc.sends))
 			for i, s := range tc.sends {
 				cb := func(payload any, err error) {
-					if ack, _ := payload.(UpdateAck); err != nil || !ack.OK {
-						t.Errorf("sink %d heard %+v, %v", i, payload, err)
+					if ack, _ := payload.(UpdateAck); err != nil || ack != verdict(i) {
+						t.Errorf("sink %d heard %+v, %v, want %+v", i, payload, err, verdict(i))
 					}
 					answered[i]++
 				}
@@ -393,24 +372,23 @@ func TestSendMachinePassThrough(t *testing.T) {
 			}
 			for i, c := range ep.calls {
 				s := tc.sends[i]
-				wantTyp := MsgUpdate
-				if s.detach {
-					wantTyp = MsgDetach
+				if c.to != s.to || c.typ != MsgBatch || c.cb == nil {
+					t.Fatalf("call %d = %s to %s (acked %v), want an acked %s to %s", i, c.typ, c.to, c.cb != nil, MsgBatch, s.to)
 				}
-				if c.to != s.to || c.typ != wantTyp {
-					t.Fatalf("call %d = %s to %s, want %s to %s", i, c.typ, c.to, wantTyp, s.to)
+				bm, _ := c.payload.(BatchMsg)
+				if len(bm.Elems) != 1 {
+					t.Fatalf("call %d carries %d elements (%T), want 1", i, len(bm.Elems), c.payload)
 				}
-				switch p := c.payload.(type) {
-				case UpdateMsg:
-					if p.Epoch != int64(i) {
-						t.Fatalf("call %d carries update %d: out of enqueue order", i, p.Epoch)
-					}
-				case DetachMsg:
-					if p.Key != ident.ID(i) {
-						t.Fatalf("call %d carries detach %v: out of enqueue order", i, p.Key)
-					}
-				default:
-					t.Fatalf("call %d payload %T", i, c.payload)
+				switch el := bm.Elems[0]; {
+				case s.detach && (el.Kind != batchKindDetach || el.Detach.Key != ident.ID(i)):
+					t.Fatalf("call %d carries %+v, want detach %d: out of enqueue order", i, el, i)
+				case !s.detach && (el.Kind != batchKindUpdate || el.Update.Epoch != int64(i)):
+					t.Fatalf("call %d carries %+v, want update %d: out of enqueue order", i, el, i)
+				}
+			}
+			for _, f := range *flushes {
+				if f != (flushRecord{reason: "elems", elems: 1}) {
+					t.Fatalf("flush record %+v, want one element on the elems trigger, nothing saved", f)
 				}
 			}
 			if eng.Len() != 0 {
@@ -419,8 +397,10 @@ func TestSendMachinePassThrough(t *testing.T) {
 			if st := n.OverloadStats(); st.QueuedBytes != 0 || st.QueuedElems != 0 {
 				t.Fatalf("still queued after the sends: %+v", st)
 			}
-			for _, c := range ep.calls {
-				c.cb(UpdateAck{OK: true}, nil)
+			// Answer newest first: a verdict finds its sink by the record
+			// it flew on, not by arrival order.
+			for i := len(ep.calls) - 1; i >= 0; i-- {
+				ep.calls[i].cb(BatchAck{Acks: []UpdateAck{verdict(i)}}, nil)
 			}
 			for i, k := range answered {
 				if k != 1 {

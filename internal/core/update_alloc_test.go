@@ -72,11 +72,10 @@ func newWarmRing(t testing.TB, trees int, cfg NodeConfig) *warmRing {
 }
 
 // TestAckedRoundAllocs pins the steady-state write path: one acked round
-// on a warm ring — slot tick, enqueue, deadline flush, handleBatch (or
-// handleUpdate for a lone element), the ack, onAck — allocates at most
-// two objects per update on sender and receiver together, not counting
-// what SimNetwork spends on each Call itself (measured here on a bare
-// Call and subtracted). What remains is what a datagram gives away: its
+// on a warm ring — slot tick, enqueue, deadline flush, handleBatch, the
+// ack, onAck — allocates at most two objects per update on sender and
+// receiver together, not counting what SimNetwork spends on each Call
+// itself (measured here on a bare Call and subtracted). What remains is what a datagram gives away: its
 // element slice and boxed payload, and the reply's. No closure, timer,
 // delivery or boxed UpdateMsg/UpdateAck per update.
 func TestAckedRoundAllocs(t *testing.T) {
@@ -165,7 +164,7 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 
 	// Slot t's ack, late — as an OK, and as the refusal that would
 	// start a failover if it were taken for slot t+1's.
-	oldAck(UpdateAck{OK: true}, nil)
+	oldAck(BatchAck{Acks: []UpdateAck{{OK: true}}}, nil)
 	d.onAck(gen-2, UpdateAck{Reason: "cycle"}, nil)
 	d.mu.Lock()
 	after, done := d.gen, d.done
@@ -179,7 +178,7 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 		t.Fatalf("%d timers fired before slot t+1's ack timeout was due: slot t's leaked", fired)
 	}
 
-	ep.calls[1].cb(UpdateAck{OK: true}, nil) // slot t+1's own ack
+	ep.calls[1].cb(BatchAck{Acks: []UpdateAck{{OK: true}}}, nil) // slot t+1's own ack
 	if len(dones) != 1 || !dones[0].ok || dones[0].attempts != 1 {
 		t.Fatalf("completions after the live ack: %+v, want one ok in one attempt", dones)
 	}

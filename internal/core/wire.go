@@ -11,11 +11,11 @@ import (
 
 // Compact-codec payload codes (DESIGN.md §11). The core layer owns
 // wire.CodeCoreBase..+15; codes are wire-format constants — never
-// renumber a shipped one.
+// renumber a shipped one. +1 and +2 were a bare DetachMsg and a bare
+// UpdateAck: both now travel only inside a batch, and the numbers stay
+// reserved, never reused.
 const (
 	codeUpdateMsg  = wire.CodeCoreBase + 0
-	codeDetachMsg  = wire.CodeCoreBase + 1
-	codeUpdateAck  = wire.CodeCoreBase + 2
 	codeQueryReq   = wire.CodeCoreBase + 3
 	codeQueryResp  = wire.CodeCoreBase + 4
 	codeCollectMsg = wire.CodeCoreBase + 5
@@ -46,10 +46,9 @@ func decodeAggregate(d *wire.Decoder) Aggregate {
 	return a
 }
 
-// The UpdateMsg/DetachMsg/UpdateAck field codecs are shared between the
-// standalone payload registrations and the BatchElem element codec, so
-// the batched and unbatched representations of one message can never
-// drift apart.
+// The UpdateMsg/DetachMsg/UpdateAck field codecs below are what a
+// BatchElem and a BatchAck are built from. UpdateMsg's is also
+// registered on its own: the benchmark's codec drivers time a bare one.
 
 func encodeUpdateBody(e *wire.Encoder, m UpdateMsg) {
 	e.Uvarint(uint64(m.Key))
@@ -109,16 +108,21 @@ func decodeAckBody(d *wire.Decoder) UpdateAck {
 	return m
 }
 
+// minBatchElemBytes is the fewest bytes one BatchElem encodes to (every
+// field zero); TestMinBatchElemBytes derives it from the codec.
+const minBatchElemBytes = 59
+
 // decodeBatchElems follows the shared slice-decoding idiom: a zero
 // count decodes to nil (matching gob's empty-slice normalization) and
-// the preallocation is capped by the remaining buffer against forged
-// length prefixes.
+// the preallocation is capped by what the remaining buffer could hold
+// against forged length prefixes — in elements, not bytes: a BatchElem
+// is several times larger in memory than on the wire.
 func decodeBatchElems(d *wire.Decoder) []BatchElem {
 	n := d.Uvarint()
 	if d.Err != nil || n == 0 {
 		return nil
 	}
-	if max := uint64(len(d.Buf)-d.Off)/2 + 1; n > max {
+	if max := uint64(len(d.Buf)-d.Off)/minBatchElemBytes + 1; n > max {
 		n = max
 	}
 	elems := make([]BatchElem, 0, n)
@@ -155,21 +159,13 @@ func decodeAcks(d *wire.Decoder) []UpdateAck {
 
 func init() {
 	// Hand-written compact codecs for the DAT aggregation messages —
-	// MsgUpdate is the single hottest payload on the wire, so its
+	// an update is the single hottest payload on the wire, so its
 	// encoding is the one the allocation-regression test and
 	// BenchmarkWireVsGob pin down.
 	wire.Register(codeUpdateMsg,
 		UpdateMsg{},
 		func(e *wire.Encoder, v any) { encodeUpdateBody(e, v.(UpdateMsg)) },
 		func(d *wire.Decoder) (any, error) { return decodeUpdateBody(d), nil })
-	wire.Register(codeDetachMsg,
-		DetachMsg{},
-		func(e *wire.Encoder, v any) { encodeDetachBody(e, v.(DetachMsg)) },
-		func(d *wire.Decoder) (any, error) { return decodeDetachBody(d), nil })
-	wire.Register(codeUpdateAck,
-		UpdateAck{},
-		func(e *wire.Encoder, v any) { encodeAckBody(e, v.(UpdateAck)) },
-		func(d *wire.Decoder) (any, error) { return decodeAckBody(d), nil })
 	wire.Register(codeBatchMsg,
 		BatchMsg{},
 		func(e *wire.Encoder, v any) {

@@ -47,8 +47,8 @@ type SelfMonConfig struct {
 // TreeLoad is one aggregation key's accumulated load counters. All
 // fields are monotone; a snapshot is comparable against any later one.
 type TreeLoad struct {
-	// Sent counts value updates this node put on the wire for the tree
-	// (batched elements and singleton sends alike).
+	// Sent counts value updates this node put on the wire for the tree,
+	// one per batch element.
 	Sent uint64
 	// Recv counts inbound child updates accepted into the child cache.
 	Recv uint64

@@ -111,8 +111,9 @@ func richSamples() []any {
 			Sender: ref(5), Demand: true, Trace: 0xdeadbeef, SentAt: 1234567890, Seq: 9,
 			Handover: true, FailedRoot: "127.0.0.1:9999",
 		},
-		core.DetachMsg{Key: 77, Sender: ref(6)},
-		core.UpdateAck{OK: false, Reason: "cycle"},
+		// One element each: the failover courtesy detach and its like.
+		core.BatchMsg{Elems: []core.BatchElem{{Kind: 2, Detach: core.DetachMsg{Key: 77, Sender: ref(6)}}}},
+		core.BatchAck{Acks: []core.UpdateAck{{OK: false, Reason: "cycle"}}},
 		core.QueryReq{Key: 88, Window: 250 * time.Millisecond},
 		core.QueryResp{Key: 88, Epoch: 6, Agg: agg, Nodes: 31, Coverage: 0.969, Degraded: true},
 		core.BatchMsg{Elems: []core.BatchElem{
@@ -204,7 +205,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	envs := []wire.Envelope{
 		{Kind: 1, Type: "chord.ping", From: "127.0.0.1:1"},
 		{Kind: 2, Seq: 1 << 40, Type: "dat.update", From: "127.0.0.1:2", Payload: chord.PingReq{}},
-		{Kind: 3, Seq: 9, Type: "dat.update", From: "127.0.0.1:3", Payload: core.UpdateAck{OK: true}},
+		{Kind: 3, Seq: 9, Type: "dat.batch", From: "127.0.0.1:3", Payload: core.BatchAck{Acks: []core.UpdateAck{{OK: true}}}},
 		{Kind: 4, Seq: 10, Type: "dat.query", From: "127.0.0.1:4", ErrText: "dat: not the root"},
 	}
 	for _, env := range envs {
@@ -350,8 +351,7 @@ func TestRegisterPanics(t *testing.T) {
 // suites are least likely to hit head-on: the empty batch (a sender bug
 // the codec must still carry faithfully, normalizing an empty element
 // slice to nil exactly like gob) and the single-element batch (what a
-// near-idle send machine would emit if it skipped its singleton
-// fast path).
+// near-idle send machine, or one under MaxElems 1, emits every flush).
 func TestBatchEdgeCases(t *testing.T) {
 	ref := chord.NodeRef{ID: 4000, Addr: "127.0.0.1:9004"}
 	cases := []struct {
