@@ -144,5 +144,6 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/maan -run '^$$' -fuzz FuzzResultRunDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHandleBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rpcudp -run '^$$' -fuzz FuzzEndpointFrame -fuzztime $(FUZZTIME)
 
 ci: build vet gob-free retired lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

@@ -87,7 +87,7 @@ func (n *Node) forwardBroadcast(msg BroadcastMsg) {
 		} else {
 			sub.Limit = msg.Limit
 		}
-		n.send(t.Addr, MsgBroadcast, sub)
+		n.Send(t.Addr, MsgBroadcast, sub)
 	}
 }
 

@@ -108,7 +108,6 @@ type Node struct {
 	view        atomic.Pointer[Routing]
 	succScratch []NodeRef // stabilize builds its candidate list here
 	fofPred     map[transport.Addr]NodeRef
-	strikes     map[transport.Addr]int
 	nextFix     int
 	running     bool
 	stops       []func()
@@ -116,6 +115,7 @@ type Node struct {
 	handlers    map[string]transport.Handler
 	upcalls     map[string]func(from NodeRef, payload []byte)
 	onPred      func(old, new NodeRef)
+	health      health // every peer's health record (health.go)
 
 	// JoinedAt records (clock time) when the node finished joining; used
 	// by experiments to measure convergence.
@@ -145,7 +145,7 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 			state:   StateResp{Self: self}, // no neighbours: nothing else to derive
 		},
 		fofPred:  make(map[transport.Addr]NodeRef),
-		strikes:  make(map[transport.Addr]int),
+		health:   health{peers: make(map[transport.Addr]*peerHealth)},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		handlers: make(map[string]transport.Handler),
 		upcalls:  make(map[string]func(NodeRef, []byte)),
@@ -411,10 +411,10 @@ func (n *Node) Stop(graceful bool) {
 	}
 	if graceful {
 		if !succ.IsZero() && succ.Addr != selfAddr {
-			n.send(succ.Addr, MsgLeave, leave)
+			n.Send(succ.Addr, MsgLeave, leave)
 		}
 		if !pred.IsZero() && pred.Addr != selfAddr {
-			n.send(pred.Addr, MsgLeave, leave)
+			n.Send(pred.Addr, MsgLeave, leave)
 		}
 	}
 }
@@ -757,10 +757,7 @@ func (l *lookup) ask(at NodeRef) {
 func (l *lookup) handleStep(payload any, err error) {
 	n, at := l.n, l.at
 	if err != nil {
-		// Two-strike suspicion: one lost datagram must not evict a
-		// healthy finger (a single timeout on a lossy network is
-		// common); a second consecutive failure does.
-		n.suspect(at.Addr)
+		n.report(at.Addr, ChordFailed, err)
 		if l.retries > 0 && n.Running() {
 			// Start over from this node's own tables.
 			l.retries--
@@ -775,7 +772,7 @@ func (l *lookup) handleStep(payload any, err error) {
 		l.finish(NodeRef{}, fmt.Errorf("%w: %v unreachable: %v", ErrLookupFailed, at.Addr, err))
 		return
 	}
-	n.exonerate(at.Addr)
+	n.report(at.Addr, ChordOK, nil)
 	l.hops++
 	resp, ok := payload.(StepResp)
 	switch {
@@ -821,12 +818,10 @@ func (n *Node) stabilize() {
 
 	n.ep.Call(succ.Addr, MsgGetState, GetStateReq{}, func(payload any, err error) {
 		if err != nil {
-			// Two-strike suspicion: a single lost datagram must not evict
-			// a healthy successor.
-			n.suspect(succ.Addr)
+			n.report(succ.Addr, ChordFailed, err)
 			return
 		}
-		n.exonerate(succ.Addr)
+		n.report(succ.Addr, ChordOK, nil)
 		resp, ok := payload.(StateResp)
 		if !ok {
 			return
@@ -873,7 +868,7 @@ func (n *Node) stabilize() {
 		n.setSuccsLocked(list...)
 		notifyTo := newSucc
 		n.mu.Unlock()
-		n.send(notifyTo.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
+		n.Send(notifyTo.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
 	})
 }
 
@@ -913,61 +908,25 @@ func (n *Node) checkPredecessor() {
 	}
 	n.ep.Call(pred.Addr, MsgPing, PingReq{}, func(_ any, err error) {
 		if err == nil {
-			n.exonerate(pred.Addr)
+			n.report(pred.Addr, ChordOK, nil)
 			return
 		}
-		// Two-strike suspicion (suspect clears the predecessor via
-		// removeDeadLocked once confirmed): one lost ping on a lossy
-		// network must not blank the predecessor, or this node may
+		// The eviction verdict clears the predecessor via
+		// removeDeadLocked only at the second strike: one lost ping on a
+		// lossy network must not blank the predecessor, or this node may
 		// transiently believe it owns someone else's arc — and a false
 		// root silently swallows aggregation subtrees.
-		n.suspect(pred.Addr)
+		n.report(pred.Addr, ChordFailed, err)
 	})
 }
 
-// Suspect feeds an upper layer's failed exchange with addr into the
-// node's two-strike failure detector. The DAT and MAAN layers call it
-// when their own sends fail, so a dead neighbor discovered on an
-// aggregation path is evicted from the routing tables as fast as one
-// discovered by overlay maintenance.
-func (n *Node) Suspect(addr transport.Addr) { n.suspect(addr) }
-
-// send fires a best-effort datagram. Delivery failures feed the
-// two-strike failure detector instead of vanishing: a send error is
-// the cheapest liveness signal the node gets. Must not be called with
-// n.mu held (locksafe enforces this transitively via suspect).
-func (n *Node) send(to transport.Addr, typ string, payload any) {
-	if err := n.ep.Send(to, typ, payload); err != nil {
-		n.suspect(to)
+// Send fires a best-effort datagram for any layer and reports an error
+// to the peer's health record. Must not be called with n.mu held: an
+// eviction takes it.
+func (n *Node) Send(to transport.Addr, typ string, payload any) error {
+	err := n.ep.Send(to, typ, payload)
+	if err != nil {
+		n.report(to, SendFailed, err)
 	}
-}
-
-// suspect records a failed exchange with addr; the second consecutive
-// failure removes the node from the routing tables. Obs hooks fire
-// after the lock is released so they can do arbitrary bookkeeping.
-func (n *Node) suspect(addr transport.Addr) {
-	n.mu.Lock()
-	n.strikes[addr]++
-	evicted := n.strikes[addr] >= 2
-	if evicted {
-		delete(n.strikes, addr)
-		n.removeDeadLocked(addr)
-	}
-	n.mu.Unlock()
-	if h := n.cfg.Obs.Suspected; h != nil {
-		h(addr)
-	}
-	if evicted {
-		if h := n.cfg.Obs.Evicted; h != nil {
-			h(addr)
-		}
-		n.cfg.Logger.Info("evicted unresponsive peer", "peer", string(addr))
-	}
-}
-
-// exonerate clears addr's failure strikes after a successful exchange.
-func (n *Node) exonerate(addr transport.Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.strikes, addr)
+	return err
 }

@@ -259,7 +259,6 @@ func (n *Node) setNeighborsLocked(pred NodeRef, succs, fingers []NodeRef) {
 //datlint:routever-mutator
 func (n *Node) removeDeadLocked(addr transport.Addr) {
 	delete(n.fofPred, addr)
-	delete(n.strikes, addr)
 	cur := n.rt
 	pred, succs, fingers := cur.Pred, cur.Succs, cur.Fingers
 	changed := false

@@ -194,8 +194,8 @@ func routingDiscipline(t *testing.T, seed int64) {
 		case 6:
 			op = "suspect-evict"
 			victim := refs[rng.Intn(nodes)].Addr
-			n.Suspect(victim)
-			n.Suspect(victim)
+			n.report(victim, ChordFailed, nil)
+			n.report(victim, ChordFailed, nil)
 		case 7:
 			op = "leave"
 			if n.Running() && rng.Intn(3) == 0 {

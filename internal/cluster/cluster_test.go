@@ -141,10 +141,12 @@ func TestCrashAndLeaveBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero Options.Overload is armed breakers at the default thresholds.
+	// Zero Options.Overload arms the avoid verdict at the default
+	// thresholds; the page renders the peer-health record.
 	var page strings.Builder
 	c.DAT[0].WriteOverloadDebug(&page)
-	if !strings.Contains(page.String(), "breaker: 3 fails, 1s cooldown") {
+	if !strings.Contains(page.String(), "breaker: 3 fails, 1s cooldown; evict: 2 strikes") ||
+		!strings.Contains(page.String(), "== peer health ==") {
 		t.Fatalf("zero Options.Overload does not run the defaults:\n%s", page.String())
 	}
 	c.Crash(1)

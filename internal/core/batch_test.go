@@ -2,7 +2,7 @@ package core
 
 // The receiving side of MsgBatch, the one door for child updates: what a
 // hostile datagram can cost its decoder, what a one-way batch leaves
-// behind, and a fuzz target that checks handleBatch against a model of
+// behind, what a handover's hearsay may not do, and a fuzz target that checks handleBatch against a model of
 // its verdicts.
 
 import (
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/ident"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -119,6 +120,31 @@ func TestOneWayDetachBatch(t *testing.T) {
 	want := datagram{child, r.dats[parent].ep.Addr(), MsgBatch, true}
 	if len(seen) != 1 || seen[0] != want {
 		t.Errorf("datagrams = %+v, want only %+v: a one-way batch is not answered", seen, want)
+	}
+}
+
+// TestHandoverHearsayStrikesNobody: a handover update names the root its
+// sender could not reach. That is a third node's claim, not this node's
+// evidence, so two of them naming a live neighbour — forged or mistaken
+// — must leave the neighbour in the receiver's routing tables.
+func TestHandoverHearsayStrikesNobody(t *testing.T) {
+	r := newWarmRing(t, 1, NodeConfig{})
+	n := r.dats[0]
+	neighbour := n.ch.Successor().Addr
+	um := testUpdate(1)
+	um.Key, um.Slot = r.keys[0], int64(time.Second)
+	um.Handover, um.FailedRoot = true, neighbour
+	for i := 0; i < 2; i++ {
+		bm := BatchMsg{Elems: []BatchElem{{Kind: batchKindUpdate, Update: um}}}
+		n.handleBatch(transport.NewRequest("sim/stranger", MsgBatch, bm, func(any, error) {}))
+	}
+	rt := n.ch.Routing()
+	routed := rt.Pred.Addr == neighbour
+	for _, ref := range append(append([]chord.NodeRef{}, rt.Succs...), rt.Fingers...) {
+		routed = routed || ref.Addr == neighbour
+	}
+	if !routed {
+		t.Fatalf("two handover updates naming %s evicted it from %s's routing tables", neighbour, n.ep.Addr())
 	}
 }
 

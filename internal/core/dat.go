@@ -75,8 +75,8 @@ type UpdateMsg struct {
 	// the receiver assumes rootship for Key until the overlay catches up
 	// (DESIGN.md §10).
 	Handover bool
-	// FailedRoot is the unreachable root's address on a handover update;
-	// the receiver feeds it to the failure detector to speed eviction.
+	// FailedRoot is the unreachable root's address on a handover update,
+	// for the receiver's debug log: hearsay, it strikes nobody.
 	FailedRoot transport.Addr
 }
 
@@ -156,8 +156,8 @@ type NodeConfig struct {
 	// The zero value is the defaults; MaxElems 1 sends one datagram per
 	// message.
 	Batch BatchConfig
-	// Overload tunes the per-peer circuit breakers every delivery
-	// attempt goes through (DESIGN.md §14). The zero value is the
+	// Overload holds the avoid-as-DAT-parent thresholds every delivery
+	// attempt is checked against (DESIGN.md §10). The zero value is the
 	// defaults.
 	Overload OverloadConfig
 	// Obs receives aggregation telemetry: per-hop spans, round latency
@@ -208,12 +208,6 @@ type Node struct {
 	clock transport.Clock
 	cfg   NodeConfig
 	sm    *sendMachine
-
-	// Per-peer circuit breakers (overload.go). Guarded by brMu, a leaf
-	// lock: nothing is called while holding it.
-	brMu     sync.Mutex
-	breakers map[transport.Addr]*breaker
-	brOpens  uint64 // cumulative open transitions
 
 	// The node's own load, the two scalars the dat.load.* trees publish
 	// (DESIGN.md §13): updates sent plus child updates accepted, and
@@ -295,12 +289,11 @@ type epochState struct {
 // message handlers and the collect broadcast upcall on the Chord node.
 func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg NodeConfig) *Node {
 	n := &Node{
-		ch:       ch,
-		ep:       ep,
-		clock:    clock,
-		cfg:      cfg.withDefaults(),
-		aggs:     make(map[ident.ID]*aggEntry),
-		breakers: make(map[transport.Addr]*breaker),
+		ch:    ch,
+		ep:    ep,
+		clock: clock,
+		cfg:   cfg.withDefaults(),
+		aggs:  make(map[ident.ID]*aggEntry),
 	}
 	n.sm = newSendMachine(n, n.cfg.Batch)
 	ch.Handle(MsgBatch, n.handleBatch)
@@ -751,9 +744,6 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 	}
 	n.mu.Unlock()
 	if um.Handover {
-		if um.FailedRoot != "" && um.FailedRoot != n.ep.Addr() {
-			n.ch.Suspect(um.FailedRoot) // hasten the dead root's eviction
-		}
 		n.debug("assumed rootship via handover", um.Key, "failed", um.FailedRoot, "child", from)
 	}
 	n.loadMsgs.Add(1)

@@ -20,8 +20,8 @@ import (
 
 // UpdateAck acknowledges an UpdateMsg or DetachMsg. OK=false reports a
 // live receiver that refused the update ("cycle" or "no-slot"): the
-// sender routes around it without feeding the failure detector —
-// refusal proves liveness.
+// sender routes around it without a ring strike — refusal proves
+// liveness — though refusals count toward avoiding it as DAT parent.
 type UpdateAck struct {
 	OK     bool
 	Reason string
@@ -47,9 +47,9 @@ const (
 // DeliveryConfig tunes the delivery-assurance layer.
 type DeliveryConfig struct {
 	// AckTimeout bounds one delivery attempt: an unacknowledged update
-	// counts as failed after this long and the candidate earns a
-	// failure-detector strike. Keep it well below the slot duration so
-	// failover completes in-slot. Default 150ms.
+	// counts as failed after this long and the candidate earns a ring
+	// strike. Keep it well below the slot duration so failover
+	// completes in-slot. Default 150ms.
 	AckTimeout time.Duration
 	// MaxCandidates bounds how many distinct parents one pending
 	// aggregate is offered to before giving up (the next slot retries
@@ -70,7 +70,7 @@ func (c DeliveryConfig) withDefaults() DeliveryConfig {
 // The jitter sources of this package are FNV-1a hashes (hash/fnv's
 // New64a, written out so that hashing allocates nothing) of who, whom
 // and a counter. No RNG is drawn, so enabling the delivery layer, the
-// send machine or the breakers cannot perturb a simulation's event
+// send machine or the avoid verdict cannot perturb a simulation's event
 // randomness: datcheck traces stay byte-identical per seed.
 const fnvOffset, fnvPrime uint64 = 14695981039346656037, 1099511628211
 
@@ -286,11 +286,11 @@ func (d *delivery) sendAttempt(g uint64) {
 	retry := d.total > 1
 	d.mu.Unlock()
 
-	// An open circuit breaker fails fast into the failover path instead
-	// of burning the retry budget on a peer already known unresponsive:
-	// as if refused — no extra failure-detector strike, straight to the
-	// next candidate. breakerAllows admits one probe per cooldown.
-	if !n.breakerAllows(to) {
+	// A peer the health record avoids fails fast into the failover path
+	// instead of burning the retry budget on it: as if refused — no
+	// strike, straight to the next candidate. The record admits one
+	// probe per cooldown.
+	if !n.mayCarry(to) {
 		d.fail(g, to, true)
 		return
 	}
@@ -321,8 +321,8 @@ func (d *delivery) RunEvent(op int32) {
 	case uint32(g) != uint32(op): // the event it waited on was consumed meanwhile
 	case resending:
 		d.sendAttempt(g)
-	default:
-		d.onTimeout(g)
+	default: // the ack timed out: a failed attempt, like a transport error
+		d.onAck(g, UpdateAck{}, transport.ErrTimeout)
 	}
 }
 
@@ -341,20 +341,9 @@ func (d *delivery) consume(g uint64) (next uint64, to transport.Addr, stop trans
 	return d.gen, d.cur.Addr, stop, true
 }
 
-// onTimeout handles an expired ack timer: the candidate earns a
-// failure-detector strike (each failed attempt is one strike, so a dead
-// parent is evicted from the routing tables within one retry budget).
-func (d *delivery) onTimeout(g uint64) {
-	g, to, _, ok := d.consume(g)
-	if !ok {
-		return
-	}
-	d.n.ch.Suspect(to)
-	d.n.breakerFailure(to, true)
-	d.fail(g, to, false)
-}
-
-// onAck implements ackSink: the verdict on the attempt queued under g.
+// onAck implements ackSink: the verdict on the attempt queued under g,
+// or transport.ErrTimeout from its ack timer. Each failed attempt is a
+// ring strike, so a dead parent is evicted within one retry budget.
 func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
 	g, to, stop, ok := d.consume(g)
 	if !ok {
@@ -367,14 +356,13 @@ func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
 		// this node, not about the peer — no strike, no retry.
 		d.finish(g, false)
 	case err != nil:
-		d.n.ch.Suspect(to)
-		d.n.breakerFailure(to, true)
+		d.n.reportDAT(to, chord.DATFailed, err)
 		d.fail(g, to, false)
 	case !ack.OK:
-		d.n.breakerFailure(to, false)
+		d.n.reportDAT(to, chord.DATRefused, nil)
 		d.fail(g, to, true) // live but refusing: route around without a strike
 	default:
-		d.n.breakerSuccess(to)
+		d.n.reportDAT(to, chord.DATAcked, nil)
 		d.finish(g, true)
 	}
 }
@@ -462,19 +450,14 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 			d.e.lastParent = parent.Addr
 		}
 		n.mu.Unlock()
-		// An open breaker is positive evidence the candidate is not
-		// acking: a detach datagram at it every failover flap is exactly
-		// the wasted traffic fail-fast exists to stop, and its child
-		// cache forgets us by TTL regardless. The detach is a best-effort
-		// one-way datagram — the candidate just failed to ack — and only a
-		// *local* send error (closed endpoint, unresolvable peer) feeds
-		// chord.Suspect: over real UDP a write to a dead host succeeds.
-		if !n.breakerOpenNow(to) {
+		// A peer avoided as DAT parent is not acking: a detach at it every
+		// failover flap is the wasted traffic fail-fast exists to stop,
+		// and its child cache forgets us by TTL regardless. The detach is
+		// one-way, so a send error is its only evidence.
+		if ok, _ := n.ch.MayCarryDAT(to, false); ok {
 			elems := []BatchElem{{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}}
 			n.treeSent(&elems[0])
-			if err := n.ep.Send(to, MsgBatch, BatchMsg{Elems: elems}); err != nil {
-				n.ch.Suspect(to)
-			}
+			n.ch.Send(to, MsgBatch, BatchMsg{Elems: elems})
 		}
 	}
 	d.sendAttempt(g)
@@ -506,7 +489,8 @@ func (d *delivery) finish(g uint64, ok bool) {
 // detachRetry is one acked detach with a bounded retry budget. A dead
 // former parent forgets us via the child TTL anyway, so there is no
 // failover here — just enough persistence to beat one lost datagram,
-// with errors feeding the failure detector like any other failed ack.
+// with errors reported to the peer's health record like any other
+// failed ack.
 // RunEvent sends an attempt: the first from the tick that switched
 // parents, the rest from backoff.
 type detachRetry struct {
@@ -526,8 +510,7 @@ func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {
 	if err == nil || errors.Is(err, ErrSendClosed) {
 		return // delivered — or refused locally: no peer evidence, no retry
 	}
-	n.ch.Suspect(r.to)
-	n.breakerFailure(r.to, true)
+	n.reportDAT(r.to, chord.DATFailed, err)
 	if a < deliveryAttempts {
 		n.clock.AfterRun(backoffDelay(deliveryBackoff, a, jitterHash(n.ep.Addr(), r.dm.Key, int64(a), a)), r, 0)
 	}

@@ -266,8 +266,8 @@ func TestBreakerOpensOnDeadParentAndRecovers(t *testing.T) {
 // TestAckTimeoutFeedsSuspect is the send-suspect-semantics regression
 // test: over a transport where writes to a dead peer succeed locally
 // (exactly what real UDP does), killing a parent's endpoint must still
-// drive chord.Suspect — via the delivery layer's ack timeouts — within
-// one retry budget, and two strikes must evict it.
+// strike it in the peer-health record — via the delivery layer's ack
+// timeouts — within one retry budget, and two strikes must evict it.
 func TestAckTimeoutFeedsSuspect(t *testing.T) {
 	const n = 24
 	o := obs.NewObserver(16)

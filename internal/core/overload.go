@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/transport"
 )
 
@@ -18,15 +19,15 @@ import (
 // bytes at rest stay below peers x Batch.MaxBytes by construction. What
 // is left to protect against is retry amplification — the delivery
 // layer's retries multiply traffic exactly when a peer is slowest — so
-// the delivery layer gets per-peer circuit breakers: a persistently
+// every attempt asks the peer-health record (chord/health.go, DESIGN.md
+// §10) whether the peer is avoided as DAT parent: a persistently
 // unresponsive parent is failed over in O(1) instead of per-slot retry
-// budgets. Every decision is deterministic (draw-free FNV jitter) so
-// datcheck traces stay byte-identical per seed.
+// budgets. This layer only reports outcomes to the record.
 
-// OverloadConfig tunes the per-peer circuit breakers every delivery
-// attempt goes through. The zero value is armed breakers;
+// OverloadConfig holds the avoid-as-DAT-parent thresholds of the peer-
+// health record (the "circuit breaker"). The zero value arms it;
 // BreakerFailures at math.MaxInt32 is the pre-breaker protocol (no peer
-// is ever isolated), the baseline the ablation and datcheck's
+// is ever avoided), the baseline the ablation and datcheck's
 // equivalence test run against.
 type OverloadConfig struct {
 	// Enable is ignored: protection is always on. The field is kept only
@@ -34,13 +35,14 @@ type OverloadConfig struct {
 	// literal; nothing else may read or set it.
 	Enable bool
 	// BreakerFailures is how many consecutive delivery failures
-	// (ack timeouts, transport errors, or refusals) open a peer's
-	// circuit breaker. Default 3.
+	// (ack timeouts, transport errors, or refusals) make a peer avoided
+	// as DAT parent. Default 3.
 	BreakerFailures int
-	// BreakerCooldown is how long an open breaker rejects traffic
-	// before admitting one half-open probe. The actual probe delay adds
-	// deterministic FNV jitter in [0, cooldown/4) so co-located nodes
-	// de-phase their probes without drawing from any RNG. Default 1s.
+	// BreakerCooldown is how long an avoided peer gets no DAT traffic
+	// before one half-open probe; each failed probe doubles it, up to
+	// 16x. The probe delay adds deterministic FNV jitter in
+	// [0, cooldown/4) so co-located nodes de-phase their probes without
+	// drawing from any RNG. Default 1s.
 	BreakerCooldown time.Duration
 }
 
@@ -59,157 +61,25 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 // retry nor strike — they stop instead of racing shutdown onto the wire.
 var ErrSendClosed = errors.New("core: send machine closed")
 
-// --- per-peer circuit breakers ---
-
-type breakerState uint8
-
-const (
-	brClosed breakerState = iota
-	brOpen
-	brHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case brOpen:
-		return "open"
-	case brHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
+// reportDAT feeds one delivery outcome at to into the peer-health record.
+func (n *Node) reportDAT(to transport.Addr, ev chord.Evidence, err error) {
+	cfg := n.cfg.Overload
+	n.fireBreaker(to, n.ch.Report(to, ev, err, cfg.BreakerFailures, cfg.BreakerCooldown))
 }
 
-// breaker is one peer's failure-isolation state. closed→open after
-// BreakerFailures consecutive failures; open→half-open once the jittered
-// cooldown elapses, admitting exactly one probe; the probe's outcome
-// closes or instantly reopens. Entries only exist for peers with at
-// least one recorded failure — success deletes the entry.
-type breaker struct {
-	state      breakerState
-	fails      int           // consecutive failures while closed
-	reopens    int           // consecutive failed probes since first opening
-	openedAt   time.Duration // clock reading when the breaker last opened
-	probeAfter time.Duration // jittered cooldown before the half-open probe
-}
-
-// breakerAllows reports whether a delivery attempt at to may proceed,
-// transitioning open→half-open (and admitting the probe) once the
-// cooldown elapses. Call it before arming any timers for the attempt.
-func (n *Node) breakerAllows(to transport.Addr) bool {
-	now := n.clock.Now()
-	n.brMu.Lock()
-	br := n.breakers[to]
-	if br == nil || br.state == brClosed {
-		n.brMu.Unlock()
-		return true
-	}
-	if br.state == brOpen && now-br.openedAt >= br.probeAfter {
-		br.state = brHalfOpen
-		n.brMu.Unlock()
+// mayCarry asks the peer-health record whether DAT traffic may go to to
+// now; admitting the half-open probe is an avoid transition.
+func (n *Node) mayCarry(to transport.Addr) bool {
+	ok, probe := n.ch.MayCarryDAT(to, true)
+	if probe {
 		n.fireBreaker(to, "half-open")
-		return true // this attempt is the probe
 	}
-	n.brMu.Unlock()
-	return false
+	return ok
 }
 
-// breakerOpenNow is the read-only check the failover path uses to skip
-// its courtesy detach: true only for a breaker that is open with its
-// cooldown still running. Unlike breakerAllows it never admits a probe.
-func (n *Node) breakerOpenNow(to transport.Addr) bool {
-	now := n.clock.Now()
-	n.brMu.Lock()
-	br := n.breakers[to]
-	open := br != nil && br.state == brOpen && now-br.openedAt < br.probeAfter
-	n.brMu.Unlock()
-	return open
-}
-
-// breakerFailure records one delivery failure at to. suspect tells
-// whether the failure is evidence of peer death (ack timeout, transport
-// error) as opposed to a live refusal; an opening breaker feeds the
-// failure detector only in the former case — refusal proves liveness.
-func (n *Node) breakerFailure(to transport.Addr, suspect bool) {
-	now := n.clock.Now()
-	n.brMu.Lock()
-	if n.breakers == nil {
-		n.breakers = make(map[transport.Addr]*breaker)
-	}
-	br := n.breakers[to]
-	if br == nil {
-		br = &breaker{}
-		n.breakers[to] = br
-	}
-	opened := false
-	switch br.state {
-	case brHalfOpen:
-		opened = true // failed probe: reopen instantly, back off the next one
-		br.reopens++
-	case brClosed:
-		br.fails++
-		opened = br.fails >= n.cfg.Overload.BreakerFailures
-	case brOpen:
-		// Late events for attempts sent before the breaker opened; the
-		// breaker is already isolating the peer.
-	}
-	if opened {
-		br.state = brOpen
-		br.fails = 0
-		br.openedAt = now
-		n.brOpens++
-		br.probeAfter = n.breakerProbeDelay(to, n.brOpens, br.reopens)
-	}
-	n.brMu.Unlock()
-	if opened {
-		n.fireBreaker(to, "open")
-		if suspect && n.ch != nil {
-			n.ch.Suspect(to) // breaker state feeds the failure detector
-		}
-	}
-}
-
-// breakerSuccess records a successful delivery at to: the breaker (if
-// any) closes and its consecutive-failure count resets.
-func (n *Node) breakerSuccess(to transport.Addr) {
-	n.brMu.Lock()
-	br := n.breakers[to]
-	tripped := br != nil && br.state != brClosed
-	if br != nil {
-		delete(n.breakers, to)
-	}
-	n.brMu.Unlock()
-	if tripped {
-		n.fireBreaker(to, "closed")
-	}
-}
-
-// breakerProbeDelay is the jittered cooldown armed when a breaker
-// opens: BreakerCooldown plus deterministic FNV jitter in
-// [0, cooldown/4). opens is the node-wide cumulative open count, so
-// successive opens of the same peer probe at different phases without
-// drawing from any RNG. reopens counts consecutive failed probes and
-// doubles the cooldown each time (capped at 16x): a peer that keeps
-// failing its probes earns exponentially rarer ones, so a long gray
-// failure costs O(log) probe datagrams instead of O(slots).
-func (n *Node) breakerProbeDelay(to transport.Addr, opens uint64, reopens int) time.Duration {
-	d := n.cfg.Overload.BreakerCooldown
-	if reopens > 0 {
-		shift := reopens
-		if shift > 4 {
-			shift = 4
-		}
-		d *= time.Duration(int64(1) << shift)
-	}
-	quarter := uint64(d / 4)
-	if quarter == 0 {
-		return d
-	}
-	return d + time.Duration(fnvUint64(fnvAddr(fnvAddr(fnvOffset, n.ep.Addr()), to), opens)%quarter)
-}
-
+// fireBreaker reports an avoid transition, if any, to the Breaker hook.
 func (n *Node) fireBreaker(to transport.Addr, state string) {
-	if h := n.cfg.Obs.Breaker; h != nil {
+	if h := n.cfg.Obs.Breaker; h != nil && state != "" {
 		h(to, state)
 	}
 }
@@ -247,14 +117,7 @@ func (n *Node) OverloadStats() OverloadStats {
 	}
 	st.Rejected = sm.rejected
 	sm.mu.Unlock()
-	n.brMu.Lock()
-	st.BreakerOpens = n.brOpens
-	for _, br := range n.breakers {
-		if br.state != brClosed {
-			st.BreakersOpen++
-		}
-	}
-	n.brMu.Unlock()
+	_, st.BreakerOpens, st.BreakersOpen = n.ch.PeerHealth()
 	return st
 }
 
@@ -283,14 +146,14 @@ func (n *Node) QueueStats() []QueueStat {
 	return out
 }
 
-// WriteOverloadDebug renders the /debug/overload page: flush and
-// breaker thresholds, queue totals, per-destination queue depth/age, and
-// per-peer breaker state.
+// WriteOverloadDebug renders the /debug/overload page: flush, avoid and
+// eviction thresholds, queue totals, per-destination queue depth/age,
+// and the peer-health record.
 func (n *Node) WriteOverloadDebug(w io.Writer) {
 	st := n.OverloadStats()
 	cfg := n.cfg.Overload
-	fmt.Fprintf(w, "flush: a queue at %dB or %d elems, or after %v; breaker: %d fails, %v cooldown\n",
-		n.sm.cfg.MaxBytes, n.sm.cfg.MaxElems, n.sm.cfg.MaxDelay, cfg.BreakerFailures, cfg.BreakerCooldown)
+	fmt.Fprintf(w, "flush: a queue at %dB or %d elems, or after %v; breaker: %d fails, %v cooldown; evict: %d strikes\n",
+		n.sm.cfg.MaxBytes, n.sm.cfg.MaxElems, n.sm.cfg.MaxDelay, cfg.BreakerFailures, cfg.BreakerCooldown, chord.EvictStrikes)
 	fmt.Fprintf(w, "queued: %dB in %d elems (hi-water %dB); rejected=%d\n",
 		st.QueuedBytes, st.QueuedElems, st.HiWaterBytes, st.Rejected)
 	fmt.Fprintf(w, "breakers: opens=%d open-now=%d\n", st.BreakerOpens, st.BreakersOpen)
@@ -308,29 +171,14 @@ func (n *Node) WriteOverloadDebug(w io.Writer) {
 	}
 
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "== circuit breakers ==")
-	now := n.clock.Now()
-	type brRow struct {
-		to transport.Addr
-		br breaker
-	}
-	n.brMu.Lock()
-	rows := make([]brRow, 0, len(n.breakers))
-	for to, br := range n.breakers {
-		rows = append(rows, brRow{to: to, br: *br})
-	}
-	n.brMu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].to < rows[j].to })
-	if len(rows) == 0 {
+	fmt.Fprintln(w, "== peer health ==")
+	peers, _, _ := n.ch.PeerHealth()
+	if len(peers) == 0 {
 		fmt.Fprintln(w, "(no peers with recorded failures)")
 		return
 	}
-	fmt.Fprintf(w, "%-24s %-10s %6s %12s\n", "peer", "state", "fails", "open-for")
-	for _, r := range rows {
-		openFor := time.Duration(0)
-		if r.br.state != brClosed {
-			openFor = now - r.br.openedAt
-		}
-		fmt.Fprintf(w, "%-24s %-10s %6d %12v\n", string(r.to), r.br.state.String(), r.br.fails, openFor)
+	fmt.Fprintf(w, "%-24s %7s %-10s %6s %12s %-12s\n", "peer", "strikes", "avoid", "fails", "open-for", "evidence")
+	for _, p := range peers {
+		fmt.Fprintf(w, "%-24s %7d %-10s %6d %12v %-12s\n", string(p.Peer), p.Strikes, p.Avoid, p.Fails, p.OpenFor, p.Last)
 	}
 }

@@ -2,13 +2,14 @@ package core
 
 // White-box tests for the overload-protection layer (overload.go,
 // DESIGN.md §14): queue GC, the Close/enqueue shutdown race and its
-// typed refusal, the structural queue bound, and the per-peer
-// circuit-breaker state machine — all under the deterministic sim clock
+// typed refusal, the structural queue bound, and the avoid verdict as the
+// delivery layer drives it — all under the deterministic sim clock
 // except the -race stress test, which runs on the real clock.
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,12 +31,8 @@ func newOverloadMachineForTest(t *testing.T, eng *sim.Engine, bc BatchConfig, oc
 	cfg.Obs = obs.CoreHooks{
 		Breaker: func(peer transport.Addr, state string) { log.add("breaker:" + string(peer) + "/" + state) },
 	}
-	n := &Node{
-		ep:       ep,
-		clock:    transport.SimClock{Engine: eng},
-		cfg:      cfg,
-		breakers: make(map[transport.Addr]*breaker),
-	}
+	clock := transport.SimClock{Engine: eng}
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg}
 	n.sm = newSendMachine(n, cfg.Batch)
 	return n, ep, log
 }
@@ -201,7 +198,8 @@ func TestSendMachineCloseRace(t *testing.T) {
 		Batch:    BatchConfig{MaxDelay: 100 * time.Microsecond, MaxElems: 4},
 		Overload: OverloadConfig{},
 	}.withDefaults()
-	n := &Node{ep: ep, clock: new(transport.RealClock), cfg: cfg, breakers: make(map[transport.Addr]*breaker)}
+	clock := new(transport.RealClock)
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg}
 	n.sm = newSendMachine(n, cfg.Batch)
 
 	const workers, perWorker = 8, 200
@@ -310,92 +308,86 @@ func TestOverloadQueueBudgetFlushes(t *testing.T) {
 	})
 }
 
-// TestBreakerTransitions walks one peer's breaker through the full
-// state machine under the sim clock: closed survives BreakerFailures-1
-// failures, opens on the next, rejects while cooling down, admits
-// exactly one half-open probe, reopens instantly on a failed probe, and
-// closes on a successful one.
+// TestBreakerTransitions walks one peer's avoid verdict through the full
+// state machine under the sim clock, as the delivery layer drives it:
+// closed survives BreakerFailures-1 failures, opens on the next, rejects
+// while cooling down, admits exactly one half-open probe, reopens
+// instantly on a failed probe, and closes on a successful one — with the
+// Breaker hook reporting each transition. The jitter and the 16x cap of
+// the probe delay are pinned in chord's TestPeerHealthVerdicts.
 func TestBreakerTransitions(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	cooldown := time.Second
 	eng := sim.NewEngine(1)
 	n, _, log := newOverloadMachineForTest(t, eng,
 		BatchConfig{}, OverloadConfig{BreakerFailures: 3, BreakerCooldown: cooldown})
+	avoided := func() bool { ok, _ := n.ch.MayCarryDAT(dest, false); return !ok }
 
-	if !n.breakerAllows(dest) {
+	if !n.mayCarry(dest) {
 		t.Fatal("virgin peer not allowed")
 	}
-	n.breakerFailure(dest, true)
-	n.breakerFailure(dest, true)
-	if !n.breakerAllows(dest) || n.breakerOpenNow(dest) {
+	n.reportDAT(dest, chord.DATFailed, nil)
+	n.reportDAT(dest, chord.DATFailed, nil)
+	if !n.mayCarry(dest) || avoided() {
 		t.Fatal("breaker tripped below the failure threshold")
 	}
-	n.breakerFailure(dest, true) // third consecutive failure: open
-	if n.breakerAllows(dest) {
+	n.reportDAT(dest, chord.DATFailed, nil) // third consecutive failure: open
+	if n.mayCarry(dest) {
 		t.Fatal("open breaker allowed an attempt")
 	}
-	if !n.breakerOpenNow(dest) {
-		t.Fatal("breakerOpenNow disagrees with the open state")
+	if !avoided() {
+		t.Fatal("the read-only check disagrees with the open state")
 	}
 	if st := n.OverloadStats(); st.BreakerOpens != 1 || st.BreakersOpen != 1 {
 		t.Fatalf("stats after open: %+v", st)
 	}
-
-	// Probe delay is deterministic and jittered within [cd, cd+cd/4).
-	d1 := n.breakerProbeDelay(dest, 1, 0)
-	if d1 != n.breakerProbeDelay(dest, 1, 0) {
-		t.Fatal("probe delay is not deterministic")
-	}
-	if d1 < cooldown || d1 >= cooldown+cooldown/4 {
-		t.Fatalf("probe delay %v outside [%v, %v)", d1, cooldown, cooldown+cooldown/4)
-	}
-	if n.breakerProbeDelay(dest, 2, 0) == d1 && n.breakerProbeDelay(dest, 3, 0) == d1 {
-		t.Fatal("probe delay does not vary across opens")
-	}
-	// Failed probes back the cooldown off exponentially, capped at 16x.
-	for reopens, base := range map[int]time.Duration{1: 2 * cooldown, 3: 8 * cooldown, 9: 16 * cooldown} {
-		d := n.breakerProbeDelay(dest, 1, reopens)
-		if d < base || d >= base+base/4 {
-			t.Fatalf("probe delay %v after %d reopens outside [%v, %v)", d, reopens, base, base+base/4)
-		}
+	// The page renders the record: the failure that opened avoid also
+	// evicted the peer (its own strike plus the opening's), so no strikes
+	// are left, and the evidence that moved the verdicts is named.
+	var page strings.Builder
+	n.WriteOverloadDebug(&page)
+	if want := string(dest) + " 0 open 0 0s dat-fail"; !strings.Contains(strings.Join(strings.Fields(page.String()), " "), want) {
+		t.Fatalf("peer-health table lacks the row %q:\n%s", want, page.String())
 	}
 
+	// The probe delay is the cooldown plus jitter below a quarter of it.
+	eng.RunFor(cooldown - time.Millisecond)
+	if n.mayCarry(dest) {
+		t.Fatal("probe admitted before the cooldown elapsed")
+	}
 	// Cooldown elapsed: exactly one probe is admitted.
-	eng.RunFor(cooldown + cooldown/4)
-	if n.breakerOpenNow(dest) {
-		t.Fatal("breakerOpenNow still rejecting after the cooldown")
+	eng.RunFor(cooldown / 4)
+	if avoided() {
+		t.Fatal("the read-only check still rejects after the cooldown")
 	}
-	if !n.breakerAllows(dest) {
+	if !n.mayCarry(dest) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
-	if n.breakerAllows(dest) {
+	if n.mayCarry(dest) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 
 	// Failed probe: instant reopen.
-	n.breakerFailure(dest, true)
-	if n.breakerAllows(dest) {
+	n.reportDAT(dest, chord.DATFailed, nil)
+	if n.mayCarry(dest) {
 		t.Fatal("reopened breaker allowed an attempt")
 	}
 	if st := n.OverloadStats(); st.BreakerOpens != 2 {
 		t.Fatalf("opens = %d after failed probe, want 2", st.BreakerOpens)
 	}
 
-	// Successful probe: closed, entry gone. The failed probe doubled the
+	// Successful probe: closed, record gone. The failed probe doubled the
 	// cooldown, so wait out the backed-off window (plus its jitter).
 	eng.RunFor(2*cooldown + 2*cooldown/4)
-	if !n.breakerAllows(dest) {
+	if !n.mayCarry(dest) {
 		t.Fatal("second probe refused")
 	}
-	n.breakerSuccess(dest)
-	if !n.breakerAllows(dest) || n.breakerOpenNow(dest) {
+	n.reportDAT(dest, chord.DATAcked, nil)
+	if !n.mayCarry(dest) || avoided() {
 		t.Fatal("closed breaker still rejecting")
 	}
-	n.brMu.Lock()
-	_, lives := n.breakers[dest]
-	n.brMu.Unlock()
-	if lives {
-		t.Fatal("closed breaker entry not deleted")
+	if rows, _, _ := n.ch.PeerHealth(); len(rows) != 0 {
+		t.Fatalf("closed peer's record not deleted: %+v", rows)
 	}
 
 	pfx := "breaker:" + string(dest) + "/"
@@ -410,20 +402,20 @@ func TestBreakerTransitions(t *testing.T) {
 		}
 	}
 
-	// A success while merely accumulating strikes resets silently: no
+	// A success while merely accumulating failures resets silently: no
 	// "closed" transition is reported for a breaker that never opened.
-	n.breakerFailure(dest, true)
-	n.breakerSuccess(dest)
+	n.reportDAT(dest, chord.DATFailed, nil)
+	n.reportDAT(dest, chord.DATAcked, nil)
 	if got := log.snapshot(); len(got) != len(want) {
 		t.Fatalf("untripped success fired a transition: %v", got[len(want):])
 	}
 }
 
-// TestBreakerAdmissionShed pins where an open breaker acts. The delivery
-// layer fails fast: an update bound for the isolated peer is treated as
+// TestBreakerAdmissionShed pins where an avoid verdict acts. The delivery
+// layer fails fast: an update bound for the avoided peer is treated as
 // refused — no datagram, no queue entry, straight to the next candidate
 // (here there is none, so the chain ends abandoned after one attempt).
-// The send machine itself consults no breaker and refuses nothing: a
+// The send machine itself consults no verdict and refuses nothing: a
 // detach handed to it queues as always.
 func TestBreakerAdmissionShed(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
@@ -440,7 +432,7 @@ func TestBreakerAdmissionShed(t *testing.T) {
 	n.cfg.Obs.DeliveryDone = func(ok bool, attempts int, _ time.Duration) {
 		dones = append(dones, done{ok, attempts})
 	}
-	n.breakerFailure(dest, true) // open
+	n.reportDAT(dest, chord.DATFailed, nil) // open
 
 	um := testUpdate(1)
 	n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)

@@ -95,8 +95,8 @@ func TestParentMemoFollowsRoutingVersion(t *testing.T) {
 	d, ch := c.DAT[i], c.Chord[i]
 	v := ch.Routing().Version
 	before, _, _ := d.ParentFor(key)
-	ch.Suspect(before.Addr)
-	ch.Suspect(before.Addr)
+	ch.Report(before.Addr, chord.ChordFailed, nil, 0, 0)
+	ch.Report(before.Addr, chord.ChordFailed, nil, 0, 0)
 	if ch.Routing().Version == v {
 		t.Fatalf("evicting %v did not move the routing version", before)
 	}

@@ -218,8 +218,8 @@ func (n *Node) treeSent(el *BatchElem) {
 // (DESIGN.md §12): a closed machine refuses the element with
 // ErrSendClosed; otherwise it is appended to its destination's queue,
 // which is flushed at once if a size trigger tripped, else its deadline
-// timer is armed. An open breaker is not its business: every update
-// comes from delivery.sendAttempt, which has just passed breakerAllows.
+// timer is armed. Peer health is not its business: every update comes
+// from delivery.sendAttempt, which has just asked the record.
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)

@@ -60,9 +60,16 @@ func newMachineForTest(t *testing.T, eng *sim.Engine, bc BatchConfig) (*Node, *s
 	cfg.Obs = obs.CoreHooks{BatchFlush: func(reason string, elems, saved int) {
 		*flushes = append(*flushes, flushRecord{reason, elems, saved})
 	}}
-	n := &Node{ep: ep, clock: transport.SimClock{Engine: eng}, cfg: cfg}
+	clock := transport.SimClock{Engine: eng}
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg}
 	n.sm = newSendMachine(n, cfg.Batch)
 	return n, ep, flushes
+}
+
+// testChord is a chord node on ep that never joins a ring: the peer-
+// health record a Node shell reports to and reads its verdicts from.
+func testChord(ep transport.Endpoint, clock transport.Clock) *chord.Node {
+	return chord.New(ep, clock, 1, chord.Config{Space: ident.New(16)})
 }
 
 func testUpdate(i int) UpdateMsg {

@@ -135,7 +135,8 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 	var dones []doneRec
 	cfg := NodeConfig{Batch: BatchConfig{MaxElems: 1}}.withDefaults()
 	cfg.Obs.DeliveryDone = func(ok bool, attempts int, _ time.Duration) { dones = append(dones, doneRec{ok, attempts}) }
-	n := &Node{ep: ep, clock: transport.SimClock{Engine: eng}, cfg: cfg, aggs: make(map[ident.ID]*aggEntry)}
+	clock := transport.SimClock{Engine: eng}
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg, aggs: make(map[ident.ID]*aggEntry)}
 	n.sm = newSendMachine(n, cfg.Batch)
 	e := n.entryLocked(7)
 	parent := chord.NodeRef{ID: 9, Addr: "10.0.0.2:1"}

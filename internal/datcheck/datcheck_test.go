@@ -65,6 +65,9 @@ var corpusSeeds = []int64{
 	// and armed breakers under slow parents, ack blackholes and fan-in
 	// bursts, with the queue bound audited at every settle.
 	OverloadSeedBase + 1, OverloadSeedBase + 2, OverloadSeedBase + 3,
+	// A delivery-fault seed from the wide sweep that lost a subtree after
+	// a crash while handover hearsay still evicted live roots.
+	FaultSeedBase + 32,
 }
 
 // runSeed executes one scenario and reports failures with a replay

@@ -15,10 +15,10 @@ import (
 // the cheapest failure signal the stack gets (closed endpoint,
 // unresolvable peer), and a Call's response error is the *only* place
 // an ack timeout surfaces; dropping either on the floor hides dead
-// neighbors from the two-strike failure detector. Route sends through
-// a helper that feeds failures to Node.Suspect (see chord.Node.send),
-// handle callback errors where they arrive, or suppress a genuinely
-// fire-and-forget site with //datlint:ignore senderr <reason>.
+// neighbors from the peer-health record. Route sends through
+// chord.Node.Send, which reports failures to it, handle callback errors
+// where they arrive, or suppress a genuinely fire-and-forget site with
+// //datlint:ignore senderr <reason>.
 var SendErr = &Analyzer{
 	Name: "senderr",
 	Doc:  "flags discarded errors from transport/rpcudp send paths",
@@ -38,7 +38,7 @@ func runSendErr(pass *Pass) {
 				checkCallCallback(pass, s)
 			case *ast.ExprStmt:
 				if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isTransportSend(pass, call) {
-					pass.Reportf(call.Pos(), "transport send error silently dropped; handle it (feed Node.Suspect) or assign and justify with //datlint:ignore senderr")
+					pass.Reportf(call.Pos(), "transport send error silently dropped; handle it (report it to the peer-health record) or assign and justify with //datlint:ignore senderr")
 				}
 			case *ast.AssignStmt:
 				if len(s.Rhs) != 1 {
@@ -53,7 +53,7 @@ func runSendErr(pass *Pass) {
 						return true // at least one result is kept
 					}
 				}
-				pass.Reportf(call.Pos(), "transport send error discarded with _; handle it (feed Node.Suspect) or justify with //datlint:ignore senderr")
+				pass.Reportf(call.Pos(), "transport send error discarded with _; handle it (report it to the peer-health record) or justify with //datlint:ignore senderr")
 			}
 			return true
 		})
@@ -90,12 +90,12 @@ func checkCallCallback(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	if len(last.Names) == 0 {
-		pass.Reportf(lit.Pos(), "Call response error ignored by the callback; handle it (feed Node.Suspect) or justify with //datlint:ignore senderr")
+		pass.Reportf(lit.Pos(), "Call response error ignored by the callback; handle it (report it to the peer-health record) or justify with //datlint:ignore senderr")
 		return
 	}
 	errIdent := last.Names[len(last.Names)-1]
 	if errIdent.Name == "_" {
-		pass.Reportf(errIdent.Pos(), "Call response error ignored by the callback; handle it (feed Node.Suspect) or justify with //datlint:ignore senderr")
+		pass.Reportf(errIdent.Pos(), "Call response error ignored by the callback; handle it (report it to the peer-health record) or justify with //datlint:ignore senderr")
 		return
 	}
 	obj := pass.Info.Defs[errIdent]
@@ -111,7 +111,7 @@ func checkCallCallback(pass *Pass, call *ast.CallExpr) {
 		return true
 	})
 	if !used {
-		pass.Reportf(errIdent.Pos(), "Call response error %s is never read in the callback; handle it (feed Node.Suspect) or justify with //datlint:ignore senderr", errIdent.Name)
+		pass.Reportf(errIdent.Pos(), "Call response error %s is never read in the callback; handle it (report it to the peer-health record) or justify with //datlint:ignore senderr", errIdent.Name)
 	}
 }
 

@@ -201,20 +201,6 @@ func NewService(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, sc
 // a ring.
 func (s *Service) Observe(h obs.MAANHooks) { s.obs = h }
 
-// send fires a best-effort datagram. A failure that speaks about the
-// destination feeds the chord layer's two-strike failure detector, so a
-// dead successor or query originator noticed on the directory path is
-// evicted from the routing tables without waiting for overlay
-// maintenance. A failure of this endpoint or of the message itself
-// (closed, too large for a datagram) blames nobody.
-func (s *Service) send(to transport.Addr, typ string, payload any) error {
-	err := s.ep.Send(to, typ, payload)
-	if err != nil && !errors.Is(err, transport.ErrClosed) && !errors.Is(err, transport.ErrTooLarge) {
-		s.ch.Suspect(to)
-	}
-	return err
-}
-
 // replicateToSuccessor pushes this node's full entry set to its
 // immediate successor (one one-way message per scan; no-op when
 // replication is off, the node is alone, or it stores nothing).
@@ -244,7 +230,7 @@ func (s *Service) replicateToSuccessor() {
 	if len(batch) == 0 {
 		return
 	}
-	s.send(succ.Addr, MsgReplicate, ReplicateMsg{Owner: s.ep.Addr(), Entries: batch})
+	s.ch.Send(succ.Addr, MsgReplicate, ReplicateMsg{Owner: s.ep.Addr(), Entries: batch})
 }
 
 // handleReplicate replaces the replica set held for one origin owner.
@@ -643,7 +629,7 @@ func (s *Service) handleRange(req *transport.Request) {
 		if !alone && (pred.IsZero() || !space.InHalfOpen(rr.LoKey, pred.ID, self.ID)) {
 			// Best effort: unanswered, the query times out and the
 			// originator drops the arc all the same.
-			_ = s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Err: errNotOwner})
+			_ = s.ch.Send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Err: errNotOwner})
 			return
 		}
 		rr.Start = self.Addr
@@ -682,7 +668,7 @@ func (s *Service) handleRange(req *transport.Request) {
 		lastHop = true
 	}
 	if lastHop {
-		if err := s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Found: rr.Found, Hops: rr.Hops}); err != nil {
+		if err := s.ch.Send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Found: rr.Found, Hops: rr.Hops}); err != nil {
 			s.abandon(rr, err)
 		}
 		return
@@ -693,7 +679,7 @@ func (s *Service) handleRange(req *transport.Request) {
 	// explicitly in case its predecessor pointer is still unset.
 	rr.Final = (space.InHalfOpen(rr.HiKey, self.ID, succ.ID) && spanEndsAt(space, rr, succ.ID)) ||
 		succ.Addr == rr.Start
-	if err := s.send(succ.Addr, MsgRange, rr); err != nil {
+	if err := s.ch.Send(succ.Addr, MsgRange, rr); err != nil {
 		s.abandon(rr, err)
 	}
 }
@@ -703,7 +689,7 @@ func (s *Service) handleRange(req *transport.Request) {
 func (s *Service) abandon(rr RangeReq, cause error) {
 	// Best effort: with the originator out of reach too, the timeout is
 	// what remains.
-	_ = s.send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Hops: rr.Hops, Err: cause.Error()})
+	_ = s.ch.Send(rr.Origin, MsgResult, ResultMsg{QueryID: rr.QueryID, Hops: rr.Hops, Err: cause.Error()})
 }
 
 // spanEndsAt reports whether the queried span [LoKey, HiKey] ends at or

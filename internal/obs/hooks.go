@@ -25,8 +25,8 @@ type ChordHooks struct {
 	// JoinDone fires when a Join attempt completes, with its latency on
 	// the node's clock.
 	JoinDone func(d time.Duration, err error)
-	// Suspected fires when a peer earns a failure-detector strike;
-	// Evicted fires when the second strike removes it (DESIGN.md §4).
+	// Suspected fires on each ring strike a peer earns in the peer-health
+	// record; Evicted when the second removes it (DESIGN.md §10).
 	Suspected func(addr transport.Addr)
 	Evicted   func(addr transport.Addr)
 }
@@ -78,8 +78,8 @@ type CoreHooks struct {
 	// else: the node's own load scalars are counted by core.Node at the
 	// same site (DESIGN.md §13).
 	TreeSent func(key ident.ID, typ string, bytes int)
-	// Breaker fires on every per-peer circuit-breaker transition with
-	// the new state ("open", "half-open", "closed").
+	// Breaker fires on every transition of a peer's avoid-as-DAT-parent
+	// verdict with the new state ("open", "half-open", "closed").
 	Breaker func(peer transport.Addr, state string)
 }
 

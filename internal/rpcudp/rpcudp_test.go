@@ -34,7 +34,7 @@ func init() {
 		})
 }
 
-func listen(t *testing.T, cfg Config) *Endpoint {
+func listen(t testing.TB, cfg Config) *Endpoint {
 	t.Helper()
 	e, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {

@@ -270,10 +270,11 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 		t.Errorf("/debug/load has no live cluster summary:\n%s", load)
 	}
 
-	// No peer above set PeerConfig.Overload: the zero value is armed
-	// breakers at the default thresholds.
+	// No peer above set PeerConfig.Overload: the zero value arms the
+	// avoid verdict at the default thresholds.
 	code, overload := get("/debug/overload")
-	if code != http.StatusOK || !strings.Contains(overload, "breaker: 3 fails, 1s cooldown") {
+	if code != http.StatusOK || !strings.Contains(overload, "breaker: 3 fails, 1s cooldown; evict: 2 strikes") ||
+		!strings.Contains(overload, "== peer health ==") {
 		t.Fatalf("/debug/overload: code=%d body=%q", code, overload)
 	}
 
