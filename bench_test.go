@@ -66,7 +66,7 @@ func BenchmarkTreeHeight(b *testing.B) {
 // BenchmarkFig8aMessageDistribution regenerates Fig. 8(a): aggregation
 // message counts by node rank at n=512.
 func BenchmarkFig8aMessageDistribution(b *testing.B) {
-	cfg := experiments.LoadBalanceConfig{N: 512, Seed: 1, Probing: true}
+	cfg := experiments.LoadBalanceConfig{N: 512, Seed: 1, IDs: dat.ProbedIDs}
 	for i := 0; i < b.N; i++ {
 		t := experiments.MessageDistribution(cfg)
 		if t.ID != "fig8a" {
@@ -78,7 +78,7 @@ func BenchmarkFig8aMessageDistribution(b *testing.B) {
 // BenchmarkFig8bImbalance regenerates Fig. 8(b): imbalance factor vs
 // network size.
 func BenchmarkFig8bImbalance(b *testing.B) {
-	cfg := experiments.LoadBalanceConfig{Sizes: []int{100, 400, 1000}, Seed: 1, Probing: true}
+	cfg := experiments.LoadBalanceConfig{Sizes: []int{100, 400, 1000}, Seed: 1, IDs: dat.ProbedIDs}
 	for i := 0; i < b.N; i++ {
 		t := experiments.Imbalance(cfg)
 		if t.ID != "fig8b" {
@@ -380,7 +380,7 @@ func BenchmarkMultiTreeLoad(b *testing.B) {
 
 // BenchmarkMessageOverhead regenerates the per-node overhead table.
 func BenchmarkMessageOverhead(b *testing.B) {
-	cfg := experiments.LoadBalanceConfig{Sizes: []int{100, 400}, Seed: 1, Probing: true}
+	cfg := experiments.LoadBalanceConfig{Sizes: []int{100, 400}, Seed: 1, IDs: dat.ProbedIDs}
 	for i := 0; i < b.N; i++ {
 		_ = experiments.MessageOverhead(cfg)
 	}

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 )
 
@@ -50,7 +51,7 @@ func main() {
 		}
 	}
 	if run("fig8a") {
-		cfg := experiments.LoadBalanceConfig{Seed: *seed, Probing: true}
+		cfg := experiments.LoadBalanceConfig{Seed: *seed, IDs: cluster.ProbedIDs}
 		if *quick {
 			cfg.N = 128
 		}
@@ -58,7 +59,7 @@ func main() {
 		tables = append(tables, experiments.MessageDistribution(cfg))
 	}
 	if run("fig8b") {
-		cfg := experiments.LoadBalanceConfig{Seed: *seed, Probing: true}
+		cfg := experiments.LoadBalanceConfig{Seed: *seed, IDs: cluster.ProbedIDs}
 		if *quick {
 			cfg.Sizes = []int{100, 400, 1000}
 		}
@@ -107,7 +108,7 @@ func main() {
 		tables = append(tables, od)
 	}
 	if run("overhead") {
-		cfg := experiments.LoadBalanceConfig{Seed: *seed, Probing: true}
+		cfg := experiments.LoadBalanceConfig{Seed: *seed, IDs: cluster.ProbedIDs}
 		if *quick {
 			cfg.Sizes = []int{100, 400, 1000}
 		}

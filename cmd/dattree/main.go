@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/chord"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
 )
@@ -41,20 +42,14 @@ func main() {
 		}
 		*bits = b
 	}
-	space := ident.New(*bits)
-	rng := newRand(*seed)
-	var nodeIDs []ident.ID
-	switch *ids {
-	case "random":
-		nodeIDs = chord.RandomIDs(space, *n, rng)
-	case "probed":
-		nodeIDs = chord.ProbedIDs(space, *n, rng)
-	case "even":
-		nodeIDs = chord.EvenIDs(space, *n)
-	default:
+	placement, ok := map[string]cluster.IDStrategy{
+		"random": cluster.RandomIDs, "probed": cluster.ProbedIDs, "even": cluster.EvenIDs,
+	}[*ids]
+	if !ok {
 		log.Fatalf("dattree: unknown placement %q", *ids)
 	}
-	ring, err := chord.NewRing(space, nodeIDs)
+	space := ident.New(*bits)
+	ring, err := chord.NewRing(space, placement.IDs(space, *n, rand.New(rand.NewSource(*seed))))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,5 +92,3 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *dot)
 	}
 }
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -31,6 +31,7 @@ import (
 	"math/rand"
 
 	"repro/internal/chord"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/maan"
@@ -115,19 +116,19 @@ const (
 type Series = trace.Series
 
 // IDStrategy selects how overlay identifiers are placed on the ring.
-type IDStrategy int
+type IDStrategy = cluster.IDStrategy
 
 // Identifier placement strategies.
 const (
 	// RandomIDs places nodes uniformly at random (plain consistent
 	// hashing); adjacent gaps spread by O(log n).
-	RandomIDs IDStrategy = iota
+	RandomIDs = cluster.RandomIDs
 	// ProbedIDs uses the identifier-probing join of Adler et al., which
 	// bounds the gap spread by a constant and is what makes balanced
 	// DATs' branching a small constant in practice.
-	ProbedIDs
+	ProbedIDs = cluster.ProbedIDs
 	// EvenIDs spaces nodes perfectly evenly (the theoretical ideal).
-	EvenIDs
+	EvenIDs = cluster.EvenIDs
 )
 
 // Topology is a converged-overlay snapshot for analytical studies: it
@@ -151,17 +152,7 @@ func NewTopology(bits uint, n int, strategy IDStrategy, seed int64) (*Topology, 
 	if n <= 0 || uint64(n) > space.Size() {
 		return nil, fmt.Errorf("dat: %d nodes do not fit a %d-bit identifier space", n, bits)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var ids []ident.ID
-	switch strategy {
-	case EvenIDs:
-		ids = chord.EvenIDs(space, n)
-	case ProbedIDs:
-		ids = chord.ProbedIDs(space, n, rng)
-	default:
-		ids = chord.RandomIDs(space, n, rng)
-	}
-	ring, err := chord.NewRing(space, ids)
+	ring, err := chord.NewRing(space, strategy.IDs(space, n, rand.New(rand.NewSource(seed))))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package chord
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"math/rand"
 	"sync"
@@ -34,10 +35,6 @@ type Config struct {
 	FingersPerFix int
 	// PingEvery is the predecessor liveness check period. Default 1s.
 	PingEvery time.Duration
-	// Seed seeds node-local randomness (maintenance jitter). The
-	// simulated clock applies its own engine-seeded jitter, so this only
-	// matters for real transports. Default 1.
-	Seed int64
 	// Obs receives protocol telemetry: lookup hop counts, stabilization
 	// rounds, join latency, and failure-detector events. The zero value
 	// disables instrumentation (DESIGN.md §9).
@@ -62,9 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.PingEvery <= 0 {
 		c.PingEvery = time.Second
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
@@ -82,6 +76,11 @@ var (
 	// lone ring while the real one routes around its arc — a permanent
 	// split. Callers must retry after a failure-detection period.
 	ErrStaleIncarnation = errors.New("chord: ring still resolves our identifier to a previous incarnation")
+	// ErrIDTaken means a join-time lookup resolved this node's identifier
+	// to another live node that already holds it: two nodes with one
+	// identifier would own one arc. A probing joiner retries with a new
+	// probe.
+	ErrIDTaken = errors.New("chord: identifier already held by another node")
 )
 
 // Node is a live Chord protocol node. It owns its transport endpoint's
@@ -107,19 +106,14 @@ type Node struct {
 	rt          *Routing
 	view        atomic.Pointer[Routing]
 	succScratch []NodeRef // stabilize builds its candidate list here
-	fofPred     map[transport.Addr]NodeRef
 	nextFix     int
 	running     bool
 	stops       []func()
-	rng         *rand.Rand
+	rng         *rand.Rand // probe draws, seeded from the first identifier
 	handlers    map[string]transport.Handler
 	upcalls     map[string]func(from NodeRef, payload []byte)
 	onPred      func(old, new NodeRef)
 	health      health // every peer's health record (health.go)
-
-	// JoinedAt records (clock time) when the node finished joining; used
-	// by experiments to measure convergence.
-	joinedAt time.Duration
 }
 
 // New creates a node bound to the endpoint with the given identifier.
@@ -144,9 +138,8 @@ func New(ep transport.Endpoint, clock transport.Clock, id ident.ID, cfg Config) 
 			space:   cfg.Space,
 			state:   StateResp{Self: self}, // no neighbours: nothing else to derive
 		},
-		fofPred:  make(map[transport.Addr]NodeRef),
 		health:   health{peers: make(map[transport.Addr]*peerHealth)},
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(int64(id))),
 		handlers: make(map[string]transport.Handler),
 		upcalls:  make(map[string]func(NodeRef, []byte)),
 	}
@@ -173,15 +166,6 @@ func (n *Node) Successor() NodeRef { return n.Routing().Successor() }
 
 // Predecessor returns the current predecessor (zero if unknown).
 func (n *Node) Predecessor() NodeRef { return n.Routing().Pred }
-
-// FingerPredecessor returns the cached predecessor of a finger (the
-// fingers-of-fingers information of §4), if known.
-func (n *Node) FingerPredecessor(addr transport.Addr) (NodeRef, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p, ok := n.fofPred[addr]
-	return p, ok
-}
 
 // EstimatedNetworkSize estimates n from the gap estimate.
 func (n *Node) EstimatedNetworkSize() uint64 { return n.Routing().EstimatedNetworkSize() }
@@ -229,7 +213,6 @@ func (n *Node) Create() {
 	n.mu.Lock()
 	n.setNeighborsLocked(NodeRef{}, nil, nil)
 	n.running = true
-	n.joinedAt = n.clock.Now()
 	n.mu.Unlock()
 	n.cfg.Logger.Info("created ring", "id", n.Self().ID.String())
 	n.startMaintenance()
@@ -245,7 +228,6 @@ func (n *Node) SeedState(pred NodeRef, succs, fingers []NodeRef) {
 	n.mu.Lock()
 	n.setNeighborsLocked(pred, succs, fingers)
 	n.running = true
-	n.joinedAt = n.clock.Now()
 	n.mu.Unlock()
 	n.startMaintenance()
 }
@@ -279,6 +261,10 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 			// refuse and let the caller retry once suspicion evicts the
 			// ghost.
 			done(fmt.Errorf("chord: join via %s: %w", bootstrap, ErrStaleIncarnation))
+			return
+		}
+		if succ.ID == n.Self().ID {
+			done(fmt.Errorf("chord: join via %s: %s holds %v: %w", bootstrap, succ.Addr, succ.ID, ErrIDTaken))
 			return
 		}
 		// Verify the successor is actually alive and adopt its successor
@@ -321,7 +307,6 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 			}
 			n.setNeighborsLocked(NodeRef{}, list, nil)
 			n.running = true
-			n.joinedAt = n.clock.Now()
 			n.mu.Unlock()
 			n.startMaintenance()
 			// Kick stabilization immediately so the ring converges without
@@ -336,7 +321,8 @@ func (n *Node) Join(bootstrap transport.Addr, cb func(error)) {
 // it routes a probe to the successor of a random identifier, asks it to
 // split the largest interval it can see among itself and its fingers,
 // adopts the returned identifier, and then joins normally. cb receives
-// the adopted identifier.
+// the adopted identifier; ErrIDTaken means a concurrent joiner took it
+// first, and a retry draws a new probe.
 func (n *Node) JoinProbed(bootstrap transport.Addr, cb func(ident.ID, error)) {
 	probe := n.space.Wrap(n.randUint64())
 	n.lookupVia(bootstrap, probe, func(owner NodeRef, err error) {
@@ -556,9 +542,13 @@ func (n *Node) handleLeave(req *transport.Request) {
 
 // handleProbeSplit serves the identifier-probing join: it queries the
 // live predecessor of each candidate (itself, its fingers, its
-// successor) and replies with the midpoint of the largest interval.
+// successor) and splits the largest interval inside its middle half, at
+// an offset hashed from the requester's address — joiners answered
+// concurrently see the same largest interval, and a stateless midpoint
+// would hand them all one identifier.
 func (n *Node) handleProbeSplit(req *transport.Request) {
 	rt := n.Routing()
+	from := req.From
 	type cand struct {
 		ref  NodeRef
 		pred NodeRef // known locally only for self
@@ -602,16 +592,17 @@ func (n *Node) handleProbeSplit(req *transport.Request) {
 			req.Reply(ProbeSplitResp{AssignedID: space.Wrap(n.randUint64())})
 			return
 		}
-		mid := space.Sub(best.ref.ID, best.gap/2)
-		req.Reply(ProbeSplitResp{AssignedID: mid})
+		h := fnv.New64a()
+		h.Write([]byte(from))
+		off := best.gap/2 - best.gap/4 + h.Sum64()%(best.gap/2) // in [1, gap)
+		req.Reply(ProbeSplitResp{AssignedID: space.Sub(best.ref.ID, best.gap-off)})
 	}
 	record := func(ref NodeRef, pred NodeRef, ok bool) {
 		gmu.Lock()
 		defer gmu.Unlock()
+		// An unknown predecessor is skipped rather than guessed.
 		if ok && !pred.IsZero() && pred.Addr != ref.Addr {
 			gaps = append(gaps, gapInfo{ref: ref, gap: space.Dist(pred.ID, ref.ID)})
-		} else if ok && pred.IsZero() {
-			// Unknown predecessor: skip rather than guess.
 		}
 		pending--
 		if pending == 0 {
@@ -634,21 +625,9 @@ func (n *Node) handleProbeSplit(req *transport.Request) {
 				record(c.ref, NodeRef{}, false)
 				return
 			}
-			n.noteState(resp)
 			record(c.ref, resp.Predecessor, true)
 		})
 	}
-}
-
-// noteState caches fingers-of-fingers information gleaned from any
-// StateResp passing by.
-func (n *Node) noteState(resp StateResp) {
-	if resp.Self.IsZero() {
-		return
-	}
-	n.mu.Lock()
-	n.fofPred[resp.Self.Addr] = resp.Predecessor
-	n.mu.Unlock()
 }
 
 // --- lookups ---
@@ -826,7 +805,6 @@ func (n *Node) stabilize() {
 		if !ok {
 			return
 		}
-		n.noteState(resp)
 		n.mu.Lock()
 		cur, selfRef := n.rt.Succs, n.rt.Self
 		if len(cur) == 0 || cur[0].Addr != succ.Addr {

@@ -244,12 +244,66 @@ func TestProbingJoinSpreadsIdentifiers(t *testing.T) {
 	}
 	c.awaitConvergence(3 * time.Minute)
 
-	// Probe-local splitting yields power-of-two intervals; at this small
-	// n the max/min ratio is a constant but can reach a few powers of
-	// two. Random placement at n=25 typically exceeds 100.
+	// Probe-local splitting cuts the largest visible interval inside its
+	// middle half; at this small n the max/min ratio is a constant but
+	// can reach a few powers of two. Random placement at n=25 typically
+	// exceeds 100.
 	ring := c.idealRing()
 	if ratio := ring.GapRatio(); ratio > 32 {
 		t.Errorf("probed protocol ring gap ratio %.1f, want small constant", ratio)
+	}
+}
+
+// TestConcurrentProbingJoinsTakeDistinctIDs: sixteen probing joins
+// started at one instant into a 4-node ring end with twenty distinct
+// identifiers and a converged ring. Each joiner draws its probe from an
+// rng seeded by its first identifier (a live peer's is the hash of its
+// address), an owner answering several joiners at once offsets its split
+// by each one's address, and a joiner that finds its identifier taken
+// probes again.
+func TestConcurrentProbingJoinsTakeDistinctIDs(t *testing.T) {
+	c := newSimCluster(t, 7, 20, transport.SimConfig{})
+	c.buildRing(EvenIDs(c.space, 4))
+	boot := c.nodes[0].Self().Addr
+	const joiners = 16
+	retries := 0
+	for i := 0; i < joiners; i++ {
+		n := c.addNode(c.space.HashString(fmt.Sprintf("sim/%d", len(c.nodes))))
+		var try func()
+		try = func() {
+			n.JoinProbed(boot, func(_ ident.ID, err error) {
+				if err != nil {
+					retries++
+					c.eng.Schedule(time.Second, try)
+				}
+			})
+		}
+		try()
+	}
+	c.eng.RunFor(30 * time.Second)
+	held := map[ident.ID]bool{}
+	for _, n := range c.live() {
+		held[n.Self().ID] = true
+	}
+	if len(c.live()) != 4+joiners || len(held) != 4+joiners {
+		t.Fatalf("%d running nodes hold %d distinct identifiers after %d retries, want %d",
+			len(c.live()), len(held), retries, 4+joiners)
+	}
+	c.awaitConvergence(2 * time.Minute)
+}
+
+// TestJoinRefusesTakenID: a join whose identifier another live node
+// already holds fails with ErrIDTaken instead of entering the ring
+// beside it.
+func TestJoinRefusesTakenID(t *testing.T) {
+	c := newSimCluster(t, 8, 12, transport.SimConfig{})
+	c.buildRing(EvenIDs(c.space, 4))
+	dup := c.addNode(c.nodes[2].Self().ID)
+	var err error
+	dup.Join(c.nodes[0].Self().Addr, func(e error) { err = e })
+	c.eng.RunFor(time.Second)
+	if !errors.Is(err, ErrIDTaken) || dup.Running() {
+		t.Fatalf("join onto a held identifier: err=%v running=%v, want ErrIDTaken", err, dup.Running())
 	}
 }
 
@@ -374,17 +428,6 @@ func TestTwoNodeRing(t *testing.T) {
 	}
 	if a.Predecessor().ID != 700 || b.Predecessor().ID != 10 {
 		t.Fatalf("two-node preds wrong: a.pred=%v b.pred=%v", a.Predecessor(), b.Predecessor())
-	}
-}
-
-func TestFingerPredecessorCache(t *testing.T) {
-	c := newSimCluster(t, 11, 12, transport.SimConfig{})
-	c.buildRing(EvenIDs(c.space, 8))
-	// Stabilization fills the FOF cache for at least the successor.
-	n := c.nodes[0]
-	succ := n.Successor()
-	if _, ok := n.FingerPredecessor(succ.Addr); !ok {
-		t.Fatal("no fingers-of-fingers entry for the successor after stabilization")
 	}
 }
 

@@ -258,7 +258,6 @@ func (n *Node) setNeighborsLocked(pred NodeRef, succs, fingers []NodeRef) {
 //
 //datlint:routever-mutator
 func (n *Node) removeDeadLocked(addr transport.Addr) {
-	delete(n.fofPred, addr)
 	cur := n.rt
 	pred, succs, fingers := cur.Pred, cur.Succs, cur.Fingers
 	changed := false

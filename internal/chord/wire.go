@@ -33,15 +33,16 @@ const (
 	// k?" The reply either finishes the lookup or names a closer node.
 	MsgStep = "chord.step"
 	// MsgGetState asks a node for its predecessor and successor list
-	// (used by stabilization and as our fingers-of-fingers refresh).
+	// (used by stabilization, joins and the probing split).
 	MsgGetState = "chord.get_state"
 	// MsgNotify tells a node about a possible better predecessor.
 	MsgNotify = "chord.notify"
 	// MsgPing checks liveness.
 	MsgPing = "chord.ping"
 	// MsgProbeSplit implements the identifier-probing join: the receiver
-	// inspects the intervals of itself and its fingers and returns the
-	// midpoint of the largest one as the joiner's designated identifier.
+	// inspects the intervals of itself and its fingers and returns a
+	// point in the middle half of the largest one as the joiner's
+	// designated identifier.
 	MsgProbeSplit = "chord.probe_split"
 	// MsgLeave announces a graceful departure to the neighbors.
 	MsgLeave = "chord.leave"
@@ -74,7 +75,7 @@ type StateResp struct {
 	Predecessor NodeRef
 	Successors  []NodeRef
 	// Fingers is the receiver's current finger table (distinct entries
-	// only). Carried so callers can maintain fingers-of-fingers (§4).
+	// only). No receiver reads it today; it is part of the wire layout.
 	Fingers []NodeRef
 }
 

@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"time"
 
 	"repro/internal/chord"
@@ -23,7 +24,9 @@ import (
 	"repro/internal/transport"
 )
 
-// IDStrategy selects how node identifiers are generated.
+// IDStrategy selects how node identifiers are placed on the ring. It is
+// the one placement type: the simulator, the snapshot topologies, the
+// experiments and the tools all place identifiers through IDs.
 type IDStrategy int
 
 // Identifier generation strategies (paper §5.2 compares random
@@ -51,6 +54,20 @@ func (s IDStrategy) String() string {
 	}
 }
 
+// IDs returns n distinct identifiers of space placed by the strategy,
+// drawing from rng (EvenIDs draws nothing). An unknown strategy places
+// at random.
+func (s IDStrategy) IDs(space ident.Space, n int, rng *rand.Rand) []ident.ID {
+	switch s {
+	case EvenIDs:
+		return chord.EvenIDs(space, n)
+	case ProbedIDs:
+		return chord.ProbedIDs(space, n, rng)
+	default:
+		return chord.RandomIDs(space, n, rng)
+	}
+}
+
 // Options configures a simulated cluster.
 type Options struct {
 	// N is the number of nodes. Required.
@@ -61,8 +78,8 @@ type Options struct {
 	Seed int64
 	// IDs selects the identifier strategy. Default RandomIDs.
 	IDs IDStrategy
-	// Scheme selects the DAT parent rule for the live nodes. Default
-	// BalancedLocal (what the prototype can compute locally).
+	// Scheme selects the DAT parent rule for the live nodes; see
+	// core.NodeConfig.Scheme (default Basic).
 	Scheme core.Scheme
 	// Latency models one-way delay. Default constant 1ms.
 	Latency sim.LatencyModel
@@ -101,8 +118,6 @@ type Options struct {
 	// to the DAT layer. The zero value is armed breakers with the default
 	// thresholds.
 	Overload core.OverloadConfig
-	// DropProb injects message loss.
-	DropProb float64
 	// Observer wires runtime telemetry through every node: the network
 	// tap feeds its message counters, and all chord/core hooks report to
 	// its instruments and span ring (DESIGN.md §9). Hooks never schedule
@@ -188,21 +203,9 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: N must be positive")
 	}
 	eng := sim.NewEngine(opts.Seed)
-	net := transport.NewSimNetwork(eng, transport.SimConfig{
-		Latency:  opts.Latency,
-		DropProb: opts.DropProb,
-	})
+	net := transport.NewSimNetwork(eng, transport.SimConfig{Latency: opts.Latency})
 	space := ident.New(opts.Bits)
-
-	var ids []ident.ID
-	switch opts.IDs {
-	case EvenIDs:
-		ids = chord.EvenIDs(space, opts.N)
-	case ProbedIDs:
-		ids = chord.ProbedIDs(space, opts.N, eng.Rand())
-	default:
-		ids = chord.RandomIDs(space, opts.N, eng.Rand())
-	}
+	ids := opts.IDs.IDs(space, opts.N, eng.Rand())
 
 	c := &Cluster{
 		Opts:   opts,

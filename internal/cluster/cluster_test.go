@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -236,20 +235,6 @@ func TestSchemePropagatesToDAT(t *testing.T) {
 		if d.Scheme() != core.Basic {
 			t.Fatalf("scheme = %v", d.Scheme())
 		}
-	}
-}
-
-func TestDropProbOptionWired(t *testing.T) {
-	c, err := New(Options{N: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := metrics.NewMessageCounter(nil)
-	c.Net.SetTap(counter)
-	c.Net.SetDropProb(1.0)
-	c.RunFor(5 * time.Second)
-	if c.Net.Dropped() == 0 {
-		t.Fatal("no drops recorded at p=1")
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"repro/internal/transport"
 )
 
-// countingClock counts the DAT layer's armed timers: AfterRun and
-// AfterFunc calls that have neither fired nor been stopped. The sim is
-// single-threaded, so a plain counter does.
+// countingClock counts the DAT layer's armed timers: AfterRun calls
+// that have neither fired nor been stopped. The sim is single-threaded,
+// so a plain counter does.
 type countingClock struct {
 	transport.SimClock
 	live *int
@@ -39,9 +39,7 @@ func (k *counted) settle() {
 
 func (k *counted) RunEvent(int32) {
 	k.settle()
-	if k.task != nil {
-		k.task.RunEvent(k.op)
-	}
+	k.task.RunEvent(k.op)
 }
 
 func (k *counted) StopTimer(int32, uint32) bool {
@@ -54,13 +52,6 @@ func (c countingClock) AfterRun(d time.Duration, r transport.TimerTask, op int32
 	k := &counted{live: c.live, task: r, op: op}
 	k.timer = c.SimClock.AfterRun(d, k, 0)
 	return transport.NewTimer(k, 0, 0)
-}
-
-func (c countingClock) AfterFunc(d time.Duration, fn func()) func() {
-	*c.live++
-	k := &counted{live: c.live}
-	stop := c.SimClock.AfterFunc(d, func() { k.settle(); fn() })
-	return func() { stop(); k.settle() }
 }
 
 // TestCloseStopsEveryTree is the regression test for Close leaving the

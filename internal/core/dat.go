@@ -120,9 +120,11 @@ type resultMsg struct {
 
 // NodeConfig parameterizes a DAT node.
 type NodeConfig struct {
-	// Scheme selects parent selection: Basic or BalancedLocal. (The live
-	// protocol cannot use root-exact Balanced without a lookup per tree;
-	// BalancedLocal is Algorithm 1 as published.) Default BalancedLocal.
+	// Scheme selects parent selection: Basic or BalancedLocal. The zero
+	// value is Basic, plain greedy finger routes; every layer that passes
+	// a Scheme through (cluster, SimGrid, Peer) keeps this default. The
+	// live protocol cannot use root-exact Balanced without a lookup per
+	// tree, so Balanced runs as BalancedLocal, Algorithm 1 as published.
 	Scheme Scheme
 	// Local supplies this node's sample for a rendezvous key; return
 	// ok=false if this node monitors nothing under that key. The slot tick
@@ -268,21 +270,65 @@ type aggEntry struct {
 	epochs map[int64]*epochState
 }
 
+// epochState is one on-demand epoch at this node and the TimerTask of
+// its one timer: a relay's flush debounce, or the root's collection
+// window.
 type epochState struct {
+	e     *aggEntry
+	epoch int64
+
 	pending Aggregate
 	nodes   uint64
 	// applied records the highest Seq folded per sender, so an acked
 	// retry whose previous attempt actually arrived (the ack, not the
 	// request, was lost) is not double-counted.
 	applied map[transport.Addr]uint64
-	// cancelFlush is the pending debounced flush (nil when idle): each
+	// flush is a relay's debounced flush (a fired handle is inert): each
 	// arriving contribution re-arms it, so a node flushes only after its
 	// inflow quiets down — leaves flush first, parents consolidate whole
 	// subtrees into one upward message.
-	cancelFlush func()
-	// root-side collection
+	flush transport.Timer
+	// isRoot marks the root's collection, which answers req when the
+	// query window closes.
 	isRoot bool
-	reply  func(QueryResp)
+	req    *transport.Request
+}
+
+// epochLocked returns epoch's state in e, adding an empty relay bucket
+// if it has none. Caller holds n.mu.
+func (e *aggEntry) epochLocked(epoch int64) *epochState {
+	es := e.epochs[epoch]
+	if es == nil {
+		es = &epochState{e: e, epoch: epoch}
+		e.epochs[epoch] = es
+	}
+	return es
+}
+
+// RunEvent implements transport.TimerTask: a relay's inflow has quieted,
+// so its bucket goes one level up; or the root's window has closed, so
+// the epoch ends and the query is answered.
+func (es *epochState) RunEvent(int32) {
+	e, n := es.e, es.e.n
+	if !es.isRoot {
+		n.flushDemand(e.key, es.epoch)
+		return
+	}
+	est := n.ch.EstimatedNetworkSize()
+	n.mu.Lock()
+	delete(e.epochs, es.epoch)
+	est = e.clampEstimateLocked(est)
+	agg, nodes := es.pending, es.nodes
+	n.mu.Unlock()
+	if agg.Count == 0 {
+		es.req.ReplyError(ErrNoLocalValue)
+		return
+	}
+	es.req.Reply(QueryResp{
+		Key: e.key, Epoch: es.epoch, Agg: agg, Nodes: nodes,
+		Coverage: coverage(nodes, est),
+		Degraded: agg.Degraded,
+	})
 }
 
 // NewNode attaches a DAT layer to a Chord node. It registers the DAT
@@ -800,7 +846,7 @@ func (n *Node) handleQuery(req *transport.Request) {
 
 	e := n.entry(qr.Key)
 	n.mu.Lock()
-	es := &epochState{isRoot: true}
+	es := &epochState{e: e, epoch: epoch, isRoot: true, req: req}
 	if n.cfg.Local != nil {
 		if v, okv := n.cfg.Local(qr.Key); okv {
 			es.pending.AddSample(v)
@@ -816,28 +862,7 @@ func (n *Node) handleQuery(req *transport.Request) {
 		return
 	}
 	n.ch.Broadcast(CollectType, payload)
-
-	n.clock.AfterFunc(qr.Window, func() {
-		est := n.ch.EstimatedNetworkSize()
-		n.mu.Lock()
-		es := e.epochs[epoch]
-		delete(e.epochs, epoch)
-		est = e.clampEstimateLocked(est)
-		n.mu.Unlock()
-		if es == nil {
-			req.ReplyError(ErrNoLocalValue)
-			return
-		}
-		if es.pending.Count == 0 {
-			req.ReplyError(ErrNoLocalValue)
-			return
-		}
-		req.Reply(QueryResp{
-			Key: qr.Key, Epoch: epoch, Agg: es.pending, Nodes: es.nodes,
-			Coverage: coverage(es.nodes, est),
-			Degraded: es.pending.Degraded,
-		})
-	})
+	n.clock.AfterRun(qr.Window, es, 0)
 }
 
 // handleCollect runs on every node when a collect broadcast arrives:
@@ -853,18 +878,14 @@ func (n *Node) handleCollect(from chord.NodeRef, payload []byte) {
 	}
 	e := n.entry(cm.Key)
 	n.mu.Lock()
-	es := e.epochs[cm.Epoch]
-	if es == nil {
-		es = &epochState{}
-		e.epochs[cm.Epoch] = es
-	}
+	es := e.epochLocked(cm.Epoch)
 	if n.cfg.Local != nil {
 		if v, ok := n.cfg.Local(cm.Key); ok {
 			es.pending.AddSample(v)
 			es.nodes++
 		}
 	}
-	n.armFlushLocked(es, cm.Key, cm.Epoch)
+	n.armFlushLocked(es)
 	n.mu.Unlock()
 }
 
@@ -882,14 +903,12 @@ const minRemoteSlot = time.Millisecond
 
 // armFlushLocked (re-)schedules the debounced flush for an epoch bucket.
 // Callers hold n.mu.
-func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
+func (n *Node) armFlushLocked(es *epochState) {
 	if es.isRoot {
 		return
 	}
-	if es.cancelFlush != nil {
-		es.cancelFlush()
-	}
-	es.cancelFlush = n.clock.AfterFunc(demandDebounce, func() { n.flushDemand(key, epoch) })
+	es.flush.Stop()
+	es.flush = n.clock.AfterRun(demandDebounce, es, 0)
 }
 
 // foldDemand accumulates an on-demand child update and (re-)arms the
@@ -898,14 +917,10 @@ func (n *Node) armFlushLocked(es *epochState, key ident.ID, epoch int64) {
 func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) {
 	e := n.entry(um.Key)
 	n.mu.Lock()
-	es := e.epochs[um.Epoch]
-	if es == nil {
-		es = &epochState{}
-		e.epochs[um.Epoch] = es
-	}
+	es := e.epochLocked(um.Epoch)
 	if um.Seq != 0 {
 		if last, seen := es.applied[from]; seen && um.Seq <= last {
-			n.armFlushLocked(es, um.Key, um.Epoch)
+			n.armFlushLocked(es)
 			n.mu.Unlock()
 			return // duplicate of an already-folded flush: just re-ack
 		}
@@ -916,7 +931,7 @@ func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) {
 	}
 	es.pending.Merge(um.Agg)
 	es.nodes += um.Nodes
-	n.armFlushLocked(es, um.Key, um.Epoch)
+	n.armFlushLocked(es)
 	n.mu.Unlock()
 	n.loadMsgs.Add(1)
 	if h := n.cfg.Obs.UpdateApplied; h != nil {
@@ -936,7 +951,6 @@ func (n *Node) flushDemand(key ident.ID, epoch int64) {
 	}
 	agg, nodes := es.pending, es.nodes
 	es.pending, es.nodes = Aggregate{}, 0
-	es.cancelFlush = nil
 	e.demandSeq++
 	seq := e.demandSeq
 	pc := n.parentLocked(e, key, rt)

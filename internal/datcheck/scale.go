@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/chord"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
 )
@@ -48,7 +49,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 // the bound each measurement was checked against.
 type ScalePoint struct {
 	N              int
-	Placement      string // "random" or "probed"
+	Placement      cluster.IDStrategy // RandomIDs or ProbedIDs
 	Scheme         core.Scheme
 	MaxBranching   int
 	BranchingBound int
@@ -81,34 +82,28 @@ func RunScale(cfg ScaleConfig) ([]ScalePoint, []Violation) {
 	space := ident.New(cfg.Bits)
 	key := space.HashString(cfg.Key)
 	schemes := []core.Scheme{core.Basic, core.Balanced, core.BalancedLocal}
-	placements := []struct {
-		name string
-		gen  func(n int, rng *rand.Rand) []ident.ID
-	}{
-		{"random", func(n int, rng *rand.Rand) []ident.ID { return chord.RandomIDs(space, n, rng) }},
-		{"probed", func(n int, rng *rand.Rand) []ident.ID { return chord.ProbedIDs(space, n, rng) }},
-	}
+	placements := []cluster.IDStrategy{cluster.RandomIDs, cluster.ProbedIDs}
 
 	k := &checker{}
 	var points []ScalePoint
 	for _, n := range cfg.Sizes {
 		for _, pl := range placements {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-			ring, err := chord.NewRing(space, pl.gen(n, rng))
+			ring, err := chord.NewRing(space, pl.IDs(space, n, rng))
 			if err != nil {
-				k.fail("scale-ring", "n=%d placement=%s: %v", n, pl.name, err)
+				k.fail("scale-ring", "n=%d placement=%v: %v", n, pl, err)
 				continue
 			}
 			for _, s := range schemes {
 				tree := core.Build(ring, key, s)
 				if err := tree.Validate(); err != nil {
-					k.fail("scale-snapshot", "n=%d placement=%s scheme=%v: invalid tree: %v",
-						n, pl.name, s, err)
+					k.fail("scale-snapshot", "n=%d placement=%v scheme=%v: invalid tree: %v",
+						n, pl, s, err)
 				}
 				maxB, maxH := scaleBounds(ring, n, s)
 				p := ScalePoint{
 					N:              n,
-					Placement:      pl.name,
+					Placement:      pl,
 					Scheme:         s,
 					MaxBranching:   tree.MaxBranching(),
 					BranchingBound: maxB,
@@ -119,13 +114,13 @@ func RunScale(cfg ScaleConfig) ([]ScalePoint, []Violation) {
 				}
 				if p.MaxBranching > maxB {
 					k.fail("scale-branching",
-						"n=%d placement=%s scheme=%v max branching %d exceeds bound %d (gapRatio=%.1f)",
-						n, pl.name, s, p.MaxBranching, maxB, p.GapRatio)
+						"n=%d placement=%v scheme=%v max branching %d exceeds bound %d (gapRatio=%.1f)",
+						n, pl, s, p.MaxBranching, maxB, p.GapRatio)
 				}
 				if p.Height > maxH {
 					k.fail("scale-height",
-						"n=%d placement=%s scheme=%v height %d exceeds bound %d (gapRatio=%.1f)",
-						n, pl.name, s, p.Height, maxH, p.GapRatio)
+						"n=%d placement=%v scheme=%v height %d exceeds bound %d (gapRatio=%.1f)",
+						n, pl, s, p.Height, maxH, p.GapRatio)
 				}
 				points = append(points, p)
 			}

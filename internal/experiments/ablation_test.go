@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // TestSyncAblationShowsBenefit: the staggered variant must be strictly
@@ -78,7 +80,7 @@ func TestMultiTreeLoadBalances(t *testing.T) {
 // TestMessageOverheadFlatForDAT: DAT per-node overhead stays ~1 while
 // the overlay-routed centralized scheme grows with log n.
 func TestMessageOverheadFlatForDAT(t *testing.T) {
-	tab := MessageOverhead(LoadBalanceConfig{Sizes: []int{100, 1000}, Seed: 5, Probing: true})
+	tab := MessageOverhead(LoadBalanceConfig{Sizes: []int{100, 1000}, Seed: 5, IDs: cluster.ProbedIDs})
 	for r := range tab.Rows {
 		for _, col := range []string{"basic", "balanced", "balanced-local"} {
 			if v := cell(t, tab, r, col); v < 0.98 || v > 1.0 {

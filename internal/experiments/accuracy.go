@@ -23,8 +23,6 @@ type AccuracyConfig struct {
 	Duration time.Duration
 	// Seed drives the synthetic trace and the overlay. Default 1.
 	Seed int64
-	// Scheme selects the DAT. Default BalancedLocal.
-	Scheme core.Scheme
 	// SharedTrace replays the same series on every node (the paper's
 	// setup); false gives each node an independent trace. Default true
 	// via cmd/datbench.
@@ -83,10 +81,9 @@ func MonitoringAccuracy(cfg AccuracyConfig) (*Table, *Table, AccuracyStats, erro
 	}
 
 	c, err := cluster.New(cluster.Options{
-		N:      cfg.N,
-		Seed:   cfg.Seed,
-		IDs:    cluster.ProbedIDs,
-		Scheme: cfg.Scheme,
+		N:    cfg.N,
+		Seed: cfg.Seed,
+		IDs:  cluster.ProbedIDs,
 		// Long-duration run: slow the maintenance loops so the event
 		// queue is dominated by aggregation, not pings.
 		StabilizeEvery:  cfg.Slot / 2,
@@ -122,11 +119,7 @@ func MonitoringAccuracy(cfg AccuracyConfig) (*Table, *Table, AccuracyStats, erro
 	// Warm-up: subtree height estimates propagate one level per slot, so
 	// the tree needs ~height slots before the root's slot-synchronized
 	// view covers every node.
-	scheme := cfg.Scheme
-	if scheme == core.Balanced {
-		scheme = core.BalancedLocal
-	}
-	warmup := core.Build(c.Ring(), key, scheme).Height() + 4
+	warmup := core.Build(c.Ring(), key, c.DAT[0].Scheme()).Height() + 4
 	c.RunFor(time.Duration(warmup) * cfg.Slot)
 
 	var actuals, aggs []float64

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func cell(t *testing.T, tab *Table, row int, col string) float64 {
@@ -116,7 +118,7 @@ func TestTreePropertiesShape(t *testing.T) {
 // centralized rank-1 load = 511; balanced max a small constant; basic in
 // between.
 func TestMessageDistributionAnchors(t *testing.T) {
-	tab := MessageDistribution(LoadBalanceConfig{N: 512, Seed: 3, Probing: true})
+	tab := MessageDistribution(LoadBalanceConfig{N: 512, Seed: 3, IDs: cluster.ProbedIDs})
 	if cell(t, tab, 0, "rank") != 1 {
 		t.Fatal("first row is not rank 1")
 	}
@@ -144,7 +146,7 @@ func TestMessageDistributionAnchors(t *testing.T) {
 // TestImbalanceShape checks Fig. 8(b): centralized ~linear, basic ~log,
 // balanced ~constant.
 func TestImbalanceShape(t *testing.T) {
-	tab := Imbalance(LoadBalanceConfig{Sizes: []int{100, 400, 1000}, Seed: 3, Probing: true})
+	tab := Imbalance(LoadBalanceConfig{Sizes: []int{100, 400, 1000}, Seed: 3, IDs: cluster.ProbedIDs})
 	first, last := 0, len(tab.Rows)-1
 
 	cFirst, cLast := cell(t, tab, first, "centralized"), cell(t, tab, last, "centralized")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/centralized"
 	"repro/internal/chord"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/metrics"
@@ -24,10 +25,10 @@ type LoadBalanceConfig struct {
 	Bits uint
 	Seed int64
 	Key  string
-	// Probing selects probed identifier placement; false means random.
-	// The paper's load-balance figures assume balanced placements, so
-	// cmd/datbench enables this by default.
-	Probing bool
+	// IDs selects identifier placement. Default RandomIDs. The paper's
+	// load-balance figures assume balanced placements, so cmd/datbench
+	// passes ProbedIDs.
+	IDs cluster.IDStrategy
 }
 
 func (c LoadBalanceConfig) withDefaults() LoadBalanceConfig {
@@ -85,13 +86,7 @@ func MessageDistribution(cfg LoadBalanceConfig) *Table {
 	cfg = cfg.withDefaults()
 	space := ident.New(cfg.Bits)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var ids []ident.ID
-	if cfg.Probing {
-		ids = chord.ProbedIDs(space, cfg.N, rng)
-	} else {
-		ids = chord.RandomIDs(space, cfg.N, rng)
-	}
-	ring, err := chord.NewRing(space, ids)
+	ring, err := chord.NewRing(space, cfg.IDs.IDs(space, cfg.N, rng))
 	if err != nil {
 		panic(err)
 	}
@@ -139,13 +134,7 @@ func Imbalance(cfg LoadBalanceConfig) *Table {
 	}
 	for _, n := range cfg.Sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-		var ids []ident.ID
-		if cfg.Probing {
-			ids = chord.ProbedIDs(space, n, rng)
-		} else {
-			ids = chord.RandomIDs(space, n, rng)
-		}
-		ring, err := chord.NewRing(space, ids)
+		ring, err := chord.NewRing(space, cfg.IDs.IDs(space, n, rng))
 		if err != nil {
 			panic(err)
 		}

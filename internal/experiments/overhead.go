@@ -25,13 +25,7 @@ func MessageOverhead(cfg LoadBalanceConfig) *Table {
 	}
 	for _, n := range cfg.Sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-		var ids []ident.ID
-		if cfg.Probing {
-			ids = chord.ProbedIDs(space, n, rng)
-		} else {
-			ids = chord.RandomIDs(space, n, rng)
-		}
-		ring, err := chord.NewRing(space, ids)
+		ring, err := chord.NewRing(space, cfg.IDs.IDs(space, n, rng))
 		if err != nil {
 			panic(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/chord"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ident"
 )
@@ -60,13 +61,7 @@ func TreeProperties(cfg TreePropsConfig) []*Table {
 	space := ident.New(cfg.Bits)
 	key := space.HashString(cfg.Key)
 	schemes := []core.Scheme{core.Basic, core.Balanced, core.BalancedLocal}
-	placements := []struct {
-		name string
-		gen  func(n int, rng *rand.Rand) []ident.ID
-	}{
-		{"random", func(n int, rng *rand.Rand) []ident.ID { return chord.RandomIDs(space, n, rng) }},
-		{"probed", func(n int, rng *rand.Rand) []ident.ID { return chord.ProbedIDs(space, n, rng) }},
-	}
+	placements := []cluster.IDStrategy{cluster.RandomIDs, cluster.ProbedIDs}
 
 	maxT := &Table{
 		ID:    "fig7a",
@@ -97,15 +92,15 @@ func TreeProperties(cfg TreePropsConfig) []*Table {
 
 	for _, n := range cfg.Sizes {
 		// samples[scheme][placement]
-		samples := make(map[core.Scheme]map[string]treeSample)
+		samples := make(map[core.Scheme]map[cluster.IDStrategy]treeSample)
 		for _, s := range schemes {
-			samples[s] = make(map[string]treeSample)
+			samples[s] = make(map[cluster.IDStrategy]treeSample)
 		}
 		for _, pl := range placements {
 			acc := make(map[core.Scheme]treeSample)
 			for trial := 0; trial < cfg.Trials; trial++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(trial)*7919 + int64(n)))
-				ring, err := chord.NewRing(space, pl.gen(n, rng))
+				ring, err := chord.NewRing(space, pl.IDs(space, n, rng))
 				if err != nil {
 					panic(err) // generated ids are valid by construction
 				}
@@ -120,7 +115,7 @@ func TreeProperties(cfg TreePropsConfig) []*Table {
 			}
 			for _, s := range schemes {
 				a := acc[s]
-				samples[s][pl.name] = treeSample{
+				samples[s][pl] = treeSample{
 					maxB:   a.maxB / float64(cfg.Trials),
 					avgB:   a.avgB / float64(cfg.Trials),
 					height: a.height / float64(cfg.Trials),
@@ -128,18 +123,18 @@ func TreeProperties(cfg TreePropsConfig) []*Table {
 			}
 		}
 		maxT.Add(n,
-			samples[core.Basic]["random"].maxB, samples[core.Basic]["probed"].maxB,
-			samples[core.Balanced]["random"].maxB, samples[core.Balanced]["probed"].maxB,
-			samples[core.BalancedLocal]["random"].maxB, samples[core.BalancedLocal]["probed"].maxB,
+			samples[core.Basic][cluster.RandomIDs].maxB, samples[core.Basic][cluster.ProbedIDs].maxB,
+			samples[core.Balanced][cluster.RandomIDs].maxB, samples[core.Balanced][cluster.ProbedIDs].maxB,
+			samples[core.BalancedLocal][cluster.RandomIDs].maxB, samples[core.BalancedLocal][cluster.ProbedIDs].maxB,
 			analysis.BasicMaxBranching(n), analysis.BalancedMaxBranching)
 		avgT.Add(n,
-			samples[core.Basic]["random"].avgB, samples[core.Basic]["probed"].avgB,
-			samples[core.Balanced]["random"].avgB, samples[core.Balanced]["probed"].avgB,
-			samples[core.BalancedLocal]["random"].avgB, samples[core.BalancedLocal]["probed"].avgB)
+			samples[core.Basic][cluster.RandomIDs].avgB, samples[core.Basic][cluster.ProbedIDs].avgB,
+			samples[core.Balanced][cluster.RandomIDs].avgB, samples[core.Balanced][cluster.ProbedIDs].avgB,
+			samples[core.BalancedLocal][cluster.RandomIDs].avgB, samples[core.BalancedLocal][cluster.ProbedIDs].avgB)
 		hT.Add(n,
-			samples[core.Basic]["random"].height, samples[core.Basic]["probed"].height,
-			samples[core.Balanced]["random"].height, samples[core.Balanced]["probed"].height,
-			samples[core.BalancedLocal]["random"].height, samples[core.BalancedLocal]["probed"].height,
+			samples[core.Basic][cluster.RandomIDs].height, samples[core.Basic][cluster.ProbedIDs].height,
+			samples[core.Balanced][cluster.RandomIDs].height, samples[core.Balanced][cluster.ProbedIDs].height,
+			samples[core.BalancedLocal][cluster.RandomIDs].height, samples[core.BalancedLocal][cluster.ProbedIDs].height,
 			analysis.HeightBound(n))
 	}
 

@@ -39,7 +39,8 @@ var LockSafe = &Analyzer{
 
 // transportCallNames are the methods of the transport/rpcudp packages
 // that must never run under a node lock. Scheduling helpers
-// (Clock.Every/AfterFunc) are excluded: they only enqueue work.
+// (Clock.AfterRun/Every, Timer.Stop) are excluded: they only enqueue or
+// dequeue work.
 var transportCallNames = map[string]bool{
 	"Send": true, "Call": true, "Close": true,
 	"Reply": true, "ReplyError": true,

@@ -11,7 +11,6 @@ import (
 // Clock is the injected time source, mirroring transport.Clock.
 type Clock interface {
 	Now() time.Duration
-	AfterFunc(d time.Duration, fn func()) (stop func())
 }
 
 // BadNow reads the wall clock directly.

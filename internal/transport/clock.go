@@ -24,13 +24,10 @@ type Clock interface {
 	// Now returns the current time as a duration since an arbitrary epoch.
 	Now() time.Duration
 	// AfterRun runs r.RunEvent(op) once after d and allocates nothing:
-	// the timer is the caller's record, not a closure. Hot paths (slot
-	// ticks, flush deadlines, ack timeouts) arm their timers with it.
+	// the timer is the caller's record, not a closure. It is the one-shot
+	// timer: slot ticks, flush deadlines, ack timeouts and query windows
+	// are all records armed with it.
 	AfterRun(d time.Duration, r TimerTask, op int32) Timer
-	// AfterFunc runs fn once after d. The returned stop function cancels
-	// it if it has not fired; stopping twice is safe. For cold callers:
-	// it costs the closure and the stop function.
-	AfterFunc(d time.Duration, fn func()) (stop func())
 	// Every runs fn periodically with optional uniform jitter added to
 	// each period. The returned stop function halts the loop.
 	Every(period, jitter time.Duration, fn func()) (stop func())
@@ -92,12 +89,6 @@ func (c SimClock) AfterRun(d time.Duration, r TimerTask, op int32) Timer {
 	return Timer{host: c.Engine, idx: idx, gen: gen}
 }
 
-// AfterFunc implements Clock.
-func (c SimClock) AfterFunc(d time.Duration, fn func()) func() {
-	ev := c.Engine.Schedule(d, fn)
-	return func() { ev.Cancel() }
-}
-
 // Every implements Clock.
 func (c SimClock) Every(period, jitter time.Duration, fn func()) func() {
 	t := c.Engine.Every(period, jitter, fn)
@@ -106,7 +97,7 @@ func (c SimClock) Every(period, jitter time.Duration, fn func()) func() {
 
 // RealClock implements Clock over the time package, for live transports.
 // It is the event loop the simulator is: every timer of the clock —
-// AfterRun, AfterFunc and Every alike — is an entry of one arena heap (a
+// AfterRun and Every alike — is a record in one arena heap (a
 // sim.Engine used as a timer store, ordered by (when, seq)), and one
 // goroutine sleeps on one runtime timer until the head is due, then runs
 // the due callbacks one at a time outside the lock. Arming a timer wakes
@@ -158,20 +149,15 @@ func (c *RealClock) Now() time.Duration {
 	return time.Since(c.epoch)
 }
 
-// armLocked queues one entry d from now — r/op or fn, whichever is set —
-// and makes sure the loop wakes for it. After Stop nothing is armed and
-// the zero Event comes back. Caller holds c.mu.
-func (c *RealClock) armLocked(d time.Duration, r TimerTask, op int32, fn func()) sim.Event {
+// armLocked queues r.RunEvent(op) d from now and makes sure the loop
+// wakes for it. After Stop nothing is armed and the zero Event comes
+// back. Caller holds c.mu.
+func (c *RealClock) armLocked(d time.Duration, r TimerTask, op int32) sim.Event {
 	if c.stopped {
 		return sim.Event{}
 	}
 	at := sim.Time(time.Since(c.epoch) + d) // in the past is due at once
-	var ev sim.Event
-	if r != nil {
-		ev = c.timers.AtRun(at, r, op)
-	} else {
-		ev = c.timers.At(at, fn)
-	}
+	ev := c.timers.AtRun(at, r, op)
 	switch {
 	case !c.started:
 		c.started = true
@@ -194,7 +180,7 @@ func (c *RealClock) wake() {
 func (c *RealClock) AfterRun(d time.Duration, r TimerTask, op int32) Timer {
 	c.init()
 	c.mu.Lock()
-	ev := c.armLocked(d, r, op, nil)
+	ev := c.armLocked(d, r, op)
 	c.mu.Unlock()
 	if ev == (sim.Event{}) {
 		return Timer{}
@@ -208,19 +194,6 @@ func (c *RealClock) StopTimer(idx int32, gen uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.timers.StopTimer(idx, gen)
-}
-
-// AfterFunc implements Clock.
-func (c *RealClock) AfterFunc(d time.Duration, fn func()) func() {
-	c.init()
-	c.mu.Lock()
-	ev := c.armLocked(d, nil, 0, fn)
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		ev.Cancel()
-		c.mu.Unlock()
-	}
 }
 
 // realTicker is one Every loop: the record re-arms itself after each
@@ -241,7 +214,7 @@ func (t *realTicker) arm() {
 		if t.jitter > 0 {
 			d += time.Duration(c.timers.Rand().Int63n(int64(t.jitter)))
 		}
-		t.ev = c.armLocked(d, t, 0, nil)
+		t.ev = c.armLocked(d, t, 0)
 	}
 	c.mu.Unlock()
 }
@@ -282,16 +255,12 @@ func (c *RealClock) loop() {
 	for {
 		c.mu.Lock()
 		for !c.stopped {
-			fn, r, op, due := c.timers.PopDue(sim.Time(time.Since(c.epoch)))
+			_, r, op, due := c.timers.PopDue(sim.Time(time.Since(c.epoch)))
 			if !due {
 				break
 			}
 			c.mu.Unlock()
-			if r != nil {
-				r.RunEvent(op)
-			} else {
-				fn()
-			}
+			r.RunEvent(op)
 			c.mu.Lock()
 		}
 		if c.stopped {

@@ -44,7 +44,7 @@ func TestRealClockFiresInWhenOrder(t *testing.T) {
 	c.AfterRun(0, taskFunc(func(int32) { <-gate }), 0)
 	c.AfterRun(30*time.Millisecond, task, 3)
 	c.AfterRun(0, task, 1)
-	c.AfterFunc(15*time.Millisecond, func() { fired <- 2 })
+	c.AfterRun(15*time.Millisecond, task, 2)
 	c.AfterRun(45*time.Millisecond, task, 4)
 	time.Sleep(20 * time.Millisecond)
 	close(gate)
@@ -223,7 +223,7 @@ func TestRealClockStopIsQuiescent(t *testing.T) {
 	c.AfterRun(0, taskFunc(func(int32) { close(ran) }), 0)
 	recvWithin(t, ran, "the first timer")
 	c.AfterRun(20*time.Millisecond, count, 0)
-	c.AfterFunc(20*time.Millisecond, func() { fired.Add(1) })
+	c.AfterRun(20*time.Millisecond, count, 1)
 	stopTicks := c.Every(5*time.Millisecond, 0, func() { fired.Add(1) })
 	c.Stop()
 	c.Stop() // twice is safe
@@ -239,7 +239,6 @@ func TestRealClockStopIsQuiescent(t *testing.T) {
 	if tm := c.AfterRun(0, count, 0); tm != (Timer{}) || tm.Stop() {
 		t.Error("AfterRun on a stopped clock returned a live timer")
 	}
-	c.AfterFunc(0, func() { fired.Add(1) })()
 	c.Every(time.Millisecond, 0, func() { fired.Add(1) })()
 	stopTicks()
 	time.Sleep(60 * time.Millisecond)

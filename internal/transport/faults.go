@@ -19,10 +19,10 @@ type Fault struct {
 	Delay time.Duration
 }
 
-// FaultPlan decides the fate of every message a SimNetwork carries. It is
-// the pluggable generalization of the scalar SimConfig.DropProb/DupProb
-// knobs: a plan sees the endpoints and message type, so it can target
-// specific links, directions or protocol layers. Implementations must
+// FaultPlan decides the fate of every message a SimNetwork carries, and
+// is its one fault-injection mechanism: a plan sees the endpoints and
+// message type, so it can target specific links, directions or protocol
+// layers. Implementations must
 // draw all randomness from the rng they are given (the engine's
 // deterministic source) and must not retain it.
 //

@@ -13,16 +13,9 @@ type SimConfig struct {
 	// CallTimeout bounds request/response exchanges. Zero means 2s of
 	// virtual time.
 	CallTimeout time.Duration
-	// DropProb is the probability that any single message (request,
-	// reply or one-way) is silently lost. Used for failure injection.
-	// Ignored while a FaultPlan is installed (SetFaultPlan).
-	DropProb float64
-	// DupProb is the probability that a delivered message is delivered a
-	// second time. Used for failure injection. Ignored while a FaultPlan
-	// is installed.
-	DupProb float64
 	// Faults, if non-nil, decides drops/duplicates/extra delay per
-	// message, superseding DropProb/DupProb. See FaultPlan.
+	// message (request, reply or one-way). Nil is a clean network. See
+	// FaultPlan; ProbFaults is the i.i.d. loss and duplication plan.
 	Faults FaultPlan
 }
 
@@ -89,8 +82,8 @@ type SimNetwork struct {
 	replyTypes map[string]string
 
 	// partitions holds the currently severed links; a message in either
-	// direction across a severed pair is dropped before the fault plan or
-	// probability knobs are consulted.
+	// direction across a severed pair is dropped before the fault plan is
+	// consulted.
 	partitions map[pairKey]bool
 
 	// Counters for failure-injection assertions in tests.
@@ -113,13 +106,13 @@ func NewSimNetwork(engine *sim.Engine, cfg SimConfig) *SimNetwork {
 // SetTap installs a metrics observer for every delivered message.
 func (n *SimNetwork) SetTap(t Tap) { n.tap = t }
 
-// SetDropProb changes the message-loss probability at runtime, letting
-// experiments converge a clean overlay first and inject loss afterwards.
-// It has no effect while a FaultPlan is installed.
-func (n *SimNetwork) SetDropProb(p float64) { n.cfg.DropProb = p }
+// SetDropProb installs ProbFaults{Drop: p} in place of any fault plan,
+// letting experiments converge a clean overlay first and inject loss
+// afterwards. The plan draws one Float64 per message, and only while
+// p > 0.
+func (n *SimNetwork) SetDropProb(p float64) { n.cfg.Faults = ProbFaults{Drop: p} }
 
 // SetFaultPlan installs (or, with nil, removes) a pluggable fault plan.
-// While a plan is installed it fully supersedes DropProb/DupProb.
 func (n *SimNetwork) SetFaultPlan(p FaultPlan) { n.cfg.Faults = p }
 
 // Partition severs the link between a and b in both directions: every
@@ -143,8 +136,8 @@ func (n *SimNetwork) HealAll() {
 // Partitioned reports whether the link between a and b is severed.
 func (n *SimNetwork) Partitioned(a, b Addr) bool { return n.partitions[makePair(a, b)] }
 
-// Dropped returns the number of messages lost to injected drops
-// (probabilistic or fault-plan; partition losses are counted separately).
+// Dropped returns the number of messages the fault plan dropped
+// (partition losses are counted separately).
 func (n *SimNetwork) Dropped() uint64 { return n.dropped }
 
 // Duplicated returns the number of injected duplicate deliveries.
@@ -254,11 +247,11 @@ func (m *simMsg) release() {
 	n.msgPool = m
 }
 
-// dispatch pushes a record through partitions and fault injection and
-// schedules its deliveries. The rng draw order (fault plan or drop draw,
-// then latency sample, then the duplicate draw and its independent
-// latency sample) matches the historical deliver() exactly — datcheck's
-// golden traces pin this down.
+// dispatch pushes a record through partitions and the fault plan and
+// schedules its deliveries. The rng draw order (the plan's draws, then
+// the latency sample, then a duplicate's independent latency sample)
+// matches the historical deliver() exactly — datcheck's golden traces
+// pin this down.
 func (n *SimNetwork) dispatch(m *simMsg) {
 	if n.partitions[makePair(m.from, m.to)] {
 		n.partitionDropped++
@@ -268,12 +261,6 @@ func (n *SimNetwork) dispatch(m *simMsg) {
 	var f Fault
 	if n.cfg.Faults != nil {
 		f = n.cfg.Faults.Apply(n.engine.Rand(), m.from, m.to, m.typ)
-	} else {
-		// Legacy scalar knobs; rng draw order matches historic behavior
-		// so existing seeded experiments are unperturbed.
-		if n.cfg.DropProb > 0 && n.engine.Rand().Float64() < n.cfg.DropProb {
-			f.Drop = true
-		}
 	}
 	if f.Drop {
 		n.dropped++
@@ -282,9 +269,6 @@ func (n *SimNetwork) dispatch(m *simMsg) {
 	}
 	d := n.cfg.Latency.Sample(n.engine.Rand(), string(m.from), string(m.to)) + f.Delay
 	n.engine.ScheduleRun(d, m, 0)
-	if n.cfg.Faults == nil && n.cfg.DupProb > 0 && n.engine.Rand().Float64() < n.cfg.DupProb {
-		f.Duplicate = true
-	}
 	if f.Duplicate {
 		n.duplicated++
 		d2 := n.cfg.Latency.Sample(n.engine.Rand(), string(m.from), string(m.to)) + f.Delay

@@ -104,7 +104,7 @@ func TestSimCallTimeoutOnSilentHandler(t *testing.T) {
 
 func TestSimDropInjection(t *testing.T) {
 	eng := sim.NewEngine(3)
-	net := NewSimNetwork(eng, SimConfig{DropProb: 1.0, CallTimeout: 10 * time.Millisecond})
+	net := NewSimNetwork(eng, SimConfig{Faults: ProbFaults{Drop: 1}, CallTimeout: 10 * time.Millisecond})
 	a := net.Endpoint("sim/a")
 	b := net.Endpoint("sim/b")
 	delivered := 0
@@ -114,7 +114,7 @@ func TestSimDropInjection(t *testing.T) {
 	a.Send(b.Addr(), "y", nil)
 	eng.Run()
 	if delivered != 0 {
-		t.Fatalf("delivered %d messages despite DropProb=1", delivered)
+		t.Fatalf("delivered %d messages despite a drop-all plan", delivered)
 	}
 	if !errors.Is(got, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", got)
@@ -126,7 +126,7 @@ func TestSimDropInjection(t *testing.T) {
 
 func TestSimDuplicateInjectionCallbackOnce(t *testing.T) {
 	eng := sim.NewEngine(3)
-	net := NewSimNetwork(eng, SimConfig{DupProb: 1.0})
+	net := NewSimNetwork(eng, SimConfig{Faults: ProbFaults{Dup: 1}})
 	a := net.Endpoint("sim/a")
 	b := net.Endpoint("sim/b")
 	handled := 0
@@ -248,14 +248,14 @@ func TestSimClock(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := SimClock{Engine: eng}
 	fired := 0
-	stop := c.AfterFunc(10*time.Millisecond, func() { fired++ })
-	_ = stop
+	count := taskFunc(func(int32) { fired++ })
+	c.AfterRun(10*time.Millisecond, count, 0)
 	ticks := 0
 	stopTicks := c.Every(5*time.Millisecond, 0, func() { ticks++ })
 	eng.RunUntil(sim.Time(26 * time.Millisecond))
 	stopTicks()
 	if fired != 1 {
-		t.Fatalf("AfterFunc fired %d times", fired)
+		t.Fatalf("AfterRun fired %d times", fired)
 	}
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
@@ -264,12 +264,12 @@ func TestSimClock(t *testing.T) {
 		t.Fatalf("Now = %v", c.Now())
 	}
 	// Cancellation.
-	fired2 := 0
-	stop2 := c.AfterFunc(10*time.Millisecond, func() { fired2++ })
-	stop2()
+	if !c.AfterRun(10*time.Millisecond, count, 0).Stop() {
+		t.Fatal("Stop before fire did not report it")
+	}
 	eng.RunFor(50 * time.Millisecond)
-	if fired2 != 0 {
-		t.Fatal("cancelled AfterFunc fired")
+	if fired != 1 {
+		t.Fatal("stopped timer fired")
 	}
 }
 
@@ -277,15 +277,15 @@ func TestRealClock(t *testing.T) {
 	c := &RealClock{}
 	t0 := c.Now()
 	var fired atomic.Int32
-	stop := c.AfterFunc(10*time.Millisecond, func() { fired.Add(1) })
-	defer stop()
+	tm := c.AfterRun(10*time.Millisecond, taskFunc(func(int32) { fired.Add(1) }), 0)
+	defer tm.Stop()
 	var ticks atomic.Int32
 	stopTicks := c.Every(10*time.Millisecond, 5*time.Millisecond, func() { ticks.Add(1) })
 	time.Sleep(80 * time.Millisecond)
 	stopTicks()
 	stopTicks() // double-stop safe
 	if fired.Load() != 1 {
-		t.Fatalf("AfterFunc fired %d times", fired.Load())
+		t.Fatalf("AfterRun fired %d times", fired.Load())
 	}
 	if ticks.Load() == 0 {
 		t.Fatal("ticker never fired")
@@ -316,7 +316,7 @@ func TestCallNilCallbackPanics(t *testing.T) {
 
 func TestSimOneWayDuplicateDelivery(t *testing.T) {
 	eng := sim.NewEngine(5)
-	net := NewSimNetwork(eng, SimConfig{DupProb: 1.0})
+	net := NewSimNetwork(eng, SimConfig{Faults: ProbFaults{Dup: 1}})
 	a := net.Endpoint("sim/dup-a")
 	b := net.Endpoint("sim/dup-b")
 	got := 0
@@ -324,7 +324,7 @@ func TestSimOneWayDuplicateDelivery(t *testing.T) {
 	a.Send(b.Addr(), "x", nil)
 	eng.Run()
 	if got != 2 {
-		t.Fatalf("one-way delivered %d times with DupProb=1, want 2", got)
+		t.Fatalf("one-way delivered %d times under a duplicate-all plan, want 2", got)
 	}
 	if net.Duplicated() != 1 {
 		t.Fatalf("Duplicated = %d", net.Duplicated())
@@ -366,7 +366,7 @@ func TestSimDuplicateIndependentLatency(t *testing.T) {
 	eng := sim.NewEngine(7)
 	net := NewSimNetwork(eng, SimConfig{
 		Latency: sim.UniformLatency{Min: time.Millisecond, Max: 100 * time.Millisecond},
-		DupProb: 1.0,
+		Faults:  ProbFaults{Dup: 1},
 	})
 	a := net.Endpoint("sim/dil-a")
 	b := net.Endpoint("sim/dil-b")
@@ -411,7 +411,7 @@ func TestSimDuplicateConstantLatencyDistinctTicks(t *testing.T) {
 	eng := sim.NewEngine(8)
 	net := NewSimNetwork(eng, SimConfig{
 		Latency: sim.ConstantLatency(time.Millisecond),
-		DupProb: 1.0,
+		Faults:  ProbFaults{Dup: 1},
 	})
 	a := net.Endpoint("sim/dct-a")
 	b := net.Endpoint("sim/dct-b")
@@ -519,10 +519,9 @@ func TestSimPartitionCutsReply(t *testing.T) {
 	}
 }
 
-func TestSimFaultPlanSupersedesScalars(t *testing.T) {
+func TestSimFaultPlanRuntimeSwap(t *testing.T) {
 	eng := sim.NewEngine(11)
-	// Scalar knobs say drop everything; the installed plan says clean.
-	net := NewSimNetwork(eng, SimConfig{DropProb: 1.0, DupProb: 1.0, Faults: ProbFaults{}})
+	net := NewSimNetwork(eng, SimConfig{Faults: ProbFaults{}})
 	a := net.Endpoint("sim/fp-a")
 	b := net.Endpoint("sim/fp-b")
 	got := 0
@@ -546,16 +545,6 @@ func TestSimFaultPlanSupersedesScalars(t *testing.T) {
 	}
 	if net.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", net.Dropped())
-	}
-
-	// Remove the plan: scalar knobs are live again (DropProb=1 from cfg).
-	net.SetFaultPlan(nil)
-	if err := a.Send(b.Addr(), "x", nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if got != 1 {
-		t.Fatalf("scalar DropProb ignored after plan removal: got %d", got)
 	}
 }
 

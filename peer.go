@@ -28,7 +28,8 @@ type PeerConfig struct {
 	// Bits is the identifier-space width (must match the whole ring).
 	// Default 32.
 	Bits uint
-	// Scheme selects the DAT parent rule. Default BalancedLocal.
+	// Scheme selects the DAT parent rule; see core.NodeConfig.Scheme
+	// (default Basic).
 	Scheme Scheme
 	// Attributes declares the MAAN schema (must match the whole ring).
 	// Optional; without it resource indexing is disabled.

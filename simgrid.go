@@ -21,7 +21,8 @@ type SimGridConfig struct {
 	Seed int64
 	// IDs selects identifier placement. Default RandomIDs.
 	IDs IDStrategy
-	// Scheme selects the DAT parent rule. Default BalancedLocal.
+	// Scheme selects the DAT parent rule; see core.NodeConfig.Scheme
+	// (default Basic).
 	Scheme Scheme
 	// Sensor supplies node-local samples: node index, virtual time, and
 	// the monitored attribute name. Nil means no node contributes.
@@ -77,6 +78,7 @@ func NewSimGrid(cfg SimGridConfig) (*SimGrid, error) {
 		N:            cfg.N,
 		Bits:         cfg.Bits,
 		Seed:         cfg.Seed,
+		IDs:          cfg.IDs,
 		Scheme:       cfg.Scheme,
 		ProtocolJoin: cfg.ProtocolJoin,
 		Batch:        cfg.Batch,
@@ -87,14 +89,6 @@ func NewSimGrid(cfg SimGridConfig) (*SimGrid, error) {
 		opts.StabilizeEvery = cfg.MaintenanceEvery / 2
 		opts.FixFingersEvery = cfg.MaintenanceEvery
 		opts.PingEvery = 2 * cfg.MaintenanceEvery
-	}
-	switch cfg.IDs {
-	case ProbedIDs:
-		opts.IDs = cluster.ProbedIDs
-	case EvenIDs:
-		opts.IDs = cluster.EvenIDs
-	default:
-		opts.IDs = cluster.RandomIDs
 	}
 	if cfg.LatencyMedian > 0 {
 		opts.Latency = sim.LogNormalLatency{
