@@ -56,8 +56,9 @@ func (c countingClock) AfterRun(d time.Duration, r transport.TimerTask, op int32
 
 // TestCloseStopsEveryTree is the regression test for Close leaving the
 // slot timers armed: after Close a node holds no DAT timer — tick,
-// pending ack timeout or send-machine deadline — and surfaces no further
-// result, even while its neighbours keep running.
+// backoff, flush deadline or the ack deadline of a datagram already on
+// the wire — and surfaces no further result, even while its neighbours
+// keep running.
 func TestCloseStopsEveryTree(t *testing.T) {
 	eng := sim.NewEngine(9)
 	net := transport.NewSimNetwork(eng, transport.SimConfig{})
@@ -108,22 +109,21 @@ func TestCloseStopsEveryTree(t *testing.T) {
 		t.Fatal("no tree produced a result before Close")
 	}
 
-	// Advance event by event until some node has more than its three
-	// tick timers armed: an update is in flight with its ack timeout (or
-	// a send-machine deadline) pending. Close that node mid-round.
+	// Advance event by event until some node has a datagram on the wire
+	// whose ack deadline is pending. Close that node mid-round.
 	victim := -1
 	for step := 0; step < 100000 && victim < 0; step++ {
 		if !eng.Step() {
 			break
 		}
 		for i := range ids {
-			if live[i] > len(keys) {
+			if dats[i].FlightDeadlinesForTest() > 0 {
 				victim = i
 			}
 		}
 	}
 	if victim < 0 {
-		t.Fatal("never saw a pending delivery timer")
+		t.Fatal("never saw a pending ack deadline")
 	}
 	dats[victim].Close()
 	if live[victim] != 0 {

@@ -149,8 +149,8 @@ type NodeConfig struct {
 	// staggering entirely (ablation: parents then relay cached values one
 	// slot behind their children).
 	HoldPerLevel time.Duration
-	// Delivery tunes the delivery-assurance layer every update and detach
-	// goes through: acked sends with backoff, in-slot parent failover,
+	// Delivery tunes the delivery-assurance layer every update goes
+	// through: acked sends with backoff, in-slot parent failover,
 	// root handover (DESIGN.md §10). The zero value is the defaults.
 	Delivery DeliveryConfig
 	// Batch tunes the send machine coalescing acked updates/detaches
@@ -627,9 +627,10 @@ func (n *Node) tickContinuous(key ident.ID) {
 	}
 
 	// On a parent switch, detach from the former parent so the subtree is
-	// not double-counted through two paths until the cache TTL expires.
+	// not double-counted through two paths until the cache TTL expires,
+	// which is also all a missed detach costs: nobody waits for it.
 	if oldParent != "" && (isRoot || oldParent != parent.Addr) {
-		(&detachRetry{n: n, to: oldParent, dm: DetachMsg{Key: key, Sender: self}}).RunEvent(0)
+		n.sm.enqueue(oldParent, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: self}}, sinkRef{})
 		if !isRoot {
 			n.debug("switched aggregation parent", key, "old", oldParent, "new", parent.Addr)
 		}

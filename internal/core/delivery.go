@@ -35,10 +35,9 @@ type UpdateAck struct {
 // ring has exactly one root again before invariants run.
 const handoverSlots = 6
 
-// deliveryAttempts is how many times one candidate parent (or a detach's
-// former parent) is tried before failing over to the next candidate;
-// deliveryBackoff is the base delay of the jittered exponential backoff
-// between those attempts.
+// deliveryAttempts is how many times one candidate parent is tried
+// before failing over to the next candidate; deliveryBackoff is the
+// base delay of the jittered exponential backoff between those attempts.
 const (
 	deliveryAttempts = 2
 	deliveryBackoff  = 25 * time.Millisecond
@@ -46,10 +45,10 @@ const (
 
 // DeliveryConfig tunes the delivery-assurance layer.
 type DeliveryConfig struct {
-	// AckTimeout bounds one delivery attempt: an unacknowledged update
-	// counts as failed after this long and the candidate earns a ring
-	// strike. Keep it well below the slot duration so failover
-	// completes in-slot. Default 150ms.
+	// AckTimeout bounds one delivery attempt: a datagram unanswered this
+	// long after its first enqueue fails every element it carries and
+	// costs its destination one failure (DESIGN.md §10). Keep it well
+	// below the slot duration so failover completes in-slot. Default 150ms.
 	AckTimeout time.Duration
 	// MaxCandidates bounds how many distinct parents one pending
 	// aggregate is offered to before giving up (the next slot retries
@@ -204,13 +203,13 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 // delivery tracks one pending acked update through retries, parent
 // failover and root handover. All transport and hook work happens
 // outside both d.mu and Node.mu (the locksafe copy-out discipline).
-// gen is the fence: it moves when an event of the current attempt is
-// consumed and when the delivery starts over, and every continuation —
-// ack, timeout, backoff, the steps of fail — owns the generation it was
-// started under and stops at the first lock under which that is no
-// longer current. A tree's continuous delivery lives in its aggEntry and
-// is reused slot after slot with gen kept monotone, so slot t's ack or
-// timeout arriving after slot t+1 took the record over is just stale.
+// gen is the fence: it moves when an attempt is sent or answered and
+// when the delivery starts over, and every continuation — verdict,
+// backoff, the steps of fail — owns the generation it was started under
+// and stops at the first lock under which that is no longer current. A
+// tree's continuous delivery lives in its aggEntry and is reused slot
+// after slot with gen kept monotone, so slot t's verdict arriving after
+// slot t+1 took the record over is just stale.
 type delivery struct {
 	n   *Node
 	e   *aggEntry // continuous entry (d is e.deliv); nil for on-demand flushes
@@ -220,8 +219,7 @@ type delivery struct {
 	msg        UpdateMsg
 	done       bool
 	gen        uint64
-	timer      transport.Timer // the attempt's ack timeout, or (resending) the backoff before the next
-	resending  bool
+	timer      transport.Timer // the backoff before the next attempt
 	cur        chord.NodeRef
 	curKeyRoot bool // current candidate is believed successor(key)
 	attempt    int  // attempts on the current candidate
@@ -268,8 +266,8 @@ func (d *delivery) cancel() {
 	stop.Stop()
 }
 
-// sendAttempt fires one attempt at the current candidate: arm the ack
-// timeout, then put the update on the wire.
+// sendAttempt hands one attempt at the current candidate to the send
+// machine, whose datagram answers it.
 func (d *delivery) sendAttempt(g uint64) {
 	n := d.n
 	d.mu.Lock()
@@ -299,70 +297,43 @@ func (d *delivery) sendAttempt(g uint64) {
 		h(d.key)
 	}
 	el.Update.SentAt = int64(n.clock.Now())
-	t := n.clock.AfterRun(n.cfg.Delivery.AckTimeout, d, int32(g))
-	d.mu.Lock()
-	if d.done || d.gen != g {
-		d.mu.Unlock()
-		t.Stop()
-		return
-	}
-	d.timer, d.resending = t, false
-	d.mu.Unlock()
 	n.sm.enqueue(to, &el, sinkRef{d, g})
 }
 
-// RunEvent implements transport.TimerTask: the timer armed under
-// generation op (its low 32 bits) fired.
+// RunEvent implements transport.TimerTask: the backoff armed under
+// generation op (its low 32 bits) is over.
 func (d *delivery) RunEvent(op int32) {
 	d.mu.Lock()
-	g, resending := d.gen, d.resending
+	g := d.gen
 	d.mu.Unlock()
-	switch {
-	case uint32(g) != uint32(op): // the event it waited on was consumed meanwhile
-	case resending:
+	if uint32(g) == uint32(op) {
 		d.sendAttempt(g)
-	default: // the ack timed out: a failed attempt, like a transport error
-		d.onAck(g, UpdateAck{}, transport.ErrTimeout)
 	}
 }
 
-// consume claims the event generation g waits for: unless the delivery
-// has moved on (ok false) it advances the fence — a late ack or timeout
-// of this attempt is stale from here — and hands the caller the new
-// generation, the attempt's candidate and its timer to stop.
-func (d *delivery) consume(g uint64) (next uint64, to transport.Addr, stop transport.Timer, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.done || d.gen != g {
-		return 0, "", transport.Timer{}, false
-	}
-	d.gen++
-	stop, d.timer = d.timer, transport.Timer{}
-	return d.gen, d.cur.Addr, stop, true
-}
-
-// onAck implements ackSink: the verdict on the attempt queued under g,
-// or transport.ErrTimeout from its ack timer. Each failed attempt is a
-// ring strike, so a dead parent is evicted within one retry budget.
+// onAck implements ackSink: the verdict on the attempt queued under g —
+// transport.ErrTimeout once its datagram's ack deadline passed. The
+// datagram has already told the peer-health record (sendmachine.go);
+// here the verdict only moves the delivery on, and a late one is stale.
 func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
-	g, to, stop, ok := d.consume(g)
-	if !ok {
+	d.mu.Lock()
+	if d.done || d.gen != g {
+		d.mu.Unlock()
 		return
 	}
-	stop.Stop()
+	d.gen++
+	g, to := d.gen, d.cur.Addr
+	d.mu.Unlock()
 	switch {
 	case errors.Is(err, ErrSendClosed):
 		// Refused locally, by a node shutting down: a statement about
-		// this node, not about the peer — no strike, no retry.
+		// this node, not about the peer — no retry.
 		d.finish(g, false)
 	case err != nil:
-		d.n.reportDAT(to, chord.DATFailed, err)
 		d.fail(g, to, false)
 	case !ack.OK:
-		d.n.reportDAT(to, chord.DATRefused, nil)
-		d.fail(g, to, true) // live but refusing: route around without a strike
+		d.fail(g, to, true) // live but refusing: route around it at once
 	default:
-		d.n.reportDAT(to, chord.DATAcked, nil)
 		d.finish(g, true)
 	}
 }
@@ -390,7 +361,7 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 			t.Stop()
 			return
 		}
-		d.timer, d.resending = t, true
+		d.timer = t
 		d.mu.Unlock()
 		return
 	}
@@ -452,12 +423,9 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		n.mu.Unlock()
 		// A peer avoided as DAT parent is not acking: a detach at it every
 		// failover flap is the wasted traffic fail-fast exists to stop,
-		// and its child cache forgets us by TTL regardless. The detach is
-		// one-way, so a send error is its only evidence.
+		// and its child cache forgets us by TTL regardless.
 		if ok, _ := n.ch.MayCarryDAT(to, false); ok {
-			elems := []BatchElem{{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}}
-			n.treeSent(&elems[0])
-			n.ch.Send(to, MsgBatch, BatchMsg{Elems: elems})
+			n.sm.enqueue(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}, sinkRef{})
 		}
 	}
 	d.sendAttempt(g)
@@ -483,35 +451,5 @@ func (d *delivery) finish(g uint64, ok bool) {
 	}
 	if !ok && n.debugOn() {
 		n.cfg.Logger.Debug("update delivery gave up", "key", d.key, "attempts", attempts)
-	}
-}
-
-// detachRetry is one acked detach with a bounded retry budget. A dead
-// former parent forgets us via the child TTL anyway, so there is no
-// failover here — just enough persistence to beat one lost datagram,
-// with errors reported to the peer's health record like any other
-// failed ack.
-// RunEvent sends an attempt: the first from the tick that switched
-// parents, the rest from backoff.
-type detachRetry struct {
-	n       *Node
-	to      transport.Addr
-	dm      DetachMsg
-	attempt int
-}
-
-func (r *detachRetry) RunEvent(int32) {
-	r.attempt++
-	r.n.sm.enqueue(r.to, &BatchElem{Kind: batchKindDetach, Detach: r.dm}, sinkRef{sink: r})
-}
-
-func (r *detachRetry) onAck(_ uint64, _ UpdateAck, err error) {
-	n, a := r.n, r.attempt
-	if err == nil || errors.Is(err, ErrSendClosed) {
-		return // delivered — or refused locally: no peer evidence, no retry
-	}
-	n.reportDAT(r.to, chord.DATFailed, err)
-	if a < deliveryAttempts {
-		n.clock.AfterRun(backoffDelay(deliveryBackoff, a, jitterHash(n.ep.Addr(), r.dm.Key, int64(a), a)), r, 0)
 	}
 }

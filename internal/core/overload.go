@@ -22,7 +22,7 @@ import (
 // every attempt asks the peer-health record (chord/health.go, DESIGN.md
 // §10) whether the peer is avoided as DAT parent: a persistently
 // unresponsive parent is failed over in O(1) instead of per-slot retry
-// budgets. This layer only reports outcomes to the record.
+// budgets. The send machine reports each datagram's outcome to it.
 
 // OverloadConfig holds the avoid-as-DAT-parent thresholds of the peer-
 // health record (the "circuit breaker"). The zero value arms it;
@@ -34,8 +34,8 @@ type OverloadConfig struct {
 	// until benchmark v2, because frozen perf/sim.go sets it in a
 	// literal; nothing else may read or set it.
 	Enable bool
-	// BreakerFailures is how many consecutive delivery failures
-	// (ack timeouts, transport errors, or refusals) make a peer avoided
+	// BreakerFailures is how many consecutive datagrams to a peer that
+	// time out, fail in transport or are wholly refused make it avoided
 	// as DAT parent. Default 3.
 	BreakerFailures int
 	// BreakerCooldown is how long an avoided peer gets no DAT traffic
@@ -61,7 +61,8 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 // retry nor strike — they stop instead of racing shutdown onto the wire.
 var ErrSendClosed = errors.New("core: send machine closed")
 
-// reportDAT feeds one delivery outcome at to into the peer-health record.
+// reportDAT feeds one datagram's outcome at to into the peer-health
+// record; the send machine is its one caller.
 func (n *Node) reportDAT(to transport.Addr, ev chord.Evidence, err error) {
 	cfg := n.cfg.Overload
 	n.fireBreaker(to, n.ch.Report(to, ev, err, cfg.BreakerFailures, cfg.BreakerCooldown))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/chord"
+	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -477,5 +478,138 @@ func TestQueueStatsAges(t *testing.T) {
 	}
 	if qs[1].Elems != 1 || qs[1].OldestAge != 5*time.Millisecond {
 		t.Fatalf("old queue stat = %+v, want 1 elem aged 5ms", qs[1])
+	}
+}
+
+// TestLostDatagramIsOneFailure pins the unit of evidence: a datagram
+// carrying three trees' updates to a live peer that is lost costs the
+// peer one ring strike and one DAT failure — not one per element — so
+// it is neither evicted nor avoided, and every element still hears its
+// own timeout.
+func TestLostDatagramIsOneFailure(t *testing.T) {
+	const dest = transport.Addr("10.0.0.2:1")
+	eng := sim.NewEngine(1)
+	n, ep, _ := newOverloadMachineForTest(t, eng,
+		BatchConfig{MaxDelay: time.Hour, MaxElems: 3}, OverloadConfig{})
+	var gaveUp int
+	n.cfg.Obs.DeliveryDone = func(ok bool, _ int, _ time.Duration) {
+		if !ok {
+			gaveUp++
+		}
+	}
+	for k := 0; k < 3; k++ {
+		um := testUpdate(k)
+		um.Key = ident.ID(100 + k)
+		n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+	}
+	if len(ep.calls) != 1 || len(ep.calls[0].payload.(BatchMsg).Elems) != 3 {
+		t.Fatalf("want one datagram of three updates, got %d calls", len(ep.calls))
+	}
+	// The stub never answers: the datagram's one ack deadline fires, and
+	// each delivery backs off to its second attempt.
+	eng.RunFor(n.cfg.Delivery.AckTimeout)
+	rows, opens, _ := n.ch.PeerHealth()
+	if len(rows) != 1 || rows[0].Strikes != 1 || rows[0].Fails != 1 || rows[0].Avoid != "closed" || opens != 0 {
+		t.Fatalf("peer health after one lost datagram = %+v (opens %d), want one strike, one failure, not avoided", rows, opens)
+	}
+	if !n.mayCarry(dest) {
+		t.Fatal("a live peer is avoided after one lost datagram")
+	}
+	if gaveUp != 0 {
+		t.Fatalf("%d deliveries gave up on the first lost datagram", gaveUp)
+	}
+}
+
+// TestDetachOnlyFlightIsNoEvidence pins the fire-and-forget detach: a
+// datagram no sink waits on arms no ack deadline, and whatever becomes
+// of it tells the peer-health record nothing.
+func TestDetachOnlyFlightIsNoEvidence(t *testing.T) {
+	const dest = transport.Addr("10.0.0.2:1")
+	eng := sim.NewEngine(1)
+	n, ep, _ := newOverloadMachineForTest(t, eng,
+		BatchConfig{MaxDelay: time.Hour, MaxElems: 2}, OverloadConfig{})
+	for k := 0; k < 2; k++ {
+		n.sm.enqueue(dest, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: ident.ID(k)}}, sinkRef{})
+	}
+	if len(ep.calls) != 1 {
+		t.Fatalf("want one detach datagram, got %d calls", len(ep.calls))
+	}
+	if eng.Len() != 0 {
+		t.Fatalf("%d timers armed for a datagram nobody waits on", eng.Len())
+	}
+	ep.calls[0].cb(nil, transport.ErrTimeout)
+	if rows, _, _ := n.ch.PeerHealth(); len(rows) != 0 {
+		t.Fatalf("a detach-only datagram was evidence: %+v", rows)
+	}
+	if got := liveQueues(n); got != 0 || len(n.sm.free) != 1 {
+		t.Fatalf("record not recycled after the reply: %d queues, %d free", got, len(n.sm.free))
+	}
+}
+
+// captureClock hands the timers armed on it to the test instead of
+// firing them; its handles never stop anything, as if each timer had
+// already fired.
+type captureClock struct {
+	transport.SimClock
+	mu    sync.Mutex
+	tasks []transport.TimerTask
+	ops   []int32
+}
+
+func (c *captureClock) AfterRun(_ time.Duration, r transport.TimerTask, op int32) transport.Timer {
+	c.mu.Lock()
+	c.tasks, c.ops = append(c.tasks, r), append(c.ops, op)
+	c.mu.Unlock()
+	return transport.Timer{}
+}
+
+// TestAckDeadlineRacesReply runs a flight's ack deadline and its reply
+// on two goroutines at once, as a live node's clock loop and socket
+// reader do: whoever answers first answers every sink, each sink hears
+// exactly one verdict, and the record is recycled once, only after
+// both let go of it. Meaningful under -race.
+func TestAckDeadlineRacesReply(t *testing.T) {
+	const dest, flights, elems = transport.Addr("10.0.0.2:1"), 200, 3
+	ep := &stubEndpoint{addr: "10.0.0.1:1"}
+	clock := &captureClock{SimClock: transport.SimClock{Engine: sim.NewEngine(1)}}
+	cfg := NodeConfig{Batch: BatchConfig{MaxDelay: time.Hour, MaxElems: elems}}.withDefaults()
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg}
+	n.sm = newSendMachine(n, cfg.Batch)
+
+	var answered [flights * elems]atomic.Int32
+	for f := 0; f < flights; f++ {
+		for i := 0; i < elems; i++ {
+			k := f*elems + i
+			n.batchCall(dest, MsgUpdate, testUpdate(k), func(any, error) { answered[k].Add(1) })
+		}
+		if len(ep.calls) != f+1 {
+			t.Fatalf("flight %d: %d calls", f, len(ep.calls))
+		}
+		// The last timer armed is the flight's ack deadline; the one
+		// before, the queue's flush deadline, is stale by now.
+		last := len(clock.tasks) - 1
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); clock.tasks[last].RunEvent(clock.ops[last]) }()
+		go func() {
+			defer wg.Done()
+			ep.calls[f].cb(BatchAck{Acks: []UpdateAck{{OK: true}, {OK: true}, {OK: true}}}, nil)
+		}()
+		wg.Wait()
+	}
+	for k := range answered {
+		if got := answered[k].Load(); got != 1 {
+			t.Fatalf("sink %d answered %d times", k, got)
+		}
+	}
+	n.sm.mu.Lock()
+	defer n.sm.mu.Unlock()
+	if len(n.sm.free) != len(n.sm.records) {
+		t.Fatalf("%d of %d records back on the free list", len(n.sm.free), len(n.sm.records))
+	}
+	for _, q := range n.sm.records {
+		if q.holds != 0 {
+			t.Fatalf("recycled record holds %d", q.holds)
+		}
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/transport"
 )
 
@@ -18,6 +20,8 @@ import (
 // parent as one BatchMsg envelope — the only wire form either takes —
 // and piggybacks the per-element UpdateAcks on the single BatchAck
 // reply, so the datagrams/slot cost collapses from O(T) toward O(log n).
+// The datagram is the unit of the ack deadline and of peer-health
+// evidence: one lost datagram is one failure (DESIGN.md §10).
 //
 // Determinism: flush deadlines are jittered like the retry backoff, by
 // delivery.go's draw-free hash, so batching consumes no RNG either.
@@ -107,10 +111,11 @@ const frameOverhead = 48
 
 // ackSink receives the verdict on one element handed to the send
 // machine: the receiver's UpdateAck, or the error that befell its
-// datagram — ErrSendClosed included, a refused element is always
-// answered. Elements are queued as (sink, gen) pairs, not closures: gen
-// is the token the element was queued with, the sink's fence against a
-// verdict that outlived the attempt it answers.
+// datagram — transport.ErrTimeout at its ack deadline, ErrSendClosed
+// too: a refused element is always answered. Elements are queued as
+// (sink, gen) pairs, not closures: gen is the token the element was
+// queued with, the sink's fence against a verdict that outlived the
+// attempt it answers.
 type ackSink interface {
 	onAck(gen uint64, ack UpdateAck, err error)
 }
@@ -129,8 +134,8 @@ func (r sinkRef) fire(ack UpdateAck, err error) {
 // sendMachine queues outbound acked calls per destination and flushes
 // them as coalesced batches. All transport and hook work happens
 // outside sm.mu (the locksafe copy-out discipline); deadline timers are
-// fenced by a per-queue generation so a flush triggered by size races
-// cleanly with its own deadline.
+// fenced by a per-record generation so a flush triggered by size races
+// cleanly with its own deadline, and a reply with its ack deadline.
 type sendMachine struct {
 	n   *Node
 	cfg BatchConfig
@@ -143,6 +148,7 @@ type sendMachine struct {
 	// made per fill (elemHint long, like the last): the transport, and
 	// an in-process receiver, go on reading it after the flush.
 	free     []*destQueue
+	records  []*destQueue // every record made: where Close finds the flights
 	elemHint int
 	// seqs is the per-destination timer-arming counter feeding the
 	// deadline jitter. It lives outside destQueue so queue GC (idle
@@ -166,7 +172,8 @@ type sendMachine struct {
 }
 
 // destQueue is one destination's pending elements — and the TimerTask
-// of their flush deadline — then the flight record of their datagram.
+// of their flush deadline — then the flight record of their datagram
+// and the TimerTask of its ack deadline.
 type destQueue struct {
 	n     *Node
 	to    transport.Addr
@@ -174,11 +181,17 @@ type destQueue struct {
 	sinks []sinkRef
 	bytes int
 	gen   uint64 // from sm.genSeq; stale deadline timers no-op
-	// firstAt is when the head element was queued: queue-age telemetry.
+	// firstAt is when the head element was queued: queue-age telemetry,
+	// and where the flight's ack deadline is counted from.
 	firstAt time.Duration
-	timer   transport.Timer // the deadline timer while armed
-	armed   bool
-	reply   transport.ResponseFunc // q.onReply, bound once per record
+	timer   transport.Timer // the flush deadline, then the ack deadline
+	armed   bool            // queued: timer is set; in flight: the datagram has an ack deadline
+	// In flight, under sm.mu: the reply or the ack deadline, whichever
+	// sets answered, answers the sinks; holds counts the Call and a
+	// deadline still answering, and the last one out recycles q.
+	answered bool
+	holds    int
+	reply    transport.ResponseFunc // q.onReply, bound once per record
 }
 
 func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
@@ -189,37 +202,13 @@ func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
 	}
 }
 
-func newRecord(n *Node, to transport.Addr) *destQueue {
-	q := &destQueue{n: n, to: to}
-	q.reply = q.onReply
-	return q
-}
-
-// treeSent accounts one outbound element: into the node's own load
-// scalars (DESIGN.md §13) and, when an Observer is attached, its per-tree
-// table through the TreeSent hook. Both paths that put an update or detach
-// on the wire — flush and the failover courtesy detach — call it exactly
-// once, so an element counts once per wire appearance (retries count
-// again: it tracks traffic, not intents). Callers hold no locks.
-func (n *Node) treeSent(el *BatchElem) {
-	key, typ, est := el.Update.Key, MsgUpdate, elemEstimate(el)
-	if el.Kind == batchKindDetach {
-		key, typ = el.Detach.Key, MsgDetach
-	} else {
-		n.loadMsgs.Add(1)
-	}
-	n.loadBytes.Add(uint64(est))
-	if h := n.cfg.Obs.TreeSent; h != nil {
-		h(key, typ, est)
-	}
-}
-
 // enqueue is the one road onto the wire for an update or detach
 // (DESIGN.md §12): a closed machine refuses the element with
 // ErrSendClosed; otherwise it is appended to its destination's queue,
 // which is flushed at once if a size trigger tripped, else its deadline
-// timer is armed. Peer health is not its business: every update comes
-// from delivery.sendAttempt, which has just asked the record.
+// timer is armed. Peer health is asked before: every update comes from
+// delivery.sendAttempt, which has just asked the record; a detach has
+// no sink, as nobody waits for it.
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)
@@ -240,7 +229,9 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		if k := len(sm.free); k > 0 {
 			q, sm.free = sm.free[k-1], sm.free[:k-1]
 		} else {
-			q = newRecord(n, to)
+			q = &destQueue{n: n}
+			q.reply = q.onReply
+			sm.records = append(sm.records, q)
 		}
 		sm.genSeq++
 		q.to, q.gen, q.firstAt = to, sm.genSeq, now
@@ -307,20 +298,30 @@ func (sm *sendMachine) deadline(to transport.Addr, seq uint64) time.Duration {
 	return d - time.Duration(fnvUint64(fnvAddr(fnvAddr(fnvOffset, sm.n.ep.Addr()), to), seq)%quarter)
 }
 
-// RunEvent implements transport.TimerTask: the flush deadline armed
-// under generation op (its low 32 bits) expired. The queue is flushed
-// unless a size trigger already did — it then left the map and took a
-// new generation, as any later fill of the record has.
+// RunEvent implements transport.TimerTask: the deadline armed under
+// generation op (its low 32 bits) expired. A queued record is flushed.
+// A flight nobody answered yet times out: every element fails with
+// transport.ErrTimeout, the datagram with one failure. Any other timer
+// is stale — taking a queue, and each later fill, draws a new generation.
 func (q *destQueue) RunEvent(op int32) {
 	sm := q.n.sm
 	sm.mu.Lock()
-	if sm.queues[q.to] != q || uint32(q.gen) != uint32(op) {
+	switch {
+	case uint32(q.gen) != uint32(op):
 		sm.mu.Unlock()
-		return
+	case sm.queues[q.to] == q:
+		sm.takeLocked(q)
+		sm.mu.Unlock()
+		sm.flush(q, "deadline")
+	case q.armed && !q.answered:
+		q.answered, q.timer = true, transport.Timer{}
+		q.holds++
+		sm.mu.Unlock()
+		q.answer(nil, transport.ErrTimeout)
+		sm.release(q)
+	default:
+		sm.mu.Unlock()
 	}
-	sm.takeLocked(q)
-	sm.mu.Unlock()
-	sm.flush(q, "deadline")
 }
 
 // takeLocked takes the queue off the map — idle destinations hold no
@@ -341,17 +342,22 @@ func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
 	return stop
 }
 
-// recycleLocked returns a record nobody references any more to the
-// free list, dropping what it pointed at. Callers hold sm.mu.
-func (sm *sendMachine) recycleLocked(q *destQueue) {
-	clear(q.sinks)
-	q.elems, q.sinks = nil, q.sinks[:0]
-	sm.free = append(sm.free, q)
+// release drops one hold on a flight record; the last one recycles it.
+func (sm *sendMachine) release(q *destQueue) {
+	sm.mu.Lock()
+	if q.holds--; q.holds == 0 {
+		clear(q.sinks)
+		q.elems, q.sinks, q.armed = nil, q.sinks[:0], false
+		sm.free = append(sm.free, q)
+	}
+	sm.mu.Unlock()
 }
 
 // flush puts one taken queue's worth of traffic on the wire as one
-// BatchMsg, however many elements it holds; onReply demultiplexes the
-// BatchAck back onto the per-element sinks in order.
+// BatchMsg, however many elements it holds; the reply — or the ack
+// deadline, counted from the head element's enqueue — answers the
+// per-element sinks in order. Only a datagram some sink waits on has a
+// deadline and is evidence; a flush at Close arms none.
 func (sm *sendMachine) flush(q *destQueue, reason string) {
 	n := sm.n
 	elems := q.elems // never empty: a queue exists from its first element
@@ -359,21 +365,73 @@ func (sm *sendMachine) flush(q *destQueue, reason string) {
 	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
 	}
+	// Every element on the wire counts into the node's own load
+	// (DESIGN.md §13) and its tree's TreeSent hook; a retry counts again.
 	for i := range elems {
-		n.treeSent(&elems[i])
+		el := &elems[i]
+		key, typ, est := el.Update.Key, MsgUpdate, elemEstimate(el)
+		if el.Kind == batchKindDetach {
+			key, typ = el.Detach.Key, MsgDetach
+		} else {
+			n.loadMsgs.Add(1)
+		}
+		n.loadBytes.Add(uint64(est))
+		if h := n.cfg.Obs.TreeSent; h != nil {
+			h(key, typ, est)
+		}
+	}
+	sm.mu.Lock()
+	q.answered, q.holds = false, 1
+	q.armed = !sm.closed && slices.ContainsFunc(q.sinks, func(r sinkRef) bool { return r.sink != nil })
+	armed, gen := q.armed, q.gen
+	sm.mu.Unlock()
+	if armed {
+		t := n.clock.AfterRun(q.firstAt+n.cfg.Delivery.AckTimeout-n.clock.Now(), q, int32(gen))
+		sm.mu.Lock()
+		if q.answered || !q.armed { // a deadline already past, or Close
+			defer t.Stop()
+		} else {
+			q.timer = t
+		}
+		sm.mu.Unlock()
 	}
 	n.ep.Call(q.to, MsgBatch, BatchMsg{Elems: elems}, q.reply)
 }
 
-// onReply is the Call callback of the datagram q carries: hand every
-// element's sink its verdict, then recycle the record. A failed
-// datagram — or a reply that is not a BatchAck with one ack per element
-// — fails every element alike, exactly as if each had timed out on its
-// own wire.
+// onReply is the Call callback of the datagram q carries: unless its
+// ack deadline answered first, it answers the sinks.
 func (q *destQueue) onReply(payload any, err error) {
+	sm := q.n.sm
+	sm.mu.Lock()
+	mine, stop := !q.answered, q.timer
+	q.answered, q.timer = true, transport.Timer{}
+	sm.mu.Unlock()
+	stop.Stop()
+	if mine {
+		q.answer(payload, err)
+	}
+	sm.release(q)
+}
+
+// answer gives every sink its element's verdict. A failed datagram — or
+// a reply that is not a BatchAck with one ack per element — fails every
+// element alike. A datagram with an ack deadline is first one piece of
+// evidence about its destination: failed without a well-formed reply,
+// acked when any element was, refused when every element was.
+func (q *destQueue) answer(payload any, err error) {
 	ba, ok := payload.(BatchAck)
 	if err == nil && (!ok || len(ba.Acks) != len(q.sinks)) {
 		err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(ba.Acks), len(q.sinks))
+	}
+	if q.armed {
+		ev := chord.DATFailed
+		if err == nil {
+			ev = chord.DATRefused
+			if slices.ContainsFunc(ba.Acks, func(a UpdateAck) bool { return a.OK }) {
+				ev = chord.DATAcked
+			}
+		}
+		q.n.reportDAT(q.to, ev, err)
 	}
 	for i, ref := range q.sinks {
 		if err != nil {
@@ -382,17 +440,15 @@ func (q *destQueue) onReply(payload any, err error) {
 			ref.fire(ba.Acks[i], nil)
 		}
 	}
-	sm := q.n.sm
-	sm.mu.Lock()
-	sm.recycleLocked(q)
-	sm.mu.Unlock()
 }
 
 // Close drains every queue (flushing pending traffic immediately) and
-// stops all deadline timers. Later enqueues are refused with
-// ErrSendClosed, so their sinks are still answered instead of racing
-// shutdown onto the wire. The destinations are flushed in sorted order
-// so shutdown traffic is deterministic.
+// stops all deadline timers, the ack deadlines of flights already on the
+// wire included: from here only replies answer, and they are no
+// evidence. Later enqueues are refused with ErrSendClosed, so their
+// sinks are still answered instead of racing shutdown onto the wire. The
+// destinations are flushed in sorted order so shutdown traffic is
+// deterministic.
 func (sm *sendMachine) Close() {
 	sm.mu.Lock()
 	if sm.closed {
@@ -406,6 +462,11 @@ func (sm *sendMachine) Close() {
 		all = append(all, q)
 		stops = append(stops, sm.takeLocked(q))
 	}
+	for _, q := range sm.records {
+		if q.armed && !q.answered { // a flight: taken queues are not armed
+			stops, q.timer, q.armed = append(stops, q.timer), transport.Timer{}, false
+		}
+	}
 	sm.mu.Unlock()
 	for _, t := range stops {
 		t.Stop()
@@ -418,8 +479,7 @@ func (sm *sendMachine) Close() {
 
 // handleBatch is the one door for child updates and detaches: it
 // applies each element of the envelope in order and returns the verdicts
-// as one BatchAck. Detaches also arrive as one-way datagrams (the
-// failover courtesy detach); Reply is a no-op on those.
+// as one BatchAck.
 func (n *Node) handleBatch(req *transport.Request) {
 	bm, ok := req.Payload.(BatchMsg)
 	if !ok {

@@ -181,8 +181,10 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 			if st.HiWaterBytes >= n.sm.cfg.MaxBytes {
 				t.Fatalf("hi-water %d reached the queue's %d-byte flush threshold", st.HiWaterBytes, n.sm.cfg.MaxBytes)
 			}
-			// No timer may survive the flush: drain the engine and assert
-			// nothing else reaches the wire.
+			// Answer the datagram, which stops its ack deadline. No timer
+			// may survive the flush: drain the engine and assert nothing
+			// else reaches the wire.
+			call.cb(BatchAck{Acks: make([]UpdateAck, tc.wantElems)}, nil)
 			eng.Run()
 			if len(ep.calls) != 1 {
 				t.Fatalf("stale deadline timer fired: %d calls", len(ep.calls))
@@ -332,9 +334,9 @@ func TestSendMachineCloseDrains(t *testing.T) {
 
 // TestSendMachinePassThrough pins the unbatched spelling: under
 // MaxElems 1 every enqueue trips the elems trigger, so each element is
-// its own one-element MsgBatch Call in enqueue order, no deadline timer
-// is ever armed, nothing stays queued, and every sink hears its own
-// verdict exactly once.
+// its own one-element MsgBatch Call in enqueue order, no flush deadline
+// is ever armed, nothing stays queued, every sink hears its own verdict
+// exactly once, and no ack deadline outlives its reply.
 func TestSendMachinePassThrough(t *testing.T) {
 	const destA, destB = transport.Addr("10.0.0.2:1"), transport.Addr("10.0.0.3:1")
 	type send struct {
@@ -398,9 +400,6 @@ func TestSendMachinePassThrough(t *testing.T) {
 					t.Fatalf("flush record %+v, want one element on the elems trigger, nothing saved", f)
 				}
 			}
-			if eng.Len() != 0 {
-				t.Fatalf("%d events pending: a deadline timer was armed", eng.Len())
-			}
 			if st := n.OverloadStats(); st.QueuedBytes != 0 || st.QueuedElems != 0 {
 				t.Fatalf("still queued after the sends: %+v", st)
 			}
@@ -413,6 +412,9 @@ func TestSendMachinePassThrough(t *testing.T) {
 				if k != 1 {
 					t.Errorf("sink %d answered %d times", i, k)
 				}
+			}
+			if eng.Len() != 0 {
+				t.Fatalf("%d events pending after the replies: a deadline timer outlived its datagram", eng.Len())
 			}
 		})
 	}

@@ -507,11 +507,11 @@ func TestDatcheckDeterministic(t *testing.T) {
 // prove it byte for byte. Regenerate with -datcheck.writegolden only
 // when a PR intentionally changes protocol behaviour, say so in
 // CHANGES.md, and carry a semantic-equivalence test in its place. Last
-// regenerated by PR 23 (the send-queue budget deleted: only the
-// "overload …" header and audit lines changed, every other line of every
-// seed equal to the parent's trace); before that by PR 21 (overload
-// protection structural, TestDatcheckOverloadEquivalence its gate) and
-// PR 10's pre-arena engine.
+// regenerated when the datagram became the unit of the ack deadline and
+// of peer-health evidence (DESIGN.md §10; the corpus, fault families and
+// equivalence tests its gate); before that when the send-queue budget
+// was deleted, when overload protection became structural, and for the
+// arena engine.
 const goldenPath = "testdata/trace_sha256.txt"
 
 func traceHash(trace []byte) string {

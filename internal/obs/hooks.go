@@ -71,8 +71,8 @@ type CoreHooks struct {
 	// (DESIGN.md §12).
 	BatchFlush func(reason string, elems, bytesSaved int)
 	// TreeSent fires once per outbound element attributable to an
-	// aggregation key — a send-machine flush element, or the failover
-	// path's one-way courtesy detach. typ is the wire type
+	// aggregation key: each element a send-machine flush puts on the
+	// wire, detaches included. typ is the wire type
 	// ("dat.update", "dat.detach") and bytes the element's estimated
 	// payload size. It feeds the Observer's per-tree table and nothing
 	// else: the node's own load scalars are counted by core.Node at the
