@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free retired lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free retired lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-wide datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -85,6 +85,15 @@ datcheck-overload:
 		-run 'TestDatcheckOverloadFaults|TestDatcheckOverloadEquivalence' \
 		-datcheck.overloadseeds $(DATCHECK_OVERLOAD_SEEDS)
 
+# datcheck-wide: the wide sweep every behavioural change reports —
+# fresh seeds of the long sweep and of every fault family, a few seconds
+# in all. A seed of it that a change turns green joins the corpus.
+datcheck-wide:
+	$(GO) test ./internal/datcheck \
+		-run 'TestDatcheckLong|TestDatcheckFaults|TestDatcheckBatchFaults|TestDatcheckOverloadFaults' \
+		-datcheck.long -datcheck.seeds 60 -datcheck.faultseeds 40 \
+		-datcheck.overloadseeds 40 -datcheck.batchseeds 20
+
 datcheck-long:
 	$(GO) test -race ./internal/datcheck -v -run TestDatcheckLong \
 		-datcheck.long -datcheck.seeds $(DATCHECK_SEEDS) -datcheck.base $(DATCHECK_BASE) \
@@ -146,4 +155,4 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHandleBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rpcudp -run '^$$' -fuzz FuzzEndpointFrame -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free retired lint test race fuzz obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free retired lint test datcheck-wide race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

@@ -54,7 +54,7 @@ type UpdateMsg struct {
 	Epoch  int64 // continuous: slot index; on-demand: collection epoch
 	Agg    Aggregate
 	Nodes  uint64 // number of distinct contributors folded in (diagnostic)
-	Height int    // sender's subtree height (drives slot synchronization)
+	Height int    // sender's subtree height (sizes the parent's fallback wait)
 	Slot   int64  // slot duration in nanoseconds (lets relay nodes enroll)
 	Sender chord.NodeRef
 	Demand bool // true for on-demand collection traffic
@@ -133,7 +133,8 @@ type NodeConfig struct {
 	Local func(key ident.ID) (value float64, ok bool)
 	// ChildTTLSlots is how many continuous slots a cached child aggregate
 	// survives without refresh before being dropped (handles churn and
-	// tree reshuffling). Default 3.
+	// tree reshuffling): one reported for slot t counts in reports up to
+	// slot t+ChildTTLSlots-1. Default 3.
 	ChildTTLSlots int
 	// ShareResults makes the root broadcast each completed slot result
 	// over the ring (n-1 messages per slot), so every node's LastResult
@@ -141,13 +142,18 @@ type NodeConfig struct {
 	// dissemination pattern of SOMO/Willow the paper cites. Off by
 	// default: it doubles per-slot traffic.
 	ShareResults bool
-	// HoldPerLevel is the paper's aggregation synchronization (§4): a
-	// node at subtree height h sends its slot update h*HoldPerLevel after
-	// the slot boundary, so children (lower h) report first and parents
-	// fold fresh slot-t values rather than last-slot caches. Must exceed
-	// the typical one-way latency. Default 10ms; negative disables the
-	// staggering entirely (ablation: parents then relay cached values one
-	// slot behind their children).
+	// HoldPerLevel sizes the fallback of the paper's aggregation
+	// synchronization (§4). Every node's slot boundaries sit on one
+	// shared epoch; at a boundary a node reports at once if every child
+	// it expects (a subtree still cached, see ChildTTLSlots) has
+	// reported that slot, and otherwise as soon as the last one does —
+	// or, for a child that never does, at the fallback deadline
+	// boundary + min(Delivery.AckTimeout, slot/2) + h*HoldPerLevel, h
+	// its subtree height, so a parent waits out its children's
+	// deadlines. Parents therefore fold fresh slot-t values, and the
+	// root's result follows the data. Default 10ms; negative waits for
+	// nobody — every node reports at the boundary (ablation: parents
+	// then relay cached values one slot behind their children).
 	HoldPerLevel time.Duration
 	// Delivery tunes the delivery-assurance layer every update goes
 	// through: acked sends with backoff, in-slot parent failover,
@@ -181,8 +187,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.HoldPerLevel == 0 {
 		c.HoldPerLevel = 10 * time.Millisecond
-	} else if c.HoldPerLevel < 0 {
-		c.HoldPerLevel = 0 // synchronization disabled
 	}
 	c.Delivery = c.Delivery.withDefaults()
 	c.Batch = c.Batch.withDefaults()
@@ -234,23 +238,41 @@ type childState struct {
 	agg    Aggregate
 	nodes  uint64
 	height int
+	slot   int64         // the slot the child reported agg for
 	seen   time.Duration // clock time of last refresh
+	// expected: the parent waits for this child's report of the slot it
+	// is collecting, and counts it in aggEntry.missing.
+	expected bool
 }
 
+// What a tree's one timer is armed for, which is also its op.
+const (
+	armedNone     int32 = iota // a report is running
+	armedBoundary              // report at the boundary of slot collecting, or at once past it
+	armedDeadline              // the fallback deadline: some expected child is out
+)
+
 // aggEntry is one row of the aggregation table, the TimerTask of its
-// own slot tick, and the home of the one acked update its tree can have
+// own slot timer, and the home of the one acked update its tree can have
 // pending: a steady slot allocates no closure, timer or delivery.
 type aggEntry struct {
 	n   *Node
 	key ident.ID
 
 	// Continuous mode.
-	slotDur    time.Duration
-	onResult   func(slot int64, agg Aggregate)
-	timer      transport.Timer // the armed slot tick
+	slotDur  time.Duration
+	onResult func(slot int64, agg Aggregate)
+	// timer is the tree's one timer, armed for its next report: at the
+	// slot boundary, or at the fallback deadline while an expected child
+	// is missing, until the last one's report moves it back to the
+	// boundary (due at once, once passed).
+	timer      transport.Timer
+	armed      int32 // what timer is armed for
+	collecting int64 // the slot the next report is for
+	missing    int   // expected children that have not reported collecting
 	children   map[transport.Addr]childState
 	height     int            // subtree height: 0 for leaves, 1+max(child heights)
-	lastParent transport.Addr // previous slot's parent, to detach on switch
+	lastParent transport.Addr // the parent that last acked this tree's update, to detach on switch
 	lastAgg    Aggregate
 	lastSlot   int64
 	haveLast   bool
@@ -421,12 +443,12 @@ func (n *Node) parentLocked(e *aggEntry, key ident.ID, rt *chord.Routing) parent
 // the simulator: while it runs none of the node's other timers fire, so
 // it must not block — hand long work to another goroutine.
 //
-// Slot synchronization (§4): sends are staggered by subtree height —
-// leaves report right after the slot boundary, a node of height h waits
-// h*HoldPerLevel so its children's slot-t values arrive before it sends
-// its own. The root therefore surfaces slot t's data within
-// O(height * HoldPerLevel) of the boundary, not with an O(height)-slot
-// lag.
+// Slot synchronization (§4): slot boundaries sit on the clock's shared
+// epoch, so every node's slot t starts at t*slot. Leaves report at the
+// boundary; a parent reports the moment every child it expects has
+// reported slot t (see NodeConfig.HoldPerLevel for the fallback). The
+// root therefore surfaces slot t's data one tree-deep chain of
+// deliveries after the boundary, not with an O(height)-slot lag.
 func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(slot int64, agg Aggregate)) error {
 	if slot <= 0 {
 		return fmt.Errorf("core: non-positive slot duration %v", slot)
@@ -442,8 +464,8 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 	}
 	e := n.entryLocked(key)
 	e.slotDur, e.onResult = slot, onResult
+	n.startLocked(e)
 	n.mu.Unlock()
-	n.scheduleTick(e)
 	return nil
 }
 
@@ -464,25 +486,81 @@ func (n *Node) entryLocked(key ident.ID) *aggEntry {
 	return e
 }
 
-// scheduleTick arms the next continuous send: at the next slot boundary
-// plus the height-proportional hold.
-func (n *Node) scheduleTick(e *aggEntry) {
-	n.mu.Lock()
-	if n.closed || n.aggs[e.key] != e { // stopped
-		n.mu.Unlock()
-		return
+// armLocked points e's timer at its next report of slot collecting: the
+// slot boundary on the shared epoch if no expected child is missing,
+// else the fallback deadline. Caller holds n.mu, and e is live.
+func (n *Node) armLocked(e *aggEntry, now time.Duration) {
+	at := time.Duration(e.collecting) * e.slotDur
+	e.armed = armedBoundary
+	if e.missing > 0 {
+		at += min(n.cfg.Delivery.AckTimeout, e.slotDur/2) + time.Duration(e.height)*n.cfg.HoldPerLevel
+		e.armed = armedDeadline
 	}
-	now := n.clock.Now()
-	nextBoundary := (now/e.slotDur + 1) * e.slotDur
-	hold := time.Duration(e.height) * n.cfg.HoldPerLevel
-	e.timer = n.clock.AfterRun(nextBoundary+hold-now, e, 0)
-	n.mu.Unlock()
+	e.timer = n.clock.AfterRun(at-now, e, e.armed)
 }
 
-// RunEvent implements transport.TimerTask: tick, then arm the next.
-func (e *aggEntry) RunEvent(int32) {
-	e.n.tickContinuous(e.key)
-	e.n.scheduleTick(e)
+// startLocked arms a new tree's first report, at the next boundary: it
+// expects no child yet. Caller holds n.mu.
+func (n *Node) startLocked(e *aggEntry) {
+	now := n.clock.Now()
+	e.collecting = int64(now/e.slotDur) + 1
+	n.armLocked(e, now)
+}
+
+// cachedFor reports whether a child's cached subtree still counts in
+// e's report of slot: it survives ChildTTLSlots slots without refresh,
+// counted by the slots it was reported for, and as long again on the
+// clock for a child whose slot reads ahead of ours.
+func (n *Node) cachedFor(e *aggEntry, cs childState, slot int64, now time.Duration) bool {
+	ttl := int64(n.cfg.ChildTTLSlots)
+	return slot-cs.slot < ttl && now-cs.seen <= time.Duration(ttl)*e.slotDur
+}
+
+// expects reports whether e waits for cs's report of slot collecting:
+// cs is still cached then and has not reported that slot or a later one
+// (a child whose clock runs ahead reports early, and that report
+// counts). With HoldPerLevel negative it expects nobody.
+func (n *Node) expects(e *aggEntry, cs childState, now time.Duration) bool {
+	return n.cfg.HoldPerLevel >= 0 && cs.slot < e.collecting && n.cachedFor(e, cs, e.collecting, now)
+}
+
+// childChangedLocked accounts a child's report or detach — old its
+// cached state before, cs after (zero when gone) — in e.missing, and
+// moves e's timer when that crosses zero: the last expected report
+// swaps the fallback deadline for the boundary, due at once once it has
+// passed, so the report runs on the clock loop like every report. It
+// returns the replaced timer for the caller to stop outside n.mu.
+func (n *Node) childChangedLocked(e *aggEntry, old, cs childState) (stop transport.Timer) {
+	if old.expected == cs.expected {
+		return transport.Timer{}
+	}
+	if cs.expected {
+		e.missing++
+	} else {
+		e.missing--
+	}
+	if e.armed == armedNone || (e.missing > 0) == (e.armed == armedDeadline) {
+		return transport.Timer{} // a report is running, or the timer is right
+	}
+	stop = e.timer
+	n.armLocked(e, n.clock.Now())
+	return stop
+}
+
+// RunEvent implements transport.TimerTask: report slot collecting. Live,
+// a deadline can fire while the last expected report replaces it;
+// whichever runs second finds its op no longer armed and does nothing.
+func (e *aggEntry) RunEvent(op int32) {
+	n := e.n
+	n.mu.Lock()
+	if n.closed || n.aggs[e.key] != e || op != e.armed {
+		n.mu.Unlock() // stopped, or replaced
+		return
+	}
+	e.armed = armedNone
+	slot := e.collecting
+	n.mu.Unlock()
+	n.tickContinuous(e, slot)
 }
 
 // StopContinuous removes the aggregation table entry for key.
@@ -550,22 +628,19 @@ func (n *Node) ChildrenInfo(key ident.ID) []ChildInfo {
 	return out
 }
 
-// tickContinuous runs once per slot (at boundary + height*hold): fold the
-// local sample with the child subtree aggregates received this slot and
-// push the result to the parent (or surface it if this node is the root).
-func (n *Node) tickContinuous(key ident.ID) {
+// tickContinuous reports slot once: fold the local sample with the
+// cached child subtree aggregates and push the result to the parent (or
+// surface it if this node is the root). It arms the next report first.
+func (n *Node) tickContinuous(e *aggEntry, slot int64) {
+	key := e.key
 	rt := n.ch.Routing()
 	n.mu.Lock()
-	e := n.aggs[key]
-	if e == nil {
+	if n.aggs[key] != e {
 		n.mu.Unlock()
 		return
 	}
 	pc := n.parentLocked(e, key, rt)
 	now := n.clock.Now()
-	slot := int64(now / e.slotDur) // the boundary we are reporting for
-	ttl := time.Duration(n.cfg.ChildTTLSlots) * e.slotDur
-
 	var agg Aggregate
 	var nodes uint64
 	if n.cfg.Local != nil {
@@ -574,9 +649,10 @@ func (n *Node) tickContinuous(key ident.ID) {
 			nodes++
 		}
 	}
-	height, fanIn, expired := 0, 0, 0
+	e.collecting = int64(now/e.slotDur) + 1
+	height, fanIn, expired, missing := 0, 0, 0, 0
 	for addr, cs := range e.children {
-		if now-cs.seen > ttl {
+		if !n.cachedFor(e, cs, slot, now) {
 			delete(e.children, addr) // stale child: departed or re-parented
 			expired++
 			continue
@@ -587,8 +663,16 @@ func (n *Node) tickContinuous(key ident.ID) {
 		if cs.height+1 > height {
 			height = cs.height + 1
 		}
+		if expect := n.expects(e, cs, now); expect != cs.expected {
+			cs.expected = expect
+			e.children[addr] = cs
+		}
+		if cs.expected {
+			missing++
+		}
 	}
-	e.height = height
+	e.height, e.missing = height, missing
+	n.armLocked(e, now)
 	slotDur := e.slotDur
 	parent, isRoot, self := pc.parent, pc.isRoot, rt.Self
 	// Root-handover bridge: a node that received a handover update acts
@@ -598,12 +682,8 @@ func (n *Node) tickContinuous(key ident.ID) {
 	forced := pc.ok && !isRoot && now < e.forcedRootUntil
 	isRoot = isRoot || forced
 	var oldParent transport.Addr
-	if pc.ok {
-		oldParent = e.lastParent
-		e.lastParent = parent.Addr
-		if isRoot {
-			e.lastParent = ""
-		}
+	if pc.ok && isRoot {
+		oldParent, e.lastParent = e.lastParent, ""
 	}
 	n.mu.Unlock()
 
@@ -619,24 +699,20 @@ func (n *Node) tickContinuous(key ident.ID) {
 
 	// roundDone reports this node's part of the round: latency is
 	// measured from the slot boundary being reported to now on the
-	// node's clock (the height-proportional hold plus scheduling drift).
+	// node's clock (the wait for its children plus scheduling drift).
 	roundDone := func(root bool) {
 		if h := n.cfg.Obs.RoundDone; h != nil {
 			h(key, slot, root, fanIn, nodes, now-time.Duration(slot)*slotDur)
 		}
 	}
 
-	// On a parent switch, detach from the former parent so the subtree is
-	// not double-counted through two paths until the cache TTL expires,
-	// which is also all a missed detach costs: nobody waits for it.
-	if oldParent != "" && (isRoot || oldParent != parent.Addr) {
-		n.sm.enqueue(oldParent, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: self}}, sinkRef{})
-		if !isRoot {
-			n.debug("switched aggregation parent", key, "old", oldParent, "new", parent.Addr)
-		}
-	}
-
 	if isRoot {
+		// A root has nothing in flight upward, and its former parent
+		// drops the subtree now (see ackedBy).
+		e.deliv.cancel()
+		if oldParent != "" {
+			n.sm.enqueue(oldParent, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: self}}, sinkRef{})
+		}
 		if forced {
 			agg.Degraded = true // serving in the dead root's stead
 		}
@@ -667,6 +743,28 @@ func (n *Node) tickContinuous(key ident.ID) {
 		Trace: obs.RoundTrace(key, slot, false), SentAt: int64(n.clock.Now()),
 	}
 	n.deliverUpdate(e, parent, pc.keyRoot, &um)
+}
+
+// ackedBy records that parent acknowledged e's update. On a parent
+// switch it detaches the former parent, so the subtree is not
+// double-counted through two paths until the cache TTL expires — which
+// is also all a missed detach costs: nobody waits for it. The detach
+// waits for the new parent's ack, so a switch to a parent that turns
+// out dead (a routing entry resurrected by a neighbour's stale
+// pointer, say) never leaves the subtree counted nowhere.
+func (n *Node) ackedBy(e *aggEntry, parent transport.Addr) {
+	n.mu.Lock()
+	old := e.lastParent
+	if n.aggs[e.key] != e || old == parent {
+		n.mu.Unlock()
+		return
+	}
+	e.lastParent = parent
+	n.mu.Unlock()
+	if old != "" {
+		n.sm.enqueue(old, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: e.key, Sender: n.ch.Self()}}, sinkRef{})
+		n.debug("switched aggregation parent", e.key, "old", old, "new", parent)
+	}
 }
 
 // clampEstimateLocked bounds the density-based network-size estimate by
@@ -706,13 +804,17 @@ func (n *Node) debug(msg string, key ident.ID, k1 string, a1 transport.Addr, k2 
 	}
 }
 
-// applyDetach drops a former child's cached aggregate.
+// applyDetach drops a former child's cached aggregate: a waiting tree
+// no longer expects it.
 func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
+	var stop transport.Timer
 	n.mu.Lock()
 	if e := n.aggs[key]; e != nil {
+		stop = n.childChangedLocked(e, e.children[from], childState{})
 		delete(e.children, from)
 	}
 	n.mu.Unlock()
+	stop.Stop()
 	return UpdateAck{OK: true}
 }
 
@@ -764,10 +866,8 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		}
 		e = n.entryLocked(um.Key)
 		e.slotDur = time.Duration(um.Slot)
+		n.startLocked(e)
 		enrolled = true
-		n.mu.Unlock()
-		n.scheduleTick(e)
-		n.mu.Lock()
 	}
 	// Guard against transient 2-cycles during churn: if the sender is
 	// currently our parent, adopting it as a child would double-count the
@@ -779,7 +879,18 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		}
 		return UpdateAck{Reason: "cycle"}
 	}
-	e.children[from] = childState{agg: um.Agg, nodes: um.Nodes, height: um.Height, seen: n.clock.Now()}
+	old, had := e.children[from]
+	if had && um.Epoch < old.slot {
+		// A datagram reordered or retransmitted behind the child's newer
+		// report: acknowledged, and the newer value stays cached.
+		n.mu.Unlock()
+		return UpdateAck{OK: true}
+	}
+	now := n.clock.Now()
+	cs := childState{agg: um.Agg, nodes: um.Nodes, height: um.Height, slot: um.Epoch, seen: now}
+	cs.expected = n.expects(e, cs, now) // still, if this reports a slot before collecting
+	stop := n.childChangedLocked(e, old, cs)
+	e.children[from] = cs
 	if um.Handover {
 		// A child routed around its dead root and chose us from its
 		// successor list: assume rootship for the key. The dead root's
@@ -790,6 +901,7 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		e.forcedRootUntil = n.clock.Now() + handoverSlots*e.slotDur
 	}
 	n.mu.Unlock()
+	stop.Stop()
 	if um.Handover {
 		n.debug("assumed rootship via handover", um.Key, "failed", um.FailedRoot, "child", from)
 	}

@@ -48,7 +48,9 @@ type DeliveryConfig struct {
 	// AckTimeout bounds one delivery attempt: a datagram unanswered this
 	// long after its first enqueue fails every element it carries and
 	// costs its destination one failure (DESIGN.md §10). Keep it well
-	// below the slot duration so failover completes in-slot. Default 150ms.
+	// below the slot duration so failover completes in-slot. It also
+	// bounds how long a parent waits for an expected child's report
+	// (NodeConfig.HoldPerLevel). Default 150ms.
 	AckTimeout time.Duration
 	// MaxCandidates bounds how many distinct parents one pending
 	// aggregate is offered to before giving up (the next slot retries
@@ -412,19 +414,17 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 	}
 	n.debug(what, d.key, "failed", to, role, parent.Addr)
 	if d.e != nil {
-		// Keep the detach/2-cycle bookkeeping coherent: the pending
-		// aggregate now travels via the new parent, and the failed
-		// candidate — if it was merely slow, not dead — must not keep our
-		// subtree in its child cache while it also travels the new path.
+		// The failed candidate — if it was merely slow, not dead — must
+		// not keep our subtree in its child cache while it also travels
+		// the new path. The parent that last acked is detached by the
+		// new parent's ack instead (ackedBy). A peer avoided as DAT
+		// parent is not acking: a detach at it every failover flap is the
+		// wasted traffic fail-fast exists to stop, and its child cache
+		// forgets us by TTL regardless.
 		n.mu.Lock()
-		if n.aggs[d.key] == d.e {
-			d.e.lastParent = parent.Addr
-		}
+		acked := d.e.lastParent
 		n.mu.Unlock()
-		// A peer avoided as DAT parent is not acking: a detach at it every
-		// failover flap is the wasted traffic fail-fast exists to stop,
-		// and its child cache forgets us by TTL regardless.
-		if ok, _ := n.ch.MayCarryDAT(to, false); ok {
+		if ok, _ := n.ch.MayCarryDAT(to, false); ok && to != acked {
 			n.sm.enqueue(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}, sinkRef{})
 		}
 	}
@@ -444,8 +444,12 @@ func (d *delivery) finish(g uint64, ok bool) {
 	d.timer = transport.Timer{}
 	attempts := d.total
 	latency := n.clock.Now() - d.start
+	to := d.cur.Addr
 	d.mu.Unlock()
 	stop.Stop()
+	if ok && d.e != nil {
+		n.ackedBy(d.e, to)
+	}
 	if h := n.cfg.Obs.DeliveryDone; h != nil {
 		h(ok, attempts, latency)
 	}

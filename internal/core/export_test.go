@@ -38,6 +38,13 @@ func (n *Node) HandleUpdateForTest(from transport.Addr, um UpdateMsg) (ack Updat
 	return ack, ok
 }
 
+// HandleDetachForTest hands the node a one-element MsgBatch carrying
+// from's detach for key, as a parent switch sends it.
+func (n *Node) HandleDetachForTest(from transport.Addr, key ident.ID) {
+	bm := BatchMsg{Elems: []BatchElem{{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: chord.NodeRef{Addr: from}}}}}
+	n.handleBatch(transport.NewRequest(from, MsgBatch, bm, func(any, error) {}))
+}
+
 // funcSink adapts the closure-shaped callbacks the send-machine tests
 // are written with to the typed ack sink.
 type funcSink func(any, error)

@@ -67,9 +67,10 @@ type BatchConfig struct {
 	// stays one datagram. Default 1200.
 	MaxBytes int
 	// MaxDelay bounds how long the first queued element may wait for
-	// company before the queue is flushed anyway. Keep it below
-	// HoldPerLevel so parents still fold fresh child values, and well
-	// below the delivery AckTimeout. Default 5ms.
+	// company before the queue is flushed anyway. Every level of a tree
+	// adds it to the root's latency, since a parent reports only once
+	// its children's updates arrive; and it counts against the delivery
+	// AckTimeout, which also bounds that wait. Default 5ms.
 	MaxDelay time.Duration
 	// MaxElems flushes the queue once it holds this many elements; 1
 	// sends every update/detach as its own one-element datagram, the

@@ -68,6 +68,11 @@ var corpusSeeds = []int64{
 	// A delivery-fault seed from the wide sweep that lost a subtree after
 	// a crash while handover hearsay still evicted live roots.
 	FaultSeedBase + 32,
+	// Wide-sweep seeds that took 6–9 slots to count every node again
+	// after a parent crash, while the height hold lagged the re-homed
+	// subtrees a level per slot.
+	BatchSeedBase + 7, BatchSeedBase + 8, BatchSeedBase + 14,
+	OverloadSeedBase + 21, OverloadSeedBase + 25,
 }
 
 // runSeed executes one scenario and reports failures with a replay

@@ -54,9 +54,11 @@ func (c AblationConfig) withDefaults() AblationConfig {
 }
 
 // SyncAblation quantifies the §4 aggregation synchronization: the same
-// trace-driven continuous aggregation run with height-staggered sends
-// (the implementation default) and without (all nodes fire at the slot
-// boundary, so parents relay values one slot behind their children).
+// trace-driven continuous aggregation run with the implementation's
+// schedule — a parent reports once its children's slot-t updates are in,
+// with a height-staggered fallback deadline — and without any (every
+// node reports at the slot boundary, so parents relay values one slot
+// behind their children).
 func SyncAblation(cfg AblationConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -79,7 +81,7 @@ func SyncAblation(cfg AblationConfig) (*Table, error) {
 		t.Add(variant.name, stats.Correlation, stats.MeanAbsPct, stats.MaxAbsPct, stats.Slots)
 	}
 	t.Note("same trace, ring and slot length; only the send scheduling differs")
-	t.Note("without staggering the root lags each subtree by its depth, smearing fast signal changes")
+	t.Note("unsynchronized, the root lags each subtree by its depth, smearing fast signal changes")
 	return t, nil
 }
 

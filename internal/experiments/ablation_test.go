@@ -95,9 +95,11 @@ func TestMessageOverheadFlatForDAT(t *testing.T) {
 	}
 }
 
-// TestWideAreaHoldMatters: a hold below the WAN latency degrades
-// accuracy; a hold above it restores the exact behavior.
-func TestWideAreaHoldMatters(t *testing.T) {
+// TestWideAreaExactAtAnyHold: under WAN latency well above the hold,
+// parents still fold their children's slot-t values, because they
+// report when those arrive rather than after a hold; the measured root
+// delay is the chain of WAN deliveries, far inside the slot.
+func TestWideAreaExactAtAnyHold(t *testing.T) {
 	tab, err := WideArea(WideAreaConfig{
 		N: 48, Slots: 30, Seed: 3,
 		Holds: []time.Duration{10 * time.Millisecond, 200 * time.Millisecond},
@@ -105,16 +107,17 @@ func TestWideAreaHoldMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := cell(t, tab, 0, "correlation")
-	large := cell(t, tab, 1, "correlation")
-	if large < 0.99 {
-		t.Errorf("large-hold correlation = %v, want ~1", large)
-	}
-	if small >= large {
-		t.Errorf("small hold (%v) not worse than large (%v)", small, large)
-	}
-	if e := cell(t, tab, 1, "mean_abs_err_pct"); e > 2 {
-		t.Errorf("large-hold error = %v%%, want small", e)
+	for r, hold := range []string{"10ms", "200ms"} {
+		if c := cell(t, tab, r, "correlation"); c < 0.99 {
+			t.Errorf("hold %s: correlation = %v, want ~1", hold, c)
+		}
+		if e := cell(t, tab, r, "mean_abs_err_pct"); e > 0.5 {
+			t.Errorf("hold %s: error = %v%%, want ~0", hold, e)
+		}
+		d, err := time.ParseDuration(tab.Rows[r][len(tab.Columns)-1])
+		if err != nil || d <= 0 || d > 5*time.Second {
+			t.Errorf("hold %s: root delay %q, want a measured delay well inside the 15s slot", hold, tab.Rows[r][len(tab.Columns)-1])
+		}
 	}
 }
 

@@ -86,6 +86,13 @@ const (
 	kindError  byte = 4
 )
 
+// readBuffer is the socket receive buffer Listen asks for. Slot
+// boundaries sit on one shared epoch, so every child of a busy DAT
+// parent flushes its batches at the same instant; with 32 peers of 240
+// trees on one host that fan-in overflowed the kernel's 208 KB default,
+// and each datagram it dropped cost a subtree its slot.
+const readBuffer = 2 << 20
+
 // Endpoint is a UDP transport endpoint. Create with Listen.
 type Endpoint struct {
 	cfg  Config
@@ -130,6 +137,10 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcudp: listen %q: %w", addr, err)
 	}
+	// The kernel caps the size at net.core.rmem_max; a socket that keeps
+	// a smaller buffer only loses more of a burst, which the retransmit
+	// covers, so a refusal is no reason to fail Listen.
+	_ = conn.SetReadBuffer(readBuffer)
 	e := &Endpoint{
 		cfg:     cfg.withDefaults(),
 		conn:    conn,

@@ -21,7 +21,10 @@ import (
 // work to Endpoint.Call continuations instead of waiting for it
 // (DESIGN.md §17).
 type Clock interface {
-	// Now returns the current time as a duration since an arbitrary epoch.
+	// Now returns the current time as a duration since the clock's
+	// epoch. Every clock of one system shares that epoch — the
+	// simulator's engine time, the Unix epoch live — so Now()/slot is
+	// the same slot on every node (DESIGN.md §17).
 	Now() time.Duration
 	// AfterRun runs r.RunEvent(op) once after d and allocates nothing:
 	// the timer is the caller's record, not a closure. It is the one-shot
@@ -103,6 +106,12 @@ func (c SimClock) Every(period, jitter time.Duration, fn func()) func() {
 // the due callbacks one at a time outside the lock. Arming a timer wakes
 // the loop only when the new entry becomes the head.
 //
+// Now is wall-anchored monotonic time: the Unix nanoseconds of the
+// moment the clock started plus the monotonic time elapsed since, so
+// clocks started at different times on synchronised hosts agree on
+// slot boundaries, and a wall-clock step after start moves none of
+// them. The timer heap keys on the same frame.
+//
 // The zero value is ready to use and jitters with a fixed default seed;
 // use NewRealClock to thread an explicit per-node seed so maintenance
 // jitter differs across nodes while every run stays reproducible (a
@@ -112,7 +121,8 @@ func (c SimClock) Every(period, jitter time.Duration, fn func()) func() {
 type RealClock struct {
 	seed  int64
 	once  sync.Once
-	epoch time.Time
+	start time.Time     // when the clock started, with its monotonic reading
+	base  time.Duration // start as Unix nanoseconds: Now() at start
 	kick  chan struct{} // wakes the loop: an earlier head, or Stop
 	done  chan struct{} // closed when the loop has exited
 
@@ -132,7 +142,8 @@ func NewRealClock(seed int64) *RealClock {
 
 func (c *RealClock) init() {
 	c.once.Do(func() {
-		c.epoch = time.Now()
+		c.start = time.Now()
+		c.base = time.Duration(c.start.UnixNano())
 		seed := c.seed
 		if seed == 0 {
 			seed = 1
@@ -146,8 +157,11 @@ func (c *RealClock) init() {
 // Now implements Clock.
 func (c *RealClock) Now() time.Duration {
 	c.init()
-	return time.Since(c.epoch)
+	return c.now()
 }
+
+// now is Now on a started clock: the frame the timer heap keys on.
+func (c *RealClock) now() time.Duration { return c.base + time.Since(c.start) }
 
 // armLocked queues r.RunEvent(op) d from now and makes sure the loop
 // wakes for it. After Stop nothing is armed and the zero Event comes
@@ -156,7 +170,7 @@ func (c *RealClock) armLocked(d time.Duration, r TimerTask, op int32) sim.Event 
 	if c.stopped {
 		return sim.Event{}
 	}
-	at := sim.Time(time.Since(c.epoch) + d) // in the past is due at once
+	at := sim.Time(c.now() + d) // in the past is due at once
 	ev := c.timers.AtRun(at, r, op)
 	switch {
 	case !c.started:
@@ -255,7 +269,7 @@ func (c *RealClock) loop() {
 	for {
 		c.mu.Lock()
 		for !c.stopped {
-			_, r, op, due := c.timers.PopDue(sim.Time(time.Since(c.epoch)))
+			_, r, op, due := c.timers.PopDue(sim.Time(c.now()))
 			if !due {
 				break
 			}
@@ -284,7 +298,7 @@ func (c *RealClock) loop() {
 			default:
 			}
 		}
-		sleep.Reset(time.Duration(next) - time.Since(c.epoch))
+		sleep.Reset(time.Duration(next) - c.now())
 		select {
 		case <-sleep.C:
 		case <-c.kick:

@@ -214,6 +214,34 @@ func TestRealClockEveryKeepsSeededJitter(t *testing.T) {
 
 // After Stop the loop goroutine is gone, nothing pending fires, and
 // nothing can be armed.
+// TestRealClocksShareSlotBoundaries: two clocks started 37 ms apart
+// read one time frame, so they agree on which slot it is — the shared
+// epoch every node's slot boundaries sit on — and that frame is the
+// wall clock's.
+func TestRealClocksShareSlotBoundaries(t *testing.T) {
+	const slot = 250 * time.Millisecond
+	a := NewRealClock(1)
+	defer a.Stop()
+	a.Now() // the clock starts on first use
+	time.Sleep(37 * time.Millisecond)
+	b := NewRealClock(2)
+	defer b.Stop()
+	for i := 0; i < 20; i++ {
+		ta, tb := a.Now(), b.Now()
+		if d := tb - ta; d < 0 || d > 5*time.Millisecond {
+			t.Fatalf("clocks started 37ms apart read %v and %v: %v apart", ta, tb, d)
+		}
+		if wall := time.Duration(time.Now().UnixNano()) - tb; wall < -5*time.Millisecond || wall > 5*time.Millisecond {
+			t.Fatalf("Now() = %v is %v off the wall clock", tb, wall)
+		}
+		if ta/slot == tb/slot {
+			return
+		}
+		time.Sleep(time.Millisecond) // the two reads straddled a boundary
+	}
+	t.Fatal("the clocks never agreed on the slot")
+}
+
 func TestRealClockStopIsQuiescent(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := NewRealClock(1)
