@@ -85,12 +85,16 @@ func TestSimGridMonitorAndQuery(t *testing.T) {
 		t.Fatalf("avg = %v, want 23.5", agg.Avg())
 	}
 
-	q, err := grid.Query(3, "cpu-usage", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Count != 48 {
-		t.Fatalf("on-demand count = %d", q.Count)
+	// A window past the transport's 2 s default call timeout answers
+	// too: the query's deadline is its window plus the ack timeout.
+	for _, window := range []time.Duration{time.Second, 2500 * time.Millisecond} {
+		q, err := grid.Query(3, "cpu-usage", window)
+		if err != nil {
+			t.Fatalf("window %v: %v", window, err)
+		}
+		if q.Count != 48 {
+			t.Fatalf("window %v: on-demand count = %d", window, q.Count)
+		}
 	}
 
 	tree := grid.Tree("cpu-usage", dat.BalancedLocal)

@@ -244,5 +244,8 @@ func (e *nullEndpoint) Send(transport.Addr, string, any) error { return nil }
 func (e *nullEndpoint) Call(_ transport.Addr, _ string, _ any, cb transport.ResponseFunc) {
 	cb(nil, transport.ErrClosed)
 }
+func (e *nullEndpoint) CallWithin(_ transport.Addr, _ string, _ any, _ time.Duration, cb transport.ResponseFunc) {
+	cb(nil, transport.ErrClosed)
+}
 func (e *nullEndpoint) Handle(transport.Handler) {}
 func (e *nullEndpoint) Close() error             { return nil }

@@ -154,6 +154,10 @@ func (n *Node) Self() NodeRef { return n.Routing().Self }
 // Space returns the identifier space.
 func (n *Node) Space() ident.Space { return n.space }
 
+// StabilizeEvery returns the stabilization period the node runs at:
+// Config.StabilizeEvery, or its default.
+func (n *Node) StabilizeEvery() time.Duration { return n.cfg.StabilizeEvery }
+
 // Running reports whether the node participates in a ring.
 func (n *Node) Running() bool {
 	n.mu.Lock()

@@ -88,8 +88,9 @@ type Options struct {
 	// use for churn/convergence studies. Default false (warm start).
 	ProtocolJoin bool
 	// StabilizeEvery / FixFingersEvery / PingEvery override the chord
-	// maintenance cadence. Long-duration monitoring runs should raise
-	// them so maintenance traffic does not dominate the event queue.
+	// maintenance cadence; zero keeps chord.Config's default. Long-duration
+	// monitoring runs should raise them so maintenance traffic does not
+	// dominate the event queue.
 	StabilizeEvery  time.Duration
 	FixFingersEvery time.Duration
 	PingEvery       time.Duration
@@ -145,15 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Latency == nil {
 		o.Latency = sim.ConstantLatency(time.Millisecond)
-	}
-	if o.StabilizeEvery <= 0 {
-		o.StabilizeEvery = 300 * time.Millisecond
-	}
-	if o.FixFingersEvery <= 0 {
-		o.FixFingersEvery = 500 * time.Millisecond
-	}
-	if o.PingEvery <= 0 {
-		o.PingEvery = time.Second
 	}
 	if o.SelfMon.Enable && o.SelfMon.Slot <= 0 {
 		o.SelfMon.Slot = 2 * time.Second
@@ -229,7 +221,7 @@ func New(opts Options) (*Cluster, error) {
 	if !opts.ProtocolJoin {
 		c.warmStart(ids)
 		// Let one maintenance round confirm the seeded state.
-		eng.RunFor(2 * opts.StabilizeEvery)
+		eng.RunFor(2 * c.Chord[0].StabilizeEvery())
 	} else {
 		c.protocolJoin()
 		// Wait until every node has entered the ring before judging

@@ -54,11 +54,32 @@ func (c countingClock) AfterRun(d time.Duration, r transport.TimerTask, op int32
 	return transport.NewTimer(k, 0, 0)
 }
 
+// flightEndpoint counts the DAT datagrams a node puts on the wire and
+// those of them the transport has not answered yet.
+type flightEndpoint struct {
+	transport.Endpoint
+	sent, inFlight int
+}
+
+func (e *flightEndpoint) CallWithin(to transport.Addr, typ string, payload any, d time.Duration, cb transport.ResponseFunc) {
+	if typ != core.MsgBatch {
+		e.Endpoint.CallWithin(to, typ, payload, d, cb)
+		return
+	}
+	e.sent++
+	e.inFlight++
+	e.Endpoint.CallWithin(to, typ, payload, d, func(p any, err error) {
+		e.inFlight--
+		cb(p, err)
+	})
+}
+
 // TestCloseStopsEveryTree is the regression test for Close leaving the
 // slot timers armed: after Close a node holds no DAT timer — tick,
-// backoff, flush deadline or the ack deadline of a datagram already on
-// the wire — and surfaces no further result, even while its neighbours
-// keep running.
+// backoff or flush deadline — and surfaces no further result, even
+// while its neighbours keep running. The datagrams it had on the wire
+// are still answered by the transport, and those answers arm no timer
+// and send nothing.
 func TestCloseStopsEveryTree(t *testing.T) {
 	eng := sim.NewEngine(9)
 	net := transport.NewSimNetwork(eng, transport.SimConfig{})
@@ -74,6 +95,7 @@ func TestCloseStopsEveryTree(t *testing.T) {
 		eps[i] = net.Endpoint(transport.Addr(fmt.Sprintf("sim/%d", i)))
 		ref[id] = chord.NodeRef{ID: id, Addr: eps[i].Addr()}
 	}
+	flights := make([]*flightEndpoint, len(ids))
 	live := make([]int, len(ids))
 	results := make([]int, len(ids))
 	dats := make([]*core.Node, len(ids))
@@ -88,7 +110,8 @@ func TestCloseStopsEveryTree(t *testing.T) {
 			fingers = append(fingers, ref[f])
 		}
 		ch.SeedState(ref[ring.Pred(id)], succs, fingers)
-		dats[i] = core.NewNode(ch, eps[i], countingClock{transport.SimClock{Engine: eng}, &live[i]}, core.NodeConfig{
+		flights[i] = &flightEndpoint{Endpoint: eps[i]}
+		dats[i] = core.NewNode(ch, flights[i], countingClock{transport.SimClock{Engine: eng}, &live[i]}, core.NodeConfig{
 			Local: func(ident.ID) (float64, bool) { return 1, true },
 		})
 		for _, key := range keys {
@@ -110,30 +133,35 @@ func TestCloseStopsEveryTree(t *testing.T) {
 	}
 
 	// Advance event by event until some node has a datagram on the wire
-	// whose ack deadline is pending. Close that node mid-round.
+	// the transport has not answered yet. Close that node mid-round.
 	victim := -1
 	for step := 0; step < 100000 && victim < 0; step++ {
 		if !eng.Step() {
 			break
 		}
 		for i := range ids {
-			if dats[i].FlightDeadlinesForTest() > 0 {
+			if flights[i].inFlight > 0 {
 				victim = i
 			}
 		}
 	}
 	if victim < 0 {
-		t.Fatal("never saw a pending ack deadline")
+		t.Fatal("never saw a datagram in flight")
 	}
 	dats[victim].Close()
 	if live[victim] != 0 {
 		t.Fatalf("node %d holds %d DAT timers after Close (mid-round)", victim, live[victim])
 	}
+	sent := flights[victim].sent // the drain at Close included
 	// Its neighbours keep sending to it; a closed node refuses rather
-	// than re-enrolling in a tree it will never tick.
+	// than re-enrolling in a tree it will never tick. The transport
+	// answers its flights, and no answer arms a timer or sends again.
 	eng.RunFor(3 * time.Second)
 	if keys := dats[victim].ActiveKeys(); len(keys) != 0 || live[victim] != 0 {
 		t.Fatalf("closed node %d re-enrolled: %d trees, %d timers", victim, len(keys), live[victim])
+	}
+	if f := flights[victim]; f.inFlight != 0 || f.sent != sent {
+		t.Fatalf("closed node %d: %d datagrams unanswered, %d sent after Close", victim, f.inFlight, f.sent-sent)
 	}
 	for i, d := range dats {
 		d.Close()

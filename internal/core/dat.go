@@ -881,7 +881,7 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 	}
 	old, had := e.children[from]
 	if had && um.Epoch < old.slot {
-		// A datagram reordered or retransmitted behind the child's newer
+		// A datagram reordered, or a retry, behind the child's newer
 		// report: acknowledged, and the newer value stays cached.
 		n.mu.Unlock()
 		return UpdateAck{OK: true}
@@ -919,7 +919,9 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 
 // Query resolves the root of key's DAT and asks it for an on-demand
 // aggregate collected over the given window. Any node may call it. cb
-// runs exactly once.
+// runs exactly once. The request is one datagram whose deadline is the
+// window plus AckTimeout, the time the root's answer may take to come
+// back once the window has closed.
 func (n *Node) Query(key ident.ID, window time.Duration, cb func(QueryResp, error)) {
 	if window <= 0 {
 		window = 500 * time.Millisecond
@@ -929,7 +931,7 @@ func (n *Node) Query(key ident.ID, window time.Duration, cb func(QueryResp, erro
 			cb(QueryResp{}, fmt.Errorf("core: query root lookup: %w", err))
 			return
 		}
-		n.ep.Call(root.Addr, MsgQuery, QueryReq{Key: key, Window: window}, func(payload any, err error) {
+		n.ep.CallWithin(root.Addr, MsgQuery, QueryReq{Key: key, Window: window}, window+n.cfg.Delivery.AckTimeout, func(payload any, err error) {
 			if err != nil {
 				cb(QueryResp{}, fmt.Errorf("core: query to root %v: %w", root, err))
 				return

@@ -73,18 +73,3 @@ func (n *Node) batchCall(to transport.Addr, _ string, payload any, cb func(any, 
 		panic("batchCall: not an update or detach")
 	}
 }
-
-// FlightDeadlinesForTest counts the datagrams on the wire whose ack
-// deadline is still pending.
-func (n *Node) FlightDeadlinesForTest() int {
-	sm := n.sm
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	k := 0
-	for _, q := range sm.records {
-		if q.armed && !q.answered && sm.queues[q.to] != q {
-			k++
-		}
-	}
-	return k
-}

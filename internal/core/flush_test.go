@@ -170,8 +170,8 @@ func TestCrashedChildCostsDeadlinesNotRounds(t *testing.T) {
 	}
 }
 
-// TestOlderReportNeverOverwritesNewer: a datagram reordered or
-// retransmitted behind a child's newer report is acknowledged, and the
+// TestOlderReportNeverOverwritesNewer: a datagram reordered, or a
+// retry, behind a child's newer report is acknowledged, and the
 // newer value stays cached — else a value the TTL counts by its slot
 // would expire early and drop the child from the count.
 func TestOlderReportNeverOverwritesNewer(t *testing.T) {

@@ -179,7 +179,10 @@ func (r *raceEndpoint) Send(transport.Addr, string, any) error {
 	r.elems.Add(1)
 	return nil
 }
-func (r *raceEndpoint) Call(_ transport.Addr, typ string, payload any, _ transport.ResponseFunc) {
+func (r *raceEndpoint) Call(to transport.Addr, typ string, payload any, cb transport.ResponseFunc) {
+	r.CallWithin(to, typ, payload, transport.DefaultCallTimeout, cb)
+}
+func (r *raceEndpoint) CallWithin(_ transport.Addr, typ string, payload any, _ time.Duration, _ transport.ResponseFunc) {
 	if typ == MsgBatch {
 		r.elems.Add(int64(len(payload.(BatchMsg).Elems)))
 		return
@@ -505,9 +508,16 @@ func TestLostDatagramIsOneFailure(t *testing.T) {
 	if len(ep.calls) != 1 || len(ep.calls[0].payload.(BatchMsg).Elems) != 3 {
 		t.Fatalf("want one datagram of three updates, got %d calls", len(ep.calls))
 	}
-	// The stub never answers: the datagram's one ack deadline fires, and
-	// each delivery backs off to its second attempt.
-	eng.RunFor(n.cfg.Delivery.AckTimeout)
+	// The datagram's one deadline is the transport's, the whole ack
+	// budget. It passes unanswered, and each delivery backs off to its
+	// second attempt.
+	if d := ep.calls[0].d; d != n.cfg.Delivery.AckTimeout {
+		t.Fatalf("datagram deadline %v, want AckTimeout %v", d, n.cfg.Delivery.AckTimeout)
+	}
+	if eng.Len() != 0 {
+		t.Fatalf("the send machine armed %d timers of its own for a datagram in flight", eng.Len())
+	}
+	ep.calls[0].cb(nil, transport.ErrTimeout)
 	rows, opens, _ := n.ch.PeerHealth()
 	if len(rows) != 1 || rows[0].Strikes != 1 || rows[0].Fails != 1 || rows[0].Avoid != "closed" || opens != 0 {
 		t.Fatalf("peer health after one lost datagram = %+v (opens %d), want one strike, one failure, not avoided", rows, opens)
@@ -520,9 +530,9 @@ func TestLostDatagramIsOneFailure(t *testing.T) {
 	}
 }
 
-// TestDetachOnlyFlightIsNoEvidence pins the fire-and-forget detach: a
-// datagram no sink waits on arms no ack deadline, and whatever becomes
-// of it tells the peer-health record nothing.
+// TestDetachOnlyFlightIsNoEvidence pins the fire-and-forget detach: for
+// a datagram no sink waits on the send machine arms no timer, and
+// whatever the transport answers tells the peer-health record nothing.
 func TestDetachOnlyFlightIsNoEvidence(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	eng := sim.NewEngine(1)
@@ -563,53 +573,80 @@ func (c *captureClock) AfterRun(_ time.Duration, r transport.TimerTask, op int32
 	return transport.Timer{}
 }
 
-// TestAckDeadlineRacesReply runs a flight's ack deadline and its reply
-// on two goroutines at once, as a live node's clock loop and socket
-// reader do: whoever answers first answers every sink, each sink hears
-// exactly one verdict, and the record is recycled once, only after
-// both let go of it. Meaningful under -race.
+// TestAckDeadlineRacesReply: the ack deadline is the transport's, so
+// what a flight can race is Close. Four flights are on the wire when the
+// node closes; the transport then answers them from four goroutines at
+// once, as a live node's socket reader and deadline timers do — with
+// the deadline's transport.ErrTimeout, an ack, a refusal and ErrClosed.
+// Every delivery hears ErrSendClosed once and gives up: no answer arms
+// a backoff timer, puts a datagram on the wire or tells the peer-health
+// record anything, and every flight record is recycled once.
+// Meaningful under -race.
 func TestAckDeadlineRacesReply(t *testing.T) {
-	const dest, flights, elems = transport.Addr("10.0.0.2:1"), 200, 3
+	const elems = 3
 	ep := &stubEndpoint{addr: "10.0.0.1:1"}
 	clock := &captureClock{SimClock: transport.SimClock{Engine: sim.NewEngine(1)}}
 	cfg := NodeConfig{Batch: BatchConfig{MaxDelay: time.Hour, MaxElems: elems}}.withDefaults()
-	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg}
+	var gaveUp, finished atomic.Int32
+	cfg.Obs.DeliveryDone = func(ok bool, _ int, _ time.Duration) {
+		finished.Add(1)
+		if !ok {
+			gaveUp.Add(1)
+		}
+	}
+	n := &Node{ch: testChord(ep, clock), ep: ep, clock: clock, cfg: cfg, aggs: make(map[ident.ID]*aggEntry)}
 	n.sm = newSendMachine(n, cfg.Batch)
 
-	var answered [flights * elems]atomic.Int32
-	for f := 0; f < flights; f++ {
-		for i := 0; i < elems; i++ {
-			k := f*elems + i
-			n.batchCall(dest, MsgUpdate, testUpdate(k), func(any, error) { answered[k].Add(1) })
-		}
-		if len(ep.calls) != f+1 {
-			t.Fatalf("flight %d: %d calls", f, len(ep.calls))
-		}
-		// The last timer armed is the flight's ack deadline; the one
-		// before, the queue's flush deadline, is stale by now.
-		last := len(clock.tasks) - 1
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); clock.tasks[last].RunEvent(clock.ops[last]) }()
-		go func() {
-			defer wg.Done()
-			ep.calls[f].cb(BatchAck{Acks: []UpdateAck{{OK: true}, {OK: true}, {OK: true}}}, nil)
-		}()
-		wg.Wait()
+	answers := []struct {
+		payload any
+		err     error
+	}{
+		{nil, transport.ErrTimeout},
+		{BatchAck{Acks: []UpdateAck{{OK: true}, {OK: true}, {OK: true}}}, nil},
+		{BatchAck{Acks: []UpdateAck{{Reason: "cycle"}, {Reason: "cycle"}, {Reason: "cycle"}}}, nil},
+		{nil, transport.ErrClosed},
 	}
-	for k := range answered {
-		if got := answered[k].Load(); got != 1 {
-			t.Fatalf("sink %d answered %d times", k, got)
+	for f := range answers {
+		dest := chord.NodeRef{ID: ident.ID(2 + f), Addr: transport.Addr(fmt.Sprintf("10.0.0.%d:1", 2+f))}
+		for i := 0; i < elems; i++ {
+			um := testUpdate(i)
+			um.Key = ident.ID(100*f + i)
+			n.deliverUpdate(nil, dest, false, &um)
 		}
+	}
+	if len(ep.calls) != len(answers) {
+		t.Fatalf("%d datagrams on the wire, want %d", len(ep.calls), len(answers))
+	}
+	for i, c := range ep.calls {
+		if c.d != cfg.Delivery.AckTimeout {
+			t.Fatalf("flight %d has deadline %v, want the whole ack budget %v", i, c.d, cfg.Delivery.AckTimeout)
+		}
+	}
+	timers := len(clock.tasks) // the flush deadlines, stale since each queue filled
+	n.Close()
+
+	var wg sync.WaitGroup
+	for f, a := range answers {
+		wg.Add(1)
+		go func() { defer wg.Done(); ep.calls[f].cb(a.payload, a.err) }()
+	}
+	wg.Wait()
+
+	if got := len(clock.tasks); got != timers {
+		t.Fatalf("answers after Close armed %d timers", got-timers)
+	}
+	if got := len(ep.calls); got != len(answers) {
+		t.Fatalf("answers after Close put %d datagrams on the wire", got-len(answers))
+	}
+	if want := int32(len(answers) * elems); finished.Load() != want || gaveUp.Load() != want {
+		t.Fatalf("%d deliveries finished, %d gave up; want all %d given up once", finished.Load(), gaveUp.Load(), want)
+	}
+	if rows, _, _ := n.ch.PeerHealth(); len(rows) != 0 {
+		t.Fatalf("answers after Close were evidence: %+v", rows)
 	}
 	n.sm.mu.Lock()
 	defer n.sm.mu.Unlock()
-	if len(n.sm.free) != len(n.sm.records) {
-		t.Fatalf("%d of %d records back on the free list", len(n.sm.free), len(n.sm.records))
-	}
-	for _, q := range n.sm.records {
-		if q.holds != 0 {
-			t.Fatalf("recycled record holds %d", q.holds)
-		}
+	if len(n.sm.free) != len(answers) {
+		t.Fatalf("%d of %d flight records back on the free list", len(n.sm.free), len(answers))
 	}
 }

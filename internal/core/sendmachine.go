@@ -21,7 +21,9 @@ import (
 // and piggybacks the per-element UpdateAcks on the single BatchAck
 // reply, so the datagrams/slot cost collapses from O(T) toward O(log n).
 // The datagram is the unit of the ack deadline and of peer-health
-// evidence: one lost datagram is one failure (DESIGN.md §10).
+// evidence: one lost datagram is one failure (DESIGN.md §10). The
+// deadline itself is the transport's: each flush is one CallWithin that
+// carries the time its head element has left.
 //
 // Determinism: flush deadlines are jittered like the retry backoff, by
 // delivery.go's draw-free hash, so batching consumes no RNG either.
@@ -113,10 +115,10 @@ const frameOverhead = 48
 // ackSink receives the verdict on one element handed to the send
 // machine: the receiver's UpdateAck, or the error that befell its
 // datagram — transport.ErrTimeout at its ack deadline, ErrSendClosed
-// too: a refused element is always answered. Elements are queued as
-// (sink, gen) pairs, not closures: gen is the token the element was
-// queued with, the sink's fence against a verdict that outlived the
-// attempt it answers.
+// once the machine is closed: a refused element is always answered.
+// Elements are queued as (sink, gen) pairs, not closures: gen is the
+// token the element was queued with, the sink's fence against a verdict
+// that outlived the attempt it answers.
 type ackSink interface {
 	onAck(gen uint64, ack UpdateAck, err error)
 }
@@ -134,9 +136,9 @@ func (r sinkRef) fire(ack UpdateAck, err error) {
 
 // sendMachine queues outbound acked calls per destination and flushes
 // them as coalesced batches. All transport and hook work happens
-// outside sm.mu (the locksafe copy-out discipline); deadline timers are
+// outside sm.mu (the locksafe copy-out discipline); flush deadlines are
 // fenced by a per-record generation so a flush triggered by size races
-// cleanly with its own deadline, and a reply with its ack deadline.
+// cleanly with its own deadline.
 type sendMachine struct {
 	n   *Node
 	cfg BatchConfig
@@ -144,12 +146,11 @@ type sendMachine struct {
 	mu     sync.Mutex
 	queues map[transport.Addr]*destQueue
 	// free holds records for reuse: a queue taken off the map is its
-	// datagram's flight record until the reply, then comes back here
-	// with its sink slice. Only the element slice is
-	// made per fill (elemHint long, like the last): the transport, and
-	// an in-process receiver, go on reading it after the flush.
+	// datagram's flight record until the transport answers the Call,
+	// then comes back here with its sink slice. Only the element slice
+	// is made per fill (elemHint long, like the last): the transport,
+	// and an in-process receiver, go on reading it after the flush.
 	free     []*destQueue
-	records  []*destQueue // every record made: where Close finds the flights
 	elemHint int
 	// seqs is the per-destination timer-arming counter feeding the
 	// deadline jitter. It lives outside destQueue so queue GC (idle
@@ -172,9 +173,10 @@ type sendMachine struct {
 	rejected   uint64 // enqueues refused with ErrSendClosed
 }
 
-// destQueue is one destination's pending elements — and the TimerTask
-// of their flush deadline — then the flight record of their datagram
-// and the TimerTask of its ack deadline.
+// destQueue is one destination's pending elements and the TimerTask of
+// their flush deadline, then the flight record of their datagram: the
+// Call's callback, answered exactly once by the transport. A flight
+// owns no timer.
 type destQueue struct {
 	n     *Node
 	to    transport.Addr
@@ -185,14 +187,9 @@ type destQueue struct {
 	// firstAt is when the head element was queued: queue-age telemetry,
 	// and where the flight's ack deadline is counted from.
 	firstAt time.Duration
-	timer   transport.Timer // the flush deadline, then the ack deadline
-	armed   bool            // queued: timer is set; in flight: the datagram has an ack deadline
-	// In flight, under sm.mu: the reply or the ack deadline, whichever
-	// sets answered, answers the sinks; holds counts the Call and a
-	// deadline still answering, and the last one out recycles q.
-	answered bool
-	holds    int
-	reply    transport.ResponseFunc // q.onReply, bound once per record
+	timer   transport.Timer        // the flush deadline
+	armed   bool                   // timer is set
+	reply   transport.ResponseFunc // q.onReply, bound once per record
 }
 
 func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
@@ -232,7 +229,6 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		} else {
 			q = &destQueue{n: n}
 			q.reply = q.onReply
-			sm.records = append(sm.records, q)
 		}
 		sm.genSeq++
 		q.to, q.gen, q.firstAt = to, sm.genSeq, now
@@ -299,30 +295,20 @@ func (sm *sendMachine) deadline(to transport.Addr, seq uint64) time.Duration {
 	return d - time.Duration(fnvUint64(fnvAddr(fnvAddr(fnvOffset, sm.n.ep.Addr()), to), seq)%quarter)
 }
 
-// RunEvent implements transport.TimerTask: the deadline armed under
-// generation op (its low 32 bits) expired. A queued record is flushed.
-// A flight nobody answered yet times out: every element fails with
-// transport.ErrTimeout, the datagram with one failure. Any other timer
-// is stale — taking a queue, and each later fill, draws a new generation.
+// RunEvent implements transport.TimerTask: the flush deadline armed
+// under generation op (its low 32 bits) expired, and the queue is
+// flushed. A timer whose queue was taken is stale — taking a queue, and
+// each later fill, draws a new generation.
 func (q *destQueue) RunEvent(op int32) {
 	sm := q.n.sm
 	sm.mu.Lock()
-	switch {
-	case uint32(q.gen) != uint32(op):
+	if uint32(q.gen) != uint32(op) || sm.queues[q.to] != q {
 		sm.mu.Unlock()
-	case sm.queues[q.to] == q:
-		sm.takeLocked(q)
-		sm.mu.Unlock()
-		sm.flush(q, "deadline")
-	case q.armed && !q.answered:
-		q.answered, q.timer = true, transport.Timer{}
-		q.holds++
-		sm.mu.Unlock()
-		q.answer(nil, transport.ErrTimeout)
-		sm.release(q)
-	default:
-		sm.mu.Unlock()
+		return
 	}
+	sm.takeLocked(q)
+	sm.mu.Unlock()
+	sm.flush(q, "deadline")
 }
 
 // takeLocked takes the queue off the map — idle destinations hold no
@@ -343,22 +329,12 @@ func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
 	return stop
 }
 
-// release drops one hold on a flight record; the last one recycles it.
-func (sm *sendMachine) release(q *destQueue) {
-	sm.mu.Lock()
-	if q.holds--; q.holds == 0 {
-		clear(q.sinks)
-		q.elems, q.sinks, q.armed = nil, q.sinks[:0], false
-		sm.free = append(sm.free, q)
-	}
-	sm.mu.Unlock()
-}
-
 // flush puts one taken queue's worth of traffic on the wire as one
-// BatchMsg, however many elements it holds; the reply — or the ack
-// deadline, counted from the head element's enqueue — answers the
-// per-element sinks in order. Only a datagram some sink waits on has a
-// deadline and is evidence; a flush at Close arms none.
+// BatchMsg, however many elements it holds, as one CallWithin whose
+// deadline is the ack deadline: AckTimeout counted from the head
+// element's enqueue. The transport's one answer — the reply, or
+// transport.ErrTimeout at that instant — answers the per-element sinks
+// in order.
 func (sm *sendMachine) flush(q *destQueue, reason string) {
 	n := sm.n
 	elems := q.elems // never empty: a queue exists from its first element
@@ -381,50 +357,29 @@ func (sm *sendMachine) flush(q *destQueue, reason string) {
 			h(key, typ, est)
 		}
 	}
-	sm.mu.Lock()
-	q.answered, q.holds = false, 1
-	q.armed = !sm.closed && slices.ContainsFunc(q.sinks, func(r sinkRef) bool { return r.sink != nil })
-	armed, gen := q.armed, q.gen
-	sm.mu.Unlock()
-	if armed {
-		t := n.clock.AfterRun(q.firstAt+n.cfg.Delivery.AckTimeout-n.clock.Now(), q, int32(gen))
-		sm.mu.Lock()
-		if q.answered || !q.armed { // a deadline already past, or Close
-			defer t.Stop()
-		} else {
-			q.timer = t
-		}
-		sm.mu.Unlock()
-	}
-	n.ep.Call(q.to, MsgBatch, BatchMsg{Elems: elems}, q.reply)
+	n.ep.CallWithin(q.to, MsgBatch, BatchMsg{Elems: elems}, q.firstAt+n.cfg.Delivery.AckTimeout-n.clock.Now(), q.reply)
 }
 
-// onReply is the Call callback of the datagram q carries: unless its
-// ack deadline answered first, it answers the sinks.
+// onReply is the Call callback of the datagram q carries: it gives every
+// sink its element's verdict, then recycles q. A failed datagram — or a
+// reply that is not a BatchAck with one ack per element — fails every
+// element alike. After Close every answer is ErrSendClosed and no
+// evidence. Before, a datagram some sink waits on is first one piece of
+// evidence about its destination: failed without a well-formed reply,
+// acked when any element was, refused when every element was.
 func (q *destQueue) onReply(payload any, err error) {
 	sm := q.n.sm
 	sm.mu.Lock()
-	mine, stop := !q.answered, q.timer
-	q.answered, q.timer = true, transport.Timer{}
+	closed := sm.closed
 	sm.mu.Unlock()
-	stop.Stop()
-	if mine {
-		q.answer(payload, err)
-	}
-	sm.release(q)
-}
-
-// answer gives every sink its element's verdict. A failed datagram — or
-// a reply that is not a BatchAck with one ack per element — fails every
-// element alike. A datagram with an ack deadline is first one piece of
-// evidence about its destination: failed without a well-formed reply,
-// acked when any element was, refused when every element was.
-func (q *destQueue) answer(payload any, err error) {
 	ba, ok := payload.(BatchAck)
-	if err == nil && (!ok || len(ba.Acks) != len(q.sinks)) {
+	switch {
+	case closed:
+		err = ErrSendClosed
+	case err == nil && (!ok || len(ba.Acks) != len(q.sinks)):
 		err = fmt.Errorf("core: bad batch ack %T (%d acks for %d elems)", payload, len(ba.Acks), len(q.sinks))
 	}
-	if q.armed {
+	if !closed && slices.ContainsFunc(q.sinks, func(r sinkRef) bool { return r.sink != nil }) {
 		ev := chord.DATFailed
 		if err == nil {
 			ev = chord.DATRefused
@@ -441,15 +396,20 @@ func (q *destQueue) answer(payload any, err error) {
 			ref.fire(ba.Acks[i], nil)
 		}
 	}
+	sm.mu.Lock()
+	clear(q.sinks)
+	q.sinks = q.sinks[:0]
+	sm.free = append(sm.free, q)
+	sm.mu.Unlock()
 }
 
 // Close drains every queue (flushing pending traffic immediately) and
-// stops all deadline timers, the ack deadlines of flights already on the
-// wire included: from here only replies answer, and they are no
-// evidence. Later enqueues are refused with ErrSendClosed, so their
-// sinks are still answered instead of racing shutdown onto the wire. The
-// destinations are flushed in sorted order so shutdown traffic is
-// deterministic.
+// stops their flush deadlines. The transport still answers every
+// datagram on the wire, the drained ones included, but from here each
+// answer reaches its sinks as ErrSendClosed and is no evidence. Later
+// enqueues are refused with ErrSendClosed, so their sinks are still
+// answered instead of racing shutdown onto the wire. The destinations
+// are flushed in sorted order so shutdown traffic is deterministic.
 func (sm *sendMachine) Close() {
 	sm.mu.Lock()
 	if sm.closed {
@@ -462,11 +422,6 @@ func (sm *sendMachine) Close() {
 	for _, q := range sm.queues {
 		all = append(all, q)
 		stops = append(stops, sm.takeLocked(q))
-	}
-	for _, q := range sm.records {
-		if q.armed && !q.answered { // a flight: taken queues are not armed
-			stops, q.timer, q.armed = append(stops, q.timer), transport.Timer{}, false
-		}
 	}
 	sm.mu.Unlock()
 	for _, t := range stops {

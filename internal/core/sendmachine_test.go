@@ -20,7 +20,9 @@ import (
 )
 
 // stubEndpoint records Calls so tests can inspect (and answer) what the
-// send machine put on the wire.
+// send machine put on the wire. It keeps no deadline: a test plays the
+// transport, answering a call with its reply or with the
+// transport.ErrTimeout its deadline d would bring.
 type stubEndpoint struct {
 	addr  transport.Addr
 	calls []stubCall
@@ -30,16 +32,20 @@ type stubCall struct {
 	to      transport.Addr
 	typ     string
 	payload any
+	d       time.Duration // the call's deadline
 	cb      transport.ResponseFunc
 }
 
 func (s *stubEndpoint) Addr() transport.Addr { return s.addr }
 func (s *stubEndpoint) Send(to transport.Addr, typ string, payload any) error {
-	s.calls = append(s.calls, stubCall{to, typ, payload, nil})
+	s.calls = append(s.calls, stubCall{to, typ, payload, 0, nil})
 	return nil
 }
 func (s *stubEndpoint) Call(to transport.Addr, typ string, payload any, cb transport.ResponseFunc) {
-	s.calls = append(s.calls, stubCall{to, typ, payload, cb})
+	s.CallWithin(to, typ, payload, transport.DefaultCallTimeout, cb)
+}
+func (s *stubEndpoint) CallWithin(to transport.Addr, typ string, payload any, d time.Duration, cb transport.ResponseFunc) {
+	s.calls = append(s.calls, stubCall{to, typ, payload, d, cb})
 }
 func (s *stubEndpoint) Handle(transport.Handler) {}
 func (s *stubEndpoint) Close() error             { return nil }
@@ -181,9 +187,8 @@ func TestSendMachineFlushTriggers(t *testing.T) {
 			if st.HiWaterBytes >= n.sm.cfg.MaxBytes {
 				t.Fatalf("hi-water %d reached the queue's %d-byte flush threshold", st.HiWaterBytes, n.sm.cfg.MaxBytes)
 			}
-			// Answer the datagram, which stops its ack deadline. No timer
-			// may survive the flush: drain the engine and assert nothing
-			// else reaches the wire.
+			// Answer the datagram. No timer may survive the flush: drain
+			// the engine and assert nothing else reaches the wire.
 			call.cb(BatchAck{Acks: make([]UpdateAck, tc.wantElems)}, nil)
 			eng.Run()
 			if len(ep.calls) != 1 {
@@ -336,7 +341,7 @@ func TestSendMachineCloseDrains(t *testing.T) {
 // MaxElems 1 every enqueue trips the elems trigger, so each element is
 // its own one-element MsgBatch Call in enqueue order, no flush deadline
 // is ever armed, nothing stays queued, every sink hears its own verdict
-// exactly once, and no ack deadline outlives its reply.
+// exactly once, and no timer is armed for a datagram in flight.
 func TestSendMachinePassThrough(t *testing.T) {
 	const destA, destB = transport.Addr("10.0.0.2:1"), transport.Addr("10.0.0.3:1")
 	type send struct {
@@ -414,7 +419,7 @@ func TestSendMachinePassThrough(t *testing.T) {
 				}
 			}
 			if eng.Len() != 0 {
-				t.Fatalf("%d events pending after the replies: a deadline timer outlived its datagram", eng.Len())
+				t.Fatalf("%d events pending after the replies: the send machine armed a timer of its own", eng.Len())
 			}
 		})
 	}

@@ -173,10 +173,10 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 	if after != gen || done || len(dones) != 0 {
 		t.Fatalf("a stale ack moved the reused delivery: gen %d -> %d, done=%v, %d completions", gen, after, done, len(dones))
 	}
-	// Slot t's ack timeout was disarmed by the takeover: only slot
-	// t+1's is pending, and nothing fires before it is due.
+	// Ack deadlines are the transport's, and the stale ack armed no
+	// backoff: no timer of the node fires while slot t+1 waits.
 	if fired := eng.RunFor(cfg.Delivery.AckTimeout - 20*time.Millisecond); fired != 0 {
-		t.Fatalf("%d timers fired before slot t+1's ack timeout was due: slot t's leaked", fired)
+		t.Fatalf("%d timers fired while slot t+1 waited for its ack: slot t's leaked", fired)
 	}
 
 	ep.calls[1].cb(BatchAck{Acks: []UpdateAck{{OK: true}}}, nil) // slot t+1's own ack

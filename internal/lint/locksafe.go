@@ -8,7 +8,7 @@ import (
 // LockSafe flags code that, while holding a struct-field mutex (the
 // chord.Node.mu pattern), either
 //
-//   - performs a transport/RPC operation (Endpoint.Send/Call/Close,
+//   - performs a transport/RPC operation (Endpoint.Send/Call/CallWithin/Close,
 //     Request.Reply/ReplyError) — directly, or through any call whose
 //     phase-1 summary says it transitively reaches one: on the
 //     simulated transport the callee can run inline and re-enter the
@@ -42,7 +42,7 @@ var LockSafe = &Analyzer{
 // (Clock.AfterRun/Every, Timer.Stop) are excluded: they only enqueue or
 // dequeue work.
 var transportCallNames = map[string]bool{
-	"Send": true, "Call": true, "Close": true,
+	"Send": true, "Call": true, "CallWithin": true, "Close": true,
 	"Reply": true, "ReplyError": true,
 }
 

@@ -8,8 +8,8 @@ import (
 // SendErr flags discarded errors from transport send paths: a bare
 // statement-position call to a transport/rpcudp Send method, or one
 // whose results are assigned entirely to blanks (`_ = ep.Send(...)`),
-// and a transport/rpcudp Call whose response callback ignores its
-// error argument (blank, unnamed, or named but never read).
+// and a transport/rpcudp Call or CallWithin whose response callback
+// ignores its error argument (blank, unnamed, or named but never read).
 //
 // Best-effort datagrams are a legitimate pattern — but a send error is
 // the cheapest failure signal the stack gets (closed endpoint,
@@ -60,14 +60,15 @@ func runSendErr(pass *Pass) {
 	}
 }
 
-// checkCallCallback flags a transport/rpcudp Call whose final argument
+// checkCallCallback flags a transport/rpcudp Call or CallWithin whose
+// final argument
 // is a function literal that ignores its error parameter. The error is
 // the last callback parameter by the transport.ResponseFunc convention;
 // named-but-unused counts as ignored (Go does not reject unused
 // parameters, so the analyzer has to).
 func checkCallCallback(pass *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Name() != "Call" {
+	if fn == nil || (fn.Name() != "Call" && fn.Name() != "CallWithin") {
 		return
 	}
 	path := funcPkgPath(fn)

@@ -31,7 +31,7 @@ type Effect uint16
 // Effect bits.
 const (
 	// EffSend performs a transport/RPC operation
-	// (Endpoint.Send/Call/Close, Request.Reply/ReplyError).
+	// (Endpoint.Send/Call/CallWithin/Close, Request.Reply/ReplyError).
 	EffSend Effect = 1 << iota
 	// EffHook fires an obs hooks-struct callback or a transport.Tap.
 	EffHook

@@ -5,6 +5,7 @@ package senderr
 
 import (
 	"errors"
+	"time"
 
 	"transport"
 )
@@ -61,6 +62,14 @@ func (n *Node) BadCallUnnamedErr() {
 // the timeout signal still goes nowhere.
 func (n *Node) BadCallUnusedErr() {
 	n.ep.Call(n.succ, "ping", nil, func(resp any, err error) { // want `Call response error err is never read in the callback`
+		use(resp)
+	})
+}
+
+// BadCallWithinUnusedErr ignores the error of a call with its own
+// deadline: that deadline's ErrTimeout goes nowhere either.
+func (n *Node) BadCallWithinUnusedErr() {
+	n.ep.CallWithin(n.succ, "ping", nil, time.Second, func(resp any, err error) { // want `Call response error err is never read in the callback`
 		use(resp)
 	})
 }

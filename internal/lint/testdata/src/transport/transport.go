@@ -3,7 +3,10 @@
 // bare package path "transport".
 package transport
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
 
 // Addr is a network address.
 type Addr string
@@ -16,6 +19,7 @@ type Endpoint interface {
 	Addr() Addr
 	Send(to Addr, typ string, payload any) error
 	Call(to Addr, typ string, payload any, cb func(resp any, err error))
+	CallWithin(to Addr, typ string, payload any, d time.Duration, cb func(resp any, err error))
 	Close() error
 }
 

@@ -7,8 +7,8 @@ import (
 
 // WireReg flags protocol payload types sent over the transport without
 // a compact-codec registration: a concrete struct type declared in this
-// package and passed as the payload of a transport/rpcudp Send or Call,
-// or a transport Reply, must also appear as the sample argument of a
+// package and passed as the payload of a transport/rpcudp Send, Call or
+// CallWithin, or a transport Reply, must also appear as the sample argument of a
 // wire.Register call somewhere in the package.
 //
 // An unregistered payload does not travel: the codec has no fallback,
@@ -81,8 +81,8 @@ func wireRegistrations(pass *Pass) map[*types.TypeName]bool {
 	return out
 }
 
-// payloadArg returns the payload argument of a transport/rpcudp Send or
-// Call, or a transport Reply.
+// payloadArg returns the payload argument of a transport/rpcudp Send,
+// Call or CallWithin, or a transport Reply.
 func payloadArg(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	fn := calleeFunc(pass.Info, call)
 	if fn == nil {
@@ -94,7 +94,7 @@ func payloadArg(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
 		return nil, false
 	}
 	switch fn.Name() {
-	case "Send", "Call":
+	case "Send", "Call", "CallWithin":
 		if len(call.Args) >= 3 {
 			return call.Args[2], true
 		}

@@ -100,8 +100,6 @@ type TransportHooks struct {
 	SendError func(typ string)
 	// DecodeError fires when an inbound packet fails to decode.
 	DecodeError func()
-	// Retransmit fires when a call attempt is retransmitted.
-	Retransmit func(typ string)
 	// WireSent fires per encoded outbound frame with its byte length.
 	WireSent func(n int)
 	// WireReceived fires per decoded inbound frame with its byte

@@ -39,7 +39,6 @@ type Observer struct {
 	msgs         *CounterVec
 	sendErrors   *Counter
 	decodeErrors *Counter
-	retransmits  *Counter
 	wireBytes    *CounterVec
 
 	lookups         *CounterVec
@@ -98,7 +97,6 @@ func NewObserver(spanCapacity int) *Observer {
 		msgs:         r.CounterVec("dat_transport_messages_total", "Messages delivered, by message type (replies carry a :reply suffix).", "type"),
 		sendErrors:   r.Counter("dat_transport_send_errors_total", "Failed sends and reply writes."),
 		decodeErrors: r.Counter("dat_transport_decode_errors_total", "Inbound packets that failed to decode."),
-		retransmits:  r.Counter("dat_transport_retransmits_total", "Call attempts retransmitted after a timeout."),
 		wireBytes:    r.CounterVec("rpcudp_wire_bytes_total", "Encoded UDP frame bytes, by direction.", "dir"),
 
 		lookups:         r.CounterVec("chord_lookups_total", "Completed Chord lookups, by result.", "result"),
@@ -261,7 +259,6 @@ func (o *Observer) TransportHooks() TransportHooks {
 	return TransportHooks{
 		SendError:    func(string) { o.sendErrors.Inc() },
 		DecodeError:  func() { o.decodeErrors.Inc() },
-		Retransmit:   func(string) { o.retransmits.Inc() },
 		WireSent:     func(n int) { o.wireBytes.With("tx").Add(uint64(n)) },
 		WireReceived: func(n int) { o.wireBytes.With("rx").Add(uint64(n)) },
 	}

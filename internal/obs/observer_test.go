@@ -54,7 +54,6 @@ func TestObserverHooksFeedInstruments(t *testing.T) {
 	th := o.TransportHooks()
 	th.SendError("dat.update")
 	th.DecodeError()
-	th.Retransmit("chord.ping")
 
 	mh := o.MAANHooks()
 	mh.OwnerArc("hit")
@@ -89,7 +88,6 @@ func TestObserverHooksFeedInstruments(t *testing.T) {
 		`dat_tree_root_slots_total{tree="5"} 1`,
 		"dat_transport_send_errors_total 1",
 		"dat_transport_decode_errors_total 1",
-		"dat_transport_retransmits_total 1",
 		`dat_maan_owner_arcs_total{result="hit"} 2`,
 		`dat_maan_owner_arcs_total{result="miss"} 1`,
 		`dat_maan_owner_arcs_total{result="stale"} 1`,

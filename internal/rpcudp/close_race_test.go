@@ -13,9 +13,9 @@ import (
 )
 
 // TestCloseWhileCalling races Close against goroutines inside Call. A
-// Call registers its pendingCall and arms the retransmit timer in two
-// steps; Close used to dereference the nil timer of a call caught
-// between them. Nothing answers and the call timeout is long, so every
+// Call once registered its pendingCall and armed its timer in two
+// steps, and Close dereferenced the nil timer of a call caught between
+// them. Nothing answers and the call timeout is long, so every
 // callback must be transport.ErrClosed, delivered exactly once per
 // call — by Close for calls it found pending, by Call itself afterwards.
 func TestCloseWhileCalling(t *testing.T) {

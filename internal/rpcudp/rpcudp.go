@@ -2,8 +2,10 @@
 // socket-level transport that carries the same Chord/DAT messages as the
 // simulated network, so the protocol stack runs unchanged on real
 // sockets. Requests are matched to responses by a per-endpoint sequence
-// number; unanswered requests are retransmitted a configurable number of
-// times before failing with transport.ErrTimeout.
+// number. A call is one datagram, never resent: an unanswered request
+// fails with transport.ErrTimeout at its deadline, and recovering a lost
+// datagram is the protocol layers' business (DESIGN.md §10), exactly as
+// on the simulated network.
 //
 // Frames are serialized by wire.Compact (DESIGN.md §11), which encodes
 // registered payload types with hand-written field codecs. Every
@@ -15,10 +17,8 @@
 package rpcudp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net"
 	"sync"
@@ -32,19 +32,9 @@ import (
 
 // Config parameterizes a UDP endpoint.
 type Config struct {
-	// CallTimeout bounds the first request attempt. Retransmit k waits
-	// CallTimeout*2^(k-1) plus a deterministic jitter of up to half that,
-	// so the worst-case Call latency is roughly
-	// CallTimeout * 1.5 * (2^(1+Retransmits) - 1). Default 500ms.
+	// CallTimeout is the deadline Call gives a request. Default
+	// transport.DefaultCallTimeout.
 	CallTimeout time.Duration
-	// Retransmits is how many times an unanswered request is resent.
-	// Default 2.
-	Retransmits int
-	// JitterSeed seeds the deterministic retransmit jitter. Zero derives
-	// the seed from the bound socket address at Listen time; callers that
-	// replay traces (datcheck) pass an explicit seed so schedules stay
-	// byte-identical across runs.
-	JitterSeed int64
 	// MaxPacket is the receive buffer size. Default 64KiB (max UDP).
 	MaxPacket int
 	// Logger receives structured transport diagnostics (decode failures,
@@ -55,20 +45,14 @@ type Config struct {
 	// mirroring the simulated networks' taps. Must be safe for
 	// concurrent use.
 	Tap transport.Tap
-	// Obs receives error-path telemetry (send errors, decode errors,
-	// retransmits) and wire-level byte counts. The zero value disables
-	// it.
+	// Obs receives error-path telemetry (send errors, decode errors)
+	// and wire-level byte counts. The zero value disables it.
 	Obs obs.TransportHooks
 }
 
 func (c Config) withDefaults() Config {
 	if c.CallTimeout <= 0 {
-		c.CallTimeout = 500 * time.Millisecond
-	}
-	if c.Retransmits < 0 {
-		c.Retransmits = 0
-	} else if c.Retransmits == 0 {
-		c.Retransmits = 2
+		c.CallTimeout = transport.DefaultCallTimeout
 	}
 	if c.MaxPacket <= 0 {
 		c.MaxPacket = 64 << 10
@@ -112,15 +96,17 @@ type Endpoint struct {
 	addrMu sync.RWMutex
 	addrs  map[transport.Addr]*net.UDPAddr
 
-	seq        atomic.Uint64
-	jitterSeed int64
-	wg         sync.WaitGroup
+	seq atomic.Uint64
+	wg  sync.WaitGroup
 }
 
+// pendingCall is one call awaiting its answer. Whoever takes it off the
+// pending map — the reply, the deadline timer or Close — answers it.
 type pendingCall struct {
+	e     *Endpoint
+	seq   uint64
 	cb    transport.ResponseFunc
 	timer *time.Timer
-	done  bool
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -137,9 +123,10 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpcudp: listen %q: %w", addr, err)
 	}
-	// The kernel caps the size at net.core.rmem_max; a socket that keeps
-	// a smaller buffer only loses more of a burst, which the retransmit
-	// covers, so a refusal is no reason to fail Listen.
+	// The kernel caps the size at net.core.rmem_max. A socket that keeps
+	// a smaller buffer loses more of a burst, and nothing here resends
+	// what it drops: the DAT and Chord layers retry above the transport.
+	// A refusal is still no reason to fail Listen.
 	_ = conn.SetReadBuffer(readBuffer)
 	e := &Endpoint{
 		cfg:     cfg.withDefaults(),
@@ -147,12 +134,6 @@ func Listen(addr string, cfg Config) (*Endpoint, error) {
 		addr:    transport.Addr(conn.LocalAddr().String()),
 		pending: make(map[uint64]*pendingCall),
 		addrs:   make(map[transport.Addr]*net.UDPAddr),
-	}
-	e.jitterSeed = e.cfg.JitterSeed
-	if e.jitterSeed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(e.addr))
-		e.jitterSeed = int64(h.Sum64())
 	}
 	e.wg.Add(1)
 	go e.readLoop()
@@ -179,22 +160,14 @@ func (e *Endpoint) Close() error {
 	e.closed = true
 	pend := e.pending
 	e.pending = make(map[uint64]*pendingCall)
-	// Stop the timers under e.mu, where Call arms them: a Call that has
-	// registered but not armed yet has a nil timer here, and finds its
-	// entry gone when it comes to arm.
 	for _, p := range pend {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		p.timer.Stop()
 	}
 	e.mu.Unlock()
 
 	err := e.conn.Close()
 	for _, p := range pend {
-		if !p.done {
-			p.done = true
-			p.cb(nil, transport.ErrClosed)
-		}
+		p.cb(nil, transport.ErrClosed)
 	}
 	e.wg.Wait()
 	return err
@@ -227,9 +200,15 @@ func (e *Endpoint) PendingCalls() int {
 	return len(e.pending)
 }
 
-// Call implements transport.Endpoint: request/response with
-// retransmission.
+// Call implements transport.Endpoint: CallWithin under Config.CallTimeout.
 func (e *Endpoint) Call(to transport.Addr, typ string, payload any, cb transport.ResponseFunc) {
+	e.CallWithin(to, typ, payload, e.cfg.CallTimeout, cb)
+}
+
+// CallWithin implements transport.Endpoint: one request datagram, and
+// transport.ErrTimeout after d unless the reply came first. The timer is
+// armed under e.mu, where Close finds it.
+func (e *Endpoint) CallWithin(to transport.Addr, typ string, payload any, d time.Duration, cb transport.ResponseFunc) {
 	if cb == nil {
 		panic("rpcudp: Call with nil callback")
 	}
@@ -240,73 +219,35 @@ func (e *Endpoint) Call(to transport.Addr, typ string, payload any, cb transport
 		return
 	}
 	seq := e.seq.Add(1)
-	env := wire.Envelope{Kind: kindCall, Seq: seq, Type: typ, From: string(e.addr), Payload: payload}
-	p := &pendingCall{cb: cb}
+	p := &pendingCall{e: e, seq: seq, cb: cb}
 	e.pending[seq] = p
+	p.timer = time.AfterFunc(d, p.expire)
 	e.mu.Unlock()
 
-	attempts := 0
-	var attempt func()
-	attempt = func() {
-		e.mu.Lock()
-		cur, ok := e.pending[seq]
-		if !ok || cur.done {
-			e.mu.Unlock()
-			return
+	env := wire.Envelope{Kind: kindCall, Seq: seq, Type: typ, From: string(e.addr), Payload: payload}
+	if err := e.write(to, &env); err != nil {
+		if h := e.cfg.Obs.SendError; h != nil {
+			h(typ)
 		}
-		attempts++
-		n := attempts // snapshot: the next timer fire mutates attempts
-		give := n > e.cfg.Retransmits+1
-		if give {
-			delete(e.pending, seq)
-			cur.done = true
-		} else {
-			cur.timer = time.AfterFunc(e.retransmitDelay(seq, n), attempt)
-		}
-		e.mu.Unlock()
-		if give {
-			cb(nil, transport.ErrTimeout)
-			return
-		}
-		if n > 1 {
-			if h := e.cfg.Obs.Retransmit; h != nil {
-				h(typ)
-			}
-		}
-		if err := e.write(to, &env); err != nil {
-			if h := e.cfg.Obs.SendError; h != nil {
-				h(typ)
-			}
-			e.cfg.Logger.Warn("rpcudp: send failed", "type", typ, "to", string(to), "err", err)
-		}
+		e.cfg.Logger.Warn("rpcudp: send failed", "type", typ, "to", string(to), "err", err)
 	}
-	attempt()
 }
 
-// retransmitDelay is how long attempt number `attempt` (1-based) of
-// request seq waits before the next retransmit: CallTimeout doubled per
-// attempt (capped at 2^5), plus a deterministic jitter of up to half
-// the backed-off base so synchronized peers don't retransmit in
-// lockstep. The jitter hashes (seed, seq, attempt), so schedules are
-// reproducible for a fixed JitterSeed.
-func (e *Endpoint) retransmitDelay(seq uint64, attempt int) time.Duration {
-	shift := attempt - 1
-	if shift > 5 {
-		shift = 5
+// take removes call seq from the pending map and returns it, or nil if
+// another answer took it first.
+func (e *Endpoint) take(seq uint64) *pendingCall {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p := e.pending[seq]
+	delete(e.pending, seq)
+	return p
+}
+
+// expire is the call's deadline.
+func (p *pendingCall) expire() {
+	if p.e.take(p.seq) != nil {
+		p.cb(nil, transport.ErrTimeout)
 	}
-	d := e.cfg.CallTimeout << shift
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(e.jitterSeed))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], seq)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	if half := uint64(d / 2); half > 0 {
-		d += time.Duration(h.Sum64() % half)
-	}
-	return d
 }
 
 // resolve returns the UDP address for a destination, resolving it on
@@ -421,19 +362,11 @@ func (e *Endpoint) handle(env wire.Envelope) {
 		}
 		h(transport.NewRequest(transport.Addr(env.From), env.Type, env.Payload, reply))
 	case kindReply, kindError:
-		e.mu.Lock()
-		p, ok := e.pending[env.Seq]
-		if ok {
-			delete(e.pending, env.Seq)
+		p := e.take(env.Seq)
+		if p == nil {
+			return // late reply, or a forged sequence number
 		}
-		e.mu.Unlock()
-		if !ok || p.done {
-			return // duplicate or late reply
-		}
-		p.done = true
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		p.timer.Stop()
 		if env.Kind == kindError {
 			p.cb(nil, errors.New(env.ErrText))
 		} else {

@@ -10,8 +10,8 @@ import (
 type SimConfig struct {
 	// Latency models one-way message delay. Nil means ConstantLatency(1ms).
 	Latency sim.LatencyModel
-	// CallTimeout bounds request/response exchanges. Zero means 2s of
-	// virtual time.
+	// CallTimeout is the deadline Call gives a request. Zero means
+	// DefaultCallTimeout of virtual time.
 	CallTimeout time.Duration
 	// Faults, if non-nil, decides drops/duplicates/extra delay per
 	// message (request, reply or one-way). Nil is a clean network. See
@@ -24,7 +24,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.Latency = sim.ConstantLatency(time.Millisecond)
 	}
 	if c.CallTimeout <= 0 {
-		c.CallTimeout = 2 * time.Second
+		c.CallTimeout = DefaultCallTimeout
 	}
 	return c
 }
@@ -399,6 +399,10 @@ func (e *simEndpoint) Send(to Addr, typ string, payload any) error {
 }
 
 func (e *simEndpoint) Call(to Addr, typ string, payload any, cb ResponseFunc) {
+	e.CallWithin(to, typ, payload, e.net.cfg.CallTimeout, cb)
+}
+
+func (e *simEndpoint) CallWithin(to Addr, typ string, payload any, d time.Duration, cb ResponseFunc) {
 	if cb == nil {
 		panic("transport: Call with nil callback")
 	}
@@ -410,7 +414,7 @@ func (e *simEndpoint) Call(to Addr, typ string, payload any, cb ResponseFunc) {
 	c.req = Request{From: e.addr, Type: typ, Payload: payload, reply: c}
 	// The timeout is scheduled before the request delivery, preserving
 	// the historical event sequence order.
-	c.timeout = e.net.engine.ScheduleRun(e.net.cfg.CallTimeout, c, 0)
+	c.timeout = e.net.engine.ScheduleRun(d, c, 0)
 	m := e.net.getMsg()
 	m.kind = msgRequest
 	m.oneWay = false

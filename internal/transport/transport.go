@@ -24,11 +24,16 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Addr identifies an endpoint. The format is implementation-defined
 // ("sim/42", "127.0.0.1:9123"); protocol layers treat it as opaque.
 type Addr string
+
+// DefaultCallTimeout is the deadline Call gives a request on every
+// transport unless the endpoint was configured with another.
+const DefaultCallTimeout = 2 * time.Second
 
 // Common transport errors.
 var (
@@ -116,11 +121,19 @@ type Endpoint interface {
 	Addr() Addr
 	// Send fires a one-way message. Delivery is best-effort.
 	Send(to Addr, typ string, payload any) error
-	// Call issues a request and invokes cb exactly once with the reply or
-	// an error (ErrTimeout, ErrClosed, ...). cb may run on another
-	// goroutine for real transports, or inline within the event loop for
-	// simulated ones — callers must do their own locking.
+	// Call is CallWithin under the endpoint's configured call timeout
+	// (DefaultCallTimeout unless set).
 	Call(to Addr, typ string, payload any, cb ResponseFunc)
+	// CallWithin issues a request as one datagram, never resent, and
+	// invokes cb exactly once: with the reply, the error the callee
+	// replied with, ErrClosed, or ErrTimeout once d has passed without
+	// an answer (d <= 0 is due at once). A reply after that is dropped.
+	// The deadline is the transport's alone: a caller that wants a
+	// verdict by some instant passes the time left until it, and arms no
+	// timer of its own. cb may run on another goroutine for real
+	// transports, or inline within the event loop for simulated ones —
+	// callers must do their own locking. A nil cb panics.
+	CallWithin(to Addr, typ string, payload any, d time.Duration, cb ResponseFunc)
 	// Handle registers the inbound handler. It must be set before the
 	// endpoint receives traffic; registering twice replaces the handler.
 	Handle(h Handler)

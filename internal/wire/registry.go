@@ -29,8 +29,8 @@ const (
 	// the gma layer's Resource descriptions).
 	CodeMAANBase byte = 0x30
 	// CodeTestBase..0xFF: reserved for payload types that exist only in
-	// a test binary (rpcudp's testPayload); no protocol layer takes a
-	// code from here.
+	// a test binary (rpcudp's testPayload, transporttest.Payload); no
+	// protocol layer takes a code from here.
 	CodeTestBase byte = 0xF0
 )
 

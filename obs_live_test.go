@@ -140,6 +140,22 @@ func TestLivePeerObservabilityEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One on-demand query of a tree the observed node roots reaches it
+	// once: a call is one datagram, and its deadline covers the window.
+	// Each request that reached it would open a collection epoch.
+	queries := func() float64 {
+		rec := httptest.NewRecorder()
+		observer.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return metricSum(t, rec.Body.String(), `dat_transport_messages_total{type="dat.query"}`)
+	}
+	before := queries()
+	if _, err := peers[1].Query(attrs[0], 1500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := queries() - before; got != 1 {
+		t.Fatalf("one 1.5 s query reached its root %v times, want exactly 1", got)
+	}
+
 	// Two identical directory queries from the observed node: the first
 	// looks its walk's first node up, the second starts from the arc
 	// that lookup proved.

@@ -43,7 +43,11 @@ type PeerConfig struct {
 	// result so LatestResult is fresh on every peer (costs n-1 messages
 	// per slot).
 	ShareResults bool
-	// CallTimeout bounds one RPC attempt. Default 500ms.
+	// CallTimeout bounds a call: one request datagram, never resent,
+	// fails with a timeout when no answer came within it. Default 2s
+	// (transport.DefaultCallTimeout). DAT updates and on-demand queries
+	// carry deadlines of their own (Delivery.AckTimeout, the query
+	// window plus AckTimeout).
 	CallTimeout time.Duration
 	// Delivery configures the DAT delivery-assurance layer (acked
 	// updates, backoff, parent failover, root handover — DESIGN.md §10).
