@@ -63,8 +63,8 @@ type Aggregate = core.Aggregate
 type Tree = core.Tree
 
 // DeliveryConfig tunes the delivery-assurance layer for DAT updates:
-// ack timeouts, retry backoff, and parent/root failover. See
-// PeerConfig.Delivery.
+// the ack timeout that bounds each attempt before a re-send or a
+// parent/root failover. See PeerConfig.Delivery.
 type DeliveryConfig = core.DeliveryConfig
 
 // BatchConfig tunes the send machine that coalesces updates bound for

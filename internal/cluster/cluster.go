@@ -108,7 +108,7 @@ type Options struct {
 	// SuccessorListLen passes through to the Chord layer. Default 4.
 	SuccessorListLen int
 	// Delivery passes the delivery-assurance policy (acked updates,
-	// backoff, failover — DESIGN.md §10) through to the DAT layer. The
+	// re-sends, failover — DESIGN.md §10) through to the DAT layer. The
 	// zero value is the defaults.
 	Delivery core.DeliveryConfig
 	// Batch passes the send-machine coalescing policy (DESIGN.md §12)

@@ -156,8 +156,9 @@ type NodeConfig struct {
 	// then relay cached values one slot behind their children).
 	HoldPerLevel time.Duration
 	// Delivery tunes the delivery-assurance layer every update goes
-	// through: acked sends with backoff, in-slot parent failover,
-	// root handover (DESIGN.md §10). The zero value is the defaults.
+	// through: acked sends, re-sent once with their lost datagram,
+	// in-slot parent failover, root handover (DESIGN.md §10). The zero
+	// value is the defaults.
 	Delivery DeliveryConfig
 	// Batch tunes the send machine coalescing acked updates/detaches
 	// bound for the same parent into single datagrams (DESIGN.md §12).

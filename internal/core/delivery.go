@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,10 +14,11 @@ import (
 // This file is the delivery-assurance layer for DAT updates
 // (DESIGN.md §10). Fire-and-forget updates lose a whole subtree for the
 // rest of the slot when the parent has crashed, and lose the round
-// entirely when the root has; here updates and detaches become
-// acknowledged exchanges with per-attempt timeouts, jittered exponential
-// backoff, in-slot parent failover under the §3.4 finger-limiting
-// constraint, and root handover via the successor list.
+// entirely when the root has; here updates become acknowledged
+// exchanges answered by their datagram's verdict, re-sent at once with
+// the rest of a lost datagram, failed over in-slot under the §3.4
+// finger-limiting constraint, and handed over to a standby root via the
+// successor list.
 
 // UpdateAck acknowledges an UpdateMsg or DetachMsg. OK=false reports a
 // live receiver that refused the update ("cycle" or "no-slot"): the
@@ -36,11 +38,12 @@ type UpdateAck struct {
 const handoverSlots = 6
 
 // deliveryAttempts is how many times one candidate parent is tried
-// before failing over to the next candidate; deliveryBackoff is the
-// base delay of the jittered exponential backoff between those attempts.
+// before failing over to the next candidate; maxCandidates bounds how
+// many distinct parents one pending aggregate is offered to before
+// giving up (the next slot retries from scratch anyway).
 const (
 	deliveryAttempts = 2
-	deliveryBackoff  = 25 * time.Millisecond
+	maxCandidates    = 3
 )
 
 // DeliveryConfig tunes the delivery-assurance layer.
@@ -52,27 +55,20 @@ type DeliveryConfig struct {
 	// bounds how long a parent waits for an expected child's report
 	// (NodeConfig.HoldPerLevel). Default 150ms.
 	AckTimeout time.Duration
-	// MaxCandidates bounds how many distinct parents one pending
-	// aggregate is offered to before giving up (the next slot retries
-	// from scratch anyway). Default 3.
-	MaxCandidates int
 }
 
 func (c DeliveryConfig) withDefaults() DeliveryConfig {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 150 * time.Millisecond
 	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 3
-	}
 	return c
 }
 
 // The jitter sources of this package are FNV-1a hashes (hash/fnv's
 // New64a, written out so that hashing allocates nothing) of who, whom
-// and a counter. No RNG is drawn, so enabling the delivery layer, the
-// send machine or the avoid verdict cannot perturb a simulation's event
-// randomness: datcheck traces stay byte-identical per seed.
+// and a counter. No RNG is drawn, so enabling the send machine or the
+// avoid verdict cannot perturb a simulation's event randomness: datcheck
+// traces stay byte-identical per seed.
 const fnvOffset, fnvPrime uint64 = 14695981039346656037, 1099511628211
 
 func fnvAddr(h uint64, a transport.Addr) uint64 {
@@ -90,31 +86,6 @@ func fnvUint64(h, x uint64) uint64 {
 	return h
 }
 
-// jitterHash derives the jitter source for one delivery attempt.
-func jitterHash(addr transport.Addr, key ident.ID, epoch int64, attempt int) uint64 {
-	return fnvUint64(fnvUint64(fnvUint64(fnvAddr(fnvOffset, addr), uint64(key)), uint64(epoch)), uint64(attempt))
-}
-
-// backoffDelay is base * 2^(attempt-1) plus deterministic jitter in
-// [0, delay/2): gaps grow strictly (2^k > 1.5 * 2^(k-1)) while nodes
-// that failed in the same slot de-phase from each other.
-func backoffDelay(base time.Duration, attempt int, h uint64) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift < 0 {
-		shift = 0
-	} else if shift > 5 {
-		shift = 5
-	}
-	d := base << shift
-	if half := uint64(d / 2); half > 0 {
-		d += time.Duration(h % half)
-	}
-	return d
-}
-
 // parentChoice is parentFrom's answer. keyRoot reports that the chosen
 // parent is believed to be successor(key) — the tree root — which is
 // what arms root handover when that parent fails too. ok is false when
@@ -129,10 +100,10 @@ type parentChoice struct {
 
 // parentFrom picks this node's DAT parent for key from one routing
 // view, skipping the candidates in excluded (found unreachable or
-// refusing; nil for none). It is a pure function of its arguments —
+// refusing; empty for none). It is a pure function of its arguments —
 // nothing is maintained per tree (§2.3) — which is what lets
 // parentLocked memoise the no-exclusion answer per routing version.
-func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[transport.Addr]bool) parentChoice {
+func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded []transport.Addr) parentChoice {
 	self, pred, space := rt.Self, rt.Pred, rt.Space()
 
 	if len(rt.Succs) == 0 {
@@ -157,7 +128,7 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 	// (the node the ring will elect successor(key) once the failure
 	// detector completes) stands in.
 	for _, s := range rt.Succs {
-		if s.IsZero() || s.Addr == self.Addr || excluded[s.Addr] {
+		if s.IsZero() || s.Addr == self.Addr || slices.Contains(excluded, s.Addr) {
 			continue
 		}
 		if space.InHalfOpen(key, self.ID, s.ID) {
@@ -177,7 +148,7 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 	var best chord.NodeRef
 	var bestRemaining uint64
 	for _, f := range rt.Fingers[:maxJ+1] {
-		if f.IsZero() || f.Addr == self.Addr || excluded[f.Addr] {
+		if f.IsZero() || f.Addr == self.Addr || slices.Contains(excluded, f.Addr) {
 			continue
 		}
 		if !space.InHalfOpen(f.ID, self.ID, key) {
@@ -194,7 +165,7 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 	// Successor fallback: the nearest live non-excluded successor always
 	// makes progress toward key.
 	for _, s := range rt.Succs {
-		if s.IsZero() || s.Addr == self.Addr || excluded[s.Addr] {
+		if s.IsZero() || s.Addr == self.Addr || slices.Contains(excluded, s.Addr) {
 			continue
 		}
 		return parentChoice{parent: s, keyRoot: space.InHalfOpen(key, self.ID, s.ID), ok: true}
@@ -203,11 +174,13 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded map[tra
 }
 
 // delivery tracks one pending acked update through retries, parent
-// failover and root handover. All transport and hook work happens
-// outside both d.mu and Node.mu (the locksafe copy-out discipline).
-// gen is the fence: it moves when an attempt is sent or answered and
-// when the delivery starts over, and every continuation — verdict,
-// backoff, the steps of fail — owns the generation it was started under
+// failover and root handover. It owns no timer: every attempt is
+// answered by the verdict on the datagram that carried it, and a retry
+// is re-enqueued inside that verdict. All transport and hook work
+// happens outside both d.mu and Node.mu (the locksafe copy-out
+// discipline). gen is the fence: it moves when an attempt is sent or
+// answered and when the delivery starts over, and every continuation —
+// verdict, the steps of fail — owns the generation it was started under
 // and stops at the first lock under which that is no longer current. A
 // tree's continuous delivery lives in its aggEntry and is reused slot
 // after slot with gen kept monotone, so slot t's verdict arriving after
@@ -221,17 +194,14 @@ type delivery struct {
 	msg        UpdateMsg
 	done       bool
 	gen        uint64
-	timer      transport.Timer // the backoff before the next attempt
 	cur        chord.NodeRef
 	curKeyRoot bool // current candidate is believed successor(key)
 	attempt    int  // attempts on the current candidate
 	total      int  // attempts across all candidates
 	cands      int  // distinct candidates tried
-	// excluded holds the candidates given up on; nil until the first.
-	// Only fail writes it, and one delivery's fail calls never overlap
-	// (each owns the single event in flight): parentFrom reads it uncopied.
-	excluded map[transport.Addr]bool
-	start    time.Duration
+	// tried[:cands-1] are the candidates given up on.
+	tried [maxCandidates]transport.Addr
+	start time.Duration
 }
 
 // deliverUpdate starts the acked delivery of msg toward parent: on e's
@@ -245,16 +215,13 @@ func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot 
 		d = &delivery{n: n, key: msg.Key}
 	}
 	d.mu.Lock()
-	stop := d.timer
-	d.timer = transport.Timer{}
 	d.gen++
 	g := d.gen
 	d.msg, d.done = *msg, false
 	d.cur, d.curKeyRoot = parent, parentIsKeyRoot
-	d.attempt, d.total, d.cands, d.excluded = 0, 0, 1, nil
+	d.attempt, d.total, d.cands = 0, 0, 1
 	d.start = n.clock.Now()
 	d.mu.Unlock()
-	stop.Stop()
 	d.sendAttempt(g)
 }
 
@@ -262,10 +229,7 @@ func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot 
 func (d *delivery) cancel() {
 	d.mu.Lock()
 	d.done = true
-	stop := d.timer
-	d.timer = transport.Timer{}
 	d.mu.Unlock()
-	stop.Stop()
 }
 
 // sendAttempt hands one attempt at the current candidate to the send
@@ -302,17 +266,6 @@ func (d *delivery) sendAttempt(g uint64) {
 	n.sm.enqueue(to, &el, sinkRef{d, g})
 }
 
-// RunEvent implements transport.TimerTask: the backoff armed under
-// generation op (its low 32 bits) is over.
-func (d *delivery) RunEvent(op int32) {
-	d.mu.Lock()
-	g := d.gen
-	d.mu.Unlock()
-	if uint32(g) == uint32(op) {
-		d.sendAttempt(g)
-	}
-}
-
 // onAck implements ackSink: the verdict on the attempt queued under g —
 // transport.ErrTimeout once its datagram's ack deadline passed. The
 // datagram has already told the peer-health record (sendmachine.go);
@@ -341,49 +294,36 @@ func (d *delivery) onAck(g uint64, ack UpdateAck, err error) {
 }
 
 // fail advances the state machine after a failed (or refused) attempt:
-// retry the same candidate under backoff, or fail over to the next
-// candidate under the finger-limiting constraint, or give up.
+// re-send to the same candidate at once, or fail over to the next
+// candidate under the finger-limiting constraint, or give up. A lost
+// datagram fails all its elements in one verdict loop, so their
+// re-sends, and their failovers to a common next candidate, fill one
+// fresh queue and leave as one datagram.
 func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 	n := d.n
-	cfg := n.cfg.Delivery
 	d.mu.Lock()
 	if d.done || d.gen != g {
 		d.mu.Unlock()
 		return
 	}
 	if !refused && d.attempt < deliveryAttempts {
-		attempt := d.attempt
-		epoch := d.msg.Epoch
 		d.mu.Unlock()
-		delay := backoffDelay(deliveryBackoff, attempt, jitterHash(n.ep.Addr(), d.key, epoch, attempt))
-		t := n.clock.AfterRun(delay, d, int32(g))
-		d.mu.Lock()
-		if d.done || d.gen != g {
-			d.mu.Unlock()
-			t.Stop()
-			return
-		}
-		d.timer = t
-		d.mu.Unlock()
+		d.sendAttempt(g)
 		return
 	}
 	// Candidate exhausted (or refused outright): fail over.
-	if d.excluded == nil {
-		d.excluded = make(map[transport.Addr]bool, cfg.MaxCandidates)
-	}
-	d.excluded[to] = true
-	excluded := d.excluded
+	d.tried[d.cands-1] = to
+	tried, k := d.tried, d.cands // tried[:k]: every candidate given up on
 	wasKeyRoot := d.curKeyRoot
 	d.attempt = 0
 	d.cands++
-	give := d.cands > cfg.MaxCandidates
 	d.mu.Unlock()
-	if give {
+	if k == maxCandidates {
 		d.finish(g, false)
 		return
 	}
 	rt := n.ch.Routing()
-	pc := parentFrom(rt, n.cfg.Scheme, d.key, excluded)
+	pc := parentFrom(rt, n.cfg.Scheme, d.key, tried[:k])
 	parent, keyRoot := pc.parent, pc.keyRoot
 	if !pc.ok || pc.isRoot {
 		// No remaining candidate, or the ring churned us into rootship
@@ -440,13 +380,10 @@ func (d *delivery) finish(g uint64, ok bool) {
 		return
 	}
 	d.done = true
-	stop := d.timer
-	d.timer = transport.Timer{}
 	attempts := d.total
 	latency := n.clock.Now() - d.start
 	to := d.cur.Addr
 	d.mu.Unlock()
-	stop.Stop()
 	if ok && d.e != nil {
 		n.ackedBy(d.e, to)
 	}

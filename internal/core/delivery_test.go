@@ -6,53 +6,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
-
-// TestBackoffDelayGrowsWithBoundedJitter pins the delivery backoff as a
-// pure function: delays are deterministic per (addr, key, epoch,
-// attempt), land in [base*2^k, 1.5*base*2^k), and grow strictly across
-// attempts because the next band's floor exceeds this band's ceiling.
-func TestBackoffDelayGrowsWithBoundedJitter(t *testing.T) {
-	base := 25 * time.Millisecond
-	key := ident.ID(0x9e3779b9)
-	var prev time.Duration
-	for attempt := 1; attempt <= 6; attempt++ {
-		h := core.JitterHashForTest("10.0.0.1:1", key, 42, attempt)
-		d := core.BackoffDelayForTest(base, attempt, h)
-		if d2 := core.BackoffDelayForTest(base, attempt, core.JitterHashForTest("10.0.0.1:1", key, 42, attempt)); d2 != d {
-			t.Fatalf("attempt %d: non-deterministic delay %v vs %v", attempt, d, d2)
-		}
-		shift := attempt - 1
-		if shift > 5 {
-			shift = 5
-		}
-		lo := base << shift
-		hi := lo + lo/2
-		if d < lo || d >= hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d, lo, hi)
-		}
-		if attempt > 1 && attempt <= 6 && d <= prev && shift > 0 {
-			t.Fatalf("attempt %d: delay %v did not grow past %v", attempt, d, prev)
-		}
-		prev = d
-	}
-	// Distinct senders de-phase: two addresses retrying the same key in
-	// the same slot must not share a full schedule.
-	varied := false
-	for attempt := 1; attempt <= 4; attempt++ {
-		a := core.BackoffDelayForTest(base, attempt, core.JitterHashForTest("10.0.0.1:1", key, 42, attempt))
-		b := core.BackoffDelayForTest(base, attempt, core.JitterHashForTest("10.0.0.2:1", key, 42, attempt))
-		if a != b {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Fatal("distinct senders produced identical backoff schedules")
-	}
-}
 
 // TestParentForExcludingRoutesAroundFailures checks the candidate
 // enumeration that drives in-slot failover: with no exclusions it
@@ -77,8 +33,7 @@ func TestParentForExcludingRoutesAroundFailures(t *testing.T) {
 			t.Fatalf("node %d: empty exclusion diverged from ParentFor: %v vs %v", i, p2.Addr, parent.Addr)
 		}
 		_ = keyRoot2
-		excl := map[transport.Addr]bool{parent.Addr: true}
-		alt, altRoot, _, altOK := dn.ParentForExcluding(key, excl)
+		alt, altRoot, _, altOK := dn.ParentForExcluding(key, []transport.Addr{parent.Addr})
 		if altOK && !altRoot {
 			if alt.Addr == parent.Addr {
 				t.Fatalf("node %d: excluded parent %v returned again", i, parent.Addr)
@@ -88,11 +43,7 @@ func TestParentForExcludingRoutesAroundFailures(t *testing.T) {
 			}
 		}
 		// Excluding every other node leaves nothing to fail over to.
-		all := make(map[transport.Addr]bool)
-		for _, a := range c.Addrs() {
-			all[a] = true
-		}
-		if _, _, _, anyOK := dn.ParentForExcluding(key, all); anyOK {
+		if _, _, _, anyOK := dn.ParentForExcluding(key, c.Addrs()); anyOK {
 			t.Fatalf("node %d: produced a candidate with every address excluded", i)
 		}
 		checked++
@@ -309,7 +260,7 @@ func TestAckTimeoutFeedsSuspect(t *testing.T) {
 
 	c.Crash(parent)
 	// One slot tick puts the orphans' updates on the wire; one retry
-	// budget is Attempts ack timeouts plus the backoff between them.
+	// budget is two ack timeouts plus the flush delay of the re-send.
 	budget := slot + 2*150*time.Millisecond + 2*40*time.Millisecond
 	c.RunFor(budget)
 

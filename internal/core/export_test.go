@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/chord"
 	"repro/internal/ident"
 	"repro/internal/transport"
@@ -10,17 +8,9 @@ import (
 
 // Test-only exports for the delivery-assurance internals.
 
-func BackoffDelayForTest(base time.Duration, attempt int, h uint64) time.Duration {
-	return backoffDelay(base, attempt, h)
-}
-
-func JitterHashForTest(addr transport.Addr, key ident.ID, epoch int64, attempt int) uint64 {
-	return jitterHash(addr, key, epoch, attempt)
-}
-
 // ParentForExcluding is the un-memoised parentFrom on the node's current
 // routing view.
-func (n *Node) ParentForExcluding(key ident.ID, excluded map[transport.Addr]bool) (parent chord.NodeRef, isRoot, parentIsKeyRoot, ok bool) {
+func (n *Node) ParentForExcluding(key ident.ID, excluded []transport.Addr) (parent chord.NodeRef, isRoot, parentIsKeyRoot, ok bool) {
 	pc := parentFrom(n.ch.Routing(), n.cfg.Scheme, key, excluded)
 	return pc.parent, pc.isRoot, pc.keyRoot, pc.ok
 }

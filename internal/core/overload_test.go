@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -415,19 +416,33 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
+// seedFingers gives a Node shell's chord node (ID 1, never joined) a
+// routing view in which testUpdate's key 7, and any key up to the
+// predecessor's 60000, lies beyond its successors and fingers
+// 10.0.0.2:1-10.0.0.4:1 (IDs 2-4): parentFrom offers them nearest the
+// key first — 4, 3, 2 — and an evicted one leaves the others.
+func seedFingers(n *Node) {
+	fingers := make([]chord.NodeRef, n.ch.Space().Bits())
+	for i := range 3 {
+		id := ident.ID(2 + i)
+		fingers[i] = chord.NodeRef{ID: id, Addr: transport.Addr(fmt.Sprintf("10.0.0.%d:1", id))}
+	}
+	n.ch.SeedState(chord.NodeRef{ID: 60000, Addr: "10.0.0.9:1"}, fingers[:3], fingers)
+}
+
 // TestBreakerAdmissionShed pins where an avoid verdict acts. The delivery
-// layer fails fast: an update bound for the avoided peer is treated as
-// refused — no datagram, no queue entry, straight to the next candidate
-// (here there is none, so the chain ends abandoned after one attempt).
-// The send machine itself consults no verdict and refuses nothing: a
-// detach handed to it queues as always.
+// layer fails fast: an update bound for an avoided peer is treated as
+// refused — no datagram, no queue entry, straight to the next candidate.
+// Here every candidate is avoided, so the chain is refused maxCandidates
+// times and ends abandoned. The send machine itself consults no verdict
+// and refuses nothing: a detach handed to it queues as always.
 func TestBreakerAdmissionShed(t *testing.T) {
 	const dest = transport.Addr("10.0.0.2:1")
 	eng := sim.NewEngine(1)
 	n, ep, _ := newOverloadMachineForTest(t, eng,
 		BatchConfig{MaxDelay: time.Hour, MaxElems: 100},
 		OverloadConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
-	n.cfg.Delivery.MaxCandidates = 1
+	seedFingers(n)
 	type done struct {
 		ok       bool
 		attempts int
@@ -437,11 +452,14 @@ func TestBreakerAdmissionShed(t *testing.T) {
 		dones = append(dones, done{ok, attempts})
 	}
 	n.reportDAT(dest, chord.DATFailed, nil) // open
+	for _, other := range []transport.Addr{"10.0.0.3:1", "10.0.0.4:1"} {
+		n.reportDAT(other, chord.DATRefused, nil) // open, and still routed to
+	}
 
 	um := testUpdate(1)
 	n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
-	if len(dones) != 1 || dones[0] != (done{false, 1}) {
-		t.Fatalf("delivery at an open breaker ended %+v, want one abandoned chain of one attempt", dones)
+	if len(dones) != 1 || dones[0] != (done{false, maxCandidates}) {
+		t.Fatalf("delivery at open breakers ended %+v, want one abandoned chain of %d attempts", dones, maxCandidates)
 	}
 	if len(ep.calls) != 0 || liveQueues(n) != 0 {
 		t.Fatal("failed-fast update left traffic behind")
@@ -530,6 +548,87 @@ func TestLostDatagramIsOneFailure(t *testing.T) {
 	}
 }
 
+// TestLostDatagramIsOneRetry pins the unit of retry: a lost datagram is
+// re-sent whole. Its verdict re-enqueues every still-current element to
+// the same peer at once, so the retry arms one timer — the fresh
+// queue's flush deadline — and leaves as one datagram. When that is lost
+// too, every delivery fails over once and the elements leave together
+// to the next candidate. A tree stopped while its datagram was in
+// flight is not re-sent.
+func TestLostDatagramIsOneRetry(t *testing.T) {
+	const dest, next = transport.Addr("10.0.0.4:1"), transport.Addr("10.0.0.3:1")
+	const maxDelay = 5 * time.Millisecond
+	eng := sim.NewEngine(1)
+	n, ep, _ := newOverloadMachineForTest(t, eng,
+		BatchConfig{MaxDelay: maxDelay, MaxElems: 4}, OverloadConfig{})
+	n.aggs = make(map[ident.ID]*aggEntry)
+	seedFingers(n)
+	var failovers, gaveUp int
+	n.cfg.Obs.ParentFailover = func() { failovers++ }
+	n.cfg.Obs.DeliveryDone = func(ok bool, _ int, _ time.Duration) {
+		if !ok {
+			gaveUp++
+		}
+	}
+	keys := []ident.ID{100, 101, 102, 103}
+	for _, key := range keys {
+		n.mu.Lock()
+		e := n.entryLocked(key)
+		n.mu.Unlock()
+		um := testUpdate(int(key))
+		um.Key = key
+		n.deliverUpdate(e, chord.NodeRef{ID: 4, Addr: dest}, false, &um)
+	}
+	// updatesTo returns the keys of the updates each datagram to to
+	// carries, among the calls from the from'th on.
+	updatesTo := func(to transport.Addr, from int) (dgrams [][]ident.ID) {
+		for _, c := range ep.calls[from:] {
+			if c.to != to || c.typ != MsgBatch {
+				continue
+			}
+			var ks []ident.ID
+			for _, el := range c.payload.(BatchMsg).Elems {
+				if el.Kind == batchKindUpdate {
+					ks = append(ks, el.Update.Key)
+				}
+			}
+			dgrams = append(dgrams, ks)
+		}
+		return dgrams
+	}
+	if got := updatesTo(dest, 0); len(ep.calls) != 1 || len(got) != 1 || len(got[0]) != 4 {
+		t.Fatalf("want one datagram of four updates, got %v", got)
+	}
+	n.StopContinuous(keys[3]) // while its datagram is in flight
+
+	timers := eng.Len()
+	ep.calls[0].cb(nil, transport.ErrTimeout)
+	if got := eng.Len() - timers; got != 1 {
+		t.Fatalf("one lost datagram armed %d timers, want one: the retry queue's flush deadline", got)
+	}
+	if len(ep.calls) != 1 {
+		t.Fatal("the retry left before its flush deadline")
+	}
+	eng.RunFor(maxDelay)
+	if got := updatesTo(dest, 1); len(got) != 1 || !slices.Equal(got[0], keys[:3]) {
+		t.Fatalf("retry datagrams to the same peer: %v, want one carrying %v", got, keys[:3])
+	}
+	if failovers != 0 || gaveUp != 0 {
+		t.Fatalf("the first lost datagram caused %d failovers and %d give-ups", failovers, gaveUp)
+	}
+
+	retry := len(ep.calls) - 1
+	ep.calls[retry].cb(nil, transport.ErrTimeout)
+	if failovers != 3 || gaveUp != 0 {
+		t.Fatalf("the lost retry caused %d failovers and %d give-ups, want one failover per delivery", failovers, gaveUp)
+	}
+	eng.RunFor(maxDelay)
+	got := updatesTo(next, retry+1)
+	if len(got) != 1 || !slices.Equal(got[0], keys[:3]) {
+		t.Fatalf("datagrams to the next candidate %s: %v, want one carrying %v", next, got, keys[:3])
+	}
+}
+
 // TestDetachOnlyFlightIsNoEvidence pins the fire-and-forget detach: for
 // a datagram no sink waits on the send machine arms no timer, and
 // whatever the transport answers tells the peer-health record nothing.
@@ -579,7 +678,7 @@ func (c *captureClock) AfterRun(_ time.Duration, r transport.TimerTask, op int32
 // once, as a live node's socket reader and deadline timers do — with
 // the deadline's transport.ErrTimeout, an ack, a refusal and ErrClosed.
 // Every delivery hears ErrSendClosed once and gives up: no answer arms
-// a backoff timer, puts a datagram on the wire or tells the peer-health
+// a timer, puts a datagram on the wire or tells the peer-health
 // record anything, and every flight record is recycled once.
 // Meaningful under -race.
 func TestAckDeadlineRacesReply(t *testing.T) {

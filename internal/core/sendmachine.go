@@ -25,8 +25,8 @@ import (
 // deadline itself is the transport's: each flush is one CallWithin that
 // carries the time its head element has left.
 //
-// Determinism: flush deadlines are jittered like the retry backoff, by
-// delivery.go's draw-free hash, so batching consumes no RNG either.
+// Determinism: flush deadlines are jittered by delivery.go's draw-free
+// hash, so batching consumes no RNG.
 
 // MsgBatch carries the updates/detaches of one flush, all bound for one
 // destination; the reply is a BatchAck with one UpdateAck per element.

@@ -209,13 +209,15 @@ func (h *levelCounter) Handle(context.Context, slog.Record) error { h.handled++;
 
 // TestDebugLoggingFreeWhenOff: with debug logging off, the protocol's
 // debug sites build nothing — no ID.String (a Sprintf), no boxed
-// argument. A delivery that gives up after a refused failover walks two
-// of them and allocates nothing at all.
+// argument. A delivery refused by all maxCandidates candidates — its
+// parent refuses, and each failover candidate is avoided, which fails
+// fast as a refusal — walks a failover site per failover and the
+// give-up site, and allocates nothing at all.
 func TestDebugLoggingFreeWhenOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	r := newWarmRing(t, 1, NodeConfig{Delivery: DeliveryConfig{MaxCandidates: 1}})
+	r := newWarmRing(t, 1, NodeConfig{})
 	n := r.dats[0]
 	lc := &levelCounter{}
 	n.cfg.Logger = slog.New(lc)
@@ -225,16 +227,34 @@ func TestDebugLoggingFreeWhenOff(t *testing.T) {
 	n.mu.Unlock()
 	d := &e.deliv
 	victim := r.dats[1].ep.Addr()
-	excluded := make(map[transport.Addr]bool, 4)
+	// Every peer is avoided: refused datagrams open breakers without a
+	// ring strike, so the routing view keeps all of them as candidates.
+	for _, p := range r.dats[1:] {
+		for i := 0; i < n.cfg.Overload.BreakerFailures; i++ {
+			n.reportDAT(p.ep.Addr(), chord.DATRefused, nil)
+		}
+	}
+	var gaveUp, failovers int
+	n.cfg.Obs.DeliveryDone = func(ok bool, _ int, _ time.Duration) {
+		if !ok {
+			gaveUp++
+		}
+	}
+	n.cfg.Obs.RootHandover = func() { failovers++ }
+	n.cfg.Obs.ParentFailover = func() { failovers++ }
 	giveUp := func() {
 		d.mu.Lock()
 		d.gen++
 		g := d.gen
-		d.done, d.cands, d.excluded = false, 1, excluded
+		d.done, d.attempt, d.cands = false, 1, 1
 		d.mu.Unlock()
-		d.fail(g, victim, true) // refused: no backoff; MaxCandidates 1: gives up
+		d.fail(g, victim, true) // refused: fail over at once
 	}
 	giveUp()
+	if gaveUp != 1 || failovers != maxCandidates-1 || len(n.sm.queues) != 0 {
+		t.Fatalf("one refused delivery: %d give-ups after %d failovers, %d queues; want 1 after %d, none",
+			gaveUp, failovers, len(n.sm.queues), maxCandidates-1)
+	}
 	if lc.asked == 0 {
 		t.Fatal("the give-up path reached no debug site")
 	}

@@ -50,7 +50,7 @@ type PeerConfig struct {
 	// window plus AckTimeout).
 	CallTimeout time.Duration
 	// Delivery configures the DAT delivery-assurance layer (acked
-	// updates, backoff, parent failover, root handover — DESIGN.md §10).
+	// updates, re-sends, parent failover, root handover — DESIGN.md §10).
 	// The zero value is the defaults.
 	Delivery DeliveryConfig
 	// Batch configures the send machine coalescing updates bound for
