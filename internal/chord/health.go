@@ -125,10 +125,17 @@ func (n *Node) Report(peer transport.Addr, ev Evidence, cause error, failures in
 	}
 	h.mu.Unlock()
 
-	if evicted {
+	if strikes > 0 {
+		// A strike is evidence of change: maintenance runs at its base
+		// periods until a quiet sweep stretches them again.
 		n.mu.Lock()
-		n.removeDeadLocked(peer)
+		if evicted {
+			n.removeDeadLocked(peer)
+		}
+		n.snapLocked()
 		n.mu.Unlock()
+	}
+	if evicted {
 		n.cfg.Logger.Info("evicted unresponsive peer", "peer", string(peer), "evidence", ev.String())
 	}
 	for i := 0; i < strikes; i++ {

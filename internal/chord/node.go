@@ -24,15 +24,15 @@ type Config struct {
 	// SuccessorListLen is the replication factor of the successor list
 	// used to survive neighbor failures. Default 4.
 	SuccessorListLen int
-	// StabilizeEvery is the period of the successor stabilization loop
-	// (§4: "finger stabilization"). Default 300ms.
+	// StabilizeEvery is the base period of the successor stabilization
+	// loop (§4: "finger stabilization"): a quiet ring stretches it up to
+	// maxStretch times, and any change snaps it back (pace.go). Default
+	// 300ms.
 	StabilizeEvery time.Duration
-	// FixFingersEvery is the period of the finger repair loop. Default
-	// 500ms.
+	// FixFingersEvery is the base period of the finger repair loop,
+	// paced like StabilizeEvery; each round refreshes fingersPerRound
+	// entries. Default 500ms.
 	FixFingersEvery time.Duration
-	// FingersPerFix is how many finger entries each repair tick refreshes.
-	// Default 4.
-	FingersPerFix int
 	// PingEvery is the predecessor liveness check period. Default 1s.
 	PingEvery time.Duration
 	// Obs receives protocol telemetry: lookup hop counts, stabilization
@@ -52,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FixFingersEvery <= 0 {
 		c.FixFingersEvery = 500 * time.Millisecond
-	}
-	if c.FingersPerFix <= 0 {
-		c.FingersPerFix = 4
 	}
 	if c.PingEvery <= 0 {
 		c.PingEvery = time.Second
@@ -108,7 +105,8 @@ type Node struct {
 	succScratch []NodeRef // stabilize builds its candidate list here
 	nextFix     int
 	running     bool
-	stops       []func()
+	stab, fix   *pacer // the paced loops while running (pace.go)
+	stopPing    func()
 	rng         *rand.Rand // probe draws, seeded from the first identifier
 	handlers    map[string]transport.Handler
 	upcalls     map[string]func(from NodeRef, payload []byte)
@@ -358,19 +356,18 @@ func (n *Node) randUint64() uint64 {
 	return n.rng.Uint64()
 }
 
-// startMaintenance launches the stabilize / fix-fingers / ping loops.
+// startMaintenance launches the paced stabilize and fix-fingers loops
+// and the fixed-period ping loop.
 func (n *Node) startMaintenance() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.stops) > 0 {
+	if n.stab != nil {
 		return // already running
 	}
-	jitter := func(d time.Duration) time.Duration { return d / 5 }
-	n.stops = append(n.stops,
-		n.clock.Every(n.cfg.StabilizeEvery, jitter(n.cfg.StabilizeEvery), n.stabilize),
-		n.clock.Every(n.cfg.FixFingersEvery, jitter(n.cfg.FixFingersEvery), n.fixFingers),
-		n.clock.Every(n.cfg.PingEvery, jitter(n.cfg.PingEvery), n.checkPredecessor),
-	)
+	sweep := (int(n.space.Bits()) + fingersPerRound - 1) / fingersPerRound
+	n.stab = n.newPacer(n.cfg.StabilizeEvery, 1, n.stabilize)
+	n.fix = n.newPacer(n.cfg.FixFingersEvery, sweep, n.fixFingers)
+	n.stopPing = n.clock.Every(n.cfg.PingEvery, n.cfg.PingEvery/5, n.checkPredecessor)
 }
 
 // Stop halts the node. If graceful, it first tells its neighbors how to
@@ -384,8 +381,13 @@ func (n *Node) Stop(graceful bool) {
 		return
 	}
 	n.running = false
-	stops := n.stops
-	n.stops = nil
+	if n.stab != nil {
+		n.stab.stopLocked()
+		n.fix.stopLocked()
+		n.stab, n.fix = nil, nil
+	}
+	stopPing := n.stopPing
+	n.stopPing = nil
 	rt := n.rt
 	n.mu.Unlock()
 	pred, succ := rt.Pred, NodeRef{}
@@ -396,8 +398,8 @@ func (n *Node) Stop(graceful bool) {
 	leave.Successors = append(leave.Successors, rt.Succs...)
 	selfAddr := rt.Self.Addr
 
-	for _, stop := range stops {
-		stop()
+	if stopPing != nil {
+		stopPing()
 	}
 	if graceful {
 		if !succ.IsZero() && succ.Addr != selfAddr {
@@ -483,6 +485,11 @@ func (n *Node) handleGetState(req *transport.Request) {
 	req.Reply(n.Routing().state)
 }
 
+// handleNotify adopts the candidate as predecessor if it is closer than
+// the current one. A notify is also the change notice (DESIGN.md §16):
+// a node whose predecessor changes sends one to the old predecessor,
+// whose successor it is, and a notify from the node's own successor
+// means "stabilize now".
 func (n *Node) handleNotify(req *transport.Request) {
 	nr, ok := req.Payload.(NotifyReq)
 	if !ok || nr.Candidate.IsZero() {
@@ -491,20 +498,32 @@ func (n *Node) handleNotify(req *transport.Request) {
 	}
 	n.mu.Lock()
 	var fire func()
-	cand := nr.Candidate
-	if self := n.rt.Self; cand.Addr != self.Addr {
+	var notice NodeRef
+	cand, self := nr.Candidate, n.rt.Self
+	if cand.Addr != self.Addr {
 		if pred := n.rt.Pred; pred.IsZero() || n.space.Between(cand.ID, pred.ID, self.ID) {
 			fire = n.adoptPredLocked(cand)
+			if !pred.IsZero() && pred.Addr != self.Addr {
+				notice = pred
+			}
+		}
+		succs := n.rt.Succs
+		if len(succs) > 0 && succs[0].Addr == cand.Addr && n.stab != nil {
+			n.stab.nowLocked()
+			n.fix.snapLocked()
 		}
 		// A lone node learns its first peer through notify: adopt it as
 		// successor too so the two-node ring closes.
-		if succs := n.rt.Succs; len(succs) == 1 && succs[0].Addr == self.Addr {
+		if len(succs) == 1 && succs[0].Addr == self.Addr {
 			n.setSuccsLocked(cand)
 		}
 	}
 	n.mu.Unlock()
 	if fire != nil {
 		fire()
+	}
+	if !notice.IsZero() {
+		n.Send(notice.Addr, MsgNotify, NotifyReq{Candidate: self})
 	}
 	req.Reply(AckResp{})
 }
@@ -774,7 +793,10 @@ func (l *lookup) handleStep(payload any, err error) {
 
 // stabilize runs one round of successor stabilization: verify the
 // successor's predecessor, adopt a closer successor if one appeared,
-// refresh the successor list, and notify the successor about us.
+// refresh the successor list, and notify the successor about us unless
+// it already names us its predecessor. A successor list that changed is
+// pushed one hop back: the predecessor, whose list is built from ours,
+// gets a change notice.
 func (n *Node) stabilize() {
 	n.mu.Lock()
 	rt := n.rt
@@ -847,15 +869,21 @@ func (n *Node) stabilize() {
 			appendRef(s)
 		}
 		n.succScratch = list
-		n.setSuccsLocked(list...)
-		notifyTo := newSucc
+		changed := n.setSuccsLocked(list...)
+		pred := n.rt.Pred
 		n.mu.Unlock()
-		n.Send(notifyTo.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
+		notify := newSucc.Addr != succ.Addr || x.Addr != selfRef.Addr
+		if notify {
+			n.Send(newSucc.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
+		}
+		if changed && !pred.IsZero() && pred.Addr != selfRef.Addr && !(notify && pred.Addr == newSucc.Addr) {
+			n.Send(pred.Addr, MsgNotify, NotifyReq{Candidate: selfRef})
+		}
 	})
 }
 
-// fixFingers refreshes the next FingersPerFix finger entries by looking
-// up their interval starts.
+// fixFingers refreshes the next fingersPerRound finger entries by
+// looking up their interval starts.
 func (n *Node) fixFingers() {
 	n.mu.Lock()
 	if !n.running {
@@ -864,14 +892,13 @@ func (n *Node) fixFingers() {
 	}
 	bits := int(n.space.Bits())
 	first := n.nextFix
-	count := n.cfg.FingersPerFix
-	n.nextFix = (n.nextFix + count) % bits
+	n.nextFix = (n.nextFix + fingersPerRound) % bits
 	self := n.rt.Self
 	n.mu.Unlock()
 
 	// Walk the same window the retired idxs slice used to hold; the
 	// cursor math above replaces a per-round allocation.
-	for i := 0; i < count; i++ {
+	for i := 0; i < fingersPerRound; i++ {
 		j := (first + i) % bits
 		n.startLookup(lookup{key: n.space.FingerStart(self.ID, uint(j)), finger: j})
 	}

@@ -18,6 +18,7 @@ type simCluster struct {
 	net   *transport.SimNetwork
 	space ident.Space
 	nodes []*Node
+	tune  func(*Config) // adjusts config() for one test; nil keeps it
 }
 
 func newSimCluster(t *testing.T, seed int64, bits uint, simCfg transport.SimConfig) *simCluster {
@@ -32,14 +33,17 @@ func newSimCluster(t *testing.T, seed int64, bits uint, simCfg transport.SimConf
 }
 
 func (c *simCluster) config() Config {
-	return Config{
+	cfg := Config{
 		Space:            c.space,
 		StabilizeEvery:   200 * time.Millisecond,
 		FixFingersEvery:  300 * time.Millisecond,
-		FingersPerFix:    8,
 		PingEvery:        500 * time.Millisecond,
 		SuccessorListLen: 4,
 	}
+	if c.tune != nil {
+		c.tune(&cfg)
+	}
+	return cfg
 }
 
 // addNode creates a protocol node with the given identifier.

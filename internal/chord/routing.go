@@ -89,8 +89,8 @@ func (n *Node) Routing() *Routing { return n.view.Load() }
 // clones, so Version moves only on a real change.
 
 // publishLocked installs next, a modified private copy of the current
-// view, as the node's routing state, and publishes it to lock-free
-// readers.
+// view, as the node's routing state, publishes it to lock-free readers,
+// and snaps the paced maintenance loops back to their base periods.
 //
 //datlint:routever-mutator
 func (n *Node) publishLocked(next *Routing) {
@@ -110,6 +110,7 @@ func (n *Node) publishLocked(next *Routing) {
 	next.hops = slices.Clone(nextHops(hopBuf[:0], next))
 	n.rt = next
 	n.view.Store(next)
+	n.snapLocked()
 }
 
 // distinctFingers appends to dst the resolved entries of fingers, one
@@ -206,16 +207,17 @@ func (n *Node) setPredLocked(p NodeRef) bool {
 }
 
 // setSuccsLocked replaces the successor list with a copy of list, which
-// may be caller-owned scratch.
+// may be caller-owned scratch, and reports whether it changed.
 //
 //datlint:routever-mutator
-func (n *Node) setSuccsLocked(list ...NodeRef) {
+func (n *Node) setSuccsLocked(list ...NodeRef) bool {
 	if slices.Equal(n.rt.Succs, list) {
-		return
+		return false
 	}
 	next := *n.rt
 	next.Succs = slices.Clone(list)
 	n.publishLocked(&next)
+	return true
 }
 
 //datlint:routever-mutator
@@ -254,7 +256,11 @@ func (n *Node) setNeighborsLocked(pred NodeRef, succs, fingers []NodeRef) {
 // removeDeadLocked drops addr from every table: its fingers go back to
 // unresolved, a matching predecessor to unknown (no OnPredecessorChange
 // upcall: nobody arrived), and the successor list closes over it — down
-// to self alone while running.
+// to self alone while running. On a ring whose last fix-fingers sweep
+// was quiet the eviction is news, and the next fix-fingers round starts
+// at the lowest finger it cleared; on a ring in flux the sweep repairs
+// at its own pace, so a peer evicted and re-learned over and over costs
+// no extra lookups.
 //
 //datlint:routever-mutator
 func (n *Node) removeDeadLocked(addr transport.Addr) {
@@ -278,9 +284,12 @@ func (n *Node) removeDeadLocked(addr transport.Addr) {
 	}
 	if hasAddr(fingers, addr) {
 		fingers = slices.Clone(cur.Fingers)
-		for j := range fingers {
+		for j := len(fingers) - 1; j >= 0; j-- {
 			if fingers[j].Addr == addr {
 				fingers[j] = NodeRef{}
+				if n.fix != nil && n.fix.quiet {
+					n.nextFix = j
+				}
 			}
 		}
 		changed = true

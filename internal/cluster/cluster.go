@@ -266,7 +266,6 @@ func (c *Cluster) newStack(addr transport.Addr, id ident.ID, idx int) (transport
 		Space:            c.Space,
 		StabilizeEvery:   c.Opts.StabilizeEvery,
 		FixFingersEvery:  c.Opts.FixFingersEvery,
-		FingersPerFix:    8,
 		PingEvery:        c.Opts.PingEvery,
 		SuccessorListLen: c.Opts.SuccessorListLen,
 		Logger:           logger,

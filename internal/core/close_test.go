@@ -75,8 +75,8 @@ func (e *flightEndpoint) CallWithin(to transport.Addr, typ string, payload any, 
 }
 
 // TestCloseStopsEveryTree is the regression test for Close leaving the
-// slot timers armed: after Close a node holds no DAT timer — tick,
-// backoff or flush deadline — and surfaces no further result, even
+// slot timers armed: after Close a node holds no DAT timer — tick or
+// flush deadline — and surfaces no further result, even
 // while its neighbours keep running. The datagrams it had on the wire
 // are still answered by the transport, and those answers arm no timer
 // and send nothing.

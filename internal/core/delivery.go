@@ -266,6 +266,14 @@ func (d *delivery) sendAttempt(g uint64) {
 	n.sm.enqueue(to, &el, sinkRef{d, g})
 }
 
+// current implements ackSink: the attempt queued under g is still the
+// one the delivery waits on.
+func (d *delivery) current(g uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return !d.done && d.gen == g
+}
+
 // onAck implements ackSink: the verdict on the attempt queued under g —
 // transport.ErrTimeout once its datagram's ack deadline passed. The
 // datagram has already told the peer-health record (sendmachine.go);

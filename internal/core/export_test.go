@@ -39,6 +39,8 @@ func (n *Node) HandleDetachForTest(from transport.Addr, key ident.ID) {
 // are written with to the typed ack sink.
 type funcSink func(any, error)
 
+func (funcSink) current(uint64) bool { return true }
+
 func (f funcSink) onAck(_ uint64, ack UpdateAck, err error) {
 	if err != nil {
 		f(nil, err)

@@ -527,8 +527,8 @@ func TestLostDatagramIsOneFailure(t *testing.T) {
 		t.Fatalf("want one datagram of three updates, got %d calls", len(ep.calls))
 	}
 	// The datagram's one deadline is the transport's, the whole ack
-	// budget. It passes unanswered, and each delivery backs off to its
-	// second attempt.
+	// budget. It passes unanswered, and each delivery queues its second
+	// attempt at once.
 	if d := ep.calls[0].d; d != n.cfg.Delivery.AckTimeout {
 		t.Fatalf("datagram deadline %v, want AckTimeout %v", d, n.cfg.Delivery.AckTimeout)
 	}
@@ -626,6 +626,48 @@ func TestLostDatagramIsOneRetry(t *testing.T) {
 	got := updatesTo(next, retry+1)
 	if len(got) != 1 || !slices.Equal(got[0], keys[:3]) {
 		t.Fatalf("datagrams to the next candidate %s: %v, want one carrying %v", next, got, keys[:3])
+	}
+}
+
+// TestStoppedTreeSendsNothing: a tree stopped while its update waits in
+// a send queue has the update dropped at flush. A queue left with
+// nothing puts no datagram on the wire; a detach, which no sink waits
+// on, still goes.
+func TestStoppedTreeSendsNothing(t *testing.T) {
+	const dest = transport.Addr("10.0.0.2:1")
+	const maxDelay = 5 * time.Millisecond
+	const key = ident.ID(100)
+	for _, withDetach := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		n, ep, _ := newOverloadMachineForTest(t, eng,
+			BatchConfig{MaxDelay: maxDelay, MaxElems: 4}, OverloadConfig{})
+		n.aggs = make(map[ident.ID]*aggEntry)
+		n.mu.Lock()
+		e := n.entryLocked(key)
+		n.mu.Unlock()
+		um := testUpdate(1)
+		um.Key = key
+		n.deliverUpdate(e, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+		if withDetach {
+			n.sm.enqueue(dest, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key + 1}}, sinkRef{})
+		}
+		n.StopContinuous(key)
+		eng.RunFor(maxDelay)
+		var kinds []uint8
+		for _, c := range ep.calls {
+			for _, el := range c.payload.(BatchMsg).Elems {
+				kinds = append(kinds, el.Kind)
+			}
+		}
+		switch {
+		case !withDetach && len(ep.calls) != 0:
+			t.Fatalf("a stopped tree's queued update went out: %d datagrams", len(ep.calls))
+		case withDetach && (len(ep.calls) != 1 || len(kinds) != 1 || kinds[0] != batchKindDetach):
+			t.Fatalf("want one datagram carrying the detach alone, got %d datagrams of kinds %v", len(ep.calls), kinds)
+		}
+		if eng.Len() != 0 {
+			t.Fatalf("%d timers left after the flush", eng.Len())
+		}
 	}
 }
 

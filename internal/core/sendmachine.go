@@ -121,6 +121,10 @@ const frameOverhead = 48
 // that outlived the attempt it answers.
 type ackSink interface {
 	onAck(gen uint64, ack UpdateAck, err error)
+	// current reports whether gen is still the token the sink waits on:
+	// an element whose sink moved on (its tree stopped, or a new slot
+	// took the record over) is dropped at flush.
+	current(gen uint64) bool
 }
 
 type sinkRef struct {
@@ -133,6 +137,10 @@ func (r sinkRef) fire(ack UpdateAck, err error) {
 		r.sink.onAck(r.gen, ack, err)
 	}
 }
+
+// stale reports whether a sink waits on the element and has moved on
+// from it. A detach has no sink and is never stale.
+func (r sinkRef) stale() bool { return r.sink != nil && !r.sink.current(r.gen) }
 
 // sendMachine queues outbound acked calls per destination and flushes
 // them as coalesced batches. All transport and hook work happens
@@ -334,11 +342,26 @@ func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
 // deadline is the ack deadline: AckTimeout counted from the head
 // element's enqueue. The transport's one answer — the reply, or
 // transport.ErrTimeout at that instant — answers the per-element sinks
-// in order.
+// in order. Elements whose sinks moved on while they waited are dropped
+// first, and a queue left empty sends nothing.
 func (sm *sendMachine) flush(q *destQueue, reason string) {
 	n := sm.n
-	elems := q.elems // never empty: a queue exists from its first element
-	q.elems = nil    // given away: the transport may re-read it until the reply
+	keep := 0
+	for i, ref := range q.sinks {
+		if !ref.stale() {
+			q.elems[keep], q.sinks[keep] = q.elems[i], ref
+			keep++
+		}
+	}
+	clear(q.elems[keep:])
+	clear(q.sinks[keep:])
+	q.elems, q.sinks = q.elems[:keep], q.sinks[:keep]
+	if keep == 0 {
+		sm.recycle(q)
+		return
+	}
+	elems := q.elems
+	q.elems = nil // given away: the transport may re-read it until the reply
 	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
 	}
@@ -396,6 +419,12 @@ func (q *destQueue) onReply(payload any, err error) {
 			ref.fire(ba.Acks[i], nil)
 		}
 	}
+	sm.recycle(q)
+}
+
+// recycle returns a flight record, or a queue that had nothing left to
+// send, to the free list.
+func (sm *sendMachine) recycle(q *destQueue) {
 	sm.mu.Lock()
 	clear(q.sinks)
 	q.sinks = q.sinks[:0]

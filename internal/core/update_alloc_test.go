@@ -173,8 +173,8 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 	if after != gen || done || len(dones) != 0 {
 		t.Fatalf("a stale ack moved the reused delivery: gen %d -> %d, done=%v, %d completions", gen, after, done, len(dones))
 	}
-	// Ack deadlines are the transport's, and the stale ack armed no
-	// backoff: no timer of the node fires while slot t+1 waits.
+	// Ack deadlines are the transport's, and the stale ack queued no
+	// re-send: no timer of the node fires while slot t+1 waits.
 	if fired := eng.RunFor(cfg.Delivery.AckTimeout - 20*time.Millisecond); fired != 0 {
 		t.Fatalf("%d timers fired while slot t+1 waited for its ack: slot t's leaked", fired)
 	}

@@ -251,7 +251,6 @@ func startLiveRing(t *testing.T, n, maxPacket int, hooks obs.ChordHooks) *liveRi
 			Space:           space,
 			StabilizeEvery:  40 * time.Millisecond,
 			FixFingersEvery: 60 * time.Millisecond,
-			FingersPerFix:   8,
 			PingEvery:       100 * time.Millisecond,
 			Obs:             hooks,
 		}}

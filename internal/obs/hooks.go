@@ -20,7 +20,9 @@ type ChordHooks struct {
 	// LookupDone fires once per completed Lookup with the number of
 	// remote hops taken and the terminal error (nil on success).
 	LookupDone func(hops int, err error)
-	// StabilizeRound fires at the start of each stabilization round.
+	// StabilizeRound fires at the start of each stabilization round that
+	// runs. A quiet ring stretches the stabilize period, and a round it
+	// skips is never scheduled, so it does not fire.
 	StabilizeRound func()
 	// JoinDone fires when a Join attempt completes, with its latency on
 	// the node's clock.

@@ -101,7 +101,7 @@ func NewObserver(spanCapacity int) *Observer {
 
 		lookups:         r.CounterVec("chord_lookups_total", "Completed Chord lookups, by result.", "result"),
 		lookupHops:      r.Histogram("chord_lookup_hops", "Remote hops taken per completed Chord lookup.", HopBuckets),
-		stabilizeRounds: r.Counter("chord_stabilize_rounds_total", "Chord stabilization rounds started."),
+		stabilizeRounds: r.Counter("chord_stabilize_rounds_total", "Chord stabilization rounds that ran; a quiet ring stretches the period between them."),
 		joinSeconds:     r.Histogram("chord_join_seconds", "Chord join latency in seconds.", SecondsBuckets),
 		suspects:        r.Counter("chord_suspects_total", "Failure-detector strikes recorded against peers."),
 		evictions:       r.Counter("chord_evictions_total", "Peers evicted after a second failure-detector strike."),

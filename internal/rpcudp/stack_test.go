@@ -25,7 +25,6 @@ func TestChordDATOverUDP(t *testing.T) {
 		Space:           space,
 		StabilizeEvery:  40 * time.Millisecond,
 		FixFingersEvery: 60 * time.Millisecond,
-		FingersPerFix:   8,
 		PingEvery:       100 * time.Millisecond,
 	}
 	clock := &transport.RealClock{}

@@ -35,7 +35,8 @@ type PeerConfig struct {
 	// Optional; without it resource indexing is disabled.
 	Attributes []Attribute
 	// Stabilize, FixFingers, Ping override the overlay maintenance
-	// cadence. Defaults suit LAN deployments (300ms/500ms/1s).
+	// cadence: the first two are base periods that a quiet ring
+	// stretches up to 4x. Defaults suit LAN deployments (300ms/500ms/1s).
 	Stabilize  time.Duration
 	FixFingers time.Duration
 	Ping       time.Duration
