@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet gob-free retired lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-wide datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
+.PHONY: all build vet gob-free retired docrefs lint lint-json lint-fixtures test race fuzz datcheck datcheck-faults datcheck-overload datcheck-wide datcheck-long obs-smoke perf-check perf-frozen perf-claim perf-claim-dry ci
 
 all: build
 
@@ -25,6 +25,12 @@ gob-free:
 # may match one. A new deletion adds a line there, not a target here.
 retired:
 	! grep -v '^#' scripts/retired.txt | grep -rnE -f - --include='*.go' --exclude='*_test.go' --exclude-dir=perf .
+
+# Every DESIGN.md section a Go comment cites ("DESIGN.md §N") is a
+# "## N." heading there, so a renumbered or deleted section cannot leave
+# a citation pointing nowhere.
+docrefs:
+	bash scripts/docrefs.sh
 
 # datlint: the project-specific analyzer suite (ringcmp, locksafe,
 # simclock, senderr, wirereg, detorder, hooklock, goroleak, routever). See
@@ -155,4 +161,4 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHandleBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rpcudp -run '^$$' -fuzz FuzzEndpointFrame -fuzztime $(FUZZTIME)
 
-ci: build vet gob-free retired lint test datcheck-wide race fuzz obs-smoke perf-check perf-frozen perf-claim-dry
+ci: build vet gob-free retired docrefs lint test datcheck-wide race fuzz obs-smoke perf-check perf-frozen perf-claim-dry

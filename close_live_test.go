@@ -107,3 +107,87 @@ func TestClosedPeerIsQuiescent(t *testing.T) {
 		t.Errorf("second Close: %v", err)
 	}
 }
+
+// TestLiveStartAndCloseMidQuery: on a live ring, a peer whose monitor
+// starts after its neighbours' updates enrolled it adopts that tree
+// rather than failing, and closing every peer while queries from
+// several goroutines are in flight — epochs held everywhere, flushes
+// under way — lets every query return and leaves no goroutine behind.
+func TestLiveStartAndCloseMidQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time UDP test")
+	}
+	const slot = 50 * time.Millisecond
+	before := runtime.NumGoroutine()
+	var peers []*dat.Peer
+	for i := 0; i < 4; i++ {
+		p, err := dat.NewPeer(dat.PeerConfig{
+			Listen: "127.0.0.1:0", RPCTimeout: 2 * time.Second,
+			Stabilize: 20 * time.Millisecond, FixFingers: 20 * time.Millisecond, Ping: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		p.AddSensor("cpu", func() (float64, bool) { return 1, true })
+		if i == 0 {
+			p.Create()
+		} else if err := p.Join(peers[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, p)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if agg, err := peers[1].Query("cpu", 400*time.Millisecond); err == nil && agg.Count == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ring never answered a query for all four peers")
+		}
+	}
+	// The last peer starts a few slots after the others, once their
+	// updates have enrolled it wherever it is a parent.
+	var results atomic.Int64
+	for i, p := range peers {
+		if i == len(peers)-1 {
+			time.Sleep(4 * slot)
+		}
+		if err := p.StartMonitor("cpu", slot, func(int64, dat.Aggregate) { results.Add(1) }); err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	for _, p := range peers {
+		go func(p *dat.Peer) {
+			defer func() { done <- struct{}{} }()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					p.Query("cpu", 150*time.Millisecond) // fails once the peers close
+				}
+			}
+		}(p)
+	}
+	time.Sleep(10 * slot)
+	close(stop)
+	for _, p := range peers {
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range peers {
+		<-done
+	}
+	if results.Load() == 0 {
+		t.Error("no root result before Close")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after Close, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
+	}
+}

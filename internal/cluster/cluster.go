@@ -103,7 +103,7 @@ type Options struct {
 	ChildTTLSlots int
 	HoldPerLevel  time.Duration
 	// ShareResults passes through to the DAT layer (root broadcasts each
-	// completed slot result).
+	// completed slot result, cached by the nodes that run the tree).
 	ShareResults bool
 	// SuccessorListLen passes through to the Chord layer. Default 4.
 	SuccessorListLen int

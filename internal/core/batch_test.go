@@ -152,8 +152,9 @@ func TestHandoverHearsayStrikesNobody(t *testing.T) {
 // handleBatch on a fresh warm ring, from a stranger's address, and the
 // reply is checked against a model: one ack per element, "bad-elem" for
 // an unknown kind, "no-slot" for an update that would enrol the node
-// with a slot below minRemoteSlot, OK for everything else — and at most
-// one new tree per accepted update. The engine never runs: only what
+// with a slot below minRemoteSlot, OK for everything else — and exactly
+// one new tree per key an accepted continuous update enrols: an
+// on-demand element never adds one. The engine never runs: only what
 // the handler itself does is under test.
 func FuzzHandleBatch(f *testing.F) {
 	// The forged-count frames, at a size the fuzzer can still minimise.
@@ -186,18 +187,19 @@ func FuzzHandleBatch(f *testing.F) {
 
 		enrolled := map[ident.ID]bool{r.keys[0]: true}
 		want := make([]UpdateAck, len(bm.Elems))
-		accepted := 0
+		newTrees := 0
 		for i, el := range bm.Elems {
 			want[i] = UpdateAck{OK: true}
 			switch u := el.Update; {
 			case el.Kind == batchKindDetach:
 			case el.Kind != batchKindUpdate:
 				want[i] = UpdateAck{Reason: "bad-elem"}
-			case !u.Demand && !enrolled[u.Key] && time.Duration(u.Slot) < minRemoteSlot:
+			case u.Demand || enrolled[u.Key]:
+			case time.Duration(u.Slot) < minRemoteSlot:
 				want[i] = UpdateAck{Reason: "no-slot"}
 			default:
-				accepted++
-				enrolled[u.Key] = enrolled[u.Key] || !u.Demand
+				newTrees++
+				enrolled[u.Key] = true
 			}
 		}
 
@@ -218,10 +220,46 @@ func FuzzHandleBatch(f *testing.F) {
 		if !replied {
 			t.Fatal("handleBatch did not reply")
 		}
-		if grew := len(n.ActiveKeys()) - trees; grew > accepted {
-			t.Errorf("%d accepted updates grew the tree table by %d", accepted, grew)
+		if grew := len(n.ActiveKeys()) - trees; grew != newTrees {
+			t.Errorf("the batch enrols %d trees, and grew the tree table by %d", newTrees, grew)
 		}
 		// The same batch as a one-way datagram: applied, nothing to answer.
 		r.dats[1].handleBatch(transport.NewRequest(stranger, MsgBatch, bm, nil))
 	})
+}
+
+// TestStrangerDemandCannotGrowTables: a stranger's 1 000 on-demand
+// updates, each for its own (key, epoch), add no tree row on any node,
+// and the epoch buckets they make, at the receiver and at the relays it
+// flushes them to, are all gone once their life has passed.
+func TestStrangerDemandCannotGrowTables(t *testing.T) {
+	r := newWarmRing(t, 1, NodeConfig{})
+	n := r.dats[0]
+	const stranger = transport.Addr("sim/stranger")
+	rows := make([]int, len(r.dats))
+	for i, d := range r.dats {
+		rows[i] = len(d.ActiveKeys())
+	}
+	for i := 0; i < 1000; i++ {
+		um := UpdateMsg{Key: ident.ID(7 + 61*i), Epoch: int64(i), Nodes: 1, Demand: true, Seq: 1}
+		um.Agg.AddSample(1)
+		bm := BatchMsg{Elems: []BatchElem{{Kind: batchKindUpdate, Update: um}}}
+		n.handleBatch(transport.NewRequest(stranger, MsgBatch, bm, func(any, error) {}))
+	}
+	if held := len(n.epochs); held != 1000 {
+		t.Fatalf("1 000 contributions made %d buckets", held)
+	}
+	r.eng.RunFor(demandDebounce + n.EpochLifeForTest() + time.Millisecond)
+	if held := len(n.epochs); held != 0 {
+		t.Fatalf("%d buckets outlived their life at the receiver", held)
+	}
+	r.eng.RunFor(time.Duration(len(r.dats)) * (demandDebounce + n.EpochLifeForTest()))
+	for i, d := range r.dats {
+		if got := len(d.ActiveKeys()); got != rows[i] {
+			t.Errorf("node %d runs %d trees, %d before", i, got, rows[i])
+		}
+		if held := len(d.epochs); held != 0 {
+			t.Errorf("node %d holds %d buckets", i, held)
+		}
+	}
 }

@@ -74,13 +74,17 @@ func (e *flightEndpoint) CallWithin(to transport.Addr, typ string, payload any, 
 	})
 }
 
-// TestCloseStopsEveryTree is the regression test for Close leaving the
-// slot timers armed: after Close a node holds no DAT timer — tick or
-// flush deadline — and surfaces no further result, even
-// while its neighbours keep running. The datagrams it had on the wire
-// are still answered by the transport, and those answers arm no timer
-// and send nothing.
-func TestCloseStopsEveryTree(t *testing.T) {
+// closeRing is five nodes of a warm ring whose DAT timers and datagrams
+// are counted.
+type closeRing struct {
+	eng     *sim.Engine
+	dats    []*core.Node
+	flights []*flightEndpoint
+	live    []int
+}
+
+func newCloseRing(t *testing.T) *closeRing {
+	t.Helper()
 	eng := sim.NewEngine(9)
 	net := transport.NewSimNetwork(eng, transport.SimConfig{})
 	space := ident.New(16)
@@ -95,11 +99,7 @@ func TestCloseStopsEveryTree(t *testing.T) {
 		eps[i] = net.Endpoint(transport.Addr(fmt.Sprintf("sim/%d", i)))
 		ref[id] = chord.NodeRef{ID: id, Addr: eps[i].Addr()}
 	}
-	flights := make([]*flightEndpoint, len(ids))
-	live := make([]int, len(ids))
-	results := make([]int, len(ids))
-	dats := make([]*core.Node, len(ids))
-	keys := []ident.ID{5000, 30000, 60000}
+	r := &closeRing{eng: eng, flights: make([]*flightEndpoint, len(ids)), live: make([]int, len(ids))}
 	for i, id := range ids {
 		ch := chord.New(eps[i], net.Clock(), id, chord.Config{Space: space})
 		var succs, fingers []chord.NodeRef
@@ -110,10 +110,26 @@ func TestCloseStopsEveryTree(t *testing.T) {
 			fingers = append(fingers, ref[f])
 		}
 		ch.SeedState(ref[ring.Pred(id)], succs, fingers)
-		flights[i] = &flightEndpoint{Endpoint: eps[i]}
-		dats[i] = core.NewNode(ch, flights[i], countingClock{transport.SimClock{Engine: eng}, &live[i]}, core.NodeConfig{
+		r.flights[i] = &flightEndpoint{Endpoint: eps[i]}
+		r.dats = append(r.dats, core.NewNode(ch, r.flights[i], countingClock{transport.SimClock{Engine: eng}, &r.live[i]}, core.NodeConfig{
 			Local: func(ident.ID) (float64, bool) { return 1, true },
-		})
+		}))
+	}
+	return r
+}
+
+// TestCloseStopsEveryTree is the regression test for Close leaving the
+// slot timers armed: after Close a node holds no DAT timer — tick or
+// flush deadline — and surfaces no further result, even
+// while its neighbours keep running. The datagrams it had on the wire
+// are still answered by the transport, and those answers arm no timer
+// and send nothing.
+func TestCloseStopsEveryTree(t *testing.T) {
+	r := newCloseRing(t)
+	eng, dats, flights, live := r.eng, r.dats, r.flights, r.live
+	results := make([]int, len(dats))
+	keys := []ident.ID{5000, 30000, 60000}
+	for i := range dats {
 		for _, key := range keys {
 			i := i
 			if err := dats[i].StartContinuous(key, time.Second, func(int64, core.Aggregate) { results[i]++ }); err != nil {
@@ -123,7 +139,7 @@ func TestCloseStopsEveryTree(t *testing.T) {
 	}
 	eng.RunFor(5 * time.Second)
 	roots := 0
-	for i := range ids {
+	for i := range dats {
 		if results[i] > 0 {
 			roots++
 		}
@@ -139,7 +155,7 @@ func TestCloseStopsEveryTree(t *testing.T) {
 		if !eng.Step() {
 			break
 		}
-		for i := range ids {
+		for i := range dats {
 			if flights[i].inFlight > 0 {
 				victim = i
 			}
@@ -172,7 +188,7 @@ func TestCloseStopsEveryTree(t *testing.T) {
 	}
 	before := append([]int(nil), results...)
 	eng.RunFor(5 * time.Second)
-	for i := range ids {
+	for i := range dats {
 		if results[i] != before[i] {
 			t.Errorf("node %d surfaced %d results after Close", i, results[i]-before[i])
 		}
@@ -181,6 +197,42 @@ func TestCloseStopsEveryTree(t *testing.T) {
 		}
 		if err := dats[i].StartContinuous(keys[0], time.Second, nil); err == nil {
 			t.Errorf("node %d: StartContinuous succeeded on a closed node", i)
+		}
+	}
+}
+
+// TestCloseDrainsEpochs: Close with an on-demand query in flight stops
+// every epoch's timer — relay flush or root window — so none fires
+// afterwards, and the contributions still arriving make no row and no
+// bucket on the closed nodes.
+func TestCloseDrainsEpochs(t *testing.T) {
+	r := newCloseRing(t)
+	r.dats[0].Query(30000, time.Second, func(core.QueryResp, error) {})
+	held := func() (all bool) {
+		all = true
+		for _, d := range r.dats {
+			all = all && d.EpochBucketsForTest() > 0
+		}
+		return all
+	}
+	for step := 0; step < 100000 && !held(); step++ {
+		if !r.eng.Step() {
+			break
+		}
+	}
+	if !held() {
+		t.Fatal("the query never reached every node")
+	}
+	for i, d := range r.dats {
+		d.Close()
+		if r.live[i] != 0 || d.EpochBucketsForTest() != 0 {
+			t.Fatalf("node %d holds %d DAT timers and %d buckets after Close", i, r.live[i], d.EpochBucketsForTest())
+		}
+	}
+	r.eng.RunFor(5 * time.Second)
+	for i, d := range r.dats {
+		if r.live[i] != 0 || d.EpochBucketsForTest() != 0 || len(d.ActiveKeys()) != 0 {
+			t.Errorf("closed node %d: %d DAT timers, %d buckets, %d trees", i, r.live[i], d.EpochBucketsForTest(), len(d.ActiveKeys()))
 		}
 	}
 }

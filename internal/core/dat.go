@@ -139,8 +139,9 @@ type NodeConfig struct {
 	// ShareResults makes the root broadcast each completed slot result
 	// over the ring (n-1 messages per slot), so every node's LastResult
 	// serves the freshest global value locally — the consumer-layer
-	// dissemination pattern of SOMO/Willow the paper cites. Off by
-	// default: it doubles per-slot traffic.
+	// dissemination pattern of SOMO/Willow the paper cites. A node keeps
+	// the result of a tree it runs and drops any other. Off by default:
+	// it doubles per-slot traffic.
 	ShareResults bool
 	// HoldPerLevel sizes the fallback of the paper's aggregation
 	// synchronization (§4). Every node's slot boundaries sit on one
@@ -223,9 +224,11 @@ type Node struct {
 	loadMsgs  atomic.Uint64
 	loadBytes atomic.Uint64
 
-	mu     sync.Mutex
-	aggs   map[ident.ID]*aggEntry
-	closed bool // set by Close: no slot timer is armed afterwards
+	mu       sync.Mutex
+	aggs     map[ident.ID]*aggEntry  // the trees: started here, or enrolled by a child's update
+	epochs   map[epochID]*epochState // the on-demand epochs in flight here
+	flushSeq uint64                  // Seq of the last on-demand flush sent: a bucket made again never reuses one
+	closed   bool                    // set by Close: no timer, row or bucket is made afterwards
 }
 
 // parentMemo is parentFrom's no-exclusion answer under routing version
@@ -260,9 +263,9 @@ type aggEntry struct {
 	n   *Node
 	key ident.ID
 
-	// Continuous mode.
 	slotDur  time.Duration
 	onResult func(slot int64, agg Aggregate)
+	local    bool // a StartContinuous here made the row, or adopted it from enrolment
 	// timer is the tree's one timer, armed for its next report: at the
 	// slot boundary, or at the fallback deadline while an expected child
 	// is missing, until the last one's report moves it back to the
@@ -281,24 +284,27 @@ type aggEntry struct {
 	memo parentMemo // this tree's parent under the current routing view
 
 	// Delivery-assurance state: the key's acked update (a new slot's
-	// supersedes it in place), the monotone on-demand flush sequence, and
-	// — after receiving a handover update — the deadline until which this
-	// node acts as the key's root even though its own tables say otherwise
-	// (the old root is dead; the ring has not elected us yet).
+	// supersedes it in place), and — after receiving a handover update —
+	// the deadline until which this node acts as the key's root even
+	// though its own tables say otherwise (the old root is dead; the ring
+	// has not elected us yet).
 	deliv           delivery
-	demandSeq       uint64
 	forcedRootUntil time.Duration
-
-	// On-demand epochs in flight at this node.
-	epochs map[int64]*epochState
 }
 
-// epochState is one on-demand epoch at this node and the TimerTask of
-// its one timer: a relay's flush debounce, or the root's collection
-// window.
-type epochState struct {
-	e     *aggEntry
+// epochID names one on-demand epoch of one key.
+type epochID struct {
+	key   ident.ID
 	epoch int64
+}
+
+// epochState is one on-demand epoch at this node (§2.3) and the
+// TimerTask of its one timer: the root's query window; a relay's flush
+// debounce, then its expiry, once no retry of what it folded or sent can
+// reach it. Each arm bumps gen, passed as the op: a stale firing is inert.
+type epochState struct {
+	n  *Node
+	id epochID
 
 	pending Aggregate
 	nodes   uint64
@@ -306,63 +312,126 @@ type epochState struct {
 	// retry whose previous attempt actually arrived (the ack, not the
 	// request, was lost) is not double-counted.
 	applied map[transport.Addr]uint64
-	// flush is a relay's debounced flush (a fired handle is inert): each
-	// arriving contribution re-arms it, so a node flushes only after its
-	// inflow quiets down — leaves flush first, parents consolidate whole
+	timer   transport.Timer
+	gen     uint32
+	// flushDue: the relay's timer is the flush debounce. Each arriving
+	// contribution re-arms it, so a node flushes only after its inflow
+	// quiets down — leaves flush first, parents consolidate whole
 	// subtrees into one upward message.
-	flush transport.Timer
-	// isRoot marks the root's collection, which answers req when the
-	// query window closes.
-	isRoot bool
-	req    *transport.Request
+	flushDue bool
+	req      *transport.Request // the root's query; nil at a relay
+	deliv    delivery           // a relay's acked flush
 }
 
-// epochLocked returns epoch's state in e, adding an empty relay bucket
-// if it has none. Caller holds n.mu.
-func (e *aggEntry) epochLocked(epoch int64) *epochState {
-	es := e.epochs[epoch]
+// epochLocked returns id's bucket, adding an empty relay bucket if there
+// is none. Caller holds n.mu, and the node is open.
+func (n *Node) epochLocked(id epochID) *epochState {
+	es := n.epochs[id]
 	if es == nil {
-		es = &epochState{e: e, epoch: epoch}
-		e.epochs[epoch] = es
+		es = &epochState{n: n, id: id}
+		es.deliv.n, es.deliv.key = n, id.key
+		n.epochs[id] = es
 	}
 	return es
 }
 
-// RunEvent implements transport.TimerTask: a relay's inflow has quieted,
-// so its bucket goes one level up; or the root's window has closed, so
-// the epoch ends and the query is answered.
-func (es *epochState) RunEvent(int32) {
-	e, n := es.e, es.e.n
-	if !es.isRoot {
-		n.flushDemand(e.key, es.epoch)
-		return
+// armLocked (re-)arms es's one timer d from now. Caller holds n.mu.
+func (es *epochState) armLocked(d time.Duration) {
+	es.timer.Stop()
+	es.gen++
+	es.timer = es.n.clock.AfterRun(d, es, int32(es.gen))
+}
+
+// foldLocked adds a contribution to es; at a relay it (re-)arms the
+// flush debounce. Caller holds n.mu.
+func (es *epochState) foldLocked(agg Aggregate, nodes uint64) {
+	es.pending.Merge(agg)
+	es.nodes += nodes
+	if es.req == nil {
+		es.flushDue = true
+		es.armLocked(demandDebounce)
 	}
-	est := n.ch.EstimatedNetworkSize()
+}
+
+// epochLife is how long a relay's bucket outlives its last flush: every
+// attempt of one delivery, on every candidate, each bounded by AckTimeout.
+func (n *Node) epochLife() time.Duration {
+	return deliveryAttempts * maxCandidates * n.cfg.Delivery.AckTimeout
+}
+
+// RunEvent implements transport.TimerTask: the root's window has closed,
+// so the query is answered; a relay's inflow has quieted, so its bucket
+// goes one level up; or no retry can reach the bucket any more.
+func (es *epochState) RunEvent(op int32) {
+	n, key := es.n, es.id.key
+	busy := es.deliv.busy()
+	rt := n.ch.Routing()
 	n.mu.Lock()
-	delete(e.epochs, es.epoch)
-	est = e.clampEstimateLocked(est)
-	agg, nodes := es.pending, es.nodes
-	n.mu.Unlock()
-	if agg.Count == 0 {
-		es.req.ReplyError(ErrNoLocalValue)
+	if uint32(op) != es.gen || n.epochs[es.id] != es {
+		n.mu.Unlock() // re-armed, or drained by Close
 		return
 	}
-	es.req.Reply(QueryResp{
-		Key: e.key, Epoch: es.epoch, Agg: agg, Nodes: nodes,
-		Coverage: coverage(nodes, est),
-		Degraded: agg.Degraded,
-	})
+	switch {
+	case es.req != nil:
+		delete(n.epochs, es.id)
+		est := rt.EstimatedNetworkSize()
+		if e := n.aggs[key]; e != nil {
+			est = e.clampEstimateLocked(est)
+		}
+		agg, nodes := es.pending, es.nodes
+		n.mu.Unlock()
+		if agg.Count == 0 {
+			es.req.ReplyError(ErrNoLocalValue)
+			return
+		}
+		es.req.Reply(QueryResp{
+			Key: key, Epoch: es.id.epoch, Agg: agg, Nodes: nodes,
+			Coverage: coverage(nodes, est),
+			Degraded: agg.Degraded,
+		})
+		return
+	case !es.flushDue:
+		delete(n.epochs, es.id)
+		n.mu.Unlock()
+		return
+	case busy:
+		// The last flush is still under way, and a new one would
+		// supersede it: wait for it.
+		es.armLocked(demandDebounce)
+		n.mu.Unlock()
+		return
+	}
+	es.flushDue = false
+	es.armLocked(n.epochLife())
+	pc := n.parentLocked(n.aggs[key], key, rt)
+	if es.pending.Count == 0 || !pc.ok || pc.isRoot {
+		// Nothing to send, or no parent to send it to (the ring churned
+		// this relay into rootship): the bucket keeps it, and a later
+		// contribution takes it along.
+		n.mu.Unlock()
+		return
+	}
+	agg, nodes := es.pending, es.nodes
+	es.pending, es.nodes = Aggregate{}, 0
+	n.flushSeq++
+	um := UpdateMsg{
+		Key: key, Epoch: es.id.epoch, Agg: agg, Nodes: nodes, Sender: rt.Self, Demand: true, Seq: n.flushSeq,
+		Trace: obs.RoundTrace(key, es.id.epoch, true), SentAt: int64(n.clock.Now()),
+	}
+	n.mu.Unlock()
+	n.deliverUpdate(&es.deliv, pc.parent, pc.keyRoot, &um)
 }
 
 // NewNode attaches a DAT layer to a Chord node. It registers the DAT
 // message handlers and the collect broadcast upcall on the Chord node.
 func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg NodeConfig) *Node {
 	n := &Node{
-		ch:    ch,
-		ep:    ep,
-		clock: clock,
-		cfg:   cfg.withDefaults(),
-		aggs:  make(map[ident.ID]*aggEntry),
+		ch:     ch,
+		ep:     ep,
+		clock:  clock,
+		cfg:    cfg.withDefaults(),
+		aggs:   make(map[ident.ID]*aggEntry),
+		epochs: make(map[epochID]*epochState),
 	}
 	n.sm = newSendMachine(n, n.cfg.Batch)
 	ch.Handle(MsgBatch, n.handleBatch)
@@ -373,14 +442,19 @@ func NewNode(ch *chord.Node, ep transport.Endpoint, clock transport.Clock, cfg N
 }
 
 // Close stops every tree (slot timers and pending deliveries, as
-// StopContinuous does per key) and then drains the send machine,
-// flushing any queued updates and stopping its deadline timers. No tick
-// starts after Close, and a tick already running surfaces no result
-// once it sees the node closed; only an onResult call already underway
-// may finish after Close returns. Safe to call more than once.
+// StopContinuous does per key) and every epoch, leaving a query it
+// collects to its caller's deadline; then it drains the send machine.
+// No tick starts after Close, and a tick already running surfaces no
+// result once it sees the node closed; only an onResult call already
+// underway may finish after Close returns. Safe to call more than once.
 func (n *Node) Close() {
 	n.mu.Lock()
 	n.closed = true
+	for id, es := range n.epochs {
+		es.timer.Stop()
+		es.deliv.cancel()
+		delete(n.epochs, id)
+	}
 	n.mu.Unlock()
 	for _, key := range n.ActiveKeys() {
 		n.StopContinuous(key)
@@ -437,8 +511,9 @@ func (n *Node) parentLocked(e *aggEntry, key ident.ID, rt *chord.Routing) parent
 // slot duration. Every ring member participates by calling this with the
 // same key and slot duration; whichever node currently owns the key acts
 // as root and receives onResult once per slot (onResult may be nil on
-// non-root nodes — it fires only if this node is the root). Returns an
-// error if the key is already active.
+// non-root nodes — it fires only if this node is the root). A row a
+// child's update enrolled is adopted, cached children and all; a second
+// local start, or one on a closed node, is an error.
 //
 // onResult runs on the clock's timer loop (DESIGN.md §17), live as in
 // the simulator: while it runs none of the node's other timers fire, so
@@ -459,31 +534,29 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 		n.mu.Unlock()
 		return errors.New("core: node closed")
 	}
-	if _, exists := n.aggs[key]; exists {
+	e := n.aggs[key]
+	if e == nil {
+		e = n.entryLocked(key)
+	} else if e.local {
 		n.mu.Unlock()
 		return fmt.Errorf("core: aggregate %v already active", key)
 	}
-	e := n.entryLocked(key)
-	e.slotDur, e.onResult = slot, onResult
-	n.startLocked(e)
+	// A row a child's update enrolled on another slot re-arms on ours,
+	// unless its timer has fired: the report it runs arms the next one.
+	rearm := e.slotDur == 0 || e.slotDur != slot && e.timer.Stop()
+	e.slotDur, e.local, e.onResult = slot, true, onResult
+	if rearm {
+		n.startLocked(e)
+	}
 	n.mu.Unlock()
 	return nil
 }
 
-// entryLocked returns key's table entry, adding an empty one if it has
-// none. Caller holds n.mu.
+// entryLocked adds an empty row for key to the table. Caller holds n.mu.
 func (n *Node) entryLocked(key ident.ID) *aggEntry {
-	e := n.aggs[key]
-	if e == nil {
-		e = &aggEntry{
-			n:        n,
-			key:      key,
-			children: make(map[transport.Addr]childState),
-			epochs:   make(map[int64]*epochState),
-		}
-		e.deliv.n, e.deliv.e, e.deliv.key = n, e, key
-		n.aggs[key] = e
-	}
+	e := &aggEntry{n: n, key: key, children: make(map[transport.Addr]childState)}
+	e.deliv.n, e.deliv.e, e.deliv.key = n, e, key
+	n.aggs[key] = e
 	return e
 }
 
@@ -580,9 +653,9 @@ func (n *Node) StopContinuous(key ident.ID) {
 }
 
 // Active reports whether continuous aggregation for key is running on
-// this node. Re-kick paths (cluster.KickSelfMon, harness rejoins) use it
-// to make enrollment idempotent: StartContinuous rejects a key that is
-// already active.
+// this node, started here or enrolled by a child's update. Re-kick paths
+// (cluster.KickSelfMon, harness rejoins) use it to make enrollment
+// idempotent.
 func (n *Node) Active(key ident.ID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -590,8 +663,8 @@ func (n *Node) Active(key ident.ID) bool {
 	return ok
 }
 
-// LastResult returns the most recent root-computed aggregate for key, if
-// this node has acted as the key's root.
+// LastResult returns the most recent root result of key's tree on this
+// node: its own as the root, or a ShareResults broadcast's.
 func (n *Node) LastResult(key ident.ID) (slot int64, agg Aggregate, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -743,7 +816,7 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 		Slot: int64(slotDur), Sender: self,
 		Trace: obs.RoundTrace(key, slot, false), SentAt: int64(n.clock.Now()),
 	}
-	n.deliverUpdate(e, parent, pc.keyRoot, &um)
+	n.deliverUpdate(&e.deliv, parent, pc.keyRoot, &um)
 }
 
 // ackedBy records that parent acknowledged e's update. On a parent
@@ -820,7 +893,7 @@ func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
 }
 
 // applyUpdate stores a child's subtree aggregate (continuous) or folds
-// an on-demand contribution into the epoch bucket, and returns the
+// an on-demand contribution into its epoch's bucket, and returns the
 // verdict for handleBatch to send back: OK acks confirm delivery, not-OK
 // acks ("cycle", "no-slot", "closed") tell a live sender to route
 // elsewhere without a failure-detector strike.
@@ -837,13 +910,12 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		})
 	}
 	if um.Demand {
-		n.foldDemand(um, from)
-		return UpdateAck{OK: true}
+		return n.foldDemand(um, from)
 	}
 	enrolled := false
 	n.mu.Lock()
 	e := n.aggs[um.Key]
-	if e == nil || e.slotDur == 0 {
+	if e == nil {
 		// A node that never initialized this aggregate locally (e.g. it
 		// joined the ring later) learns about it from the first child
 		// update and enrolls: it must relay the subtree upward, or the
@@ -958,27 +1030,23 @@ func (n *Node) handleQuery(req *transport.Request) {
 	// Epoch ids must be unique even for queries landing at the same
 	// (virtual) instant, so combine the clock with a process-wide counter.
 	epoch := int64(n.clock.Now())<<16 | int64(epochCounter.Add(1)&0xffff)
-	self := n.ch.Self()
-
-	e := n.entry(qr.Key)
-	n.mu.Lock()
-	es := &epochState{e: e, epoch: epoch, isRoot: true, req: req}
-	if n.cfg.Local != nil {
-		if v, okv := n.cfg.Local(qr.Key); okv {
-			es.pending.AddSample(v)
-			es.nodes++
-		}
-	}
-	e.epochs[epoch] = es
-	n.mu.Unlock()
-
-	payload, err := wire.EncodePayload(collectMsg{Key: qr.Key, Epoch: epoch, Root: self})
+	payload, err := wire.EncodePayload(collectMsg{Key: qr.Key, Epoch: epoch, Root: n.ch.Self()})
 	if err != nil {
 		req.ReplyError(err)
 		return
 	}
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		req.ReplyError(errors.New("core: node closed"))
+		return
+	}
+	es := n.epochLocked(epochID{qr.Key, epoch})
+	es.req = req
+	es.foldLocked(n.sampleLocked(qr.Key))
+	es.armLocked(qr.Window)
+	n.mu.Unlock()
 	n.ch.Broadcast(CollectType, payload)
-	n.clock.AfterRun(qr.Window, es, 0)
 }
 
 // handleCollect runs on every node when a collect broadcast arrives:
@@ -986,23 +1054,26 @@ func (n *Node) handleQuery(req *transport.Request) {
 // toward the parent.
 func (n *Node) handleCollect(from chord.NodeRef, payload []byte) {
 	cm, ok := decodeBlob[collectMsg](payload)
-	if !ok {
-		return
-	}
-	if cm.Root.Addr == n.ch.Self().Addr {
+	if !ok || cm.Root.Addr == n.ch.Self().Addr {
 		return // the root already contributed locally in handleQuery
 	}
-	e := n.entry(cm.Key)
 	n.mu.Lock()
-	es := e.epochLocked(cm.Epoch)
+	if !n.closed {
+		n.epochLocked(epochID{cm.Key, cm.Epoch}).foldLocked(n.sampleLocked(cm.Key))
+	}
+	n.mu.Unlock()
+}
+
+// sampleLocked is this node's own sample for key as a contribution, empty
+// if it has none. Caller holds n.mu.
+func (n *Node) sampleLocked(key ident.ID) (agg Aggregate, nodes uint64) {
 	if n.cfg.Local != nil {
-		if v, ok := n.cfg.Local(cm.Key); ok {
-			es.pending.AddSample(v)
-			es.nodes++
+		if v, ok := n.cfg.Local(key); ok {
+			agg.AddSample(v)
+			nodes = 1
 		}
 	}
-	n.armFlushLocked(es)
-	n.mu.Unlock()
+	return agg, nodes
 }
 
 // demandDebounce is the on-demand flush debounce: a node sends its epoch
@@ -1017,88 +1088,33 @@ const demandDebounce = 50 * time.Millisecond
 // a local StartContinuous may still ask for any positive slot.
 const minRemoteSlot = time.Millisecond
 
-// armFlushLocked (re-)schedules the debounced flush for an epoch bucket.
-// Callers hold n.mu.
-func (n *Node) armFlushLocked(es *epochState) {
-	if es.isRoot {
-		return
-	}
-	es.flush.Stop()
-	es.flush = n.clock.AfterRun(demandDebounce, es, 0)
-}
-
-// foldDemand accumulates an on-demand child update and (re-)arms the
-// flush timer. Acked retries are deduplicated per sender via Seq: when
-// only the ack was lost, the retry must not fold the same bucket twice.
-func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) {
-	e := n.entry(um.Key)
+// foldDemand accumulates an on-demand child update into its epoch's
+// bucket, once per sender's Seq: when only the ack was lost, the retry
+// must not fold the same flush twice. A closed node refuses it.
+func (n *Node) foldDemand(um *UpdateMsg, from transport.Addr) UpdateAck {
 	n.mu.Lock()
-	es := e.epochLocked(um.Epoch)
+	if n.closed {
+		n.mu.Unlock()
+		return UpdateAck{Reason: "closed"}
+	}
+	es := n.epochLocked(epochID{um.Key, um.Epoch})
 	if um.Seq != 0 {
 		if last, seen := es.applied[from]; seen && um.Seq <= last {
-			n.armFlushLocked(es)
 			n.mu.Unlock()
-			return // duplicate of an already-folded flush: just re-ack
+			return UpdateAck{OK: true} // duplicate of an already-folded flush: just re-ack
 		}
 		if es.applied == nil {
 			es.applied = make(map[transport.Addr]uint64)
 		}
 		es.applied[from] = um.Seq
 	}
-	es.pending.Merge(um.Agg)
-	es.nodes += um.Nodes
-	n.armFlushLocked(es)
+	es.foldLocked(um.Agg, um.Nodes)
 	n.mu.Unlock()
 	n.loadMsgs.Add(1)
 	if h := n.cfg.Obs.UpdateApplied; h != nil {
 		h(um.Key, true)
 	}
-}
-
-// flushDemand pushes the accumulated epoch bucket one level up the DAT.
-func (n *Node) flushDemand(key ident.ID, epoch int64) {
-	e := n.entry(key)
-	rt := n.ch.Routing()
-	n.mu.Lock()
-	es := e.epochs[epoch]
-	if es == nil || es.isRoot {
-		n.mu.Unlock()
-		return
-	}
-	agg, nodes := es.pending, es.nodes
-	es.pending, es.nodes = Aggregate{}, 0
-	e.demandSeq++
-	seq := e.demandSeq
-	pc := n.parentLocked(e, key, rt)
-	n.mu.Unlock()
-	if agg.Count == 0 {
-		return
-	}
-	if !pc.ok || pc.isRoot {
-		// isRoot should not happen for a non-root epoch holder unless the
-		// ring churned; fold back into the bucket as root-side state.
-		n.mu.Lock()
-		if es2 := e.epochs[epoch]; es2 != nil {
-			es2.pending.Merge(agg)
-			es2.nodes += nodes
-		}
-		n.mu.Unlock()
-		return
-	}
-	um := UpdateMsg{
-		Key: key, Epoch: epoch, Agg: agg, Nodes: nodes, Sender: rt.Self, Demand: true, Seq: seq,
-		Trace: obs.RoundTrace(key, epoch, true), SentAt: int64(n.clock.Now()),
-	}
-	n.deliverUpdate(nil, pc.parent, pc.keyRoot, &um)
-}
-
-// entry returns (creating if needed) the aggregation table entry for key.
-// Entries created implicitly (by on-demand traffic) have no continuous
-// ticker.
-func (n *Node) entry(key ident.ID) *aggEntry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.entryLocked(key)
+	return UpdateAck{OK: true}
 }
 
 // ActiveKeys returns the rendezvous keys present in the aggregation
@@ -1114,15 +1130,15 @@ func (n *Node) ActiveKeys() []ident.ID {
 }
 
 // handleResultBroadcast caches a disseminated slot result so local
-// consumers read it from LastResult.
+// consumers read it from LastResult. It refreshes a tree this node runs
+// and drops the result of any other.
 func (n *Node) handleResultBroadcast(from chord.NodeRef, payload []byte) {
 	rm, ok := decodeBlob[resultMsg](payload)
 	if !ok {
 		return
 	}
-	e := n.entry(rm.Key)
 	n.mu.Lock()
-	if !e.haveLast || rm.Slot >= e.lastSlot {
+	if e := n.aggs[rm.Key]; e != nil && (!e.haveLast || rm.Slot >= e.lastSlot) {
 		e.lastAgg, e.lastSlot, e.haveLast = rm.Agg, rm.Slot, true
 	}
 	n.mu.Unlock()

@@ -182,12 +182,12 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded []trans
 // answered and when the delivery starts over, and every continuation —
 // verdict, the steps of fail — owns the generation it was started under
 // and stops at the first lock under which that is no longer current. A
-// tree's continuous delivery lives in its aggEntry and is reused slot
-// after slot with gen kept monotone, so slot t's verdict arriving after
-// slot t+1 took the record over is just stale.
+// tree's delivery lives in its aggEntry (an epoch's, in its bucket) and
+// is reused slot after slot with gen kept monotone, so slot t's verdict
+// arriving after slot t+1 took the record over is just stale.
 type delivery struct {
 	n   *Node
-	e   *aggEntry // continuous entry (d is e.deliv); nil for on-demand flushes
+	e   *aggEntry // the tree (d is e.deliv); nil for an epoch's flush
 	key ident.ID
 
 	mu         sync.Mutex
@@ -204,16 +204,10 @@ type delivery struct {
 	start time.Duration
 }
 
-// deliverUpdate starts the acked delivery of msg toward parent: on e's
-// own record for continuous traffic — a new slot's aggregate makes the
-// pending one moot — and on a fresh one for an on-demand flush (e nil).
-func (n *Node) deliverUpdate(e *aggEntry, parent chord.NodeRef, parentIsKeyRoot bool, msg *UpdateMsg) {
-	var d *delivery
-	if e != nil {
-		d = &e.deliv
-	} else {
-		d = &delivery{n: n, key: msg.Key}
-	}
+// deliverUpdate starts the acked delivery of msg toward parent on d, the
+// record of msg's tree or epoch: a new slot's aggregate makes the
+// pending one moot.
+func (n *Node) deliverUpdate(d *delivery, parent chord.NodeRef, parentIsKeyRoot bool, msg *UpdateMsg) {
 	d.mu.Lock()
 	d.gen++
 	g := d.gen
@@ -230,6 +224,13 @@ func (d *delivery) cancel() {
 	d.mu.Lock()
 	d.done = true
 	d.mu.Unlock()
+}
+
+// busy reports whether a delivery started on d is still under way.
+func (d *delivery) busy() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.gen != 0 && !d.done
 }
 
 // sendAttempt hands one attempt at the current candidate to the send

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/chord"
 	"repro/internal/ident"
 	"repro/internal/transport"
@@ -65,3 +67,13 @@ func (n *Node) batchCall(to transport.Addr, _ string, payload any, cb func(any, 
 		panic("batchCall: not an update or detach")
 	}
 }
+
+// EpochBucketsForTest is how many on-demand epochs the node holds.
+func (n *Node) EpochBucketsForTest() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.epochs)
+}
+
+// EpochLifeForTest is how long a relay's bucket outlives its last flush.
+func (n *Node) EpochLifeForTest() time.Duration { return n.epochLife() }

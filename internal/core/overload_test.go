@@ -457,7 +457,7 @@ func TestBreakerAdmissionShed(t *testing.T) {
 	}
 
 	um := testUpdate(1)
-	n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+	n.deliverUpdate(&delivery{n: n, key: um.Key}, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
 	if len(dones) != 1 || dones[0] != (done{false, maxCandidates}) {
 		t.Fatalf("delivery at open breakers ended %+v, want one abandoned chain of %d attempts", dones, maxCandidates)
 	}
@@ -521,7 +521,7 @@ func TestLostDatagramIsOneFailure(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		um := testUpdate(k)
 		um.Key = ident.ID(100 + k)
-		n.deliverUpdate(nil, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+		n.deliverUpdate(&delivery{n: n, key: um.Key}, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
 	}
 	if len(ep.calls) != 1 || len(ep.calls[0].payload.(BatchMsg).Elems) != 3 {
 		t.Fatalf("want one datagram of three updates, got %d calls", len(ep.calls))
@@ -577,7 +577,7 @@ func TestLostDatagramIsOneRetry(t *testing.T) {
 		n.mu.Unlock()
 		um := testUpdate(int(key))
 		um.Key = key
-		n.deliverUpdate(e, chord.NodeRef{ID: 4, Addr: dest}, false, &um)
+		n.deliverUpdate(&e.deliv, chord.NodeRef{ID: 4, Addr: dest}, false, &um)
 	}
 	// updatesTo returns the keys of the updates each datagram to to
 	// carries, among the calls from the from'th on.
@@ -647,7 +647,7 @@ func TestStoppedTreeSendsNothing(t *testing.T) {
 		n.mu.Unlock()
 		um := testUpdate(1)
 		um.Key = key
-		n.deliverUpdate(e, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
+		n.deliverUpdate(&e.deliv, chord.NodeRef{ID: 2, Addr: dest}, false, &um)
 		if withDetach {
 			n.sm.enqueue(dest, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key + 1}}, sinkRef{})
 		}
@@ -752,7 +752,7 @@ func TestAckDeadlineRacesReply(t *testing.T) {
 		for i := 0; i < elems; i++ {
 			um := testUpdate(i)
 			um.Key = ident.ID(100*f + i)
-			n.deliverUpdate(nil, dest, false, &um)
+			n.deliverUpdate(&delivery{n: n, key: um.Key}, dest, false, &um)
 		}
 	}
 	if len(ep.calls) != len(answers) {
@@ -789,5 +789,82 @@ func TestAckDeadlineRacesReply(t *testing.T) {
 	defer n.sm.mu.Unlock()
 	if len(n.sm.free) != len(answers) {
 		t.Fatalf("%d of %d flight records back on the free list", len(n.sm.free), len(answers))
+	}
+}
+
+// TestEpochFlushWaitsForPendingFlush: a relay whose first flush of an
+// epoch is still unanswered when a late contribution's debounce runs
+// out holds the second flush back. Sent at once, it would take over the
+// bucket's one delivery record, and the first flush, its datagram lost,
+// would never be re-sent. A bucket made again after its expiry numbers
+// its flushes on from the node's counter.
+func TestEpochFlushWaitsForPendingFlush(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n, ep, _ := newOverloadMachineForTest(t, eng, BatchConfig{MaxElems: 1}, OverloadConfig{})
+	n.aggs = make(map[ident.ID]*aggEntry)
+	n.epochs = make(map[epochID]*epochState)
+	seedFingers(n)
+	contribute := func(from transport.Addr) {
+		um := UpdateMsg{Key: 30000, Epoch: 1, Nodes: 1, Demand: true, Seq: 1}
+		um.Agg.AddSample(1)
+		if ack := n.foldDemand(&um, from); !ack.OK {
+			t.Fatalf("contribution from %s refused: %+v", from, ack)
+		}
+	}
+	// flushes are the datagrams to the parent so far; chord's own calls
+	// go unanswered.
+	flushes := func() (fs []stubCall) {
+		for _, c := range ep.calls {
+			if c.typ == MsgBatch {
+				fs = append(fs, c)
+			}
+		}
+		return fs
+	}
+	answered, acked := 0, uint64(0)
+	answer := func(lost bool) {
+		c := flushes()[answered]
+		answered++
+		if lost {
+			c.cb(nil, transport.ErrTimeout)
+			return
+		}
+		acked += c.payload.(BatchMsg).Elems[0].Update.Agg.Count
+		c.cb(BatchAck{Acks: []UpdateAck{{OK: true}}}, nil)
+	}
+
+	contribute("10.0.0.7:1")
+	eng.RunFor(demandDebounce + time.Millisecond)
+	if len(flushes()) != 1 {
+		t.Fatalf("first flush put %d datagrams on the wire", len(flushes()))
+	}
+	contribute("10.0.0.8:1") // a late child's subtree
+	eng.RunFor(demandDebounce + time.Millisecond)
+	answer(true) // the first flush's datagram was lost
+	for i := 0; i < 10 && answered < len(flushes()); i++ {
+		for answered < len(flushes()) {
+			answer(false)
+		}
+		eng.RunFor(demandDebounce + time.Millisecond)
+	}
+	if acked != 2 {
+		t.Fatalf("the parent acked %d of 2 contributions", acked)
+	}
+	eng.RunFor(n.EpochLifeForTest())
+	if held := len(n.epochs); held != 0 {
+		t.Fatalf("%d buckets outlived their life", held)
+	}
+	// A bucket made again after its expiry numbers its flush past every
+	// Seq its parent may have folded.
+	var folded uint64
+	for _, c := range flushes() {
+		folded = max(folded, c.payload.(BatchMsg).Elems[0].Update.Seq)
+	}
+	contribute("10.0.0.9:1")
+	eng.RunFor(demandDebounce + time.Millisecond)
+	if fs := flushes(); len(fs) == answered {
+		t.Fatal("the bucket made again did not flush")
+	} else if seq := fs[len(fs)-1].payload.(BatchMsg).Elems[0].Update.Seq; seq <= folded {
+		t.Fatalf("the bucket made again flushed Seq %d, not past %d", seq, folded)
 	}
 }

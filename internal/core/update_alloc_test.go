@@ -143,7 +143,7 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 
 	um := testUpdate(1)
 	um.Key = 7
-	n.deliverUpdate(e, parent, false, &um) // slot t
+	n.deliverUpdate(&e.deliv, parent, false, &um) // slot t
 	if len(ep.calls) != 1 {
 		t.Fatalf("slot t put %d calls on the wire", len(ep.calls))
 	}
@@ -151,7 +151,7 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 	eng.RunFor(10 * time.Millisecond) // well inside the ack timeout
 
 	um.Epoch = 2
-	n.deliverUpdate(e, parent, false, &um) // slot t+1 takes the record over
+	n.deliverUpdate(&e.deliv, parent, false, &um) // slot t+1 takes the record over
 	if len(ep.calls) != 2 {
 		t.Fatalf("slot t+1 put %d calls on the wire", len(ep.calls)-1)
 	}
@@ -188,7 +188,7 @@ func TestEmbeddedDeliveryReuseFence(t *testing.T) {
 	}
 	// Generations never go back, whatever the record is reused for.
 	um.Epoch = 3
-	n.deliverUpdate(e, parent, false, &um)
+	n.deliverUpdate(&e.deliv, parent, false, &um)
 	d.mu.Lock()
 	if d.gen <= gen {
 		t.Errorf("generation went from %d to %d across reuse", gen, d.gen)

@@ -41,8 +41,8 @@ type PeerConfig struct {
 	FixFingers time.Duration
 	Ping       time.Duration
 	// ShareResults makes the attribute root broadcast each completed slot
-	// result so LatestResult is fresh on every peer (costs n-1 messages
-	// per slot).
+	// result so LatestResult is fresh on every peer that monitors the
+	// attribute; the others drop it (costs n-1 messages per slot).
 	ShareResults bool
 	// CallTimeout bounds a call: one request datagram, never resent,
 	// fails with a timeout when no answer came within it. Default 2s
@@ -95,8 +95,7 @@ type Peer struct {
 	producer *gma.Producer
 
 	mu       sync.Mutex
-	results  map[string]Aggregate // latest root results per attribute
-	announce func()               // stop function of the MAAN announcer
+	announce func() // stop function of the MAAN announcer
 	closed   bool
 }
 
@@ -161,12 +160,11 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	cn := chord.New(ep, clock, id, chordCfg)
 	p := &Peer{
-		cfg:     cfg,
-		space:   space,
-		ep:      ep,
-		clock:   clock,
-		chord:   cn,
-		results: make(map[string]Aggregate),
+		cfg:   cfg,
+		space: space,
+		ep:    ep,
+		clock: clock,
+		chord: cn,
 	}
 	p.producer = gma.NewProducer(cfg.Name, space, clock)
 	coreCfg.Local = p.producer.Local
@@ -300,7 +298,8 @@ func (p *Peer) AddCPUSensor(attr string) {
 // StartMonitor begins continuous aggregation of attr with the given slot
 // duration. Every ring member monitoring attr must use the same slot.
 // If this peer currently owns the attribute's rendezvous key it acts as
-// the tree root; onResult (may be nil) fires there once per slot.
+// the tree root; onResult (may be nil) fires there once per slot. Only
+// a second StartMonitor of attr fails.
 //
 // onResult, like the sensors of AddSensor, runs on the peer's timer
 // loop: one goroutine runs every timer callback of the peer, one at a
@@ -309,15 +308,7 @@ func (p *Peer) AddCPUSensor(attr string) {
 // maintenance wait — and do not call Close or Leave from it: they wait
 // for that loop to end.
 func (p *Peer) StartMonitor(attr string, slot time.Duration, onResult func(slot int64, agg Aggregate)) error {
-	key := p.space.HashString(attr)
-	return p.dat.StartContinuous(key, slot, func(s int64, agg Aggregate) {
-		p.mu.Lock()
-		p.results[attr] = agg
-		p.mu.Unlock()
-		if onResult != nil {
-			onResult(s, agg)
-		}
-	})
+	return p.dat.StartContinuous(p.space.HashString(attr), slot, onResult)
 }
 
 // StartSelfMonitor joins the dat.load.* monitoring trees (DESIGN.md
@@ -344,16 +335,11 @@ func (p *Peer) StartSelfMonitor() error {
 // round has completed (or been shared/cached on this peer).
 func (p *Peer) ClusterLoad() (obs.LoadSummary, bool) {
 	key := p.space.HashString(obs.LoadAttrMsgs)
-	if slot, agg, ok := p.dat.LastResult(key); ok && agg.Count > 0 {
-		return obs.NewLoadSummary(slot, agg.Count, agg.Sum, agg.Min, agg.Max, agg.Coverage, agg.Degraded), true
-	}
-	p.mu.Lock()
-	agg, ok := p.results[obs.LoadAttrMsgs]
-	p.mu.Unlock()
+	slot, agg, ok := p.dat.LastResult(key)
 	if !ok || agg.Count == 0 {
 		return obs.LoadSummary{}, false
 	}
-	return obs.NewLoadSummary(0, agg.Count, agg.Sum, agg.Min, agg.Max, agg.Coverage, agg.Degraded), true
+	return obs.NewLoadSummary(slot, agg.Count, agg.Sum, agg.Min, agg.Max, agg.Coverage, agg.Degraded), true
 }
 
 // QueryClusterLoad asks the cluster for its load distribution with one
@@ -373,15 +359,11 @@ func (p *Peer) StopMonitor(attr string) {
 	p.dat.StopContinuous(p.space.HashString(attr))
 }
 
-// LatestResult returns this peer's most recent root-computed aggregate
-// for attr, if it has acted as the attribute's root.
+// LatestResult returns attr's latest root result on this peer, computed
+// here as the root or broadcast by it (ShareResults). The result lives
+// with the tree: after StopMonitor(attr) it reports false.
 func (p *Peer) LatestResult(attr string) (Aggregate, bool) {
-	if _, agg, ok := p.dat.LastResult(p.space.HashString(attr)); ok {
-		return agg, true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	agg, ok := p.results[attr]
+	_, agg, ok := p.dat.LastResult(p.space.HashString(attr))
 	return agg, ok
 }
 
