@@ -103,6 +103,34 @@ func TestSimGridMonitorAndQuery(t *testing.T) {
 	}
 }
 
+// TestSimGridQueryCoverage: an on-demand answer carries the coverage
+// the epoch root computed, so a query that counts every node of a
+// 16-node grid does not read coverage 0.
+func TestSimGridQueryCoverage(t *testing.T) {
+	grid, err := dat.NewSimGrid(dat.SimGridConfig{
+		N:    16,
+		Seed: 3,
+		Sensor: func(node int, _ time.Duration, attr string) (float64, bool) {
+			return float64(node), attr == "cpu-usage"
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid.Run(5 * time.Second)
+	q, err := grid.Query(0, "cpu-usage", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("on-demand answer: count %d, coverage %.3f", q.Count, q.Coverage)
+	if q.Count != 16 {
+		t.Fatalf("on-demand count = %d, want 16", q.Count)
+	}
+	if q.Coverage < 0.5 || q.Coverage > 1 {
+		t.Fatalf("coverage %.3f for an answer counting 16 of 16 nodes, want in [0.5, 1]", q.Coverage)
+	}
+}
+
 func TestSimGridSelfMonitor(t *testing.T) {
 	grid, err := dat.NewSimGrid(dat.SimGridConfig{
 		N:       32,

@@ -33,7 +33,8 @@ type Config struct {
 	// paced like StabilizeEvery; each round refreshes fingersPerRound
 	// entries. Default 500ms.
 	FixFingersEvery time.Duration
-	// PingEvery is the predecessor liveness check period. Default 1s.
+	// PingEvery is the predecessor liveness check period: a predecessor
+	// that called this node within it is not pinged. Default 1s.
 	PingEvery time.Duration
 	// Obs receives protocol telemetry: lookup hop counts, stabilization
 	// rounds, join latency, and failure-detector events. The zero value
@@ -112,6 +113,12 @@ type Node struct {
 	upcalls     map[string]func(from NodeRef, payload []byte)
 	onPred      func(old, new NodeRef)
 	health      health // every peer's health record (health.go)
+	// heardFrom last called this node (a stabilize GetState or a notify)
+	// at heardAt, as its predecessor then: checkPredecessor skips the ping
+	// while that is fresher than PingEvery and heardFrom is still the
+	// predecessor (DESIGN.md §16).
+	heardFrom transport.Addr
+	heardAt   time.Duration
 }
 
 // New creates a node bound to the endpoint with the given identifier.
@@ -357,7 +364,7 @@ func (n *Node) randUint64() uint64 {
 }
 
 // startMaintenance launches the paced stabilize and fix-fingers loops
-// and the fixed-period ping loop.
+// and the predecessor check.
 func (n *Node) startMaintenance() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -453,12 +460,16 @@ func (n *Node) dispatch(req *transport.Request) {
 }
 
 // localStep computes one lookup step from this node's state: either the
-// final successor of key, or a strictly closer node to ask next.
+// final successor of key, or a strictly closer node to ask next. A node
+// answers for the arc it owns, (pred, self], once it knows pred.
 func (n *Node) localStep(key ident.ID) StepResp {
 	rt := n.Routing()
-	self, succ := rt.Self, rt.Successor()
+	self, succ, pred := rt.Self, rt.Successor(), rt.Pred
 	if succ.Addr == self.Addr {
 		return StepResp{Done: true, Next: self} // alone
+	}
+	if !pred.IsZero() && pred.ID != self.ID && n.space.InHalfOpen(key, pred.ID, self.ID) {
+		return StepResp{Done: true, Next: self}
 	}
 	if n.space.InHalfOpen(key, self.ID, succ.ID) {
 		return StepResp{Done: true, Next: succ}
@@ -480,8 +491,11 @@ func (n *Node) handleStep(req *transport.Request) {
 
 // handleGetState answers with the reply the view derived when it was
 // published: a struct copy, whose slices every reply under this Version
-// shares.
+// shares. A GetState from the predecessor also spares its next ping.
 func (n *Node) handleGetState(req *transport.Request) {
+	n.mu.Lock()
+	n.heardLocked(req.From)
+	n.mu.Unlock()
 	req.Reply(n.Routing().state)
 }
 
@@ -518,6 +532,7 @@ func (n *Node) handleNotify(req *transport.Request) {
 			n.setSuccsLocked(cand)
 		}
 	}
+	n.heardLocked(req.From)
 	n.mu.Unlock()
 	if fire != nil {
 		fire()
@@ -526,6 +541,14 @@ func (n *Node) handleNotify(req *transport.Request) {
 		n.Send(notice.Addr, MsgNotify, NotifyReq{Candidate: self})
 	}
 	req.Reply(AckResp{})
+}
+
+// heardLocked notes a call from the predecessor: first-hand evidence
+// that it is alive, which makes its next ping redundant.
+func (n *Node) heardLocked(from transport.Addr) {
+	if pred := n.rt.Pred; !pred.IsZero() && pred.Addr == from {
+		n.heardFrom, n.heardAt = from, n.clock.Now()
+	}
 }
 
 func (n *Node) handleLeave(req *transport.Request) {
@@ -674,6 +697,9 @@ type lookup struct {
 	// finger just to remember the index).
 	cb     func(NodeRef, error)
 	finger int
+	// holder marks the Step in flight as the one fixFingers sends the
+	// finger's current holder: only a final answer is taken from it.
+	holder bool
 
 	at      NodeRef // the node whose Step answer is awaited
 	hops    int     // completed remote Step exchanges of this attempt
@@ -683,7 +709,9 @@ type lookup struct {
 }
 
 // startLookup runs l from this node's own tables. A key this node can
-// answer itself costs no record.
+// answer itself costs no record. A finger refresh (l.holder) asks the
+// finger's holder first: a holder that still owns the key answers in
+// one hop.
 func (n *Node) startLookup(l lookup) {
 	l.n = n
 	if !n.Running() {
@@ -694,6 +722,13 @@ func (n *Node) startLookup(l lookup) {
 	if step.Done {
 		l.finish(step.Next, nil)
 		return
+	}
+	if l.holder {
+		if rt := n.Routing(); !rt.Fingers[l.finger].IsZero() && rt.Fingers[l.finger].Addr != rt.Self.Addr {
+			l.start(rt.Fingers[l.finger])
+			return
+		}
+		l.holder = false
 	}
 	l.start(step.Next)
 }
@@ -760,15 +795,13 @@ func (l *lookup) handleStep(payload any, err error) {
 	n, at := l.n, l.at
 	if err != nil {
 		n.report(at.Addr, ChordFailed, err)
-		if l.retries > 0 && n.Running() {
-			// Start over from this node's own tables.
+		if l.holder {
+			l.holder = false // the holder's Step is not one of the retries
+		} else {
 			l.retries--
-			l.hops = 0
-			if step := n.localStep(l.key); step.Done {
-				l.finish(step.Next, nil)
-			} else {
-				l.ask(step.Next)
-			}
+		}
+		if l.retries >= 0 && n.Running() {
+			l.restart()
 			return
 		}
 		l.finish(NodeRef{}, fmt.Errorf("%w: %v unreachable: %v", ErrLookupFailed, at.Addr, err))
@@ -782,10 +815,24 @@ func (l *lookup) handleStep(payload any, err error) {
 		l.finish(NodeRef{}, fmt.Errorf("%w: bad step reply %T", ErrLookupFailed, payload))
 	case resp.Done:
 		l.finish(resp.Next, nil)
+	case l.holder:
+		// The holder no longer owns the key: look it up as any key.
+		l.holder = false
+		l.restart()
 	case resp.Next.IsZero() || resp.Next.Addr == at.Addr:
 		l.finish(NodeRef{}, fmt.Errorf("%w: no progress at %v for key %v", ErrLookupFailed, at, l.key))
 	default:
 		l.ask(resp.Next)
+	}
+}
+
+// restart runs the lookup again from this node's own tables.
+func (l *lookup) restart() {
+	l.hops = 0
+	if step := l.n.localStep(l.key); step.Done {
+		l.finish(step.Next, nil)
+	} else {
+		l.ask(step.Next)
 	}
 }
 
@@ -883,7 +930,7 @@ func (n *Node) stabilize() {
 }
 
 // fixFingers refreshes the next fingersPerRound finger entries by
-// looking up their interval starts.
+// looking up their interval starts, each first at its current holder.
 func (n *Node) fixFingers() {
 	n.mu.Lock()
 	if !n.running {
@@ -900,19 +947,22 @@ func (n *Node) fixFingers() {
 	// cursor math above replaces a per-round allocation.
 	for i := 0; i < fingersPerRound; i++ {
 		j := (first + i) % bits
-		n.startLookup(lookup{key: n.space.FingerStart(self.ID, uint(j)), finger: j})
+		n.startLookup(lookup{key: n.space.FingerStart(self.ID, uint(j)), finger: j, holder: true})
 	}
 }
 
 // checkPredecessor clears a dead predecessor so a live candidate can
-// replace it at the next notify.
+// replace it at the next notify. A predecessor that called this node
+// within the last PingEvery is alive by first-hand evidence and is not
+// pinged.
 func (n *Node) checkPredecessor() {
 	n.mu.Lock()
 	rt := n.rt
 	running := n.running
+	heard := n.heardFrom == rt.Pred.Addr && n.clock.Now()-n.heardAt < n.cfg.PingEvery
 	n.mu.Unlock()
 	pred := rt.Pred
-	if !running || pred.IsZero() || pred.Addr == rt.Self.Addr {
+	if !running || pred.IsZero() || pred.Addr == rt.Self.Addr || heard {
 		return
 	}
 	n.ep.Call(pred.Addr, MsgPing, PingReq{}, func(_ any, err error) {

@@ -12,8 +12,8 @@ import (
 // to maxStretch times its base period; a Version change, a strike in the
 // health record or a change notice snaps it back to base. A quiet ring
 // thus pays one stabilize per maxStretch base periods, not one per base
-// period. The check-predecessor ping keeps its fixed period, so
-// predecessor failure detection does not move.
+// period. The predecessor check keeps its fixed period, and pings only a
+// predecessor that has not called this node within it.
 
 // maxStretch caps a stretched period at this many base periods. The cap
 // is a latency choice: it bounds the eviction of a crashed successor at

@@ -384,9 +384,10 @@ func (es *epochState) RunEvent(op int32) {
 			es.req.ReplyError(ErrNoLocalValue)
 			return
 		}
+		agg.Coverage = coverage(nodes, est)
 		es.req.Reply(QueryResp{
 			Key: key, Epoch: es.id.epoch, Agg: agg, Nodes: nodes,
-			Coverage: coverage(nodes, est),
+			Coverage: agg.Coverage,
 			Degraded: agg.Degraded,
 		})
 		return

@@ -155,11 +155,11 @@ type sendMachine struct {
 	queues map[transport.Addr]*destQueue
 	// free holds records for reuse: a queue taken off the map is its
 	// datagram's flight record until the transport answers the Call,
-	// then comes back here with its sink slice. Only the element slice
-	// is made per fill (elemHint long, like the last): the transport,
-	// and an in-process receiver, go on reading it after the flush.
-	free     []*destQueue
-	elemHint int
+	// then comes back here with its element and sink slices. A flush
+	// hands the transport an exact-size copy of the elements: the
+	// transport, and an in-process receiver, go on reading it after the
+	// flush.
+	free []*destQueue
 	// seqs is the per-destination timer-arming counter feeding the
 	// deadline jitter. It lives outside destQueue so queue GC (idle
 	// entries are deleted once drained) cannot reset the jitter
@@ -240,9 +240,6 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 		}
 		sm.genSeq++
 		q.to, q.gen, q.firstAt = to, sm.genSeq, now
-		if sm.elemHint > 1 {
-			q.elems = make([]BatchElem, 0, sm.elemHint)
-		}
 		sm.queues[to] = q
 	}
 	q.elems = append(q.elems, *el)
@@ -328,7 +325,6 @@ func (q *destQueue) RunEvent(op int32) {
 func (sm *sendMachine) takeLocked(q *destQueue) (stop transport.Timer) {
 	stop = q.timer
 	q.timer, q.armed = transport.Timer{}, false
-	sm.elemHint = len(q.elems)
 	sm.totalBytes -= q.bytes
 	q.bytes = 0
 	sm.genSeq++
@@ -360,8 +356,11 @@ func (sm *sendMachine) flush(q *destQueue, reason string) {
 		sm.recycle(q)
 		return
 	}
-	elems := q.elems
-	q.elems = nil // given away: the transport may re-read it until the reply
+	// Given away: the transport may re-read it until the reply. The
+	// record keeps its buffer for the next fill.
+	elems := slices.Clone(q.elems)
+	clear(q.elems)
+	q.elems = q.elems[:0]
 	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
 	}
