@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -229,6 +230,13 @@ type Node struct {
 	epochs   map[epochID]*epochState // the on-demand epochs in flight here
 	flushSeq uint64                  // Seq of the last on-demand flush sent: a bucket made again never reuses one
 	closed   bool                    // set by Close: no timer, row or bucket is made afterwards
+	// The rows behind aggs (slots.go): the rest of the current chunk,
+	// the stopped rows, and how many rows the chunks have given out.
+	chunk    []aggEntry
+	freeRows []*aggEntry
+	rows     int
+	slots    []*slotTimer // one per slot length the rows have armed
+	arms     uint32       // row timers armed: the count in each row's op
 }
 
 // parentMemo is parentFrom's no-exclusion answer under routing version
@@ -249,47 +257,75 @@ type childState struct {
 	expected bool
 }
 
-// What a tree's one timer is armed for, which is also its op.
+// child is one cached child subtree of a row.
+type child struct {
+	addr transport.Addr
+	childState
+}
+
+// What a tree's one timer is armed for: the low bits of its op, above
+// which the op carries the node's arm count, so a firing that outlived
+// its arm (stopped too late, or its row since reused) matches nothing.
 const (
 	armedNone     int32 = iota // a report is running
 	armedBoundary              // report at the boundary of slot collecting, or at once past it
 	armedDeadline              // the fallback deadline: some expected child is out
+	armedKind     int32 = 3
 )
 
 // aggEntry is one row of the aggregation table, the TimerTask of its
-// own slot timer, and the home of the one acked update its tree can have
-// pending: a steady slot allocates no closure, timer or delivery.
+// slot timer, and the home of the one acked update its tree can have
+// pending: a steady slot allocates no closure, timer or delivery. Rows
+// live in their node's chunks (slots.go); a stopped row is emptied and
+// reused.
 type aggEntry struct {
-	n   *Node
+	n    *Node
+	life uint32 // bumped when the row stops: a report running across that surfaces nothing
+	// deliv is the key's acked update; a new slot's supersedes it in
+	// place. It outlives the row's reuse: its generation fences every
+	// verdict still owed to an earlier tree.
+	deliv delivery
+	rowState
+}
+
+// rowState is what a row holds for its tree, emptied when it stops.
+type rowState struct {
 	key ident.ID
 
 	slotDur  time.Duration
 	onResult func(slot int64, agg Aggregate)
-	local    bool // a StartContinuous here made the row, or adopted it from enrolment
 	// timer is the tree's one timer, armed for its next report: at the
 	// slot boundary, or at the fallback deadline while an expected child
 	// is missing, until the last one's report moves it back to the
 	// boundary (due at once, once passed).
 	timer      transport.Timer
-	armed      int32 // what timer is armed for
+	armed      int32 // the op timer is armed with
+	local      bool  // a StartContinuous here made the row, or adopted it from enrolment
+	haveLast   bool
 	collecting int64 // the slot the next report is for
 	missing    int   // expected children that have not reported collecting
-	children   map[transport.Addr]childState
+	children   []child
 	height     int            // subtree height: 0 for leaves, 1+max(child heights)
 	lastParent transport.Addr // the parent that last acked this tree's update, to detach on switch
 	lastAgg    Aggregate
 	lastSlot   int64
-	haveLast   bool
 
 	memo parentMemo // this tree's parent under the current routing view
 
-	// Delivery-assurance state: the key's acked update (a new slot's
-	// supersedes it in place), and — after receiving a handover update —
-	// the deadline until which this node acts as the key's root even
-	// though its own tables say otherwise (the old root is dead; the ring
-	// has not elected us yet).
-	deliv           delivery
+	// After receiving a handover update: the deadline until which this
+	// node acts as the key's root even though its own tables say
+	// otherwise (the old root is dead; the ring has not elected us yet).
 	forcedRootUntil time.Duration
+}
+
+// childIndex is where from sits in e's child cache, or -1.
+func (e *aggEntry) childIndex(from transport.Addr) int {
+	for i := range e.children {
+		if e.children[i].addr == from {
+			return i
+		}
+	}
+	return -1
 }
 
 // epochID names one on-demand epoch of one key.
@@ -417,7 +453,7 @@ func (es *epochState) RunEvent(op int32) {
 	n.flushSeq++
 	um := UpdateMsg{
 		Key: key, Epoch: es.id.epoch, Agg: agg, Nodes: nodes, Sender: rt.Self, Demand: true, Seq: n.flushSeq,
-		Trace: obs.RoundTrace(key, es.id.epoch, true), SentAt: int64(n.clock.Now()),
+		Trace: obs.RoundTrace(key, es.id.epoch, true),
 	}
 	n.mu.Unlock()
 	n.deliverUpdate(&es.deliv, pc.parent, pc.keyRoot, &um)
@@ -460,6 +496,11 @@ func (n *Node) Close() {
 	for _, key := range n.ActiveKeys() {
 		n.StopContinuous(key)
 	}
+	n.mu.Lock()
+	for _, st := range n.slots {
+		st.stop()
+	}
+	n.mu.Unlock()
 	n.sm.Close()
 }
 
@@ -553,25 +594,25 @@ func (n *Node) StartContinuous(key ident.ID, slot time.Duration, onResult func(s
 	return nil
 }
 
-// entryLocked adds an empty row for key to the table. Caller holds n.mu.
-func (n *Node) entryLocked(key ident.ID) *aggEntry {
-	e := &aggEntry{n: n, key: key, children: make(map[transport.Addr]childState)}
-	e.deliv.n, e.deliv.e, e.deliv.key = n, e, key
-	n.aggs[key] = e
-	return e
-}
-
 // armLocked points e's timer at its next report of slot collecting: the
 // slot boundary on the shared epoch if no expected child is missing,
-// else the fallback deadline. Caller holds n.mu, and e is live.
+// else the fallback deadline. A boundary still ahead is the node's slot
+// timer's; a deadline, or a boundary already passed, is a timer of the
+// row's own. Caller holds n.mu, and e is live.
 func (n *Node) armLocked(e *aggEntry, now time.Duration) {
 	at := time.Duration(e.collecting) * e.slotDur
-	e.armed = armedBoundary
+	kind := armedBoundary
 	if e.missing > 0 {
 		at += min(n.cfg.Delivery.AckTimeout, e.slotDur/2) + time.Duration(e.height)*n.cfg.HoldPerLevel
-		e.armed = armedDeadline
+		kind = armedDeadline
 	}
-	e.timer = n.clock.AfterRun(at-now, e, e.armed)
+	n.arms++
+	e.armed = int32(n.arms<<2) | kind
+	if kind == armedBoundary && at > now {
+		e.timer = n.slotTimerLocked(e.slotDur).arm(e, e.armed, at, now)
+	} else {
+		e.timer = n.clock.AfterRun(at-now, e, e.armed)
+	}
 }
 
 // startLocked arms a new tree's first report, at the next boundary: it
@@ -614,7 +655,7 @@ func (n *Node) childChangedLocked(e *aggEntry, old, cs childState) (stop transpo
 	} else {
 		e.missing--
 	}
-	if e.armed == armedNone || (e.missing > 0) == (e.armed == armedDeadline) {
+	if kind := e.armed & armedKind; kind == armedNone || (e.missing > 0) == (kind == armedDeadline) {
 		return transport.Timer{} // a report is running, or the timer is right
 	}
 	stop = e.timer
@@ -622,35 +663,19 @@ func (n *Node) childChangedLocked(e *aggEntry, old, cs childState) (stop transpo
 	return stop
 }
 
-// RunEvent implements transport.TimerTask: report slot collecting. Live,
-// a deadline can fire while the last expected report replaces it;
-// whichever runs second finds its op no longer armed and does nothing.
-func (e *aggEntry) RunEvent(op int32) {
-	n := e.n
-	n.mu.Lock()
-	if n.closed || n.aggs[e.key] != e || op != e.armed {
-		n.mu.Unlock() // stopped, or replaced
-		return
-	}
-	e.armed = armedNone
-	slot := e.collecting
-	n.mu.Unlock()
-	n.tickContinuous(e, slot)
-}
-
 // StopContinuous removes the aggregation table entry for key.
 func (n *Node) StopContinuous(key ident.ID) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	e := n.aggs[key]
 	if e == nil {
-		n.mu.Unlock()
 		return
 	}
 	delete(n.aggs, key)
-	tick := e.timer
-	n.mu.Unlock()
+	e.timer.Stop()
 	e.deliv.cancel()
-	tick.Stop()
+	e.life++
+	n.freeLocked(e)
 }
 
 // Active reports whether continuous aggregation for key is running on
@@ -696,24 +721,29 @@ func (n *Node) ChildrenInfo(key ident.ID) []ChildInfo {
 		return nil
 	}
 	out := make([]ChildInfo, 0, len(e.children))
-	for addr, cs := range e.children {
-		out = append(out, ChildInfo{Addr: addr, Nodes: cs.nodes, Height: cs.height, Seen: cs.seen})
+	for _, c := range e.children {
+		out = append(out, ChildInfo{Addr: c.addr, Nodes: c.nodes, Height: c.height, Seen: c.seen})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
-// tickContinuous reports slot once: fold the local sample with the
-// cached child subtree aggregates and push the result to the parent (or
-// surface it if this node is the root). It arms the next report first.
-func (n *Node) tickContinuous(e *aggEntry, slot int64) {
-	key := e.key
+// RunEvent implements transport.TimerTask: report slot collecting once
+// — fold the local sample with the cached child subtree aggregates and
+// push the result to the parent (or surface it if this node is the
+// root), arming the next report first. Live, a deadline can fire while
+// the last expected report replaces it; whichever runs second finds its
+// op no longer armed and does nothing.
+func (e *aggEntry) RunEvent(op int32) {
+	n := e.n
 	rt := n.ch.Routing()
 	n.mu.Lock()
-	if n.aggs[key] != e {
-		n.mu.Unlock()
+	if n.closed || op != e.armed {
+		n.mu.Unlock() // stopped, replaced, or reused
 		return
 	}
+	e.armed = armedNone
+	key, slot, life := e.key, e.collecting, e.life
 	pc := n.parentLocked(e, key, rt)
 	now := n.clock.Now()
 	var agg Aggregate
@@ -725,27 +755,30 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 		}
 	}
 	e.collecting = int64(now/e.slotDur) + 1
-	height, fanIn, expired, missing := 0, 0, 0, 0
-	for addr, cs := range e.children {
-		if !n.cachedFor(e, cs, slot, now) {
-			delete(e.children, addr) // stale child: departed or re-parented
-			expired++
+	height, fanIn, expired, missing, keep := 0, 0, 0, 0, 0
+	for i := range e.children {
+		c := &e.children[i]
+		if !n.cachedFor(e, c.childState, slot, now) {
+			expired++ // stale child: departed or re-parented
 			continue
 		}
-		agg.Merge(cs.agg)
-		nodes += cs.nodes
+		agg.Merge(c.agg)
+		nodes += c.nodes
 		fanIn++
-		if cs.height+1 > height {
-			height = cs.height + 1
+		if c.height+1 > height {
+			height = c.height + 1
 		}
-		if expect := n.expects(e, cs, now); expect != cs.expected {
-			cs.expected = expect
-			e.children[addr] = cs
-		}
-		if cs.expected {
+		c.expected = n.expects(e, c.childState, now)
+		if c.expected {
 			missing++
 		}
+		if keep != i {
+			e.children[keep] = *c
+		}
+		keep++
 	}
+	clear(e.children[keep:])
+	e.children = e.children[:keep]
 	e.height, e.missing = height, missing
 	n.armLocked(e, now)
 	slotDur := e.slotDur
@@ -757,8 +790,19 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 	forced := pc.ok && !isRoot && now < e.forcedRootUntil
 	isRoot = isRoot || forced
 	var oldParent transport.Addr
-	if pc.ok && isRoot {
+	var g uint64
+	switch {
+	case pc.ok && isRoot:
+		// A root has nothing in flight upward, and its former parent
+		// drops the subtree now (see ackedBy).
+		e.deliv.cancel()
 		oldParent, e.lastParent = e.lastParent, ""
+	case pc.ok:
+		g = e.deliv.begin(parent, pc.keyRoot, &UpdateMsg{
+			Key: key, Epoch: slot, Agg: agg, Nodes: nodes, Height: height,
+			Slot: int64(slotDur), Sender: self,
+			Trace: obs.RoundTrace(key, slot, false),
+		})
 	}
 	n.mu.Unlock()
 
@@ -782,9 +826,6 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 	}
 
 	if isRoot {
-		// A root has nothing in flight upward, and its former parent
-		// drops the subtree now (see ackedBy).
-		e.deliv.cancel()
 		if oldParent != "" {
 			n.sm.enqueue(oldParent, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: self}}, sinkRef{})
 		}
@@ -792,7 +833,7 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 			agg.Degraded = true // serving in the dead root's stead
 		}
 		n.mu.Lock()
-		if n.closed || n.aggs[key] != e { // stopped while this tick ran: surface nothing
+		if n.closed || e.life != life { // stopped while this tick ran: surface nothing
 			n.mu.Unlock()
 			return
 		}
@@ -812,12 +853,7 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 		return
 	}
 	roundDone(false)
-	um := UpdateMsg{
-		Key: key, Epoch: slot, Agg: agg, Nodes: nodes, Height: height,
-		Slot: int64(slotDur), Sender: self,
-		Trace: obs.RoundTrace(key, slot, false), SentAt: int64(n.clock.Now()),
-	}
-	n.deliverUpdate(&e.deliv, parent, pc.keyRoot, &um)
+	e.deliv.sendAttempt(g)
 }
 
 // ackedBy records that parent acknowledged e's update. On a parent
@@ -829,16 +865,16 @@ func (n *Node) tickContinuous(e *aggEntry, slot int64) {
 // pointer, say) never leaves the subtree counted nowhere.
 func (n *Node) ackedBy(e *aggEntry, parent transport.Addr) {
 	n.mu.Lock()
-	old := e.lastParent
-	if n.aggs[e.key] != e || old == parent {
+	old, key := e.lastParent, e.key
+	if n.aggs[key] != e || old == parent {
 		n.mu.Unlock()
 		return
 	}
 	e.lastParent = parent
 	n.mu.Unlock()
 	if old != "" {
-		n.sm.enqueue(old, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: e.key, Sender: n.ch.Self()}}, sinkRef{})
-		n.debug("switched aggregation parent", e.key, "old", old, "new", parent)
+		n.sm.enqueue(old, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: n.ch.Self()}}, sinkRef{})
+		n.debug("switched aggregation parent", key, "old", old, "new", parent)
 	}
 }
 
@@ -885,8 +921,10 @@ func (n *Node) applyDetach(from transport.Addr, key ident.ID) UpdateAck {
 	var stop transport.Timer
 	n.mu.Lock()
 	if e := n.aggs[key]; e != nil {
-		stop = n.childChangedLocked(e, e.children[from], childState{})
-		delete(e.children, from)
+		if i := e.childIndex(from); i >= 0 {
+			stop = n.childChangedLocked(e, e.children[i].childState, childState{})
+			e.children = slices.Delete(e.children, i, i+1)
+		}
 	}
 	n.mu.Unlock()
 	stop.Stop()
@@ -953,8 +991,12 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 		}
 		return UpdateAck{Reason: "cycle"}
 	}
-	old, had := e.children[from]
-	if had && um.Epoch < old.slot {
+	i := e.childIndex(from)
+	var old childState
+	if i >= 0 {
+		old = e.children[i].childState
+	}
+	if i >= 0 && um.Epoch < old.slot {
 		// A datagram reordered, or a retry, behind the child's newer
 		// report: acknowledged, and the newer value stays cached.
 		n.mu.Unlock()
@@ -964,7 +1006,11 @@ func (n *Node) applyUpdate(from transport.Addr, um *UpdateMsg) UpdateAck {
 	cs := childState{agg: um.Agg, nodes: um.Nodes, height: um.Height, slot: um.Epoch, seen: now}
 	cs.expected = n.expects(e, cs, now) // still, if this reports a slot before collecting
 	stop := n.childChangedLocked(e, old, cs)
-	e.children[from] = cs
+	if i >= 0 {
+		e.children[i].childState = cs
+	} else {
+		e.children = append(e.children, child{addr: from, childState: cs})
+	}
 	if um.Handover {
 		// A child routed around its dead root and chose us from its
 		// successor list: assume rootship for the key. The dead root's

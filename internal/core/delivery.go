@@ -186,37 +186,43 @@ func parentFrom(rt *chord.Routing, scheme Scheme, key ident.ID, excluded []trans
 // is reused slot after slot with gen kept monotone, so slot t's verdict
 // arriving after slot t+1 took the record over is just stale.
 type delivery struct {
-	n   *Node
-	e   *aggEntry // the tree (d is e.deliv); nil for an epoch's flush
-	key ident.ID
+	n *Node
+	e *aggEntry // the tree (d is e.deliv); nil for an epoch's flush
 
-	mu         sync.Mutex
-	msg        UpdateMsg
-	done       bool
-	gen        uint64
-	cur        chord.NodeRef
-	curKeyRoot bool // current candidate is believed successor(key)
-	attempt    int  // attempts on the current candidate
-	total      int  // attempts across all candidates
-	cands      int  // distinct candidates tried
+	mu    sync.Mutex
+	key   ident.ID // under mu: a row reused for another key rewrites it
+	msg   UpdateMsg
+	gen   uint64
+	cur   chord.NodeRef
+	start time.Duration // when the first attempt was sent
 	// tried[:cands-1] are the candidates given up on.
-	tried [maxCandidates]transport.Addr
-	start time.Duration
+	tried      [maxCandidates]transport.Addr
+	done       bool
+	curKeyRoot bool  // current candidate is believed successor(key)
+	attempt    uint8 // attempts on the current candidate
+	total      uint8 // attempts across all candidates
+	cands      uint8 // distinct candidates tried
 }
 
 // deliverUpdate starts the acked delivery of msg toward parent on d, the
 // record of msg's tree or epoch: a new slot's aggregate makes the
 // pending one moot.
 func (n *Node) deliverUpdate(d *delivery, parent chord.NodeRef, parentIsKeyRoot bool, msg *UpdateMsg) {
+	d.sendAttempt(d.begin(parent, parentIsKeyRoot, msg))
+}
+
+// begin takes d over for msg toward parent and returns the generation
+// its first attempt is sent under (sendAttempt). A slot tick begins its
+// delivery holding Node.mu, so a row stopped before the attempt leaves
+// it inert.
+func (d *delivery) begin(parent chord.NodeRef, parentIsKeyRoot bool, msg *UpdateMsg) uint64 {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.gen++
-	g := d.gen
 	d.msg, d.done = *msg, false
 	d.cur, d.curKeyRoot = parent, parentIsKeyRoot
 	d.attempt, d.total, d.cands = 0, 0, 1
-	d.start = n.clock.Now()
-	d.mu.Unlock()
-	d.sendAttempt(g)
+	return d.gen
 }
 
 // cancel abandons the delivery, completion hooks unfired: its tree stopped.
@@ -246,9 +252,13 @@ func (d *delivery) sendAttempt(g uint64) {
 	d.total++
 	d.gen++
 	g = d.gen
-	to := d.cur.Addr
+	to, key := d.cur.Addr, d.key
 	el := BatchElem{Kind: batchKindUpdate, Update: d.msg}
+	el.Update.SentAt = int64(n.clock.Now())
 	retry := d.total > 1
+	if !retry {
+		d.start = time.Duration(el.Update.SentAt)
+	}
 	d.mu.Unlock()
 
 	// A peer the health record avoids fails fast into the failover path
@@ -261,9 +271,8 @@ func (d *delivery) sendAttempt(g uint64) {
 	}
 
 	if h := n.cfg.Obs.UpdateRetried; retry && h != nil {
-		h(d.key)
+		h(key)
 	}
-	el.Update.SentAt = int64(n.clock.Now())
 	n.sm.enqueue(to, &el, sinkRef{d, g})
 }
 
@@ -321,6 +330,7 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		return
 	}
 	// Candidate exhausted (or refused outright): fail over.
+	key := d.key
 	d.tried[d.cands-1] = to
 	tried, k := d.tried, d.cands // tried[:k]: every candidate given up on
 	wasKeyRoot := d.curKeyRoot
@@ -332,7 +342,7 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		return
 	}
 	rt := n.ch.Routing()
-	pc := parentFrom(rt, n.cfg.Scheme, d.key, tried[:k])
+	pc := parentFrom(rt, n.cfg.Scheme, key, tried[:k])
 	parent, keyRoot := pc.parent, pc.keyRoot
 	if !pc.ok || pc.isRoot {
 		// No remaining candidate, or the ring churned us into rootship
@@ -361,7 +371,7 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 	if hook != nil {
 		hook()
 	}
-	n.debug(what, d.key, "failed", to, role, parent.Addr)
+	n.debug(what, key, "failed", to, role, parent.Addr)
 	if d.e != nil {
 		// The failed candidate — if it was merely slow, not dead — must
 		// not keep our subtree in its child cache while it also travels
@@ -374,7 +384,7 @@ func (d *delivery) fail(g uint64, to transport.Addr, refused bool) {
 		acked := d.e.lastParent
 		n.mu.Unlock()
 		if ok, _ := n.ch.MayCarryDAT(to, false); ok && to != acked {
-			n.sm.enqueue(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: d.key, Sender: rt.Self}}, sinkRef{})
+			n.sm.enqueue(to, &BatchElem{Kind: batchKindDetach, Detach: DetachMsg{Key: key, Sender: rt.Self}}, sinkRef{})
 		}
 	}
 	d.sendAttempt(g)
@@ -389,7 +399,7 @@ func (d *delivery) finish(g uint64, ok bool) {
 		return
 	}
 	d.done = true
-	attempts := d.total
+	attempts, key := d.total, d.key
 	latency := n.clock.Now() - d.start
 	to := d.cur.Addr
 	d.mu.Unlock()
@@ -397,9 +407,9 @@ func (d *delivery) finish(g uint64, ok bool) {
 		n.ackedBy(d.e, to)
 	}
 	if h := n.cfg.Obs.DeliveryDone; h != nil {
-		h(ok, attempts, latency)
+		h(ok, int(attempts), latency)
 	}
 	if !ok && n.debugOn() {
-		n.cfg.Logger.Debug("update delivery gave up", "key", d.key, "attempts", attempts)
+		n.cfg.Logger.Debug("update delivery gave up", "key", key, "attempts", attempts)
 	}
 }

@@ -153,13 +153,16 @@ type sendMachine struct {
 
 	mu     sync.Mutex
 	queues map[transport.Addr]*destQueue
-	// free holds records for reuse: a queue taken off the map is its
-	// datagram's flight record until the transport answers the Call,
-	// then comes back here with its element and sink slices. A flush
-	// hands the transport an exact-size copy of the elements: the
-	// transport, and an in-process receiver, go on reading it after the
-	// flush.
+	// free holds up to maxFree records for reuse: a queue taken off the
+	// map is its datagram's flight record until the transport answers
+	// the Call, then comes back here with its sink slice. A flush hands
+	// the transport an exact-size copy of the elements — the transport,
+	// and an in-process receiver, go on reading it after the reply — and
+	// puts the queue's element slice in bufs for the next fill, so a
+	// flight holds none; a slice grown past keepElems goes to the
+	// transport whole instead.
 	free []*destQueue
+	bufs [][]BatchElem
 	// seqs is the per-destination timer-arming counter feeding the
 	// deadline jitter. It lives outside destQueue so queue GC (idle
 	// entries are deleted once drained) cannot reset the jitter
@@ -218,7 +221,6 @@ func newSendMachine(n *Node, cfg BatchConfig) *sendMachine {
 func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 	n := sm.n
 	est := elemEstimate(el)
-	now := n.clock.Now()
 
 	sm.mu.Lock()
 	if sm.closed {
@@ -238,8 +240,13 @@ func (sm *sendMachine) enqueue(to transport.Addr, el *BatchElem, ref sinkRef) {
 			q = &destQueue{n: n}
 			q.reply = q.onReply
 		}
+		if k := len(sm.bufs); k > 0 {
+			q.elems, sm.bufs = sm.bufs[k-1], sm.bufs[:k-1]
+		} else {
+			q.elems = make([]BatchElem, 0, min(sm.cfg.MaxElems, keepElems))
+		}
 		sm.genSeq++
-		q.to, q.gen, q.firstAt = to, sm.genSeq, now
+		q.to, q.gen, q.firstAt = to, sm.genSeq, n.clock.Now()
 		sm.queues[to] = q
 	}
 	q.elems = append(q.elems, *el)
@@ -353,14 +360,15 @@ func (sm *sendMachine) flush(q *destQueue, reason string) {
 	clear(q.sinks[keep:])
 	q.elems, q.sinks = q.elems[:keep], q.sinks[:keep]
 	if keep == 0 {
+		sm.putBuf(q)
 		sm.recycle(q)
 		return
 	}
-	// Given away: the transport may re-read it until the reply. The
-	// record keeps its buffer for the next fill.
-	elems := slices.Clone(q.elems)
-	clear(q.elems)
-	q.elems = q.elems[:0]
+	elems := q.elems
+	if cap(elems) <= keepElems {
+		elems = slices.Clone(elems)
+	}
+	sm.putBuf(q) // a larger slice is the transport's now
 	if h := n.cfg.Obs.BatchFlush; h != nil {
 		h(reason, len(elems), (len(elems)-1)*frameOverhead)
 	}
@@ -421,13 +429,40 @@ func (q *destQueue) onReply(payload any, err error) {
 	sm.recycle(q)
 }
 
+// What the machine keeps for reuse: up to maxFree records, and up to
+// maxBufs element slices of at most keepElems, so a burst of flights
+// or one large fill does not stay allocated for the node's lifetime.
+const (
+	maxFree   = 16
+	maxBufs   = 3
+	keepElems = 16
+)
+
+// putBuf takes q's element slice for the next fill, or leaves it to
+// whoever holds it.
+func (sm *sendMachine) putBuf(q *destQueue) {
+	buf := q.elems
+	q.elems = nil
+	if cap(buf) > keepElems {
+		return
+	}
+	clear(buf)
+	sm.mu.Lock()
+	if len(sm.bufs) < maxBufs {
+		sm.bufs = append(sm.bufs, buf[:0])
+	}
+	sm.mu.Unlock()
+}
+
 // recycle returns a flight record, or a queue that had nothing left to
 // send, to the free list.
 func (sm *sendMachine) recycle(q *destQueue) {
-	sm.mu.Lock()
 	clear(q.sinks)
 	q.sinks = q.sinks[:0]
-	sm.free = append(sm.free, q)
+	sm.mu.Lock()
+	if len(sm.free) < maxFree {
+		sm.free = append(sm.free, q)
+	}
 	sm.mu.Unlock()
 }
 
